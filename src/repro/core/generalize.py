@@ -13,87 +13,40 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.core.implication import implied_truth_value
 from repro.core.predtree import PredicateTree, PredNode
 from repro.core.tags import Tag
-from repro.expr.three_valued import FALSE, TRUE, UNKNOWN, TruthValue, scalar_and, scalar_not, scalar_or
+from repro.expr.three_valued import FALSE, TRUE, UNKNOWN, TruthValue, scalar_not
 
 
-def _can_propagate(node: PredNode, parent: PredNode, assignments: dict[str, TruthValue]) -> bool:
-    """The five propagation conditions of Algorithm 1 (3VL variant).
+def _propagated_value(
+    parent: PredNode, child_keys: tuple[str, ...], value: TruthValue, assignments: dict
+) -> TruthValue | None:
+    """The parent's value when its child's assignment propagates, else None.
+
+    The five propagation conditions of Algorithm 1 (3VL variant):
 
     (a) the parent is a NOT node;
     (b) the parent is an OR node and this child is TRUE;
     (c) the parent is an AND node and this child is FALSE;
     (d) the parent is an OR node and all children are FALSE or UNKNOWN;
     (e) the parent is an AND node and all children are TRUE or UNKNOWN.
+
+    Under (d) and (e) the children fold with the SQL truth tables: UNKNOWN if
+    any child is UNKNOWN, otherwise FALSE for OR / TRUE for AND.
     """
-    value = assignments.get(node.key)
-    if value is None:
-        return False
     if parent.is_not:
-        return True
-    if parent.is_or and value is TRUE:
-        return True
-    if parent.is_and and value is FALSE:
-        return True
-    child_values = [assignments.get(child.key) for child in parent.children]
-    if parent.is_or and all(v in (FALSE, UNKNOWN) for v in child_values):
-        return True
-    if parent.is_and and all(v in (TRUE, UNKNOWN) for v in child_values):
-        return True
-    return False
-
-
-def _do_propagate(node: PredNode, parent: PredNode, assignments: dict[str, TruthValue]) -> TruthValue:
-    """Compute and record the parent's assignment value."""
-    value = assignments[node.key]
-    if parent.is_not:
-        result = scalar_not(value)
-    elif parent.is_or:
-        if value is TRUE:
-            result = TRUE
-        else:
-            result = FALSE
-            for child in parent.children:
-                result = scalar_or(result, assignments.get(child.key, FALSE))
-    elif parent.is_and:
-        if value is FALSE:
-            result = FALSE
-        else:
-            result = TRUE
-            for child in parent.children:
-                result = scalar_and(result, assignments.get(child.key, TRUE))
-    else:  # pragma: no cover - parents are always NOT/AND/OR nodes
-        result = value
-    assignments[parent.key] = result
+        return scalar_not(value)
+    decisive, neutral = (TRUE, FALSE) if parent.is_or else (FALSE, TRUE)
+    if value is decisive:
+        return decisive
+    result = neutral
+    for child_key in child_keys:
+        child_value = assignments.get(child_key)
+        if child_value is UNKNOWN:
+            result = UNKNOWN
+        elif child_value is not neutral:
+            return None
     return result
-
-
-def _topmost_assignments(
-    node: PredNode,
-    assignments: dict[str, TruthValue],
-    derived_only: set[str],
-) -> dict[str, TruthValue]:
-    """Collect only the topmost assignments reachable from ``node``.
-
-    An assignment survives only where no ancestor on that path carries an
-    assignment; because the recursion is per path, a predicate occurring in
-    several places keeps its assignment as long as at least one occurrence
-    has no assigned ancestor (Section 3.2, "Duplicates").  Leaf assignments
-    that were merely *derived* through predicate implication (and never part
-    of the input tag) are used as propagation fuel only and are not emitted.
-    """
-    if not assignments:
-        return {}
-    if node.key in assignments:
-        if node.is_leaf and node.key in derived_only:
-            return {}
-        return {node.key: assignments[node.key]}
-    collected: dict[str, TruthValue] = {}
-    for child in node.children:
-        collected.update(_topmost_assignments(child, assignments, derived_only))
-    return collected
 
 
 def _augment_with_implications(
@@ -101,32 +54,59 @@ def _augment_with_implications(
 ) -> set[str]:
     """Derive assignments for unassigned leaves via predicate implication.
 
-    For example ``t.year > 2000 = T`` derives ``t.year > 1980 = T``.  Returns
+    For example ``t.year > 2000 = T`` derives ``t.year > 1980 = T``.  Each
+    leaf takes the value forced by the first assignment (in tag order) that
+    decides it; derived leaves are added in the tree's leaf order.  Returns
     the set of keys that were added (used to keep them out of the final tag).
     """
-    facts = []
-    for key, value in assignments.items():
-        if key in tree:
-            expr = tree.expr_for(key)
-            if expr.is_base_predicate():
-                facts.append((expr, value))
-    if not facts:
-        return set()
+    derived: dict[str, TruthValue] = {}
+    for assignment in assignments.items():
+        forced = tree.leaf_implications.get(assignment)
+        if forced is not None:
+            for leaf_key, value in forced.items():
+                if leaf_key not in assignments:
+                    derived.setdefault(leaf_key, value)
+    for leaf_key in sorted(derived, key=tree.leaf_positions.__getitem__):
+        assignments[leaf_key] = derived[leaf_key]
+    return set(derived)
 
-    derived: set[str] = set()
-    for leaf in tree.base_predicates():
-        leaf_key = leaf.key()
-        if leaf_key in assignments:
-            continue
-        value = implied_truth_value(leaf, facts)
-        if value is not None:
-            assignments[leaf_key] = value
-            derived.add(leaf_key)
-    return derived
+
+def _generalize(tree: PredicateTree, tag: Tag) -> Tag:
+    assignments: dict[str, TruthValue] = tag.as_dict()
+    parent_links = tree.parent_links  # keyed by every key of the tree
+    result = {key: value for key, value in assignments.items() if key not in parent_links}
+    derived_only = _augment_with_implications(tree, assignments) if tree.leaf_implications else ()
+
+    fringe: deque[str] = deque(key for key in assignments if key in parent_links)
+    enqueued = set(fringe)
+    while fringe:
+        key = fringe.popleft()
+        enqueued.discard(key)
+        for parent, child_keys in parent_links[key]:
+            new_value = _propagated_value(parent, child_keys, assignments[key], assignments)
+            if new_value is None:
+                continue
+            previous = assignments.get(parent.key)
+            assignments[parent.key] = new_value
+            if previous != new_value and parent.key not in enqueued:
+                fringe.append(parent.key)
+                enqueued.add(parent.key)
+
+    # Keep only the topmost assignments: one survives where at least one
+    # occurrence of its expression has no assigned ancestor (Section 3.2,
+    # "Duplicates").  Leaf assignments merely *derived* through implication
+    # were propagation fuel and are not emitted.
+    assigned = assignments.keys()
+    for key, value in assignments.items():
+        if key in parent_links and key not in derived_only and not (
+            tree.every_instance_has_assigned_ancestor(key, assigned)
+        ):
+            result[key] = value
+    return Tag._of(result)
 
 
 def generalize_tag(tree: PredicateTree, tag: Tag) -> Tag:
-    """Generalize ``tag`` against ``tree`` (Algorithm 1).
+    """Generalize ``tag`` against ``tree`` (Algorithm 1), memoized on the tree.
 
     Assignments to expressions that do not occur in the tree are preserved
     verbatim (they cannot be generalized but still constrain the slice).
@@ -134,30 +114,16 @@ def generalize_tag(tree: PredicateTree, tag: Tag) -> Tag:
     value-level reasoning over comparison predicates (e.g. ``year > 2000``
     implies ``year > 1980``); those derived assignments drive propagation but
     never appear in the resulting tag themselves.
+
+    Every planner candidate of a query, and the bypass operators at run
+    time, generalize through the same tree, so each distinct tag runs the
+    algorithm once.  Threads sharing a tree may race to fill an entry; they
+    compute equal tags, so whichever store lands last changes nothing.
     """
-    assignments: dict[str, TruthValue] = tag.as_dict()
-    foreign = {key: value for key, value in assignments.items() if key not in tree}
-    derived_only = _augment_with_implications(tree, assignments)
-
-    fringe: deque[str] = deque(key for key in assignments if key in tree)
-    enqueued = set(fringe)
-    while fringe:
-        key = fringe.popleft()
-        enqueued.discard(key)
-        for instance in tree.instances(key):
-            parent = instance.parent
-            if parent is None:
-                continue
-            if _can_propagate(instance, parent, assignments):
-                previous = assignments.get(parent.key)
-                new_value = _do_propagate(instance, parent, assignments)
-                if previous != new_value and parent.key not in enqueued:
-                    fringe.append(parent.key)
-                    enqueued.add(parent.key)
-
-    result = _topmost_assignments(tree.root, assignments, derived_only)
-    result.update(foreign)
-    return Tag(result)
+    generalized = tree.generalized.get(tag)
+    if generalized is None:
+        generalized = tree.generalized[tag] = _generalize(tree, tag)
+    return generalized
 
 
 def root_assignment(tree: PredicateTree, tag: Tag) -> TruthValue | None:

@@ -175,14 +175,28 @@ def refutes(p: BooleanExpr, q: BooleanExpr) -> bool:
     p_finite = _predicate_values(p)
     if q_finite is not None and p_finite is not None and q_finite[0] == p_finite[0]:
         return not (set(p_finite[1]) & set(q_finite[1]))
-    if q_finite is not None:
-        p_interval = _predicate_interval(p)
-        if p_interval is not None and p_interval[0] == q_finite[0]:
-            _, p_op, a = p_interval
-            # p's interval must exclude every value q allows.  Only decidable
-            # here for equality-style p handled above; stay conservative.
-            return False
+    # An interval p excluding every value a finite q allows is not decided
+    # here; stay conservative.
     return False
+
+
+def implication_group(expr: BooleanExpr) -> object | None:
+    """What a base predicate constrains, for pairing up candidates.
+
+    Two *different* base predicates can only imply or refute one another
+    when their groups are equal: every rule above compares predicates over
+    one column, except the negation-by-key rule, which needs the same two
+    comparison operands.  ``None`` means the predicate takes part in no
+    implication at all.
+    """
+    if isinstance(expr, Comparison):
+        decomposed = _column_and_literal(expr)
+        if decomposed is not None:
+            return decomposed[0]
+        return (expr.left.key(), expr.right.key())
+    if isinstance(expr, (InPredicate, BetweenPredicate)) and isinstance(expr.operand, ColumnRef):
+        return expr.operand.key()
+    return None
 
 
 def implied_truth_value(

@@ -44,6 +44,11 @@ class PlannerContext:
     three_valued: bool = True
     naive_tags: bool = False
 
+    def __post_init__(self) -> None:
+        self._tag_maps = TagMapBuilder(
+            self.predicate_tree, naive=self.naive_tags, three_valued=self.three_valued
+        )
+
     @property
     def table_stats(self) -> dict[str, TableStats]:
         """Per-table summary statistics (delegates to the estimate provider)."""
@@ -107,10 +112,8 @@ class PlannerContext:
     # Helpers shared by the planners
     # ------------------------------------------------------------------ #
     def tag_map_builder(self) -> TagMapBuilder:
-        """A tag-map builder configured for this query."""
-        return TagMapBuilder(
-            self.predicate_tree, naive=self.naive_tags, three_valued=self.three_valued
-        )
+        """The query's tag-map builder, shared by every planner and candidate."""
+        return self._tag_maps
 
     def single_table_alias(self, expr: BooleanExpr) -> str | None:
         """The single alias referenced by ``expr``, or None when it spans tables."""

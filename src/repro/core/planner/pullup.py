@@ -21,22 +21,24 @@ from repro.plan.logical import (
 )
 
 
-def pullup_once(plan: PlanNode, predicate_key: str) -> PlanNode | None:
+def pullup_once(plan: PlanNode, predicate_key: str) -> tuple[PlanNode, bool] | None:
     """Move the (first) filter with ``predicate_key`` one node upwards.
 
     Pulling up past another filter swaps the two; pulling up past a join
-    moves the filter above the join.  Returns the rewritten plan, or None
-    when the filter cannot be pulled up any further (it sits directly below
-    the projection root, or it does not occur in the plan).  The predicate is
-    never dropped — a plan rewrite either keeps every filter or fails.
+    moves the filter above the join.  Returns the rewritten plan and whether
+    the step crossed a join, or None when the filter cannot be pulled up any
+    further (it sits directly below the projection root, or it does not occur
+    in the plan).  The predicate is never dropped — a plan rewrite either
+    keeps every filter or fails.
     """
     moved = False
+    crossed_join = False
 
     def is_target(node: PlanNode) -> bool:
         return isinstance(node, FilterNode) and node.predicate.key() == predicate_key
 
     def rebuild(node: PlanNode) -> PlanNode:
-        nonlocal moved
+        nonlocal moved, crossed_join
         if isinstance(node, TableScanNode):
             return TableScanNode(node.alias, node.table_name)
         if isinstance(node, FilterNode):
@@ -54,7 +56,7 @@ def pullup_once(plan: PlanNode, predicate_key: str) -> PlanNode | None:
             new_children = []
             for child in (node.left, node.right):
                 if not moved and is_target(child):
-                    moved = True
+                    moved = crossed_join = True
                     assert isinstance(child, FilterNode)
                     lifted = child.predicate
                     new_children.append(rebuild(child.child))
@@ -70,7 +72,7 @@ def pullup_once(plan: PlanNode, predicate_key: str) -> PlanNode | None:
         raise TypeError(f"unknown plan node type: {type(node).__name__}")
 
     result = rebuild(plan)
-    return result if moved else None
+    return (result, crossed_join) if moved else None
 
 
 def pullup_to_next_join(plan: PlanNode, predicate_key: str) -> PlanNode | None:
@@ -83,25 +85,12 @@ def pullup_to_next_join(plan: PlanNode, predicate_key: str) -> PlanNode | None:
     TPullup's planning time.  Returns None when the filter is already above
     every join it can cross (or absent).
     """
-    candidate = pullup_once(plan, predicate_key)
-    crossed_join = False
-    while candidate is not None:
-        # Did the last step move it above a join?  The filter now has a join
-        # as its direct child exactly when it has just crossed one.
-        for node in candidate.walk():
-            if (
-                isinstance(node, FilterNode)
-                and node.predicate.key() == predicate_key
-                and isinstance(node.child, JoinNode)
-            ):
-                crossed_join = True
-                break
+    step = pullup_once(plan, predicate_key)
+    while step is not None:
+        candidate, crossed_join = step
         if crossed_join:
             return candidate
-        next_candidate = pullup_once(candidate, predicate_key)
-        if next_candidate is None:
-            return None
-        candidate = next_candidate
+        step = pullup_once(candidate, predicate_key)
     return None
 
 

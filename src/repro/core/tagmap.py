@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.generalize import generalize_tag, refutes_root, satisfies_root
-from repro.core.implication import implied_truth_value
 from repro.core.predtree import PredicateTree
 from repro.core.tags import Tag
 from repro.expr.ast import BooleanExpr
@@ -108,8 +107,21 @@ class PlanTagAnnotations:
         return len(tags)
 
 
+#: Marks "not computed yet" in memos whose values may be ``None``.
+_MISSING = object()
+
+
 class TagMapBuilder:
     """Builds tag maps for every operator of a logical plan.
+
+    One builder serves a whole query: the planners cost many candidate plans
+    that differ by one moved filter, so the builder remembers what it has
+    already derived — the filter entry of a ``(predicate, input tag)``, the
+    output tag of a join's ``(left tag, right tag)``, and the finished tag
+    map of an operator given its input tags.  A candidate therefore only
+    pays for the operators whose input tags it actually changed; everything
+    else is the same (read-only) tag-map object under the new plan's node
+    ids.  ``work`` counts what was really computed.
 
     Args:
         tree: the query's predicate tree.
@@ -129,12 +141,27 @@ class TagMapBuilder:
         self.tree = tree
         self.naive = naive
         self.three_valued = three_valued
+        self._filter_entries: dict[tuple[str, Tag], FilterEntry | None] = {}
+        self._join_outputs: dict[tuple[Tag, Tag], Tag | None] = {}
+        #: (operator, its parameters, input tags) -> (tag map, output tags)
+        self._operators: dict[tuple, tuple[object, tuple[Tag, ...]]] = {}
+        self._plans_built = 0
+
+    @property
+    def work(self) -> dict[str, int]:
+        """Deterministic planning-work counters of this builder so far."""
+        return {
+            "candidate_plans": self._plans_built,
+            "tagmap_nodes_built": len(self._operators),
+            "generalizations_computed": len(self.tree.generalized) if self.tree is not None else 0,
+        }
 
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
     def build(self, plan: PlanNode) -> PlanTagAnnotations:
         """Build tag maps for every node of ``plan``."""
+        self._plans_built += 1
         annotations = PlanTagAnnotations()
         self._build_node(plan, annotations)
         return annotations
@@ -142,23 +169,41 @@ class TagMapBuilder:
     # ------------------------------------------------------------------ #
     # Per-node construction
     # ------------------------------------------------------------------ #
-    def _build_node(self, node: PlanNode, annotations: PlanTagAnnotations) -> list[Tag]:
+    def _build_node(self, node: PlanNode, annotations: PlanTagAnnotations) -> tuple[Tag, ...]:
         if isinstance(node, TableScanNode):
-            tags = [Tag.empty()]
+            tags = (Tag.empty(),)
         elif isinstance(node, FilterNode):
             input_tags = self._build_node(node.child, annotations)
-            tags = self._build_filter(node, input_tags, annotations)
+            annotations.filter_maps[node.node_id], tags = self._operator(
+                ("filter", node.predicate.key(), input_tags),
+                lambda: self._build_filter(node.predicate, input_tags),
+            )
         elif isinstance(node, JoinNode):
             left_tags = self._build_node(node.left, annotations)
             right_tags = self._build_node(node.right, annotations)
-            tags = self._build_join(node, left_tags, right_tags, annotations)
+            annotations.join_maps[node.node_id], tags = self._operator(
+                ("join", left_tags, right_tags), lambda: self._build_join(left_tags, right_tags)
+            )
         elif isinstance(node, ProjectNode):
             input_tags = self._build_node(node.child, annotations)
-            tags = self._build_projection(node, input_tags, annotations)
+            annotations.projection, tags = self._operator(
+                ("project", input_tags), lambda: self._build_projection(input_tags)
+            )
         else:
             raise TypeError(f"unknown plan node type: {type(node).__name__}")
-        annotations.output_tags[node.node_id] = tags
+        annotations.output_tags[node.node_id] = list(tags)
         return tags
+
+    def _operator(self, key: tuple, build) -> tuple[object, tuple[Tag, ...]]:
+        """The tag map and output tags of one operator, built once per ``key``.
+
+        Tag maps depend only on the operator and the tags flowing into it, so
+        sub-plans shared between candidate plans share their tag maps.
+        """
+        built = self._operators.get(key)
+        if built is None:
+            built = self._operators[key] = build()
+        return built
 
     def _generalize(self, tag: Tag) -> Tag:
         if self.naive or self.tree is None:
@@ -175,18 +220,17 @@ class TagMapBuilder:
         return refutes_root(self.tree, tag, include_unknown=self.three_valued)
 
     def _build_filter(
-        self,
-        node: FilterNode,
-        input_tags: list[Tag],
-        annotations: PlanTagAnnotations,
-    ) -> list[Tag]:
-        predicate = node.predicate
+        self, predicate: BooleanExpr, input_tags: tuple[Tag, ...]
+    ) -> tuple[FilterTagMap, tuple[Tag, ...]]:
         predicate_key = predicate.key()
         tag_map = FilterTagMap()
         output: dict[Tag, None] = {}
 
         for in_tag in input_tags:
-            entry = self._filter_entry(predicate, predicate_key, in_tag)
+            entry = self._filter_entries.get((predicate_key, in_tag), _MISSING)
+            if entry is _MISSING:
+                entry = self._filter_entry(predicate, predicate_key, in_tag)
+                self._filter_entries[(predicate_key, in_tag)] = entry
             if entry is None:
                 # Slice passes through untouched.
                 output.setdefault(in_tag)
@@ -195,8 +239,7 @@ class TagMapBuilder:
             for out_tag in entry.output_tags():
                 output.setdefault(out_tag)
 
-        annotations.filter_maps[node.node_id] = tag_map
-        return list(output)
+        return tag_map, tuple(output)
 
     def _filter_entry(
         self, predicate: BooleanExpr, predicate_key: str, in_tag: Tag
@@ -212,86 +255,66 @@ class TagMapBuilder:
                 ),
             )
 
-        assigned_keys = set(in_tag.keys())
-        if predicate_key in assigned_keys:
+        if predicate_key in in_tag:
             return None
-        if self.tree is not None and predicate_key in self.tree:
+        if self.tree is not None:
             # Precept (2): skip slices whose tag already dominates the predicate.
-            if self.tree.every_instance_has_assigned_ancestor(predicate_key, assigned_keys):
+            if self.tree.every_instance_has_assigned_ancestor(predicate_key, in_tag.keys()):
                 return None
-        if self._implied_by(in_tag, predicate) is not None:
-            # The slice's tag already determines this predicate's outcome
-            # through value-level implication (e.g. year > 2000 determines
-            # year > 1980), so splitting it would not refine the selection.
-            return None
+            if self.tree.implied_value(predicate, in_tag) is not None:
+                # The slice's tag already determines this predicate's outcome
+                # through value-level implication (e.g. year > 2000 determines
+                # year > 1980), so splitting it would not refine the selection.
+                return None
 
-        entry = FilterEntry()
-        entry.pos_tag = self._filter_output(in_tag, predicate_key, TRUE)
-        entry.neg_tag = self._filter_output(in_tag, predicate_key, FALSE)
-        if self.three_valued:
-            entry.unk_tag = self._filter_output(in_tag, predicate_key, UNKNOWN)
-        if not entry.output_tags():
-            # Every outcome is dropped: the predicate still needs to run to
-            # decide the tuples' fate (they all die), so keep the entry.
-            return entry
-        return entry
-
-    def _implied_by(self, in_tag: Tag, predicate: BooleanExpr):
-        """Truth value of ``predicate`` forced by the tag's base-predicate assignments."""
-        if self.tree is None:
-            return None
-        facts = []
-        for key, value in in_tag.items():
-            if key in self.tree:
-                expr = self.tree.expr_for(key)
-                if expr.is_base_predicate():
-                    facts.append((expr, value))
-        if not facts:
-            return None
-        return implied_truth_value(predicate, facts)
+        # When every outcome is dropped the predicate still needs to run to
+        # decide the tuples' fate (they all die), so the entry is kept.
+        return FilterEntry(
+            pos_tag=self._filter_output(in_tag, predicate_key, TRUE),
+            neg_tag=self._filter_output(in_tag, predicate_key, FALSE),
+            unk_tag=(
+                self._filter_output(in_tag, predicate_key, UNKNOWN) if self.three_valued else None
+            ),
+        )
 
     def _filter_output(self, in_tag: Tag, predicate_key: str, value) -> Tag | None:
-        try:
-            candidate = in_tag.with_assignment(predicate_key, value)
-        except ValueError:  # pragma: no cover - conflicting assignment
-            return None
-        generalized = self._generalize(candidate)
+        generalized = self._generalize(in_tag.with_assignment(predicate_key, value))
         if self._refuted(generalized):
             # Precept (1): never emit tags that cannot reach the output.
             return None
         return generalized
 
     def _build_join(
-        self,
-        node: JoinNode,
-        left_tags: list[Tag],
-        right_tags: list[Tag],
-        annotations: PlanTagAnnotations,
-    ) -> list[Tag]:
+        self, left_tags: tuple[Tag, ...], right_tags: tuple[Tag, ...]
+    ) -> tuple[JoinTagMap, tuple[Tag, ...]]:
         tag_map = JoinTagMap()
         output: dict[Tag, None] = {}
         for left_tag in left_tags:
             for right_tag in right_tags:
-                try:
-                    combined = left_tag.union(right_tag)
-                except ValueError:
-                    # Conflicting assignments describe an empty pairing.
-                    continue
-                out_tag = self._generalize(combined)
-                if self._refuted(out_tag):
-                    # Precept (1): skip pairings that cannot reach the output.
-                    continue
-                tag_map.entries[(left_tag, right_tag)] = out_tag
-                output.setdefault(out_tag)
-        annotations.join_maps[node.node_id] = tag_map
-        return list(output)
+                out_tag = self._join_outputs.get((left_tag, right_tag), _MISSING)
+                if out_tag is _MISSING:
+                    out_tag = self._join_output(left_tag, right_tag)
+                    self._join_outputs[(left_tag, right_tag)] = out_tag
+                if out_tag is not None:
+                    tag_map.entries[(left_tag, right_tag)] = out_tag
+                    output.setdefault(out_tag)
+        return tag_map, tuple(output)
+
+    def _join_output(self, left_tag: Tag, right_tag: Tag) -> Tag | None:
+        try:
+            combined = left_tag.union(right_tag)
+        except ValueError:
+            # Conflicting assignments describe an empty pairing.
+            return None
+        out_tag = self._generalize(combined)
+        if self._refuted(out_tag):
+            # Precept (1): skip pairings that cannot reach the output.
+            return None
+        return out_tag
 
     def _build_projection(
-        self,
-        node: ProjectNode,
-        input_tags: list[Tag],
-        annotations: PlanTagAnnotations,
-    ) -> list[Tag]:
+        self, input_tags: tuple[Tag, ...]
+    ) -> tuple[ProjectionTagSet, tuple[Tag, ...]]:
         projection = ProjectionTagSet()
         if self.tree is None:
             projection.allowed = set(input_tags)
@@ -304,5 +327,4 @@ class TagMapBuilder:
                     # No definite verdict: the executor must evaluate the
                     # residual predicate on this slice.
                     projection.residual.add(tag)
-        annotations.projection = projection
-        return sorted(projection.allowed, key=repr)
+        return projection, tuple(sorted(projection.allowed, key=repr))

@@ -20,17 +20,31 @@ from repro.expr.three_valued import TruthValue
 class Tag:
     """An immutable set of ``expression-key -> TruthValue`` assignments."""
 
-    __slots__ = ("_assignments", "_hash")
+    __slots__ = ("_values", "_hash")
 
     def __init__(self, assignments: Mapping[str, TruthValue] | None = None) -> None:
-        items = {}
-        if assignments:
-            for key, value in assignments.items():
-                items[key] = TruthValue(value)
-        self._assignments: tuple[tuple[str, TruthValue], ...] = tuple(
-            sorted(items.items())
-        )
-        self._hash = hash(self._assignments)
+        items = assignments.items() if assignments else ()
+        self._set({key: TruthValue(value) for key, value in items})
+
+    def _set(self, values: dict[str, TruthValue]) -> None:
+        self._values = dict(sorted(values.items()))
+        self._hash = hash(tuple(self._values.items()))
+
+    @classmethod
+    def _of(cls, values: dict[str, TruthValue]) -> "Tag":
+        """A tag over ``values`` that are already TruthValues.
+
+        The derivation methods and tag generalization build tags this way;
+        validation and coercion belong to the public constructor only.
+        """
+        tag = object.__new__(cls)
+        tag._set(values)
+        return tag
+
+    def __reduce__(self):
+        # Re-derive the hash where the tag is unpickled: string hashes differ
+        # between interpreter processes.
+        return (Tag._of, (self._values,))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -50,41 +64,36 @@ class Tag:
     # ------------------------------------------------------------------ #
     def as_dict(self) -> dict[str, TruthValue]:
         """The assignments as a mutable dictionary copy."""
-        return dict(self._assignments)
+        return dict(self._values)
 
     def get(self, key: str) -> TruthValue | None:
         """Assignment for ``key``, or None when unassigned."""
-        for assigned_key, value in self._assignments:
-            if assigned_key == key:
-                return value
-        return None
+        return self._values.get(key)
 
     def keys(self) -> list[str]:
         """Assigned expression keys."""
-        return [key for key, _value in self._assignments]
+        return list(self._values)
 
     def items(self) -> Iterator[tuple[str, TruthValue]]:
         """Iterate over (key, value) assignments."""
-        return iter(self._assignments)
+        return iter(self._values.items())
 
     def __contains__(self, key: str) -> bool:
-        return any(assigned_key == key for assigned_key, _value in self._assignments)
+        return key in self._values
 
     def __len__(self) -> int:
-        return len(self._assignments)
+        return len(self._values)
 
     def is_empty(self) -> bool:
         """True for the empty tag."""
-        return not self._assignments
+        return not self._values
 
     # ------------------------------------------------------------------ #
     # Derivation
     # ------------------------------------------------------------------ #
     def with_assignment(self, key: str, value: TruthValue) -> "Tag":
         """A new tag with ``key = value`` added (or overwritten)."""
-        assignments = self.as_dict()
-        assignments[key] = value
-        return Tag(assignments)
+        return Tag._of({**self._values, key: value})
 
     def union(self, other: "Tag") -> "Tag":
         """Combine two tags' assignments.
@@ -93,15 +102,14 @@ class Tag:
         of tuples; such unions raise :class:`ValueError` because tag-map
         builders never create them.
         """
-        assignments = self.as_dict()
-        for key, value in other.items():
-            if key in assignments and assignments[key] != value:
+        values = dict(self._values)
+        for key, value in other._values.items():
+            if values.setdefault(key, value) != value:
                 raise ValueError(
                     f"conflicting assignments for {key!r}: "
-                    f"{assignments[key]!s} vs {value!s}"
+                    f"{values[key]!s} vs {value!s}"
                 )
-            assignments[key] = value
-        return Tag(assignments)
+        return Tag._of(values)
 
     # ------------------------------------------------------------------ #
     # Dunder / display
@@ -109,15 +117,15 @@ class Tag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tag):
             return NotImplemented
-        return self._assignments == other._assignments
+        return self._values == other._values
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._assignments:
+        if not self._values:
             return "{}"
-        rendered = ", ".join(f"{key} = {value!s}" for key, value in self._assignments)
+        rendered = ", ".join(f"{key} = {value!s}" for key, value in self._values.items())
         return "{" + rendered + "}"
 
 

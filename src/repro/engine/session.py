@@ -104,6 +104,10 @@ class PreparedPlan:
             WHERE expression (:func:`repro.optimizer.clause_order.\
 clause_selectivities`); seeds the fused kernels' clause evaluation order
             and the ``--explain-analyze`` order annotation.
+        planning_work: deterministic counters of what planning computed
+            (``candidate_plans`` costed, ``tagmap_nodes_built`` — operator
+            tag maps actually constructed, ``generalizations_computed`` —
+            runs of Algorithm 1); all zero for the untagged planners.
         snapshot: the :class:`~repro.mutation.snapshot.CatalogSnapshot`
             pinned at prepare time.  Execution always runs against it, which
             is what makes reads snapshot-isolated: a mutation committed
@@ -126,6 +130,7 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     estimated_output_rows: float = 0.0
     selectivity_overrides: dict[str, float] = field(default_factory=dict)
     clause_selectivities: dict[str, float] = field(default_factory=dict)
+    planning_work: dict[str, int] = field(default_factory=dict)
     #: Per-alias access-path choices
     #: (:class:`~repro.access.chooser.QueryAccessPlan`); ``None`` when access
     #: paths are disabled.  Execution resolves it into candidate bitmaps that
@@ -367,6 +372,12 @@ QueryService` drove this call, in which case the service's publish point
         from repro.optimizer.clause_order import clause_selectivities
 
         predicate_tree = context.predicate_tree
+        planning_work = context.tag_map_builder().work
+        if predicate_tree is not None:
+            # The plan keeps the compiled tree for execution (the bypass
+            # operators generalize through it), not the thousands of tags
+            # the discarded candidate plans generalized along the way.
+            predicate_tree.generalized.clear()
         return PreparedPlan(
             planner=planner,
             kind=kind,
@@ -385,6 +396,7 @@ QueryService` drove this call, in which case the service's publish point
                 predicate_tree.expression if predicate_tree is not None else None,
                 context.estimates,
             ),
+            planning_work=planning_work,
             access_plan=context.estimates.access_plan(),
             # Pin only the tables this query reads: enough for isolated
             # execution, without keeping superseded generations of unrelated

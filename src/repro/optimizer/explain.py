@@ -166,5 +166,6 @@ def explain_analyze_report(prepared, result) -> str:
         f"actual_output_rows={result.metrics.output_rows} "
         f"pages_pruned={result.metrics.pages_pruned} "
         f"kernels={kernel_tier}"
+        + "".join(f" {name}={count}" for name, count in prepared.planning_work.items())
     )
     return "\n".join(lines + [summary])

@@ -1,0 +1,161 @@
+"""Golden plans: the tagged planners must reproduce ``tests/golden/plans.json``.
+
+The file was recorded at the commit *before* planning was made incremental
+(compiled predicate tree, memoized tag algebra, shared operator tag maps), so
+this test is the proof that the optimization changed planning time only:
+for every query x planner x logic x tag strategy it pins the chosen plan,
+the estimated cost (``repr``-exact) and every tag-map entry.
+
+Tag maps under the naive strategy grow exponentially, so each configuration
+stores its sorted entries as a count plus a SHA-256 digest next to the plan
+and cost; the default configuration (``tcombined``, 3VL, generalized) also
+keeps the entries themselves when there are few enough to read.
+
+The cost model sums per-tag row estimates in set order, which follows the
+interpreter's string-hash seed and can move a cost by one ulp; recording and
+checking both run under ``PYTHONHASHSEED=0``, in a child interpreter.
+
+Re-record (only when plans are *meant* to change)::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_golden_plans.py > tests/golden/plans.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from repro import Session
+from repro.core.planner import PLANNER_REGISTRY
+from repro.plan.logical import FilterNode, JoinNode, plan_to_string
+from repro.workloads.imdb import generate_imdb_catalog
+from repro.workloads.job import job_query_groups
+from repro.workloads.synthetic import (
+    SyntheticConfig,
+    generate_synthetic_catalog,
+    make_cnf_query,
+    make_dnf_query,
+)
+
+GOLDEN = Path(__file__).parent / "golden" / "plans.json"
+PLANNERS = ("tpushdown", "tpullup", "titerpush", "tpushconj", "tcombined", "texhaustive")
+#: (three_valued, naive_tags)
+CONFIGS = ((True, False), (False, False), (True, True), (False, True))
+#: The naive strategy is exponential in the number of filters: on the JOB
+#: queries it is recorded for these planners only (``tcombined`` runs the
+#: other three candidates anyway).
+NAIVE_PLANNERS = ("tpushdown", "tcombined")
+#: Tag maps with more lines than this are pinned by their digest alone.
+MAX_KEPT_LINES = 45
+
+
+def synthetic_queries():
+    return [
+        *(make_dnf_query(k, 0.2) for k in (1, 2, 3, 4)),
+        make_dnf_query(2, 0.2, outer_factor=0.5, name="synthetic_dnf_k2_outer"),
+        *(make_cnf_query(k, 0.2) for k in (2, 3, 4)),
+        make_cnf_query(3, 0.2, outer_factor=0.5, name="synthetic_cnf_k3_outer"),
+    ]
+
+
+def workloads():
+    """(workload name, catalog, queries) — built once per process."""
+    yield "job", generate_imdb_catalog(scale=0.05, seed=7), job_query_groups()
+    yield (
+        "synthetic",
+        generate_synthetic_catalog(SyntheticConfig(table_size=2000, seed=11)),
+        synthetic_queries(),
+    )
+
+
+def configurations(workload: str):
+    for three_valued, naive in CONFIGS:
+        for planner in PLANNERS:
+            if naive and workload == "job" and planner not in NAIVE_PLANNERS:
+                continue
+            yield planner, three_valued, naive
+
+
+def tag_map_lines(planned) -> list[str]:
+    """Every tag-map entry of a planner result, as sorted text lines.
+
+    Plan node ids are process-global counters, so entries are addressed by the
+    node's pre-order position in the plan instead.
+    """
+    annotations = planned.annotations
+    lines = []
+    for position, node in enumerate(planned.plan.walk()):
+        if isinstance(node, FilterNode):
+            for in_tag, entry in annotations.filter_maps[node.node_id].entries.items():
+                lines.append(
+                    f"{position} filter {in_tag!r} -> "
+                    f"T:{entry.pos_tag!r} F:{entry.neg_tag!r} U:{entry.unk_tag!r}"
+                )
+        elif isinstance(node, JoinNode):
+            for (left, right), out in annotations.join_maps[node.node_id].entries.items():
+                lines.append(f"{position} join {left!r} x {right!r} -> {out!r}")
+        lines.append(
+            f"{position} out " + " ; ".join(repr(tag) for tag in annotations.output_tags[node.node_id])
+        )
+    lines.extend(f"allowed {tag!r}" for tag in annotations.projection.allowed)
+    lines.extend(f"residual {tag!r}" for tag in annotations.projection.residual)
+    return sorted(lines)
+
+
+def snapshot_entry(planned, keep_entries: bool) -> dict:
+    lines = tag_map_lines(planned)
+    entry = {
+        "plan": plan_to_string(planned.plan),
+        "estimated_cost": repr(planned.estimated_cost),
+        "tag_map_lines": len(lines),
+        "tag_map_sha256": hashlib.sha256("\n".join(lines).encode()).hexdigest(),
+    }
+    if keep_entries and len(lines) <= MAX_KEPT_LINES:
+        entry["tag_maps"] = lines
+    return entry
+
+
+def snapshot() -> dict:
+    record = {}
+    for workload, catalog, queries in workloads():
+        sessions = {flag: Session(catalog, three_valued=flag) for flag in (True, False)}
+        for query in queries:
+            for planner, three_valued, naive in configurations(workload):
+                # The context Session.prepare plans with (statistics, access
+                # paths and cost constants included).
+                context = sessions[three_valued]._planner_context(query, naive)
+                planned = PLANNER_REGISTRY[planner](context).plan()
+                key = (
+                    f"{workload}/{query.name}/{planner}/"
+                    f"{'3vl' if three_valued else '2vl'}/{'naive' if naive else 'generalized'}"
+                )
+                record[key] = snapshot_entry(
+                    planned, keep_entries=planner == "tcombined" and three_valued and not naive
+                )
+    return record
+
+
+def test_planners_reproduce_the_golden_file():
+    child = subprocess.run(
+        [sys.executable, __file__],
+        env={**os.environ, "PYTHONHASHSEED": "0"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    current = json.loads(child.stdout)
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(current) == sorted(golden)
+    different = [key for key in golden if current[key] != golden[key]]
+    for key in different[:3]:
+        for field in golden[key]:
+            assert current[key][field] == golden[key][field], f"{key}: {field}"
+    assert not different
+
+
+if __name__ == "__main__":
+    json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)

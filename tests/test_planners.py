@@ -197,10 +197,14 @@ class TestPlanRewrites:
         # Pull the filter up until it sits directly above the join.
         current = plan
         for _ in range(4):
-            rewritten = pullup_once(current, target.key())
-            if rewritten is None:
+            step = pullup_once(current, target.key())
+            if step is None:
                 break
-            current = rewritten
+            current, crossed_join = step
+            assert crossed_join == any(
+                node.predicate.key() == target.key() and isinstance(node.child, JoinNode)
+                for node in collect_filters(current)
+            )
         filters_above_join = [
             node for node in collect_filters(current) if isinstance(node.child, JoinNode)
         ]
@@ -209,8 +213,7 @@ class TestPlanRewrites:
     def test_pullup_preserves_filter_count(self, context):
         plan = TPushdownPlanner(context).build_plan()
         target = collect_filters(plan)[0].predicate
-        rewritten = pullup_once(plan, target.key())
-        assert rewritten is not None
+        rewritten, _crossed_join = pullup_once(plan, target.key())
         assert len(collect_filters(rewritten)) == len(collect_filters(plan))
 
     def test_pullup_of_missing_filter_returns_none(self, context):
@@ -222,11 +225,11 @@ class TestPlanRewrites:
         target = collect_filters(plan)[0].predicate
         current = plan
         for _ in range(20):
-            rewritten = pullup_once(current, target.key())
-            if rewritten is None:
+            step = pullup_once(current, target.key())
+            if step is None:
                 break
-            current = rewritten
-        assert rewritten is None  # eventually it cannot go higher
+            current, _crossed_join = step
+        assert step is None  # eventually it cannot go higher
         assert len(collect_filters(current)) == 4
 
     def test_push_filter_to_alias(self, context):
