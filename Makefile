@@ -7,7 +7,7 @@ RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 # Tag stamped into the BENCH_*.json artifacts written by `make bench`.
 BENCH_TAG ?= PR10
 
-.PHONY: test lint test-crash bench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-kernels bench-obs bench-history docs-check examples
+.PHONY: test lint test-crash bench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-obs bench-history docs-check examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -35,7 +35,6 @@ bench-smoke:
 	    benchmarks/bench_index_pruning.py \
 	    benchmarks/bench_ingest.py \
 	    benchmarks/bench_wal_overhead.py \
-	    benchmarks/bench_kernel_fusion.py \
 	    benchmarks/bench_obs_overhead.py \
 	    benchmarks/bench_history_overhead.py \
 	    benchmarks/bench_fig4a_selectivity.py -q --benchmark-disable \
@@ -75,13 +74,6 @@ bench-ingest:
 ## timing guard), persists its measurements into the current BENCH_*.json
 bench-wal:
 	$(RUN) -m pytest benchmarks/bench_wal_overhead.py -q
-
-## fused expression kernels: clause-work + byte-identity assertions plus the
-## dictionary string-predicate wall-clock guard (the work half also runs in
-## bench-smoke; this target adds the timing half), persists its
-## measurements into the current BENCH_*.json
-bench-kernels:
-	$(RUN) -m pytest benchmarks/bench_kernel_fusion.py -q
 
 ## observability price: metrics-publication and tracing overhead guards
 ## (the three-way equivalence half also runs in bench-smoke; this target

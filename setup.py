@@ -30,9 +30,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        # Optional JIT kernel tier; the engine downgrades `kernels="jit"`
-        # to the numpy tier automatically when numba is absent.
-        "jit": ["numba"],
     },
     entry_points={
         "console_scripts": [

@@ -179,7 +179,9 @@ class AccessPathManager:
     # ------------------------------------------------------------------ #
     # Incremental maintenance (the mutation subsystem's commit hook)
     # ------------------------------------------------------------------ #
-    def extend(self, table: str, new_table, old_num_rows: int) -> None:
+    def extend(
+        self, table: str, new_table, old_num_rows: int, old_version: int
+    ) -> None:
         """Carry ``table``'s structures forward to its new version.
 
         Called by :meth:`repro.mutation.batch.MutationBatch.commit` right
@@ -192,13 +194,18 @@ class AccessPathManager:
         bitmaps are never carried — they fold the delete bitmap, so the new
         version starts with an empty memo.  Old structures are not mutated:
         snapshots pinned at the previous version keep reading theirs.
+
+        Only structures built for ``old_version`` — the version the batch
+        mutated — describe ``old_num_rows`` rows in the right positions and
+        may be extended.  A cached entry from any other version (e.g. from
+        before an online compaction renumbered the rows, when nothing read
+        the table in between) is dropped; the new version rebuilds lazily.
         """
         with self._lock:
             old_entry = self._tables.get(table)
-            current = self.catalog.table_version(table)
-            entry = _TableEntry(version=current)
+            entry = _TableEntry(version=self.catalog.table_version(table))
             appended = new_table.num_rows > old_num_rows
-            if old_entry is not None and old_entry.version != current:
+            if old_entry is not None and old_entry.version == old_version:
                 for column_name, zone_map in old_entry.zone_maps.items():
                     if zone_map is None or not appended:
                         entry.zone_maps[column_name] = zone_map

@@ -1,7 +1,7 @@
 """Traditional query execution: the comparison baselines.
 
 * :mod:`repro.baseline.relation` — plain (untagged) index relations.
-* :mod:`repro.baseline.operators` — scan / filter / hash-join / union
+* :mod:`repro.baseline.operators` — filter / hash-join / union
   operators of the traditional model.
 * :mod:`repro.baseline.planners` — BDisj and BPushConj (Section 5).
 """
@@ -9,7 +9,6 @@
 from repro.baseline.operators import (
     FilterOperator,
     HashJoinOperator,
-    ScanOperator,
     UnionOperator,
 )
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner, TraditionalPlan
@@ -21,7 +20,6 @@ __all__ = [
     "FilterOperator",
     "HashJoinOperator",
     "Relation",
-    "ScanOperator",
     "TraditionalPlan",
     "UnionOperator",
 ]

@@ -1,4 +1,4 @@
-"""Traditional execution operators: scan, filter, hash join, union.
+"""Traditional execution operators: filter, hash join, union.
 
 These mirror the tagged operators but work on whole relations: a filter keeps
 only the rows whose predicate evaluates to TRUE (compacting the relation), a
@@ -19,21 +19,6 @@ from repro.physical.expressions import evaluate_predicate, read_join_keys
 from repro.plan.query import JoinCondition
 from repro.storage.table import Table
 from repro.utils.join import equi_join_indices
-
-
-class ScanOperator:
-    """Produce a relation over every row of a base table."""
-
-    def __init__(self, alias: str, table: Table) -> None:
-        self.alias = alias
-        self.table = table
-
-    def execute(self, context: ExecContext) -> Relation:
-        """Run the scan."""
-        context.metrics.operators_executed += 1
-        relation = Relation.from_base_table(self.alias, self.table)
-        context.metrics.tuples_materialized += relation.num_rows
-        return relation
 
 
 class FilterOperator:
@@ -58,6 +43,44 @@ class FilterOperator:
         return output
 
 
+def join_relations(
+    conditions: list[JoinCondition],
+    left: Relation,
+    right: Relation,
+    context: ExecContext,
+) -> Relation:
+    """Equi-join two plain relations: one hash table, built over ``left``.
+
+    The pairwise join body the traditional hash join runs once per join and
+    the bypass join once per stream pair.  An empty input yields an empty
+    relation over both alias sets without building or reading anything.
+    """
+    merged_tables = {**left.tables, **right.tables}
+    if left.num_rows == 0 or right.num_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        indices = {alias: empty for alias in list(left.indices) + list(right.indices)}
+        return Relation(merged_tables, indices)
+
+    context.metrics.hash_tables_built += 1
+    context.metrics.join_build_rows += left.num_rows
+    context.metrics.join_probe_rows += right.num_rows
+
+    left_keys, right_keys = read_join_keys(
+        conditions, left.tables, left.indices, right.tables, right.indices, context
+    )
+    left_match, right_match = equi_join_indices(left_keys, right_keys)
+
+    out_indices: dict[str, np.ndarray] = {}
+    for alias in left.indices:
+        out_indices[alias] = left.indices[alias][left_match]
+    for alias in right.indices:
+        out_indices[alias] = right.indices[alias][right_match]
+
+    context.metrics.join_output_rows += int(left_match.size)
+    context.metrics.tuples_materialized += int(left_match.size)
+    return Relation(merged_tables, out_indices)
+
+
 class HashJoinOperator:
     """Equi-join of two relations."""
 
@@ -69,35 +92,7 @@ class HashJoinOperator:
     def execute(self, left: Relation, right: Relation, context: ExecContext) -> Relation:
         """Run the join."""
         context.metrics.operators_executed += 1
-        merged_tables = {**left.tables, **right.tables}
-        if left.num_rows == 0 or right.num_rows == 0:
-            empty = np.empty(0, dtype=np.int64)
-            indices = {alias: empty for alias in list(left.indices) + list(right.indices)}
-            return Relation(merged_tables, indices)
-
-        context.metrics.hash_tables_built += 1
-        context.metrics.join_build_rows += left.num_rows
-        context.metrics.join_probe_rows += right.num_rows
-
-        left_keys, right_keys = read_join_keys(
-            self.conditions,
-            left.tables,
-            left.indices,
-            right.tables,
-            right.indices,
-            context,
-        )
-        left_match, right_match = equi_join_indices(left_keys, right_keys)
-
-        out_indices: dict[str, np.ndarray] = {}
-        for alias in left.indices:
-            out_indices[alias] = left.indices[alias][left_match]
-        for alias in right.indices:
-            out_indices[alias] = right.indices[alias][right_match]
-
-        context.metrics.join_output_rows += int(left_match.size)
-        context.metrics.tuples_materialized += int(left_match.size)
-        return Relation(merged_tables, out_indices)
+        return join_relations(self.conditions, left, right, context)
 
 
 class UnionOperator:

@@ -15,8 +15,8 @@ third execution model next to the traditional and tagged ones:
   (:mod:`repro.bypass.operators`);
 * the bypass **planner** reuses the TPushdown plan shape — the bypass
   technique always pushes predicates down (:mod:`repro.bypass.planner`);
-* the bypass **executor** interprets a logical plan over stream sets
-  (:mod:`repro.bypass.executor`).
+* execution goes through the unified physical-operator layer
+  (:func:`repro.physical.compile.compile_plan` with ``kind="bypass"``).
 
 The crucial differences from tagged execution, which the paper calls out and
 which the ablation benchmarks measure, are preserved:
@@ -29,22 +29,18 @@ which the ablation benchmarks measure, are preserved:
    single shared table.
 """
 
-from repro.bypass.executor import BypassExecutor
 from repro.bypass.operators import (
     BypassFilterOperator,
     BypassJoinOperator,
     BypassProjectOperator,
-    BypassScanOperator,
 )
 from repro.bypass.planner import BypassPlan, BypassPlanner
 from repro.bypass.streams import BypassStream, StreamSet
 
 __all__ = [
-    "BypassExecutor",
     "BypassFilterOperator",
     "BypassJoinOperator",
     "BypassProjectOperator",
-    "BypassScanOperator",
     "BypassPlan",
     "BypassPlanner",
     "BypassStream",

@@ -1,4 +1,4 @@
-"""Bypass operators: scan, filter (with true/false streams), join, project.
+"""Bypass operators: filter (with true/false streams), join, project.
 
 The operators mirror the traditional operators of :mod:`repro.baseline` but
 work on :class:`~repro.bypass.streams.StreamSet` objects instead of single
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baseline.operators import join_relations
 from repro.baseline.relation import Relation
 from repro.bypass.streams import BypassStream, StreamSet
 from repro.core.generalize import generalize_tag, refutes_root, satisfies_root
@@ -26,26 +27,8 @@ from repro.engine.result import (
 )
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
-from repro.physical.expressions import evaluate_predicate, read_join_keys
+from repro.physical.expressions import evaluate_predicate
 from repro.plan.query import JoinCondition
-from repro.storage.table import Table
-from repro.utils.join import equi_join_indices
-
-
-class BypassScanOperator:
-    """Produce the initial single-stream set over a base table."""
-
-    def __init__(self, alias: str, table: Table) -> None:
-        self.alias = alias
-        self.table = table
-
-    def execute(self, context: ExecContext) -> StreamSet:
-        """Run the scan."""
-        context.metrics.operators_executed += 1
-        stream = BypassStream.from_base_table(self.alias, self.table)
-        context.metrics.tuples_materialized += stream.num_rows
-        context.metrics.streams_created += 1
-        return StreamSet([stream])
 
 
 class BypassFilterOperator:
@@ -168,9 +151,13 @@ class BypassJoinOperator:
                 combined = self._combine_tags(left_stream.tag, right_stream.tag)
                 if combined is None:
                     continue
-                joined = self._join_pair(left_stream, right_stream, combined, context)
-                if joined is not None:
-                    output.add(joined)
+                # Each stream pair builds its own hash table: this is the
+                # per-pair work the shared hash table of tagged execution
+                # amortizes away.  (Empty join results are dropped by add.)
+                joined = join_relations(
+                    self.conditions, left_stream.relation, right_stream.relation, context
+                )
+                output.add(BypassStream(combined, joined))
         context.metrics.streams_created += output.num_streams
         return output
 
@@ -188,47 +175,6 @@ class BypassJoinOperator:
         if refutes_root(self.tree, generalized, include_unknown=True):
             return None
         return generalized
-
-    def _join_pair(
-        self,
-        left_stream: BypassStream,
-        right_stream: BypassStream,
-        tag: Tag,
-        context: ExecContext,
-    ) -> BypassStream | None:
-        left_relation = left_stream.relation
-        right_relation = right_stream.relation
-        merged_tables = {**left_relation.tables, **right_relation.tables}
-        if left_relation.num_rows == 0 or right_relation.num_rows == 0:
-            return None
-
-        # Each stream pair builds its own hash table: this is the per-pair
-        # work the shared hash table of tagged execution amortizes away.
-        context.metrics.hash_tables_built += 1
-        context.metrics.join_build_rows += left_relation.num_rows
-        context.metrics.join_probe_rows += right_relation.num_rows
-
-        left_keys, right_keys = read_join_keys(
-            self.conditions,
-            left_relation.tables,
-            left_relation.indices,
-            right_relation.tables,
-            right_relation.indices,
-            context,
-        )
-        left_match, right_match = equi_join_indices(left_keys, right_keys)
-        if left_match.size == 0:
-            return None
-
-        out_indices: dict[str, np.ndarray] = {}
-        for alias in left_relation.indices:
-            out_indices[alias] = left_relation.indices[alias][left_match]
-        for alias in right_relation.indices:
-            out_indices[alias] = right_relation.indices[alias][right_match]
-
-        context.metrics.join_output_rows += int(left_match.size)
-        context.metrics.tuples_materialized += int(left_match.size)
-        return BypassStream(tag, Relation(merged_tables, out_indices))
 
 
 class BypassProjectOperator:

@@ -7,7 +7,7 @@ trade pushdown against pull-up the way tagged planners can (the paper's
 Section 6 highlights exactly this limitation — bypass "only produces plans in
 which predicates are all pushed down").  The plan *shape* is therefore the
 same as TPushdown's; what changes is the execution semantics, which is the
-job of :class:`~repro.bypass.executor.BypassExecutor`.
+job of the bypass operators (:mod:`repro.bypass.operators`).
 """
 
 from __future__ import annotations

@@ -127,7 +127,6 @@ def _session_for(args: argparse.Namespace) -> Session:
         parallelism=getattr(args, "parallelism", 1),
         partitions=getattr(args, "partitions", None),
         access_paths=not getattr(args, "no_access_paths", False),
-        kernels=getattr(args, "kernels", "numpy"),
         shards=getattr(args, "shards", 1),
     )
 
@@ -301,10 +300,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         default_timeout=args.timeout,
         feedback=args.feedback,
         qerror_threshold=args.qerror_threshold,
-        slow_query_seconds=args.slow_query_seconds,
-        slow_query_sink=_slow_query_sink if args.slow_query_seconds is not None else None,
-        slow_query_log_path=args.slow_query_log,
-        slow_query_log_keep=args.slow_query_log_keep,
+        slow_query_log=_slow_query_log_for(args),
         history=history,
     ) as service:
         report = service.execute_batch(statements, planner=args.planner)
@@ -338,9 +334,29 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         return 0 if len(report.succeeded) == len(report) else 1
 
 
-def _slow_query_sink(record) -> None:
-    """Default slow-query sink for the CLI: one JSON line per record on stderr."""
-    print(f"slow query: {record.as_json()}", file=sys.stderr)
+def _slow_query_log_for(args: argparse.Namespace, echo: bool = True):
+    """The slow-query log the ``--slow-query-*`` flags ask for, or None.
+
+    Each record goes to the size-rotated ``--slow-query-log`` file (when
+    given) and, with ``echo``, to stderr as one JSON line.
+    """
+    if args.slow_query_seconds is None:
+        return None
+    from repro.obs.slowlog import RotatingFileSink, SlowQueryLog
+
+    file_sink = None
+    if args.slow_query_log is not None:
+        file_sink = RotatingFileSink(
+            args.slow_query_log, keep=args.slow_query_log_keep
+        )
+
+    def sink(record) -> None:
+        if file_sink is not None:
+            file_sink(record)
+        if echo:
+            print(f"slow query: {record.as_json()}", file=sys.stderr)
+
+    return SlowQueryLog(args.slow_query_seconds, sink=sink)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -361,10 +377,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         plan_cache_size=args.cache_size,
         feedback=args.feedback,
         qerror_threshold=args.qerror_threshold,
-        slow_query_seconds=args.slow_query_seconds,
-        slow_query_sink=_slow_query_sink if args.slow_query_seconds is not None else None,
-        slow_query_log_path=args.slow_query_log,
-        slow_query_log_keep=args.slow_query_log_keep,
+        slow_query_log=_slow_query_log_for(args),
         history=history,
     ) as service:
 
@@ -561,9 +574,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             session,
             feedback=args.feedback,
             qerror_threshold=args.qerror_threshold,
-            slow_query_seconds=args.slow_query_seconds,
-            slow_query_log_path=args.slow_query_log,
-            slow_query_log_keep=args.slow_query_log_keep,
+            slow_query_log=_slow_query_log_for(args, echo=False),
             history=history,
         ) as service:
             for statement in statements:
@@ -993,15 +1004,6 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable zone-map/index scan pruning (results are identical "
         "either way; every page is read)",
-    )
-    parser.add_argument(
-        "--kernels",
-        choices=("off", "numpy", "jit"),
-        default="numpy",
-        help="expression-kernel tier: off = legacy full-width truth arrays, "
-        "numpy = fused selection-vector kernels (default), jit = numba-"
-        "compiled numeric loops (falls back to numpy when numba is absent); "
-        "results are identical at every tier",
     )
 
 

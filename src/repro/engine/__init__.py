@@ -3,8 +3,6 @@
 * :mod:`repro.engine.metrics` — runtime work counters and the execution
   context threaded through every operator (forked per morsel under
   parallel execution, reduced deterministically at the end).
-* :mod:`repro.engine.executor` — model-specific entry points over the
-  unified physical-operator layer (:mod:`repro.physical`).
 * :mod:`repro.engine.parallel` — the morsel-driven parallel driver.
 * :mod:`repro.engine.result` — query results returned to callers.
 * :mod:`repro.engine.session` — the high-level public API (`Session`).

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.kernels.config import KernelConfig
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
 
@@ -49,11 +48,10 @@ class ExecutionMetrics:
     #: and a sharded run of the same partitioning — comparisons of merged
     #: counters should exclude it.
     shards_executed: int = 0
-    #: Rows actually fed to base-predicate clause evaluations.  The legacy
-    #: path charges ``num_rows × clauses`` per predicate (every clause sees
-    #: every row); the fused kernels charge only the rows still alive when
-    #: each clause runs — the ratio between the two is the kernel benchmark's
-    #: work metric.
+    #: Rows actually fed to base-predicate clause evaluations: each clause
+    #: is charged only the rows still alive when it runs, so the figure is
+    #: at most ``num_rows × clauses`` per predicate (what evaluating every
+    #: clause over every row would cost).
     clause_rows_evaluated: int = 0
     #: Per-predicate observation counts: expression key -> [rows evaluated,
     #: rows matched].  Only populated when the execution context runs with
@@ -195,11 +193,11 @@ class ExecContext:
     #: loop then falls back to a-priori estimates for those clauses instead
     #: of learning biased ones.
     feedback_excluded_aliases: frozenset = frozenset()
-    #: Fused-kernel configuration, or ``None`` for the legacy expression
-    #: path.  ``None`` is the dataclass default so every direct ExecContext
-    #: construction (tests, tools, crash harnesses) keeps the unchanged
-    #: legacy behavior; the session opts executions in explicitly.
-    kernels: KernelConfig | None = None
+    #: The executing plan's estimated selectivity per AND/OR child
+    #: expression key (``PreparedPlan.clause_selectivities``); orders the
+    #: fused evaluator's clause evaluation.  Empty for hand-built contexts:
+    #: every clause then ties at the default and runs in canonical-key order.
+    clause_selectivities: dict[str, float] = field(default_factory=dict)
     #: Set by the sharded scatter–gather coordinator when aggregation was
     #: pushed down to the shards and already combined: output shaping must
     #: then skip its aggregate step (DISTINCT / ORDER BY / LIMIT still run).
@@ -223,7 +221,7 @@ class ExecContext:
             cache=self.cache,
             collect_feedback=self.collect_feedback,
             feedback_excluded_aliases=self.feedback_excluded_aliases,
-            kernels=self.kernels,
+            clause_selectivities=self.clause_selectivities,
             tracer=self.tracer.fork() if self.tracer is not None else None,
         )
 

@@ -45,9 +45,6 @@ class QueryResult:
         plan_description: pretty-printed plan (or plans) that ran.
         cache_hit: True when the executed plan came out of a plan cache
             (set by the service layer; always False for direct Session use).
-        kernel_tier: the expression-kernel tier that actually ran —
-            ``"off"`` (legacy path), ``"numpy"`` or ``"jit"`` (a requested
-            ``"jit"`` that downgraded reports ``"numpy"``).
         trace: the :class:`~repro.obs.trace.Tracer` that followed this
             execution, or ``None`` when tracing was off (the default).
     """
@@ -62,7 +59,6 @@ class QueryResult:
         iostats: IOStats | None = None,
         plan_description: str = "",
         cache_hit: bool = False,
-        kernel_tier: str = "off",
         trace=None,
     ) -> None:
         self.planner_name = planner_name
@@ -73,7 +69,6 @@ class QueryResult:
         self.iostats = iostats if iostats is not None else IOStats()
         self.plan_description = plan_description
         self.cache_hit = cache_hit
-        self.kernel_tier = kernel_tier
         self.trace = trace
         self._rows_cache: list[tuple] | None = None
 

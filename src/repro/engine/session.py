@@ -58,7 +58,6 @@ from repro.engine.metrics import ExecContext, Stopwatch
 from repro.engine.parallel import execute_plan
 from repro.engine.postprocess import apply_output_shaping
 from repro.engine.result import QueryResult
-from repro.kernels.config import KernelConfig, resolve_tier, validate_tier
 from repro.plan.logical import PlanNode, plan_to_string
 from repro.plan.query import Query
 from repro.storage.catalog import Catalog
@@ -173,13 +172,6 @@ class Session:
             :class:`~repro.access.manager.AccessPathManager` yet, one is
             registered lazily (zone maps build on first use; secondary
             indexes only ever exist when created explicitly).
-        kernels: expression-kernel tier — ``"off"`` (legacy full-width
-            truth arrays), ``"numpy"`` (fused selection-vector kernels with
-            dictionary-aware string predicates; the default), or ``"jit"``
-            (adds numba-compiled numeric comparison loops; silently
-            downgrades to ``"numpy"`` when numba is not installed).  All
-            tiers return byte-identical results; see
-            :mod:`repro.kernels`.
         shards: shared-nothing worker *processes* executing contiguous
             blocks of the partitioned scan (see :mod:`repro.engine.shard`).
             ``shards=1`` (the default) is exactly the in-process path; above
@@ -201,7 +193,6 @@ class Session:
         parallelism: int = 1,
         partitions: int | None = None,
         access_paths: bool = True,
-        kernels: str = "numpy",
         shards: int = 1,
     ) -> None:
         if parallelism < 1:
@@ -219,7 +210,6 @@ class Session:
         self.parallelism = parallelism
         self.partitions = partitions
         self.access_paths = access_paths
-        self.kernels = validate_tier(kernels)
         self.shards = shards
 
     # ------------------------------------------------------------------ #
@@ -412,15 +402,10 @@ QueryService` drove this call, in which case the service's publish point
         parallelism: int | None = None,
         partitions: int | None = None,
         collect_feedback: bool = False,
-        kernels: str | None = None,
         shards: int | None = None,
         trace=False,
     ) -> QueryResult:
         """Execute a :class:`PreparedPlan` and return a :class:`QueryResult`.
-
-        ``kernels`` overrides the session's kernel tier for this call only
-        (``"off"`` / ``"numpy"`` / ``"jit"``); every tier returns
-        byte-identical rows, so the knob is purely a performance choice.
 
         ``planning_seconds`` overrides the reported planning time (the
         service layer passes the cache-lookup time on a hit); by default the
@@ -465,21 +450,15 @@ QueryService` drove this call, in which case the service's publish point
         ``trace`` falsy (the default) no tracer object exists at all.
         """
         query = prepared.query
-        tier = resolve_tier(self.kernels if kernels is None else kernels)
-        kernel_config = (
-            None
-            if tier == "off"
-            else KernelConfig(
-                tier=tier, clause_selectivities=prepared.clause_selectivities
-            )
-        )
         tracer = None
         if trace:
             from repro.obs.trace import Tracer
 
             tracer = trace if isinstance(trace, Tracer) else Tracer()
         exec_context = ExecContext(
-            collect_feedback=collect_feedback, kernels=kernel_config, tracer=tracer
+            collect_feedback=collect_feedback,
+            clause_selectivities=prepared.clause_selectivities,
+            tracer=tracer,
         )
         effective_parallelism = (
             self.parallelism if parallelism is None else parallelism
@@ -491,12 +470,7 @@ QueryService` drove this call, in which case the service's publish point
         )
 
         if tracer is not None:
-            tracer.begin(
-                "query",
-                planner=prepared.planner,
-                kind=prepared.kind,
-                kernel_tier=tier,
-            )
+            tracer.begin("query", planner=prepared.planner, kind=prepared.kind)
             tracer.add_synthetic("plan", reported_planning, cache_hit=cache_hit)
             tracer.begin(
                 "execute",
@@ -562,7 +536,6 @@ QueryService` drove this call, in which case the service's publish point
             iostats=exec_context.iostats,
             plan_description=prepared.plan_description,
             cache_hit=cache_hit,
-            kernel_tier=tier,
             trace=tracer,
         )
 

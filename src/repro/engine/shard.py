@@ -6,9 +6,8 @@ module adds the process tier behind the ``shards=N`` knob: the coordinator
 splits the partitioning alias's partitions into **contiguous blocks** (one
 per shard, ``np.array_split`` geometry), ships each block to a worker
 *process* together with everything needed to re-create the physical plan —
-the logical plan, tag annotations, predicate tree, the frozen
-:class:`~repro.kernels.config.KernelConfig` and the resolved scan-candidate
-bitmaps — and gathers the per-shard outputs back **in shard order**.
+the logical plan, tag annotations, predicate tree, the plan's clause
+selectivities and the resolved scan-candidate bitmaps — and gathers the per-shard outputs back **in shard order**.
 
 Because shard blocks are contiguous in partition order, gathering in shard
 order *is* the partition-order merge: for a fixed partition count the result
@@ -96,8 +95,8 @@ class ShardSpec:
     """Everything a worker needs to re-create and run the physical plan.
 
     The spec is the shard-shippable projection of a
-    :class:`~repro.engine.session.PreparedPlan`: the logical plan plus the
-    frozen kernel configuration and the snapshot/table-version pins —
+    :class:`~repro.engine.session.PreparedPlan`: the logical plan plus its
+    clause selectivities and the snapshot/table-version pins —
     everything *except* process-local state (catalog locks, access-path
     managers).  Access paths are resolved at the coordinator; only the
     resulting candidate bitmaps ship.
@@ -108,7 +107,8 @@ class ShardSpec:
         annotations: tag maps for tagged plans.
         predicate_tree: the query's predicate tree.
         three_valued: SQL three-valued logic flag.
-        kernels: frozen :class:`~repro.kernels.config.KernelConfig` (or None).
+        clause_selectivities: the plan's clause-ordering selectivities
+            (see :class:`~repro.engine.metrics.ExecContext`).
         collect_feedback: record per-predicate/per-operator observations.
         feedback_excluded_aliases: aliases whose observations are biased by
             candidate pruning (see :class:`~repro.engine.metrics.ExecContext`).
@@ -131,7 +131,7 @@ class ShardSpec:
     annotations: object
     predicate_tree: object
     three_valued: bool
-    kernels: object
+    clause_selectivities: dict
     collect_feedback: bool
     feedback_excluded_aliases: frozenset
     scan_candidates: dict
@@ -189,7 +189,7 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
     context = ExecContext(
         collect_feedback=spec.collect_feedback,
         feedback_excluded_aliases=spec.feedback_excluded_aliases,
-        kernels=spec.kernels,
+        clause_selectivities=spec.clause_selectivities,
         tracer=tracer,
     )
     base_table = tables[spec.partition_table]
@@ -560,7 +560,7 @@ def scatter_gather(
         annotations=annotations,
         predicate_tree=predicate_tree,
         three_valued=three_valued,
-        kernels=context.kernels,
+        clause_selectivities=context.clause_selectivities,
         collect_feedback=context.collect_feedback,
         feedback_excluded_aliases=context.feedback_excluded_aliases,
         scan_candidates=scan_candidates,

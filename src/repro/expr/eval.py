@@ -83,8 +83,8 @@ class RowBatch:
 
         Column reads still happen — and memoize, and account I/O — at this
         batch's full selection; the view merely slices them.  That is what
-        keeps the fused kernels' I/O accounting identical to the legacy
-        path while their clause work shrinks with the alive set.
+        keeps the fused kernels' I/O accounting identical to a full-width
+        ``evaluate`` while their clause work shrinks with the alive set.
         """
         return RestrictedBatch(self, rows)
 

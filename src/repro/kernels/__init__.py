@@ -1,25 +1,5 @@
 """Fused vectorized predicate & join-key kernels.
 
-Public surface is the configuration layer only; the engine imports the
-evaluator modules (:mod:`repro.kernels.fused`, :mod:`repro.kernels.dictionary`,
-:mod:`repro.kernels.jit`) directly where they are used, which keeps this
-package importable from :mod:`repro.engine.metrics` without cycles.
+The engine imports the evaluator modules (:mod:`repro.kernels.fused`,
+:mod:`repro.kernels.dictionary`) directly where they are used.
 """
-
-from repro.kernels.config import (
-    DEFAULT_TIER,
-    KERNEL_TIERS,
-    KernelConfig,
-    jit_available,
-    resolve_tier,
-    validate_tier,
-)
-
-__all__ = [
-    "DEFAULT_TIER",
-    "KERNEL_TIERS",
-    "KernelConfig",
-    "jit_available",
-    "resolve_tier",
-    "validate_tier",
-]

@@ -11,7 +11,7 @@ codes on the expression hot path:
   over the sorted dictionary) and then gather per row over int32 codes —
   rows never materialize decoded strings.  Because the same elementwise
   operation runs on every distinct value, the result is byte-identical to
-  the legacy row-at-a-time evaluation, including the miss case: a constant
+  the per-row ``BooleanExpr.evaluate``, including the miss case: a constant
   absent from the dictionary simply matches no code (no ``KeyError``).
 * **Join keys**: when both sides of an equi-join condition are
   dictionary-encoded string columns, :func:`join_code_columns` substitutes

@@ -1,9 +1,9 @@
 """Fused selection-vector kernels for predicate evaluation.
 
-The legacy expression path (``BooleanExpr.evaluate``) computes a full-width
-three-valued truth array for *every* clause of a predicate tree and combines
-them afterwards (``tv.and_all`` / ``tv.or_all``).  For a conjunction of k
-clauses over n rows that is Θ(n·k) clause work regardless of selectivity.
+``BooleanExpr.evaluate`` computes a full-width three-valued truth array for
+*every* clause of a predicate tree and combines them afterwards
+(``tv.and_all`` / ``tv.or_all``).  For a conjunction of k clauses over n
+rows that is Θ(n·k) clause work regardless of selectivity.
 
 :class:`FusedEvaluator` evaluates the same tree over *selection vectors*:
 an AND chain keeps an array of still-alive candidate positions and each
@@ -19,11 +19,11 @@ rates.  Three-valued NULL semantics are preserved exactly:
 * OR: a TRUE verdict is final; rows never accepted are FALSE unless flagged
   UNKNOWN by some disjunct.
 
-Leaves evaluate through (in order of preference) the dictionary code path
-(:mod:`repro.kernels.dictionary`), the optional compiled path
-(:mod:`repro.kernels.jit`), and finally the unmodified AST evaluator over a
-restricted batch view — so every leaf is byte-identical to the legacy
-oracle, only evaluated on fewer rows.
+Leaves evaluate through the dictionary code path
+(:mod:`repro.kernels.dictionary`) when the column carries one, otherwise
+through the unmodified AST evaluator over a restricted batch view — so every
+leaf is byte-identical to ``BooleanExpr.evaluate``, only evaluated on fewer
+rows.
 """
 
 from __future__ import annotations
@@ -31,18 +31,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.expr import three_valued as tv
-from repro.expr.ast import (
-    AndExpr,
-    BooleanExpr,
-    ColumnRef,
-    Comparison,
-    Literal,
-    NotExpr,
-    OrExpr,
-)
+from repro.expr.ast import AndExpr, BooleanExpr, NotExpr, OrExpr
 from repro.expr.eval import RowBatch
 from repro.kernels import dictionary as dict_kernels
-from repro.kernels.config import KernelConfig
 
 #: Selectivity assumed for clauses the optimizer has no estimate for.
 DEFAULT_SELECTIVITY = 0.5
@@ -82,7 +73,12 @@ class FusedEvaluator:
 
     Args:
         batch: the full-selection :class:`RowBatch` the predicate runs over.
-        config: resolved kernel configuration (tier + clause selectivities).
+        clause_selectivities: estimated selectivity per AND/OR child
+            expression key, computed at prepare time from the
+            :class:`~repro.optimizer.estimates.EstimateProvider` (and
+            therefore refined by feedback overrides on re-plans).  Conjuncts
+            run ascending / disjuncts descending by these values; unknown
+            keys default to :data:`DEFAULT_SELECTIVITY`.
         context: execution context; ``context.metrics.clause_rows_evaluated``
             accumulates the actual per-leaf row counts (the bench counter).
         record_observations: when True (the caller has already applied the
@@ -95,12 +91,12 @@ class FusedEvaluator:
     def __init__(
         self,
         batch: RowBatch,
-        config: KernelConfig,
+        clause_selectivities,
         context,
         record_observations: bool = False,
     ) -> None:
         self.batch = batch
-        self.config = config
+        self.clause_selectivities = clause_selectivities
         self.context = context
         self.record_observations = record_observations
         # (alias, column) -> (encoding, full-selection codes) or None.
@@ -109,7 +105,7 @@ class FusedEvaluator:
         self._code_tables: dict = {}
 
     def evaluate(self, predicate: BooleanExpr) -> np.ndarray:
-        """Full-width three-valued truth array, byte-identical to legacy."""
+        """Full-width three-valued truth array, equal to ``predicate.evaluate``."""
         rows = np.arange(self.batch.num_rows, dtype=np.int64)
         return self._evaluate(predicate, rows, record=self.record_observations)
 
@@ -135,7 +131,7 @@ class FusedEvaluator:
         alive = np.arange(n, dtype=np.int64)
         unknown = np.zeros(n, dtype=np.bool_)
         for position, child in enumerate(
-            ordered_children(expr, self.config.clause_selectivities)
+            ordered_children(expr, self.clause_selectivities)
         ):
             if alive.size == 0:
                 break
@@ -156,7 +152,7 @@ class FusedEvaluator:
         alive = np.arange(n, dtype=np.int64)
         unknown = np.zeros(n, dtype=np.bool_)
         for position, child in enumerate(
-            ordered_children(expr, self.config.clause_selectivities)
+            ordered_children(expr, self.clause_selectivities)
         ):
             if alive.size == 0:
                 break
@@ -178,9 +174,6 @@ class FusedEvaluator:
     def _evaluate_leaf(self, expr: BooleanExpr, rows: np.ndarray) -> np.ndarray:
         self.context.metrics.clause_rows_evaluated += int(rows.size)
         truth = self._dictionary_leaf(expr, rows)
-        if truth is not None:
-            return truth
-        truth = self._jit_leaf(expr, rows)
         if truth is not None:
             return truth
         return expr.evaluate(self.batch.restricted(rows))
@@ -219,23 +212,6 @@ class FusedEvaluator:
                 entry = (encoding, encoding.codes[positions])
         self._codes_cache[key] = entry
         return entry
-
-    def _jit_leaf(self, expr: BooleanExpr, rows: np.ndarray) -> np.ndarray | None:
-        if not self.config.use_jit:
-            return None
-        if not isinstance(expr, Comparison):
-            return None
-        if not (isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal)):
-            return None
-        literal = expr.right.value
-        if isinstance(literal, bool) or not isinstance(literal, (int, float)):
-            return None
-        from repro.kernels import jit
-
-        # Full-selection read (memoized on the batch) keeps I/O accounting
-        # identical to the legacy path; only the compare runs restricted.
-        values, nulls = self.batch.column(expr.left.alias, expr.left.column)
-        return jit.compare_select(values[rows], nulls[rows], expr.op, literal)
 
     # ------------------------------------------------------------------ #
     # Feedback

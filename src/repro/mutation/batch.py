@@ -236,7 +236,10 @@ class MutationBatch:
             manager = self.catalog.access_manager
             if manager is not None:
                 for name in names:
-                    manager.extend(name, new_tables[name], deltas[name].old_num_rows)
+                    delta = deltas[name]
+                    manager.extend(
+                        name, new_tables[name], delta.old_num_rows, delta.old_version
+                    )
 
             commit = MutationCommit(version=new_version, deltas=deltas)
             self._committed = commit

@@ -20,7 +20,7 @@ which :mod:`repro.mutation.recovery` resolves on the next open:
   step 2) — replayed idempotently from the WAL's own payload;
 * a fully applied transaction — nothing to do.
 
-**Record format** (little-endian)::
+**Record format** (framing: :mod:`repro.storage.framing`)::
 
     record  := magic(4s = b"RWAL") | length(u32) | crc32(u32) | payload
     payload := UTF-8 JSON: {"kind": "header", "format": 1, "base_txn": N}
@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import threading
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.instruments import publish_wal_commit
 from repro.obs.trace import ambient_span
+from repro.storage.framing import pack_frame, unpack_frame
 from repro.testing import faults
 
 #: WAL file name inside a dataset directory.
@@ -62,9 +61,6 @@ WAL_NAME = "wal.log"
 
 #: Advisory lock file name inside a dataset directory.
 LOCK_NAME = ".lock"
-
-#: Per-record frame: magic, payload length, payload crc32.
-_FRAME = struct.Struct("<4sII")
 
 _MAGIC = b"RWAL"
 
@@ -169,32 +165,7 @@ def json_safe(value):
 
 def encode_record(payload: dict) -> bytes:
     """One framed WAL record for ``payload``."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return _FRAME.pack(_MAGIC, len(body), zlib.crc32(body)) + body
-
-
-def _decode_record(data: bytes, offset: int) -> tuple[dict, int] | None:
-    """``(payload, end_offset)`` of the record at ``offset``, or None when the
-    bytes there are not one intact record (short, bad magic, bad checksum)."""
-    frame_end = offset + _FRAME.size
-    if frame_end > len(data):
-        return None
-    magic, length, crc = _FRAME.unpack_from(data, offset)
-    if magic != _MAGIC:
-        return None
-    end = frame_end + length
-    if end > len(data):
-        return None
-    body = data[frame_end:end]
-    if zlib.crc32(body) != crc:
-        return None
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    return payload, end
+    return pack_frame(_MAGIC, json.dumps(payload, separators=(",", ":")).encode("utf-8"))
 
 
 # --------------------------------------------------------------------------- #
@@ -250,7 +221,7 @@ def read_wal(root: str | Path) -> WalState | None:
         return None
     data = path.read_bytes()
 
-    decoded = _decode_record(data, 0)
+    decoded = unpack_frame(data, 0, _MAGIC)
     if decoded is None:
         # Unreadable header: treat the whole file as a torn tail.
         return WalState(path, 0, [], 0, len(data), 0)
@@ -265,7 +236,7 @@ def read_wal(root: str | Path) -> WalState | None:
     valid_length = offset
     records = 1
     while offset < len(data):
-        decoded = _decode_record(data, offset)
+        decoded = unpack_frame(data, offset, _MAGIC)
         if decoded is None:
             break  # torn record: everything from here on is tail
         payload, offset = decoded

@@ -12,7 +12,7 @@ Cooperating pieces, all opt-in on the execution hot path:
   instrument catalog in :mod:`repro.obs.instruments`;
 * :mod:`repro.obs.slowlog` — a structured
   :class:`~repro.obs.slowlog.SlowQueryLog` armed by
-  ``QueryService(slow_query_seconds=...)``, with a size-rotated
+  ``QueryService(slow_query_log=...)``, with a size-rotated
   :class:`~repro.obs.slowlog.RotatingFileSink`;
 * :mod:`repro.obs.history` — the longitudinal layer: a per-fingerprint
   :class:`~repro.obs.history.QueryStatsStore`, the persistent checksummed

@@ -46,7 +46,7 @@ QUERY_SECONDS = _REG.histogram(
 QUERY_ROWS = _REG.counter("repro_query_rows_total", "Rows returned to clients.")
 SLOW_QUERIES = _REG.counter(
     "repro_slow_queries_total",
-    "Queries slower than the service slow_query_seconds threshold.",
+    "Queries slower than the service slow-query-log threshold.",
 )
 
 # --- plan cache / feedback (published by QueryService)

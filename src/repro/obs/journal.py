@@ -2,8 +2,8 @@
 
 The metrics registry and the stats store answer "what is happening *now*";
 the journal answers "what happened" — across restarts.  It is an append-only
-file of length-prefixed, crc32-checksummed JSON records (the exact framing
-discipline of the WAL, see :mod:`repro.mutation.wal`, under its own magic)
+file of length-prefixed, crc32-checksummed JSON records (the framing the WAL
+uses, :mod:`repro.storage.framing`, under its own magic)
 recording query finishes, plan-cache re-plans, slow queries, compactions,
 recoveries, write conflicts and detected plan regressions.
 
@@ -17,7 +17,7 @@ Crash semantics differ from the WAL deliberately:
   the journal is observational, and one damaged event must not blind an
   operator to everything recorded after it.
 
-Record format (little-endian)::
+Record format::
 
     record  := magic(4s = b"REVJ") | length(u32) | crc32(u32) | payload
     payload := UTF-8 JSON: {"kind": ..., "seq": N, "ts": unix_seconds, ...}
@@ -32,15 +32,12 @@ from __future__ import annotations
 
 import json
 import random
-import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: Per-record frame: magic, payload length, payload crc32 (same as the WAL).
-_FRAME = struct.Struct("<4sII")
+from repro.storage.framing import pack_frame, unpack_frame
 
 #: The journal's own magic — a WAL file is never mistaken for a journal.
 JOURNAL_MAGIC = b"REVJ"
@@ -52,31 +49,7 @@ JOURNAL_NAME = "history.journal"
 def encode_event(payload: dict) -> bytes:
     """One framed journal record for ``payload``."""
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    return _FRAME.pack(JOURNAL_MAGIC, len(body), zlib.crc32(body)) + body
-
-
-def _decode_event(data: bytes, offset: int) -> tuple[dict, int] | None:
-    """``(payload, end_offset)`` of the record at ``offset``, or None when the
-    bytes there are not one intact record (short, bad magic, bad checksum)."""
-    frame_end = offset + _FRAME.size
-    if frame_end > len(data):
-        return None
-    magic, length, crc = _FRAME.unpack_from(data, offset)
-    if magic != JOURNAL_MAGIC:
-        return None
-    end = frame_end + length
-    if end > len(data):
-        return None
-    body = data[frame_end:end]
-    if zlib.crc32(body) != crc:
-        return None
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(payload, dict):
-        return None
-    return payload, end
+    return pack_frame(JOURNAL_MAGIC, body)
 
 
 @dataclass(frozen=True)
@@ -119,7 +92,7 @@ def scan_journal(path: str | Path) -> JournalScan:
     skipped = 0
     in_gap = False
     while offset < len(data):
-        decoded = _decode_event(data, offset)
+        decoded = unpack_frame(data, offset, JOURNAL_MAGIC)
         if decoded is None:
             # Resynchronize on the next magic marker; count each contiguous
             # damaged stretch once.  No further marker = torn tail, stop.

@@ -1,11 +1,11 @@
 """The slow-query log: structured records for queries over a threshold.
 
-``QueryService(slow_query_seconds=0.5)`` arms the log; every execution whose
-end-to-end latency (planning + execution) meets the threshold emits one
-:class:`SlowQueryRecord` carrying enough context to reproduce and triage the
-query — fingerprint, planner, latency split, rows, pages read/pruned, plan
-cache hit, kernel tier, shard count — without the operator having to re-run
-it with tracing on.
+``QueryService(slow_query_log=SlowQueryLog(0.5))`` arms the log; every
+execution whose end-to-end latency (planning + execution) meets the threshold
+emits one :class:`SlowQueryRecord` carrying enough context to reproduce and
+triage the query — fingerprint, planner, latency split, rows, pages
+read/pruned, plan cache hit, shard count — without the operator having to
+re-run it with tracing on.
 
 Records land in a bounded in-memory ring (newest kept) and, when a ``sink``
 callable is given, are also pushed there — a sink is how an embedder routes
@@ -13,7 +13,8 @@ records to logging, a file, or an alerting pipeline.  A failing sink never
 fails the query; the record still lands in the ring.
 
 :class:`RotatingFileSink` is the batteries-included file sink
-(``QueryService(slow_query_log_path=...)`` / CLI ``--slow-query-log``): one
+(``SlowQueryLog(threshold, sink=RotatingFileSink(path))`` / CLI
+``--slow-query-log``): one
 JSON line per record, rotated by size with a bounded set of ``.1 .. .N``
 rotated files, so a misbehaving workload cannot fill the disk with its own
 diagnostics.
@@ -50,7 +51,6 @@ class SlowQueryRecord:
     pages_read: int
     pages_pruned: int
     cache_hit: bool
-    kernel_tier: str | None
     shards: int | None
 
     def as_dict(self) -> dict:

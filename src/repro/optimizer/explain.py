@@ -76,7 +76,6 @@ def explain_analyze_report(prepared, result) -> str:
     estimates = prepared.estimated_rows
     pruning = result.metrics.scan_pruning
     access_plan = prepared.access_plan
-    kernel_tier = getattr(result, "kernel_tier", "off")
     trace = getattr(result, "trace", None)
     timings = trace.operator_timings() if trace is not None else {}
     rows: list[tuple[str, str, str, str, str, str, str]] = []
@@ -86,10 +85,8 @@ def explain_analyze_report(prepared, result) -> str:
 
         Rendered as 1-based positions into the predicate's written child
         order (``3→1→2`` means the third conjunct runs first).  Empty when
-        the legacy path ran or the predicate has a single clause.
+        the predicate has a single clause.
         """
-        if kernel_tier == "off":
-            return ""
         predicate = node.predicate
         if not isinstance(predicate, (AndExpr, OrExpr)):
             return ""
@@ -164,8 +161,7 @@ def explain_analyze_report(prepared, result) -> str:
         f"planner={prepared.planner} estimated_output_rows="
         f"{_format_rows(prepared.estimated_output_rows)} "
         f"actual_output_rows={result.metrics.output_rows} "
-        f"pages_pruned={result.metrics.pages_pruned} "
-        f"kernels={kernel_tier}"
+        f"pages_pruned={result.metrics.pages_pruned}"
         + "".join(f" {name}={count}" for name, count in prepared.planning_work.items())
     )
     return "\n".join(lines + [summary])

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.engine.metrics import ExecContext
 from repro.expr import three_valued as tv
-from repro.expr.ast import BooleanExpr, ColumnRef, iter_base_predicates
+from repro.expr.ast import BooleanExpr, ColumnRef
 from repro.expr.eval import RowBatch
 from repro.kernels import dictionary as dict_kernels
 from repro.kernels.fused import FusedEvaluator
@@ -71,8 +71,6 @@ def evaluate_predicate(
         num_rows = 0
     if num_rows == 0:
         # Zero-row early exit: no batch dicts, no RowBatch, no column reads.
-        # The legacy path produced the same empty truth array, it just paid
-        # for the scaffolding first.
         return np.zeros(0, dtype=np.uint8)
     if positions is None:
         batch_indices = {alias: indices[alias] for alias in aliases}
@@ -87,18 +85,12 @@ def evaluate_predicate(
         and description in ("filter", "bypass filter")
         and not (aliases & context.feedback_excluded_aliases)
     )
-    if context.kernels is not None:
-        evaluator = FusedEvaluator(
-            batch, context.kernels, context, record_observations=feedback_eligible
-        )
-        truth = evaluator.evaluate(predicate)
-    else:
-        truth = predicate.evaluate(batch)
-        # Every clause of the tree saw every row: that is the work the fused
-        # kernels avoid, and the baseline of the clause-work benchmark.
-        context.metrics.clause_rows_evaluated += num_rows * sum(
-            1 for _ in iter_base_predicates(predicate)
-        )
+    truth = FusedEvaluator(
+        batch,
+        context.clause_selectivities,
+        context,
+        record_observations=feedback_eligible,
+    ).evaluate(predicate)
     if feedback_eligible and truth.size:
         # The observed per-clause pass rate is the raw material of the
         # feedback loop: ratios are partition-invariant (evaluated and
@@ -158,11 +150,11 @@ def read_join_keys(
     When either side is empty no columns are read at all (zero-row early
     exit): both key arrays come back all ``-1``, which the join kernel drops,
     so the join output is the same empty result the reads would have
-    produced.  With fused kernels enabled, string key columns that both
-    carry dictionaries are joined on their integer codes (the probe side
-    remapped into the build side's code space) instead of decoded values —
-    same equality structure and NULLs, so identical join output, but int
-    factorization instead of object factorization.
+    produced.  String key columns that both carry dictionaries are joined on
+    their integer codes (the probe side remapped into the build side's code
+    space) instead of decoded values — same equality structure and NULLs, so
+    identical join output, but int factorization instead of object
+    factorization.
     """
     if conditions:
         first_left, first_right = orient_condition(conditions[0], left_indices)
@@ -187,18 +179,16 @@ def read_join_keys(
         right_rows = right_indices[right_ref.alias]
         if right_positions is not None:
             right_rows = right_rows[right_positions]
-        pair = None
-        if context.kernels is not None:
-            pair = dict_kernels.join_code_columns(
-                left_tables[left_ref.alias],
-                left_ref.column,
-                left_rows,
-                right_tables[right_ref.alias],
-                right_ref.column,
-                right_rows,
-                cache=context.cache,
-                iostats=context.iostats,
-            )
+        pair = dict_kernels.join_code_columns(
+            left_tables[left_ref.alias],
+            left_ref.column,
+            left_rows,
+            right_tables[right_ref.alias],
+            right_ref.column,
+            right_rows,
+            cache=context.cache,
+            iostats=context.iostats,
+        )
         if pair is not None:
             left_columns.append(pair[0])
             right_columns.append(pair[1])

@@ -48,7 +48,6 @@ def query_fingerprint(
     cost_params: CostParams | None = None,
     access_version: int = -1,
     table_versions: tuple[tuple[str, int], ...] | None = None,
-    kernels: str = "numpy",
 ) -> str:
     """A stable hex digest addressing the plan for ``query`` under ``planner``.
 
@@ -60,11 +59,6 @@ def query_fingerprint(
     ``table_versions`` — sorted ``(table name, per-table version)`` pairs for
     the tables the query references — replaces the whole-catalog version in
     the digest when provided, giving per-table invalidation granularity.
-
-    ``kernels`` is the *resolved* expression-kernel tier the plan executes
-    under (pass it through :func:`repro.kernels.resolve_tier`): different
-    tiers share plans' logical shape but not their runtime artifacts, so a
-    tier flip must address a different cache slot.
     """
     params = cost_params if cost_params is not None else CostParams()
     if table_versions is not None:
@@ -84,7 +78,6 @@ def query_fingerprint(
             f"selectivity_mode={selectivity_mode}",
             f"cost_params={params!r}",
             f"access_version={access_version}",
-            f"kernels={kernels}",
         )
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

@@ -47,16 +47,9 @@ from repro.engine.session import PreparedPlan, Session
 from repro.obs import history as obs_history
 from repro.obs import instruments
 from repro.obs.history import WorkloadHistory, plan_hash_of
-from repro.obs.slowlog import (
-    DEFAULT_SLOW_LOG_KEEP,
-    DEFAULT_SLOW_LOG_MAX_BYTES,
-    RotatingFileSink,
-    SlowQueryLog,
-    SlowQueryRecord,
-)
+from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
 from repro.optimizer.feedback import DEFAULT_QERROR_THRESHOLD, FeedbackStore
 from repro.plan.query import Query
-from repro.kernels.config import resolve_tier, validate_tier
 from repro.service.fingerprint import query_fingerprint
 from repro.service.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from repro.service.stats_cache import StatsCache
@@ -169,25 +162,12 @@ class QueryService:
             adds counting passes to the execution hot path).
         qerror_threshold: q-error (``max(est/act, act/est)`` of output rows)
             above which a cached plan is considered drifted.
-        kernels: expression-kernel tier for queries served through this
-            service (``None`` keeps the session's setting).  The *resolved*
-            tier is hashed into plan-cache fingerprints, so flipping the
-            knob addresses separate cache slots instead of mixing tiers.
-        slow_query_seconds: arm the slow-query log — every query whose
-            end-to-end latency (cache lookup / planning plus execution)
-            meets this threshold emits a structured
-            :class:`~repro.obs.slowlog.SlowQueryRecord` into
-            :attr:`slow_query_log` and to ``slow_query_sink``.  ``None``
-            (the default) disables the log entirely.
-        slow_query_sink: optional callable receiving each
-            :class:`~repro.obs.slowlog.SlowQueryRecord`; exceptions it
-            raises are swallowed (a broken sink never fails a query).
-        slow_query_log_path: additionally write each slow-query record as
-            one JSON line to this file through a size-rotating
-            :class:`~repro.obs.slowlog.RotatingFileSink` (composes with
-            ``slow_query_sink``; requires ``slow_query_seconds``).
-        slow_query_log_max_bytes / slow_query_log_keep: rotation size and
-            number of rotated files kept by the file sink.
+        slow_query_log: a :class:`~repro.obs.slowlog.SlowQueryLog` — every
+            query whose end-to-end latency (cache lookup / planning plus
+            execution) meets its threshold emits a structured
+            :class:`~repro.obs.slowlog.SlowQueryRecord` into its ring and to
+            its sink (e.g. a :class:`~repro.obs.slowlog.RotatingFileSink`).
+            ``None`` (the default) disables the log entirely.
         history: a :class:`~repro.obs.history.WorkloadHistory` to feed with
             every execution served here (per-fingerprint statistics, the
             event journal, regression detection).  ``None`` falls back to
@@ -208,13 +188,8 @@ class QueryService:
         partitions: int | None = None,
         feedback: bool = False,
         qerror_threshold: float = DEFAULT_QERROR_THRESHOLD,
-        kernels: str | None = None,
         shards: int | None = None,
-        slow_query_seconds: float | None = None,
-        slow_query_sink=None,
-        slow_query_log_path=None,
-        slow_query_log_max_bytes: int = DEFAULT_SLOW_LOG_MAX_BYTES,
-        slow_query_log_keep: int = DEFAULT_SLOW_LOG_KEEP,
+        slow_query_log: SlowQueryLog | None = None,
         history: WorkloadHistory | None = None,
     ) -> None:
         if isinstance(session, Catalog):
@@ -223,31 +198,10 @@ class QueryService:
             raise ValueError(f"shards must be positive, got {shards}")
         self.session = session
         self.history = history
-        sink = slow_query_sink
-        if slow_query_log_path is not None:
-            file_sink = RotatingFileSink(
-                slow_query_log_path,
-                max_bytes=slow_query_log_max_bytes,
-                keep=slow_query_log_keep,
-            )
-            if sink is None:
-                sink = file_sink
-            else:
-                user_sink = sink
-
-                def sink(record, _user=user_sink, _file=file_sink):
-                    _file(record)
-                    _user(record)
-
-        self.slow_query_log = (
-            SlowQueryLog(slow_query_seconds, sink=sink)
-            if slow_query_seconds is not None
-            else None
-        )
+        self.slow_query_log = slow_query_log
         self.parallelism = parallelism
         self.partitions = partitions
         self.shards = shards
-        self.kernels = validate_tier(kernels) if kernels is not None else None
         if self.session.stats_provider is None:
             self.session.stats_provider = StatsCache(self.session.catalog)
         self.stats_cache = self.session.stats_provider
@@ -338,28 +292,16 @@ class QueryService:
         try:
             prepared, reused = self._prepared_for(key, query, planner, naive_tags)
             instruments.publish_plan_cache(hit=reused)
-            if not reused:
-                result = self.session.execute_prepared(
-                    prepared,
-                    parallelism=self.parallelism,
-                    partitions=self.partitions,
-                    collect_feedback=self.feedback,
-                    kernels=self.kernels,
-                    shards=self.shards,
-                    trace=trace,
-                )
-            else:
-                result = self.session.execute_prepared(
-                    prepared,
-                    planning_seconds=lookup_timer.elapsed(),
-                    cache_hit=True,
-                    parallelism=self.parallelism,
-                    partitions=self.partitions,
-                    collect_feedback=self.feedback,
-                    kernels=self.kernels,
-                    shards=self.shards,
-                    trace=trace,
-                )
+            result = self.session.execute_prepared(
+                prepared,
+                planning_seconds=lookup_timer.elapsed() if reused else None,
+                cache_hit=reused,
+                parallelism=self.parallelism,
+                partitions=self.partitions,
+                collect_feedback=self.feedback,
+                shards=self.shards,
+                trace=trace,
+            )
         except Exception as error:
             history = self._history()
             if history is not None:
@@ -412,7 +354,6 @@ class QueryService:
                 pages_read=result.iostats.pages_read,
                 pages_pruned=result.metrics.pages_pruned,
                 cache_hit=result.cache_hit,
-                kernel_tier=result.kernel_tier,
                 shards=self.shards,
             )
             log.observe(slow_record)
@@ -701,9 +642,6 @@ class QueryService:
             cost_params=self.session.cost_params,
             access_version=manager.version if manager is not None else -1,
             table_versions=self._table_versions(query),
-            kernels=resolve_tier(
-                self.kernels if self.kernels is not None else self.session.kernels
-            ),
         )
 
     def _table_versions(self, query: Query) -> tuple[tuple[str, int], ...] | None:

@@ -125,3 +125,45 @@ def test_zone_maps_alone_match_unpruned(catalogs, oracle_rows):
     plain = Session(catalogs[False], access_paths=False)
     for name, sql in QUERIES:
         assert session.execute(sql).rows == plain.execute(sql).rows, name
+
+
+def test_commit_after_compaction_before_any_read(tmp_path):
+    """index -> delete -> online compact() -> commit -> read, pruning on.
+
+    The compaction renumbers rows; a commit issued before any read must not
+    extend the pre-compaction index (which described the old positions).
+    """
+    from repro import QueryService
+    from repro.storage.disk import load_catalog, save_catalog
+
+    n = 400
+    events = Table.from_dict(
+        "events",
+        {
+            "id": list(range(n)),
+            "kind": [["a", "b", "c", "d"][i % 4] for i in range(n)],
+            "score": [float(i % 50) for i in range(n)],
+        },
+    )
+    save_catalog(Catalog([events]), tmp_path)
+    catalog = load_catalog(tmp_path, durable=True)
+    ensure_access_manager(catalog).create_index("events", "kind", kind="bitmap")
+    sql = (
+        "SELECT e.id FROM events AS e "
+        "WHERE (e.kind = 'b' AND e.score > 40) OR (e.kind = 'c' AND e.score < 5)"
+    )
+    with QueryService(Session(catalog)) as service:
+        service.execute(sql)  # materializes the index entry at this version
+        batch = catalog.begin_mutation()
+        batch.delete("events", positions=np.arange(100))
+        batch.commit()
+        assert service.compact()["rows_reclaimed"] == 100
+        batch = catalog.begin_mutation()
+        batch.insert(
+            "events",
+            [{"id": 1000 + i, "kind": "b", "score": 45.0} for i in range(10)],
+        )
+        batch.commit()
+        result = service.execute(sql)
+        assert result.sorted_rows() == evaluate_oracle(catalog, parse_query(sql))
+        assert (1005,) in result.sorted_rows()

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.baseline.operators import FilterOperator, HashJoinOperator, ScanOperator, UnionOperator
+from repro.baseline.operators import FilterOperator, HashJoinOperator, UnionOperator
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
 from repro.baseline.relation import Relation
 from repro.core.planner.base import PlannerContext
 from repro.engine.metrics import ExecContext
 from repro.expr.builders import and_, col, lit, or_
+from repro.physical.operators import ScanPhysical
 from repro.plan.logical import JoinNode, ProjectNode, TableScanNode, collect_filters
 from repro.plan.query import JoinCondition, Query
 
@@ -46,7 +47,9 @@ class TestRelation:
 class TestOperators:
     def test_scan(self, paper_catalog):
         context = ExecContext()
-        relation = ScanOperator("t", paper_catalog.get("title")).execute(context)
+        scan = ScanPhysical("traditional", "t", paper_catalog.get("title"))
+        scan.open(context)
+        relation = scan.next_batch()
         assert relation.num_rows == 7
         assert context.metrics.tuples_materialized == 7
 

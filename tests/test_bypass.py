@@ -7,12 +7,10 @@ import pytest
 
 from repro import Catalog, Session, Table
 from repro.baseline.relation import Relation
-from repro.bypass.executor import BypassExecutor
 from repro.bypass.operators import (
     BypassFilterOperator,
     BypassJoinOperator,
     BypassProjectOperator,
-    BypassScanOperator,
 )
 from repro.bypass.planner import BypassPlanner
 from repro.bypass.streams import BypassStream, StreamSet
@@ -22,6 +20,8 @@ from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.expr.builders import and_, col, lit, or_
 from repro.expr.three_valued import FALSE, TRUE
+from repro.physical.compile import compile_plan
+from repro.physical.operators import ScanPhysical
 from repro.plan.query import Query
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog, make_dnf_query
 
@@ -97,11 +97,18 @@ def _paper_tree(paper_query: Query) -> PredicateTree:
     return PredicateTree(paper_query.predicate)
 
 
+def _scan(alias: str, table: Table, context: ExecContext) -> StreamSet:
+    """The initial single-stream set over ``table``, as the engine scans it."""
+    scan = ScanPhysical("bypass", alias, table)
+    scan.open(context)
+    return scan.next_batch()
+
+
 class TestBypassFilter:
     def test_filter_splits_true_false(self, paper_catalog, paper_query):
         tree = _paper_tree(paper_query)
         context = ExecContext()
-        scan = BypassScanOperator("t", paper_catalog.get("title")).execute(context)
+        scan = _scan("t", paper_catalog.get("title"), context)
         predicate = col("t", "production_year") > lit(2000)
         output = BypassFilterOperator(predicate, tree).execute(scan, context)
         # Both streams survive: the false stream may still satisfy the other clause.
@@ -111,7 +118,7 @@ class TestBypassFilter:
     def test_second_filter_drops_refuted_stream(self, paper_catalog, paper_query):
         tree = _paper_tree(paper_query)
         context = ExecContext()
-        streams = BypassScanOperator("t", paper_catalog.get("title")).execute(context)
+        streams = _scan("t", paper_catalog.get("title"), context)
         streams = BypassFilterOperator(col("t", "production_year") > lit(2000), tree).execute(
             streams, context
         )
@@ -129,7 +136,7 @@ class TestBypassFilter:
         )
         tree = PredicateTree(predicate)
         context = ExecContext()
-        streams = BypassScanOperator("t", paper_catalog.get("title")).execute(context)
+        streams = _scan("t", paper_catalog.get("title"), context)
         streams = BypassFilterOperator(col("t", "production_year") > lit(2000), tree).execute(
             streams, context
         )
@@ -147,7 +154,7 @@ class TestBypassFilter:
         )
         tree = PredicateTree(predicate)
         context = ExecContext()
-        streams = BypassScanOperator("t", paper_catalog.get("title")).execute(context)
+        streams = _scan("t", paper_catalog.get("title"), context)
         first = BypassFilterOperator(col("t", "production_year") > lit(2000), tree)
         streams = first.execute(streams, context)
         evaluations_before = context.metrics.predicate_evaluations
@@ -158,7 +165,7 @@ class TestBypassFilter:
     def test_filter_missing_alias_raises(self, paper_catalog, paper_query):
         tree = _paper_tree(paper_query)
         context = ExecContext()
-        streams = BypassScanOperator("t", paper_catalog.get("title")).execute(context)
+        streams = _scan("t", paper_catalog.get("title"), context)
         bad_filter = BypassFilterOperator(col("mi_idx", "info") > lit(8.0), tree)
         with pytest.raises(ValueError, match="aliases"):
             bad_filter.execute(streams, context)
@@ -168,14 +175,14 @@ class TestBypassJoin:
     def test_join_pairs_build_separate_hash_tables(self, paper_catalog, paper_query):
         tree = _paper_tree(paper_query)
         context = ExecContext()
-        left = BypassScanOperator("t", paper_catalog.get("title")).execute(context)
+        left = _scan("t", paper_catalog.get("title"), context)
         left = BypassFilterOperator(col("t", "production_year") > lit(2000), tree).execute(
             left, context
         )
         left = BypassFilterOperator(col("t", "production_year") > lit(1980), tree).execute(
             left, context
         )
-        right = BypassScanOperator("mi_idx", paper_catalog.get("movie_info_idx")).execute(context)
+        right = _scan("mi_idx", paper_catalog.get("movie_info_idx"), context)
         right = BypassFilterOperator(col("mi_idx", "info") > lit(8.0), tree).execute(
             right, context
         )
@@ -271,9 +278,9 @@ class TestBypassProject:
 
 
 # --------------------------------------------------------------------------- #
-# Planner + executor + session integration
+# Planner + compiled execution + session integration
 # --------------------------------------------------------------------------- #
-class TestBypassPlannerAndExecutor:
+class TestBypassPlannerAndExecution:
     def test_planner_produces_pushdown_shaped_plan(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         plan = BypassPlanner(context).plan()
@@ -282,19 +289,24 @@ class TestBypassPlannerAndExecutor:
         assert "Filter" in rendered
         assert plan.describe().startswith("bypass")
 
-    def test_executor_matches_paper_result(self, paper_catalog, paper_query):
+    def test_compiled_plan_matches_paper_result(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         planned = BypassPlanner(context).plan()
-        executor = BypassExecutor(paper_catalog, context.predicate_tree)
-        output = executor.execute(planned.plan, ExecContext())
+        output = compile_plan(
+            "bypass", planned.plan, paper_catalog, predicate_tree=context.predicate_tree
+        ).execute(ExecContext())
         assert output.row_count == len(PAPER_QUERY_MATCHES)
 
-    def test_executor_rejects_plan_without_project_root(self, paper_catalog, paper_query):
+    def test_compile_rejects_plan_without_project_root(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         planned = BypassPlanner(context).plan()
-        executor = BypassExecutor(paper_catalog, context.predicate_tree)
         with pytest.raises(ValueError, match="ProjectNode"):
-            executor.execute(planned.plan.child, ExecContext())
+            compile_plan(
+                "bypass",
+                planned.plan.child,
+                paper_catalog,
+                predicate_tree=context.predicate_tree,
+            ).execute(ExecContext())
 
     def test_session_bypass_planner(self, paper_session, paper_query_sql):
         result = paper_session.execute(paper_query_sql, planner="bypass")

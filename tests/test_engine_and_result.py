@@ -1,13 +1,13 @@
-"""Unit tests for execution metrics, query results and executor edge cases."""
+"""Unit tests for execution metrics, query results and plan-compilation edge cases."""
 
 import numpy as np
 import pytest
 
 from repro.baseline.planners import TraditionalPlan
 from repro.core.tagmap import TagMapBuilder
-from repro.engine.executor import TaggedExecutor, TraditionalExecutor
 from repro.engine.metrics import ExecContext, ExecutionMetrics, Stopwatch
 from repro.engine.result import OutputColumns, QueryResult, materialize_output
+from repro.physical.compile import compile_plan
 from repro.plan.logical import JoinNode, ProjectNode, TableScanNode
 from repro.plan.query import JoinCondition, Query
 from repro.expr.builders import col
@@ -97,21 +97,23 @@ class TestQueryResult:
         assert result.rows == []
 
 
-class TestExecutorEdgeCases:
-    def test_tagged_executor_requires_project_root(self, paper_catalog, paper_query):
+class TestCompilePlanEdgeCases:
+    def test_tagged_plan_requires_project_root(self, paper_catalog):
         builder = TagMapBuilder(None)
         scan = TableScanNode("t", "title")
         annotations = builder.build(ProjectNode(scan))
-        executor = TaggedExecutor(paper_catalog, paper_query, annotations, None)
         with pytest.raises(ValueError, match="ProjectNode"):
-            executor.execute(scan, ExecContext())
+            compile_plan("tagged", scan, paper_catalog, annotations=annotations).execute(
+                ExecContext()
+            )
 
-    def test_traditional_executor_requires_subplans(self, paper_catalog, paper_query):
-        executor = TraditionalExecutor(paper_catalog, paper_query)
+    def test_traditional_plan_requires_subplans(self, paper_catalog):
         with pytest.raises(ValueError):
-            executor.execute(TraditionalPlan("bdisj", []), ExecContext())
+            compile_plan(
+                "traditional", TraditionalPlan("bdisj", []), paper_catalog
+            ).execute(ExecContext())
 
-    def test_tagged_executor_without_predicate_tree(self, paper_catalog):
+    def test_tagged_plan_without_predicate_tree(self, paper_catalog):
         query = Query(
             tables={"t": "title", "mi_idx": "movie_info_idx"},
             join_conditions=[JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))],
@@ -123,8 +125,9 @@ class TestExecutorEdgeCases:
         )
         plan = ProjectNode(join)
         annotations = TagMapBuilder(None).build(plan)
-        executor = TaggedExecutor(paper_catalog, query, annotations, None)
-        output = executor.execute(plan, ExecContext())
+        output = compile_plan(
+            "tagged", plan, paper_catalog, annotations=annotations
+        ).execute(ExecContext())
         assert output.row_count == 6
 
     def test_traditional_union_of_disjoint_clause_results(self, paper_session):

@@ -36,7 +36,7 @@ from repro.obs.journal import (
     scan_journal,
 )
 from repro.obs.regress import RegressionDetector
-from repro.obs.slowlog import RotatingFileSink, SlowQueryRecord
+from repro.obs.slowlog import RotatingFileSink, SlowQueryLog, SlowQueryRecord
 from repro.storage.disk import save_catalog
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
 
@@ -295,7 +295,7 @@ def _slow_record(i: int) -> SlowQueryRecord:
     return SlowQueryRecord(
         fingerprint=f"fp{i}", planner="tcombined", elapsed_seconds=1.0,
         planning_seconds=0.1, execution_seconds=0.9, rows=10, pages_read=5,
-        pages_pruned=0, cache_hit=False, kernel_tier="numpy", shards=None,
+        pages_pruned=0, cache_hit=False, shards=None,
     )
 
 
@@ -419,16 +419,16 @@ class TestServiceIntegration:
     def test_slow_queries_routed_to_journal(self, catalog, tmp_path):
         history = WorkloadHistory(journal_path=tmp_path / "h.journal")
         with QueryService(Session(catalog), history=history,
-                          slow_query_seconds=0.0) as service:
+                          slow_query_log=SlowQueryLog(0.0)) as service:
             service.execute(SQL_SCAN)
         history.close()
         kinds = [e["kind"] for e in read_journal(tmp_path / "h.journal")]
         assert "slow_query" in kinds and "query" in kinds
 
-    def test_service_slow_query_log_path(self, catalog, tmp_path):
+    def test_service_slow_query_log_file_sink(self, catalog, tmp_path):
         log_path = tmp_path / "slow.log"
-        with QueryService(Session(catalog), slow_query_seconds=0.0,
-                          slow_query_log_path=log_path) as service:
+        slow_log = SlowQueryLog(0.0, sink=RotatingFileSink(log_path))
+        with QueryService(Session(catalog), slow_query_log=slow_log) as service:
             service.execute(SQL_SCAN)
         lines = log_path.read_text().splitlines()
         assert len(lines) == 1

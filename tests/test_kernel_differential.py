@@ -1,13 +1,13 @@
-"""Differential suite for the fused expression kernels.
+"""Differential suite for the fused expression path.
 
-Every kernel tier — ``off`` (legacy full-width truth arrays), ``numpy``
-(fused selection-vector kernels with dictionary-aware string predicates) and
-``jit`` (numba-compiled numeric loops; auto-skipped when numba is absent) —
-must return byte-identical rows under every planner, at parallelism
-{1, 4} x partitions {1, 3}, with and without secondary indexes.  Plus the
-targeted satellites: NaN/NULL three-valued edge cases, dictionary-miss
-constants, zero-I/O empty-input early exits, AST memoization, automatic jit
-downgrade, and the kernel tier in plan fingerprints and explain output.
+The engine evaluates every predicate through the fused selection-vector
+evaluator (:mod:`repro.kernels.fused`, dictionary-aware string predicates
+included).  It must return the oracle's rows under every planner, at
+parallelism {1, 4} x partitions {1, 3}, with and without secondary indexes;
+and at the expression level it must equal ``BooleanExpr.evaluate`` — the
+full-width reference it restricts — on NaN/NULL three-valued edge cases and
+dictionary-miss constants, with zero-I/O empty-input early exits, doing
+strictly less clause work than evaluating every clause over every row.
 """
 
 from __future__ import annotations
@@ -18,20 +18,15 @@ import pytest
 from repro import Catalog, Column, Session, Table
 from repro.access.manager import ensure_access_manager
 from repro.engine.metrics import ExecContext
-from repro.kernels import KernelConfig, jit_available, resolve_tier, validate_tier
+from repro.expr.ast import iter_base_predicates
+from repro.expr.eval import RowBatch
+from repro.kernels.fused import FusedEvaluator
 from repro.physical.expressions import evaluate_predicate, read_join_keys
-from repro.service.fingerprint import query_fingerprint
 from repro.sql import parse_query
 from repro.testing.differential import DEFAULT_PLANNERS
 from repro.testing.oracle import evaluate_oracle
 
 PAGE = 16
-
-TIERS = (
-    "off",
-    "numpy",
-    pytest.param("jit", marks=pytest.mark.skipif(not jit_available(), reason="numba not installed")),
-)
 
 #: Predicate-heavy disjunctive workload over dictionary-eligible string
 #: columns (status/region are low-cardinality), NULLs in both string and
@@ -112,33 +107,57 @@ def oracle_rows(catalogs):
 
 
 # --------------------------------------------------------------------------- #
-# The matrix: tiers x planners x parallelism/partitions x indexes
+# The matrix: planners x parallelism/partitions x indexes, against the oracle
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("planner", DEFAULT_PLANNERS + ("tmin",))
 @pytest.mark.parametrize(
     "parallelism,partitions,indexed",
     [(1, 1, False), (1, 3, True), (4, 1, True), (4, 3, False)],
 )
-def test_all_tiers_byte_identical(
+def test_rows_match_oracle(
     catalogs, oracle_rows, planner, parallelism, partitions, indexed
 ):
-    tiers = ["off", "numpy"] + (["jit"] if jit_available() else [])
-    sessions = {
-        tier: Session(
-            catalogs[indexed],
-            parallelism=parallelism,
-            partitions=partitions,
-            access_paths=indexed,
-            kernels=tier,
-        )
-        for tier in tiers
-    }
+    session = Session(
+        catalogs[indexed],
+        parallelism=parallelism,
+        partitions=partitions,
+        access_paths=indexed,
+    )
     for name, sql in QUERIES:
-        results = {tier: sessions[tier].execute(sql, planner=planner) for tier in tiers}
-        assert results["off"].sorted_rows() == oracle_rows[name], (planner, name)
-        for tier in tiers[1:]:
-            # Byte-identical: same rows in the same order, not just the set.
-            assert results[tier].rows == results["off"].rows, (planner, name, tier)
+        result = session.execute(sql, planner=planner)
+        assert result.sorted_rows() == oracle_rows[name], (planner, name)
+
+
+# --------------------------------------------------------------------------- #
+# Expression level: the fused evaluator against BooleanExpr.evaluate
+# --------------------------------------------------------------------------- #
+def _joined_batch(catalog: Catalog) -> RowBatch:
+    """orders joined to customers on ``cust = cid`` (cid is the row index)."""
+    orders, customers = catalog.get("orders"), catalog.get("customers")
+    return RowBatch(
+        {"o": orders, "c": customers},
+        {
+            "o": np.arange(orders.num_rows, dtype=np.int64),
+            "c": np.asarray(orders.column("cust").data, dtype=np.int64),
+        },
+    )
+
+
+@pytest.mark.parametrize("name,sql", QUERIES)
+def test_fused_equals_full_width_evaluate(catalogs, name, sql):
+    """Same three-valued truth per row, whatever order the clauses run in."""
+    predicate = parse_query(sql).predicate
+    batch = _joined_batch(catalogs[False])
+    expected = predicate.evaluate(batch)
+    leaves = list(iter_base_predicates(predicate))
+    ascending = {leaf.key(): i / len(leaves) for i, leaf in enumerate(leaves)}
+    descending = {key: 1.0 - value for key, value in ascending.items()}
+    for selectivities in ({}, ascending, descending):
+        context = ExecContext()
+        truth = FusedEvaluator(batch, selectivities, context).evaluate(predicate)
+        assert truth.dtype == expected.dtype
+        assert np.array_equal(truth, expected), (name, selectivities)
+        assert 0 < context.metrics.clause_rows_evaluated <= batch.num_rows * len(leaves)
 
 
 # --------------------------------------------------------------------------- #
@@ -151,19 +170,19 @@ def test_zero_row_predicate_skips_all_reads(catalogs):
     predicate = parse_query(
         "SELECT o.id FROM orders AS o WHERE o.status = 'gold' AND o.amount < 50"
     ).predicate
-    for config in (None, KernelConfig()):
-        context = ExecContext(kernels=config)
-        truth = evaluate_predicate(
-            predicate,
-            {"o": orders},
-            {"o": np.zeros(0, dtype=np.int64)},
-            context,
-        )
-        assert truth.shape == (0,) and truth.dtype == np.uint8
-        assert context.iostats.pages_read == 0
-        assert context.iostats.pages_hit == 0
-        assert context.iostats.values_read == 0
-        assert context.iostats.sequential_scans == 0
+    context = ExecContext()
+    truth = evaluate_predicate(
+        predicate,
+        {"o": orders},
+        {"o": np.zeros(0, dtype=np.int64)},
+        context,
+    )
+    assert truth.shape == (0,) and truth.dtype == np.uint8
+    assert context.iostats.pages_read == 0
+    assert context.iostats.pages_hit == 0
+    assert context.iostats.values_read == 0
+    assert context.iostats.sequential_scans == 0
+    assert context.metrics.clause_rows_evaluated == 0
 
 
 def test_zero_row_join_keys_skip_all_reads(catalogs):
@@ -205,37 +224,13 @@ def test_ast_memoization():
 
 
 def test_dictionary_miss_is_no_match_not_error(catalogs):
-    session = Session(catalogs[False], kernels="numpy")
-    legacy = Session(catalogs[False], kernels="off")
     sql = (
         "SELECT o.id FROM orders AS o "
         "WHERE o.status = 'absent' OR o.status IN ('nope', 'nada') "
         "   OR o.status LIKE 'qq%'"
     )
-    assert session.execute(sql).rows == legacy.execute(sql).rows == []
-
-
-def test_validate_and_resolve_tier():
-    assert validate_tier("NumPy") == "numpy"
-    with pytest.raises(ValueError, match="unknown kernel tier"):
-        validate_tier("cuda")
-    if not jit_available():
-        assert resolve_tier("jit") == "numpy"
-    assert resolve_tier("off") == "off"
-
-
-def test_jit_downgrades_without_numba(catalogs):
-    session = Session(catalogs[False], kernels="jit")
-    result = session.execute(QUERIES[0][1], planner="tcombined")
-    expected_tier = "jit" if jit_available() else "numpy"
-    assert result.kernel_tier == expected_tier
-
-
-def test_kernels_off_runs_legacy_path(catalogs):
-    result = Session(catalogs[False], kernels="off").execute(QUERIES[0][1])
-    assert result.kernel_tier == "off"
-    # Legacy clause accounting: every clause of the tree charged every row.
-    assert result.metrics.clause_rows_evaluated > 0
+    assert evaluate_oracle(catalogs[False], parse_query(sql)) == []
+    assert Session(catalogs[False]).execute(sql).rows == []
 
 
 def test_fused_does_less_clause_work(catalogs):
@@ -246,29 +241,81 @@ def test_fused_does_less_clause_work(catalogs):
         "WHERE o.status = 'gold' AND o.amount < 50 AND o.id < 300"
     ).predicate
     rows = np.arange(400, dtype=np.int64)
-    legacy_context = ExecContext()
-    legacy_truth = evaluate_predicate(predicate, {"o": orders}, {"o": rows}, legacy_context)
-    fused_context = ExecContext(kernels=KernelConfig())
-    fused_truth = evaluate_predicate(predicate, {"o": orders}, {"o": rows}, fused_context)
-    assert np.array_equal(legacy_truth, fused_truth)
-    assert legacy_context.metrics.clause_rows_evaluated == 3 * 400
-    # The first clause sees all rows; later clauses only the still-alive.
-    assert fused_context.metrics.clause_rows_evaluated < 3 * 400
+    context = ExecContext()
+    truth = evaluate_predicate(predicate, {"o": orders}, {"o": rows}, context)
+    assert np.array_equal(truth, predicate.evaluate(RowBatch({"o": orders}, {"o": rows})))
+    # The first clause sees all rows; later clauses only the still-alive —
+    # evaluating every clause over every row would charge 3 * 400.
+    assert 400 < context.metrics.clause_rows_evaluated < 3 * 400
 
 
-def test_fingerprint_differs_by_tier():
-    sql = "SELECT o.id FROM orders AS o WHERE o.status = 'gold'"
-    prints = {
-        query_fingerprint(sql, "tcombined", catalog_version=1, kernels=tier)
-        for tier in ("off", "numpy", "jit")
-    }
-    assert len(prints) == 3
+# --------------------------------------------------------------------------- #
+# Clause-work reduction on the 50k-row events workload
+# --------------------------------------------------------------------------- #
+EVENT_ROWS = 50_000
+
+#: Whole-tree predicates: the AND chain leads with a rare status (selective
+#: clause first after ordering); the OR tree with a common one (accepting
+#: clause first).
+EVENT_PREDICATES = {
+    "and_chain": (
+        "SELECT e.id FROM events AS e WHERE e.status = 'rare' "
+        "AND e.amount < 5.0 AND e.id < 1000"
+    ),
+    "or_tree": (
+        "SELECT e.id FROM events AS e WHERE e.status = 'common' "
+        "OR e.amount > 95.0 OR e.id < 500"
+    ),
+}
 
 
-def test_explain_analyze_shows_tier_and_clause_order(catalogs):
+def _events_table() -> Table:
+    rng = np.random.default_rng(23)
+    pool = ["common"] * 60 + ["uncommon"] * 25 + ["other"] * 12 + ["rare"] * 2 + [None]
+    statuses = [pool[i] for i in rng.integers(0, len(pool), EVENT_ROWS)]
+    amounts = rng.uniform(0.0, 100.0, EVENT_ROWS).round(2).tolist()
+    for position in range(0, EVENT_ROWS, 97):
+        amounts[position] = None
+    return Table(
+        "events",
+        [
+            Column("id", list(range(EVENT_ROWS))),
+            Column("status", statuses),
+            Column("amount", amounts),
+        ],
+    )
+
+
+def test_clause_work_at_least_halved_on_events_workload():
+    """Ordered by measured selectivity, the fused path evaluates < rows x
+    leaves clause rows on every predicate and >= 2x fewer in total (the
+    full-width figure is arithmetic: every clause over every row)."""
+    tables = {"e": _events_table()}
+    rows = {"e": np.arange(EVENT_ROWS, dtype=np.int64)}
+    full_width_total = fused_total = 0
+    for name, sql in EVENT_PREDICATES.items():
+        predicate = parse_query(sql).predicate
+        selectivities = {
+            child.key(): float(
+                (evaluate_predicate(child, tables, rows, ExecContext()) == 1).mean()
+            )
+            for child in predicate.children()
+        }
+        context = ExecContext(clause_selectivities=selectivities)
+        truth = evaluate_predicate(predicate, tables, rows, context)
+        assert np.array_equal(truth, predicate.evaluate(RowBatch(tables, rows))), name
+        full_width = EVENT_ROWS * sum(1 for _ in iter_base_predicates(predicate))
+        fused = context.metrics.clause_rows_evaluated
+        assert fused < full_width, name
+        full_width_total += full_width
+        fused_total += fused
+    assert full_width_total >= 2 * fused_total, (fused_total, full_width_total)
+
+
+def test_explain_analyze_shows_clause_order(catalogs):
     from repro.optimizer import explain_analyze_report
 
-    session = Session(catalogs[False], kernels="numpy")
+    session = Session(catalogs[False])
     # A cross-table OR cannot be pushed below the join, so it survives
     # planning as one multi-clause FilterNode — the annotation target.
     sql = (
@@ -278,9 +325,4 @@ def test_explain_analyze_shows_tier_and_clause_order(catalogs):
     prepared = session.prepare(sql, planner="bpushconj")
     result = session.execute_prepared(prepared, collect_feedback=True)
     report = explain_analyze_report(prepared, result)
-    assert "kernels=numpy" in report
     assert "clause order:" in report
-    legacy_result = session.execute_prepared(prepared, collect_feedback=True, kernels="off")
-    legacy_report = explain_analyze_report(prepared, legacy_result)
-    assert "kernels=off" in legacy_report
-    assert "clause order:" not in legacy_report

@@ -305,7 +305,6 @@ class TestSlowQueryLog:
             pages_read=4,
             pages_pruned=0,
             cache_hit=False,
-            kernel_tier="numpy",
             shards=None,
         )
 
@@ -341,7 +340,7 @@ class TestSlowQueryLog:
     def test_service_populates_the_log(self, catalog):
         sunk = []
         with QueryService(
-            Session(catalog), slow_query_seconds=0.0, slow_query_sink=sunk.append
+            Session(catalog), slow_query_log=SlowQueryLog(0.0, sink=sunk.append)
         ) as service:
             result = service.execute(SQL)
         assert len(service.slow_query_log) == 1
@@ -352,7 +351,7 @@ class TestSlowQueryLog:
         assert record.elapsed_seconds > 0.0
         assert record.pages_read == result.iostats.pages_read
 
-    def test_service_without_threshold_has_no_log(self, catalog):
+    def test_service_without_slow_query_log_has_none(self, catalog):
         with QueryService(Session(catalog)) as service:
             service.execute(SQL)
             assert service.slow_query_log is None
@@ -388,3 +387,28 @@ class TestTraceCli:
         document = json.loads(out_path.read_text())
         assert {event["ph"] for event in document["traceEvents"]} == {"X"}
         assert any(event["name"] == "query" for event in document["traceEvents"])
+
+    def test_slow_query_flags_echo_and_write_rotated_file(self, tmp_path, capsys):
+        data = self._dataset(tmp_path)
+        log_path = tmp_path / "slow.log"
+        assert main(
+            [
+                "batch", "--data", data, "--sql", SQL,
+                "--slow-query-seconds", "0", "--slow-query-log", str(log_path),
+            ]
+        ) == 0
+        (line,) = log_path.read_text().splitlines()
+        assert capsys.readouterr().err.strip() == f"slow query: {line}"
+        assert json.loads(line)["planner"] == "tcombined"
+
+    def test_metrics_verb_writes_slow_log_without_echo(self, tmp_path, capsys):
+        data = self._dataset(tmp_path)
+        log_path = tmp_path / "slow.log"
+        assert main(
+            [
+                "metrics", "--data", data, "--sql", SQL,
+                "--slow-query-seconds", "0", "--slow-query-log", str(log_path),
+            ]
+        ) == 0
+        assert len(log_path.read_text().splitlines()) == 1
+        assert "slow query" not in capsys.readouterr().err

@@ -100,6 +100,20 @@ class TestPhysicalProtocol:
             scan.open(ExecContext())
             assert isinstance(scan.next_batch(), expected)
 
+    def test_deleted_row_never_reaches_any_scan_output(self, small_table):
+        mask = np.zeros(small_table.num_rows, dtype=np.bool_)
+        mask[[2, 7]] = True
+        table = small_table.with_delete_mask(mask)
+        live = [0, 1, 3, 4, 5, 6, 8, 9]
+        for kind in ("traditional", "tagged", "bypass"):
+            scan = ScanPhysical(kind, "t", table)
+            scan.open(ExecContext())
+            batch = scan.next_batch()
+            if kind == "bypass":
+                (stream,) = batch
+                batch = stream.relation
+            assert batch.indices["t"].tolist() == live, kind
+
     def test_unknown_kind_rejected(self, small_table):
         with pytest.raises(ValueError, match="kind"):
             ScanPhysical("mystery", "t", small_table)

@@ -280,7 +280,7 @@ def test_worker_error_leaves_pool_usable(sessions, workload):
         annotations=None,
         predicate_tree=None,
         three_valued=True,
-        kernels=None,
+        clause_selectivities={},
         collect_feedback=False,
         feedback_excluded_aliases=frozenset(),
         scan_candidates={},

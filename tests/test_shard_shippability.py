@@ -3,7 +3,7 @@
 The scatter–gather engine re-creates compiled physical trees inside worker
 processes from the *logical* plan plus its frozen configuration — a
 :class:`~repro.engine.shard.ShardSpec` carries the plan, tag annotations,
-predicate tree, kernel config, snapshot/table-version pins and resolved
+predicate tree, clause selectivities, snapshot/table-version pins and resolved
 access-path candidates across the process boundary.  These tests pin that
 contract down:
 
@@ -25,12 +25,10 @@ import pytest
 
 from repro.engine.metrics import ExecContext
 from repro.engine.shard import ShardSpec
-from repro.kernels.config import KernelConfig
 from repro.physical.compile import compile_plan
 from repro.engine.session import Session
 from repro.storage.disk import load_catalog, save_catalog
 from repro.testing.datagen import RandomCatalogConfig, generate_random_catalog
-from repro.testing.querygen import RandomQueryConfig, generate_random_query
 
 SQL = (
     "SELECT f.id, f.category, d1.A1 FROM F AS f JOIN D1 AS d1 ON f.id = d1.fid "
@@ -96,17 +94,6 @@ def test_snapshot_pins_pickle(session):
     assert pins == (snapshot.version, dict(snapshot.table_versions))
 
 
-def test_kernel_config_pickles_with_any_mapping():
-    """clause_selectivities is normalized to a plain dict at construction."""
-    import types
-
-    proxy = types.MappingProxyType({"f.A1>0.2": 0.25})
-    config = KernelConfig(tier="numpy", clause_selectivities=proxy)
-    assert isinstance(config.clause_selectivities, dict)
-    clone = pickle.loads(pickle.dumps(config))
-    assert clone == config
-
-
 def test_selectivity_overrides_replan_identically(session):
     overrides = {"f.A1": 0.1}
     first = session.prepare(SQL, planner="tcombined", selectivity_overrides=overrides)
@@ -128,7 +115,7 @@ def test_shard_spec_pickles_without_access_plan(session, catalog):
         annotations=prepared.annotations,
         predicate_tree=prepared.predicate_tree,
         three_valued=True,
-        kernels=KernelConfig(tier="numpy"),
+        clause_selectivities=prepared.clause_selectivities,
         collect_feedback=False,
         feedback_excluded_aliases=frozenset(),
         scan_candidates={},
@@ -141,6 +128,7 @@ def test_shard_spec_pickles_without_access_plan(session, catalog):
     )
     clone = pickle.loads(pickle.dumps(spec))
     assert clone.kind == spec.kind
+    assert clone.clause_selectivities == prepared.clause_selectivities
     assert clone.partition_alias == "f"
     assert clone.table_versions == spec.table_versions
 

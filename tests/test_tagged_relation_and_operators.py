@@ -263,10 +263,11 @@ class TestFullTaggedPipeline:
         plan = ProjectNode(join)
 
         annotations = TagMapBuilder(tree, three_valued=False).build(plan)
-        from repro.engine.executor import TaggedExecutor
+        from repro.physical.compile import compile_plan
 
-        executor = TaggedExecutor(paper_catalog, paper_query, annotations, tree)
-        output = executor.execute(plan, ExecContext())
+        output = compile_plan(
+            "tagged", plan, paper_catalog, annotations=annotations, predicate_tree=tree
+        ).execute(ExecContext())
         titles = {
             row[output.names.index("t.title")]
             for row in zip(*[values.tolist() for values, _ in output.columns])
