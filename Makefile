@@ -7,7 +7,7 @@ RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 # Tag stamped into the BENCH_*.json artifacts written by `make bench`.
 BENCH_TAG ?= PR10
 
-.PHONY: test lint test-crash bench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-obs bench-history docs-check examples
+.PHONY: test lint test-crash bench-e2e bench-compare profile bench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-obs bench-history docs-check examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -23,6 +23,22 @@ lint:
 test-crash:
 	$(RUN) -m pytest tests/test_crash_recovery.py tests/test_wal.py \
 	    tests/test_mutation_properties.py tests/test_concurrent_writers.py -q
+
+## the repo's benchmark (BENCHMARK.json): six workloads, end-to-end metrics
+## plus the per-layer split, every read checked; see benchmarks/e2e/README.md
+OUT ?= .bench_tmp/e2e.json
+bench-e2e:
+	mkdir -p $(dir $(OUT))
+	python3 benchmarks/e2e/run.py --repeats 3 --out $(OUT)
+
+## diff two bench-e2e records: make bench-compare A=before.json B=after.json
+bench-compare:
+	python3 benchmarks/e2e/compare.py $(A) $(B)
+
+## own-time profile of warm passes of one e2e workload: make profile W=job_warm
+W ?= job_warm
+profile:
+	$(PYTHON) scripts/profile_workload.py $(W)
 
 ## quick benchmark pass: service throughput + parallel-scan assertions + one
 ## paper figure, correctness checks only (the wall-clock speedup assertion is

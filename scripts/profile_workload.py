@@ -1,0 +1,39 @@
+"""Profile N warm passes of one ``benchmarks/e2e`` workload (read-only use of it).
+
+    python3 scripts/profile_workload.py job_warm [passes]
+
+Prints the top 25 functions by own time — the view that shows what an
+operator's self-time in the layer split is actually spent on.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import pstats
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def main(name: str = "job_warm", passes: str = "5") -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        workload = WORKLOADS[name](7, False, Path(scratch))
+        workload.setup()
+        try:
+            workload.begin_window()
+            profiler = cProfile.Profile()
+            for _ in range(int(passes)):
+                for op in workload.operations():
+                    profiler.runcall(op.call, False)
+        finally:
+            workload.close()
+    pstats.Stats(profiler).sort_stats("tottime").print_stats(25)
+
+
+if __name__ == "__main__":
+    main(*sys.argv[1:])

@@ -49,7 +49,7 @@ def join_relations(
     right: Relation,
     context: ExecContext,
 ) -> Relation:
-    """Equi-join two plain relations: one hash table, built over ``left``.
+    """Equi-join two plain relations: one hash table, built over the smaller.
 
     The pairwise join body the traditional hash join runs once per join and
     the bypass join once per stream pair.  An empty input yields an empty
@@ -61,9 +61,7 @@ def join_relations(
         indices = {alias: empty for alias in list(left.indices) + list(right.indices)}
         return Relation(merged_tables, indices)
 
-    context.metrics.hash_tables_built += 1
-    context.metrics.join_build_rows += left.num_rows
-    context.metrics.join_probe_rows += right.num_rows
+    context.metrics.record_hash_build(left.num_rows, right.num_rows)
 
     left_keys, right_keys = read_join_keys(
         conditions, left.tables, left.indices, right.tables, right.indices, context

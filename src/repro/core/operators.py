@@ -29,6 +29,11 @@ from repro.utils.join import equi_join_indices
 _NOT_EVALUATED = np.uint8(255)
 
 
+def _concatenate(chunks: list[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that does not copy a lone chunk (the usual case)."""
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 class TaggedFilterOperator:
     """Filter operator driven by a tag map (Section 2.2 / 2.5.2)."""
 
@@ -121,26 +126,11 @@ class TaggedJoinOperator:
         if not left_tags or not right_tags:
             return TaggedRelation(merged_tables, self._empty_indices(left, right), {})
 
-        left_union = Bitmap.union_all(
-            (left.slices[tag] for tag in left_tags), size=left.num_rows
-        ).positions()
-        right_union = Bitmap.union_all(
-            (right.slices[tag] for tag in right_tags), size=right.num_rows
-        ).positions()
-
-        # Join keys, factorized once across both sides and scattered into
-        # row-position-indexed arrays (−1 = row not participating / NULL key).
-        left_subset_keys, right_subset_keys = self._join_keys(
-            left, right, left_union, right_union, context
-        )
-        left_keys = np.full(left.num_rows, -1, dtype=np.int64)
-        left_keys[left_union] = left_subset_keys
-        right_keys = np.full(right.num_rows, -1, dtype=np.int64)
-        right_keys[right_union] = right_subset_keys
-
-        # Slice identities (slices are mutually exclusive, so each row has one).
-        left_slice_of_row = self._slice_ids(left, left_tags)
-        right_slice_of_row = self._slice_ids(right, right_tags)
+        # Participating rows (ascending) with the index of the slice each is in
+        # (slices are mutually exclusive), and their join keys (−1 = NULL key).
+        left_rows, left_slice = self._participants(left, left_tags)
+        right_rows, right_slice = self._participants(right, right_tags)
+        left_keys, right_keys = self._join_keys(left, right, left_rows, right_rows, context)
 
         # Output-tag lookup table indexed by (left slice id, right slice id).
         out_tags: list[Tag] = []
@@ -169,38 +159,31 @@ class TaggedJoinOperator:
         matched_tag_chunks: list[np.ndarray] = []
 
         for compatible_left, right_indices in groups.items():
-            left_group = Bitmap.union_all(
-                (left.slices[left_tags[index]] for index in compatible_left),
-                size=left.num_rows,
-            ).positions()
-            right_group = Bitmap.union_all(
-                (right.slices[right_tags[index]] for index in right_indices),
-                size=right.num_rows,
-            ).positions()
+            left_pick = self._members(left_slice, compatible_left, len(left_tags))
+            right_pick = self._members(right_slice, right_indices, len(right_tags))
+            left_group, right_group = left_rows[left_pick], right_rows[right_pick]
             if left_group.size == 0 or right_group.size == 0:
                 continue
-            context.metrics.hash_tables_built += 1
-            context.metrics.join_build_rows += int(left_group.size)
-            context.metrics.join_probe_rows += int(right_group.size)
+            context.metrics.record_hash_build(int(left_group.size), int(right_group.size))
 
             left_match, right_match = equi_join_indices(
-                left_keys[left_group], right_keys[right_group]
+                left_keys[left_pick], right_keys[right_pick]
             )
             if left_match.size == 0:
                 continue
-            rows_left = left_group[left_match]
-            rows_right = right_group[right_match]
-            tag_indices = allowed[left_slice_of_row[rows_left], right_slice_of_row[rows_right]]
-            matched_left_chunks.append(rows_left)
-            matched_right_chunks.append(rows_right)
-            matched_tag_chunks.append(tag_indices)
+            matched_left_chunks.append(left_group[left_match])
+            matched_right_chunks.append(right_group[right_match])
+            if len(out_tags) > 1:  # with one output tag every pair carries it
+                matched_tag_chunks.append(
+                    allowed[left_slice[left_pick][left_match], right_slice[right_pick][right_match]]
+                )
 
         if not matched_left_chunks:
             return TaggedRelation(merged_tables, self._empty_indices(left, right), {})
 
-        kept_left_rows = np.concatenate(matched_left_chunks)
-        kept_right_rows = np.concatenate(matched_right_chunks)
-        kept_tag_indices = np.concatenate(matched_tag_chunks)
+        kept_left_rows = _concatenate(matched_left_chunks)
+        kept_right_rows = _concatenate(matched_right_chunks)
+        output_rows = int(kept_left_rows.size)
 
         out_indices: dict[str, np.ndarray] = {}
         for alias in left.indices:
@@ -209,24 +192,41 @@ class TaggedJoinOperator:
             out_indices[alias] = right.indices[alias][kept_right_rows]
 
         out_slices: dict[Tag, Bitmap] = {}
-        for index, out_tag in enumerate(out_tags):
-            mask = kept_tag_indices == index
-            if mask.any():
-                out_slices[out_tag] = Bitmap.from_mask(mask)
+        if len(out_tags) == 1:
+            out_slices[out_tags[0]] = Bitmap.full(output_rows)
+        else:
+            kept_tag_indices = _concatenate(matched_tag_chunks)
+            for index, out_tag in enumerate(out_tags):
+                mask = kept_tag_indices == index
+                if mask.any():
+                    out_slices[out_tag] = Bitmap.from_mask(mask)
 
-        output_rows = int(kept_left_rows.size)
         context.metrics.join_output_rows += output_rows
         context.metrics.tuples_materialized += output_rows
         context.metrics.slices_created += len(out_slices)
         return TaggedRelation(merged_tables, out_indices, out_slices)
 
     @staticmethod
-    def _slice_ids(relation: TaggedRelation, tags: list[Tag]) -> np.ndarray:
-        """Per-row slice index (−1 for rows outside every listed slice)."""
+    def _participants(relation: TaggedRelation, tags: list[Tag]) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions of the rows in the listed slices, and per
+        position the index (into ``tags``) of the slice holding it."""
+        if len(tags) == 1:
+            positions = relation.slices[tags[0]].positions()
+            return positions, np.zeros(positions.size, dtype=np.int64)
         slice_of_row = np.full(relation.num_rows, -1, dtype=np.int64)
         for index, tag in enumerate(tags):
             slice_of_row[relation.slices[tag].positions()] = index
-        return slice_of_row
+        positions = np.flatnonzero(slice_of_row >= 0)
+        return positions, slice_of_row[positions]
+
+    @staticmethod
+    def _members(slice_ids: np.ndarray, wanted, num_slices: int) -> np.ndarray | slice:
+        """Selector of the participants lying in the ``wanted`` slices."""
+        if len(wanted) == num_slices:
+            return slice(None)
+        is_wanted = np.zeros(num_slices, dtype=np.bool_)
+        is_wanted[list(wanted)] = True
+        return np.flatnonzero(is_wanted[slice_ids])
 
     def _join_keys(
         self,

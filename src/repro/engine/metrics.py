@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
+from repro.utils.join import builds_on_left
 
 
 @dataclass
@@ -84,6 +85,13 @@ class ExecutionMetrics:
             bucket = self.scan_pruning.setdefault(node_id, [0, 0])
             bucket[0] += pages_total
             bucket[1] += pages_pruned
+
+    def record_hash_build(self, left_rows: int, right_rows: int) -> None:
+        """Account one hash table: built over the side the join kernel builds."""
+        on_left = builds_on_left(left_rows, right_rows)
+        self.hash_tables_built += 1
+        self.join_build_rows += left_rows if on_left else right_rows
+        self.join_probe_rows += right_rows if on_left else left_rows
 
     def observed_selectivity(self, key: str) -> float | None:
         """Observed pass rate of a recorded predicate (None when unseen)."""

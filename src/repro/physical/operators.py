@@ -42,6 +42,7 @@ from repro.engine.result import OutputColumns, materialize_output
 from repro.physical.base import PhysicalOperator
 from repro.physical.batches import merge_batches
 from repro.storage.bitmap import Bitmap
+from repro.storage.column import touched_pages
 from repro.storage.table import Table, TablePartition, owned_page_range
 
 
@@ -140,7 +141,7 @@ class ScanPhysical(PhysicalOperator):
         page_size = self.table.page_size
         first_page, end_page = owned_page_range(start, stop, page_size)
         if end_page > first_page:
-            pages = np.unique(indices // page_size) if indices.size else indices
+            pages = touched_pages(indices, page_size, self.table.num_pages)
             pages_kept = int(((pages >= first_page) & (pages < end_page)).sum())
             context.metrics.record_scan_pruning(
                 self.node_id, end_page - first_page, end_page - first_page - pages_kept

@@ -27,6 +27,17 @@ DEFAULT_PAGE_SIZE = 1024
 SEQUENTIAL_SCAN_THRESHOLD = 0.2
 
 
+def touched_pages(positions: np.ndarray, page_size: int, num_pages: int) -> np.ndarray:
+    """Ascending ids of the pages a position set (any order, repeats) touches.
+
+    The one definition shared by column read accounting and scan-pruning
+    accounting: mark pages in a ``num_pages`` flag array instead of sorting.
+    """
+    touched = np.zeros(num_pages, dtype=np.bool_)
+    touched[positions // page_size] = True
+    return np.flatnonzero(touched)
+
+
 class ColumnType(enum.Enum):
     """Supported column value types."""
 
@@ -250,11 +261,8 @@ class Column:
         iostats: IOStats | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Read the values at explicit row positions (possibly repeated)."""
-        iostats = iostats if iostats is not None else GLOBAL_IO_STATS
         positions = np.asarray(positions, dtype=np.int64)
-        unique_positions = np.unique(positions) if positions.size else positions
-        self._account_bitmap_read(unique_positions, cache, iostats)
-        iostats.record_values(int(positions.size))
+        self.account_read(positions, cache, iostats)
         return self._data[positions], self._nulls[positions]
 
     def account_read(
@@ -273,8 +281,7 @@ class Column:
         """
         iostats = iostats if iostats is not None else GLOBAL_IO_STATS
         positions = np.asarray(positions, dtype=np.int64)
-        unique_positions = np.unique(positions) if positions.size else positions
-        self._account_bitmap_read(unique_positions, cache, iostats)
+        self._account_bitmap_read(positions, cache, iostats)
         iostats.record_values(int(positions.size))
 
     def _account_sequential(self, iostats: IOStats) -> None:
@@ -286,20 +293,26 @@ class Column:
         cache: LFUPageCache | None,
         iostats: IOStats,
     ) -> None:
+        """Account a read of ``positions`` (any order, possibly repeated).
+
+        Selectivity is over *distinct* positions, but those are only counted
+        (one boolean scatter) when the raw count already exceeds the
+        threshold — below it the distinct count cannot exceed it either.
+        """
         if len(self) == 0 or positions.size == 0:
             return
-        selectivity = positions.size / len(self)
-        if selectivity > SEQUENTIAL_SCAN_THRESHOLD:
-            self._account_sequential(iostats)
-            return
+        if positions.size / len(self) > SEQUENTIAL_SCAN_THRESHOLD:
+            seen = np.zeros(len(self), dtype=np.bool_)
+            seen[positions] = True
+            if np.count_nonzero(seen) / len(self) > SEQUENTIAL_SCAN_THRESHOLD:
+                self._account_sequential(iostats)
+                return
         iostats.record_selective_read()
-        pages = np.unique(positions // self.page_size)
+        pages = touched_pages(positions, self.page_size, self.num_pages)
         if cache is None:
             iostats.record_pages(misses=int(pages.size), hits=0)
             return
-        misses, hits = cache.access_many(
-            (self.name, int(page)) for page in pages
-        )
+        misses, hits = cache.access_many((self.name, page) for page in pages.tolist())
         iostats.record_pages(misses=misses, hits=hits)
 
     # ------------------------------------------------------------------ #

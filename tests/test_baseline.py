@@ -81,6 +81,23 @@ class TestOperators:
         assert set(output.aliases) == {"t", "mi_idx"}
         assert context.metrics.join_output_rows == 6
 
+    def test_hash_join_counters_name_the_built_side_either_way_round(
+        self, title_relation, mi_relation
+    ):
+        condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))
+        small, large = sorted([title_relation, mi_relation], key=lambda r: r.num_rows)
+        assert small.num_rows < large.num_rows
+        outputs = []
+        for left, right in ((small, large), (large, small)):
+            context = ExecContext()
+            outputs.append(HashJoinOperator([condition]).execute(left, right, context))
+            assert context.metrics.hash_tables_built == 1
+            assert context.metrics.join_build_rows == small.num_rows
+            assert context.metrics.join_probe_rows == large.num_rows
+        assert sorted(map(tuple, outputs[0].row_keys().tolist())) == sorted(
+            map(tuple, outputs[1].row_keys().tolist())
+        )
+
     def test_hash_join_with_empty_side(self, title_relation, mi_relation):
         empty = mi_relation.take(np.array([], dtype=np.int64))
         condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))

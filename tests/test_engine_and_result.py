@@ -32,6 +32,14 @@ class TestExecutionMetrics:
             "output_rows",
         }
 
+    def test_hash_build_counts_the_side_the_kernel_builds(self):
+        metrics = ExecutionMetrics()
+        metrics.record_hash_build(left_rows=9, right_rows=4)  # smaller side is built
+        metrics.record_hash_build(left_rows=2, right_rows=7)
+        metrics.record_hash_build(left_rows=5, right_rows=5)
+        assert metrics.hash_tables_built == 3
+        assert (metrics.join_build_rows, metrics.join_probe_rows) == (4 + 2 + 5, 9 + 7 + 5)
+
     def test_stopwatch_measures_elapsed(self):
         stopwatch = Stopwatch()
         assert stopwatch.elapsed() >= 0.0

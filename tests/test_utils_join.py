@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.utils.join import equi_join_indices
 from repro.utils.keys import composite_keys
@@ -114,3 +116,134 @@ class TestCompositeKeys:
     def test_requires_at_least_one_column(self):
         with pytest.raises(ValueError):
             composite_keys([], [])
+
+    def test_wide_integer_values_still_give_dense_keys(self):
+        ids = np.array([10**15, -(10**15), 7, 10**15])
+        left, right = composite_keys([self._column(ids)], [self._column(ids[::-1])])
+        assert max(left.max(), right.max()) < 4
+        li, ri = equi_join_indices(left, right)
+        assert sorted(zip(li.tolist(), ri.tolist())) == [
+            (0, 0), (0, 3), (1, 2), (2, 1), (3, 0), (3, 3)
+        ]
+
+
+class TestCompositeKeyOverflow:
+    """The mixed-radix fold must never leave int64 (wrapped keys read as NULL)."""
+
+    def test_four_permutation_columns_join_with_themselves(self):
+        # 60 000⁴ ≈ 1.3e19 > 2⁶³: before the guard 17 300 keys wrapped
+        # negative and this self-join returned 42 700 of its 60 000 pairs.
+        rng = np.random.default_rng(0)
+        rows = 60_000
+        no_nulls = np.zeros(rows, dtype=bool)
+        columns = [(rng.permutation(rows), no_nulls) for _ in range(4)]
+        left, right = composite_keys(columns, columns)
+        li, ri = equi_join_indices(left, right)
+        assert li.size == rows
+        assert np.array_equal(li, ri)
+        assert (left >= 0).all() and (right >= 0).all()
+
+    def test_three_columns_spanning_two_to_the_31(self):
+        # The widest span that is offset rather than factorized: two folds
+        # fit (2⁶²), the third must re-compress first.
+        rng = np.random.default_rng(1)
+        rows = 500
+        no_nulls = np.zeros(rows, dtype=bool)
+        values = [rng.integers(0, 2**31, size=rows) for _ in range(3)]
+        for column in values:
+            column[:2] = (0, 2**31 - 1)
+        shuffle = rng.permutation(rows)
+        left, right = composite_keys(
+            [(column, no_nulls) for column in values],
+            [(column[shuffle], no_nulls) for column in values],
+        )
+        assert (left >= 0).all() and (right >= 0).all()
+        li, ri = equi_join_indices(left, right)
+        assert sorted(zip(shuffle[ri].tolist(), li.tolist())) == [(i, i) for i in range(rows)]
+
+
+# --------------------------------------------------------------------------- #
+# Properties
+# --------------------------------------------------------------------------- #
+join_keys = st.lists(st.integers(min_value=-2, max_value=9), max_size=24)
+
+
+def nested_loop_pairs(left, right):
+    """The kernel's contract: right-major, left ascending within a right row."""
+    return [
+        (i, j)
+        for j, right_key in enumerate(right)
+        for i, left_key in enumerate(left)
+        if left_key == right_key and left_key >= 0
+    ]
+
+
+class TestEquiJoinOrderProperty:
+    @given(join_keys, join_keys)
+    @example([3, 3, 1, -1, 3, 0, 1], [1, 3])  # left larger: the right side is built
+    @example([1, 3], [3, 3, 1, -1, 3, 0, 1])  # right larger: the left side is built
+    @example([2, 1, 2], [1, 2, 2])  # equal sizes
+    @example([-1, -1, -1, 5], [5, 5])  # left larger, but fewer valid keys
+    @example([], [1, 2])
+    @example([1, 2], [])
+    def test_pairs_and_their_order_match_a_nested_loop(self, left, right):
+        li, ri = equi_join_indices(
+            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+        )
+        assert list(zip(li.tolist(), ri.tolist())) == nested_loop_pairs(left, right)
+
+
+#: kind -> (left pool, right pool); small pools so tuples collide.
+KEY_COLUMN_KINDS = {
+    "int_narrow": (np.array([-3, -1, 0, 2, 3]),) * 2,
+    "int_wide": (np.array([-(2**62), -5, 0, 5, 2**62]),) * 2,
+    "int_offset_limit": (np.array([0, 1, 2**31 - 2, 2**31 - 1]),) * 2,
+    "uint8": (np.array([0, 1, 255], dtype=np.uint8),) * 2,
+    "uint64": (np.array([0, 1, 2**64 - 1], dtype=np.uint64),) * 2,
+    "bool": (np.array([False, True]),) * 2,
+    "float": (np.array([-1.5, 0.0, 2.0, 1e300]),) * 2,
+    "string": (np.array(["", "a", "b"], dtype=object),) * 2,
+    "int_vs_float": (np.array([0, 1, 2]), np.array([0.0, 1.0, 2.5])),
+    "bool_vs_int": (np.array([False, True]), np.array([0, 1, 2])),
+}
+
+
+@st.composite
+def key_column_pairs(draw):
+    left_rows = draw(st.integers(0, 7))
+    right_rows = draw(st.integers(0, 7))
+    kinds = draw(st.lists(st.sampled_from(sorted(KEY_COLUMN_KINDS)), min_size=1, max_size=4))
+
+    def side(pool, rows):
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+        nulls = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        return pool[np.array(picks, dtype=np.int64)], np.array(nulls, dtype=bool)
+
+    pools = [KEY_COLUMN_KINDS[kind] for kind in kinds]
+    return (
+        [side(pool[0], left_rows) for pool in pools],
+        [side(pool[1], right_rows) for pool in pools],
+    )
+
+
+def key_tuples(columns):
+    """Per row: the tuple of Python values, or None when any column is NULL."""
+    rows = zip(*(values.tolist() for values, _nulls in columns))
+    null_rows = np.logical_or.reduce([nulls for _values, nulls in columns])
+    return [None if is_null else row for row, is_null in zip(rows, null_rows)]
+
+
+class TestCompositeKeysProperty:
+    @settings(max_examples=300)
+    @given(key_column_pairs())
+    def test_equal_tuples_iff_equal_keys(self, pair):
+        left_columns, right_columns = pair
+        left_keys, right_keys = composite_keys(left_columns, right_columns)
+        keys = left_keys.tolist() + right_keys.tolist()
+        tuples = key_tuples(left_columns) + key_tuples(right_columns)
+        assert all(0 <= key < 8 * len(keys) for key in keys if key != -1)  # dense
+        for key_a, tuple_a in zip(keys, tuples):
+            assert (key_a == -1) == (tuple_a is None)
+            for key_b, tuple_b in zip(keys, tuples):
+                if tuple_a is not None and tuple_b is not None:
+                    assert (key_a == key_b) == (tuple_a == tuple_b)
