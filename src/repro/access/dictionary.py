@@ -2,7 +2,9 @@
 
 A :class:`DictionaryEncoding` replaces a column's values with small integer
 codes into a sorted dictionary of its distinct non-NULL values.  It is the
-substrate of the bitmap index (:mod:`repro.access.indexes`): grouping row
+substrate of the bitmap index (:mod:`repro.access.indexes`) and of predicate
+evaluation on codes (:mod:`repro.kernels.dictionary`), which share one
+encoding per column (:func:`table_dictionary`): grouping row
 positions by code is a single stable argsort over the codes, and range
 predicates reduce to a binary search over the (sorted) dictionary.  (Note
 that :attr:`DictionaryEncoding.num_values` excludes float NaN cells, so it
@@ -38,18 +40,40 @@ class DictionaryEncoding:
     @classmethod
     def encode(cls, column: Column) -> "DictionaryEncoding":
         """Encode ``column`` (NaN float cells are treated like NULLs)."""
-        data = column.data
-        excluded = column.null_mask.copy()
+        return cls(
+            np.empty(0, dtype=column.data.dtype), np.empty(0, dtype=np.int32)
+        ).extended(column, 0)
+
+    def extended(self, column: Column, old_num_rows: int) -> "DictionaryEncoding":
+        """The encoding of ``column`` after rows were appended at ``old_num_rows``.
+
+        Only the appended segment is uniqued; existing codes are remapped
+        through a vectorized gather when the segment introduced new distinct
+        values — the full-column value sort never runs again, and the result
+        is array-equal to a fresh :meth:`encode`.  ``self`` is not mutated.
+        """
+        segment = column.data[old_num_rows:]
+        excluded = column.null_mask[old_num_rows:].copy()
         if column.ctype is ColumnType.FLOAT:
-            excluded |= np.isnan(data.astype(np.float64))
-        codes = np.full(len(column), NULL_CODE, dtype=np.int32)
+            excluded |= np.isnan(segment.astype(np.float64))
+        values, old_codes = self.values, self.codes
+        seg_codes = np.full(segment.shape[0], NULL_CODE, dtype=np.int32)
         valid = ~excluded
         if valid.any():
-            uniques, inverse = np.unique(data[valid], return_inverse=True)
-            codes[valid] = inverse.astype(np.int32)
-        else:
-            uniques = np.empty(0, dtype=data.dtype)
-        return cls(uniques, codes)
+            seg_uniques, seg_inverse = np.unique(segment[valid], return_inverse=True)
+            slots = np.searchsorted(values, seg_uniques)
+            known = slots < values.size
+            known[known] = values[slots[known]] == seg_uniques[known]
+            if not known.all():
+                values = np.insert(values, slots[~known], seg_uniques[~known])
+                # Old code c moves up by the number of new values sorting
+                # before it; the trailing slot keeps NULL_CODE (-1) as it is.
+                old = np.arange(self.num_values)
+                remap = old + np.searchsorted(slots[~known], old, side="right")
+                old_codes = np.append(remap, NULL_CODE).astype(np.int32)[old_codes]
+                slots = np.searchsorted(values, seg_uniques)
+            seg_codes[valid] = slots.astype(np.int32)[seg_inverse]
+        return DictionaryEncoding(values, np.concatenate([old_codes, seg_codes]))
 
     @property
     def num_values(self) -> int:
@@ -92,14 +116,26 @@ class DictionaryEncoding:
 DICTIONARY_MAX_DISTINCT_FRACTION = 0.5
 
 
+def _worth_encoding(column: Column) -> bool:
+    """Whether ``column`` gets a predicate/join dictionary at all."""
+    return bool(
+        column.ctype is ColumnType.STRING
+        and len(column)
+        and column.distinct_count()
+        <= max(1, int(len(column) * DICTIONARY_MAX_DISTINCT_FRACTION))
+    )
+
+
 def table_dictionary(table, column_name: str) -> DictionaryEncoding | None:
     """Cached dictionary encoding of a table's string column.
 
     Returns ``None`` (also cached) when the column does not exist, is not a
     string column, is empty, or is too close to unique for encoding to pay
     off.  The cache lives on the table instance; tables are immutable —
-    mutation replaces the whole :class:`~repro.storage.table.Table` — so the
-    cache never needs invalidating.
+    mutation replaces the whole :class:`~repro.storage.table.Table` and
+    :func:`carry_dictionaries` seeds the new instance's cache — so the cache
+    never needs invalidating and a bitmap index on the column shares the
+    same object (:mod:`repro.access.manager`).
     """
     cache = table.__dict__.get("_dictionary_cache")
     if cache is None:
@@ -108,17 +144,30 @@ def table_dictionary(table, column_name: str) -> DictionaryEncoding | None:
     if column_name in cache:
         return cache[column_name]
     encoding = None
-    try:
-        column = table.column(column_name)
-    except KeyError:
-        column = None
-    if (
-        column is not None
-        and column.ctype is ColumnType.STRING
-        and len(column)
-        and column.distinct_count()
-        <= max(1, int(len(column) * DICTIONARY_MAX_DISTINCT_FRACTION))
-    ):
-        encoding = DictionaryEncoding.encode(column)
+    if column_name in table and _worth_encoding(table.column(column_name)):
+        encoding = DictionaryEncoding.encode(table.column(column_name))
     cache[column_name] = encoding
     return encoding
+
+
+def carry_dictionaries(old_table, new_table) -> None:
+    """Seed ``new_table``'s dictionary cache from its previous version's.
+
+    ``new_table`` is ``old_table`` after one commit (rows appended at
+    ``old_table.num_rows`` and/or logically deleted).  Appended columns
+    extend their encoding by the segment, delete-only commits share the
+    same object; ``None`` entries and columns the append made ineligible
+    are left for :func:`table_dictionary` to decide lazily.  The old cache
+    is read from a snapshot (readers fill it concurrently) and never
+    mutated: pinned snapshots keep reading theirs.
+    """
+    carried = {}
+    for name, encoding in dict(old_table.__dict__.get("_dictionary_cache", ())).items():
+        if encoding is None:
+            continue
+        column = new_table.column(name)
+        if len(column) == old_table.num_rows:
+            carried[name] = encoding
+        elif _worth_encoding(column):
+            carried[name] = encoding.extended(column, old_table.num_rows)
+    new_table._dictionary_cache = carried

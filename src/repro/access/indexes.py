@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.access.dictionary import DictionaryEncoding
+from repro.access.dictionary import DictionaryEncoding, table_dictionary
 from repro.expr.ast import (
     BetweenPredicate,
     BooleanExpr,
@@ -64,12 +64,17 @@ def choose_index_kind(column: Column) -> str:
     return "bitmap" if column.distinct_count() <= threshold else "sorted"
 
 
-def build_index(column: Column, kind: str = "auto"):
-    """Materialize an index over ``column``; returns the index object."""
+def build_index(column: Column, kind: str = "auto", table=None):
+    """Materialize an index over ``column``; returns the index object.
+
+    A bitmap index over a column of ``table`` is built from (and shares)
+    the table's predicate dictionary when the column has one.
+    """
     if kind == "auto":
         kind = choose_index_kind(column)
     if kind == "bitmap":
-        return BitmapIndex.build(column)
+        shared = None if table is None else table_dictionary(table, column.name)
+        return BitmapIndex.build(column, shared)
     if kind == "sorted":
         return SortedIndex.build(column)
     raise ValueError(f"unknown index kind {kind!r}; choose one of {INDEX_KINDS} or 'auto'")
@@ -186,8 +191,12 @@ class BitmapIndex(_IndexBase):
         self._boundaries = boundaries
 
     @classmethod
-    def build(cls, column: Column) -> "BitmapIndex":
-        dictionary = DictionaryEncoding.encode(column)
+    def build(
+        cls, column: Column, dictionary: DictionaryEncoding | None = None
+    ) -> "BitmapIndex":
+        """Index ``column``, sharing its ``dictionary`` when the caller holds one."""
+        if dictionary is None:
+            dictionary = DictionaryEncoding.encode(column)
         order, boundaries = dictionary.grouped_positions()
         # Only true NULLs: float NaN cells are excluded from the dictionary
         # (they never satisfy =/range predicates) but are NOT null — the
@@ -205,50 +214,24 @@ class BitmapIndex(_IndexBase):
         start, stop = self._boundaries[code], self._boundaries[code + 1]
         return self._order[start:stop]
 
-    def extended(self, column: Column, old_num_rows: int) -> "BitmapIndex":
+    def extended(
+        self,
+        column: Column,
+        old_num_rows: int,
+        dictionary: DictionaryEncoding | None = None,
+    ) -> "BitmapIndex":
         """The index of ``column`` after rows were appended at ``old_num_rows``.
 
-        The dictionary is merged incrementally: only the appended segment is
-        uniqued, existing codes are remapped through a vectorized gather when
-        the segment introduced new distinct values, and the position grouping
-        is re-derived from the (cheap, int32) code array — the expensive
-        full-column value sort of :meth:`build` never runs.  ``self`` is not
-        mutated.
+        ``dictionary`` is the column's already-extended encoding when the
+        caller holds one (the table's, see
+        :func:`repro.access.dictionary.carry_dictionaries`); otherwise this
+        index's own is extended (:meth:`DictionaryEncoding.extended`).  The
+        position grouping is re-derived from the (cheap, int32) code array —
+        the full-column value sort of :meth:`build` never runs.  ``self`` is
+        not mutated.
         """
-        segment = column.data[old_num_rows:]
-        excluded = column.null_mask[old_num_rows:].copy()
-        if column.ctype is ColumnType.FLOAT:
-            excluded |= np.isnan(segment.astype(np.float64))
-        old_values = self.dictionary.values
-        old_codes = self.dictionary.codes
-        seg_codes = np.full(segment.shape[0], -1, dtype=np.int32)
-        valid = ~excluded
-        merged_values = old_values
-        merged_old_codes = old_codes
-        if valid.any():
-            seg_uniques, seg_inverse = np.unique(segment[valid], return_inverse=True)
-            exists = np.zeros(seg_uniques.shape[0], dtype=np.bool_)
-            if old_values.size:
-                slots = np.searchsorted(old_values, seg_uniques)
-                in_bounds = slots < old_values.size
-                exists[in_bounds] = old_values[slots[in_bounds]] == seg_uniques[in_bounds]
-            new_uniques = seg_uniques[~exists]
-            if new_uniques.size:
-                merged_values = np.insert(
-                    old_values, np.searchsorted(old_values, new_uniques), new_uniques
-                )
-                if old_values.size:
-                    remap = np.searchsorted(merged_values, old_values).astype(np.int32)
-                    merged_old_codes = np.where(
-                        old_codes >= 0, remap[np.maximum(old_codes, 0)], old_codes
-                    ).astype(np.int32)
-                # An empty old dictionary (all-NULL/NaN column) has nothing
-                # to remap: every old code is already NULL_CODE.
-            seg_code_of_unique = np.searchsorted(merged_values, seg_uniques).astype(np.int32)
-            seg_codes[valid] = seg_code_of_unique[seg_inverse]
-        dictionary = DictionaryEncoding(
-            merged_values, np.concatenate([merged_old_codes, seg_codes])
-        )
+        if dictionary is None:
+            dictionary = self.dictionary.extended(column, old_num_rows)
         order, boundaries = dictionary.grouped_positions()
         null_positions = np.concatenate(
             [

@@ -23,8 +23,10 @@ resolves access paths from many worker threads at once.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
 
+from repro.access.dictionary import table_dictionary
 from repro.access.indexes import IndexDef, build_index
 from repro.access.pruning import candidate_mask
 from repro.access.zonemap import ColumnZoneMap, build_zone_map, extend_zone_map
@@ -101,12 +103,20 @@ class AccessPathManager:
     """Registry of zone maps, indexes and candidate bitmaps for one catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
-        self.catalog = catalog
+        # Weak: the catalog owns its manager, and a strong back-reference
+        # would make every dropped catalog (compaction builds two per run)
+        # cyclic garbage holding its tables until a full collection.
+        self._catalog = weakref.ref(catalog)
         self.stats = AccessStats()
         self._lock = threading.RLock()
         self._defs: dict[tuple[str, str], IndexDef] = {}
         self._tables: dict[str, _TableEntry] = {}
         self._version = 0
+
+    @property
+    def catalog(self) -> Catalog:
+        """The owning catalog (which keeps this manager alive, not vice versa)."""
+        return self._catalog()
 
     @property
     def version(self) -> int:
@@ -128,7 +138,7 @@ class AccessPathManager:
         with self._lock:
             if (table, column) in self._defs:
                 raise ValueError(f"index on {table}.{column} already exists")
-            materialized = build_index(column_obj, kind=kind)
+            materialized = build_index(column_obj, kind=kind, table=table_obj)
             definition = IndexDef(table, column, materialized.kind)
             self._defs[(table, column)] = definition
             entry = self._entry_locked(table)
@@ -217,11 +227,18 @@ class AccessPathManager:
                 for (column_name, kind), materialized in old_entry.indexes.items():
                     if not appended:
                         entry.indexes[(column_name, kind)] = materialized
-                    else:
-                        entry.indexes[(column_name, kind)] = materialized.extended(
-                            new_table.column(column_name), old_num_rows
+                        continue
+                    column = new_table.column(column_name)
+                    if kind == "bitmap":
+                        # Shares the table's dictionary, which the commit
+                        # already carried forward (carry_dictionaries).
+                        extended = materialized.extended(
+                            column, old_num_rows, table_dictionary(new_table, column_name)
                         )
-                        self.stats.indexes_extended += 1
+                    else:
+                        extended = materialized.extended(column, old_num_rows)
+                    entry.indexes[(column_name, kind)] = extended
+                    self.stats.indexes_extended += 1
             self._tables[table] = entry
 
     # ------------------------------------------------------------------ #
@@ -261,8 +278,10 @@ class AccessPathManager:
             key = (column, definition.kind)
             materialized = entry.indexes.get(key)
             if materialized is None:
-                column_obj = self.catalog.get(table).column(column)
-                materialized = build_index(column_obj, kind=definition.kind)
+                table_obj = self.catalog.get(table)
+                materialized = build_index(
+                    table_obj.column(column), kind=definition.kind, table=table_obj
+                )
                 entry.indexes[key] = materialized
                 self.stats.indexes_built += 1
             return materialized

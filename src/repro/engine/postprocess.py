@@ -10,8 +10,8 @@ exactly once, on the partition-order-merged output.
 All three shaping steps are vectorized with NumPy.  The common primitive is
 *factorization* (:func:`_factorize`): each column is mapped to dense integer
 codes such that equal values (and all NULLs) get equal codes and code order
-matches value order.  Grouping and DISTINCT then reduce to ``np.unique`` over
-small integer matrices, and ORDER BY becomes one ``np.lexsort`` over
+matches value order.  Grouping and DISTINCT then reduce to one 1-D ``np.unique``
+over the rows' folded integer keys, and ORDER BY becomes one ``np.lexsort`` over
 rank-encoded keys — no per-row Python loops anywhere on the shaping path.
 """
 
@@ -22,6 +22,7 @@ import numpy as np
 from repro.engine.result import OutputColumns
 from repro.plan.postselect import AggregateFunction, AggregateSpec, OrderItem
 from repro.plan.query import Query
+from repro.utils.keys import _MAX_KEY_SPACE
 
 
 class OutputShapingError(ValueError):
@@ -85,6 +86,24 @@ def _factorize(values: np.ndarray, nulls: np.ndarray) -> tuple[np.ndarray, np.nd
     return codes, uniques
 
 
+def _fold_codes(code_columns: list[np.ndarray]) -> np.ndarray:
+    """One int64 key per row: equal code tuples get equal keys.
+
+    Mixed radix over each column's ``max code + 2`` (codes are >= -1).  The
+    running key is re-compressed to dense ranks before a fold could leave
+    :data:`~repro.utils.keys._MAX_KEY_SPACE` (int64 would wrap silently).
+    """
+    key, key_space = np.zeros(code_columns[0].shape[0], dtype=np.int64), 1
+    for codes in code_columns:
+        radix = int(codes.max()) + 2 if codes.size else 1
+        if key_space * radix > _MAX_KEY_SPACE:
+            uniques, key = np.unique(key, return_inverse=True)
+            key_space = int(uniques.size)
+        key = key * radix + (codes + 1)
+        key_space *= radix
+    return key
+
+
 def _group_codes(
     code_columns: list[np.ndarray], num_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +117,8 @@ def _group_codes(
     if not code_columns:
         # No GROUP BY: the whole input is one group (even when empty).
         return np.zeros(num_rows, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    matrix = np.stack(code_columns, axis=1)
     _uniques, first_rows, inverse = np.unique(
-        matrix, axis=0, return_index=True, return_inverse=True
+        _fold_codes(code_columns), return_index=True, return_inverse=True
     )
     order = np.argsort(first_rows, kind="stable")
     remap = np.empty(order.size, dtype=np.int64)
@@ -167,8 +185,9 @@ def _count_distinct(
     """Per-group COUNT(DISTINCT column) over non-NULL rows."""
     if not mask.any():
         return np.zeros(num_groups, dtype=np.int64)
-    unique_pairs = np.unique(np.stack([codes[mask], value_codes[mask]], axis=1), axis=0)
-    return np.bincount(unique_pairs[:, 0], minlength=num_groups).astype(np.int64)
+    groups = codes[mask]
+    _pairs, first_rows = np.unique(_fold_codes([groups, value_codes[mask]]), return_index=True)
+    return np.bincount(groups[first_rows], minlength=num_groups).astype(np.int64)
 
 
 def _evaluate_aggregate(
@@ -261,16 +280,12 @@ def distinct(output: OutputColumns) -> OutputColumns:
     """Remove duplicate rows, keeping the first occurrence of each.
 
     Every column is factorized to integer codes and duplicates are found
-    with one ``np.unique`` over the resulting row matrix (the structured-
-    array formulation of multi-column uniqueness), replacing the previous
-    per-row Python set.
+    with one ``np.unique`` over the rows' folded keys (:func:`_fold_codes`).
     """
     if output.row_count == 0 or not output.columns:
         return output
-    matrix = np.stack(
-        [_factorize(values, nulls)[0] for values, nulls in output.columns], axis=1
-    )
-    _uniques, first_rows = np.unique(matrix, axis=0, return_index=True)
+    key = _fold_codes([_factorize(values, nulls)[0] for values, nulls in output.columns])
+    _uniques, first_rows = np.unique(key, return_index=True)
     return _take(output, np.sort(first_rows))
 
 

@@ -43,6 +43,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.access.dictionary import carry_dictionaries
 from repro.mutation.delta import ColumnDelta, MutationCommit, TableDelta, column_delta_for_segment
 from repro.storage.column import Column
 from repro.storage.table import Table
@@ -361,7 +362,9 @@ def _mutated_table(
                     f"delete targets already-deleted rows of table {old.name!r}"
                 )
             new_mask[deleted] = True
-    return Table(old.name, columns, delete_mask=new_mask)
+    mutated = Table(old.name, columns, delete_mask=new_mask)
+    carry_dictionaries(old, mutated)
+    return mutated
 
 
 def _matching_live_positions(table: Table, where) -> np.ndarray:

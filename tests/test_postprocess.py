@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import AggregateFunction, AggregateSpec, OrderItem
 from repro.engine.postprocess import (
     OutputShapingError,
+    _count_distinct,
+    _group_codes,
     aggregate,
     apply_output_shaping,
     distinct,
@@ -254,3 +258,75 @@ class TestQueryValidation:
         )
         assert query.output_names() == ["t.category", "COUNT(*)", "MIN(t.x)"]
         assert query.has_output_shaping
+
+
+# --------------------------------------------------------------------------- #
+# Folded int64 keys vs the row-matrix formulation they replaced
+# --------------------------------------------------------------------------- #
+def _matrix_group_codes(code_columns):
+    """``np.unique(matrix, axis=0)`` grouping, as it was before the key fold."""
+    matrix = np.stack(code_columns, axis=1)
+    _uniques, first_rows, inverse = np.unique(
+        matrix, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first_rows, kind="stable")
+    remap = np.empty(order.size, dtype=np.int64)
+    remap[order] = np.arange(order.size, dtype=np.int64)
+    return remap[inverse.reshape(-1)], first_rows[order]
+
+
+def _spread(codes, scale):
+    """Positive codes multiplied out (a sparse, huge code space); -1 and 0 stay."""
+    return np.where(codes > 0, codes * scale, codes)
+
+
+@st.composite
+def _code_columns(draw):
+    """1-5 int64 code columns (values >= -1) of one length; some sparse and huge."""
+    rows = draw(st.integers(0, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        codes = np.array(draw(st.lists(st.integers(-1, 4), min_size=rows, max_size=rows)), np.int64)
+        scale = draw(st.sampled_from([1, 1, 1 << 20, 1 << 40]))
+        columns.append(_spread(codes, scale))
+    return columns
+
+
+class TestFoldedKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(_code_columns())
+    @example([_spread(np.array([4, -1, 4, 0, -1]), 1 << shift) for shift in (0, 14, 14, 14, 14)])
+    def test_group_codes_and_distinct_match_the_row_matrix(self, columns):
+        groups, representatives = _group_codes(columns, columns[0].size)
+        expected_groups, expected_representatives = _matrix_group_codes(columns)
+        assert np.array_equal(groups, expected_groups)
+        assert np.array_equal(representatives, expected_representatives)
+
+        output = OutputColumns(
+            names=[f"c{i}" for i in range(len(columns))],
+            columns=[(codes, codes == -1) for codes in columns],
+            row_count=int(columns[0].size),
+        )
+        kept = distinct(output)
+        assert kept.row_count == expected_representatives.size
+        for (values, nulls), codes in zip(kept.columns, columns):
+            assert np.array_equal(values, codes[expected_representatives])
+            assert np.array_equal(nulls, codes[expected_representatives] == -1)
+
+    def test_code_space_product_past_int64_is_recompressed(self):
+        rng = np.random.default_rng(2)
+        columns = [_spread(rng.integers(-1, 3, 200), 1 << 15) for _ in range(5)]
+        assert np.prod([float(c.max() + 2) for c in columns]) > 2.0**62
+        for actual, expected in zip(
+            _group_codes(columns, 200), _matrix_group_codes(columns)
+        ):
+            assert np.array_equal(actual, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 5)), max_size=40))
+    def test_count_distinct_matches_python_sets(self, pairs):
+        groups = np.array([g for g, _ in pairs], dtype=np.int64)
+        values = np.array([v for _, v in pairs], dtype=np.int64)
+        counts = _count_distinct(groups, values, values >= 0, 4)
+        expected = [len({v for g, v in pairs if g == group and v >= 0}) for group in range(4)]
+        assert counts.tolist() == expected
