@@ -22,7 +22,8 @@ lint:
 ## runs just the durability suites, verbosely)
 test-crash:
 	$(RUN) -m pytest tests/test_crash_recovery.py tests/test_wal.py \
-	    tests/test_mutation_properties.py tests/test_concurrent_writers.py -q
+	    tests/test_mutation_properties.py tests/test_concurrent_writers.py \
+	    tests/test_compaction_carry.py -q
 
 ## the repo's benchmark (BENCHMARK.json): six workloads, end-to-end metrics
 ## plus the per-layer split, every read checked; see benchmarks/e2e/README.md

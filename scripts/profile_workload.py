@@ -2,8 +2,10 @@
 
     python3 scripts/profile_workload.py job_warm [passes]
 
-Prints the best-of latency per statement (what ``harness.Window.steady`` feeds
-into p50 / p90 / ``throughput_qps``; measured under the profiler, so inflated
+Prints the best-of and worst-of latency per statement (best-of is what
+``harness.Window.steady`` feeds into p50 / p90 / ``throughput_qps``, so a
+statement that is slow once per period — the first read after a compaction —
+only shows in the worst-of column; measured under the profiler, so inflated
 but comparable), then the top 25 functions by own time — the view that shows
 what an operator's self-time in the layer split is actually spent on.
 """
@@ -30,17 +32,17 @@ def main(name: str = "job_warm", passes: str = "5") -> None:
         try:
             workload.begin_window()
             profiler = cProfile.Profile()
-            best: dict[tuple[str, str], float] = {}
+            seen: dict[tuple[str, str], list[float]] = {}
             for _ in range(int(passes)):
                 for op in workload.operations():
                     started = time.perf_counter()
                     profiler.runcall(op.call, False)
-                    elapsed = time.perf_counter() - started
-                    best[op.kind, op.key] = min(best.get((op.kind, op.key), elapsed), elapsed)
+                    seen.setdefault((op.kind, op.key), []).append(time.perf_counter() - started)
         finally:
             workload.close()
-    for (kind, key), seconds in sorted(best.items(), key=lambda item: -item[1]):
-        print(f"{seconds * 1e3:10.2f} ms  {kind}/{key}")
+    print("   best ms   worst ms")
+    for (kind, key), seconds in sorted(seen.items(), key=lambda item: -min(item[1])):
+        print(f"{min(seconds) * 1e3:10.2f} {max(seconds) * 1e3:10.2f}  {kind}/{key}")
     pstats.Stats(profiler).sort_stats("tottime").print_stats(25)
 
 

@@ -75,6 +75,23 @@ class DictionaryEncoding:
             seg_codes[valid] = slots.astype(np.int32)[seg_inverse]
         return DictionaryEncoding(values, np.concatenate([old_codes, seg_codes]))
 
+    def compacted(self, live: np.ndarray) -> "DictionaryEncoding":
+        """The encoding of the rows at positions ``live``, renumbered in order.
+
+        Compaction's twin of :meth:`extended`: gather the surviving codes,
+        ``bincount`` which values no survivor holds, shift the other codes
+        down past them — no value is compared, and the result is array-equal
+        to a fresh :meth:`encode` of the survivors.  ``self`` is not mutated.
+        """
+        codes = self.codes[live]
+        kept = np.bincount(codes + 1, minlength=self.num_values + 1)[1:] > 0
+        if kept.all():
+            return DictionaryEncoding(self.values, codes)
+        # Old code c moves down by the number of vanished values before it;
+        # the trailing slot keeps NULL_CODE (-1) as it is.
+        remap = np.append(np.cumsum(kept) - 1, NULL_CODE).astype(np.int32)
+        return DictionaryEncoding(self.values[kept], remap[codes])
+
     @property
     def num_values(self) -> int:
         """Number of dictionary entries (distinct non-NULL values)."""
@@ -145,18 +162,50 @@ def table_dictionary(table, column_name: str) -> DictionaryEncoding | None:
         return cache[column_name]
     encoding = None
     if column_name in table and _worth_encoding(table.column(column_name)):
-        encoding = DictionaryEncoding.encode(table.column(column_name))
+        column = table.column(column_name)
+        encoding = DictionaryEncoding.encode(column)
+        # Exact, where an append-merged seed may have been an upper bound.
+        column.seed_statistics(distinct_count=encoding.num_values)
     cache[column_name] = encoding
     return encoding
 
 
-def carry_dictionaries(old_table, new_table) -> None:
+def cached_dictionary(table, column_name: str) -> DictionaryEncoding | None:
+    """``table``'s dictionary of ``column_name`` if one is cached; never encodes."""
+    return table.__dict__.get("_dictionary_cache", {}).get(column_name)
+
+
+def adopt_dictionary(table, column_name: str, encoding: DictionaryEncoding) -> None:
+    """Cache an encoding of ``table.column_name`` that something else built.
+
+    A bitmap index loaded from its sidecar brings one: the column is never
+    encoded a second time, and its distinct count is exact from the start.
+    Ignored when the table already has its own, or would not get one.
+    """
+    cache = table.__dict__.setdefault("_dictionary_cache", {})
+    column = table.column(column_name)
+    if cache.get(column_name) is None and column.ctype is ColumnType.STRING:
+        _keep_if_worth(cache, column, encoding)
+
+
+def _keep_if_worth(cache: dict, column: Column, encoding: DictionaryEncoding) -> None:
+    """Record ``column``'s exact distinct count; cache ``encoding`` if it merits one."""
+    column.seed_statistics(distinct_count=encoding.num_values)
+    if _worth_encoding(column):
+        cache[column.name] = encoding
+
+
+def carry_dictionaries(old_table, new_table, live: np.ndarray | None = None) -> None:
     """Seed ``new_table``'s dictionary cache from its previous version's.
 
-    ``new_table`` is ``old_table`` after one commit (rows appended at
-    ``old_table.num_rows`` and/or logically deleted).  Appended columns
-    extend their encoding by the segment, delete-only commits share the
-    same object; ``None`` entries and columns the append made ineligible
+    With ``live=None``, ``new_table`` is ``old_table`` after one commit
+    (rows appended at ``old_table.num_rows`` and/or logically deleted):
+    appended columns extend their encoding by the segment, delete-only
+    commits share the same object.  With ``live`` (ascending positions) it
+    holds exactly those rows of ``old_table`` — a compaction — and every
+    encoding is :meth:`~DictionaryEncoding.compacted` through it.  The new
+    column's distinct count is seeded from the carried encoding (exact, so
+    it cannot drift); ``None`` entries and columns that became ineligible
     are left for :func:`table_dictionary` to decide lazily.  The old cache
     is read from a snapshot (readers fill it concurrently) and never
     mutated: pinned snapshots keep reading theirs.
@@ -166,8 +215,9 @@ def carry_dictionaries(old_table, new_table) -> None:
         if encoding is None:
             continue
         column = new_table.column(name)
-        if len(column) == old_table.num_rows:
-            carried[name] = encoding
-        elif _worth_encoding(column):
-            carried[name] = encoding.extended(column, old_table.num_rows)
+        if live is not None:
+            encoding = encoding.compacted(live)
+        elif len(column) > old_table.num_rows:
+            encoding = encoding.extended(column, old_table.num_rows)
+        _keep_if_worth(carried, column, encoding)
     new_table._dictionary_cache = carried

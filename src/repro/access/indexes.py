@@ -110,6 +110,12 @@ class _IndexBase:
         raise NotImplementedError
 
     # -- shared ------------------------------------------------------------- #
+    def _renumbered(self, live: np.ndarray) -> np.ndarray:
+        """Old position -> position among the ascending survivors ``live`` (-1 = gone)."""
+        renumbered = np.full(self.size, -1, dtype=np.int64)
+        renumbered[live] = np.arange(live.shape[0], dtype=np.int64)
+        return renumbered
+
     def _bitmap(self, positions: np.ndarray) -> Bitmap:
         bits = np.zeros(self.size, dtype=np.bool_)
         if positions.size:
@@ -241,6 +247,21 @@ class BitmapIndex(_IndexBase):
         )
         return BitmapIndex(dictionary, order, boundaries, null_positions)
 
+    def compacted(
+        self, live: np.ndarray, dictionary: DictionaryEncoding | None = None
+    ) -> "BitmapIndex":
+        """The index of the rows at ascending positions ``live``, renumbered.
+
+        Compaction's twin of :meth:`extended` (``dictionary`` as there):
+        codes compacted without a value sort, regrouped, NULL positions
+        renumbered — array-equal to :meth:`build` over the surviving rows.
+        """
+        if dictionary is None:
+            dictionary = self.dictionary.compacted(live)
+        order, boundaries = dictionary.grouped_positions()
+        null_positions = self._renumbered(live)[self.null_positions]
+        return BitmapIndex(dictionary, order, boundaries, null_positions[null_positions >= 0])
+
     def _eq_positions(self, value) -> np.ndarray:
         code = self.dictionary.code_of(value)
         if code < 0:
@@ -348,6 +369,24 @@ class SortedIndex(_IndexBase):
                 [self.null_positions, np.flatnonzero(seg_nulls) + old_num_rows]
             ),
             len(column),
+        )
+
+    def compacted(self, live: np.ndarray) -> "SortedIndex":
+        """The index of the rows at ascending positions ``live``, renumbered.
+
+        Filters the sorted arrays through the old -> new position map: it is
+        monotonic, so value order and the position order among equal values
+        both survive — array-equal to :meth:`build` over the surviving rows.
+        """
+        renumbered = self._renumbered(live)
+        positions = renumbered[self.sorted_positions]
+        kept = positions >= 0
+        null_positions = renumbered[self.null_positions]
+        return SortedIndex(
+            self.sorted_values[kept],
+            positions[kept],
+            null_positions[null_positions >= 0],
+            int(live.shape[0]),
         )
 
     def _slice(self, start: int, stop: int) -> np.ndarray:

@@ -26,7 +26,7 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 
-from repro.access.dictionary import table_dictionary
+from repro.access.dictionary import adopt_dictionary, table_dictionary
 from repro.access.indexes import IndexDef, build_index
 from repro.access.pruning import candidate_mask
 from repro.access.zonemap import ColumnZoneMap, build_zone_map, extend_zone_map
@@ -174,12 +174,20 @@ class AccessPathManager:
             return (table, column) in self._defs
 
     def register_loaded_index(self, definition: IndexDef, materialized) -> None:
-        """Adopt an index loaded from a sidecar file (see repro.storage.disk)."""
+        """Adopt an index loaded from a sidecar file (see repro.storage.disk).
+
+        A bitmap index brings its column's dictionary along: the table
+        shares it from the start instead of encoding the column again.
+        """
         with self._lock:
             self._defs[(definition.table, definition.column)] = definition
             entry = self._entry_locked(definition.table)
             entry.indexes[(definition.column, definition.kind)] = materialized
             self._version += 1
+        if definition.kind == "bitmap":
+            adopt_dictionary(
+                self.catalog.get(definition.table), definition.column, materialized.dictionary
+            )
 
     def register_loaded_zone_map(self, table: str, zone_map: ColumnZoneMap) -> None:
         """Adopt a zone map loaded from a sidecar file."""
@@ -207,39 +215,63 @@ class AccessPathManager:
 
         Only structures built for ``old_version`` — the version the batch
         mutated — describe ``old_num_rows`` rows in the right positions and
-        may be extended.  A cached entry from any other version (e.g. from
-        before an online compaction renumbered the rows, when nothing read
-        the table in between) is dropped; the new version rebuilds lazily.
+        may be extended.  A cached entry from any other version is dropped;
+        the new version rebuilds lazily.
         """
         with self._lock:
             old_entry = self._tables.get(table)
-            entry = _TableEntry(version=self.catalog.table_version(table))
-            appended = new_table.num_rows > old_num_rows
-            if old_entry is not None and old_entry.version == old_version:
-                for column_name, zone_map in old_entry.zone_maps.items():
-                    if zone_map is None or not appended:
-                        entry.zone_maps[column_name] = zone_map
-                    else:
-                        entry.zone_maps[column_name] = extend_zone_map(
-                            zone_map, new_table.column(column_name), old_num_rows
-                        )
-                        self.stats.zone_maps_extended += 1
-                for (column_name, kind), materialized in old_entry.indexes.items():
-                    if not appended:
-                        entry.indexes[(column_name, kind)] = materialized
-                        continue
-                    column = new_table.column(column_name)
-                    if kind == "bitmap":
-                        # Shares the table's dictionary, which the commit
-                        # already carried forward (carry_dictionaries).
-                        extended = materialized.extended(
-                            column, old_num_rows, table_dictionary(new_table, column_name)
-                        )
-                    else:
-                        extended = materialized.extended(column, old_num_rows)
-                    entry.indexes[(column_name, kind)] = extended
-                    self.stats.indexes_extended += 1
-            self._tables[table] = entry
+            if old_entry is None or old_entry.version != old_version:
+                old_entry = _TableEntry(version=old_version)
+            self._carry_locked(
+                table, new_table, old_num_rows, old_entry.zone_maps, old_entry.indexes
+            )
+
+    def compact(
+        self, table: str, new_table, folded_rows: int, zone_maps: dict, indexes: dict
+    ) -> None:
+        """Adopt ``table``'s compacted structures for its new version.
+
+        The twin of :meth:`extend` that :class:`~repro.mutation.compact.Compactor`
+        calls once the catalog adopted the renumbered table: ``zone_maps``
+        (by column) and ``indexes`` (by ``(column, kind)``) were carried
+        through the fold's live-row map, describe ``new_table``'s first
+        ``folded_rows`` rows and are extended for the rows committed while
+        it ran.  Indexes not defined here are ignored; structures the fold
+        did not carry rebuild lazily.
+        """
+        with self._lock:
+            defined = {
+                key: materialized
+                for key, materialized in indexes.items()
+                if self._defs.get((table, key[0])) == IndexDef(table, *key)
+            }
+            self._carry_locked(table, new_table, folded_rows, zone_maps, defined)
+
+    def _carry_locked(
+        self, table: str, new_table, covered: int, zone_maps: dict, indexes: dict
+    ) -> None:
+        """Install structures covering ``new_table``'s first ``covered`` rows."""
+        entry = _TableEntry(version=self.catalog.table_version(table))
+        appended = new_table.num_rows > covered
+        for column_name, zone_map in zone_maps.items():
+            if zone_map is not None and appended:
+                zone_map = extend_zone_map(zone_map, new_table.column(column_name), covered)
+                self.stats.zone_maps_extended += 1
+            entry.zone_maps[column_name] = zone_map
+        for (column_name, kind), materialized in indexes.items():
+            if appended:
+                column = new_table.column(column_name)
+                if kind == "bitmap":
+                    # Shares the table's dictionary, which the commit (or the
+                    # compaction) already carried forward (carry_dictionaries).
+                    materialized = materialized.extended(
+                        column, covered, table_dictionary(new_table, column_name)
+                    )
+                else:
+                    materialized = materialized.extended(column, covered)
+                self.stats.indexes_extended += 1
+            entry.indexes[(column_name, kind)] = materialized
+        self._tables[table] = entry
 
     # ------------------------------------------------------------------ #
     # Structure access (lazy, version-checked)

@@ -43,7 +43,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from repro.access.dictionary import carry_dictionaries
+from repro.access.dictionary import cached_dictionary, carry_dictionaries
 from repro.mutation.delta import ColumnDelta, MutationCommit, TableDelta, column_delta_for_segment
 from repro.storage.column import Column
 from repro.storage.table import Table
@@ -220,7 +220,11 @@ class MutationBatch:
                 old = old_tables[name]
                 columns: dict[str, ColumnDelta] = {
                     column.name: column_delta_for_segment(
-                        column.name, segments[name][column.name], column, deleted[name]
+                        column.name,
+                        segments[name][column.name],
+                        column,
+                        deleted[name],
+                        cached_dictionary(new_tables[name], column.name),
                     )
                     for column in old.columns()
                 }
@@ -318,7 +322,8 @@ def extend_column(old: Column, segment: Column) -> Column:
     )
     distinct, bounds, bounds_known = old.cached_statistics()
     if distinct is not None:
-        # Upper-bound estimate: segment values may repeat existing ones.
+        # Upper-bound estimate: segment values may repeat existing ones
+        # (carry_dictionaries replaces it with the exact count when it can).
         extended.seed_statistics(
             distinct_count=min(distinct + segment.distinct_count(), len(extended))
         )

@@ -12,10 +12,13 @@ a shadow fold:
 2. **Fold** — with no locks held (writers keep committing, readers keep
    their pinned :class:`~repro.mutation.snapshot.CatalogSnapshot`\\ s), load
    the ``snapshot=K`` state, physically drop the rows deleted by then, and
-   write the folded base files — plus exact statistics and rebuilt
-   index/zone-map sidecars — into fresh ``<table>.g<G>/`` directories.
-   Everything read here (base files, the first K segment/delete files) is
-   immutable, so concurrent commits cannot race the fold.
+   write the folded base files — plus exact statistics and index/zone-map
+   sidecars — into fresh ``<table>.g<G>/`` directories.  Rows removed is
+   one more delta: the dictionaries and indexes the load brought in are
+   *carried through* the live-row map (their ``compacted`` methods), never
+   rebuilt from the values, and statistics come from them or from linear
+   scans.  Everything read here (base files, the first K segment/delete
+   files) is immutable, so concurrent commits cannot race the fold.
 3. **Swap** — under the catalog write lock (when attached to a live
    catalog) then the dataset lock, re-read the manifest, *rebase* the
    records that landed after ``K`` onto the new generation (segment
@@ -29,10 +32,12 @@ a shadow fold:
    stay absolute), and delete the previous generation's directories.
 
 When constructed with a live catalog, the swap also refreshes the in-memory
-tables to the new physical layout (folded base + post-fold tail) under one
-version bump — pinned snapshots keep reading the old immutable tables, the
-plan cache invalidates, and in-flight mutation batches that staged against
-the old row positions lose the first-committer race and retry.
+tables to the new physical layout (the staged folded columns + post-fold
+tail, applied like one more commit) under one version bump and hands the
+carried dictionaries, indexes and zone maps to the catalog's access manager
+— pinned snapshots keep reading the old immutable tables, the plan cache
+invalidates, and in-flight mutation batches that staged against the old row
+positions lose the first-committer race and retry.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.access.dictionary import cached_dictionary, carry_dictionaries
+from repro.access.zonemap import build_zone_map
+from repro.mutation.batch import _mutated_table
 from repro.mutation.wal import (
     WAL_NAME,
     applied_txn,
@@ -79,14 +87,28 @@ class _StagedTable:
     name: str
     dir_name: str
     table: Table  # folded: deleted rows physically dropped, no mask
-    live: np.ndarray | None  # old physical positions that survived (None = all)
+    live: np.ndarray  # old physical positions that survived, ascending
     old_phys: int  # physical rows (incl. deleted) at the fold point
     reclaimed: int
     column_entries: list[dict] = field(default_factory=list)
+    #: Structures carried through ``live``, describing ``table``'s rows.
+    indexes: dict[tuple[str, str], object] = field(default_factory=dict)
+    zone_maps: dict[str, object] = field(default_factory=dict)
 
     @property
     def new_rows(self) -> int:
         return self.table.num_rows
+
+
+def _column_rows(column: Column, rows) -> Column:
+    """``column`` restricted to ``rows`` (an index array or a slice)."""
+    return Column(
+        column.name,
+        column.data[rows],
+        ctype=column.ctype,
+        null_mask=column.null_mask[rows],
+        page_size=column.page_size,
+    )
 
 
 class Compactor:
@@ -142,7 +164,7 @@ class Compactor:
         staged: dict[str, _StagedTable] = {
             name: self._stage_table(folded.get(name), generation) for name in table_order
         }
-        index_entries, zone_entries = self._stage_access_paths(manifest, staged)
+        index_entries, zone_entries = self._stage_access_paths(manifest, folded, staged)
         reclaimed = sum(s.reclaimed for s in staged.values())
 
         # Phase 3: swap (catalog lock before dataset lock, always).
@@ -208,99 +230,92 @@ class Compactor:
     # ------------------------------------------------------------------ #
     def _stage_table(self, table: Table, generation: int) -> _StagedTable:
         mask = table.delete_mask
-        if mask is not None and mask.any():
-            live = np.flatnonzero(~mask)
-            columns = [
-                Column(
-                    column.name,
-                    column.data[live],
-                    ctype=column.ctype,
-                    null_mask=column.null_mask[live],
-                    page_size=column.page_size,
-                )
-                for column in table.columns()
-            ]
-            folded_table = Table(table.name, columns)
-            reclaimed = int(mask.sum())
-        else:
-            live = None
-            folded_table = (
-                table if mask is None else Table(table.name, list(table.columns()))
-            )
-            reclaimed = 0
+        live = np.arange(table.num_rows) if mask is None else np.flatnonzero(~mask)
+        folded_table = Table(
+            table.name, [_column_rows(column, live) for column in table.columns()]
+        )
+        # String dictionaries ride along: the ones in use on the live table
+        # (same rows up to the fold point, unless a commit is still landing),
+        # else the ones the bitmap-index sidecars brought.  A string column
+        # nobody holds one for counts its distinct values by sorting, as a
+        # fresh table would.
+        source = table
+        if self.catalog is not None and table.name in self.catalog:
+            live_table = self.catalog.get(table.name)
+            if live_table.num_rows >= table.num_rows:
+                source = live_table
+        carry_dictionaries(source, folded_table, live)
         dir_name = f"{table.name}.g{generation}"
         target = self.root / dir_name
         if target.exists():
             shutil.rmtree(target)  # a crashed earlier staging at this generation
         save_table(folded_table, target)
-        staged = _StagedTable(
+        return _StagedTable(
             name=table.name,
             dir_name=dir_name,
             table=folded_table,
             live=live,
             old_phys=table.num_rows,
-            reclaimed=reclaimed,
+            reclaimed=table.num_deleted,
+            column_entries=[
+                _column_manifest_entry(column) for column in folded_table.columns()
+            ],
         )
-        staged.column_entries = [
-            _column_manifest_entry(column) for column in folded_table.columns()
-        ]
-        return staged
 
     def _stage_access_paths(
-        self, manifest: dict, staged: dict[str, _StagedTable]
+        self, manifest: dict, folded: Catalog, staged: dict[str, _StagedTable]
     ) -> tuple[list, list]:
-        """Rebuild index/zone-map sidecars against the folded contents.
+        """Carry index/zone-map sidecars over to the folded contents.
 
-        Positions and page geometry shift when deleted rows fold out, so the
-        materializations are rebuilt exactly (the same policy the pre-v4
-        compact applied); their sidecars land in the new generation
-        directories and the returned entries cover the folded row counts —
-        post-fold segments extend them incrementally at load time.
+        Positions and page geometry shift when deleted rows fold out: the
+        indexes the fold loaded from the old sidecars are renumbered through
+        each table's live-row map (``compacted`` — nothing is sorted, the
+        result equals a fresh build), zone maps are re-summarized from the
+        folded pages.  Sidecars land in the new generation directories; the
+        returned entries cover the folded row counts (post-fold segments
+        extend them at load time).  The structures stay on the staged tables
+        for :meth:`_refresh_catalog`, with the zone maps of every column the
+        live catalog prunes on (those have no sidecar).
         """
-        index_entries = manifest.get("indexes", [])
-        zone_entries = manifest.get("zone_maps", [])
-        if not index_entries and not zone_entries:
-            return [], []
-        from repro.access.manager import ensure_access_manager
+        def sidecar(s: _StagedTable, file_name: str, structure, **identity) -> dict:
+            _save_arrays(self.root / s.dir_name / file_name, structure.to_arrays())
+            return {"table": s.name, **identity, "file": file_name, "rows": s.new_rows}
 
-        shadow = Catalog(s.table for s in staged.values())
-        manager = ensure_access_manager(shadow)
+        manager = folded.access_manager
         new_indexes = []
-        for entry in index_entries:
-            if entry["table"] not in staged:
-                continue
-            s = staged[entry["table"]]
-            manager.create_index(entry["table"], entry["column"], kind=entry["kind"])
-            materialized = manager.index_for(entry["table"], entry["column"])
-            file_name = _index_sidecar_name(entry["column"], entry["kind"])
-            _save_arrays(self.root / s.dir_name / file_name, materialized.to_arrays())
-            new_indexes.append(
-                {
-                    "table": entry["table"],
-                    "column": entry["column"],
-                    "kind": entry["kind"],
-                    "file": file_name,
-                    "rows": s.new_rows,
-                }
-            )
+        for entry in manifest.get("indexes", []):
+            s = staged.get(entry["table"])
+            column, kind = entry["column"], entry["kind"]
+            materialized = None
+            if s is not None and manager is not None:
+                materialized = manager.index_for(s.name, column)
+            if materialized is None:
+                continue  # the index was dropped under the fold
+            if kind == "bitmap":
+                materialized = materialized.compacted(
+                    s.live, cached_dictionary(s.table, column)
+                )
+            else:
+                materialized = materialized.compacted(s.live)
+            s.indexes[(column, kind)] = materialized
+            file_name = _index_sidecar_name(column, kind)
+            new_indexes.append(sidecar(s, file_name, materialized, column=column, kind=kind))
         new_zones = []
-        for entry in zone_entries:
-            if entry["table"] not in staged:
+        for entry in manifest.get("zone_maps", []):
+            s = staged.get(entry["table"])
+            column = entry["column"]
+            if s is None or column not in s.table:
                 continue
-            s = staged[entry["table"]]
-            zone_map = manager.zone_map(entry["table"], entry["column"])
-            if zone_map is None:
-                continue
-            file_name = _zonemap_sidecar_name(entry["column"])
-            _save_arrays(self.root / s.dir_name / file_name, zone_map.to_arrays())
-            new_zones.append(
-                {
-                    "table": entry["table"],
-                    "column": entry["column"],
-                    "file": file_name,
-                    "rows": s.new_rows,
-                }
-            )
+            s.zone_maps[column] = build_zone_map(s.table.column(column))
+            file_name = _zonemap_sidecar_name(column)
+            new_zones.append(sidecar(s, file_name, s.zone_maps[column], column=column))
+        live_manager = None if self.catalog is None else self.catalog.access_manager
+        if live_manager is not None:
+            for name, zone_map in live_manager.zone_maps_built():
+                s = staged.get(name)
+                column = zone_map.column_name
+                if s is not None and s.reclaimed and column not in s.zone_maps:
+                    s.zone_maps[column] = build_zone_map(s.table.column(column))
         return new_indexes, new_zones
 
     def _rebase_tail(
@@ -332,9 +347,7 @@ class Compactor:
                     old_dir / record["positions"], allow_pickle=False
                 ).astype(np.int64)
                 pre = positions < s.old_phys
-                pre_positions = positions[pre]
-                if s.live is not None:
-                    pre_positions = np.searchsorted(s.live, pre_positions)
+                pre_positions = np.searchsorted(s.live, positions[pre])
                 post_positions = s.new_rows + (positions[~pre] - s.old_phys)
                 np.save(
                     new_dir / record["positions"],
@@ -361,31 +374,32 @@ class Compactor:
 
         Only tables whose layout actually changed (rows folded out) are
         replaced — for the rest the old and new physical layouts coincide,
-        so pinned structures stay valid and no versions churn.
+        so pinned structures stay valid and no versions churn.  A replaced
+        table is its staged fold (columns, cached statistics, dictionaries)
+        plus, exactly like one more commit on top of it, the rows appended
+        and deleted while the fold ran; the staged indexes and zone maps
+        follow through :meth:`~repro.access.manager.AccessPathManager.compact`.
         """
         replacements: dict[str, Table] = {}
         for name in table_order:
             s = staged[name]
-            if s.live is None:
+            if not s.reclaimed:
                 continue
             current = self.catalog.get(name)
-            tail_positions = np.arange(s.old_phys, current.num_rows)
-            indices = np.concatenate([s.live, tail_positions])
-            columns = [
-                Column(
-                    column.name,
-                    column.data[indices],
-                    ctype=column.ctype,
-                    null_mask=column.null_mask[indices],
-                    page_size=column.page_size,
-                )
-                for column in current.columns()
-            ]
-            mask = None
-            if current.delete_mask is not None:
-                mask = current.delete_mask[indices]
-                if not mask.any():
-                    mask = None
-            replacements[name] = Table(name, columns, delete_mask=mask)
-        if replacements:
-            self.catalog.apply_mutation(replacements)
+            tail = slice(s.old_phys, None)
+            segments = {
+                column.name: _column_rows(column, tail) for column in current.columns()
+            }
+            mask = current.delete_mask
+            deleted = np.empty(0, dtype=np.int64)
+            if mask is not None:
+                deleted = np.flatnonzero(np.concatenate([mask[s.live], mask[tail]]))
+            replacements[name] = _mutated_table(s.table, segments, deleted)
+        if not replacements:
+            return
+        self.catalog.apply_mutation(replacements)
+        manager = self.catalog.access_manager
+        if manager is not None:
+            for name, table in replacements.items():
+                s = staged[name]
+                manager.compact(name, table, s.new_rows, s.zone_maps, s.indexes)

@@ -29,13 +29,16 @@ class ColumnDelta:
     segment holds no non-NULL value.  ``appended_distinct`` counts distinct
     non-NULL values *within the segment* — merged distinct counts are
     therefore upper-bound estimates until the next full statistics
-    collection (or ``repro compact``) restores exactness.
+    collection (or ``repro compact``) restores exactness, unless the table
+    carries the column's dictionary: then ``distinct_count`` is the exact
+    count of the post-commit column and replaces the estimate.
     """
 
     name: str
     appended_rows: int = 0
     appended_nulls: int = 0
     appended_distinct: int = 0
+    distinct_count: int | None = None
     appended_min: object | None = None
     appended_max: object | None = None
     #: NULL cells among the rows this delta deleted (they were live before).
@@ -95,7 +98,11 @@ class MutationCommit:
 
 
 def column_delta_for_segment(
-    name: str, segment: Column | None, old_column: Column, deleted: np.ndarray
+    name: str,
+    segment: Column | None,
+    old_column: Column,
+    deleted: np.ndarray,
+    dictionary=None,
 ) -> ColumnDelta:
     """Build the :class:`ColumnDelta` of one column for one commit.
 
@@ -106,6 +113,8 @@ def column_delta_for_segment(
         old_column: the pre-commit column (NULLs of deleted rows are counted
             against it).
         deleted: newly deleted global positions.
+        dictionary: the post-commit table's carried encoding of the column,
+            when it has one (its ``num_values`` is the exact distinct count).
     """
     deleted_nulls = (
         int(old_column.null_mask[deleted].sum()) if deleted.size else 0
@@ -119,6 +128,7 @@ def column_delta_for_segment(
         appended_rows=len(segment),
         appended_nulls=int(segment.null_mask.sum()),
         appended_distinct=segment.distinct_count(),
+        distinct_count=None if dictionary is None else dictionary.num_values,
         appended_min=seg_min,
         appended_max=seg_max,
         deleted_nulls=deleted_nulls,

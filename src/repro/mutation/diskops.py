@@ -12,7 +12,8 @@ A saved dataset (see :mod:`repro.storage.disk`) is mutated by *appending*:
 * :func:`repro.storage.disk.load_catalog` replays the records in order
   (``snapshot=K`` stops after K — time-travel reads);
 * ``compact_saved_catalog`` folds the log back into flat column files,
-  dropping deleted rows and rebuilding exact statistics and index sidecars.
+  dropping deleted rows and carrying exact statistics and index sidecars
+  through the live-row map.
 
 Replay goes through the same column-extension / delete-bitmap primitives as
 in-memory commits, so a loaded catalog is indistinguishable from one whose

@@ -7,16 +7,16 @@ same live rows collect identical statistics.  After a mutation commit the
 service layer avoids recollection entirely via :meth:`TableStats.apply_delta`,
 which folds a commit's per-column summary numbers into the previous
 statistics — exact for row/NULL counts and min/max bounds widen-only, upper
-bound for distinct counts (restored to exact by the next full collection).
+bound for distinct counts (restored to exact by the next full collection;
+exact all along for a string column whose dictionary the table carries).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.storage.catalog import Catalog
+from repro.storage.column import count_distinct
 from repro.storage.table import Table
 
 
@@ -78,7 +78,8 @@ class TableStats:
         only its count/bound attributes are read).  Row and NULL counts are
         exact; min/max bounds only widen (deleted rows may leave them looser
         than a fresh collection — still sound for estimation and pruning);
-        distinct counts are upper-bound estimates.
+        distinct counts are upper-bound estimates, except where the delta
+        carries the exact count from the column's dictionary.
         """
         new_rows = self.num_rows + delta.appended_rows - delta.deleted_count
         merged = TableStats(
@@ -102,9 +103,13 @@ class TableStats:
             merged.columns[name] = ColumnStats(
                 name=name,
                 num_rows=old.num_rows + appended - delta.deleted_count,
-                distinct_count=min(
-                    old.distinct_count + column_delta.appended_distinct,
-                    max(new_rows, 1),
+                distinct_count=(
+                    column_delta.distinct_count
+                    if column_delta.distinct_count is not None
+                    else min(
+                        old.distinct_count + column_delta.appended_distinct,
+                        max(new_rows, 1),
+                    )
                 ),
                 null_count=(
                     old.null_count + column_delta.appended_nulls - column_delta.deleted_nulls
@@ -156,7 +161,7 @@ def _collect_live_stats(table: Table) -> TableStats:
         stats.columns[column.name] = ColumnStats(
             name=column.name,
             num_rows=table.num_live,
-            distinct_count=int(np.unique(valid).size) if valid.size else 0,
+            distinct_count=count_distinct(valid),
             null_count=int((nulls & live).sum()),
             min_value=bounds[0] if bounds[0] is None else _to_python(bounds[0]),
             max_value=bounds[1] if bounds[1] is None else _to_python(bounds[1]),

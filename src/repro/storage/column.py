@@ -38,6 +38,30 @@ def touched_pages(positions: np.ndarray, page_size: int, num_pages: int) -> np.n
     return np.flatnonzero(touched)
 
 
+def count_distinct(values: np.ndarray) -> int:
+    """``len(np.unique(values))`` of column data, never hashing integers.
+
+    ``int64`` / ``bool`` data mark a flag array over the value span (when it
+    is at most 8 x rows) or sort and count value changes — a small fraction
+    of NumPy's hash-based integer ``np.unique``; ``float64`` (NaNs collapse
+    to one value) and ``object`` data keep ``np.unique``.
+    """
+    if values.size == 0:
+        return 0
+    if values.dtype.kind not in "iub":
+        return int(len(np.unique(values)))
+    if values.dtype.kind == "b":
+        values = values.view(np.uint8)
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span <= 8 * values.size:
+        seen = np.zeros(span, dtype=np.bool_)
+        seen[values - low] = True
+        return int(np.count_nonzero(seen))
+    ordered = np.sort(values)
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
 class ColumnType(enum.Enum):
     """Supported column value types."""
 
@@ -174,13 +198,12 @@ class Column:
     def distinct_count(self) -> int:
         """Number of distinct non-NULL values (computed once, then cached).
 
-        The underlying ``np.unique`` is O(n log n); statistics collection
-        asks for it on every stats build, so the result is memoized on the
-        (immutable) column.
+        Statistics collection asks for it on every stats build, so the
+        result of :func:`count_distinct` is memoized on the (immutable)
+        column.
         """
         if self._distinct_count is None:
-            valid = self._data[~self._nulls]
-            self._distinct_count = int(len(np.unique(valid))) if valid.size else 0
+            self._distinct_count = count_distinct(self._data[~self._nulls])
         return self._distinct_count
 
     def min_max(self) -> tuple | None:

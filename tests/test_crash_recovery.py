@@ -196,3 +196,33 @@ def test_killed_command_recovers_to_last_committed_batch(case, tmp_path):
         argv=["insert", "--table", "t", "--values", '[{"id": 300, "v": 9.0, "s": "q"}]'],
     )
     assert len(_live_rows(crashed)) == before + 1
+
+
+def test_compaction_after_a_pre_swap_crash_carries_fresh_sidecars(tmp_path):
+    """The staging a killed compaction left behind never leaks into the next
+    one: its carried index sidecars equal builds over the re-read rows."""
+    from repro.access.indexes import build_index
+    from repro.storage.disk import add_index_to_saved_catalog
+
+    crashed = tmp_path / "crashed"
+    _make_dataset(crashed)
+    add_index_to_saved_catalog(crashed, "t", "s", kind="bitmap")
+    add_index_to_saved_catalog(crashed, "t", "v", kind="sorted")
+    assert _run("compact", crashed, fault="compact.before_swap") == faults.CRASH_EXIT_CODE
+    assert _run("compact", crashed) == 0
+
+    catalog = load_catalog(crashed)
+    table = catalog.get("t")
+    assert not table.has_deletes()
+    for definition in catalog.access_manager.list_indexes():
+        carried = catalog.access_manager.index_for("t", definition.column).to_arrays()
+        fresh = build_index(
+            Table.from_dict("t", {c.name: c.values_list() for c in table.columns()}).column(
+                definition.column
+            ),
+            definition.kind,
+        ).to_arrays()
+        assert sorted(carried) == sorted(fresh)
+        for name, array in fresh.items():
+            assert carried[name].dtype == array.dtype and np.array_equal(carried[name], array)
+    assert catalog.access_manager.stats.indexes_built == 0  # loaded, not rebuilt
