@@ -43,8 +43,11 @@ profile:
 
 ## quick benchmark pass: service throughput + parallel-scan assertions + one
 ## paper figure, correctness checks only (the wall-clock speedup assertion is
-## deselected here and lives in bench-parallel)
+## deselected here and lives in bench-parallel).  Whatever the benchmarks
+## record goes to the git-ignored .bench_tmp/, not the tracked BENCH_*.json.
+bench-smoke: export BENCH_RESULTS_PATH = .bench_tmp/bench-smoke.json
 bench-smoke:
+	mkdir -p .bench_tmp
 	$(RUN) -m pytest benchmarks/bench_service_throughput.py \
 	    benchmarks/bench_parallel_scan.py \
 	    benchmarks/bench_sharded_scan.py \

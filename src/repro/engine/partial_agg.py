@@ -15,8 +15,8 @@ aggregation (:mod:`repro.engine.postprocess`), so the final output is
   global first-seen group order and the first-seen representative rows;
 * COUNT / COUNT(col) partials are exact integer counts;
 * SUM / AVG partials are pushed only for integer and boolean columns, whose
-  per-group sums accumulate Python ints in object arrays (arbitrary
-  precision — addition is associative, unlike float rounding);
+  per-group sums are exact Python ints in object arrays (addition is
+  associative, unlike float rounding);
 * MIN / MAX partials carry the per-group extreme *values*; the extreme of
   the per-shard extremes is the global extreme for any ordered type.
 
@@ -141,20 +141,18 @@ def _partial_state(
     position = _column_index(output, spec.argument.key())
     values, nulls = output.columns[position]
     mask = ~nulls
+    non_null = np.bincount(codes[mask], minlength=num_groups).astype(np.int64)
     if spec.function is AggregateFunction.COUNT:
-        counts = np.bincount(codes[mask], minlength=num_groups).astype(np.int64)
-        return ("count", counts)
+        return ("count", non_null)
     if spec.function in (AggregateFunction.SUM, AggregateFunction.AVG):
-        sums = _group_sums(codes, values, mask, num_groups)
-        non_null = np.bincount(codes[mask], minlength=num_groups).astype(np.int64)
-        return ("sum", sums, non_null)
+        return ("sum", _group_sums(codes, values, mask, num_groups), non_null)
     value_codes, uniques = _factorize(values, nulls)
     extreme_values, null_mask = _group_extreme(
         codes,
         value_codes,
         uniques,
         mask,
-        num_groups,
+        non_null == 0,
         take_max=spec.function is AggregateFunction.MAX,
     )
     return ("extreme", extreme_values, null_mask)
@@ -241,6 +239,6 @@ def _combine_state(
         value_codes,
         uniques,
         ~nulls,
-        num_groups,
+        np.bincount(codes[~nulls], minlength=num_groups) == 0,
         take_max=spec.function is AggregateFunction.MAX,
     )

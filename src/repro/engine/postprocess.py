@@ -10,9 +10,16 @@ exactly once, on the partition-order-merged output.
 All three shaping steps are vectorized with NumPy.  The common primitive is
 *factorization* (:func:`_factorize`): each column is mapped to dense integer
 codes such that equal values (and all NULLs) get equal codes and code order
-matches value order.  Grouping and DISTINCT then reduce to one 1-D ``np.unique``
-over the rows' folded integer keys, and ORDER BY becomes one ``np.lexsort`` over
-rank-encoded keys — no per-row Python loops anywhere on the shaping path.
+matches value order.  Grouping and DISTINCT then reduce to the first row of
+each folded integer key (:func:`_first_row_of_key`), and ORDER BY becomes one
+``np.lexsort`` over rank-encoded keys — no per-row Python loops anywhere on
+the shaping path.
+
+Wherever the data allow, a step is linear in its input: integer keys with a
+narrow value span are ranked and grouped through offset tables instead of
+sorts, integer sums accumulate in int64 when they cannot overflow, and
+ORDER BY + LIMIT k sorts only the rows that can still be among the first k
+(:func:`limit_candidates`).  Results are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -22,11 +29,13 @@ import numpy as np
 from repro.engine.result import OutputColumns
 from repro.plan.postselect import AggregateFunction, AggregateSpec, OrderItem
 from repro.plan.query import Query
+from repro.storage.column import DENSE_SPAN_FACTOR, value_presence
 from repro.utils.keys import _MAX_KEY_SPACE
 
 
 class OutputShapingError(ValueError):
-    """Raised when an output-shaping clause references an unknown column."""
+    """Raised when an output-shaping clause cannot be applied to its input:
+    an unknown column, a SUM/AVG over non-numeric data, a negative LIMIT."""
 
 
 def apply_output_shaping(
@@ -44,6 +53,8 @@ def apply_output_shaping(
     if query.distinct:
         output = distinct(output)
     if query.order_by:
+        if query.limit is not None:
+            output = limit_candidates(output, query)
         output = order_by(output, query.order_by)
     if query.limit is not None:
         output = limit(output, query.limit)
@@ -78,18 +89,26 @@ def _factorize(values: np.ndarray, nulls: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     codes = np.full(values.shape[0], -1, dtype=np.int64)
     mask = ~nulls
-    if mask.any():
-        uniques, inverse = np.unique(values[mask], return_inverse=True)
+    valid = values[mask]
+    presence = value_presence(valid)
+    if presence is not None:
+        # Narrow integer span: rank through a flag table, no sort.
+        offsets, present, low = presence
+        codes[mask] = (np.cumsum(present) - 1)[offsets]
+        uniques = (np.flatnonzero(present) + low).astype(valid.dtype, copy=False)
+    elif valid.size:
+        uniques, inverse = np.unique(valid, return_inverse=True)
         codes[mask] = inverse.astype(np.int64, copy=False)
     else:
         uniques = values[:0]
     return codes, uniques
 
 
-def _fold_codes(code_columns: list[np.ndarray]) -> np.ndarray:
+def _fold_codes(code_columns: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """One int64 key per row: equal code tuples get equal keys.
 
-    Mixed radix over each column's ``max code + 2`` (codes are >= -1).  The
+    Returns ``(key, key_space)`` with every key in ``[0, key_space)``.  Mixed
+    radix over each column's ``max code + 2`` (codes are >= -1).  The
     running key is re-compressed to dense ranks before a fold could leave
     :data:`~repro.utils.keys._MAX_KEY_SPACE` (int64 would wrap silently).
     """
@@ -101,7 +120,27 @@ def _fold_codes(code_columns: list[np.ndarray]) -> np.ndarray:
             key_space = int(uniques.size)
         key = key * radix + (codes + 1)
         key_space *= radix
-    return key
+    return key, key_space
+
+
+def _first_row_of_key(key: np.ndarray, key_space: int) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrences of folded keys: ``(first_row, is_first)`` per row.
+
+    ``first_row`` is the position of the first row holding the same key and
+    ``is_first`` flags the rows that are their own first — the one definition
+    GROUP BY, DISTINCT and COUNT(DISTINCT) share.  A key space of at most
+    :data:`~repro.storage.column.DENSE_SPAN_FACTOR` x rows is a
+    direct-address table filled by ``np.minimum.at``; a wider one sorts.
+    """
+    positions = np.arange(key.size, dtype=np.int64)
+    if key_space <= DENSE_SPAN_FACTOR * key.size:
+        table = np.full(key_space, key.size, dtype=np.int64)
+        np.minimum.at(table, key, positions)
+        first_row = table[key]
+    else:
+        _uniques, first_rows, inverse = np.unique(key, return_index=True, return_inverse=True)
+        first_row = first_rows[inverse.reshape(-1)]
+    return first_row, first_row == positions
 
 
 def _group_codes(
@@ -117,43 +156,41 @@ def _group_codes(
     if not code_columns:
         # No GROUP BY: the whole input is one group (even when empty).
         return np.zeros(num_rows, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    _uniques, first_rows, inverse = np.unique(
-        _fold_codes(code_columns), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_rows, kind="stable")
-    remap = np.empty(order.size, dtype=np.int64)
-    remap[order] = np.arange(order.size, dtype=np.int64)
-    return remap[inverse.reshape(-1)], first_rows[order]
+    first_row, is_first = _first_row_of_key(*_fold_codes(code_columns))
+    representative_rows = np.flatnonzero(is_first)
+    # Number the groups at their first rows, then read the ids back per row.
+    group_at = np.empty(num_rows, dtype=np.int64)
+    group_at[representative_rows] = np.arange(representative_rows.size, dtype=np.int64)
+    return group_at[first_row], representative_rows
 
 
 # --------------------------------------------------------------------------- #
 # Aggregation
 # --------------------------------------------------------------------------- #
-def _sum_accumulator_dtype(values: np.ndarray) -> np.dtype:
-    if np.issubdtype(values.dtype, np.floating):
-        return np.dtype(np.float64)
-    # Integer (and bool) sums accumulate Python ints in an object array:
-    # arbitrary precision, like the per-row ``sum()`` this replaced — a
-    # fixed-width accumulator would silently wrap past 2**63.
-    return np.dtype(object)
-
-
 def _group_sums(
     codes: np.ndarray, values: np.ndarray, mask: np.ndarray, num_groups: int
 ) -> np.ndarray:
-    """Per-group sums over the non-NULL rows (``mask``), vectorized.
+    """Per-group sums over the non-NULL rows (``mask``) of numeric ``values``.
 
     ``np.add.at`` accumulates in row order, so float results are bit-identical
-    to the left-to-right Python ``sum`` this replaces.
+    to a left-to-right Python ``sum``.  Integer (and bool) sums are exact
+    Python ints in an object array: accumulated in int64 when
+    ``max|v| x rows`` cannot reach 2**63, in arbitrary precision otherwise
+    (a fixed-width accumulator would silently wrap).
     """
-    accumulator_dtype = _sum_accumulator_dtype(values)
-    accumulator = np.zeros(num_groups, dtype=accumulator_dtype)
-    if mask.any():
-        addends = values[mask]
-        if accumulator_dtype == np.dtype(object) and addends.dtype != np.dtype(object):
-            # tolist() yields Python ints/bools, keeping the sum exact.
-            addends = np.array(addends.tolist(), dtype=object)
+    addends = values[mask]
+    if values.dtype.kind == "f":
+        accumulator = np.zeros(num_groups, dtype=np.float64)
         np.add.at(accumulator, codes[mask], addends)
+        return accumulator
+    bound = max(int(addends.max()), -int(addends.min())) if addends.size else 0
+    if bound * addends.size < 2**63:
+        accumulator = np.zeros(num_groups, dtype=np.int64)
+        np.add.at(accumulator, codes[mask], addends)
+        return np.array(accumulator.tolist(), dtype=object)
+    accumulator = np.zeros(num_groups, dtype=object)
+    # tolist() yields Python ints/bools, keeping the sum exact.
+    np.add.at(accumulator, codes[mask], np.array(addends.tolist(), dtype=object))
     return accumulator
 
 
@@ -162,16 +199,17 @@ def _group_extreme(
     value_codes: np.ndarray,
     uniques: np.ndarray,
     mask: np.ndarray,
-    num_groups: int,
+    empty: np.ndarray,
     take_max: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-group MIN/MAX via factorized ranks (works for every value type).
 
-    Returns ``(values, null_mask)``; groups with no non-NULL input are NULL.
+    ``empty`` flags the groups with no non-NULL input (their non-NULL count
+    is 0).  Returns ``(values, null_mask)``; empty groups are NULL.
     """
+    num_groups = empty.size
     if not mask.any() or uniques.size == 0:
         return np.zeros(num_groups, dtype=object), np.ones(num_groups, np.bool_)
-    empty = ~np.isin(np.arange(num_groups), codes[mask])
     extreme = np.full(num_groups, -1 if take_max else np.iinfo(np.int64).max, dtype=np.int64)
     operation = np.maximum if take_max else np.minimum
     operation.at(extreme, codes[mask], value_codes[mask])
@@ -186,8 +224,8 @@ def _count_distinct(
     if not mask.any():
         return np.zeros(num_groups, dtype=np.int64)
     groups = codes[mask]
-    _pairs, first_rows = np.unique(_fold_codes([groups, value_codes[mask]]), return_index=True)
-    return np.bincount(groups[first_rows], minlength=num_groups).astype(np.int64)
+    _first_row, is_first = _first_row_of_key(*_fold_codes([groups, value_codes[mask]]))
+    return np.bincount(groups[is_first], minlength=num_groups).astype(np.int64)
 
 
 def _evaluate_aggregate(
@@ -217,6 +255,11 @@ def _evaluate_aggregate(
     all_null = non_null_counts == 0
 
     if spec.function in (AggregateFunction.SUM, AggregateFunction.AVG):
+        if values.dtype.kind not in "iubf":
+            raise OutputShapingError(
+                f"{spec.label()} needs a numeric column; "
+                f"{spec.argument.key()} holds {values.dtype} values"
+            )
         sums = _group_sums(codes, values, mask, num_groups)
         if spec.function is AggregateFunction.SUM:
             return sums, all_null
@@ -232,7 +275,7 @@ def _evaluate_aggregate(
             value_codes,
             uniques,
             mask,
-            num_groups,
+            all_null,
             take_max=spec.function is AggregateFunction.MAX,
         )
 
@@ -279,14 +322,52 @@ def aggregate(
 def distinct(output: OutputColumns) -> OutputColumns:
     """Remove duplicate rows, keeping the first occurrence of each.
 
-    Every column is factorized to integer codes and duplicates are found
-    with one ``np.unique`` over the rows' folded keys (:func:`_fold_codes`).
+    Every column is factorized to integer codes and a row is kept when it is
+    the first holding its folded key (:func:`_first_row_of_key`).
     """
     if output.row_count == 0 or not output.columns:
         return output
-    key = _fold_codes([_factorize(values, nulls)[0] for values, nulls in output.columns])
-    _uniques, first_rows = np.unique(key, return_index=True)
-    return _take(output, np.sort(first_rows))
+    _first_row, is_first = _first_row_of_key(
+        *_fold_codes([_factorize(values, nulls)[0] for values, nulls in output.columns])
+    )
+    return _take(output, np.flatnonzero(is_first))
+
+
+def limit_candidates(output: OutputColumns, query: Query) -> OutputColumns:
+    """The rows of ``output`` that can still be among its first ``LIMIT`` rows.
+
+    Shaping the result (ORDER BY, then LIMIT) gives exactly what shaping
+    ``output`` gives, and so does shaping the concatenation of the candidates
+    of ``output``'s contiguous blocks — which is what shard workers return.
+
+    A bare LIMIT keeps the first ``count`` rows.  With ORDER BY, a row whose
+    *primary* key is beyond the ``count``-th smallest (largest for DESC)
+    non-NULL key has at least ``count`` rows ahead of it, so only the rows up
+    to that value — boundary ties included, in input order — stay; the sort
+    that follows settles NULLS LAST, secondary keys and tie order on them.
+    Whatever this cannot decide exactly (a non-numeric key, non-NULL NaNs,
+    fewer than ``count`` non-NULL keys) keeps every row, and so does a key
+    that is not an output column — :func:`order_by` names that error.
+    """
+    count = query.limit
+    if not query.order_by:
+        return limit(output, count)
+    item = query.order_by[0]
+    if not 0 < count < output.row_count or item.key not in output.names:
+        return output
+    values, nulls = output.columns[output.names.index(item.key)]
+    valid = values[~nulls]
+    if (
+        values.dtype.kind not in "iuf"
+        or valid.size < count
+        or (values.dtype.kind == "f" and np.isnan(valid).any())
+    ):
+        return output
+    if item.descending:
+        keep = values >= np.partition(valid, valid.size - count)[valid.size - count]
+    else:
+        keep = values <= np.partition(valid, count - 1)[count - 1]
+    return _take(output, np.flatnonzero(keep & ~nulls))
 
 
 def order_by(output: OutputColumns, items: list[OrderItem]) -> OutputColumns:

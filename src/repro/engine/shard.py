@@ -40,9 +40,10 @@ Design notes:
   serial execution at the same partition count.
 * **Aggregation/LIMIT pushdown.**  When every aggregate is exactly
   mergeable (:mod:`repro.engine.partial_agg`) workers pre-aggregate and the
-  coordinator combines partial states; bare-LIMIT queries return at most
-  ``LIMIT`` rows per shard.  Both transfers shrink without changing a byte
-  of output.
+  coordinator combines partial states; LIMIT queries (with or without
+  ORDER BY, never DISTINCT) return only each shard's candidates for the
+  first ``LIMIT`` rows (:func:`~repro.engine.postprocess.limit_candidates`).
+  Both transfers shrink without changing a byte of output.
 
 The worker pool is process-wide, keyed by shard count (like the morsel
 thread pools), guarded for exclusive use per query, and torn down by
@@ -71,6 +72,7 @@ from repro.engine.partial_agg import (
     combine_partial_aggregates,
     partial_aggregate,
 )
+from repro.engine.postprocess import limit_candidates
 from repro.engine.result import OutputColumns
 from repro.physical.batches import merge_output_columns
 from repro.physical.compile import compile_plan, plan_scan_aliases
@@ -250,9 +252,7 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
     if spec.push_mode == "aggregate":
         payload = ("partial", partial_aggregate(merged, spec.query))
     elif spec.push_mode == "limit":
-        from repro.engine.postprocess import limit
-
-        payload = ("rows", limit(merged, spec.query.limit))
+        payload = ("rows", limit_candidates(merged, spec.query))
     else:
         payload = ("rows", merged)
     trace_payload = tracer.to_payload() if tracer is not None else None
@@ -547,11 +547,7 @@ def scatter_gather(
         if query.aggregates:
             if aggregation_pushdown_supported(query, catalog):
                 push_mode = "aggregate"
-        elif (
-            query.limit is not None
-            and not query.distinct
-            and not query.order_by
-        ):
+        elif query.limit is not None and not query.distinct:
             push_mode = "limit"
 
     spec = ShardSpec(
@@ -624,9 +620,6 @@ def scatter_gather(
     if push_mode == "aggregate":
         context.aggregates_prefolded = True
         return combine_partial_aggregates(partials, query)
-    merged = merge_output_columns(outputs)
-    if push_mode == "limit":
-        from repro.engine.postprocess import limit
-
-        merged = limit(merged, query.limit)
-    return merged
+    # "limit" payloads are per-block candidates; the caller's ordinary output
+    # shaping of their concatenation equals shaping every row.
+    return merge_output_columns(outputs)

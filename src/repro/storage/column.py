@@ -38,26 +38,49 @@ def touched_pages(positions: np.ndarray, page_size: int, num_pages: int) -> np.n
     return np.flatnonzero(touched)
 
 
+#: Integer data are handled by offset — flag / rank / first-row tables over
+#: the value span instead of a sort — when the span is at most this many
+#: times the row count (distinct counting, output-shaping factorization).
+DENSE_SPAN_FACTOR = 8
+
+
+def value_presence(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Offset view of non-empty ``int`` / ``bool`` data with a narrow span.
+
+    Returns ``(offsets, present, low)``: ``offsets = values - low`` and
+    ``present[o]`` is True iff the value ``low + o`` occurs.  ``None`` for
+    empty data, any other dtype, or a span above
+    :data:`DENSE_SPAN_FACTOR` x rows.
+    """
+    if values.size == 0 or values.dtype.kind not in "iub":
+        return None
+    if values.dtype.kind == "b":
+        values = values.view(np.uint8)
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    if span > DENSE_SPAN_FACTOR * values.size:
+        return None
+    offsets = values - low
+    present = np.zeros(span, dtype=np.bool_)
+    present[offsets] = True
+    return offsets, present, low
+
+
 def count_distinct(values: np.ndarray) -> int:
     """``len(np.unique(values))`` of column data, never hashing integers.
 
-    ``int64`` / ``bool`` data mark a flag array over the value span (when it
-    is at most 8 x rows) or sort and count value changes — a small fraction
-    of NumPy's hash-based integer ``np.unique``; ``float64`` (NaNs collapse
-    to one value) and ``object`` data keep ``np.unique``.
+    ``int64`` / ``bool`` data mark a flag array over the value span
+    (:func:`value_presence`) or sort and count value changes — a small
+    fraction of NumPy's hash-based integer ``np.unique``; ``float64`` (NaNs
+    collapse to one value) and ``object`` data keep ``np.unique``.
     """
     if values.size == 0:
         return 0
     if values.dtype.kind not in "iub":
         return int(len(np.unique(values)))
-    if values.dtype.kind == "b":
-        values = values.view(np.uint8)
-    low = int(values.min())
-    span = int(values.max()) - low + 1
-    if span <= 8 * values.size:
-        seen = np.zeros(span, dtype=np.bool_)
-        seen[values - low] = True
-        return int(np.count_nonzero(seen))
+    presence = value_presence(values)
+    if presence is not None:
+        return int(np.count_nonzero(presence[1]))
     ordered = np.sort(values)
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 

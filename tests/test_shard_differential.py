@@ -12,13 +12,14 @@ The acceptance bar for the scatter–gather engine is strict determinism:
   ``sequential_scans``, ``selective_reads`` and total page accesses);
   only the hit/miss split may differ, because workers run private caches;
 * ``shards=1`` is exactly the in-process path: no worker pool is created;
-* aggregation and LIMIT pushdown never change the answer, whether or not
-  they engage;
+* aggregation and (ORDER BY …) LIMIT pushdown never change the answer,
+  whether or not they engage;
 * a worker-side query error leaves the pool usable for the next query.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.access.manager import ensure_access_manager
@@ -26,8 +27,12 @@ from repro.engine import shard
 from repro.engine.metrics import ExecContext
 from repro.engine.parallel import execute_plan
 from repro.engine.partial_agg import aggregation_pushdown_supported
+from repro.engine.postprocess import OutputShapingError
 from repro.engine.session import Session
 from repro.engine.shard import ShardExecutionError, ShardSpec, shard_pool
+from repro.storage.catalog import Catalog
+from repro.storage.column import Column
+from repro.storage.table import Table
 from repro.testing.datagen import RandomCatalogConfig, generate_random_catalog
 from repro.testing.differential import DEFAULT_PLANNERS
 from repro.testing.oracle import evaluate_oracle
@@ -252,7 +257,7 @@ def test_limit_pushdown_byte_identical(sessions):
     assert sharded.rows == serial.rows
     assert sharded.row_count == serial.row_count == 7
 
-    # ORDER BY disables the prefix property: no pushdown, same answer.
+    # With ORDER BY each shard returns its top-k candidates: same answer.
     ordered = (
         "SELECT f.id FROM F AS f WHERE (f.A1 > 0.2) OR (f.A2 > 0.6) "
         "ORDER BY f.id DESC LIMIT 5"
@@ -262,6 +267,100 @@ def test_limit_pushdown_byte_identical(sessions):
         ordered, planner="tcombined", parallelism=1, partitions=4, shards=2
     )
     assert sharded.rows == serial.rows
+
+
+@pytest.fixture(scope="module")
+def topk_session():
+    """240 rows; ``k`` (6 values) and ``a`` (11 values) repeat and are ~10 % NULL."""
+    rng = np.random.default_rng(17)
+    rows = 240
+
+    def with_nulls(values):
+        return [None if rng.random() < 0.1 else value for value in values]
+
+    table = Table(
+        "T",
+        [
+            Column("id", np.arange(rows)),
+            Column("k", with_nulls(rng.integers(0, 6, rows).tolist())),
+            Column("a", with_nulls(rng.random(rows).round(1).tolist())),
+            Column("x", rng.random(rows)),
+            Column("y", rng.random(rows)),
+        ],
+    )
+    return Session(Catalog([table]), stats_sample_size=200)
+
+
+_TOPK_FROM = "FROM T AS t WHERE (t.x > 0.2 AND t.y < 0.9) OR (t.y > 0.6)"
+
+#: ``(ORDER BY ... LIMIT, is the order total)`` — ties keep input order, which
+#: the plan decides, so only total orders are comparable under ``tmin``.
+TOPK_CLAUSES = (
+    ("ORDER BY t.k LIMIT 7", False),  # duplicates straddle the boundary
+    ("ORDER BY t.k DESC LIMIT 7", False),
+    ("ORDER BY t.a DESC, t.id LIMIT 9", True),  # two keys, float primary
+    ("ORDER BY t.k, t.a DESC, t.id DESC LIMIT 45", True),
+    ("ORDER BY t.a, t.id LIMIT 200", True),  # past the non-NULL keys: NULL rows returned
+    ("ORDER BY t.id DESC LIMIT 1", True),
+)
+
+
+@pytest.mark.parametrize("planner", ALL_PLANNERS)
+def test_order_by_limit_pushdown_byte_identical(topk_session, planner):
+    for clause, total in TOPK_CLAUSES:
+        if planner == "tmin" and not total:
+            continue
+        sql = f"SELECT t.id, t.k, t.a {_TOPK_FROM} {clause}"
+        serial = topk_session.execute(sql, planner=planner, parallelism=1, partitions=4)
+        assert 0 < serial.row_count
+        for shards in SHARD_COUNTS:
+            sharded = topk_session.execute(
+                sql, planner=planner, parallelism=1, partitions=4, shards=shards
+            )
+            assert sharded.rows == serial.rows, (planner, shards, clause)
+
+
+def test_order_by_limit_pushdown_engages(topk_session, monkeypatch):
+    """Each worker ships fewer rows than its block produced."""
+    shipped = []
+    run = shard.ShardPool.run
+
+    def recording_run(self, *args, **kwargs):
+        results = run(self, *args, **kwargs)
+        shipped.append([payload[1].row_count for payload, *_rest in results])
+        return results
+
+    monkeypatch.setattr(shard.ShardPool, "run", recording_run)
+    select = f"SELECT t.id, t.k, t.a {_TOPK_FROM}"
+    for clause in ("", "ORDER BY t.k LIMIT 7", "ORDER BY t.a DESC, t.id LIMIT 9"):
+        sql = f"{select} {clause}"
+        topk_session.execute(sql, planner="tcombined", parallelism=1, partitions=4, shards=2)
+    block_rows, *candidate_rows = shipped
+    for candidates in candidate_rows:
+        assert all(0 < sent < block for sent, block in zip(candidates, block_rows))
+
+
+@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("function", ("SUM", "AVG"))
+def test_sum_over_a_string_column_is_a_named_error(sessions, shards, function):
+    """Not a ``TypeError`` from inside ``np.add.at``."""
+    sql = (
+        f"SELECT {function}(f.category) FROM F AS f WHERE (f.A1 > 0.2) OR (f.A2 > 0.6)"
+    )
+    with pytest.raises(OutputShapingError, match=rf"{function}\(f\.category\).*numeric"):
+        sessions[False].execute(
+            sql, planner="tcombined", parallelism=1, partitions=4, shards=shards
+        )
+
+
+@pytest.mark.parametrize("shards", (1, 2))
+def test_unknown_order_by_key_is_the_coordinators_error(sessions, shards):
+    """Workers pre-filtering for ORDER BY ... LIMIT leave the error to ``order_by``."""
+    sql = "SELECT * FROM F AS f WHERE (f.A1 > 0.2) OR (f.A2 > 0.6) ORDER BY f.nope LIMIT 3"
+    with pytest.raises(OutputShapingError, match="'f.nope' not found"):
+        sessions[False].execute(
+            sql, planner="tcombined", parallelism=1, partitions=4, shards=shards
+        )
 
 
 def test_worker_error_leaves_pool_usable(sessions, workload):
