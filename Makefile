@@ -7,7 +7,7 @@ RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 # Tag stamped into the BENCH_*.json artifacts written by `make bench`.
 BENCH_TAG ?= PR10
 
-.PHONY: test lint test-crash bench-e2e bench-compare profile bench-smoke bench bench-parallel bench-shards bench-feedback bench-index bench-ingest bench-wal bench-obs bench-history docs-check examples
+.PHONY: test lint test-crash bench-e2e bench-compare profile bench-smoke bench bench-shards bench-feedback bench-index bench-ingest bench-wal bench-obs bench-history docs-check examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -42,8 +42,8 @@ profile:
 	$(PYTHON) scripts/profile_workload.py $(W)
 
 ## quick benchmark pass: service throughput + parallel-scan assertions + one
-## paper figure, correctness checks only (the wall-clock speedup assertion is
-## deselected here and lives in bench-parallel).  Whatever the benchmarks
+## paper figure, correctness checks only (the per-subsystem wall-clock
+## assertions are deselected here and live in their own targets).  Whatever the benchmarks
 ## record goes to the git-ignored .bench_tmp/, not the tracked BENCH_*.json.
 bench-smoke: export BENCH_RESULTS_PATH = .bench_tmp/bench-smoke.json
 bench-smoke:
@@ -59,11 +59,6 @@ bench-smoke:
 	    benchmarks/bench_history_overhead.py \
 	    benchmarks/bench_fig4a_selectivity.py -q --benchmark-disable \
 	    -k "not speedup and not overhead"
-
-## morsel-driven parallel execution: speedup assertion (needs >= 2 CPU
-## cores; the timing test self-skips on single-core hosts) plus timed runs
-bench-parallel:
-	$(RUN) -m pytest benchmarks/bench_parallel_scan.py -q
 
 ## shared-nothing sharded execution: the >= 2x-at-4-shards speedup assertion
 ## (needs >= 4 CPU cores; self-skips below that) plus timed runs, persists

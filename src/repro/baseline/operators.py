@@ -5,6 +5,9 @@ only the rows whose predicate evaluates to TRUE (compacting the relation), a
 join processes every row of both inputs, and BDisj's final union deduplicates
 tuples produced by different root-clause subqueries (the redundant work the
 paper's Section 5.1 analysis attributes to traditional execution).
+
+Each class is a :class:`~repro.physical.base.PhysicalOperator`; ``execute(...)``
+is the whole-relation kernel, callable on its own without children.
 """
 
 from __future__ import annotations
@@ -13,18 +16,21 @@ import numpy as np
 
 from repro.baseline.relation import Relation
 from repro.engine.metrics import ExecContext
+from repro.engine.result import materialize_output
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
+from repro.physical.base import BuildProbeJoin, PhysicalOperator, StreamingFilter
 from repro.physical.expressions import evaluate_predicate, read_join_keys
 from repro.plan.query import JoinCondition
 from repro.storage.table import Table
 from repro.utils.join import equi_join_indices
 
 
-class FilterOperator:
+class FilterOperator(StreamingFilter):
     """Keep only the rows whose predicate evaluates to TRUE."""
 
-    def __init__(self, predicate: BooleanExpr) -> None:
+    def __init__(self, predicate: BooleanExpr, child=None, node_id=None) -> None:
+        super().__init__(child, node_id)
         self.predicate = predicate
 
     def execute(self, relation: Relation, context: ExecContext) -> Relation:
@@ -79,12 +85,15 @@ def join_relations(
     return Relation(merged_tables, out_indices)
 
 
-class HashJoinOperator:
+class HashJoinOperator(BuildProbeJoin):
     """Equi-join of two relations."""
 
-    def __init__(self, conditions: list[JoinCondition]) -> None:
+    def __init__(
+        self, conditions: list[JoinCondition], build=None, probe=None, node_id=None
+    ) -> None:
         if not conditions:
             raise ValueError("a hash join requires at least one join condition")
+        super().__init__(build, probe, node_id)
         self.conditions = list(conditions)
 
     def execute(self, left: Relation, right: Relation, context: ExecContext) -> Relation:
@@ -93,13 +102,47 @@ class HashJoinOperator:
         return join_relations(self.conditions, left, right, context)
 
 
-class UnionOperator:
-    """Union (with duplicate elimination) of relations over the same aliases.
+class UnionOperator(PhysicalOperator):
+    """Traditional root: union the subplan pipelines, then materialize ``columns``.
 
-    BDisj appends this operator to combine the outputs of its per-root-clause
-    subqueries; deduplication is by the tuple of base-table row indices, which
-    is exactly the identity of a joined tuple in an index relation.
+    Children are the subplan pipelines of a
+    :class:`~repro.baseline.planners.TraditionalPlan`; each is drained fully
+    (they are independent pipelines over the same partition) and emits into a
+    single OutputColumns batch.  BDisj's union (``execute``) deduplicates by
+    the tuple of base-table row indices, which is exactly the identity of a
+    joined tuple in an index relation; a lone subplan that needs no union
+    passes through.
     """
+
+    label = "TraditionalProjectPhysical"
+
+    def __init__(self, children=(), columns=(), needs_union: bool = False) -> None:
+        super().__init__(list(children))
+        self.columns = list(columns or [])
+        self.needs_union = needs_union
+        self._done = False
+
+    def open(self, context: ExecContext) -> None:
+        super().open(context)
+        self._done = False
+
+    def _next(self, context: ExecContext):
+        if self._done:
+            return None
+        self._done = True
+        relations = [Relation.merge(child.drain()) for child in self.children]
+        non_empty = [relation for relation in relations if relation.num_rows > 0]
+        if (len(relations) == 1 and not self.needs_union) or not non_empty:
+            final = relations[0]
+        else:
+            final = self.execute(non_empty, context)
+        positions = np.arange(final.num_rows, dtype=np.int64)
+        context.metrics.output_rows += final.num_rows
+        if context.collect_feedback:
+            self.record_rows(
+                context, sum(relation.live_rows for relation in relations), final.num_rows
+            )
+        return materialize_output(final.tables, final.indices, positions, self.columns)
 
     def execute(self, relations: list[Relation], context: ExecContext) -> Relation:
         """Run the union."""

@@ -34,9 +34,34 @@ class Relation:
         """Relation over every row of a base table."""
         return cls({alias: table}, {alias: np.arange(table.num_rows, dtype=np.int64)})
 
+    @classmethod
+    def from_scan(cls, alias: str, table: Table, positions: np.ndarray, metrics) -> "Relation":
+        """The batch a scan emits: the rows of ``table`` at ``positions``."""
+        metrics.tuples_materialized += int(positions.size)
+        return cls({alias: table}, {alias: positions})
+
+    @classmethod
+    def merge(cls, batches: list["Relation"]) -> "Relation":
+        """Concatenate relations over the same alias set, in order."""
+        if len(batches) == 1:
+            return batches[0]
+        tables = {}
+        for batch in batches:
+            tables.update(batch.tables)
+        indices = {
+            alias: np.concatenate([batch.indices[alias] for batch in batches])
+            for alias in batches[0].indices
+        }
+        return cls(tables, indices)
+
     @property
     def num_rows(self) -> int:
         """Number of tuples in the relation."""
+        return self._num_rows
+
+    @property
+    def live_rows(self) -> int:
+        """Live tuples (every row of a plain relation is live)."""
         return self._num_rows
 
     @property

@@ -16,7 +16,7 @@ third execution model next to the traditional and tagged ones:
 * the bypass **planner** reuses the TPushdown plan shape — the bypass
   technique always pushes predicates down (:mod:`repro.bypass.planner`);
 * execution goes through the unified physical-operator layer
-  (:func:`repro.physical.compile.compile_plan` with ``kind="bypass"``).
+  (:func:`repro.physical.compile.compile_plan` over a ``kind="bypass"`` plan).
 
 The crucial differences from tagged execution, which the paper calls out and
 which the ablation benchmarks measure, are preserved:

@@ -7,6 +7,9 @@ may bypass an operator or be discarded outright; the data path itself is the
 conventional one (copying index rows between streams, one hash table per
 stream pair), which is precisely what separates the bypass technique from
 tagged execution.
+
+Each class is a :class:`~repro.physical.base.PhysicalOperator`; ``execute(...)``
+is the whole-stream-set kernel, callable on its own without children.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from repro.engine.result import (
 )
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
+from repro.physical.base import BuildProbeJoin, StreamingFilter
 from repro.physical.expressions import evaluate_predicate
 from repro.plan.query import JoinCondition
 
 
-class BypassFilterOperator:
+class BypassFilterOperator(StreamingFilter):
     """Split each input stream into a "true" and a "false" output stream.
 
     Streams whose tag already satisfies the overall WHERE expression bypass
@@ -46,7 +50,10 @@ class BypassFilterOperator:
         predicate: BooleanExpr,
         tree: PredicateTree | None,
         three_valued: bool = True,
+        child=None,
+        node_id=None,
     ) -> None:
+        super().__init__(child, node_id)
         self.predicate = predicate
         self.tree = tree
         self.three_valued = three_valued
@@ -127,16 +134,20 @@ class BypassFilterOperator:
         return generalized
 
 
-class BypassJoinOperator:
+class BypassJoinOperator(BuildProbeJoin):
     """Equi-join of two stream sets, one hash join per stream pair."""
 
     def __init__(
         self,
         conditions: list[JoinCondition],
         tree: PredicateTree | None,
+        build=None,
+        probe=None,
+        node_id=None,
     ) -> None:
         if not conditions:
             raise ValueError("a bypass join requires at least one join condition")
+        super().__init__(build, probe, node_id)
         self.conditions = list(conditions)
         self.tree = tree
 
@@ -177,8 +188,8 @@ class BypassJoinOperator:
         return generalized
 
 
-class BypassProjectOperator:
-    """Collect the accepted streams and materialize the output columns.
+class BypassProjectOperator(StreamingFilter):
+    """Bypass root: collect the accepted streams and materialize the output columns.
 
     Streams whose tag satisfies the root pass straight through.  Streams with
     an undetermined root assignment (possible when a predicate could not be
@@ -188,13 +199,18 @@ class BypassProjectOperator:
     deduplicating union operator BDisj relies on.
     """
 
+    label = "BypassProjectPhysical"
+
     def __init__(
         self,
         tree: PredicateTree | None,
         select: list,
         three_valued: bool = True,
         alias_tables: dict | None = None,
+        child=None,
+        node_id=None,
     ) -> None:
+        super().__init__(child, node_id)
         self.tree = tree
         self.select = list(select or [])
         self.three_valued = three_valued

@@ -68,6 +68,23 @@ class StreamSet:
         for stream in streams:
             self.add(stream)
 
+    @classmethod
+    def from_scan(cls, alias: str, table: Table, positions: np.ndarray, metrics) -> "StreamSet":
+        """The batch a scan emits: one stream over ``positions``, empty tag."""
+        metrics.streams_created += 1
+        relation = Relation.from_scan(alias, table, positions, metrics)
+        return cls([BypassStream(Tag.empty(), relation)])
+
+    @classmethod
+    def merge(cls, batches: list["StreamSet"]) -> "StreamSet":
+        """Merge stream sets; streams with equal tags are concatenated in order."""
+        if len(batches) == 1:
+            return batches[0]
+        merged = cls()
+        for batch in batches:
+            merged.extend(batch)
+        return merged
+
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
@@ -98,6 +115,11 @@ class StreamSet:
     def total_rows(self) -> int:
         """Total tuples across all streams."""
         return sum(stream.num_rows for stream in self._streams)
+
+    @property
+    def live_rows(self) -> int:
+        """Live tuples (streams hold materialized rows only)."""
+        return self.total_rows
 
     def streams(self) -> list[BypassStream]:
         """The streams, in insertion order."""

@@ -7,6 +7,10 @@ and routes results to output tags.  Implementation follows Basilisk's choices
 matching slices' bitmaps and never physically delete rows; joins build a
 single shared structure over all participating slices; values are fetched
 lazily by row index through the storage layer.
+
+Each class is a :class:`~repro.physical.base.PhysicalOperator`: the batched
+pull protocol comes from the streaming bases, ``execute(...)`` is the
+whole-relation kernel (callable on its own, without children).
 """
 
 from __future__ import annotations
@@ -17,8 +21,10 @@ from repro.core.tagged_relation import TaggedRelation
 from repro.core.tagmap import FilterTagMap, JoinTagMap, ProjectionTagSet
 from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
+from repro.engine.result import materialize_output
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
+from repro.physical.base import BuildProbeJoin, PhysicalOperator, StreamingFilter
 from repro.physical.expressions import evaluate_predicate, read_join_keys
 from repro.plan.query import JoinCondition
 from repro.storage.bitmap import Bitmap
@@ -34,10 +40,13 @@ def _concatenate(chunks: list[np.ndarray]) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-class TaggedFilterOperator:
+class TaggedFilterOperator(StreamingFilter):
     """Filter operator driven by a tag map (Section 2.2 / 2.5.2)."""
 
-    def __init__(self, predicate: BooleanExpr, tag_map: FilterTagMap) -> None:
+    def __init__(
+        self, predicate: BooleanExpr, tag_map: FilterTagMap, child=None, node_id=None
+    ) -> None:
+        super().__init__(child, node_id)
         self.predicate = predicate
         self.tag_map = tag_map
 
@@ -98,12 +107,20 @@ class TaggedFilterOperator:
         )
 
 
-class TaggedJoinOperator:
+class TaggedJoinOperator(BuildProbeJoin):
     """Hash equi-join driven by a tag map (Section 2.3 / 2.5.3)."""
 
-    def __init__(self, conditions: list[JoinCondition], tag_map: JoinTagMap) -> None:
+    def __init__(
+        self,
+        conditions: list[JoinCondition],
+        tag_map: JoinTagMap,
+        build=None,
+        probe=None,
+        node_id=None,
+    ) -> None:
         if not conditions:
             raise ValueError("a tagged join requires at least one join condition")
+        super().__init__(build, probe, node_id)
         self.conditions = list(conditions)
         self.tag_map = tag_map
 
@@ -255,26 +272,49 @@ class TaggedJoinOperator:
         return out
 
 
-class TaggedProjectOperator:
-    """Projection: the final tag-based selection point (Section 2.4)."""
+class TaggedProjectOperator(PhysicalOperator):
+    """Projection root: the final tag-based selection point (Section 2.4),
+    then materialization of ``columns``.
+
+    ``projection=None`` (a plan without tag annotations) accepts every slice.
+    """
+
+    label = "TaggedProjectPhysical"
 
     def __init__(
         self,
-        projection: ProjectionTagSet,
+        projection: ProjectionTagSet | None,
         residual_predicate: BooleanExpr | None = None,
+        columns=(),
+        child=None,
+        node_id=None,
     ) -> None:
+        super().__init__([child], node_id=node_id)
         self.projection = projection
         self.residual_predicate = residual_predicate
+        self.columns = list(columns or [])
+
+    def _next(self, context: ExecContext):
+        relation = self.children[0].next_batch()
+        if relation is None:
+            return None
+        positions = self.execute(relation, context)
+        if context.collect_feedback:
+            self.record_rows(context, relation.live_rows, int(positions.size))
+        return materialize_output(relation.tables, relation.indices, positions, self.columns)
 
     def execute(self, relation: TaggedRelation, context: ExecContext) -> np.ndarray:
         """Return the row positions (into the relation) that belong to the result."""
         context.metrics.operators_executed += 1
+        projection = self.projection
+        if projection is None:
+            projection = ProjectionTagSet(allowed=set(relation.slices))
         selected = Bitmap.empty(relation.num_rows)
-        for tag in self.projection.allowed:
+        for tag in projection.allowed:
             if tag in relation.slices:
                 selected = selected | relation.slices[tag]
 
-        residual_tags = [tag for tag in self.projection.residual if tag in relation.slices]
+        residual_tags = [tag for tag in projection.residual if tag in relation.slices]
         if residual_tags:
             if self.residual_predicate is None:
                 raise ValueError(

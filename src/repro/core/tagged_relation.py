@@ -63,6 +63,38 @@ class TaggedRelation:
         slices = {Tag.empty(): Bitmap.full(table.num_rows)}
         return cls({alias: table}, indices, slices)
 
+    @classmethod
+    def from_scan(
+        cls, alias: str, table: Table, positions: np.ndarray, metrics
+    ) -> "TaggedRelation":
+        """The batch a scan emits: ``positions`` in one slice under the empty tag."""
+        return cls(
+            {alias: table}, {alias: positions}, {Tag.empty(): Bitmap.full(int(positions.size))}
+        )
+
+    @classmethod
+    def merge(cls, batches: list["TaggedRelation"]) -> "TaggedRelation":
+        """Concatenate tagged relations in order, offsetting slice bitmaps."""
+        if len(batches) == 1:
+            return batches[0]
+        tables = {}
+        for batch in batches:
+            tables.update(batch.tables)
+        indices = {
+            alias: np.concatenate([batch.indices[alias] for batch in batches])
+            for alias in batches[0].indices
+        }
+        total_rows = sum(batch.num_rows for batch in batches)
+        masks: dict[Tag, np.ndarray] = {}
+        offset = 0
+        for batch in batches:
+            for tag, bitmap in batch.slices.items():
+                mask = masks.setdefault(tag, np.zeros(total_rows, dtype=np.bool_))
+                mask[offset:offset + batch.num_rows] = bitmap.mask
+            offset += batch.num_rows
+        slices = {tag: Bitmap.from_mask(mask) for tag, mask in masks.items()}
+        return cls(tables, indices, slices)
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -70,6 +102,11 @@ class TaggedRelation:
     def num_rows(self) -> int:
         """Physical rows in the index relation (including dropped rows)."""
         return self._num_rows
+
+    @property
+    def live_rows(self) -> int:
+        """Live tuples: rows are never physically dropped, so the slices count."""
+        return self.total_tuples()
 
     @property
     def aliases(self) -> list[str]:

@@ -1,4 +1,4 @@
-"""Runtime work counters and the per-query execution context.
+"""Runtime work counters, execution options and the per-query context.
 
 The paper explains its speedups in terms of work avoided: predicate
 subexpressions evaluated once instead of per root clause, tuples materialized
@@ -173,6 +173,68 @@ def aggregate_metrics(metrics_iterable) -> ExecutionMetrics:
     for metrics in metrics_iterable:
         total.merge(metrics)
     return total
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """How a prepared plan is run: the single definition of the execution options.
+
+    ``Session`` holds one instance as its defaults, ``QueryService`` resolves
+    its own against it once, and the keyword spellings ``Session.execute`` /
+    ``execute_prepared`` accept are per-call :meth:`replace` overrides.  No
+    option changes the rows returned.
+
+    Attributes:
+        parallelism: morsel worker threads (1 = run morsels inline); the
+            thread count *inside* each worker process when ``shards > 1``.
+        partitions: row-range partitions of the largest scanned table, one
+            morsel each; ``None`` means threads × shards.  For a
+            fixed count the output is byte-identical at any worker or shard
+            count; changing it may reorder rows (join output follows probe
+            order), never the result set.
+        shards: shared-nothing worker processes, each running a contiguous
+            block of the partitions (:mod:`repro.engine.shard`); 1 = in-process.
+        trace: attach a span tree to the result — ``True`` for a fresh
+            :class:`~repro.obs.trace.Tracer`, or a tracer to nest under.
+        collect_feedback: record per-predicate match counts and per-operator
+            actual rows (``--explain-analyze``, the service feedback loop).
+    """
+
+    parallelism: int = 1
+    partitions: int | None = None
+    shards: int = 1
+    trace: object = False
+    collect_feedback: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("parallelism", "partitions", "shards"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+
+    def replace(self, **overrides) -> "ExecOptions":
+        """These options with every non-``None`` override applied (validated).
+
+        Returns ``self`` when nothing changes, so resolving the options of a
+        call that overrides none is a constant-time read.
+        """
+        current = vars(self)
+        try:
+            changes = {
+                name: value
+                for name, value in overrides.items()
+                if current[name] != value and value is not None
+            }
+        except KeyError as unknown:
+            raise TypeError(f"unknown execution option {unknown.args[0]!r}") from None
+        return ExecOptions(**{**current, **changes}) if changes else self
+
+    @property
+    def num_partitions(self) -> int:
+        """The effective partition count."""
+        if self.partitions is not None:
+            return self.partitions
+        return self.parallelism * self.shards
 
 
 @dataclass

@@ -36,9 +36,8 @@ import atexit
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.engine.metrics import ExecContext
+from repro.engine.metrics import ExecContext, ExecOptions
 from repro.engine.result import OutputColumns
-from repro.physical.batches import merge_output_columns
 from repro.physical.compile import compile_plan, plan_scan_aliases
 from repro.plan.logical import TableScanNode
 from repro.storage.catalog import Catalog
@@ -47,7 +46,7 @@ from repro.storage.table import owned_page_range
 # Morsel pools are shared process-wide, one per worker count (in practice a
 # handful of distinct counts).  Creating a pool per query would spawn and
 # join threads on the serving hot path; idle pool threads are reused by
-# every subsequent query at that parallelism.  shutdown_morsel_pools()
+# every subsequent query with that many workers.  shutdown_morsel_pools()
 # (registered via atexit, also invoked by the shard workers' own exit path)
 # tears them down; the registry repopulates lazily afterwards.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -84,16 +83,13 @@ def shutdown_morsel_pools(wait: bool = True) -> None:
 atexit.register(shutdown_morsel_pools)
 
 
-def choose_partition_alias(kind: str, plan, catalog: Catalog) -> str | None:
+def choose_partition_alias(scans: dict[str, str], catalog: Catalog) -> str | None:
     """The alias whose scan the driver partitions (deterministic).
 
-    Picks the scanned alias with the largest base table, breaking ties by
-    alias name; returns ``None`` when the plan scans nothing.
+    Of a plan's ``scans`` (:func:`~repro.physical.compile.plan_scan_aliases`),
+    picks the alias with the largest base table, breaking ties by alias
+    name; returns ``None`` when the plan scans nothing.
     """
-    return _choose_from_scans(plan_scan_aliases(kind, plan), catalog)
-
-
-def _choose_from_scans(scans: dict[str, str], catalog: Catalog) -> str | None:
     if not scans:
         return None
     return max(
@@ -102,179 +98,42 @@ def _choose_from_scans(scans: dict[str, str], catalog: Catalog) -> str | None:
     )
 
 
-def _alias_scan_node_id(kind: str, plan, alias: str) -> int | None:
+def _alias_scan_node_id(prepared, alias: str) -> int | None:
     """The logical node id of ``alias``'s scan, when it is unambiguous.
 
-    Traditional plans scan every alias once *per subplan*, so per-node
-    attribution of driver-skipped pages is ambiguous there (None keeps the
-    accounting in the scalar ``pages_pruned`` counter only).
+    A plan with several subplans scans every alias once *per subplan*, so
+    per-node attribution of driver-skipped pages is ambiguous there (None
+    keeps the accounting in the scalar ``pages_pruned`` counter only).
     """
-    if kind == "traditional":
-        return None
     ids = [
         node.node_id
-        for node in plan.walk()
+        for root in prepared.roots
+        for node in root.walk()
         if isinstance(node, TableScanNode) and node.alias == alias
     ]
     return ids[0] if len(ids) == 1 else None
 
 
-def execute_plan(
-    kind: str,
-    plan,
+def run_morsels(
+    prepared,
     catalog: Catalog,
     context: ExecContext,
-    annotations=None,
-    predicate_tree=None,
-    three_valued: bool = True,
-    parallelism: int = 1,
-    partitions: int | None = None,
-    access_plan=None,
-    shards: int = 1,
-    query=None,
+    alias: str,
+    partitions: list,
+    scan_candidates: dict,
+    parallelism: int,
 ) -> OutputColumns:
-    """Execute a planner's output through the physical layer.
+    """The morsel loop: one compiled tree per partition of ``alias``, merged in order.
 
-    Args:
-        kind: execution model (``"tagged"``, ``"traditional"``, ``"bypass"``).
-        plan: the planner output (see :func:`repro.physical.compile.compile_plan`).
-        catalog: base tables.
-        context: the query's execution context; per-morsel forks are reduced
-            into it before returning.
-        annotations: tag maps (tagged plans).
-        predicate_tree: the query's predicate tree.
-        three_valued: SQL three-valued logic (bypass evaluation).
-        parallelism: worker threads driving morsels (1 = run inline).  Under
-            sharded execution this is the *intra-shard* thread count.
-        partitions: number of table partitions; defaults to
-            ``parallelism × shards``.  ``partitions=1`` bypasses the morsel
-            loop entirely.
-        access_plan: optional
-            :class:`~repro.access.chooser.QueryAccessPlan`; its resolved
-            candidate bitmaps restrict the scans (zone-map/index pruning) and
-            let the driver skip morsels whose partition of the partitioning
-            alias holds no candidate row.  Pruning never changes the rows
-            returned, only the pages touched.
-        shards: worker *processes* executing contiguous partition blocks
-            (see :mod:`repro.engine.shard`).  ``shards=1`` is exactly the
-            in-process path; for a fixed partition count the output is
-            byte-identical at every shard count.
-        query: the bound :class:`~repro.plan.query.Query`; when provided,
-            sharded execution may push exactly-mergeable aggregation (or a
-            bare LIMIT) down to the shards, flagging
-            ``context.aggregates_prefolded`` so output shaping skips the
-            already-folded step.
+    Each morsel runs against a forked context, inline or on the morsel
+    thread pool; children and outputs are reduced **in partition order**, so
+    counters are summed deterministically and the merged output is
+    byte-identical at any worker count.  The in-process driver and every
+    shard worker run exactly this loop.
     """
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be positive, got {parallelism}")
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
-    num_partitions = parallelism * shards if partitions is None else partitions
-    if num_partitions < 1:
-        raise ValueError(f"partitions must be positive, got {num_partitions}")
-
-    if access_plan is not None:
-        if context.tracer is not None:
-            with context.tracer.span("access_paths.resolve"):
-                scan_candidates = access_plan.resolve_all()
-        else:
-            scan_candidates = access_plan.resolve_all()
-    else:
-        scan_candidates = {}
-    if scan_candidates and context.collect_feedback:
-        # Predicate observations over pruned aliases are conditioned on the
-        # candidate set and must not feed the selectivity feedback loop.
-        context.feedback_excluded_aliases = frozenset(scan_candidates)
-
-    alias = None
-    if num_partitions > 1:
-        scans = plan_scan_aliases(kind, plan)
-        alias = _choose_from_scans(scans, catalog)
-
-    if alias is None or num_partitions == 1:
-        physical = compile_plan(
-            kind,
-            plan,
-            catalog,
-            annotations=annotations,
-            predicate_tree=predicate_tree,
-            three_valued=three_valued,
-            scan_candidates=scan_candidates,
-        )
-        context.metrics.morsels_executed += 1
-        return physical.execute(context)
-
-    table = catalog.get(scans[alias])
-    all_partitions = table.partitions(num_partitions)
-    alias_candidates = scan_candidates.get(alias)
-    if alias_candidates is not None:
-        # A morsel whose slice of the partitioning alias holds no candidate
-        # row contributes nothing to the output; skip compiling and running
-        # it.  Keep at least one morsel so the root still emits its (empty)
-        # output structure.
-        live = [
-            partition
-            for partition in all_partitions
-            if bool(alias_candidates.mask[partition.start : partition.stop].any())
-        ]
-        if not live:
-            live = all_partitions[:1]
-        page_size = table.page_size
-        scan_node_id = _alias_scan_node_id(kind, plan, alias)
-        for partition in all_partitions:
-            if partition in live:
-                continue
-            # Every page owned by a skipped morsel is pruned; record it
-            # here (against the scan's node when unambiguous) since no scan
-            # operator runs for the morsel.
-            first_page, end_page = owned_page_range(
-                partition.start, partition.stop, page_size
-            )
-            if end_page > first_page:
-                pages = end_page - first_page
-                context.metrics.record_scan_pruning(scan_node_id, pages, pages)
-        context.metrics.partitions_skipped += len(all_partitions) - len(live)
-        all_partitions = live
-
-    if shards > 1 and len(all_partitions) > 1:
-        # Scatter the live partitions across worker processes as contiguous
-        # blocks; the shard-order gather is the partition-order merge, so
-        # the result is byte-identical to the in-process path below.  All
-        # pruning accounting already happened above, at the coordinator.
-        from repro.engine.shard import scatter_gather
-
-        return scatter_gather(
-            kind=kind,
-            plan=plan,
-            catalog=catalog,
-            context=context,
-            annotations=annotations,
-            predicate_tree=predicate_tree,
-            three_valued=three_valued,
-            scan_candidates=scan_candidates,
-            alias=alias,
-            partitions=all_partitions,
-            shards=shards,
-            parallelism=parallelism,
-            query=query,
-        )
-
     morsels = [
-        (
-            partition,
-            compile_plan(
-                kind,
-                plan,
-                catalog,
-                annotations=annotations,
-                predicate_tree=predicate_tree,
-                three_valued=three_valued,
-                partition_alias=alias,
-                partition=partition,
-                scan_candidates=scan_candidates,
-            ),
-        )
-        for partition in all_partitions
+        (partition, compile_plan(prepared, catalog, alias, partition, scan_candidates))
+        for partition in partitions
     ]
 
     def run_morsel(partition, physical) -> tuple[OutputColumns, ExecContext]:
@@ -298,12 +157,100 @@ def execute_plan(
         ]
         outcomes = [future.result() for future in futures]
 
-    # Reduce per-morsel contexts and outputs in partition order: counters are
-    # summed deterministically and the merged output is byte-identical to
-    # running the same morsels serially.
     outputs = []
     for output, child in outcomes:
         context.absorb(child)
         context.metrics.morsels_executed += 1
         outputs.append(output)
-    return merge_output_columns(outputs)
+    return OutputColumns.merge(outputs)
+
+
+def execute_plan(
+    prepared, catalog: Catalog, context: ExecContext, options: ExecOptions
+) -> OutputColumns:
+    """Execute a prepared plan through the physical layer.
+
+    Args:
+        prepared: the :class:`~repro.engine.session.PreparedPlan`.  Its
+            access plan (when present) is resolved here into candidate
+            bitmaps that restrict the scans (zone-map/index pruning) and let
+            the driver skip morsels whose partition of the partitioning
+            alias holds no candidate row — pruning never changes the rows
+            returned, only the pages touched.  Its query lets sharded
+            execution push exactly-mergeable aggregation (or a LIMIT) down
+            to the shards, flagging ``context.aggregates_prefolded`` so
+            output shaping skips the already-folded step.
+        catalog: base tables (the plan's pinned snapshot).
+        context: the query's execution context; per-morsel forks are reduced
+            into it before returning.
+        options: how to run.  One partition (or a plan that scans nothing)
+            bypasses the morsel loop entirely; ``shards > 1`` scatters the
+            partitions over worker processes (:mod:`repro.engine.shard`).
+    """
+    access_plan = prepared.access_plan
+    if access_plan is not None:
+        if context.tracer is not None:
+            with context.tracer.span("access_paths.resolve"):
+                scan_candidates = access_plan.resolve_all()
+        else:
+            scan_candidates = access_plan.resolve_all()
+    else:
+        scan_candidates = {}
+    if scan_candidates and context.collect_feedback:
+        # Predicate observations over pruned aliases are conditioned on the
+        # candidate set and must not feed the selectivity feedback loop.
+        context.feedback_excluded_aliases = frozenset(scan_candidates)
+
+    num_partitions = options.num_partitions
+    scans = plan_scan_aliases(prepared) if num_partitions > 1 else {}
+    alias = choose_partition_alias(scans, catalog)
+    if alias is None:
+        physical = compile_plan(prepared, catalog, scan_candidates=scan_candidates)
+        context.metrics.morsels_executed += 1
+        return physical.execute(context)
+
+    table = catalog.get(scans[alias])
+    all_partitions = table.partitions(num_partitions)
+    alias_candidates = scan_candidates.get(alias)
+    if alias_candidates is not None:
+        # A morsel whose slice of the partitioning alias holds no candidate
+        # row contributes nothing to the output; skip compiling and running
+        # it.  Keep at least one morsel so the root still emits its (empty)
+        # output structure.
+        live = [
+            partition
+            for partition in all_partitions
+            if bool(alias_candidates.mask[partition.start : partition.stop].any())
+        ]
+        if not live:
+            live = all_partitions[:1]
+        page_size = table.page_size
+        scan_node_id = _alias_scan_node_id(prepared, alias)
+        for partition in all_partitions:
+            if partition in live:
+                continue
+            # Every page owned by a skipped morsel is pruned; record it
+            # here (against the scan's node when unambiguous) since no scan
+            # operator runs for the morsel.
+            first_page, end_page = owned_page_range(
+                partition.start, partition.stop, page_size
+            )
+            if end_page > first_page:
+                pages = end_page - first_page
+                context.metrics.record_scan_pruning(scan_node_id, pages, pages)
+        context.metrics.partitions_skipped += len(all_partitions) - len(live)
+        all_partitions = live
+
+    if options.shards > 1 and len(all_partitions) > 1:
+        # Scatter the live partitions across worker processes as contiguous
+        # blocks; the shard-order gather is the partition-order merge, so
+        # the result is byte-identical to the in-process path below.  All
+        # pruning accounting already happened above, at the coordinator.
+        from repro.engine.shard import scatter_gather
+
+        return scatter_gather(
+            prepared, catalog, context, scan_candidates, alias, all_partitions, options
+        )
+    return run_morsels(
+        prepared, catalog, context, alias, all_partitions, scan_candidates, options.parallelism
+    )

@@ -158,18 +158,6 @@ def _partial_state(
     return ("extreme", extreme_values, null_mask)
 
 
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard arrays, upcasting to object on dtype mismatch.
-
-    A shard whose groups are all-NULL for a MIN/MAX argument carries an
-    object-dtype placeholder array while other shards carry the column's
-    native dtype; mixing them must not let NumPy coerce values.
-    """
-    if len({array.dtype for array in arrays}) > 1:
-        arrays = [array.astype(object) for array in arrays]
-    return np.concatenate(arrays)
-
-
 def combine_partial_aggregates(
     partials: list[PartialAggregate], query: Query
 ) -> OutputColumns:
@@ -184,7 +172,7 @@ def combine_partial_aggregates(
     total = sum(partial.num_groups for partial in partials)
     concatenated_keys = []
     for position in range(len(group_names)):
-        values = _concat([partial.keys[position][0] for partial in partials])
+        values = np.concatenate([partial.keys[position][0] for partial in partials])
         nulls = np.concatenate([partial.keys[position][1] for partial in partials])
         concatenated_keys.append((values, nulls))
 
@@ -217,7 +205,7 @@ def _combine_state(
         np.add.at(counts, codes, addends)
         return counts, np.zeros(num_groups, dtype=np.bool_)
     if kind == "sum":
-        sums = _concat([state[1] for state in states])
+        sums = np.concatenate([state[1] for state in states])
         non_null = np.concatenate([state[2] for state in states])
         total_non_null = np.zeros(num_groups, dtype=np.int64)
         np.add.at(total_non_null, codes, non_null)
@@ -231,7 +219,7 @@ def _combine_state(
         safe = ~all_null
         averages[safe] = accumulator[safe].astype(np.float64) / total_non_null[safe]
         return averages, all_null
-    values = _concat([state[1] for state in states])
+    values = np.concatenate([state[1] for state in states])
     nulls = np.concatenate([state[2] for state in states])
     value_codes, uniques = _factorize(values, nulls)
     return _group_extreme(

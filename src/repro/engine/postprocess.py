@@ -205,11 +205,13 @@ def _group_extreme(
     """Per-group MIN/MAX via factorized ranks (works for every value type).
 
     ``empty`` flags the groups with no non-NULL input (their non-NULL count
-    is 0).  Returns ``(values, null_mask)``; empty groups are NULL.
+    is 0).  Returns ``(values, null_mask)``; empty groups are NULL.  The
+    values always have the argument column's dtype (``uniques`` carries it
+    even when empty), so per-shard partial extremes concatenate unchanged.
     """
     num_groups = empty.size
     if not mask.any() or uniques.size == 0:
-        return np.zeros(num_groups, dtype=object), np.ones(num_groups, np.bool_)
+        return np.zeros(num_groups, dtype=uniques.dtype), np.ones(num_groups, np.bool_)
     extreme = np.full(num_groups, -1 if take_max else np.iinfo(np.int64).max, dtype=np.int64)
     operation = np.maximum if take_max else np.minimum
     operation.at(extreme, codes[mask], value_codes[mask])

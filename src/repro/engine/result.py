@@ -31,6 +31,41 @@ class OutputColumns:
     def empty(cls) -> "OutputColumns":
         return cls(names=[], columns=[], row_count=0)
 
+    @property
+    def live_rows(self) -> int:
+        """Result rows (the batch-type protocol of :mod:`repro.physical.base`)."""
+        return self.row_count
+
+    @classmethod
+    def merge(cls, batches: list["OutputColumns"]) -> "OutputColumns":
+        """Concatenate output batches in order.
+
+        Empty batches are skipped; when every batch is empty, the first one
+        that still carries a column schema wins (a drained root that saw no
+        input at all yields a schema-less empty, and downstream aggregation
+        needs the names and dtypes from a sibling that kept them).
+        """
+        non_empty = [batch for batch in batches if batch.row_count > 0]
+        if not non_empty:
+            for batch in batches:
+                if batch.names:
+                    return batch
+            return batches[0] if batches else cls.empty()
+        if len(non_empty) == 1:
+            return non_empty[0]
+        columns = [
+            (
+                np.concatenate([batch.columns[position][0] for batch in non_empty]),
+                np.concatenate([batch.columns[position][1] for batch in non_empty]),
+            )
+            for position in range(len(non_empty[0].names))
+        ]
+        return cls(
+            names=list(non_empty[0].names),
+            columns=columns,
+            row_count=sum(batch.row_count for batch in non_empty),
+        )
+
 
 class QueryResult:
     """The outcome of executing one query.

@@ -45,6 +45,7 @@ entirely.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner, TraditionalPlan
@@ -54,7 +55,7 @@ from repro.core.planner.base import PlannerContext
 from repro.core.planner.cost import CostParams
 from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations
-from repro.engine.metrics import ExecContext, Stopwatch
+from repro.engine.metrics import ExecContext, ExecOptions, Stopwatch
 from repro.engine.parallel import execute_plan
 from repro.engine.postprocess import apply_output_shaping
 from repro.engine.result import QueryResult
@@ -84,6 +85,10 @@ class PreparedPlan:
         naive_tags: whether tag maps were built without pruning.
         plan: the logical plan (:class:`PlanNode` for tagged plans,
             :class:`TraditionalPlan` or :class:`BypassPlan` otherwise).
+        roots: the logical tree(s) execution compiles — one per subplan of a
+            traditional plan, otherwise the single plan tree.
+        three_valued: the SQL three-valued-logic setting the plan was
+            planned under (bypass execution evaluates with it).
         annotations: tag maps for tagged plans, ``None`` otherwise.
         predicate_tree: the query's predicate tree (``None`` without WHERE).
         plan_description: pretty-printed plan, as shown by ``explain``.
@@ -120,6 +125,7 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     query: Query
     naive_tags: bool
     plan: PlanNode | TraditionalPlan | BypassPlan
+    roots: list[PlanNode]
     annotations: PlanTagAnnotations | None
     predicate_tree: PredicateTree | None
     plan_description: str
@@ -139,6 +145,16 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     #: pruning (the snapshot scan stays correct on its own).
     access_plan: object | None = None
     snapshot: object | None = None
+    three_valued: bool = True
+
+    def shippable(self) -> "PreparedPlan":
+        """This plan without its process-local state, for shard workers.
+
+        The access plan reaches the access-path manager (an ``RLock``) and
+        the snapshot holds the tables; the coordinator resolves the former to
+        plain candidate bitmaps and ships the latter once, by token.
+        """
+        return dataclasses.replace(self, access_plan=None, snapshot=None)
 
 
 class Session:
@@ -154,16 +170,6 @@ class Session:
             sample draws (see :class:`repro.service.StatsCache`); ``None``
             recomputes statistics on every prepare, which is deterministic
             and therefore equivalent.
-        parallelism: worker threads driving per-partition morsels during
-            execution (1 = serial).  For a fixed ``partitions`` value the
-            output is byte-identical at every worker count; see
-            :mod:`repro.engine.parallel`.
-        partitions: horizontal partitions of the largest scanned table;
-            defaults to ``parallelism``, and ``1`` is exactly the legacy
-            unpartitioned path.  Changing the partition count never changes
-            the result *set*, but may reorder rows (join output follows
-            probe order).  Planning is unaffected by either knob — only the
-            execution phase is morselized.
         access_paths: consult the catalog's access-path layer (zone maps and
             secondary indexes, see :mod:`repro.access`) when planning and
             prune scans with it when executing.  Pruning is sound — results
@@ -172,14 +178,10 @@ class Session:
             :class:`~repro.access.manager.AccessPathManager` yet, one is
             registered lazily (zone maps build on first use; secondary
             indexes only ever exist when created explicitly).
-        shards: shared-nothing worker *processes* executing contiguous
-            blocks of the partitioned scan (see :mod:`repro.engine.shard`).
-            ``shards=1`` (the default) is exactly the in-process path; above
-            1, partitions default to ``parallelism × shards`` and
-            ``parallelism`` becomes the intra-shard thread count.  For a
-            fixed partition count the output is byte-identical at every
-            shard count.  Worker processes read only shipped snapshot-pinned
-            tables (no catalog, no WAL writer).
+        **overrides: session-wide execution defaults, by
+            :class:`~repro.engine.metrics.ExecOptions` field name
+            (``parallelism=``, ``partitions=``, ``shards=``, ...); kept as
+            :attr:`options`.  Planning is unaffected by any of them.
     """
 
     def __init__(
@@ -190,27 +192,17 @@ class Session:
         stats_sample_size: int = 20_000,
         selectivity_mode: str = "measured",
         stats_provider=None,
-        parallelism: int = 1,
-        partitions: int | None = None,
         access_paths: bool = True,
-        shards: int = 1,
+        **overrides,
     ) -> None:
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be positive, got {parallelism}")
-        if partitions is not None and partitions < 1:
-            raise ValueError(f"partitions must be positive, got {partitions}")
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
         self.catalog = catalog
         self.cost_params = cost_params or CostParams()
         self.three_valued = three_valued
         self.stats_sample_size = stats_sample_size
         self.selectivity_mode = selectivity_mode
         self.stats_provider = stats_provider
-        self.parallelism = parallelism
-        self.partitions = partitions
         self.access_paths = access_paths
-        self.shards = shards
+        self.options = ExecOptions().replace(**overrides)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -220,64 +212,47 @@ class Session:
         query: Query | str,
         planner: str = "tcombined",
         naive_tags: bool = False,
-        parallelism: int | None = None,
-        partitions: int | None = None,
-        shards: int | None = None,
-        trace: bool = False,
+        **overrides,
     ) -> QueryResult:
         """Plan and execute a query; returns a :class:`QueryResult`.
 
-        ``parallelism`` / ``partitions`` / ``shards`` override the session
-        defaults for this call only.  ``trace=True`` attaches a span tree to
-        the result (see :meth:`execute_prepared`).
+        ``overrides`` replace fields of the session's
+        :class:`~repro.engine.metrics.ExecOptions` for this call only
+        (``shards=2``, ``trace=True``, ...; see :meth:`execute_prepared`).
 
         When a process-ambient :class:`~repro.obs.history.WorkloadHistory`
         is installed (:func:`repro.obs.history.set_history`), the finished
-        execution is recorded there — unless a :class:`~repro.service.\
-QueryService` drove this call, in which case the service's publish point
-        (which knows the real plan-cache fingerprint) records it instead.
-        Recording happens after execution, from merged coordinator-side
-        counters; rows and IO accounting are identical with history on or
-        off.
+        execution is recorded there.  (A :class:`~repro.service.QueryService`
+        never comes through here: it records at its own publish point, which
+        knows the real plan-cache fingerprint.)  Recording happens after
+        execution, from merged coordinator-side counters; rows and IO
+        accounting are identical with history on or off.
         """
         from repro.obs import history as obs_history
 
         planner = planner.lower()
         query = self._bind(query)
-        publish = obs_history.session_should_publish()
-        wall_timer = Stopwatch() if publish else None
+        options = self.options.replace(**overrides)
+        history = obs_history.get_history()
+        wall_timer = Stopwatch()
         if planner == "tmin":
-            result = self._execute_tmin(
-                query,
-                naive_tags,
-                parallelism=parallelism,
-                partitions=partitions,
-                shards=shards,
-            )
+            result = self._execute_tmin(query, naive_tags, options)
         else:
             prepared = self.prepare(query, planner, naive_tags)
-            result = self.execute_prepared(
-                prepared,
-                parallelism=parallelism,
-                partitions=partitions,
-                shards=shards,
-                trace=trace,
+            result = self.execute_prepared(prepared, **vars(options))
+        if history is not None:
+            history.record_query(
+                fingerprint=obs_history.session_fingerprint(query, planner),
+                planner=result.planner_name,
+                seconds=wall_timer.elapsed(),
+                execution_seconds=result.execution_seconds,
+                rows=result.row_count,
+                pages_read=result.iostats.pages_read,
+                pages_pruned=result.metrics.pages_pruned,
+                cache_hit=result.cache_hit,
+                plan_hash=obs_history.plan_hash_of(result.plan_description),
+                trace=result.trace.to_dict() if result.trace is not None else None,
             )
-        if publish:
-            history = obs_history.get_history()
-            if history is not None:
-                history.record_query(
-                    fingerprint=obs_history.session_fingerprint(query, planner),
-                    planner=result.planner_name,
-                    seconds=wall_timer.elapsed(),
-                    execution_seconds=result.execution_seconds,
-                    rows=result.row_count,
-                    pages_read=result.iostats.pages_read,
-                    pages_pruned=result.metrics.pages_pruned,
-                    cache_hit=result.cache_hit,
-                    plan_hash=obs_history.plan_hash_of(result.plan_description),
-                    trace=result.trace.to_dict() if result.trace is not None else None,
-                )
         return result
 
     def begin_mutation(self):
@@ -330,6 +305,7 @@ QueryService` drove this call, in which case the service's publish point
             kind = "bypass"
             annotations = None
             plan = planned
+            roots = [planned.plan]
             description = planned.to_string()
             estimated_rows = estimate_plan_rows(planned.plan, context.estimates)
             estimated_output = estimated_rows.get(planned.plan.node_id, 0.0)
@@ -339,6 +315,7 @@ QueryService` drove this call, in which case the service's publish point
             kind = "traditional"
             annotations = None
             plan = planned
+            roots = list(planned.subplans)
             description = "\n---\n".join(
                 plan_to_string(subplan) for subplan in planned.subplans
             )
@@ -355,6 +332,7 @@ QueryService` drove this call, in which case the service's publish point
             kind = "tagged"
             annotations = planned.annotations
             plan = planned.plan
+            roots = [planned.plan]
             description = plan_to_string(planned.plan)
             estimated_rows = dict(planned.node_rows)
             estimated_output = estimated_rows.get(planned.plan.node_id, 0.0)
@@ -374,6 +352,7 @@ QueryService` drove this call, in which case the service's publish point
             query=bound,
             naive_tags=naive_tags,
             plan=plan,
+            roots=roots,
             annotations=annotations,
             predicate_tree=predicate_tree,
             plan_description=description,
@@ -392,6 +371,7 @@ QueryService` drove this call, in which case the service's publish point
             # execution, without keeping superseded generations of unrelated
             # tables alive for as long as the plan stays cached.
             snapshot=self.catalog.snapshot(tables=set(bound.tables.values())),
+            three_valued=self.three_valued,
         )
 
     def execute_prepared(
@@ -399,11 +379,7 @@ QueryService` drove this call, in which case the service's publish point
         prepared: PreparedPlan,
         planning_seconds: float | None = None,
         cache_hit: bool = False,
-        parallelism: int | None = None,
-        partitions: int | None = None,
-        collect_feedback: bool = False,
-        shards: int | None = None,
-        trace=False,
+        **overrides,
     ) -> QueryResult:
         """Execute a :class:`PreparedPlan` and return a :class:`QueryResult`.
 
@@ -413,21 +389,13 @@ QueryService` drove this call, in which case the service's publish point
         ``execute() == prepare() + execute_prepared()`` faithful to the
         paper's planning/execution split.
 
-        Execution goes through the unified physical-operator layer for all
-        three models.  With ``parallelism`` / ``partitions`` above 1 (call
-        arguments override session defaults), the plan runs morsel-by-morsel
-        on a worker pool; the partition-order merge keeps the output
-        byte-identical to running the same partitioning with one worker, at
-        any worker count.  With ``shards`` above 1 the partitions execute as
-        contiguous blocks on worker *processes* (:mod:`repro.engine.shard`)
-        — same merge order, same bytes, and exactly-mergeable aggregations
-        are pre-folded on the shards.  Output shaping runs once, after the
-        gather.
-
-        ``collect_feedback`` additionally records per-predicate match counts
-        and per-operator actual row counts into the result's metrics (the
-        inputs of ``--explain-analyze`` and the service feedback loop); it
-        never changes the rows returned.
+        The run is governed by one :class:`~repro.engine.metrics.ExecOptions`
+        (field meanings are documented there): the session's, with the
+        keyword ``overrides`` applied, e.g.
+        ``execute_prepared(plan, partitions=4, shards=2)``.  All three
+        models execute through the same physical-operator layer, morsel by
+        morsel, in-process or on shard worker processes; output shaping runs
+        once, after the gather.
 
         Execution reads the plan's pinned catalog **snapshot** (see
         :mod:`repro.mutation`): a mutation committed between ``prepare`` and
@@ -440,31 +408,25 @@ QueryService` drove this call, in which case the service's publish point
         immutable ones — with the row positions the plan's access paths were
         built against — alive until the last pinning plan is dropped.
 
-        ``trace`` opts this execution into structured tracing: pass ``True``
-        for a fresh :class:`~repro.obs.trace.Tracer` or an existing tracer
-        to nest the query under its open spans.  The result then carries the
-        span tree (``result.trace``) — query → plan (synthetic, backfilled
-        from the reported planning time) → execute (morsel / shard /
-        per-operator detail) → postprocess — and per-operator timings.
-        Tracing never changes rows, IO accounting, or work counters; with
-        ``trace`` falsy (the default) no tracer object exists at all.
+        With ``trace`` set the result carries the span tree
+        (``result.trace``) — query → plan (synthetic, backfilled from the
+        reported planning time) → execute (morsel / shard / per-operator
+        detail) → postprocess — and per-operator timings.  Tracing never
+        changes rows, IO accounting, or work counters; with ``trace`` falsy
+        (the default) no tracer object exists at all.
         """
+        options = self.options.replace(**overrides)
         query = prepared.query
         tracer = None
-        if trace:
+        if options.trace:
             from repro.obs.trace import Tracer
 
-            tracer = trace if isinstance(trace, Tracer) else Tracer()
+            tracer = options.trace if isinstance(options.trace, Tracer) else Tracer()
         exec_context = ExecContext(
-            collect_feedback=collect_feedback,
+            collect_feedback=options.collect_feedback,
             clause_selectivities=prepared.clause_selectivities,
             tracer=tracer,
         )
-        effective_parallelism = (
-            self.parallelism if parallelism is None else parallelism
-        )
-        effective_partitions = self.partitions if partitions is None else partitions
-        effective_shards = self.shards if shards is None else shards
         reported_planning = (
             prepared.planning_seconds if planning_seconds is None else planning_seconds
         )
@@ -473,25 +435,17 @@ QueryService` drove this call, in which case the service's publish point
             tracer.begin("query", planner=prepared.planner, kind=prepared.kind)
             tracer.add_synthetic("plan", reported_planning, cache_hit=cache_hit)
             tracer.begin(
-                "execute",
-                parallelism=effective_parallelism,
-                shards=effective_shards,
+                "execute", parallelism=options.parallelism, shards=options.shards
             )
 
         execution_timer = Stopwatch()
+        if not self.access_paths and prepared.access_plan is not None:
+            prepared = dataclasses.replace(prepared, access_plan=None)
         output = execute_plan(
-            prepared.kind,
-            prepared.plan.plan if prepared.kind == "bypass" else prepared.plan,
+            prepared,
             prepared.snapshot if prepared.snapshot is not None else self.catalog,
             exec_context,
-            annotations=prepared.annotations,
-            predicate_tree=prepared.predicate_tree,
-            three_valued=self.three_valued,
-            parallelism=effective_parallelism,
-            partitions=effective_partitions,
-            access_plan=prepared.access_plan if self.access_paths else None,
-            shards=effective_shards,
-            query=query,
+            options,
         )
         if tracer is not None:
             # Materialize one span per operator under the still-open execute
@@ -585,20 +539,18 @@ QueryService` drove this call, in which case the service's publish point
         )
 
     def _execute_tmin(
-        self,
-        query: Query,
-        naive_tags: bool,
-        parallelism: int | None = None,
-        partitions: int | None = None,
-        shards: int | None = None,
+        self, query: Query, naive_tags: bool, options: ExecOptions
     ) -> QueryResult:
-        """Execute every tagged candidate planner and keep the fastest run."""
+        """Execute every tagged candidate planner and keep the fastest run.
+
+        The oracle compares wall-clock, so candidates run untraced and
+        without feedback collection whatever ``options`` says.
+        """
+        options = options.replace(trace=False, collect_feedback=False)
         best: QueryResult | None = None
         for planner in TMIN_CANDIDATES:
             prepared = self.prepare(query, planner, naive_tags)
-            result = self.execute_prepared(
-                prepared, parallelism=parallelism, partitions=partitions, shards=shards
-            )
+            result = self.execute_prepared(prepared, **vars(options))
             if best is None or result.total_seconds < best.total_seconds:
                 best = result
         assert best is not None

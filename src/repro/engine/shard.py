@@ -6,8 +6,9 @@ module adds the process tier behind the ``shards=N`` knob: the coordinator
 splits the partitioning alias's partitions into **contiguous blocks** (one
 per shard, ``np.array_split`` geometry), ships each block to a worker
 *process* together with everything needed to re-create the physical plan —
-the logical plan, tag annotations, predicate tree, the plan's clause
-selectivities and the resolved scan-candidate bitmaps — and gathers the per-shard outputs back **in shard order**.
+the prepared plan (minus its process-local state) and the resolved
+scan-candidate bitmaps — and gathers the per-shard outputs back **in shard
+order**.
 
 Because shard blocks are contiguous in partition order, gathering in shard
 order *is* the partition-order merge: for a fixed partition count the result
@@ -53,7 +54,6 @@ thread pools), guarded for exclusive use per query, and torn down by
 The start method defaults to ``forkserver`` when available (``spawn``
 otherwise): forking from the single-threaded server process sidesteps the
 fork-while-multithreaded hazard that morsel/service thread pools would pose.
-Override with the ``REPRO_SHARD_START_METHOD`` environment variable.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ import threading
 import traceback
 from dataclasses import dataclass
 
-from repro.engine.metrics import ExecContext
+from repro.engine.metrics import ExecContext, ExecOptions
 from repro.engine.partial_agg import (
     aggregation_pushdown_supported,
     combine_partial_aggregates,
@@ -74,13 +74,8 @@ from repro.engine.partial_agg import (
 )
 from repro.engine.postprocess import limit_candidates
 from repro.engine.result import OutputColumns
-from repro.physical.batches import merge_output_columns
-from repro.physical.compile import compile_plan, plan_scan_aliases
+from repro.physical.compile import plan_scan_aliases
 from repro.storage.table import TablePartition
-
-#: Environment variable overriding the multiprocessing start method used for
-#: shard workers (``fork`` / ``forkserver`` / ``spawn``).
-START_METHOD_ENV = "REPRO_SHARD_START_METHOD"
 
 #: Most-recently-used tables each worker process keeps cached between
 #: queries.  Bounded so long-lived pools serving many catalogs cannot grow
@@ -96,53 +91,37 @@ class ShardExecutionError(RuntimeError):
 class ShardSpec:
     """Everything a worker needs to re-create and run the physical plan.
 
-    The spec is the shard-shippable projection of a
-    :class:`~repro.engine.session.PreparedPlan`: the logical plan plus its
-    clause selectivities and the snapshot/table-version pins —
-    everything *except* process-local state (catalog locks, access-path
-    managers).  Access paths are resolved at the coordinator; only the
-    resulting candidate bitmaps ship.
-
     Attributes:
-        kind: execution model (``"tagged"`` / ``"traditional"`` / ``"bypass"``).
-        plan: the logical plan (compiled per partition on the worker).
-        annotations: tag maps for tagged plans.
-        predicate_tree: the query's predicate tree.
-        three_valued: SQL three-valued logic flag.
-        clause_selectivities: the plan's clause-ordering selectivities
-            (see :class:`~repro.engine.metrics.ExecContext`).
+        prepared: the plan, as :meth:`PreparedPlan.shippable()
+            <repro.engine.session.PreparedPlan.shippable>` leaves it —
+            everything *except* process-local state (the snapshot's tables
+            ship separately, once; access paths are resolved at the
+            coordinator and only the candidate bitmaps below ship).
         collect_feedback: record per-predicate/per-operator observations.
         feedback_excluded_aliases: aliases whose observations are biased by
             candidate pruning (see :class:`~repro.engine.metrics.ExecContext`).
         scan_candidates: alias -> candidate bitmap, resolved at the
             coordinator from the access-path layer.
         partition_alias: the alias whose scan is partitioned.
-        partition_table: the partitioning alias's base-table name.
+        parallelism: morsel threads *inside* each worker process.
         snapshot_version: catalog version the read is pinned at.
         table_versions: per-table version pins of the shipped tables.
         push_mode: ``"none"`` | ``"aggregate"`` | ``"limit"`` pushdown.
-        query: the bound query (shipped only when a pushdown needs it).
         trace: when True the worker runs under a private
             :class:`~repro.obs.trace.Tracer` and ships the span tree back as
             plain data; the coordinator re-anchors it into the query trace.
             Never changes rows, metrics, or IO accounting.
     """
 
-    kind: str
-    plan: object
-    annotations: object
-    predicate_tree: object
-    three_valued: bool
-    clause_selectivities: dict
+    prepared: object
     collect_feedback: bool
     feedback_excluded_aliases: frozenset
     scan_candidates: dict
     partition_alias: str
-    partition_table: str
+    parallelism: int
     snapshot_version: int
     table_versions: dict
     push_mode: str = "none"
-    query: object = None
     trace: bool = False
 
 
@@ -155,13 +134,10 @@ class ShardTask:
         ranges: ``(index, start, stop)`` per partition, ascending — the
             worker re-creates :class:`~repro.storage.table.TablePartition`
             objects from the shipped base table.
-        parallelism: intra-shard morsel threads (the session's
-            ``parallelism`` knob applies *within* each worker process).
     """
 
     spec: ShardSpec
     ranges: tuple
-    parallelism: int = 1
 
 
 # --------------------------------------------------------------------------- #
@@ -174,10 +150,11 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
     ``trace_payload`` is the shipped span tree (plain data) when the spec
     asked for tracing, else ``None``.
     """
-    from repro.engine.parallel import _morsel_pool
+    from repro.engine.parallel import run_morsels
     from repro.mutation.snapshot import CatalogSnapshot
 
     spec = task.spec
+    prepared = spec.prepared
     catalog = CatalogSnapshot(
         version=spec.snapshot_version,
         tables=tables,
@@ -191,58 +168,20 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
     context = ExecContext(
         collect_feedback=spec.collect_feedback,
         feedback_excluded_aliases=spec.feedback_excluded_aliases,
-        clause_selectivities=spec.clause_selectivities,
+        clause_selectivities=prepared.clause_selectivities,
         tracer=tracer,
     )
-    base_table = tables[spec.partition_table]
-    morsels = [
-        compile_plan(
-            spec.kind,
-            spec.plan,
-            catalog,
-            annotations=spec.annotations,
-            predicate_tree=spec.predicate_tree,
-            three_valued=spec.three_valued,
-            partition_alias=spec.partition_alias,
-            partition=TablePartition(
-                table=base_table, index=index, start=start, stop=stop
-            ),
-            scan_candidates=spec.scan_candidates,
-        )
+    alias = spec.partition_alias
+    base_table = tables[plan_scan_aliases(prepared)[alias]]
+    partitions = [
+        TablePartition(table=base_table, index=index, start=start, stop=stop)
         for index, start, stop in task.ranges
     ]
-
-    def run_morsel(block_range, physical) -> tuple[OutputColumns, ExecContext]:
-        child = context.fork()
-        if child.tracer is not None:
-            _index, start, stop = block_range
-            with child.tracer.span("morsel", start_row=start, stop_row=stop):
-                output = physical.execute(child)
-        else:
-            output = physical.execute(child)
-        return output, child
-
     if tracer is not None:
-        tracer.begin("shard", pid=os.getpid(), partitions=len(task.ranges))
-    if task.parallelism <= 1 or len(morsels) == 1:
-        outcomes = [
-            run_morsel(block_range, physical)
-            for block_range, physical in zip(task.ranges, morsels)
-        ]
-    else:
-        pool = _morsel_pool(min(task.parallelism, len(morsels)))
-        futures = [
-            pool.submit(run_morsel, block_range, physical)
-            for block_range, physical in zip(task.ranges, morsels)
-        ]
-        outcomes = [future.result() for future in futures]
-
-    outputs = []
-    for output, child in outcomes:
-        context.absorb(child)
-        context.metrics.morsels_executed += 1
-        outputs.append(output)
-    merged = merge_output_columns(outputs)
+        tracer.begin("shard", pid=os.getpid(), partitions=len(partitions))
+    merged = run_morsels(
+        prepared, catalog, context, alias, partitions, spec.scan_candidates, spec.parallelism
+    )
     if tracer is not None:
         tracer.end(
             pages_read=context.iostats.pages_read,
@@ -250,9 +189,9 @@ def _run_task(task: ShardTask, tables: dict) -> tuple:
         )
 
     if spec.push_mode == "aggregate":
-        payload = ("partial", partial_aggregate(merged, spec.query))
+        payload = ("partial", partial_aggregate(merged, prepared.query))
     elif spec.push_mode == "limit":
-        payload = ("rows", limit_candidates(merged, spec.query))
+        payload = ("rows", limit_candidates(merged, prepared.query))
     else:
         payload = ("rows", merged)
     trace_payload = tracer.to_payload() if tracer is not None else None
@@ -322,9 +261,6 @@ def _worker_loop(connection, cache: dict) -> None:
 # The pool
 # --------------------------------------------------------------------------- #
 def _start_method() -> str:
-    override = os.environ.get(START_METHOD_ENV)
-    if override:
-        return override
     if "forkserver" in multiprocessing.get_all_start_methods():
         return "forkserver"
     return "spawn"
@@ -391,7 +327,7 @@ class ShardPool:
             self._close_locked()
             raise
 
-    def run(self, spec: ShardSpec, tables: dict, assignments: list, parallelism: int):
+    def run(self, spec: ShardSpec, tables: dict, assignments: list):
         """Scatter one task per assignment block; gather results in order.
 
         Returns ``[(payload, metrics, iostats, trace_payload), ...]`` in
@@ -414,9 +350,7 @@ class ShardPool:
                         shipped = None if token in worker.shipped else table
                         payload[name] = (token, shipped)
                         tokens.append(token)
-                    task = ShardTask(
-                        spec=spec, ranges=tuple(ranges), parallelism=parallelism
-                    )
+                    task = ShardTask(spec=spec, ranges=tuple(ranges))
                     worker.connection.send(("exec", task, payload))
                     sent_tokens.append(tokens)
 
@@ -515,65 +449,54 @@ atexit.register(shutdown_shard_pools)
 # Coordinator entry point
 # --------------------------------------------------------------------------- #
 def scatter_gather(
-    *,
-    kind: str,
-    plan,
+    prepared,
     catalog,
     context: ExecContext,
-    annotations,
-    predicate_tree,
-    three_valued: bool,
     scan_candidates: dict,
     alias: str,
     partitions: list,
-    shards: int,
-    parallelism: int,
-    query=None,
+    options: ExecOptions,
 ) -> OutputColumns:
     """Execute ``partitions`` across shard workers; gather in partition order.
 
     Called by :func:`repro.engine.parallel.execute_plan` once partition
     pruning has run — only live partitions are shipped, so the coordinator
     keeps all pruning accounting.  Per-shard metrics/IO counters are merged
-    back through ``context.fork()``/``absorb()``; when aggregation was pushed
+    back through the context's fork/absorb; when aggregation was pushed
     down, ``context.aggregates_prefolded`` is set so output shaping skips the
     (already folded) aggregate step.
     """
-    scans = plan_scan_aliases(kind, plan)
-    tables = {name: catalog.get(name) for name in sorted(set(scans.values()))}
+    query = prepared.query
+    tables = {
+        name: catalog.get(name)
+        for name in sorted(set(plan_scan_aliases(prepared).values()))
+    }
 
     push_mode = "none"
-    if query is not None:
-        if query.aggregates:
-            if aggregation_pushdown_supported(query, catalog):
-                push_mode = "aggregate"
-        elif query.limit is not None and not query.distinct:
-            push_mode = "limit"
+    if query.aggregates:
+        if aggregation_pushdown_supported(query, catalog):
+            push_mode = "aggregate"
+    elif query.limit is not None and not query.distinct:
+        push_mode = "limit"
 
     spec = ShardSpec(
-        kind=kind,
-        plan=plan,
-        annotations=annotations,
-        predicate_tree=predicate_tree,
-        three_valued=three_valued,
-        clause_selectivities=context.clause_selectivities,
+        prepared=prepared.shippable(),
         collect_feedback=context.collect_feedback,
         feedback_excluded_aliases=context.feedback_excluded_aliases,
         scan_candidates=scan_candidates,
         partition_alias=alias,
-        partition_table=scans[alias],
+        parallelism=options.parallelism,
         snapshot_version=catalog.version,
         table_versions={
             name: catalog.table_version(name) for name in tables
         },
         push_mode=push_mode,
-        query=query if push_mode != "none" else None,
         trace=context.tracer is not None,
     )
 
     # Contiguous blocks in partition order (np.array_split geometry): the
     # shard-order gather below therefore *is* the partition-order merge.
-    count = min(shards, len(partitions))
+    count = min(options.shards, len(partitions))
     base, extra = divmod(len(partitions), count)
     assignments = []
     cursor = 0
@@ -591,7 +514,7 @@ def scatter_gather(
             "shard.scatter_gather", shards=count, push_mode=push_mode
         )
     try:
-        results = shard_pool(shards).run(spec, tables, assignments, parallelism)
+        results = shard_pool(options.shards).run(spec, tables, assignments)
     except BaseException:
         if tracer is not None:
             tracer.end(error=True)
@@ -622,4 +545,4 @@ def scatter_gather(
         return combine_partial_aggregates(partials, query)
     # "limit" payloads are per-block candidates; the caller's ordinary output
     # shaping of their concatenation equals shaping every row.
-    return merge_output_columns(outputs)
+    return OutputColumns.merge(outputs)

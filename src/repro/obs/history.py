@@ -18,10 +18,10 @@ the re-plan count.  A :class:`WorkloadHistory` owns one store and optionally
 see this module's state: per-execution counters merge through the engine's
 ``ExecContext`` fork/absorb, and only the *coordinator* — ``QueryService``'s
 publish point, or ``Session.execute`` for bare sessions — records the merged
-totals here, exactly once per query.  The :func:`service_publishes` context
-manager is the seam that keeps it exactly once: the service wraps its
-delegations to ``Session.execute`` in it, so a bare session publishes to the
-ambient history only when no service is doing it on its behalf.
+totals here, exactly once per query.  The service never calls
+``Session.execute`` (it runs prepared plans, and the ``tmin`` oracle through
+the session's non-publishing internal), so there is one publish point per
+query by construction.
 
 The ambient seam (:func:`set_history` / :func:`get_history`) is how
 lower layers — the compactor, recovery, conflict retry — journal events
@@ -34,8 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -465,12 +463,6 @@ class WorkloadHistory:
 #: read by Session.execute and the mutation subsystem's event hooks.
 _AMBIENT: WorkloadHistory | None = None
 
-#: True while a QueryService is the publisher for the current execution —
-#: Session.execute then skips its own ambient publish (no double counting).
-_SERVICE_PUBLISHER: ContextVar[bool] = ContextVar(
-    "repro_history_service_publisher", default=False
-)
-
 
 def set_history(history: WorkloadHistory | None) -> WorkloadHistory | None:
     """Install (or clear, with ``None``) the ambient history; returns the old one."""
@@ -490,24 +482,3 @@ def record_event(kind: str, **fields) -> None:
     history = _AMBIENT
     if history is not None:
         history.record_event(kind, **fields)
-
-
-@contextmanager
-def service_publishes():
-    """Mark the current context: a service publishes history for this query.
-
-    ``QueryService`` wraps its delegations to ``Session.execute`` in this so
-    the session's own ambient publish stands down — the service's publish
-    point (which knows the real plan-cache fingerprint) records the query
-    exactly once.
-    """
-    token = _SERVICE_PUBLISHER.set(True)
-    try:
-        yield
-    finally:
-        _SERVICE_PUBLISHER.reset(token)
-
-
-def session_should_publish() -> bool:
-    """Should a bare ``Session.execute`` publish to the ambient history?"""
-    return _AMBIENT is not None and not _SERVICE_PUBLISHER.get()

@@ -15,15 +15,6 @@ from repro.expr.ast import AndExpr, OrExpr
 from repro.plan.logical import FilterNode, PlanNode, TableScanNode
 
 
-def _plan_roots(prepared) -> list[PlanNode]:
-    """The logical root(s) of a prepared plan, across execution models."""
-    if prepared.kind == "traditional":
-        return list(prepared.plan.subplans)
-    if prepared.kind == "bypass":
-        return [prepared.plan.plan]
-    return [prepared.plan]
-
-
 def _format_rows(value: float | None) -> str:
     if value is None:
         return "-"
@@ -132,7 +123,7 @@ def explain_analyze_report(prepared, result) -> str:
         for child in node.children:
             walk(child, depth + 1)
 
-    roots = _plan_roots(prepared)
+    roots = prepared.roots
     for index, root in enumerate(roots):
         if index:
             rows.append(("---", "", "", "", "", "", ""))

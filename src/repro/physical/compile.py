@@ -1,12 +1,11 @@
-"""Lowering logical plans onto the physical-operator layer.
+"""Lowering a prepared plan onto the physical-operator layer.
 
-:func:`compile_plan` turns the planner output of any execution model —
-a tagged :class:`~repro.plan.logical.PlanNode` tree, a
-:class:`~repro.baseline.planners.TraditionalPlan`, or a
-:class:`~repro.bypass.planner.BypassPlan` — into one
-:class:`PhysicalPlan`: a tree of
+:func:`compile_plan` turns a :class:`~repro.engine.session.PreparedPlan` of
+any execution model into one :class:`PhysicalPlan`: a tree of
 :class:`~repro.physical.base.PhysicalOperator` objects whose root emits
-:class:`~repro.engine.result.OutputColumns` batches.
+:class:`~repro.engine.result.OutputColumns` batches.  The walk over the
+logical tree(s) is the same for every model; :data:`MODELS` names the
+operator built at each filter, join and root.
 
 The compiler optionally restricts a single table alias to a
 :class:`~repro.storage.table.TablePartition`; the morsel driver compiles one
@@ -20,25 +19,23 @@ exactly one side of every join.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.baseline.operators import FilterOperator, HashJoinOperator
-from repro.baseline.planners import TraditionalPlan
-from repro.bypass.operators import BypassFilterOperator, BypassJoinOperator
-from repro.core.operators import TaggedFilterOperator, TaggedJoinOperator
-from repro.core.predtree import PredicateTree
-from repro.core.tagmap import PlanTagAnnotations
+from repro.baseline.operators import FilterOperator, HashJoinOperator, UnionOperator
+from repro.bypass.operators import (
+    BypassFilterOperator,
+    BypassJoinOperator,
+    BypassProjectOperator,
+)
+from repro.core.operators import (
+    TaggedFilterOperator,
+    TaggedJoinOperator,
+    TaggedProjectOperator,
+)
 from repro.engine.metrics import ExecContext
 from repro.engine.result import OutputColumns
 from repro.physical.base import PhysicalOperator
-from repro.physical.batches import merge_output_columns
-from repro.physical.operators import (
-    BypassProjectPhysical,
-    FilterPhysical,
-    JoinPhysical,
-    ScanPhysical,
-    TaggedProjectPhysical,
-    TraditionalProjectPhysical,
-)
+from repro.physical.operators import ScanPhysical
 from repro.plan.logical import FilterNode, JoinNode, PlanNode, ProjectNode, TableScanNode
 from repro.storage.bitmap import Bitmap
 from repro.storage.catalog import Catalog
@@ -69,236 +66,167 @@ class PhysicalPlan:
             self.root.close()
         if not batches:
             return OutputColumns.empty()
-        return merge_output_columns(batches)
+        return OutputColumns.merge(batches)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """How one execution model builds its operators from logical nodes."""
+
+    #: ``(prepared, node, child) -> operator`` (may return ``child`` itself).
+    filter: Callable
+    #: ``(prepared, node, build, probe) -> operator``.
+    join: Callable
+    #: ``(prepared, children, catalog) -> root operator`` over the compiled
+    #: children of ``prepared.roots``.
+    root: Callable
+
+
+def _tagged_filter(prepared, node, child):
+    # A filter the tag maps do not mention refines no slice: it compiles away.
+    tag_map = prepared.annotations.filter_maps.get(node.node_id)
+    if tag_map is None:
+        return child
+    return TaggedFilterOperator(node.predicate, tag_map, child, node.node_id)
+
+
+def _tagged_root(prepared, children, catalog):
+    (plan,) = prepared.roots
+    annotations, tree = prepared.annotations, prepared.predicate_tree
+    return TaggedProjectOperator(
+        annotations.projection if annotations else None,
+        tree.expression if tree is not None else None,
+        plan.columns,
+        children[0],
+        plan.node_id,
+    )
+
+
+def _traditional_root(prepared, children, catalog):
+    if not children:
+        raise ValueError("traditional plan has no subplans")
+    return UnionOperator(children, prepared.roots[-1].columns, prepared.plan.needs_union)
+
+
+def _bypass_root(prepared, children, catalog):
+    (plan,) = prepared.roots
+    # The root keeps the alias -> table map so a partition where every
+    # stream was rejected still emits a schema-carrying empty output
+    # (downstream aggregation needs the column names and dtypes).
+    alias_tables = {
+        alias: catalog.get(table) for alias, table in plan_scan_aliases(prepared).items()
+    }
+    return BypassProjectOperator(
+        prepared.predicate_tree,
+        plan.columns,
+        prepared.three_valued,
+        alias_tables,
+        children[0],
+        plan.node_id,
+    )
+
+
+#: Execution kind -> the operators its plans compile to.
+MODELS = {
+    "tagged": _Model(
+        filter=_tagged_filter,
+        join=lambda prepared, node, build, probe: TaggedJoinOperator(
+            node.conditions, prepared.annotations.join_maps[node.node_id],
+            build, probe, node.node_id,
+        ),
+        root=_tagged_root,
+    ),
+    "traditional": _Model(
+        filter=lambda prepared, node, child: FilterOperator(
+            node.predicate, child, node.node_id
+        ),
+        join=lambda prepared, node, build, probe: HashJoinOperator(
+            node.conditions, build, probe, node.node_id
+        ),
+        root=_traditional_root,
+    ),
+    "bypass": _Model(
+        filter=lambda prepared, node, child: BypassFilterOperator(
+            node.predicate, prepared.predicate_tree, prepared.three_valued,
+            child, node.node_id,
+        ),
+        join=lambda prepared, node, build, probe: BypassJoinOperator(
+            node.conditions, prepared.predicate_tree, build, probe, node.node_id
+        ),
+        root=_bypass_root,
+    ),
+}
 
 
 def compile_plan(
-    kind: str,
-    plan,
+    prepared,
     catalog: Catalog,
-    annotations: PlanTagAnnotations | None = None,
-    predicate_tree: PredicateTree | None = None,
-    three_valued: bool = True,
     partition_alias: str | None = None,
     partition: TablePartition | None = None,
-    scan_candidates: dict[str, "Bitmap"] | None = None,
+    scan_candidates: dict[str, Bitmap] | None = None,
 ) -> PhysicalPlan:
-    """Compile a planner's output into a :class:`PhysicalPlan`.
+    """Compile a :class:`~repro.engine.session.PreparedPlan` into a :class:`PhysicalPlan`.
 
     Args:
-        kind: ``"tagged"``, ``"traditional"`` or ``"bypass"``.
-        plan: the planner output (PlanNode root for tagged/bypass, a
-            TraditionalPlan for traditional; a BypassPlan's ``.plan`` should
-            be passed for bypass).
+        prepared: the plan; ``kind`` picks the operators, ``roots`` are the
+            logical trees walked, ``annotations`` / ``predicate_tree`` /
+            ``three_valued`` parameterize them.
         catalog: base tables.
-        annotations: tag maps (tagged plans only).
-        predicate_tree: the query's predicate tree (tagged residual +
-            bypass routing).
-        three_valued: SQL three-valued logic for bypass evaluation.
         partition_alias: alias whose scan is restricted to ``partition``.
         partition: the row-range slice for ``partition_alias``.
         scan_candidates: alias -> access-path candidate bitmap; scans of
             those aliases emit only candidate rows (zone-map/index pruning).
     """
-    compiler = _Compiler(
-        kind=kind,
-        catalog=catalog,
-        annotations=annotations,
-        predicate_tree=predicate_tree,
-        three_valued=three_valued,
-        partition_alias=partition_alias,
-        partition=partition,
-        scan_candidates=scan_candidates,
+    model = MODELS.get(prepared.kind)
+    if model is None:
+        raise ValueError(f"unknown execution kind {prepared.kind!r}")
+    candidates = scan_candidates or {}
+
+    def scan(node: TableScanNode) -> ScanPhysical:
+        return ScanPhysical(
+            prepared.kind,
+            node.alias,
+            catalog.get(node.table_name),
+            partition if node.alias == partition_alias else None,
+            node_id=node.node_id,
+            candidates=candidates.get(node.alias),
+        )
+
+    for root in prepared.roots:
+        if not isinstance(root, ProjectNode):
+            raise ValueError(f"{prepared.kind} plans must be rooted at a ProjectNode")
+    children = [_lower(root.child, prepared, model, scan) for root in prepared.roots]
+    return PhysicalPlan(
+        kind=prepared.kind, root=model.root(prepared, children, catalog), partition=partition
     )
-    if kind == "traditional":
-        root = compiler.compile_traditional(plan)
-    elif kind == "tagged":
-        root = compiler.compile_tagged(plan)
-    elif kind == "bypass":
-        root = compiler.compile_bypass(plan)
-    else:
-        raise ValueError(f"unknown execution kind {kind!r}")
-    return PhysicalPlan(kind=kind, root=root, partition=partition)
 
 
-def plan_scan_aliases(kind: str, plan) -> dict[str, str]:
-    """Alias -> table-name of every base-table scan in a planner's output.
+def _lower(node: PlanNode, prepared, model: _Model, scan: Callable) -> PhysicalOperator:
+    """The one tree walk: scans through ``scan``, the rest through ``model``."""
+    if isinstance(node, TableScanNode):
+        return scan(node)
+    if isinstance(node, FilterNode):
+        return model.filter(prepared, node, _lower(node.child, prepared, model, scan))
+    if isinstance(node, JoinNode):
+        build = _lower(node.left, prepared, model, scan)
+        probe = _lower(node.right, prepared, model, scan)
+        return model.join(prepared, node, build, probe)
+    if isinstance(node, ProjectNode):
+        raise ValueError("nested ProjectNode encountered; plans must have a single root")
+    raise TypeError(f"unknown plan node type: {type(node).__name__}")
 
-    For traditional plans the first subplan is inspected (all subplans scan
-    the same query aliases).  Used by the parallel driver to pick the
+
+def plan_scan_aliases(prepared) -> dict[str, str]:
+    """Alias -> table-name of every base-table scan of a prepared plan.
+
+    The first logical root is inspected (a traditional plan's subplans all
+    scan the same query aliases).  Used by the parallel driver to pick the
     partitioning alias deterministically.
     """
-    if kind == "traditional":
-        if not plan.subplans:
-            return {}
-        node = plan.subplans[0]
-    else:
-        node = plan
+    if not prepared.roots:
+        return {}
     return {
         scan.alias: scan.table_name
-        for scan in node.walk()
+        for scan in prepared.roots[0].walk()
         if isinstance(scan, TableScanNode)
     }
-
-
-class _Compiler:
-    """Walks a logical plan and emits the physical tree for one model."""
-
-    def __init__(
-        self,
-        kind: str,
-        catalog: Catalog,
-        annotations: PlanTagAnnotations | None,
-        predicate_tree: PredicateTree | None,
-        three_valued: bool,
-        partition_alias: str | None,
-        partition: TablePartition | None,
-        scan_candidates: dict[str, "Bitmap"] | None = None,
-    ) -> None:
-        self.kind = kind
-        self.catalog = catalog
-        self.annotations = annotations
-        self.predicate_tree = predicate_tree
-        self.three_valued = three_valued
-        self.partition_alias = partition_alias
-        self.partition = partition
-        self.scan_candidates = scan_candidates or {}
-
-    # ------------------------------------------------------------------ #
-    # Shared pieces
-    # ------------------------------------------------------------------ #
-    def _scan(self, node: TableScanNode) -> ScanPhysical:
-        partition = (
-            self.partition if node.alias == self.partition_alias else None
-        )
-        return ScanPhysical(
-            self.kind,
-            node.alias,
-            self.catalog.get(node.table_name),
-            partition,
-            node_id=node.node_id,
-            candidates=self.scan_candidates.get(node.alias),
-        )
-
-    @staticmethod
-    def _reject_project(node: PlanNode) -> None:
-        if isinstance(node, ProjectNode):
-            raise ValueError(
-                "nested ProjectNode encountered; plans must have a single root"
-            )
-        raise TypeError(f"unknown plan node type: {type(node).__name__}")
-
-    # ------------------------------------------------------------------ #
-    # Tagged
-    # ------------------------------------------------------------------ #
-    def compile_tagged(self, plan: PlanNode) -> PhysicalOperator:
-        if not isinstance(plan, ProjectNode):
-            raise ValueError("tagged plans must be rooted at a ProjectNode")
-        child = self._tagged_node(plan.child)
-        projection = self.annotations.projection if self.annotations else None
-        residual = (
-            self.predicate_tree.expression if self.predicate_tree is not None else None
-        )
-        return TaggedProjectPhysical(
-            child, projection, residual, plan.columns, node_id=plan.node_id
-        )
-
-    def _tagged_node(self, node: PlanNode) -> PhysicalOperator:
-        if isinstance(node, TableScanNode):
-            return self._scan(node)
-        if isinstance(node, FilterNode):
-            child = self._tagged_node(node.child)
-            tag_map = self.annotations.filter_maps.get(node.node_id)
-            if tag_map is None:
-                return child
-            return FilterPhysical(
-                TaggedFilterOperator(node.predicate, tag_map), child, node_id=node.node_id
-            )
-        if isinstance(node, JoinNode):
-            build = self._tagged_node(node.left)
-            probe = self._tagged_node(node.right)
-            tag_map = self.annotations.join_maps[node.node_id]
-            return JoinPhysical(
-                TaggedJoinOperator(node.conditions, tag_map),
-                build,
-                probe,
-                node_id=node.node_id,
-            )
-        self._reject_project(node)
-
-    # ------------------------------------------------------------------ #
-    # Traditional
-    # ------------------------------------------------------------------ #
-    def compile_traditional(self, plan: TraditionalPlan) -> PhysicalOperator:
-        if not plan.subplans:
-            raise ValueError("traditional plan has no subplans")
-        children = []
-        project_columns = None
-        for subplan in plan.subplans:
-            if not isinstance(subplan, ProjectNode):
-                raise ValueError("traditional subplans must be rooted at a ProjectNode")
-            project_columns = subplan.columns
-            children.append(self._traditional_node(subplan.child))
-        return TraditionalProjectPhysical(
-            children, project_columns or [], plan.needs_union
-        )
-
-    def _traditional_node(self, node: PlanNode) -> PhysicalOperator:
-        if isinstance(node, TableScanNode):
-            return self._scan(node)
-        if isinstance(node, FilterNode):
-            child = self._traditional_node(node.child)
-            return FilterPhysical(
-                FilterOperator(node.predicate), child, node_id=node.node_id
-            )
-        if isinstance(node, JoinNode):
-            build = self._traditional_node(node.left)
-            probe = self._traditional_node(node.right)
-            return JoinPhysical(
-                HashJoinOperator(node.conditions), build, probe, node_id=node.node_id
-            )
-        self._reject_project(node)
-
-    # ------------------------------------------------------------------ #
-    # Bypass
-    # ------------------------------------------------------------------ #
-    def compile_bypass(self, plan: PlanNode) -> PhysicalOperator:
-        if not isinstance(plan, ProjectNode):
-            raise ValueError("bypass plans must be rooted at a ProjectNode")
-        child = self._bypass_node(plan.child)
-        # The root keeps the alias -> table map so a partition where every
-        # stream was rejected still emits a schema-carrying empty output
-        # (downstream aggregation needs the column names and dtypes).
-        alias_tables = {
-            scan.alias: self.catalog.get(scan.table_name)
-            for scan in plan.walk()
-            if isinstance(scan, TableScanNode)
-        }
-        return BypassProjectPhysical(
-            child,
-            self.predicate_tree,
-            plan.columns,
-            self.three_valued,
-            node_id=plan.node_id,
-            alias_tables=alias_tables,
-        )
-
-    def _bypass_node(self, node: PlanNode) -> PhysicalOperator:
-        if isinstance(node, TableScanNode):
-            return self._scan(node)
-        if isinstance(node, FilterNode):
-            child = self._bypass_node(node.child)
-            kernel = BypassFilterOperator(
-                node.predicate, self.predicate_tree, three_valued=self.three_valued
-            )
-            return FilterPhysical(kernel, child, node_id=node.node_id)
-        if isinstance(node, JoinNode):
-            build = self._bypass_node(node.left)
-            probe = self._bypass_node(node.right)
-            return JoinPhysical(
-                BypassJoinOperator(node.conditions, self.predicate_tree),
-                build,
-                probe,
-                node_id=node.node_id,
-            )
-        self._reject_project(node)

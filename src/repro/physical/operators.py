@@ -1,49 +1,29 @@
-"""Physical operators: the batched execution layer all three models share.
+"""The scan: the one physical operator that belongs to no execution model.
 
-Each class here implements the :class:`~repro.physical.base.PhysicalOperator`
-``open()/next_batch()/close()`` contract around one execution-model kernel
-(the whole-relation operators of :mod:`repro.baseline.operators`,
-:mod:`repro.core.operators` and :mod:`repro.bypass.operators`).  The layer
-adds three things the bare kernels do not have:
-
-* **a uniform shape** — every plan, whatever the model, compiles to one tree
-  of physical operators rooted at an operator that emits
-  :class:`~repro.engine.result.OutputColumns` batches;
-* **partition awareness** — scans accept a
-  :class:`~repro.storage.table.TablePartition` and emit only that row range,
-  which is how the morsel driver parallelizes a plan;
-* **streaming filters / probe sides** — filters and join probe inputs process
-  one batch at a time, while join build sides and union/projection roots
-  drain and merge their inputs (the kernels build one hash table per join).
+Filters, joins and roots are the model classes themselves
+(:mod:`repro.core.operators`, :mod:`repro.baseline.operators`,
+:mod:`repro.bypass.operators`, on the streaming bases of
+:mod:`repro.physical.base`).  The scan below them all is shared: it is where
+a :class:`~repro.storage.table.TablePartition` restricts a tree to one morsel,
+where access-path candidates prune pages, and where logically deleted rows
+are dropped; only the batch it wraps its row positions in differs per model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baseline.operators import FilterOperator, HashJoinOperator, UnionOperator
 from repro.baseline.relation import Relation
-from repro.bypass.operators import (
-    BypassFilterOperator,
-    BypassJoinOperator,
-    BypassProjectOperator,
-)
-from repro.bypass.streams import BypassStream, StreamSet
-from repro.core.operators import (
-    TaggedFilterOperator,
-    TaggedJoinOperator,
-    TaggedProjectOperator,
-)
+from repro.bypass.streams import StreamSet
 from repro.core.tagged_relation import TaggedRelation
-from repro.core.tagmap import ProjectionTagSet
-from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
-from repro.engine.result import OutputColumns, materialize_output
 from repro.physical.base import PhysicalOperator
-from repro.physical.batches import merge_batches
 from repro.storage.bitmap import Bitmap
 from repro.storage.column import touched_pages
 from repro.storage.table import Table, TablePartition, owned_page_range
+
+#: Execution kind -> the batch type its operators exchange.
+BATCH_TYPES = {"traditional": Relation, "tagged": TaggedRelation, "bypass": StreamSet}
 
 
 def _scan_indices(table: Table, partition: TablePartition | None) -> np.ndarray:
@@ -52,34 +32,13 @@ def _scan_indices(table: Table, partition: TablePartition | None) -> np.ndarray:
     return partition.positions()
 
 
-def live_rows(batch) -> int:
-    """Live tuples in a batch, across the three batch representations.
-
-    Tagged relations never physically drop rows, so their live count is the
-    total over slice bitmaps; plain relations and bypass stream sets count
-    materialized rows; the root's OutputColumns counts result rows.  Used by
-    the per-operator actual-row counters behind ``--explain-analyze``.
-    """
-    if batch is None:
-        return 0
-    if isinstance(batch, TaggedRelation):
-        return int(batch.total_tuples())
-    if isinstance(batch, StreamSet):
-        return int(sum(stream.num_rows for stream in batch))
-    if isinstance(batch, OutputColumns):
-        return int(batch.row_count)
-    return int(batch.num_rows)
-
-
-# --------------------------------------------------------------------------- #
-# Scans
-# --------------------------------------------------------------------------- #
 class ScanPhysical(PhysicalOperator):
     """Base-table scan emitting one batch over the (partitioned) row range.
 
-    ``kind`` selects the batch representation: ``"traditional"`` emits a
-    plain :class:`Relation`, ``"tagged"`` a single-slice
-    :class:`TaggedRelation`, ``"bypass"`` a single-stream :class:`StreamSet`.
+    ``kind`` selects the batch representation (:data:`BATCH_TYPES`):
+    ``"traditional"`` emits a plain :class:`Relation`, ``"tagged"`` a
+    single-slice :class:`TaggedRelation`, ``"bypass"`` a single-stream
+    :class:`StreamSet`.
 
     ``candidates`` optionally restricts the scan to an access-path candidate
     bitmap (zone-map / index pruning, see :mod:`repro.access`): only set
@@ -88,6 +47,8 @@ class ScanPhysical(PhysicalOperator):
     sound superset of the rows satisfying the query's implied predicate for
     this alias, which keeps results byte-identical to an unpruned scan.
     """
+
+    label = "ScanPhysical"
 
     def __init__(
         self,
@@ -99,14 +60,14 @@ class ScanPhysical(PhysicalOperator):
         candidates: Bitmap | None = None,
     ) -> None:
         super().__init__(node_id=node_id)
-        if kind not in ("traditional", "tagged", "bypass"):
+        if kind not in BATCH_TYPES:
             raise ValueError(f"unknown execution kind {kind!r}")
         if candidates is not None and candidates.size != table.num_rows:
             raise ValueError(
                 f"candidate bitmap size {candidates.size} does not match table "
                 f"{table.name!r} with {table.num_rows} rows"
             )
-        self.kind = kind
+        self.batch_type = BATCH_TYPES[kind]
         self.alias = alias
         self.table = table
         self.partition = partition
@@ -155,211 +116,4 @@ class ScanPhysical(PhysicalOperator):
         indices = self._pruned_indices(context)
         context.metrics.operators_executed += 1
         self.record_rows(context, int(indices.size), int(indices.size))
-        if self.kind == "tagged":
-            return TaggedRelation(
-                {self.alias: self.table},
-                {self.alias: indices},
-                {Tag.empty(): Bitmap.full(int(indices.size))},
-            )
-        relation = Relation({self.alias: self.table}, {self.alias: indices})
-        context.metrics.tuples_materialized += relation.num_rows
-        if self.kind == "bypass":
-            context.metrics.streams_created += 1
-            return StreamSet([BypassStream(Tag.empty(), relation)])
-        return relation
-
-
-# --------------------------------------------------------------------------- #
-# Filters (streaming: one output batch per input batch)
-# --------------------------------------------------------------------------- #
-class FilterPhysical(PhysicalOperator):
-    """Streaming filter around one of the three model filter kernels."""
-
-    def __init__(
-        self, kernel, child: PhysicalOperator, node_id: int | None = None
-    ) -> None:
-        super().__init__([child], node_id=node_id)
-        self.kernel = kernel
-
-    def _next(self, context: ExecContext):
-        batch = self.children[0].next_batch()
-        if batch is None:
-            return None
-        output = self.kernel.execute(batch, context)
-        if context.collect_feedback:
-            self.record_rows(context, live_rows(batch), live_rows(output))
-        return output
-
-
-# --------------------------------------------------------------------------- #
-# Joins (build side drained and merged, probe side streamed)
-# --------------------------------------------------------------------------- #
-class JoinPhysical(PhysicalOperator):
-    """Hash join: drains the build (left) child, streams the probe child."""
-
-    def __init__(
-        self,
-        kernel,
-        build: PhysicalOperator,
-        probe: PhysicalOperator,
-        node_id: int | None = None,
-    ) -> None:
-        super().__init__([build, probe], node_id=node_id)
-        self.kernel = kernel
-        self._build_batch = None
-
-    def open(self, context: ExecContext) -> None:
-        super().open(context)
-        self._build_batch = None
-
-    def close(self) -> None:
-        super().close()
-        self._build_batch = None
-
-    def _next(self, context: ExecContext):
-        if self._build_batch is None:
-            build_batches = self.children[0].drain()
-            if not build_batches:
-                return None
-            self._build_batch = merge_batches(build_batches)
-            if context.collect_feedback:
-                self.record_rows(context, live_rows(self._build_batch), 0)
-        probe_batch = self.children[1].next_batch()
-        if probe_batch is None:
-            return None
-        output = self.kernel.execute(self._build_batch, probe_batch, context)
-        if context.collect_feedback:
-            self.record_rows(context, live_rows(probe_batch), live_rows(output))
-        return output
-
-
-# --------------------------------------------------------------------------- #
-# Roots (emit OutputColumns)
-# --------------------------------------------------------------------------- #
-class TaggedProjectPhysical(PhysicalOperator):
-    """Tagged projection root: tag-based selection, then materialization."""
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        projection: ProjectionTagSet | None,
-        residual_predicate,
-        columns: list,
-        node_id: int | None = None,
-    ) -> None:
-        super().__init__([child], node_id=node_id)
-        self.projection = projection
-        self.residual_predicate = residual_predicate
-        self.columns = list(columns or [])
-
-    def _next(self, context: ExecContext):
-        relation = self.children[0].next_batch()
-        if relation is None:
-            return None
-        projection = self.projection or ProjectionTagSet(allowed=set(relation.slices))
-        kernel = TaggedProjectOperator(
-            projection, residual_predicate=self.residual_predicate
-        )
-        positions = kernel.execute(relation, context)
-        if context.collect_feedback:
-            self.record_rows(context, live_rows(relation), int(positions.size))
-        return materialize_output(
-            relation.tables, relation.indices, positions, self.columns
-        )
-
-
-class TraditionalProjectPhysical(PhysicalOperator):
-    """Traditional root: union the subplan pipelines, then materialize.
-
-    Children are the subplan roots of a :class:`TraditionalPlan`.  Each child
-    is drained fully (they are independent pipelines over the same partition)
-    and BDisj's deduplicating union combines them, exactly as the serial
-    executor always has.  Emits a single OutputColumns batch.
-    """
-
-    def __init__(
-        self,
-        children: list[PhysicalOperator],
-        columns: list,
-        needs_union: bool,
-        node_id: int | None = None,
-    ) -> None:
-        super().__init__(children, node_id=node_id)
-        self.columns = list(columns or [])
-        self.needs_union = needs_union
-        self._done = False
-
-    def open(self, context: ExecContext) -> None:
-        super().open(context)
-        self._done = False
-
-    def _next(self, context: ExecContext):
-        if self._done:
-            return None
-        self._done = True
-        relations = [merge_batches(child.drain()) for child in self.children]
-        if len(relations) == 1 and not self.needs_union:
-            final = relations[0]
-        else:
-            non_empty = [relation for relation in relations if relation.num_rows > 0]
-            if not non_empty:
-                final = relations[0]
-            else:
-                final = UnionOperator().execute(non_empty, context)
-        positions = np.arange(final.num_rows, dtype=np.int64)
-        context.metrics.output_rows += final.num_rows
-        if context.collect_feedback:
-            self.record_rows(
-                context,
-                sum(live_rows(relation) for relation in relations),
-                int(final.num_rows),
-            )
-        return materialize_output(final.tables, final.indices, positions, self.columns)
-
-
-class BypassProjectPhysical(PhysicalOperator):
-    """Bypass root: accept/reject streams, concatenate, materialize."""
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        predicate_tree,
-        columns: list,
-        three_valued: bool,
-        node_id: int | None = None,
-        alias_tables: dict | None = None,
-    ) -> None:
-        super().__init__([child], node_id=node_id)
-        self.kernel = BypassProjectOperator(
-            predicate_tree,
-            columns,
-            three_valued=three_valued,
-            alias_tables=alias_tables,
-        )
-
-    def _next(self, context: ExecContext):
-        streams = self.children[0].next_batch()
-        if streams is None:
-            return None
-        output = self.kernel.execute(streams, context)
-        if context.collect_feedback:
-            self.record_rows(context, live_rows(streams), live_rows(output))
-        return output
-
-
-__all__ = [
-    "BypassProjectPhysical",
-    "live_rows",
-    "FilterPhysical",
-    "JoinPhysical",
-    "ScanPhysical",
-    "TaggedProjectPhysical",
-    "TraditionalProjectPhysical",
-    # Re-exported kernels, for callers building trees by hand.
-    "BypassFilterOperator",
-    "BypassJoinOperator",
-    "FilterOperator",
-    "HashJoinOperator",
-    "TaggedFilterOperator",
-    "TaggedJoinOperator",
-]
+        return self.batch_type.from_scan(self.alias, self.table, indices, context.metrics)

@@ -141,19 +141,6 @@ class QueryService:
         max_workers: worker threads used by :meth:`execute_batch`.
         default_timeout: per-query timeout in seconds applied when a batch
             does not specify one (``None`` waits indefinitely).
-        parallelism: intra-query morsel parallelism applied to queries served
-            *through this service* (``None`` keeps the session's setting; the
-            wrapped session itself is never mutated).  Inter-query
-            concurrency (``max_workers``) and intra-query parallelism
-            compose; the returned rows are the same either way.
-        partitions: table partitions per query served through this service
-            (``None`` keeps the session's setting).
-        shards: shared-nothing worker processes per query served through
-            this service (``None`` keeps the session's setting; see
-            :mod:`repro.engine.shard`).  The knob never changes plans or
-            results — it is not part of plan-cache fingerprints — and the
-            shard pool serializes scatter–gathers, so concurrent batch
-            queries at the same shard count queue on it.
         feedback: enable the runtime feedback loop — executions record
             observed per-clause selectivities (into :attr:`feedback_store`),
             and cached plans whose estimated-vs-actual output cardinality
@@ -176,6 +163,15 @@ class QueryService:
             that is absent).  History recording happens once, coordinator-
             side, after per-worker metrics have merged — results and IO
             accounting are byte-identical with history on or off.
+        **overrides: :class:`~repro.engine.metrics.ExecOptions` fields
+            (``parallelism=``, ``partitions=``, ``shards=``) for queries
+            served *through this service*, resolved once against the
+            session's options into :attr:`options`; the wrapped session is
+            never mutated.  Inter-query concurrency (``max_workers``)
+            composes with all of them, and none is part of a plan-cache
+            fingerprint — they never change plans or rows.  (A shard pool
+            serializes scatter–gathers, so concurrent batch queries at the
+            same shard count queue on it.)
     """
 
     def __init__(
@@ -184,24 +180,20 @@ class QueryService:
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
         max_workers: int = DEFAULT_MAX_WORKERS,
         default_timeout: float | None = None,
-        parallelism: int | None = None,
-        partitions: int | None = None,
         feedback: bool = False,
         qerror_threshold: float = DEFAULT_QERROR_THRESHOLD,
-        shards: int | None = None,
         slow_query_log: SlowQueryLog | None = None,
         history: WorkloadHistory | None = None,
+        **overrides,
     ) -> None:
         if isinstance(session, Catalog):
             session = Session(session)
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
         self.session = session
         self.history = history
         self.slow_query_log = slow_query_log
-        self.parallelism = parallelism
-        self.partitions = partitions
-        self.shards = shards
+        self.options = session.options.replace(
+            **{"collect_feedback": feedback, **overrides}
+        )
         if self.session.stats_provider is None:
             self.session.stats_provider = StatsCache(self.session.catalog)
         self.stats_cache = self.session.stats_provider
@@ -253,8 +245,8 @@ class QueryService:
         """Execute one query, reusing a cached plan when available.
 
         The oracle planner ``tmin`` executes every tagged candidate and keeps
-        the fastest, so it has no single plan to cache; it is delegated to
-        the wrapped session (still benefiting from the stats cache).
+        the fastest, so it has no single plan to cache; the wrapped session
+        runs it (still benefiting from the stats cache).
 
         ``trace`` opts the execution into structured tracing exactly as in
         :meth:`Session.execute_prepared` — the result carries the span tree.
@@ -267,19 +259,7 @@ class QueryService:
         query = self._bind(query)
         wall_timer = Stopwatch()
         if planner == "tmin":
-            # The service is this query's history publisher: stand the
-            # session's own ambient publish down so the execution is
-            # recorded exactly once (under the service's fingerprint).
-            with obs_history.service_publishes():
-                result = self.session.execute(
-                    query,
-                    planner=planner,
-                    naive_tags=naive_tags,
-                    parallelism=self.parallelism,
-                    partitions=self.partitions,
-                    shards=self.shards,
-                    trace=bool(trace),
-                )
+            result = self.session._execute_tmin(query, naive_tags, self.options)
             self._publish(
                 result,
                 wall_timer.elapsed(),
@@ -296,11 +276,7 @@ class QueryService:
                 prepared,
                 planning_seconds=lookup_timer.elapsed() if reused else None,
                 cache_hit=reused,
-                parallelism=self.parallelism,
-                partitions=self.partitions,
-                collect_feedback=self.feedback,
-                shards=self.shards,
-                trace=trace,
+                **vars(self.options.replace(trace=trace or None)),
             )
         except Exception as error:
             history = self._history()
@@ -330,7 +306,7 @@ class QueryService:
         This is the single coordinator-side publish point: per-morsel and
         per-shard counters have already merged into ``result`` through the
         engine's fork/absorb, so each query lands in the stats store and the
-        journal exactly once regardless of parallelism or shard count.
+        journal exactly once at any worker or shard count.
         """
         instruments.publish_query(
             seconds=elapsed_seconds,
@@ -354,7 +330,7 @@ class QueryService:
                 pages_read=result.iostats.pages_read,
                 pages_pruned=result.metrics.pages_pruned,
                 cache_hit=result.cache_hit,
-                shards=self.shards,
+                shards=self.options.shards,
             )
             log.observe(slow_record)
         history = self._history()

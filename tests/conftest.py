@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Catalog, Session, Table
+from repro import Catalog, PreparedPlan, Session, Table
 from repro.plan.query import JoinCondition, Query
 from repro.expr.builders import and_, col, lit, or_
 from repro.workloads.imdb import generate_imdb_catalog
@@ -59,6 +59,25 @@ def paper_query() -> Query:
 def paper_session(paper_catalog: Catalog) -> Session:
     """A session over the paper's example catalog."""
     return Session(paper_catalog)
+
+
+def hand_built_plan(
+    kind: str, plan, roots, annotations=None, predicate_tree=None
+) -> PreparedPlan:
+    """A :class:`PreparedPlan` around a logical plan assembled by hand."""
+    return PreparedPlan(
+        planner=kind,
+        kind=kind,
+        query=None,
+        naive_tags=False,
+        plan=plan,
+        roots=list(roots),
+        annotations=annotations,
+        predicate_tree=predicate_tree,
+        plan_description="",
+        planning_seconds=0.0,
+        catalog_version=0,
+    )
 
 
 PAPER_QUERY_SQL = """

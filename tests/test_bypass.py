@@ -25,7 +25,7 @@ from repro.physical.operators import ScanPhysical
 from repro.plan.query import Query
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog, make_dnf_query
 
-from tests.conftest import PAPER_QUERY_MATCHES
+from tests.conftest import PAPER_QUERY_MATCHES, hand_built_plan
 
 
 # --------------------------------------------------------------------------- #
@@ -293,7 +293,10 @@ class TestBypassPlannerAndExecution:
         context = PlannerContext.for_query(paper_query, paper_catalog)
         planned = BypassPlanner(context).plan()
         output = compile_plan(
-            "bypass", planned.plan, paper_catalog, predicate_tree=context.predicate_tree
+            hand_built_plan(
+                "bypass", planned, [planned.plan], predicate_tree=context.predicate_tree
+            ),
+            paper_catalog,
         ).execute(ExecContext())
         assert output.row_count == len(PAPER_QUERY_MATCHES)
 
@@ -302,10 +305,13 @@ class TestBypassPlannerAndExecution:
         planned = BypassPlanner(context).plan()
         with pytest.raises(ValueError, match="ProjectNode"):
             compile_plan(
-                "bypass",
-                planned.plan.child,
+                hand_built_plan(
+                    "bypass",
+                    planned,
+                    [planned.plan.child],
+                    predicate_tree=context.predicate_tree,
+                ),
                 paper_catalog,
-                predicate_tree=context.predicate_tree,
             ).execute(ExecContext())
 
     def test_session_bypass_planner(self, paper_session, paper_query_sql):

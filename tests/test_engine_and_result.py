@@ -11,6 +11,7 @@ from repro.physical.compile import compile_plan
 from repro.plan.logical import JoinNode, ProjectNode, TableScanNode
 from repro.plan.query import JoinCondition, Query
 from repro.expr.builders import col
+from tests.conftest import hand_built_plan
 
 
 class TestExecutionMetrics:
@@ -111,14 +112,15 @@ class TestCompilePlanEdgeCases:
         scan = TableScanNode("t", "title")
         annotations = builder.build(ProjectNode(scan))
         with pytest.raises(ValueError, match="ProjectNode"):
-            compile_plan("tagged", scan, paper_catalog, annotations=annotations).execute(
-                ExecContext()
-            )
+            compile_plan(
+                hand_built_plan("tagged", scan, [scan], annotations), paper_catalog
+            ).execute(ExecContext())
 
     def test_traditional_plan_requires_subplans(self, paper_catalog):
         with pytest.raises(ValueError):
             compile_plan(
-                "traditional", TraditionalPlan("bdisj", []), paper_catalog
+                hand_built_plan("traditional", TraditionalPlan("bdisj", []), []),
+                paper_catalog,
             ).execute(ExecContext())
 
     def test_tagged_plan_without_predicate_tree(self, paper_catalog):
@@ -134,7 +136,7 @@ class TestCompilePlanEdgeCases:
         plan = ProjectNode(join)
         annotations = TagMapBuilder(None).build(plan)
         output = compile_plan(
-            "tagged", plan, paper_catalog, annotations=annotations
+            hand_built_plan("tagged", plan, [plan], annotations), paper_catalog
         ).execute(ExecContext())
         assert output.row_count == 6
 

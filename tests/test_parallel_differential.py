@@ -108,7 +108,7 @@ def test_query_service_parallelism_does_not_mutate_session(catalog):
     query = generate_random_query(catalog, RandomQueryConfig(seed=3))
     with QueryService(session, parallelism=4, partitions=7) as service:
         served = service.execute(query, planner="tcombined")
-        assert session.parallelism == 1 and session.partitions is None
+        assert session.options.parallelism == 1 and session.options.partitions is None
         direct = session.execute(query, planner="tcombined")
         assert served.metrics.morsels_executed == 7
         assert direct.metrics.morsels_executed == 1

@@ -7,19 +7,13 @@ import pytest
 
 from repro import Catalog, Session, Table
 from repro.engine.metrics import ExecContext, ExecutionMetrics
-from repro.engine.parallel import choose_partition_alias, execute_plan
-from repro.physical.batches import (
-    merge_output_columns,
-    merge_relations,
-    merge_stream_sets,
-    merge_tagged_relations,
-)
+from repro.engine.parallel import choose_partition_alias
 from repro.baseline.relation import Relation
 from repro.bypass.streams import BypassStream, StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.result import OutputColumns
-from repro.physical.compile import compile_plan
+from repro.physical.compile import compile_plan, plan_scan_aliases
 from repro.physical.operators import ScanPhysical
 from repro.storage.bitmap import Bitmap
 from repro.storage.table import TablePartition
@@ -123,7 +117,7 @@ class TestBatchMerging:
     def test_merge_relations_preserves_order(self, small_table):
         first = Relation({"t": small_table}, {"t": np.array([0, 1])})
         second = Relation({"t": small_table}, {"t": np.array([5, 6])})
-        merged = merge_relations([first, second])
+        merged = Relation.merge([first, second])
         assert merged.indices["t"].tolist() == [0, 1, 5, 6]
 
     def test_merge_tagged_relations_offsets_slices(self, small_table):
@@ -134,7 +128,7 @@ class TestBatchMerging:
         second = TaggedRelation(
             {"t": small_table}, {"t": np.array([5, 6, 7])}, {tag: Bitmap.from_mask(np.array([True, False, True]))}
         )
-        merged = merge_tagged_relations([first, second])
+        merged = TaggedRelation.merge([first, second])
         assert merged.num_rows == 5
         assert merged.slices[tag].positions().tolist() == [0, 1, 2, 4]
         assert merged.indices["t"].tolist() == [0, 1, 5, 6, 7]
@@ -143,7 +137,7 @@ class TestBatchMerging:
         tag = Tag.empty()
         first = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([0])}))])
         second = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([1])}))])
-        merged = merge_stream_sets([first, second])
+        merged = StreamSet.merge([first, second])
         assert merged.num_streams == 1
         assert merged.total_rows == 2
 
@@ -156,13 +150,13 @@ class TestBatchMerging:
                 row_count=len(values),
             )
 
-        merged = merge_output_columns([block([1, 2]), block([3]), block([])])
+        merged = OutputColumns.merge([block([1, 2]), block([3]), block([])])
         assert merged.row_count == 3
         assert merged.columns[0][0].tolist() == [1, 2, 3]
 
     def test_merge_output_columns_all_empty_keeps_schema(self):
         empty = OutputColumns(names=["t.v"], columns=[(np.array([]), np.array([], dtype=np.bool_))], row_count=0)
-        merged = merge_output_columns([empty, OutputColumns.empty()])
+        merged = OutputColumns.merge([empty, OutputColumns.empty()])
         assert merged.names == ["t.v"]
         assert merged.row_count == 0
 
@@ -245,7 +239,7 @@ class TestPartitionAliasChoice:
             "SELECT big.id FROM big AS big JOIN small AS small ON big.id = small.fid",
             planner="bpushconj",
         )
-        alias = choose_partition_alias(prepared.kind, prepared.plan, catalog)
+        alias = choose_partition_alias(plan_scan_aliases(prepared), catalog)
         assert alias == "big"
 
     def test_invalid_parallelism_rejected(self):
@@ -253,13 +247,9 @@ class TestPartitionAliasChoice:
         session = Session(catalog, stats_sample_size=2)
         prepared = session.prepare("SELECT t.id FROM t AS t", planner="bpushconj")
         with pytest.raises(ValueError, match="parallelism"):
-            execute_plan(
-                prepared.kind, prepared.plan, catalog, ExecContext(), parallelism=0
-            )
+            session.execute_prepared(prepared, parallelism=0)
         with pytest.raises(ValueError, match="partitions"):
-            execute_plan(
-                prepared.kind, prepared.plan, catalog, ExecContext(), partitions=0
-            )
+            session.execute_prepared(prepared, partitions=0)
 
     def test_session_validates_knobs(self):
         catalog = Catalog([Table.from_dict("t", {"id": [1]})])
@@ -277,7 +267,7 @@ class TestCompiledPlanReuse:
         prepared = session.prepare(
             "SELECT t.id FROM t AS t WHERE t.v < 2.5", planner="bpushconj"
         )
-        physical = compile_plan(prepared.kind, prepared.plan, catalog)
+        physical = compile_plan(prepared, catalog)
         first = physical.execute(ExecContext())
         second = physical.execute(ExecContext())
         assert first.row_count == second.row_count == 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import AggregateFunction, AggregateSpec, OrderItem
@@ -24,7 +24,6 @@ from repro.engine.postprocess import (
 from repro.engine.partial_agg import combine_partial_aggregates, partial_aggregate
 from repro.engine.result import OutputColumns
 from repro.expr.builders import col
-from repro.physical.batches import merge_output_columns
 from repro.plan.query import Query
 
 
@@ -672,11 +671,7 @@ class TestSplitInvariance:
     @settings(max_examples=200, deadline=None)
     @given(_tables(), st.integers(0, 2), _CUTS)
     def test_combined_partial_aggregates_equal_the_whole(self, table, num_keys, cuts):
-        kind, cells = table["t.c"]
-        # Known gap, older than this test: a block whose group has no non-NULL
-        # MIN/MAX input upcasts the combined column to object, and np.unique
-        # over *object* floats does not order NaN.  Kept out until that is fixed.
-        assume(not any(cell is not None and cell != cell for cell in cells))
+        kind = table["t.c"][0]
         # Only exactly mergeable aggregates are ever pushed to shards.
         specs = [
             spec
@@ -691,8 +686,6 @@ class TestSplitInvariance:
         combined = combine_partial_aggregates(partials, query)
         whole = aggregate(output, group_by, specs)
         assert combined.names == whole.names
-        # Cells, not arrays: a block with no non-NULL MIN/MAX input carries an
-        # object placeholder, which upcasts that column of the combined output.
         _assert_cells_equal(_cells(combined), _cells(whole))
 
     @settings(max_examples=200, deadline=None)
@@ -706,14 +699,14 @@ class TestSplitInvariance:
         candidates = [limit_candidates(block, query) for block in _blocks(output, cuts)]
         assert all(c.row_count <= b.row_count for c, b in zip(candidates, _blocks(output, cuts)))
         _assert_same_output(
-            apply_output_shaping(merge_output_columns(candidates), query),
+            apply_output_shaping(OutputColumns.merge(candidates), query),
             apply_output_shaping(output, query),
         )
         # A bare LIMIT is the degenerate case: each block's first `count` rows.
         bare = _select_query([], count)
         prefixes = [limit_candidates(block, bare) for block in _blocks(output, cuts)]
         _assert_same_output(
-            apply_output_shaping(merge_output_columns(prefixes), bare),
+            apply_output_shaping(OutputColumns.merge(prefixes), bare),
             apply_output_shaping(output, bare),
         )
 

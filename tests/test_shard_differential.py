@@ -19,19 +19,21 @@ The acceptance bar for the scatter–gather engine is strict determinism:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.access.manager import ensure_access_manager
 from repro.engine import shard
-from repro.engine.metrics import ExecContext
+from repro.engine.metrics import ExecContext, ExecOptions
 from repro.engine.parallel import execute_plan
 from repro.engine.partial_agg import aggregation_pushdown_supported
 from repro.engine.postprocess import OutputShapingError
 from repro.engine.session import Session
 from repro.engine.shard import ShardExecutionError, ShardSpec, shard_pool
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column
+from repro.storage.column import Column, ColumnType
 from repro.storage.table import Table
 from repro.testing.datagen import RandomCatalogConfig, generate_random_catalog
 from repro.testing.differential import DEFAULT_PLANNERS
@@ -212,36 +214,38 @@ def test_aggregate_pushdown_engages(sessions, catalogs):
     sql = AGGREGATE_SQLS[0][0]
     prepared = session.prepare(sql, planner="tcombined")
     context = ExecContext()
-    execute_plan(
-        prepared.kind,
-        prepared.plan,
-        prepared.snapshot,
-        context,
-        annotations=prepared.annotations,
-        predicate_tree=prepared.predicate_tree,
-        parallelism=1,
-        partitions=4,
-        shards=2,
-        query=prepared.query,
-    )
+    execute_plan(prepared, prepared.snapshot, context, ExecOptions(partitions=4, shards=2))
     assert context.aggregates_prefolded
 
     # The unsupported float SUM must not set the flag.
     context = ExecContext()
     prepared = session.prepare(AGGREGATE_SQLS[1][0], planner="tcombined")
-    execute_plan(
-        prepared.kind,
-        prepared.plan,
-        prepared.snapshot,
-        context,
-        annotations=prepared.annotations,
-        predicate_tree=prepared.predicate_tree,
-        parallelism=1,
-        partitions=4,
-        shards=2,
-        query=prepared.query,
-    )
+    execute_plan(prepared, prepared.snapshot, context, ExecOptions(partitions=4, shards=2))
     assert not context.aggregates_prefolded
+
+
+@pytest.mark.parametrize("shards", (2, 3))
+def test_extreme_pushdown_orders_nan_when_a_shard_has_no_input(shards):
+    """Regression: a shard with no non-NULL MIN/MAX input used to hand back an
+    object placeholder; the combined column then became object, where
+    ``np.unique`` no longer orders a non-NULL NaN (last, as in serial)."""
+    nan = float("nan")
+    values = [None] * 6 + [nan, 1.0, 2.0, 3.0, 0.5, 2.5]
+    table = Table(
+        "t",
+        [
+            Column("id", list(range(12)), ctype=ColumnType.INT),
+            Column("v", values, ctype=ColumnType.FLOAT),
+        ],
+    )
+    session = Session(Catalog([table]), stats_sample_size=12)
+    sql = "SELECT MIN(t.v), MAX(t.v) FROM t AS t WHERE (t.id >= 0) OR (t.id < 0)"
+    serial = session.execute(sql, planner="tcombined", partitions=shards)
+    sharded = session.execute(sql, planner="tcombined", partitions=shards, shards=shards)
+    assert sharded.metrics.shards_executed == shards
+    assert repr(sharded.rows) == repr(serial.rows) == "[(0.5, nan)]"
+    for (got, _nulls), (want, _) in zip(sharded.output.columns, serial.output.columns):
+        assert got.dtype == want.dtype == np.float64
 
 
 def test_limit_pushdown_byte_identical(sessions):
@@ -373,26 +377,20 @@ def test_worker_error_leaves_pool_usable(sessions, workload):
 
     pool = shard_pool(2)
     catalog = session.catalog
+    prepared = session.prepare(query, planner="tcombined").shippable()
     bogus = ShardSpec(
-        kind="bogus-kind",
-        plan=None,
-        annotations=None,
-        predicate_tree=None,
-        three_valued=True,
-        clause_selectivities={},
+        prepared=dataclasses.replace(prepared, kind="bogus-kind"),
         collect_feedback=False,
         feedback_excluded_aliases=frozenset(),
         scan_candidates={},
         partition_alias="f",
-        partition_table="F",
+        parallelism=1,
         snapshot_version=catalog.version,
         table_versions={"F": catalog.table_version("F")},
-        push_mode="none",
-        query=None,
     )
     tables = {"F": catalog.get("F")}
     with pytest.raises(ShardExecutionError):
-        pool.run(bogus, tables, [[(0, 0, 80)], [(1, 80, 160)]], 1)
+        pool.run(bogus, tables, [[(0, 0, 80)], [(1, 80, 160)]])
 
     # Same pool object, next query succeeds with the same answer.
     assert shard_pool(2) is pool
@@ -433,7 +431,7 @@ def test_session_and_service_shard_knobs(catalogs, workload):
         assert served.metrics.shards_executed == 2
         assert served.rows == serial.rows
         # The wrapped session keeps its own knob.
-        assert serial_session.shards == 1
+        assert serial_session.options.shards == 1
 
 
 def test_invalid_shards_rejected(catalogs):

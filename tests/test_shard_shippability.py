@@ -51,33 +51,14 @@ def session(catalog):
 @pytest.mark.parametrize("planner", ("tcombined", "texhaustive", "bdisj", "bypass"))
 def test_prepared_components_pickle_and_recompile(session, catalog, planner):
     prepared = session.prepare(SQL, planner=planner)
-    # What execute_plan hands the shard layer (bypass wraps its ProjectNode).
-    logical = prepared.plan.plan if prepared.kind == "bypass" else prepared.plan
-    shipped = pickle.loads(
-        pickle.dumps(
-            (
-                prepared.kind,
-                logical,
-                prepared.annotations,
-                prepared.predicate_tree,
-                prepared.query,
-            )
-        )
-    )
-    kind, plan, annotations, predicate_tree, query = shipped
-    assert kind == prepared.kind
-    assert query.aliases == prepared.query.aliases
+    # What scatter_gather hands the shard layer.
+    shipped = pickle.loads(pickle.dumps(prepared.shippable()))
+    assert shipped.kind == prepared.kind
+    assert shipped.query.aliases == prepared.query.aliases
+    assert shipped.access_plan is None and shipped.snapshot is None
 
-    original = compile_plan(
-        prepared.kind,
-        logical,
-        catalog,
-        annotations=prepared.annotations,
-        predicate_tree=prepared.predicate_tree,
-    )
-    recompiled = compile_plan(
-        kind, plan, catalog, annotations=annotations, predicate_tree=predicate_tree
-    )
+    original = compile_plan(prepared, catalog)
+    recompiled = compile_plan(shipped, catalog)
     assert type(recompiled.root) is type(original.root)
     base = original.execute(ExecContext())
     again = recompiled.execute(ExecContext())
@@ -110,25 +91,18 @@ def test_shard_spec_pickles_without_access_plan(session, catalog):
     """The spec ships resolved candidate bitmaps, never the access manager."""
     prepared = session.prepare(SQL, planner="tcombined")
     spec = ShardSpec(
-        kind=prepared.kind,
-        plan=prepared.plan,
-        annotations=prepared.annotations,
-        predicate_tree=prepared.predicate_tree,
-        three_valued=True,
-        clause_selectivities=prepared.clause_selectivities,
+        prepared=prepared.shippable(),
         collect_feedback=False,
         feedback_excluded_aliases=frozenset(),
         scan_candidates={},
         partition_alias="f",
-        partition_table="F",
+        parallelism=1,
         snapshot_version=catalog.version,
         table_versions={"F": catalog.table_version("F")},
-        push_mode="none",
-        query=None,
     )
     clone = pickle.loads(pickle.dumps(spec))
-    assert clone.kind == spec.kind
-    assert clone.clause_selectivities == prepared.clause_selectivities
+    assert clone.prepared.kind == prepared.kind
+    assert clone.prepared.clause_selectivities == prepared.clause_selectivities
     assert clone.partition_alias == "f"
     assert clone.table_versions == spec.table_versions
 

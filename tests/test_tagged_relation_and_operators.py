@@ -264,9 +264,10 @@ class TestFullTaggedPipeline:
 
         annotations = TagMapBuilder(tree, three_valued=False).build(plan)
         from repro.physical.compile import compile_plan
+        from tests.conftest import hand_built_plan
 
         output = compile_plan(
-            "tagged", plan, paper_catalog, annotations=annotations, predicate_tree=tree
+            hand_built_plan("tagged", plan, [plan], annotations, tree), paper_catalog
         ).execute(ExecContext())
         titles = {
             row[output.names.index("t.title")]
