@@ -36,18 +36,3 @@ def test_planner_quality_job_group(benchmark, imdb_session, job_queries, planner
     query = job_queries[1]
     result = benchmark(imdb_session.execute, query, planner=planner)
     assert result.row_count >= 0
-
-
-@pytest.mark.parametrize("mode", ("measured", "histogram"))
-def test_stats_mode_planning_cost(benchmark, synthetic_session, mode):
-    """Selectivity estimation mode ablation: measured samples vs. histograms."""
-    from repro.engine.session import Session
-
-    session = Session(
-        synthetic_session.catalog,
-        stats_sample_size=synthetic_session.stats_sample_size,
-        selectivity_mode=mode,
-    )
-    query = make_dnf_query(num_root_clauses=3, selectivity=0.3)
-    result = benchmark(session.execute, query, planner="tcombined")
-    assert result.row_count > 0

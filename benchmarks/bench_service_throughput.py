@@ -42,7 +42,7 @@ def service(synthetic_session) -> QueryService:
     """A query service over a private session sharing the benchmark catalog."""
     session = Session(
         synthetic_session.catalog,
-        stats_sample_size=synthetic_session.stats_sample_size,
+        stats_sample_size=synthetic_session.plan_options.stats_sample_size,
     )
     with QueryService(session, max_workers=4) as query_service:
         yield query_service

@@ -1,18 +1,24 @@
 #!/usr/bin/env python
-"""Documentation checks: module docstrings and runnable README examples.
+"""Documentation checks: module docstrings, runnable README examples, live references.
 
-Two lightweight gates, run by ``make docs-check``:
+Three lightweight gates, run by ``make docs-check``:
 
 1. every public module under ``src/repro`` has a module docstring;
 2. every ```python code block in README.md actually executes (blocks share
-   one namespace, top to bottom, so later blocks may use earlier results).
+   one namespace, top to bottom, so later blocks may use earlier results);
+3. every `` `path/file.py` `` and every `` `repro.dotted.name` `` written in
+   README.md and ``docs/*.md`` names a file that exists (relative to the
+   repo root, ``src/``, ``src/repro/`` or one of the top-level code
+   directories; ``*`` globs) or an importable attribute — prose cannot keep
+   naming what a change deleted.
 
-Exits non-zero with a per-failure listing when either gate fails.
+Exits non-zero with a per-failure listing when any gate fails.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 import traceback
@@ -22,6 +28,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
 
 PYTHON_BLOCK = re.compile(r"```python\n(.*?)```", re.DOTALL)
+FILE_REFERENCE = re.compile(r"`([\w./*-]+\.py)`")
+DOTTED_REFERENCE = re.compile(r"`(repro(?:\.\w+)+)(?:\(\))?`")
+#: Where a `` `path/file.py` `` in prose may be rooted (benchmark, test and
+#: example files are usually written bare).
+FILE_ROOTS = (
+    REPO_ROOT,
+    SRC_ROOT,
+    SRC_ROOT / "repro",
+    *(REPO_ROOT / name for name in ("benchmarks", "tests", "examples", "scripts")),
+)
 
 
 def check_module_docstrings() -> list[str]:
@@ -38,7 +54,6 @@ def check_module_docstrings() -> list[str]:
 
 def check_readme_blocks() -> list[str]:
     """Error descriptions for README python blocks that fail to execute."""
-    sys.path.insert(0, str(SRC_ROOT))
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     blocks = PYTHON_BLOCK.findall(readme)
     failures = []
@@ -55,17 +70,61 @@ def check_readme_blocks() -> list[str]:
     return failures
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.c`` is a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        try:
+            for name in parts[split:]:
+                target = getattr(target, name)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def check_references() -> list[str]:
+    """``document: reference`` for every file or dotted name that is gone."""
+    failures = []
+    for document in [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]:
+        text = document.read_text(encoding="utf-8")
+        dead = [
+            reference
+            for reference in sorted(set(FILE_REFERENCE.findall(text)))
+            if not any(any(root.glob(reference)) for root in FILE_ROOTS)
+        ]
+        dead += [
+            dotted
+            for dotted in sorted(set(DOTTED_REFERENCE.findall(text)))
+            if not resolves(dotted)
+        ]
+        failures += [f"{document.relative_to(REPO_ROOT)}: `{name}`" for name in dead]
+    return failures
+
+
 def main() -> int:
+    sys.path.insert(0, str(SRC_ROOT))
     missing = check_module_docstrings()
     for path in missing:
         print(f"missing module docstring: {path}")
     broken = check_readme_blocks()
     for failure in broken:
         print(failure)
-    if missing or broken:
-        print(f"docs-check: FAILED ({len(missing) + len(broken)} problem(s))")
+    dead = check_references()
+    for reference in dead:
+        print(f"dead reference: {reference}")
+    problems = len(missing) + len(broken) + len(dead)
+    if problems:
+        print(f"docs-check: FAILED ({problems} problem(s))")
         return 1
-    print("docs-check: OK (all modules documented, README examples run)")
+    print(
+        "docs-check: OK (all modules documented, README examples run, "
+        "file and dotted references resolve)"
+    )
     return 0
 
 

@@ -11,7 +11,7 @@ from repro.baseline.operators import (
     HashJoinOperator,
     UnionOperator,
 )
-from repro.baseline.planners import BDisjPlanner, BPushConjPlanner, TraditionalPlan
+from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
 from repro.baseline.relation import Relation
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "FilterOperator",
     "HashJoinOperator",
     "Relation",
-    "TraditionalPlan",
     "UnionOperator",
 ]

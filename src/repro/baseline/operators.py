@@ -105,21 +105,19 @@ class HashJoinOperator(BuildProbeJoin):
 class UnionOperator(PhysicalOperator):
     """Traditional root: union the subplan pipelines, then materialize ``columns``.
 
-    Children are the subplan pipelines of a
-    :class:`~repro.baseline.planners.TraditionalPlan`; each is drained fully
-    (they are independent pipelines over the same partition) and emits into a
-    single OutputColumns batch.  BDisj's union (``execute``) deduplicates by
-    the tuple of base-table row indices, which is exactly the identity of a
-    joined tuple in an index relation; a lone subplan that needs no union
-    passes through.
+    Children are the pipelines of a traditional plan's roots; each is
+    drained fully (they are independent pipelines over the same partition) and
+    emits into a single OutputColumns batch.  BDisj's union (``execute``)
+    deduplicates by the tuple of base-table row indices, which is exactly the
+    identity of a joined tuple in an index relation; a lone subplan needs no
+    union and passes through.
     """
 
     label = "TraditionalProjectPhysical"
 
-    def __init__(self, children=(), columns=(), needs_union: bool = False) -> None:
+    def __init__(self, children=(), columns=()) -> None:
         super().__init__(list(children))
         self.columns = list(columns or [])
-        self.needs_union = needs_union
         self._done = False
 
     def open(self, context: ExecContext) -> None:
@@ -132,7 +130,7 @@ class UnionOperator(PhysicalOperator):
         self._done = True
         relations = [Relation.merge(child.drain()) for child in self.children]
         non_empty = [relation for relation in relations if relation.num_rows > 0]
-        if (len(relations) == 1 and not self.needs_union) or not non_empty:
+        if len(relations) == 1 or not non_empty:
             final = relations[0]
         else:
             final = self.execute(non_empty, context)

@@ -12,56 +12,44 @@
   This is what PostgreSQL-class systems do.
 
 Both order joins greedily by estimated output cardinality, exactly like the
-tagged planners.
+tagged planners, and build their trees with the tagged planners' helpers.
+BPushConj's tree *is* TPushConj's (Figure 3d compares the two on identical
+plans, so their gap is the price of the tag machinery).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.planner.base import PlannerContext
+from repro.core.planner.base import PlannerResult, TaggedPlanner
 from repro.core.planner.joinorder import greedy_join_tree
-from repro.core.planner.pushconj import split_conjunctive_pushdown
+from repro.core.planner.pushconj import TPushConjPlanner
 from repro.expr.ast import AndExpr, BooleanExpr
-from repro.plan.logical import FilterNode, PlanNode, ProjectNode, TableScanNode
-from repro.plan.query import Query
+from repro.plan.logical import PlanNode
 
 
-@dataclass
-class TraditionalPlan:
-    """One or more conventional subplans, optionally combined by a union."""
+class BDisjPlanner(TaggedPlanner):
+    """Per-root-clause execution with a final union (for OR-rooted predicates)."""
 
-    planner_name: str
-    subplans: list[PlanNode] = field(default_factory=list)
-    needs_union: bool = False
+    name = "bdisj"
+    kind = "traditional"
 
-    def describe(self) -> str:
-        """One-line summary used by reports."""
-        suffix = " + union" if self.needs_union else ""
-        return f"{self.planner_name}: {len(self.subplans)} subplan(s){suffix}"
+    def plan(self) -> PlannerResult:
+        """Build one conventional subplan per root clause."""
+        tree = self.context.predicate_tree
+        if tree is None:
+            clauses: list[BooleanExpr | None] = [None]
+        elif tree.root.is_or:
+            clauses = [child.expr for child in tree.root.children]
+        else:
+            clauses = [tree.expression]
+        return self.untagged_result(
+            [self._conjunctive_subplan(clause) for clause in clauses]
+        )
 
-
-class _TraditionalPlannerBase:
-    """Shared helpers for the two traditional planners."""
-
-    name = "traditional"
-
-    def __init__(self, context: PlannerContext) -> None:
-        self.context = context
-
-    def _scan(self, alias: str) -> TableScanNode:
-        return TableScanNode(alias, self.context.query.tables[alias])
-
-    def _stack(self, node: PlanNode, filters: list[BooleanExpr]) -> PlanNode:
-        for predicate in filters:
-            node = FilterNode(predicate, node)
-        return node
-
-    def _conjunctive_subplan(
-        self, query: Query, clause: BooleanExpr | None
-    ) -> PlanNode:
-        """A conventional plan for ``query`` restricted to one (conjunctive) clause."""
+    def _conjunctive_subplan(self, clause: BooleanExpr | None) -> PlanNode:
+        """A conventional plan for the query restricted to one (conjunctive) clause."""
         context = self.context
+        query = context.query
+        estimates = context.estimates
         if clause is None:
             parts: list[BooleanExpr] = []
         elif isinstance(clause, AndExpr):
@@ -72,96 +60,35 @@ class _TraditionalPlannerBase:
         per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in query.aliases}
         remaining: list[BooleanExpr] = []
         for part in parts:
-            aliases = part.tables()
-            if len(aliases) == 1 and next(iter(aliases)) in per_alias:
-                per_alias[next(iter(aliases))].append(part)
+            alias = context.single_table_alias(part)
+            if alias in per_alias:
+                per_alias[alias].append(part)
             else:
                 remaining.append(part)
 
+        def by_selectivity(filters: list[BooleanExpr]) -> list[BooleanExpr]:
+            return sorted(filters, key=lambda expr: (estimates.selectivity(expr), expr.key()))
+
         leaf_plans: dict[str, PlanNode] = {}
         estimated_rows: dict[str, float] = {}
         for alias in query.aliases:
-            pushed = sorted(
-                per_alias[alias],
-                key=lambda expr: (context.estimates.selectivity(expr), expr.key()),
-            )
-            leaf_plans[alias] = self._stack(self._scan(alias), list(reversed(pushed)))
-            rows = context.estimates.base_rows(alias)
-            for predicate in pushed:
-                rows *= context.estimates.selectivity(predicate)
-            estimated_rows[alias] = rows
+            pushed = by_selectivity(per_alias[alias])
+            leaf_plans[alias] = self.stack_filters(self.scan_node(alias), pushed[::-1])
+            estimated_rows[alias] = estimates.filtered_rows(alias, pushed)
 
         if len(query.aliases) == 1:
             joined: PlanNode = leaf_plans[query.aliases[0]]
         else:
-            joined = greedy_join_tree(query, leaf_plans, estimated_rows, context.estimates)
-
-        remaining_sorted = sorted(
-            remaining, key=lambda expr: (context.estimates.selectivity(expr), expr.key())
-        )
-        joined = self._stack(joined, remaining_sorted)
-        return ProjectNode(joined, query.select)
+            joined = greedy_join_tree(query, leaf_plans, estimated_rows, estimates)
+        return self.finish(self.stack_filters(joined, by_selectivity(remaining)))
 
 
-class BDisjPlanner(_TraditionalPlannerBase):
-    """Per-root-clause execution with a final union (for OR-rooted predicates)."""
-
-    name = "bdisj"
-
-    def plan(self) -> TraditionalPlan:
-        """Build one conventional subplan per root clause."""
-        context = self.context
-        query = context.query
-        tree = context.predicate_tree
-
-        if tree is None:
-            return TraditionalPlan(self.name, [self._conjunctive_subplan(query, None)])
-
-        if tree.root.is_or:
-            clauses = [child.expr for child in tree.root.children]
-        else:
-            clauses = [tree.expression]
-
-        subplans = [self._conjunctive_subplan(query, clause) for clause in clauses]
-        return TraditionalPlan(self.name, subplans, needs_union=len(subplans) > 1)
-
-
-class BPushConjPlanner(_TraditionalPlannerBase):
+class BPushConjPlanner(TaggedPlanner):
     """Conjunctive pushdown only (for AND-rooted predicates)."""
 
     name = "bpushconj"
+    kind = "traditional"
 
-    def plan(self) -> TraditionalPlan:
-        """Build a single conventional plan with conjunctive pushdown."""
-        context = self.context
-        query = context.query
-        tree = context.predicate_tree
-
-        if tree is None:
-            return TraditionalPlan(self.name, [self._conjunctive_subplan(query, None)])
-
-        is_and_root = tree.root.is_and
-        per_alias, remaining = split_conjunctive_pushdown(
-            tree.expression, query.aliases, is_and_root
-        )
-
-        leaf_plans: dict[str, PlanNode] = {}
-        estimated_rows: dict[str, float] = {}
-        for alias in query.aliases:
-            pushed = per_alias[alias]
-            leaf_plans[alias] = self._stack(self._scan(alias), pushed)
-            rows = context.estimates.base_rows(alias)
-            for predicate in pushed:
-                rows *= context.estimates.selectivity(predicate)
-            estimated_rows[alias] = rows
-
-        if len(query.aliases) == 1:
-            joined: PlanNode = leaf_plans[query.aliases[0]]
-        else:
-            joined = greedy_join_tree(query, leaf_plans, estimated_rows, context.estimates)
-
-        remaining_sorted = sorted(
-            remaining, key=lambda expr: (context.estimates.selectivity(expr), expr.key())
-        )
-        joined = self._stack(joined, remaining_sorted)
-        return TraditionalPlan(self.name, [ProjectNode(joined, query.select)])
+    def plan(self) -> PlannerResult:
+        """TPushConj's tree, executed without tags."""
+        return self.untagged_result([TPushConjPlanner(self.context).build_plan()])

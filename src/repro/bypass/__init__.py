@@ -34,14 +34,13 @@ from repro.bypass.operators import (
     BypassJoinOperator,
     BypassProjectOperator,
 )
-from repro.bypass.planner import BypassPlan, BypassPlanner
+from repro.bypass.planner import BypassPlanner
 from repro.bypass.streams import BypassStream, StreamSet
 
 __all__ = [
     "BypassFilterOperator",
     "BypassJoinOperator",
     "BypassProjectOperator",
-    "BypassPlan",
     "BypassPlanner",
     "BypassStream",
     "StreamSet",

@@ -12,38 +12,16 @@ job of the bypass operators (:mod:`repro.bypass.operators`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.planner.base import PlannerContext
+from repro.core.planner.base import PlannerResult, TaggedPlanner
 from repro.core.planner.pushdown import TPushdownPlanner
-from repro.plan.logical import PlanNode, plan_to_string
 
 
-@dataclass
-class BypassPlan:
-    """A planned bypass query: one pushdown-shaped logical plan."""
-
-    planner_name: str
-    plan: PlanNode
-
-    def describe(self) -> str:
-        """One-line summary used by reports."""
-        return f"{self.planner_name}: bypass pushdown plan"
-
-    def to_string(self) -> str:
-        """Pretty-printed plan tree."""
-        return plan_to_string(self.plan)
-
-
-class BypassPlanner:
+class BypassPlanner(TaggedPlanner):
     """Produce the pushdown-shaped plan the bypass technique requires."""
 
     name = "bypass"
+    kind = "bypass"
 
-    def __init__(self, context: PlannerContext) -> None:
-        self.context = context
-
-    def plan(self) -> BypassPlan:
+    def plan(self) -> PlannerResult:
         """Build the bypass plan (TPushdown shape, bypass execution)."""
-        logical_plan = TPushdownPlanner(self.context).build_plan()
-        return BypassPlan(self.name, logical_plan)
+        return self.untagged_result([TPushdownPlanner(self.context).build_plan()])

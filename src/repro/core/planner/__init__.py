@@ -16,7 +16,12 @@ differ in where filter operators are placed:
   plans above and returns the cheapest (the system default).
 """
 
-from repro.core.planner.base import PlannerContext, PlannerResult, TaggedPlanner
+from repro.core.planner.base import (
+    PlannerContext,
+    PlannerResult,
+    PlanOptions,
+    TaggedPlanner,
+)
 from repro.core.planner.benefit import benefit_score, benefiting_order
 from repro.core.planner.combined import TCombinedPlanner
 from repro.core.planner.cost import CostParams, estimate_plan_cost
@@ -27,15 +32,6 @@ from repro.core.planner.pullup import TPullupPlanner
 from repro.core.planner.pushconj import TPushConjPlanner
 from repro.core.planner.pushdown import TPushdownPlanner
 
-PLANNER_REGISTRY = {
-    "tpushdown": TPushdownPlanner,
-    "tpullup": TPullupPlanner,
-    "titerpush": TIterPushPlanner,
-    "tpushconj": TPushConjPlanner,
-    "tcombined": TCombinedPlanner,
-    "texhaustive": TExhaustivePlanner,
-}
-
 #: The planners the paper's TMin oracle minimizes over (Figure 3c): the four
 #: candidate planners TCombined itself considers.  TExhaustive is an
 #: extension beyond the paper and is excluded so TMin keeps its meaning.
@@ -43,8 +39,8 @@ TMIN_CANDIDATES = ("tpushdown", "tpullup", "titerpush", "tpushconj")
 
 __all__ = [
     "CostParams",
-    "PLANNER_REGISTRY",
     "TMIN_CANDIDATES",
+    "PlanOptions",
     "PlannerContext",
     "PlannerResult",
     "TCombinedPlanner",

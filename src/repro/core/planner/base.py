@@ -1,21 +1,29 @@
 """Shared planner infrastructure.
 
+:class:`PlanOptions` is the single definition of what a plan depends on
+besides the query and the data: the planner reads it and the plan cache
+hashes it (:func:`repro.service.fingerprint.query_fingerprint`).
+
 :class:`PlannerContext` bundles everything a planner needs about one query:
-the query itself, its predicate tree and a single
+the query itself, the options, its predicate tree and a single
 :class:`~repro.optimizer.estimates.EstimateProvider` supplying all planning
 numbers (table statistics, per-expression selectivities, cost constants).
 Planners never construct estimators themselves — the provider is built by
 :func:`repro.optimizer.estimates.build_estimate_provider` and may carry
 feedback-corrected selectivity overrides injected by the service layer.
 
-:class:`TaggedPlanner` is the base class: subclasses implement
-:meth:`TaggedPlanner.build_plan` and inherit costing and common plan-building
-helpers.
+:class:`TaggedPlanner` is the base class of every planner: subclasses
+implement :meth:`TaggedPlanner.build_plan` and inherit costing and common
+plan-building helpers; the untagged planners (traditional, bypass) reuse the
+helpers and finish through :meth:`TaggedPlanner.untagged_result`.  All of
+them return one :class:`PlannerResult`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.planner.benefit import benefiting_order
@@ -24,13 +32,86 @@ from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations, TagMapBuilder
 from repro.expr.ast import BooleanExpr
 from repro.expr.builders import or_
-from repro.plan.logical import FilterNode, PlanNode, ProjectNode, TableScanNode
+from repro.plan.logical import (
+    FilterNode,
+    PlanNode,
+    ProjectNode,
+    TableScanNode,
+    plan_to_string,
+)
 from repro.plan.query import Query
-from repro.stats.table_stats import TableStats
 from repro.storage.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.optimizer.estimates import EstimateProvider
+
+
+@dataclass(frozen=True)
+class PlanOptions:
+    """What a plan depends on besides the query and the data.
+
+    ``Session`` holds one instance as ``session.plan_options``; the keyword
+    spellings ``Session(...)``, ``prepare`` / ``execute(..., naive_tags=)``
+    and the service accept are :meth:`replace` overrides into it.  A
+    :class:`~repro.engine.session.PreparedPlan` carries the instance it was
+    planned under, and the plan cache hashes :attr:`material`, so a field
+    added here is part of the cache key by construction.
+
+    Attributes:
+        cost_params: cost-model constants used by the planners.
+        three_valued: plan (and evaluate) under SQL three-valued logic.
+        stats_sample_size: rows sampled per table when measuring predicate
+            selectivities (Section 4.1).
+        access_paths: consult the catalog's access-path layer (zone maps and
+            secondary indexes) when planning and prune scans with it when
+            executing.  Pruning is sound — rows are byte-identical either
+            way — it only changes which pages are touched.
+        naive_tags: build tag maps without pruning or generalization (the
+            tag blow-up ablation).
+    """
+
+    cost_params: CostParams = field(default_factory=CostParams)
+    three_valued: bool = True
+    stats_sample_size: int = 20_000
+    access_paths: bool = True
+    naive_tags: bool = False
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.cost_params, CostParams):
+            raise TypeError(
+                f"cost_params must be a CostParams, got {type(self.cost_params).__name__}"
+            )
+        if self.stats_sample_size < 1:
+            raise ValueError(
+                f"stats_sample_size must be positive, got {self.stats_sample_size}"
+            )
+
+    def replace(self, **overrides) -> "PlanOptions":
+        """These options with every non-``None`` override applied (validated).
+
+        Returns ``self`` when nothing changes, so resolving the options of a
+        call that overrides none is a constant-time read.
+        """
+        changes = {}
+        for name, value in overrides.items():
+            if name not in PLAN_OPTION_NAMES:
+                raise TypeError(f"unknown planning option {name!r}")
+            if value is not None and getattr(self, name) != value:
+                changes[name] = value
+        return dataclasses.replace(self, **changes) if changes else self
+
+    @cached_property
+    def material(self) -> str:
+        """Every field as ``name=repr`` text: the options' share of a plan
+        fingerprint, computed once per instance."""
+        return "\x1f".join(
+            f"{name}={getattr(self, name)!r}" for name in sorted(PLAN_OPTION_NAMES)
+        )
+
+
+#: The names :meth:`PlanOptions.replace` accepts (``Session`` routes keyword
+#: overrides by them).
+PLAN_OPTION_NAMES = frozenset(f.name for f in dataclasses.fields(PlanOptions))
 
 
 @dataclass
@@ -41,42 +122,28 @@ class PlannerContext:
     catalog: Catalog
     estimates: "EstimateProvider"
     predicate_tree: PredicateTree | None
-    three_valued: bool = True
-    naive_tags: bool = False
+    options: PlanOptions = PlanOptions()
 
     def __post_init__(self) -> None:
         self._tag_maps = TagMapBuilder(
-            self.predicate_tree, naive=self.naive_tags, three_valued=self.three_valued
+            self.predicate_tree,
+            naive=self.options.naive_tags,
+            three_valued=self.options.three_valued,
         )
-
-    @property
-    def table_stats(self) -> dict[str, TableStats]:
-        """Per-table summary statistics (delegates to the estimate provider)."""
-        return self.estimates.table_stats
-
-    @property
-    def cost_params(self) -> CostParams:
-        """Cost-model constants (delegates to the estimate provider)."""
-        return self.estimates.cost_params
 
     @classmethod
     def for_query(
         cls,
         query: Query,
         catalog: Catalog,
-        cost_params: CostParams | None = None,
-        three_valued: bool = True,
-        naive_tags: bool = False,
-        sample_size: int = 20_000,
-        selectivity_mode: str = "measured",
+        options: PlanOptions = PlanOptions(),
         stats_provider=None,
         selectivity_overrides=None,
         access_manager=None,
     ) -> "PlannerContext":
         """Build the estimate provider and predicate tree for ``query``.
 
-        All estimation knobs (``sample_size``, ``selectivity_mode``,
-        ``stats_provider``, ``selectivity_overrides``, ``access_manager``)
+        ``stats_provider``, ``selectivity_overrides`` and ``access_manager``
         are forwarded to
         :func:`repro.optimizer.estimates.build_estimate_provider`; see there
         for their meaning.  ``selectivity_overrides`` is how the service
@@ -91,22 +158,13 @@ class PlannerContext:
         estimates = build_estimate_provider(
             query,
             catalog,
-            cost_params=cost_params,
-            sample_size=sample_size,
-            selectivity_mode=selectivity_mode,
+            options,
             stats_provider=stats_provider,
             selectivity_overrides=selectivity_overrides,
             access_manager=access_manager,
         )
         tree = PredicateTree(query.predicate) if query.predicate is not None else None
-        return cls(
-            query=query,
-            catalog=catalog,
-            estimates=estimates,
-            predicate_tree=tree,
-            three_valued=three_valued,
-            naive_tags=naive_tags,
-        )
+        return cls(query, catalog, estimates, tree, options)
 
     # ------------------------------------------------------------------ #
     # Helpers shared by the planners
@@ -149,27 +207,54 @@ class PlannerContext:
 
 @dataclass
 class PlannerResult:
-    """A planned query: the logical plan, its tag maps and its estimated cost.
+    """A planned query, whichever planner family produced it.
 
-    ``node_rows`` carries the cost model's estimated output rows per plan
-    node id (``--explain-analyze`` lines them up against observed rows).
+    Attributes:
+        planner_name: the planner that chose the plan.
+        kind: execution model — ``"tagged"``, ``"traditional"`` or
+            ``"bypass"``.
+        roots: the logical tree(s) execution compiles — one per root clause
+            for BDisj (unioned when there are several), otherwise one.
+        annotations: tag maps for tagged plans, ``None`` otherwise.
+        node_rows: estimated output rows per plan node id (the cost model's
+            tag-aware numbers for tagged plans, the generic bottom-up walk
+            otherwise); ``--explain-analyze`` lines them up against observed
+            rows.
+        estimated_cost: the tagged cost model's total (``None`` for the
+            untagged planners, which do no cost-based search).
     """
 
     planner_name: str
-    plan: PlanNode
-    annotations: PlanTagAnnotations
-    estimated_cost: float
+    kind: str
+    roots: list[PlanNode]
+    annotations: PlanTagAnnotations | None
     node_rows: dict[int, float] = field(default_factory=dict)
+    estimated_cost: float | None = None
 
-    def describe(self) -> str:
-        """One-line summary used by reports."""
-        return f"{self.planner_name}: cost={self.estimated_cost:.1f}"
+    @property
+    def plan(self) -> PlanNode:
+        """The plan tree of a single-rooted result."""
+        (root,) = self.roots
+        return root
+
+    @property
+    def estimated_output_rows(self) -> float:
+        """Estimated output cardinality: the roots' ``node_rows`` summed
+        (over-counts rows several BDisj clauses match; good enough for drift
+        detection)."""
+        return sum(self.node_rows.get(root.node_id, 0.0) for root in self.roots)
+
+    def description(self) -> str:
+        """Pretty-printed plan tree(s), as shown by ``explain``."""
+        return "\n---\n".join(plan_to_string(root) for root in self.roots)
 
 
 class TaggedPlanner:
-    """Base class of tagged-execution planners."""
+    """Base class of the planners (tagged unless a subclass says otherwise)."""
 
     name = "tagged"
+    #: Execution model of the plans this planner returns.
+    kind = "tagged"
 
     def __init__(self, context: PlannerContext) -> None:
         self.context = context
@@ -187,11 +272,21 @@ class TaggedPlanner:
         annotations, breakdown = self.cost_breakdown(logical_plan)
         return PlannerResult(
             self.name,
-            logical_plan,
+            self.kind,
+            [logical_plan],
             annotations,
+            dict(breakdown.node_rows),
             breakdown.total,
-            node_rows=dict(breakdown.node_rows),
         )
+
+    def untagged_result(self, roots: list[PlanNode]) -> PlannerResult:
+        """The result of a planner whose trees execute without tag maps."""
+        from repro.optimizer.estimates import estimate_plan_rows
+
+        node_rows: dict[int, float] = {}
+        for root in roots:
+            node_rows.update(estimate_plan_rows(root, self.context.estimates))
+        return PlannerResult(self.name, self.kind, roots, None, node_rows)
 
     # ------------------------------------------------------------------ #
     # Shared helpers

@@ -8,6 +8,8 @@ report the fastest).
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.planner.base import PlannerContext, PlannerResult, TaggedPlanner
 from repro.core.planner.iterpush import TIterPushPlanner
 from repro.core.planner.pullup import TPullupPlanner
@@ -42,10 +44,4 @@ class TCombinedPlanner(TaggedPlanner):
 
     def plan(self) -> PlannerResult:
         best = min(self.candidates(), key=lambda result: result.estimated_cost)
-        return PlannerResult(
-            self.name,
-            best.plan,
-            best.annotations,
-            best.estimated_cost,
-            node_rows=dict(best.node_rows),
-        )
+        return dataclasses.replace(best, planner_name=self.name)

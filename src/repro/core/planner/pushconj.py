@@ -5,8 +5,9 @@ predicates all reference a single table are pushed down to that table (as a
 single complex filter); the remaining children are applied after all joins in
 increasing order of selectivity.  Any other root shape gets no pushdown at
 all.  TPushConj mainly serves as the overhead comparison point against
-BPushConj (Figure 3d): the plans are identical, so the runtime difference is
-the cost of the tag machinery itself.
+BPushConj (Figure 3d): BPushConj executes the tree
+:meth:`TPushConjPlanner.build_plan` returns, so the plans are identical and
+the runtime difference is the cost of the tag machinery itself.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ def split_conjunctive_pushdown(
 ) -> tuple[dict[str, list[BooleanExpr]], list[BooleanExpr]]:
     """Partition root clauses into per-alias pushable ones and the rest.
 
-    Returns ``(per_alias_pushed, remaining)``.  Shared by TPushConj and the
-    traditional BPushConj planner so the two produce identical plan shapes.
+    Returns ``(per_alias_pushed, remaining)``.
     """
     per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in aliases}
     remaining: list[BooleanExpr] = []

@@ -48,24 +48,43 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.baseline.planners import BDisjPlanner, BPushConjPlanner, TraditionalPlan
-from repro.bypass.planner import BypassPlan, BypassPlanner
-from repro.core.planner import PLANNER_REGISTRY, TMIN_CANDIDATES
-from repro.core.planner.base import PlannerContext
-from repro.core.planner.cost import CostParams
+from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
+from repro.bypass.planner import BypassPlanner
+from repro.core import planner as tagged
+from repro.core.planner import TMIN_CANDIDATES
+from repro.core.planner.base import PLAN_OPTION_NAMES, PlannerContext, PlanOptions
 from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations
 from repro.engine.metrics import ExecContext, ExecOptions, Stopwatch
 from repro.engine.parallel import execute_plan
 from repro.engine.postprocess import apply_output_shaping
 from repro.engine.result import QueryResult
-from repro.plan.logical import PlanNode, plan_to_string
+from repro.plan.logical import PlanNode
 from repro.plan.query import Query
 from repro.storage.catalog import Catalog
 
-TAGGED_PLANNERS = tuple(PLANNER_REGISTRY)
-TRADITIONAL_PLANNERS = ("bdisj", "bpushconj")
-ALL_PLANNERS = TAGGED_PLANNERS + TRADITIONAL_PLANNERS + ("tmin", "bypass")
+#: The planner table: name -> planner class; the class's ``kind`` names the
+#: execution model of the :class:`~repro.core.planner.base.PlannerResult` it
+#: returns.  ``tmin`` is not a planner but an oracle over several of them
+#: (:meth:`Session.execute`).
+PLANNERS = {
+    planner_class.name: planner_class
+    for planner_class in (
+        tagged.TPushdownPlanner,
+        tagged.TPullupPlanner,
+        tagged.TIterPushPlanner,
+        tagged.TPushConjPlanner,
+        tagged.TCombinedPlanner,
+        tagged.TExhaustivePlanner,
+        BDisjPlanner,
+        BPushConjPlanner,
+        BypassPlanner,
+    )
+}
+TAGGED_PLANNERS = tuple(
+    name for name, planner_class in PLANNERS.items() if planner_class.kind == "tagged"
+)
+ALL_PLANNERS = tuple(PLANNERS) + ("tmin",)
 
 
 @dataclass
@@ -82,18 +101,15 @@ class PreparedPlan:
         planner: the planner name the caller requested (``"tcombined"``, ...).
         kind: execution model — ``"tagged"``, ``"traditional"`` or ``"bypass"``.
         query: the bound query (drives output shaping and projection).
-        naive_tags: whether tag maps were built without pruning.
-        plan: the logical plan (:class:`PlanNode` for tagged plans,
-            :class:`TraditionalPlan` or :class:`BypassPlan` otherwise).
         roots: the logical tree(s) execution compiles — one per subplan of a
             traditional plan, otherwise the single plan tree.
-        three_valued: the SQL three-valued-logic setting the plan was
-            planned under (bypass execution evaluates with it).
         annotations: tag maps for tagged plans, ``None`` otherwise.
         predicate_tree: the query's predicate tree (``None`` without WHERE).
         plan_description: pretty-printed plan, as shown by ``explain``.
         planning_seconds: wall-clock cost of the prepare phase.
-        catalog_version: catalog version the plan was built against.
+        options: the :class:`~repro.core.planner.base.PlanOptions` the plan
+            was planned under (bypass execution evaluates with its
+            ``three_valued``).
         estimated_rows: estimated output rows per plan node id (tag-aware
             for tagged plans, generic bottom-up walk otherwise); consumed by
             ``--explain-analyze``.
@@ -102,8 +118,6 @@ class PreparedPlan:
             sum over subplan roots, which over-counts rows matched by
             several clauses).  The service layer's feedback loop holds this
             against the observed output cardinality (q-error).
-        selectivity_overrides: feedback-corrected selectivities the plan was
-            built with (empty for a purely a-priori plan).
         clause_selectivities: estimated selectivity per AND/OR child of the
             WHERE expression (:func:`repro.optimizer.clause_order.\
 clause_selectivities`); seeds the fused kernels' clause evaluation order
@@ -123,17 +137,14 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     planner: str
     kind: str
     query: Query
-    naive_tags: bool
-    plan: PlanNode | TraditionalPlan | BypassPlan
     roots: list[PlanNode]
     annotations: PlanTagAnnotations | None
     predicate_tree: PredicateTree | None
     plan_description: str
     planning_seconds: float
-    catalog_version: int
+    options: PlanOptions = PlanOptions()
     estimated_rows: dict[int, float] = field(default_factory=dict)
     estimated_output_rows: float = 0.0
-    selectivity_overrides: dict[str, float] = field(default_factory=dict)
     clause_selectivities: dict[str, float] = field(default_factory=dict)
     planning_work: dict[str, int] = field(default_factory=dict)
     #: Per-alias access-path choices
@@ -145,7 +156,6 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     #: pruning (the snapshot scan stays correct on its own).
     access_plan: object | None = None
     snapshot: object | None = None
-    three_valued: bool = True
 
     def shippable(self) -> "PreparedPlan":
         """This plan without its process-local state, for shard workers.
@@ -162,46 +172,30 @@ class Session:
 
     Args:
         catalog: the base tables.
-        cost_params: cost-model constants used by the planners.
-        three_valued: evaluate predicates under SQL three-valued logic.
-        stats_sample_size: rows sampled per table when measuring selectivities.
-        selectivity_mode: ``"measured"`` or ``"histogram"``.
         stats_provider: optional provider of cached per-table statistics and
             sample draws (see :class:`repro.service.StatsCache`); ``None``
             recomputes statistics on every prepare, which is deterministic
             and therefore equivalent.
-        access_paths: consult the catalog's access-path layer (zone maps and
-            secondary indexes, see :mod:`repro.access`) when planning and
-            prune scans with it when executing.  Pruning is sound — results
-            are byte-identical with the knob on or off — it only changes
-            which pages are touched.  When enabled and the catalog has no
-            :class:`~repro.access.manager.AccessPathManager` yet, one is
-            registered lazily (zone maps build on first use; secondary
-            indexes only ever exist when created explicitly).
-        **overrides: session-wide execution defaults, by
-            :class:`~repro.engine.metrics.ExecOptions` field name
-            (``parallelism=``, ``partitions=``, ``shards=``, ...); kept as
-            :attr:`options`.  Planning is unaffected by any of them.
+        **overrides: session-wide defaults, each routed by name to the one
+            options type that declares it: planning values
+            (``cost_params=``, ``three_valued=``, ``stats_sample_size=``,
+            ``access_paths=``, ``naive_tags=``) into :attr:`plan_options`
+            (:class:`~repro.core.planner.base.PlanOptions`), execution values
+            (``parallelism=``, ``partitions=``, ``shards=``, ...) into
+            :attr:`options` (:class:`~repro.engine.metrics.ExecOptions`,
+            which never affects planning).  A bad value raises ``ValueError``
+            here, an unknown name ``TypeError``.  With ``access_paths`` on
+            and no :class:`~repro.access.manager.AccessPathManager` on the
+            catalog yet, one is registered lazily (zone maps build on first
+            use; secondary indexes only ever exist when created explicitly).
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        cost_params: CostParams | None = None,
-        three_valued: bool = True,
-        stats_sample_size: int = 20_000,
-        selectivity_mode: str = "measured",
-        stats_provider=None,
-        access_paths: bool = True,
-        **overrides,
-    ) -> None:
+    def __init__(self, catalog: Catalog, stats_provider=None, **overrides) -> None:
         self.catalog = catalog
-        self.cost_params = cost_params or CostParams()
-        self.three_valued = three_valued
-        self.stats_sample_size = stats_sample_size
-        self.selectivity_mode = selectivity_mode
         self.stats_provider = stats_provider
-        self.access_paths = access_paths
+        self.plan_options = PlanOptions().replace(
+            **{name: overrides.pop(name) for name in PLAN_OPTION_NAMES & overrides.keys()}
+        )
         self.options = ExecOptions().replace(**overrides)
 
     # ------------------------------------------------------------------ #
@@ -211,12 +205,13 @@ class Session:
         self,
         query: Query | str,
         planner: str = "tcombined",
-        naive_tags: bool = False,
+        naive_tags: bool | None = None,
         **overrides,
     ) -> QueryResult:
         """Plan and execute a query; returns a :class:`QueryResult`.
 
-        ``overrides`` replace fields of the session's
+        ``naive_tags`` overrides the session's planning option of that name
+        for this call.  ``overrides`` replace fields of the session's
         :class:`~repro.engine.metrics.ExecOptions` for this call only
         (``shards=2``, ``trace=True``, ...; see :meth:`execute_prepared`).
 
@@ -267,7 +262,7 @@ class Session:
         self,
         query: Query | str,
         planner: str = "tcombined",
-        naive_tags: bool = False,
+        naive_tags: bool | None = None,
         selectivity_overrides=None,
     ) -> PreparedPlan:
         """Parse, collect statistics and plan; returns a :class:`PreparedPlan`.
@@ -275,6 +270,10 @@ class Session:
         ``tmin`` cannot be prepared: it is an oracle that *executes* every
         tagged candidate and keeps the fastest, so there is no single plan to
         hand back before execution.
+
+        The plan is built under the session's
+        :class:`~repro.core.planner.base.PlanOptions` (``naive_tags``
+        overrides that one field for this call) and carries them.
 
         ``selectivity_overrides`` maps expression keys to observed
         selectivities (see
@@ -289,53 +288,15 @@ class Session:
                 "tmin executes every candidate planner and cannot be prepared; "
                 "call execute() instead"
             )
-        if planner not in ALL_PLANNERS:
+        planner_class = PLANNERS.get(planner)
+        if planner_class is None:
             raise ValueError(
                 f"unknown planner {planner!r}; choose one of {', '.join(ALL_PLANNERS)}"
             )
         bound = self._bind(query)
         timer = Stopwatch()
-        context = self._planner_context(
-            bound, naive_tags, selectivity_overrides=selectivity_overrides
-        )
-        from repro.optimizer.estimates import estimate_plan_rows
-
-        if planner == "bypass":
-            planned = BypassPlanner(context).plan()
-            kind = "bypass"
-            annotations = None
-            plan = planned
-            roots = [planned.plan]
-            description = planned.to_string()
-            estimated_rows = estimate_plan_rows(planned.plan, context.estimates)
-            estimated_output = estimated_rows.get(planned.plan.node_id, 0.0)
-        elif planner in TRADITIONAL_PLANNERS:
-            planner_obj = (BDisjPlanner if planner == "bdisj" else BPushConjPlanner)(context)
-            planned = planner_obj.plan()
-            kind = "traditional"
-            annotations = None
-            plan = planned
-            roots = list(planned.subplans)
-            description = "\n---\n".join(
-                plan_to_string(subplan) for subplan in planned.subplans
-            )
-            estimated_rows = {}
-            estimated_output = 0.0
-            for subplan in planned.subplans:
-                subplan_rows = estimate_plan_rows(subplan, context.estimates)
-                estimated_rows.update(subplan_rows)
-                # Summing the subplan roots over-counts rows matched by
-                # several root clauses; good enough for drift detection.
-                estimated_output += subplan_rows.get(subplan.node_id, 0.0)
-        else:
-            planned = PLANNER_REGISTRY[planner](context).plan()
-            kind = "tagged"
-            annotations = planned.annotations
-            plan = planned.plan
-            roots = [planned.plan]
-            description = plan_to_string(planned.plan)
-            estimated_rows = dict(planned.node_rows)
-            estimated_output = estimated_rows.get(planned.plan.node_id, 0.0)
+        context = self._planner_context(bound, naive_tags, selectivity_overrides)
+        planned = planner_class(context).plan()
 
         from repro.optimizer.clause_order import clause_selectivities
 
@@ -348,19 +309,16 @@ class Session:
             predicate_tree.generalized.clear()
         return PreparedPlan(
             planner=planner,
-            kind=kind,
+            kind=planned.kind,
             query=bound,
-            naive_tags=naive_tags,
-            plan=plan,
-            roots=roots,
-            annotations=annotations,
+            roots=planned.roots,
+            annotations=planned.annotations,
             predicate_tree=predicate_tree,
-            plan_description=description,
+            plan_description=planned.description(),
             planning_seconds=timer.elapsed(),
-            catalog_version=self.catalog.version,
-            estimated_rows=estimated_rows,
-            estimated_output_rows=estimated_output,
-            selectivity_overrides=dict(selectivity_overrides or {}),
+            options=context.options,
+            estimated_rows=dict(planned.node_rows),
+            estimated_output_rows=planned.estimated_output_rows,
             clause_selectivities=clause_selectivities(
                 predicate_tree.expression if predicate_tree is not None else None,
                 context.estimates,
@@ -371,7 +329,6 @@ class Session:
             # execution, without keeping superseded generations of unrelated
             # tables alive for as long as the plan stays cached.
             snapshot=self.catalog.snapshot(tables=set(bound.tables.values())),
-            three_valued=self.three_valued,
         )
 
     def execute_prepared(
@@ -439,7 +396,7 @@ class Session:
             )
 
         execution_timer = Stopwatch()
-        if not self.access_paths and prepared.access_plan is not None:
+        if not self.plan_options.access_paths and prepared.access_plan is not None:
             prepared = dataclasses.replace(prepared, access_plan=None)
         output = execute_plan(
             prepared,
@@ -494,13 +451,16 @@ class Session:
         )
 
     def explain(
-        self, query: Query | str, planner: str = "tcombined", naive_tags: bool = False
+        self,
+        query: Query | str,
+        planner: str = "tcombined",
+        naive_tags: bool | None = None,
     ) -> str:
-        """Return the chosen plan(s) as a pretty-printed string."""
-        planner = planner.lower()
-        if planner == "tmin":
-            planner = "tcombined"
-        if planner not in ALL_PLANNERS:
+        """Return the chosen plan(s) as a pretty-printed string.
+
+        ``tmin`` has no plan of its own and shows ``tcombined``'s.
+        """
+        if planner.lower() == "tmin":
             planner = "tcombined"
         return self.prepare(query, planner, naive_tags).plan_description
 
@@ -516,30 +476,26 @@ class Session:
 
     def _access_manager(self):
         """The catalog's access-path manager (created lazily), or None."""
-        if not self.access_paths:
+        if not self.plan_options.access_paths:
             return None
         from repro.access.manager import ensure_access_manager
 
         return ensure_access_manager(self.catalog)
 
     def _planner_context(
-        self, query: Query, naive_tags: bool, selectivity_overrides=None
+        self, query: Query, naive_tags: bool | None = None, selectivity_overrides=None
     ) -> PlannerContext:
         return PlannerContext.for_query(
             query,
             self.catalog,
-            cost_params=self.cost_params,
-            three_valued=self.three_valued,
-            naive_tags=naive_tags,
-            sample_size=self.stats_sample_size,
-            selectivity_mode=self.selectivity_mode,
+            self.plan_options.replace(naive_tags=naive_tags),
             stats_provider=self.stats_provider,
             selectivity_overrides=selectivity_overrides,
             access_manager=self._access_manager(),
         )
 
     def _execute_tmin(
-        self, query: Query, naive_tags: bool, options: ExecOptions
+        self, query: Query, naive_tags: bool | None, options: ExecOptions
     ) -> QueryResult:
         """Execute every tagged candidate planner and keep the fastest run.
 

@@ -34,7 +34,6 @@ atomic rename.
 
 from __future__ import annotations
 
-import csv
 import json
 import shutil
 from pathlib import Path
@@ -54,6 +53,7 @@ from repro.storage.disk import (
     fsync_dir,
     fsync_file,
     load_catalog,
+    read_csv_rows,
 )
 from repro.storage.table import Table
 from repro.testing import faults
@@ -426,33 +426,8 @@ def compact_saved_catalog(root: str | Path, online: bool = False) -> dict:
 # --------------------------------------------------------------------------- #
 def rows_from_csv(path: str | Path, types: dict[str, ColumnType]) -> list[dict]:
     """Read append rows from a CSV file with a header (empty cells = NULL)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MutationError(f"CSV file {path} is empty") from None
-        raw_rows = [row for row in reader if row]
-
-    def parse(text: str, ctype: ColumnType | None):
-        if text == "":
-            return None
-        if ctype is ColumnType.INT:
-            return int(text)
-        if ctype is ColumnType.FLOAT:
-            return float(text)
-        if ctype is ColumnType.BOOL:
-            return text.lower() in ("1", "true", "t", "yes")
-        return text
-
-    return [
-        {
-            name: parse(row[position], types.get(name))
-            for position, name in enumerate(header)
-            if position < len(row)
-        }
-        for row in raw_rows
-    ]
+    header, rows = read_csv_rows(path, types, MutationError)
+    return [dict(zip(header, row)) for row in rows]
 
 
 def rows_from_json(text: str) -> list[dict]:

@@ -6,7 +6,7 @@ the cost model in :mod:`repro.core.planner.cost` and the per-table caches in
 :mod:`repro.service.stats_cache` each re-derived the same quantities.  An
 :class:`EstimateProvider` is now the single object every planner, the benefit
 scorer and the cost model consume: it bundles per-table statistics,
-per-expression selectivities (measured or histogram-backed), cardinality
+per-expression selectivities (measured on a sample), cardinality
 formulas and the cost-model constants behind one interface.
 
 The provider is also the injection point for **runtime feedback**: a mapping
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from repro.core.planner.base import PlanOptions
 from repro.core.planner.cost import CostParams
 from repro.expr.ast import BooleanExpr
 from repro.plan.logical import (
@@ -40,20 +41,16 @@ from repro.storage.catalog import Catalog
 def build_estimate_provider(
     query: Query,
     catalog: Catalog,
-    cost_params: CostParams | None = None,
-    sample_size: int = 20_000,
-    selectivity_mode: str = "measured",
+    options: PlanOptions = PlanOptions(),
     stats_provider=None,
-    seed: int = 0,
     selectivity_overrides: Mapping[str, float] | None = None,
     access_manager=None,
 ) -> "EstimateProvider":
     """Collect statistics and build the :class:`EstimateProvider` for one query.
 
-    ``selectivity_mode`` selects how base-predicate selectivities are
-    estimated: ``"measured"`` evaluates each predicate on a sample (the
-    paper's approach), ``"histogram"`` answers simple numeric predicates from
-    per-column equi-depth histograms.
+    Base-predicate selectivities are *measured*: each predicate is evaluated
+    on a sample of ``options.stats_sample_size`` rows per table (the paper's
+    approach, Section 4.1); ``options.cost_params`` are the cost constants.
 
     ``stats_provider`` optionally supplies the two cacheable (per-table,
     query-independent) ingredients — ``table_stats(table)`` summaries and
@@ -76,41 +73,17 @@ def build_estimate_provider(
     through the provider, keeping ``repro.core.planner`` free of access-path
     imports.
     """
-    if stats_provider is not None:
-        table_stats = {
-            table_name: stats_provider.table_stats(catalog.get(table_name))
-            for table_name in set(query.tables.values())
-        }
-        sample_provider = stats_provider.sample_positions
-    else:
-        table_stats = {
-            table_name: collect_table_stats(catalog.get(table_name))
-            for table_name in set(query.tables.values())
-        }
-        sample_provider = None
-    if selectivity_mode == "measured":
-        estimator = SelectivityEstimator(
-            catalog,
-            query,
-            sample_size=sample_size,
-            seed=seed,
-            sample_provider=sample_provider,
-        )
-    elif selectivity_mode == "histogram":
-        from repro.stats.histograms import HistogramSelectivityEstimator
-
-        estimator = HistogramSelectivityEstimator(
-            catalog,
-            query,
-            sample_size=sample_size,
-            seed=seed,
-            sample_provider=sample_provider,
-        )
-    else:
-        raise ValueError(
-            f"unknown selectivity_mode {selectivity_mode!r}; "
-            "choose 'measured' or 'histogram'"
-        )
+    collect = collect_table_stats if stats_provider is None else stats_provider.table_stats
+    table_stats = {
+        table_name: collect(catalog.get(table_name))
+        for table_name in set(query.tables.values())
+    }
+    estimator = SelectivityEstimator(
+        catalog,
+        query,
+        sample_size=options.stats_sample_size,
+        sample_provider=None if stats_provider is None else stats_provider.sample_positions,
+    )
     access_chooser = None
     if access_manager is not None:
         from repro.access.chooser import AccessPathChooser
@@ -120,7 +93,7 @@ def build_estimate_provider(
         query,
         table_stats,
         estimator,
-        cost_params=cost_params,
+        cost_params=options.cost_params,
         overrides=selectivity_overrides,
         access_chooser=access_chooser,
     )
@@ -132,7 +105,7 @@ class EstimateProvider:
     Args:
         query: the query being planned (supplies alias -> table bindings).
         table_stats: per-table summary statistics, keyed by table name.
-        estimator: the selectivity backend (measured or histogram).  Its
+        estimator: the selectivity backend (measured on a sample).  Its
             cache-first AND/OR/NOT recursion is the single implementation of
             the independence-assumption combination; overrides are *seeded*
             into that cache, so a pinned sub-expression affects every

@@ -105,7 +105,7 @@ def _tagged_root(prepared, children, catalog):
 def _traditional_root(prepared, children, catalog):
     if not children:
         raise ValueError("traditional plan has no subplans")
-    return UnionOperator(children, prepared.roots[-1].columns, prepared.plan.needs_union)
+    return UnionOperator(children, prepared.roots[-1].columns)
 
 
 def _bypass_root(prepared, children, catalog):
@@ -119,7 +119,7 @@ def _bypass_root(prepared, children, catalog):
     return BypassProjectOperator(
         prepared.predicate_tree,
         plan.columns,
-        prepared.three_valued,
+        prepared.options.three_valued,
         alias_tables,
         children[0],
         plan.node_id,
@@ -147,7 +147,7 @@ MODELS = {
     ),
     "bypass": _Model(
         filter=lambda prepared, node, child: BypassFilterOperator(
-            node.predicate, prepared.predicate_tree, prepared.three_valued,
+            node.predicate, prepared.predicate_tree, prepared.options.three_valued,
             child, node.node_id,
         ),
         join=lambda prepared, node, build, probe: BypassJoinOperator(
@@ -170,7 +170,7 @@ def compile_plan(
     Args:
         prepared: the plan; ``kind`` picks the operators, ``roots`` are the
             logical trees walked, ``annotations`` / ``predicate_tree`` /
-            ``three_valued`` parameterize them.
+            ``options.three_valued`` parameterize them.
         catalog: base tables.
         partition_alias: alias whose scan is restricted to ``partition``.
         partition: the row-range slice for ``partition_alias``.

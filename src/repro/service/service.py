@@ -239,10 +239,14 @@ class QueryService:
         self,
         query: Query | str,
         planner: str = "tcombined",
-        naive_tags: bool = False,
+        naive_tags: bool | None = None,
         trace=False,
     ) -> QueryResult:
         """Execute one query, reusing a cached plan when available.
+
+        ``naive_tags`` overrides that field of the session's
+        :class:`~repro.core.planner.base.PlanOptions` for this call (and is,
+        like every planning option, part of the plan-cache key).
 
         The oracle planner ``tmin`` executes every tagged candidate and keeps
         the fastest, so it has no single plan to cache; the wrapped session
@@ -351,7 +355,7 @@ class QueryService:
             if slow_record is not None:
                 history.record_slow_query(slow_record)
 
-    def _prepared_for(self, key: str, query, planner: str, naive_tags: bool):
+    def _prepared_for(self, key: str, query, planner: str, naive_tags: bool | None):
         """The prepared plan for ``key``: cached, awaited, or freshly planned.
 
         Returns ``(prepared, reused)`` where ``reused`` is True when this
@@ -419,7 +423,7 @@ class QueryService:
         self,
         queries,
         planner: str = "tcombined",
-        naive_tags: bool = False,
+        naive_tags: bool | None = None,
     ) -> int:
         """Prepare (but do not execute) ``queries``; returns plans added."""
         added = 0
@@ -441,7 +445,6 @@ class QueryService:
         self,
         queries,
         planner: str = "tcombined",
-        naive_tags: bool = False,
         timeout: float | None = None,
     ) -> BatchReport:
         """Execute ``queries`` across the worker pool; returns a :class:`BatchReport`.
@@ -485,7 +488,7 @@ class QueryService:
         """Execute one query, returning ``(result, error, elapsed_seconds)``."""
         timer = Stopwatch()
         try:
-            result = self.execute(query, planner=planner, naive_tags=False)
+            result = self.execute(query, planner=planner)
             return result, None, timer.elapsed()
         except Exception as error:  # noqa: BLE001 - surfaced via the item
             return None, f"{type(error).__name__}: {error}", timer.elapsed()
@@ -601,7 +604,9 @@ class QueryService:
             return parse_query_cached(query)
         return query
 
-    def _fingerprint(self, query: Query | str, planner: str, naive_tags: bool) -> str:
+    def _fingerprint(
+        self, query: Query | str, planner: str, naive_tags: bool | None
+    ) -> str:
         # Resolve (and, on first use, create) the access manager through the
         # session so the first fingerprint already sees its version — reading
         # the catalog attribute directly would hash access_version=-1 before
@@ -610,34 +615,27 @@ class QueryService:
         return query_fingerprint(
             query,
             planner,
-            catalog_version=self.session.catalog.version,
-            naive_tags=naive_tags,
-            three_valued=self.session.three_valued,
-            sample_size=self.session.stats_sample_size,
-            selectivity_mode=self.session.selectivity_mode,
-            cost_params=self.session.cost_params,
-            access_version=manager.version if manager is not None else -1,
-            table_versions=self._table_versions(query),
+            self.session.plan_options.replace(naive_tags=naive_tags),
+            self._table_versions(query),
+            manager.version if manager is not None else -1,
         )
 
-    def _table_versions(self, query: Query) -> tuple[tuple[str, int], ...] | None:
+    def _table_versions(self, query: Query) -> tuple[tuple[str, int], ...]:
         """Sorted (table, version) pairs of the query's base tables.
 
         Per-table granularity is what lets a mutation commit retire only the
-        plans that read the mutated tables.  ``None`` (whole-catalog
-        fallback) when a referenced table is unknown — preparation will
-        raise anyway, but the fingerprint must not.
+        plans that read the mutated tables.  A table the catalog does not
+        know reads as version ``-1`` — preparation will raise for it, but
+        the fingerprint must not.
         """
         catalog = self.session.catalog
-        try:
-            return tuple(
-                sorted(
-                    (name, catalog.table_version(name))
-                    for name in set(query.tables.values())
-                )
-            )
-        except KeyError:
-            return None
+        versions = []
+        for name in sorted(set(query.tables.values())):
+            try:
+                versions.append((name, catalog.table_version(name)))
+            except KeyError:
+                versions.append((name, -1))
+        return tuple(versions)
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_lock:

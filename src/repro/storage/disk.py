@@ -686,6 +686,67 @@ def export_table_csv(table: Table, path: str | Path) -> None:
             )
 
 
+def parse_csv_cell(text: str, ctype: ColumnType | None):
+    """One CSV cell as a value of ``ctype`` (``ValueError`` when it is not one).
+
+    An empty cell is NULL.  Without a declared type the value is parsed as
+    int, then float, then kept as a string.
+    """
+    if text == "":
+        return None
+    if ctype is ColumnType.STRING:
+        return text
+    if ctype is ColumnType.INT:
+        return int(text)
+    if ctype is ColumnType.FLOAT:
+        return float(text)
+    if ctype is ColumnType.BOOL:
+        return text.lower() in ("1", "true", "t", "yes")
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_csv_rows(
+    path: str | Path,
+    types: dict[str, ColumnType],
+    error: type[ValueError] = CatalogFormatError,
+) -> tuple[list[str], list[list]]:
+    """The header and the parsed rows of a CSV file with a header row.
+
+    A row shorter than the header is padded with NULLs.  A longer row, or a
+    cell that does not parse as its column's type, raises ``error`` naming
+    the file, the 1-based line, the column and the expected type.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise error(f"CSV file {path} is empty") from None
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) > len(header):
+                raise error(f"{where}: {len(row)} cells for {len(header)} columns")
+            parsed: list = [None] * len(header)
+            for position, (name, text) in enumerate(zip(header, row)):
+                ctype = types.get(name)
+                try:
+                    parsed[position] = parse_csv_cell(text, ctype)
+                except ValueError:
+                    raise error(
+                        f"{where}, column {name!r}: {text!r} is not a valid {ctype.value}"
+                    ) from None
+            rows.append(parsed)
+    return header, rows
+
+
 def import_table_csv(
     name: str,
     path: str | Path,
@@ -693,41 +754,14 @@ def import_table_csv(
 ) -> Table:
     """Read a CSV file (with a header row) into a table.
 
-    Empty cells become NULL.  Column types are taken from ``types`` when
-    given; otherwise values are parsed as int, then float, then kept as
-    strings.
+    Cells are parsed by :func:`read_csv_rows`: empty and missing trailing
+    cells become NULL, column types are taken from ``types`` when given and
+    inferred otherwise.
     """
     types = types or {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CatalogFormatError(f"CSV file {path} is empty") from None
-        raw_rows = [row for row in reader if row]
-
-    def parse(text: str, ctype: ColumnType | None):
-        if text == "":
-            return None
-        if ctype is ColumnType.STRING:
-            return text
-        if ctype is ColumnType.INT:
-            return int(text)
-        if ctype is ColumnType.FLOAT:
-            return float(text)
-        if ctype is ColumnType.BOOL:
-            return text.lower() in ("1", "true", "t", "yes")
-        try:
-            return int(text)
-        except ValueError:
-            pass
-        try:
-            return float(text)
-        except ValueError:
-            return text
-
+    header, rows = read_csv_rows(path, types)
     data = {
-        column_name: [parse(row[position], types.get(column_name)) for row in raw_rows]
+        column_name: [row[position] for row in rows]
         for position, column_name in enumerate(header)
     }
     return Table.from_dict(name, data, types=types)

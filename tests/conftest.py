@@ -62,21 +62,18 @@ def paper_session(paper_catalog: Catalog) -> Session:
 
 
 def hand_built_plan(
-    kind: str, plan, roots, annotations=None, predicate_tree=None
+    kind: str, roots, annotations=None, predicate_tree=None
 ) -> PreparedPlan:
     """A :class:`PreparedPlan` around a logical plan assembled by hand."""
     return PreparedPlan(
         planner=kind,
         kind=kind,
         query=None,
-        naive_tags=False,
-        plan=plan,
         roots=list(roots),
         annotations=annotations,
         predicate_tree=predicate_tree,
         plan_description="",
         planning_seconds=0.0,
-        catalog_version=0,
     )
 
 

@@ -131,13 +131,13 @@ class TestBDisjPlanner:
         context = PlannerContext.for_query(paper_query, paper_catalog)
         plan = BDisjPlanner(context).plan()
         assert plan.planner_name == "bdisj"
-        assert len(plan.subplans) == 2
-        assert plan.needs_union
+        assert plan.kind == "traditional"
+        assert len(plan.roots) == 2
 
     def test_clause_predicates_pushed_to_their_tables(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         plan = BDisjPlanner(context).plan()
-        for subplan in plan.subplans:
+        for subplan in plan.roots:
             filters = collect_filters(subplan)
             # Each clause has one predicate per table, both pushed below the join.
             assert len(filters) == 2
@@ -151,8 +151,7 @@ class TestBDisjPlanner:
         )
         context = PlannerContext.for_query(query, paper_catalog)
         plan = BDisjPlanner(context).plan()
-        assert len(plan.subplans) == 1
-        assert not plan.needs_union
+        assert len(plan.roots) == 1
 
     def test_no_predicate(self, paper_catalog, paper_query):
         query = Query(
@@ -162,15 +161,15 @@ class TestBDisjPlanner:
         )
         context = PlannerContext.for_query(query, paper_catalog)
         plan = BDisjPlanner(context).plan()
-        assert len(plan.subplans) == 1
+        assert len(plan.roots) == 1
 
 
 class TestBPushConjPlanner:
     def test_or_root_cannot_push_anything(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         plan = BPushConjPlanner(context).plan()
-        assert len(plan.subplans) == 1
-        subplan = plan.subplans[0]
+        assert len(plan.roots) == 1
+        subplan = plan.roots[0]
         # The whole disjunction sits above the join as a single filter.
         filters = collect_filters(subplan)
         assert len(filters) == 1
@@ -188,7 +187,7 @@ class TestBPushConjPlanner:
         )
         context = PlannerContext.for_query(query, paper_catalog)
         plan = BPushConjPlanner(context).plan()
-        filters = collect_filters(plan.subplans[0])
+        filters = collect_filters(plan.roots[0])
         pushed = [f for f in filters if isinstance(f.child, TableScanNode)]
         unpushed = [f for f in filters if isinstance(f.child, JoinNode)]
         assert len(pushed) == 1
@@ -197,4 +196,4 @@ class TestBPushConjPlanner:
     def test_projection_root(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         plan = BPushConjPlanner(context).plan()
-        assert isinstance(plan.subplans[0], ProjectNode)
+        assert isinstance(plan.roots[0], ProjectNode)

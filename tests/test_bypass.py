@@ -284,17 +284,17 @@ class TestBypassPlannerAndExecution:
     def test_planner_produces_pushdown_shaped_plan(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         plan = BypassPlanner(context).plan()
-        rendered = plan.to_string()
+        rendered = plan.description()
         assert "Scan(title AS t)" in rendered
         assert "Filter" in rendered
-        assert plan.describe().startswith("bypass")
+        assert (plan.planner_name, plan.kind) == ("bypass", "bypass")
 
     def test_compiled_plan_matches_paper_result(self, paper_catalog, paper_query):
         context = PlannerContext.for_query(paper_query, paper_catalog)
         planned = BypassPlanner(context).plan()
         output = compile_plan(
             hand_built_plan(
-                "bypass", planned, [planned.plan], predicate_tree=context.predicate_tree
+                "bypass", [planned.plan], predicate_tree=context.predicate_tree
             ),
             paper_catalog,
         ).execute(ExecContext())
@@ -307,7 +307,6 @@ class TestBypassPlannerAndExecution:
             compile_plan(
                 hand_built_plan(
                     "bypass",
-                    planned,
                     [planned.plan.child],
                     predicate_tree=context.predicate_tree,
                 ),

@@ -282,3 +282,24 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(CatalogFormatError, match="empty"):
             import_table_csv("empty", path)
+
+    def test_short_row_is_null_padded(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,x\n1,2\n3\n")
+        table = import_table_csv("data", path)
+        assert table.rows() == [{"id": 1, "x": 2}, {"id": 3, "x": None}]
+
+    def test_long_row_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,x\n1,2\n3,4,5\n")
+        with pytest.raises(CatalogFormatError, match="line 3: 3 cells for 2 columns"):
+            import_table_csv("data", path)
+
+    def test_cell_of_the_wrong_type_is_named(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("id,x\n1,2\n3,abc\n")
+        with pytest.raises(CatalogFormatError) as raised:
+            import_table_csv("data", path, types={"x": ColumnType.INT})
+        assert str(raised.value) == (
+            f"{path}, line 3, column 'x': 'abc' is not a valid int"
+        )

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baseline.planners import TraditionalPlan
 from repro.core.tagmap import TagMapBuilder
 from repro.engine.metrics import ExecContext, ExecutionMetrics, Stopwatch
 from repro.engine.result import OutputColumns, QueryResult, materialize_output
@@ -113,13 +112,13 @@ class TestCompilePlanEdgeCases:
         annotations = builder.build(ProjectNode(scan))
         with pytest.raises(ValueError, match="ProjectNode"):
             compile_plan(
-                hand_built_plan("tagged", scan, [scan], annotations), paper_catalog
+                hand_built_plan("tagged", [scan], annotations), paper_catalog
             ).execute(ExecContext())
 
     def test_traditional_plan_requires_subplans(self, paper_catalog):
         with pytest.raises(ValueError):
             compile_plan(
-                hand_built_plan("traditional", TraditionalPlan("bdisj", []), []),
+                hand_built_plan("traditional", []),
                 paper_catalog,
             ).execute(ExecContext())
 
@@ -136,7 +135,7 @@ class TestCompilePlanEdgeCases:
         plan = ProjectNode(join)
         annotations = TagMapBuilder(None).build(plan)
         output = compile_plan(
-            hand_built_plan("tagged", plan, [plan], annotations), paper_catalog
+            hand_built_plan("tagged", [plan], annotations), paper_catalog
         ).execute(ExecContext())
         assert output.row_count == 6
 

@@ -1,10 +1,13 @@
-"""Execution options are one type, validated at the call that gives them."""
+"""Execution and planning options are one type each, validated at the call
+that gives them."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import Catalog, QueryService, Session, Table
+from repro.core.planner import CostParams, PlanOptions
+from repro.core.planner.base import PLAN_OPTION_NAMES
 from repro.engine.metrics import ExecOptions
 
 SQL = "SELECT t.id FROM t AS t WHERE (t.v < 3) OR (t.v > 6)"
@@ -55,3 +58,46 @@ def test_none_override_keeps_the_inherited_value(catalog):
         )
         assert service.execute(SQL).metrics.morsels_executed == 3
     assert session.options == ExecOptions(partitions=3)
+
+
+@pytest.mark.parametrize("size", (0, -5))
+def test_out_of_range_sample_size_rejected_at_construction(catalog, size):
+    message = f"stats_sample_size must be positive, got {size}"
+    with pytest.raises(ValueError, match=message):
+        PlanOptions(stats_sample_size=size)
+    # Not NumPy's "negative dimensions" (or a silently default-selectivity
+    # plan) from inside the first execute().
+    with pytest.raises(ValueError, match=message):
+        Session(catalog, stats_sample_size=size)
+
+
+def test_planning_options_are_type_checked_and_named(catalog):
+    with pytest.raises(TypeError, match="cost_params must be a CostParams, got dict"):
+        Session(catalog, cost_params={"alpha": 2.0})
+    with pytest.raises(TypeError, match="'selectivty_mode'"):
+        Session(catalog, selectivty_mode="measured")
+    with pytest.raises(TypeError, match="'sample_size'"):
+        PlanOptions().replace(sample_size=5)
+
+
+def test_each_override_reaches_the_one_type_that_declares_it(catalog):
+    session = Session(
+        catalog, stats_sample_size=7, three_valued=False, shards=1, partitions=3
+    )
+    assert session.plan_options == PlanOptions(stats_sample_size=7, three_valued=False)
+    assert session.options == ExecOptions(partitions=3)
+    # No name is declared by both types, so no override can reach both.
+    assert not PLAN_OPTION_NAMES & set(vars(ExecOptions()))
+    # None keeps the default; the same instance when nothing changes.
+    assert Session(catalog, cost_params=None).plan_options == PlanOptions()
+    assert session.plan_options.replace(naive_tags=None) is session.plan_options
+
+
+def test_a_plan_carries_the_options_it_was_planned_under(catalog):
+    session = Session(catalog, cost_params=CostParams(alpha=2.0), naive_tags=True)
+    assert session.prepare(SQL).options is session.plan_options
+    generalized = session.prepare(SQL, naive_tags=False)
+    assert generalized.options == session.plan_options.replace(naive_tags=False)
+    assert session.execute(SQL).sorted_rows() == session.execute(
+        SQL, naive_tags=False
+    ).sorted_rows()

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.planner import PLANNER_REGISTRY, TMIN_CANDIDATES
+from repro.core.planner import TMIN_CANDIDATES
 from repro.core.planner.base import PlannerContext
 from repro.core.planner.exhaustive import TExhaustivePlanner
 from repro.core.planner.pushdown import TPushdownPlanner
+from repro.engine.session import PLANNERS
 from repro.plan.logical import collect_joins
 from repro.workloads.job import job_query
 from repro.workloads.synthetic import make_cnf_query, make_dnf_query
@@ -17,7 +18,7 @@ from tests.conftest import PAPER_QUERY_MATCHES
 
 class TestRegistration:
     def test_registered_as_texhaustive(self):
-        assert PLANNER_REGISTRY["texhaustive"] is TExhaustivePlanner
+        assert PLANNERS["texhaustive"] is TExhaustivePlanner
 
     def test_not_part_of_tmin_candidates(self):
         assert "texhaustive" not in TMIN_CANDIDATES

@@ -15,9 +15,17 @@ The cost model sums per-tag row estimates in set order, which follows the
 interpreter's string-hash seed and can move a cost by one ulp; recording and
 checking both run under ``PYTHONHASHSEED=0``, in a child interpreter.
 
+The untagged planners (``bdisj``, ``bpushconj``, ``bypass``) are pinned by
+their ``plan_description`` alone, in ``tests/golden/baseline_plans.json``
+(recorded at the commit before they were rebuilt on the tagged planners'
+helpers).  The same file carries the premise of the paper's Fig. 3d: BPushConj
+describes exactly the tree TPushConj builds, and bypass the tree TPushdown
+builds.
+
 Re-record (only when plans are *meant* to change)::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_golden_plans.py > tests/golden/plans.json
+    PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_golden_plans.py baselines > tests/golden/baseline_plans.json
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import sys
 from pathlib import Path
 
 from repro import Session
-from repro.core.planner import PLANNER_REGISTRY
+from repro.engine.session import PLANNERS as PLANNER_TABLE
 from repro.plan.logical import FilterNode, JoinNode, plan_to_string
 from repro.workloads.imdb import generate_imdb_catalog
 from repro.workloads.job import job_query_groups
@@ -42,6 +50,10 @@ from repro.workloads.synthetic import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "plans.json"
+BASELINE_GOLDEN = Path(__file__).parent / "golden" / "baseline_plans.json"
+#: untagged planner -> the tagged planner whose tree it must describe
+#: (``bdisj`` plans one tree per root clause and has no tagged twin).
+BASELINE_PLANNERS = {"bdisj": None, "bpushconj": "tpushconj", "bypass": "tpushdown"}
 PLANNERS = ("tpushdown", "tpullup", "titerpush", "tpushconj", "tcombined", "texhaustive")
 #: (three_valued, naive_tags)
 CONFIGS = ((True, False), (False, False), (True, True), (False, True))
@@ -128,7 +140,7 @@ def snapshot() -> dict:
                 # The context Session.prepare plans with (statistics, access
                 # paths and cost constants included).
                 context = sessions[three_valued]._planner_context(query, naive)
-                planned = PLANNER_REGISTRY[planner](context).plan()
+                planned = PLANNER_TABLE[planner](context).plan()
                 key = (
                     f"{workload}/{query.name}/{planner}/"
                     f"{'3vl' if three_valued else '2vl'}/{'naive' if naive else 'generalized'}"
@@ -139,15 +151,32 @@ def snapshot() -> dict:
     return record
 
 
-def test_planners_reproduce_the_golden_file():
+def baseline_snapshot() -> dict:
+    """``plan_description`` of every untagged planner x query x logic."""
+    record = {}
+    for workload, catalog, queries in workloads():
+        for three_valued in (True, False):
+            session = Session(catalog, three_valued=three_valued)
+            for query in queries:
+                for planner in BASELINE_PLANNERS:
+                    key = f"{workload}/{query.name}/{planner}/{'3vl' if three_valued else '2vl'}"
+                    record[key] = session.prepare(query, planner).plan_description
+    return record
+
+
+def recorded_now(*mode: str) -> dict:
     child = subprocess.run(
-        [sys.executable, __file__],
+        [sys.executable, __file__, *mode],
         env={**os.environ, "PYTHONHASHSEED": "0"},
         capture_output=True,
         text=True,
         check=True,
     )
-    current = json.loads(child.stdout)
+    return json.loads(child.stdout)
+
+
+def test_planners_reproduce_the_golden_file():
+    current = recorded_now()
     golden = json.loads(GOLDEN.read_text())
     assert sorted(current) == sorted(golden)
     different = [key for key in golden if current[key] != golden[key]]
@@ -157,5 +186,23 @@ def test_planners_reproduce_the_golden_file():
     assert not different
 
 
+def test_untagged_planners_reproduce_their_golden_file():
+    current = recorded_now("baselines")
+    golden = json.loads(BASELINE_GOLDEN.read_text())
+    assert sorted(current) == sorted(golden)
+    assert len(golden) == (33 + 9) * 2 * len(BASELINE_PLANNERS)
+    for key in golden:
+        assert current[key] == golden[key], key
+    # Fig. 3d's premise: same tree as the tagged twin (pinned by plans.json).
+    tagged = json.loads(GOLDEN.read_text())
+    for key, description in current.items():
+        workload, query, planner, logic = key.split("/")
+        twin = BASELINE_PLANNERS[planner]
+        if twin is not None:
+            twin_key = f"{workload}/{query}/{twin}/{logic}/generalized"
+            assert description == tagged[twin_key]["plan"], key
+
+
 if __name__ == "__main__":
-    json.dump(snapshot(), sys.stdout, indent=1, sort_keys=True)
+    record = baseline_snapshot() if sys.argv[1:] == ["baselines"] else snapshot()
+    json.dump(record, sys.stdout, indent=1, sort_keys=True)

@@ -41,14 +41,6 @@ class TestModelAgreement:
         bdisj = imdb_session.execute(job_query(group), planner="bdisj")
         assert bdisj.sorted_rows() == reference_results[group].sorted_rows()
 
-    @pytest.mark.parametrize("group", GROUPS[:2])
-    def test_histogram_stats_match_measured(self, imdb_catalog, reference_results, group):
-        from repro import Session
-
-        session = Session(imdb_catalog, stats_sample_size=4_000, selectivity_mode="histogram")
-        result = session.execute(job_query(group), planner="tcombined")
-        assert result.sorted_rows() == reference_results[group].sorted_rows()
-
 
 class TestWorkCounterDirections:
     """The paper's qualitative claims, checked on a real JOB-style group."""

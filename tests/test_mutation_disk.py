@@ -14,7 +14,9 @@ from repro.mutation.diskops import (
     append_rows_to_saved_catalog,
     compact_saved_catalog,
     delete_rows_from_saved_catalog,
+    rows_from_csv,
 )
+from repro.storage.column import ColumnType
 from repro.storage.disk import (
     MANIFEST_NAME,
     CatalogFormatError,
@@ -275,6 +277,27 @@ class TestMutationCli:
         assert "appended 2 rows" in capsys.readouterr().out
         table = load_catalog(root).get("t")
         assert table.row(31) == {"id": 201, "v": None, "s": None}
+
+    def test_insert_from_csv_names_the_bad_cell(self, tmp_path, capsys):
+        root = _saved_dataset(tmp_path)
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("id,v,s\n200,4.5,zz\n201,abc,yy\n")
+        assert main(
+            ["insert", "--data", str(root), "--table", "t", "--csv", str(csv_path)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{csv_path}, line 3, column 'v'" in err
+        assert "'abc' is not a valid float" in err
+        assert load_catalog(root).get("t").num_rows == 30
+
+    def test_csv_rows_share_the_import_row_rules(self, tmp_path):
+        types = {"id": ColumnType.INT, "v": ColumnType.FLOAT, "s": ColumnType.STRING}
+        csv_path = tmp_path / "rows.csv"
+        csv_path.write_text("id,v,s\n200,4.5\n")
+        assert rows_from_csv(csv_path, types) == [{"id": 200, "v": 4.5, "s": None}]
+        csv_path.write_text("id,v,s\n200,4.5,zz,extra\n")
+        with pytest.raises(MutationError, match="line 2: 4 cells for 3 columns"):
+            rows_from_csv(csv_path, types)
 
     def test_table_stats_subcommand(self, tmp_path, capsys):
         root = str(_saved_dataset(tmp_path))

@@ -123,18 +123,18 @@ class TestEstimatePlanRows:
         context = PlannerContext.for_query(paper_query, paper_catalog)
         session = Session(paper_catalog)
         prepared = session.prepare(paper_query, planner="bpushconj")
-        rows = estimate_plan_rows(prepared.plan.subplans[0], context.estimates)
-        node_ids = {node.node_id for node in prepared.plan.subplans[0].walk()}
+        rows = estimate_plan_rows(prepared.roots[0], context.estimates)
+        node_ids = {node.node_id for node in prepared.roots[0].walk()}
         assert set(rows) == node_ids
         assert all(value >= 0.0 for value in rows.values())
 
     def test_tagged_prepare_stores_cost_model_rows(self, paper_query, paper_catalog):
         session = Session(paper_catalog)
         prepared = session.prepare(paper_query, planner="tcombined")
-        node_ids = {node.node_id for node in prepared.plan.walk()}
+        node_ids = {node.node_id for node in prepared.roots[0].walk()}
         assert set(prepared.estimated_rows) == node_ids
         assert prepared.estimated_output_rows == pytest.approx(
-            prepared.estimated_rows[prepared.plan.node_id]
+            prepared.estimated_rows[prepared.roots[0].node_id]
         )
 
 
@@ -307,7 +307,7 @@ class TestExplainAnalyze:
         prepared = session.prepare(paper_query, planner="bdisj")
         result = session.execute_prepared(prepared, collect_feedback=True)
         report = explain_analyze_report(prepared, result)
-        assert report.count("Project") == len(prepared.plan.subplans)
+        assert report.count("Project") == len(prepared.roots)
 
     def test_cli_explain_analyze(self, tmp_path, capsys):
         from repro.cli import main

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
 
 from repro import Catalog, QueryService, Session, Table
+from repro.core.planner import CostParams, PlanOptions
 from repro.service import PlanCache, StatsCache, query_fingerprint
 from repro.sql import clear_parse_cache, parse_query_cached
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog, make_dnf_query
@@ -110,28 +112,60 @@ def test_warm_prepares_without_executing(service):
 # --------------------------------------------------------------------------- #
 # Fingerprints
 # --------------------------------------------------------------------------- #
+V3 = (("title", 3),)
+
+
 def test_fingerprint_stable_across_equivalent_spellings():
-    base = query_fingerprint(SQL, "tcombined", catalog_version=3)
-    assert query_fingerprint(SQL_REFORMATTED, "tcombined", catalog_version=3) == base
-    assert query_fingerprint(SQL_REARRANGED, "tcombined", catalog_version=3) == base
+    base = query_fingerprint(SQL, "tcombined", table_versions=V3)
+    assert query_fingerprint(SQL_REFORMATTED, "tcombined", table_versions=V3) == base
+    assert query_fingerprint(SQL_REARRANGED, "tcombined", table_versions=V3) == base
 
 
 def test_fingerprint_distinguishes_semantic_inputs():
-    base = query_fingerprint(SQL, "tcombined", catalog_version=3)
-    assert query_fingerprint(SQL, "tpushdown", catalog_version=3) != base
-    assert query_fingerprint(SQL, "tcombined", catalog_version=4) != base
-    assert query_fingerprint(SQL, "tcombined", catalog_version=3, naive_tags=True) != base
-    assert query_fingerprint(SQL, "tcombined", catalog_version=3, sample_size=99) != base
+    base = query_fingerprint(SQL, "tcombined", table_versions=V3)
+    assert query_fingerprint(SQL, "tpushdown", table_versions=V3) != base
+    assert query_fingerprint(SQL, "tcombined", table_versions=(("title", 4),)) != base
+    assert query_fingerprint(SQL, "tcombined", PlanOptions(naive_tags=True), V3) != base
+    assert query_fingerprint(SQL, "tcombined", PlanOptions(stats_sample_size=99), V3) != base
+    assert query_fingerprint(SQL, "tcombined", table_versions=V3, access_version=0) != base
     assert (
-        query_fingerprint(SQL + " LIMIT 3", "tcombined", catalog_version=3) != base
+        query_fingerprint(SQL + " LIMIT 3", "tcombined", table_versions=V3) != base
     )
+
+
+#: One alternative value per planning option.  A field added to PlanOptions
+#: has to be registered here, i.e. someone decides what changing it means.
+ALTERNATIVES = {
+    "cost_params": CostParams(alpha=2.0),
+    "three_valued": False,
+    "stats_sample_size": 99,
+    "access_paths": False,
+    "naive_tags": True,
+}
+PLAN_OPTION_FIELDS = [field.name for field in dataclasses.fields(PlanOptions)]
+
+
+@pytest.mark.parametrize("field", PLAN_OPTION_FIELDS)
+def test_every_planning_option_is_part_of_the_cache_key(service, field):
+    assert field in ALTERNATIVES, f"no alternative value registered for PlanOptions.{field}"
+    changed = PlanOptions().replace(**{field: ALTERNATIVES[field]})
+    assert changed != PlanOptions()
+    assert query_fingerprint(SQL, "tcombined", changed) != query_fingerprint(SQL, "tcombined")
+
+    service.execute(SQL)
+    assert service.execute(SQL).cache_hit
+    service.session.plan_options = changed
+    assert not service.execute(SQL).cache_hit
+    assert service.execute(SQL).cache_hit
+
+
+def test_alternatives_name_only_planning_options():
+    assert sorted(ALTERNATIVES) == sorted(PLAN_OPTION_FIELDS)
 
 
 def test_fingerprint_accepts_bound_queries():
     bound = parse_query_cached(SQL)
-    assert query_fingerprint(bound, "tcombined", catalog_version=0) == query_fingerprint(
-        SQL, "tcombined", catalog_version=0
-    )
+    assert query_fingerprint(bound, "tcombined") == query_fingerprint(SQL, "tcombined")
 
 
 def test_parse_cache_memoizes_on_normalized_text():

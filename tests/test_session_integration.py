@@ -22,6 +22,14 @@ class TestSessionBasics:
         assert "Scan(title AS t)" in rendered
         assert "Join" in rendered
 
+    def test_explain_rejects_what_prepare_rejects(self, paper_session, paper_query_sql):
+        with pytest.raises(ValueError, match="unknown planner 'nonsense'"):
+            paper_session.explain(paper_query_sql, planner="nonsense")
+        # The oracle has no plan of its own: it shows tcombined's.
+        assert paper_session.explain(paper_query_sql, planner="tmin") == (
+            paper_session.explain(paper_query_sql, planner="tcombined")
+        )
+
     def test_explain_traditional(self, paper_session, paper_query_sql):
         rendered = paper_session.explain(paper_query_sql, planner="bdisj")
         assert rendered.count("---") == 1  # two subplans separated once

@@ -267,7 +267,7 @@ class TestFullTaggedPipeline:
         from tests.conftest import hand_built_plan
 
         output = compile_plan(
-            hand_built_plan("tagged", plan, [plan], annotations, tree), paper_catalog
+            hand_built_plan("tagged", [plan], annotations, tree), paper_catalog
         ).execute(ExecContext())
         titles = {
             row[output.names.index("t.title")]
