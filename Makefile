@@ -4,10 +4,7 @@
 PYTHON ?= python
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 
-# Tag stamped into the BENCH_*.json artifacts written by `make bench`.
-BENCH_TAG ?= PR10
-
-.PHONY: test lint test-crash bench-e2e bench-compare profile bench-smoke bench bench-shards bench-feedback bench-index bench-ingest bench-wal bench-obs bench-history docs-check examples
+.PHONY: test lint test-crash bench-e2e bench-compare profile docs-check examples
 
 ## tier-1 test suite (the gate every change must keep green)
 test:
@@ -41,75 +38,8 @@ W ?= job_warm
 profile:
 	$(PYTHON) scripts/profile_workload.py $(W)
 
-## quick benchmark pass: service throughput + parallel-scan assertions + one
-## paper figure, correctness checks only (the per-subsystem wall-clock
-## assertions are deselected here and live in their own targets).  Whatever the benchmarks
-## record goes to the git-ignored .bench_tmp/, not the tracked BENCH_*.json.
-bench-smoke: export BENCH_RESULTS_PATH = .bench_tmp/bench-smoke.json
-bench-smoke:
-	mkdir -p .bench_tmp
-	$(RUN) -m pytest benchmarks/bench_service_throughput.py \
-	    benchmarks/bench_parallel_scan.py \
-	    benchmarks/bench_sharded_scan.py \
-	    benchmarks/bench_feedback_replan.py \
-	    benchmarks/bench_index_pruning.py \
-	    benchmarks/bench_ingest.py \
-	    benchmarks/bench_wal_overhead.py \
-	    benchmarks/bench_obs_overhead.py \
-	    benchmarks/bench_history_overhead.py \
-	    benchmarks/bench_fig4a_selectivity.py -q --benchmark-disable \
-	    -k "not speedup and not overhead"
-
-## shared-nothing sharded execution: the >= 2x-at-4-shards speedup assertion
-## (needs >= 4 CPU cores; self-skips below that) plus timed runs, persists
-## its measurements into the current BENCH_*.json (the byte-identity half
-## also runs in bench-smoke)
-bench-shards:
-	$(RUN) -m pytest benchmarks/bench_sharded_scan.py -q
-
-## feedback-driven re-planning: work + wall-clock assertions, persists
-## its measurements into the current BENCH_*.json
-bench-feedback:
-	$(RUN) -m pytest benchmarks/bench_feedback_replan.py -q
-
-## access-path pruning: page-count + wall-clock assertions, persists its
-## measurements into BENCH_PR4.json (the page assertion also runs in
-## bench-smoke; this target adds the timing half)
-bench-index:
-	$(RUN) -m pytest benchmarks/bench_index_pruning.py -q
-
-## mutation ingest: incremental-vs-rebuild maintenance ratio plus the warm
-## query latency guard on a mutated table (the ratio half also runs in
-## bench-smoke; this target adds the latency half)
-bench-ingest:
-	$(RUN) -m pytest benchmarks/bench_ingest.py -q
-
-## WAL durability price: commit-latency overhead with fsync on and off
-## (the equivalence half also runs in bench-smoke; this target adds the
-## timing guard), persists its measurements into the current BENCH_*.json
-bench-wal:
-	$(RUN) -m pytest benchmarks/bench_wal_overhead.py -q
-
-## observability price: metrics-publication and tracing overhead guards
-## (the three-way equivalence half also runs in bench-smoke; this target
-## adds the timing guards), persists its measurements into the current
-## BENCH_*.json
-bench-obs:
-	$(RUN) -m pytest benchmarks/bench_obs_overhead.py -q
-
-## workload-history price: statistics + journal + regression detection
-## overhead guard (the equivalence half also runs in bench-smoke; this
-## target adds the timing guard), persists its measurements into the
-## current BENCH_*.json
-bench-history:
-	$(RUN) -m pytest benchmarks/bench_history_overhead.py -q
-
-## full benchmark suite with timing (slow); always leaves a BENCH_*.json
-## artifact behind so the perf trajectory is tracked
-bench:
-	$(RUN) -m pytest benchmarks -q --benchmark-json=BENCH_$(BENCH_TAG).pytest.json
-
-## docs gates: every public module has a docstring, README examples execute
+## docs gates: every public module has a docstring, README examples execute,
+## file and dotted references in README/docs resolve
 docs-check:
 	$(RUN) scripts/docs_check.py
 

@@ -29,7 +29,7 @@ setup(
     packages=find_packages(where="src"),
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

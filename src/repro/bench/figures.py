@@ -4,6 +4,7 @@ Examples::
 
     python -m repro.bench.figures fig3a --scale 0.05 --repetitions 3
     python -m repro.bench.figures fig4b --sizes 1000 5000 10000
+    python -m repro.bench.figures generalization --quick
     python -m repro.bench.figures all --quick
 
 ``--quick`` shrinks every experiment (fewer groups, smaller tables, one
@@ -24,7 +25,7 @@ from repro.bench.synthetic_bench import (
     run_table_size_sweep,
 )
 
-JOB_FIGURES = ("fig3a", "fig3b", "fig3c", "fig3d")
+JOB_FIGURES = ("fig3a", "fig3b", "fig3c", "fig3d", "generalization")
 SYNTHETIC_FIGURES = ("fig4a", "fig4b", "fig4c", "fig4d")
 ALL_FIGURES = JOB_FIGURES + SYNTHETIC_FIGURES
 

@@ -7,6 +7,8 @@
   bounds what a better cost model could achieve.
 * Figure 3d — BPushConj vs. TPushConj on the factored queries: both produce
   the same plans, so the ratio measures the overhead of the tag machinery.
+* ``generalization`` — the Section 3.2 ablation: TPushdown with the naive tag
+  strategy (no generalization) vs. TPushdown with generalized tags.
 
 Each figure is reported as one row per query group with both runtimes and
 the speedup (baseline / tagged), matching the bars of the paper's Figure 3.
@@ -24,13 +26,17 @@ from repro.plan.query import Query
 from repro.workloads.imdb import generate_imdb_catalog
 from repro.workloads.job import job_query_groups
 
-#: Which (baseline, tagged) planner pair each figure compares, and whether
-#: the query's common subexpressions are factored out first.
+#: Which (baseline, tagged) planner pair each figure compares, whether the
+#: query's common subexpressions are factored out first, and whether the
+#: baseline runs with naive (ungeneralized) tags.
 FIGURE_CONFIG = {
     "3a": {"baseline": "bdisj", "tagged": "tcombined", "factored": False},
     "3b": {"baseline": "bpushconj", "tagged": "tcombined", "factored": True},
     "3c": {"baseline": "bpushconj", "tagged": "tmin", "factored": True},
     "3d": {"baseline": "bpushconj", "tagged": "tpushconj", "factored": True},
+    "generalization": {
+        "baseline": "tpushdown", "tagged": "tpushdown", "factored": False, "naive_baseline": True,
+    },
 }
 
 
@@ -149,10 +155,11 @@ def run_job_figure(
     groups: list[int] | None = None,
     session: Session | None = None,
 ) -> JobFigureResult:
-    """Run one of Figures 3a-3d and return the per-group measurements.
+    """Run one of Figures 3a-3d (or the ablation) and return per-group measurements.
 
     Args:
-        figure: one of ``"3a"``, ``"3b"``, ``"3c"``, ``"3d"``.
+        figure: one of ``"3a"``, ``"3b"``, ``"3c"``, ``"3d"``,
+            ``"generalization"``.
         scale: IMDB-like dataset scale factor.
         seed: dataset generation seed.
         repetitions: runs per (query, planner) pair; the average is reported.
@@ -164,6 +171,7 @@ def run_job_figure(
     if figure not in FIGURE_CONFIG:
         raise ValueError(f"unknown figure {figure!r}; choose one of {sorted(FIGURE_CONFIG)}")
     config = FIGURE_CONFIG[figure]
+    naive_baseline = config.get("naive_baseline", False)
 
     if session is None:
         catalog = generate_imdb_catalog(scale=scale, seed=seed)
@@ -174,14 +182,16 @@ def run_job_figure(
 
     result = JobFigureResult(
         figure=figure,
-        baseline_planner=config["baseline"],
+        baseline_planner=config["baseline"] + ("-naive" if naive_baseline else ""),
         tagged_planner=config["tagged"],
     )
     for group in selected:
         query = queries[group - 1]
         if config["factored"]:
             query = factor_query(query)
-        baseline = time_query(session, query, config["baseline"], repetitions)
+        baseline = time_query(
+            session, query, config["baseline"], repetitions, naive_tags=naive_baseline
+        )
         tagged = time_query(session, query, config["tagged"], repetitions)
         if baseline.row_count != tagged.row_count:
             raise AssertionError(

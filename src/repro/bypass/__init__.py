@@ -19,7 +19,7 @@ third execution model next to the traditional and tagged ones:
   (:func:`repro.physical.compile.compile_plan` over a ``kind="bypass"`` plan).
 
 The crucial differences from tagged execution, which the paper calls out and
-which the ablation benchmarks measure, are preserved:
+which ``repro compare --planners tcombined bypass bdisj`` measures, are preserved:
 
 1. every stream is a *separate* relation, so tuples are copied between
    streams instead of being re-labelled in bitmaps;

@@ -13,7 +13,8 @@ tables) — the DP explores join orders, which is where greedy ordering can go
 wrong.  The planner is exponential in the number of joined tables and is
 intended for the query sizes the paper evaluates (2-6 tables); TCombined does
 not include it by default, but it is available as the ``texhaustive`` planner
-name and in the planner-quality ablation benchmark.
+name (``repro compare --planners tpushdown tcombined texhaustive`` is the
+planner-quality ablation).
 """
 
 from __future__ import annotations

@@ -12,10 +12,8 @@ Subsystems: ``query`` (service/session), ``plan_cache``, ``feedback``,
 ``page_cache``, ``scan``, ``exec`` (morsel/shard pools), ``wal``,
 ``recovery``, ``compaction``.
 
-Call sites go through the ``publish_*`` helpers below, which check the
-module-level :data:`ENABLED` flag first — `set_enabled(False)` turns every
-helper into a single boolean test, which is how the overhead benchmark
-measures a truly bare baseline and how embedders opt out entirely.
+Call sites go through the ``publish_*`` helpers below; publication is
+always on, so its cost sits inside every end-to-end benchmark reading.
 
 Instruments are created eagerly at import so ``repro metrics`` renders the
 full catalog (with zeros) even before any traffic — scrapers prefer a stable
@@ -25,16 +23,6 @@ set of series over ones that pop into existence.
 from __future__ import annotations
 
 from .registry import get_registry
-
-#: Master switch for all publish helpers in this module.
-ENABLED = True
-
-
-def set_enabled(flag: bool) -> None:
-    """Turn metric publication on or off process-wide."""
-    global ENABLED
-    ENABLED = bool(flag)
-
 
 _REG = get_registry()
 
@@ -135,8 +123,6 @@ def publish_query(
     shard_tasks: int,
 ) -> None:
     """Record one finished query execution."""
-    if not ENABLED:
-        return
     QUERIES.inc()
     QUERY_SECONDS.observe(seconds)
     QUERY_ROWS.inc(rows)
@@ -152,8 +138,6 @@ def publish_query(
 
 def publish_plan_cache(hit: bool) -> None:
     """Record one plan-cache lookup and refresh the hit-rate gauge."""
-    if not ENABLED:
-        return
     if hit:
         PLAN_CACHE_HITS.inc()
     else:
@@ -165,16 +149,12 @@ def publish_plan_cache(hit: bool) -> None:
 
 def publish_feedback(observations: int, replans: int) -> None:
     """Refresh the feedback-store gauges."""
-    if not ENABLED:
-        return
     FEEDBACK_OBSERVATIONS.set(observations)
     FEEDBACK_REPLANS.set(replans)
 
 
 def publish_page_cache(hits: int, misses: int) -> None:
     """Record a batch of page-cache accesses."""
-    if not ENABLED:
-        return
     if hits:
         PAGE_CACHE_HITS.inc(hits)
     if misses:
@@ -183,14 +163,11 @@ def publish_page_cache(hits: int, misses: int) -> None:
 
 def publish_slow_query() -> None:
     """Count one query over the slow-query threshold."""
-    if ENABLED:
-        SLOW_QUERIES.inc()
+    SLOW_QUERIES.inc()
 
 
 def publish_wal_commit(ops: int, bytes_written: int, fsyncs: int) -> None:
     """Record one committed WAL transaction."""
-    if not ENABLED:
-        return
     WAL_COMMITS.inc()
     WAL_COMMIT_OPS.observe(ops)
     if bytes_written:
@@ -201,8 +178,6 @@ def publish_wal_commit(ops: int, bytes_written: int, fsyncs: int) -> None:
 
 def publish_recovery(replayed_txns: int) -> None:
     """Record one WAL replay pass."""
-    if not ENABLED:
-        return
     RECOVERIES.inc()
     if replayed_txns:
         RECOVERY_TXNS.inc(replayed_txns)
@@ -210,8 +185,6 @@ def publish_recovery(replayed_txns: int) -> None:
 
 def publish_compaction(rows_reclaimed: int) -> None:
     """Record one completed compaction."""
-    if not ENABLED:
-        return
     COMPACTIONS.inc()
     if rows_reclaimed:
         COMPACTION_ROWS_RECLAIMED.inc(rows_reclaimed)
@@ -219,20 +192,17 @@ def publish_compaction(rows_reclaimed: int) -> None:
 
 def publish_regression() -> None:
     """Count one plan regression flagged by the history detector."""
-    if ENABLED:
-        HISTORY_REGRESSIONS.inc()
+    HISTORY_REGRESSIONS.inc()
 
 
 def publish_replan() -> None:
     """Count one drift re-plan recorded by the workload history."""
-    if ENABLED:
-        HISTORY_REPLANS.inc()
+    HISTORY_REPLANS.inc()
 
 
 def publish_journal_event() -> None:
     """Count one event appended to the history journal."""
-    if ENABLED:
-        HISTORY_JOURNAL_EVENTS.inc()
+    HISTORY_JOURNAL_EVENTS.inc()
 
 
 def publish_wal_status(registry, status: dict, prefix: str = "repro_wal") -> None:

@@ -314,7 +314,7 @@ class TestPrunedExecution:
         def total_io(result):
             return result.iostats.pages_read + result.iostats.pages_hit
 
-        assert total_io(pruned) < total_io(unpruned)
+        assert 2 * total_io(pruned) <= total_io(unpruned)
         # A pruned page contributes to neither misses nor hits.
         assert total_io(pruned) + pruned.metrics.pages_pruned <= total_io(
             unpruned

@@ -57,7 +57,7 @@ class TestFiguresCli:
                 figures, name, lambda *args, **kwargs: calls.append("synthetic") or _FakeResult()
             )
         figures.main(["all", "--quick"])
-        assert calls.count("job") == 4
+        assert calls.count("job") == 5
         assert calls.count("synthetic") == 4
 
 

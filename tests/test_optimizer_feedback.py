@@ -260,6 +260,10 @@ class TestServiceFeedbackLoop:
         assert third.plan_description == second.plan_description
         assert service.feedback_store.stats.replans == 1
         assert first.sorted_rows() == second.sorted_rows() == third.sorted_rows()
+        assert (
+            second.metrics.predicate_rows_evaluated * 1.5
+            <= first.metrics.predicate_rows_evaluated
+        )
 
     def test_feedback_off_never_replans(self, catalog):
         with QueryService(Session(catalog)) as service:

@@ -215,3 +215,17 @@ class TestOutputTagBookkeeping:
         generalized = TagMapBuilder(tree, three_valued=False).build(plan)
         naive = TagMapBuilder(tree, naive=True, three_valued=False).build(plan)
         assert generalized.num_tags() <= naive.num_tags()
+
+    @pytest.mark.parametrize("n", (3, 5, 7))
+    def test_interleaved_ordering_keeps_tags_linear(self, n):
+        """The same predicate filtered X1, Y1, X2, Y2, ... needs at most 4n+2
+        tags (Section 3.2, "Limitations")."""
+        xs = [col("t", f"x{i}") > lit(0) for i in range(n)]
+        ys = [col("t", f"y{i}") > lit(0) for i in range(n)]
+        tree = PredicateTree(and_(*[or_(x, y) for x, y in zip(xs, ys)]))
+
+        node = TableScanNode("t", "tbl")
+        for predicate_expr in (p for pair in zip(xs, ys) for p in pair):
+            node = FilterNode(predicate_expr, node)
+        annotations = TagMapBuilder(tree, three_valued=False).build(ProjectNode(node))
+        assert annotations.num_tags() <= 4 * n + 2

@@ -15,6 +15,7 @@ from repro.mutation.diskops import (
 from repro.mutation.recovery import recover_saved_catalog
 from repro.mutation.wal import (
     WAL_NAME,
+    DurabilityController,
     WalError,
     WalTransaction,
     WalWriter,
@@ -360,6 +361,26 @@ class TestCompactionFaults:
 
 
 class TestDurableCatalog:
+    def test_commit_paths_leave_identical_live_rows(self, tmp_path):
+        """One commit stream, three write paths: no WAL, WAL without fsync,
+        WAL with fsync."""
+        roots = [_saved_dataset(tmp_path / name) for name in ("plain", "nosync", "fsync")]
+        controllers = [DurabilityController(roots[1], sync=False), DurabilityController(roots[2])]
+        for commit in range(6):
+            rows = [{"id": 100 + 4 * commit + i, "v": i / 4, "s": f"n{i}"} for i in range(4)]
+            ops = [{"table": "t", "op": "append", "rows": rows}]
+            if commit % 2:
+                ops.append({"table": "t", "op": "delete", "positions": [commit, commit + 10]})
+            apply_ops_to_saved_catalog(roots[0], ops)
+            for controller in controllers:
+                controller.commit_ops(ops)
+        for controller in controllers:
+            controller.reset_writer()
+        plain = _live_rows(roots[0])
+        assert len(plain) == 30 + 6 * 4 - 3 * 2
+        assert _live_rows(roots[1]) == plain
+        assert _live_rows(roots[2]) == plain
+
     def test_durable_commit_survives_reload(self, tmp_path):
         root = _saved_dataset(tmp_path)
         catalog = load_catalog(root, durable=True)
