@@ -13,12 +13,11 @@ column.  The pieces:
   columns (the substrate of the bitmap index);
 * :mod:`repro.access.indexes` — secondary indexes: a :class:`BitmapIndex`
   for low-distinct columns and a :class:`SortedIndex` for range predicates,
-  both materializing row selections as
-  :class:`~repro.storage.bitmap.Bitmap` so they compose with the
-  tagged/bypass pipelines unchanged;
+  both answering with sorted row positions;
 * :mod:`repro.access.pruning` — derivation of the per-alias predicate a
-  scan may prune on (sound under SQL three-valued logic) and the bitmap
-  composition rules;
+  scan may prune on (sound under SQL three-valued logic) and the
+  composition rules of candidate sets (sorted unique row positions, with
+  zone-map evidence kept page-granular);
 * :mod:`repro.access.manager` — the :class:`AccessPathManager` registered
   on a :class:`~repro.storage.catalog.Catalog`, caching sketches and
   indexes per table version;
@@ -33,7 +32,7 @@ from repro.access.chooser import AccessPathChoice, AccessPathChooser, QueryAcces
 from repro.access.dictionary import DictionaryEncoding
 from repro.access.indexes import BitmapIndex, IndexDef, SortedIndex, build_index
 from repro.access.manager import AccessPathManager, ensure_access_manager
-from repro.access.pruning import candidate_mask, implied_alias_predicate
+from repro.access.pruning import candidate_positions, implied_alias_predicate
 from repro.access.zonemap import ColumnZoneMap, build_zone_map
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
     "SortedIndex",
     "build_index",
     "build_zone_map",
-    "candidate_mask",
+    "candidate_positions",
     "ensure_access_manager",
     "implied_alias_predicate",
 ]

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.access.manager import AccessPathManager, base_predicate_column
 from repro.access.pruning import implied_alias_predicate
 from repro.access.zonemap import zone_map_supported
 from repro.expr.ast import AndExpr, BooleanExpr, Comparison, NotExpr, OrExpr
 from repro.plan.query import Query
-from repro.storage.bitmap import Bitmap
 from repro.storage.column import SEQUENTIAL_SCAN_THRESHOLD
 
 #: Multiplier applied to the page estimate of zone-map pruning: keeping
@@ -65,8 +66,9 @@ class QueryAccessPlan:
     """Per-alias access-path choices for one prepared query.
 
     Stored on :class:`~repro.engine.session.PreparedPlan`; at execution time
-    :meth:`resolve_all` materializes the candidate bitmaps (memoized in the
-    manager, keyed by table version) that scans prune with.
+    :meth:`resolve_all` materializes the candidate sets (sorted row
+    positions, memoized in the manager, keyed by table version) that scans
+    prune with.
     """
 
     manager: AccessPathManager
@@ -82,9 +84,9 @@ class QueryAccessPlan:
         """The choice for ``alias`` (None when the alias is unknown)."""
         return self.choices.get(alias)
 
-    def resolve_all(self) -> dict[str, Bitmap]:
-        """Candidate bitmaps for every pruned alias (full scans are absent)."""
-        resolved: dict[str, Bitmap] = {}
+    def resolve_all(self) -> dict[str, np.ndarray]:
+        """Candidate sets for every pruned alias (full scans are absent)."""
+        resolved: dict[str, np.ndarray] = {}
         for alias, choice in self.choices.items():
             if choice.kind == "full" or choice.predicate is None:
                 continue
@@ -95,9 +97,9 @@ class QueryAccessPlan:
                 continue
             if pinned is not None and current != pinned:
                 continue
-            bitmap = self.manager.candidates(choice.table_name, choice.predicate)
-            if bitmap is not None:
-                resolved[alias] = bitmap
+            positions = self.manager.candidates(choice.table_name, choice.predicate)
+            if positions is not None:
+                resolved[alias] = positions
         return resolved
 
 
@@ -159,7 +161,7 @@ class AccessPathChooser:
         )
 
     # ------------------------------------------------------------------ #
-    # Support classification (mirrors repro.access.pruning.candidate_mask)
+    # Support classification (mirrors repro.access.pruning.candidate_positions)
     # ------------------------------------------------------------------ #
     def _classify(self, table_name: str, predicate: BooleanExpr) -> str | None:
         """``'index'`` / ``'zone'`` / None: the best evidence available."""

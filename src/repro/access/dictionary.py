@@ -102,13 +102,6 @@ class DictionaryEncoding:
         """Number of encoded rows."""
         return int(self.codes.shape[0])
 
-    def code_of(self, value) -> int:
-        """Dictionary code of ``value``, or :data:`NULL_CODE` when absent."""
-        position = int(np.searchsorted(self.values, value))
-        if position < self.num_values and self.values[position] == value:
-            return position
-        return NULL_CODE
-
     def grouped_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, boundaries)`` grouping row positions by code.
 

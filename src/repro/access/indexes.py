@@ -1,10 +1,11 @@
 """Secondary indexes: bitmap indexes and sorted (value → positions) indexes.
 
 Both index kinds answer a base predicate on their column with the *exact*
-set of rows where the predicate evaluates to TRUE, materialized as a
-:class:`~repro.storage.bitmap.Bitmap` — the same structure the tagged and
-bypass pipelines move around — so index results compose with every execution
-model unchanged.
+set of rows where the predicate evaluates to TRUE, as sorted, unique
+``int64`` row positions — the candidate-set shape of
+:mod:`repro.access.pruning` — so an answer costs what it holds, not the
+table's length (only the complements ``!=`` and ``IS NOT NULL`` are as long
+as the table, because they hold nearly all of it).
 
 * :class:`BitmapIndex` — for low-distinct columns.  Backed by a
   :class:`~repro.access.dictionary.DictionaryEncoding`; equality, IN, ``!=``
@@ -34,7 +35,6 @@ from repro.expr.ast import (
     IsNullPredicate,
     Literal,
 )
-from repro.storage.bitmap import Bitmap
 from repro.storage.column import Column, ColumnType
 
 #: ``auto`` index creation picks a bitmap index when the column's distinct
@@ -94,7 +94,13 @@ def _comparable_literal(predicate: Comparison) -> tuple[str, object] | None:
 
 
 class _IndexBase:
-    """Shared lookup plumbing of the two index kinds."""
+    """Shared lookup plumbing of the two index kinds.
+
+    Both hold the indexed (non-NULL, non-NaN) row positions ordered by
+    value, and a sorted array of search keys whose binary-search slots map
+    to slices of that order (:meth:`_positions`).  Every lookup answers with
+    sorted, unique ``int64`` row positions.
+    """
 
     kind = ""
 
@@ -103,10 +109,16 @@ class _IndexBase:
         self.null_positions = null_positions
 
     # -- subclass contract -------------------------------------------------- #
-    def _eq_positions(self, value) -> np.ndarray:
+    @property
+    def _keys(self) -> np.ndarray:
+        """The sorted search keys."""
         raise NotImplementedError
 
-    def _range_positions(self, op: str, value) -> np.ndarray | None:
+    def _positions(self, start: int, stop: int) -> np.ndarray:
+        """Row positions of keys ``[start, stop)``, ordered by value.
+
+        Positions holding one value are ascending among themselves.
+        """
         raise NotImplementedError
 
     # -- shared ------------------------------------------------------------- #
@@ -116,49 +128,67 @@ class _IndexBase:
         renumbered[live] = np.arange(live.shape[0], dtype=np.int64)
         return renumbered
 
-    def _bitmap(self, positions: np.ndarray) -> Bitmap:
-        bits = np.zeros(self.size, dtype=np.bool_)
-        if positions.size:
-            bits[positions] = True
-        return Bitmap(bits)
+    def _range(self, low=None, high=None, low_side="left", high_side="right") -> np.ndarray:
+        """Row positions whose value lies within the bounds, ordered by value.
 
-    def lookup(self, predicate: BooleanExpr) -> Bitmap | None:
-        """Rows where ``predicate`` is TRUE, or None when unsupported.
+        ``low_side="left"`` includes ``low`` (``"right"`` excludes it);
+        ``high_side="right"`` includes ``high`` (``"left"`` excludes it); a
+        ``None`` bound is open.
+        """
+        keys = self._keys
+        start = 0 if low is None else int(np.searchsorted(keys, low, low_side))
+        stop = keys.shape[0] if high is None else int(np.searchsorted(keys, high, high_side))
+        return self._positions(start, max(start, stop))
 
-        The result is exact (not a superset): callers may both prune with it
-        and, in principle, answer the predicate from it.
+    def _complement(self, *excluded: np.ndarray) -> np.ndarray:
+        """Row positions in none of the ``excluded`` sets, ascending."""
+        keep = np.ones(self.size, dtype=np.bool_)
+        for positions in excluded:
+            keep[positions] = False
+        return np.flatnonzero(keep)
+
+    def lookup(self, predicate: BooleanExpr) -> np.ndarray | None:
+        """Sorted unique positions of the rows where ``predicate`` is TRUE.
+
+        Returns None when the predicate is unsupported.  The result is exact
+        (not a superset): callers may both prune with it and, in principle,
+        answer the predicate from it.
         """
         try:
             return self._lookup(predicate)
         except TypeError:
             return None  # incomparable literal type
 
-    def _lookup(self, predicate: BooleanExpr) -> Bitmap | None:
+    def _lookup(self, predicate: BooleanExpr) -> np.ndarray | None:
         if isinstance(predicate, Comparison):
             oriented = _comparable_literal(predicate)
             if oriented is None:
                 return None
             op, value = oriented
             if op == "=":
-                return self._bitmap(self._eq_positions(value))
+                return self._range(value, value)  # one value: already ascending
             if op == "!=":
-                matched = self._bitmap(self._eq_positions(value))
-                non_null = self._bitmap(self.null_positions).complement()
-                return non_null.difference(matched)
-            positions = self._range_positions(op, value)
-            return None if positions is None else self._bitmap(positions)
+                return self._complement(self.null_positions, self._range(value, value))
+            if op == "<":
+                return np.sort(self._range(high=value, high_side="left"))
+            if op == "<=":
+                return np.sort(self._range(high=value))
+            if op == ">":
+                return np.sort(self._range(low=value, low_side="right"))
+            if op == ">=":
+                return np.sort(self._range(low=value))
+            return None
         if isinstance(predicate, InPredicate):
-            operand = predicate.operand
-            if not isinstance(operand, ColumnRef):
+            if not isinstance(predicate.operand, ColumnRef):
                 return None
             hits = [
-                self._eq_positions(value)
+                self._range(value, value)
                 for value in predicate.values
                 if value is not None
             ]
             if not hits:
-                return Bitmap.empty(self.size)
-            return self._bitmap(np.concatenate(hits))
+                return np.empty(0, dtype=np.int64)
+            return np.unique(np.concatenate(hits))
         if isinstance(predicate, BetweenPredicate):
             if not isinstance(predicate.operand, ColumnRef):
                 return None
@@ -166,16 +196,13 @@ class _IndexBase:
             high = predicate.high.value if isinstance(predicate.high, Literal) else None
             if low is None or high is None:
                 return None
-            lower = self._range_positions(">=", low)
-            upper = self._range_positions("<=", high)
-            if lower is None or upper is None:
-                return None
-            return self._bitmap(lower).intersection(self._bitmap(upper))
+            return np.sort(self._range(low, high))
         if isinstance(predicate, IsNullPredicate):
             if not isinstance(predicate.operand, ColumnRef):
                 return None
-            nulls = self._bitmap(self.null_positions)
-            return nulls.complement() if predicate.negated else nulls
+            if predicate.negated:
+                return self._complement(self.null_positions)
+            return self.null_positions
         return None
 
 
@@ -214,11 +241,6 @@ class BitmapIndex(_IndexBase):
     def num_values(self) -> int:
         """Distinct indexed values."""
         return self.dictionary.num_values
-
-    def positions_for_code(self, code: int) -> np.ndarray:
-        """Row positions of one dictionary code."""
-        start, stop = self._boundaries[code], self._boundaries[code + 1]
-        return self._order[start:stop]
 
     def extended(
         self,
@@ -262,11 +284,12 @@ class BitmapIndex(_IndexBase):
         null_positions = self._renumbered(live)[self.null_positions]
         return BitmapIndex(dictionary, order, boundaries, null_positions[null_positions >= 0])
 
-    def _eq_positions(self, value) -> np.ndarray:
-        code = self.dictionary.code_of(value)
-        if code < 0:
-            return np.empty(0, dtype=np.int64)
-        return self.positions_for_code(code)
+    @property
+    def _keys(self) -> np.ndarray:
+        return self.dictionary.values
+
+    def _positions(self, start: int, stop: int) -> np.ndarray:
+        return self._order[self._boundaries[start] : self._boundaries[stop]]
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten into named arrays for sidecar persistence."""
@@ -289,25 +312,6 @@ class BitmapIndex(_IndexBase):
             boundaries,
             np.asarray(arrays["null_positions"], dtype=np.int64),
         )
-
-    def _range_positions(self, op: str, value) -> np.ndarray | None:
-        values = self.dictionary.values
-        if op == "<":
-            stop_code = int(np.searchsorted(values, value, side="left"))
-            start_code = 0
-        elif op == "<=":
-            stop_code = int(np.searchsorted(values, value, side="right"))
-            start_code = 0
-        elif op == ">":
-            start_code = int(np.searchsorted(values, value, side="right"))
-            stop_code = self.num_values
-        elif op == ">=":
-            start_code = int(np.searchsorted(values, value, side="left"))
-            stop_code = self.num_values
-        else:
-            return None
-        start, stop = self._boundaries[start_code], self._boundaries[stop_code]
-        return self._order[start:stop]
 
 
 class SortedIndex(_IndexBase):
@@ -389,25 +393,12 @@ class SortedIndex(_IndexBase):
             int(live.shape[0]),
         )
 
-    def _slice(self, start: int, stop: int) -> np.ndarray:
+    @property
+    def _keys(self) -> np.ndarray:
+        return self.sorted_values
+
+    def _positions(self, start: int, stop: int) -> np.ndarray:
         return self.sorted_positions[start:stop]
-
-    def _eq_positions(self, value) -> np.ndarray:
-        start = int(np.searchsorted(self.sorted_values, value, side="left"))
-        stop = int(np.searchsorted(self.sorted_values, value, side="right"))
-        return self._slice(start, stop)
-
-    def _range_positions(self, op: str, value) -> np.ndarray | None:
-        total = self.sorted_values.shape[0]
-        if op == "<":
-            return self._slice(0, int(np.searchsorted(self.sorted_values, value, "left")))
-        if op == "<=":
-            return self._slice(0, int(np.searchsorted(self.sorted_values, value, "right")))
-        if op == ">":
-            return self._slice(int(np.searchsorted(self.sorted_values, value, "right")), total)
-        if op == ">=":
-            return self._slice(int(np.searchsorted(self.sorted_values, value, "left")), total)
-        return None
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Flatten into named arrays for sidecar persistence."""

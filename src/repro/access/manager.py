@@ -9,8 +9,9 @@ every derived access structure for its tables:
 * **secondary indexes** — created explicitly (:meth:`create_index`, or the
   ``repro index`` CLI) as durable :class:`~repro.access.indexes.IndexDef`
   definitions whose materializations are built lazily;
-* **candidate bitmaps** — the per-(table, predicate) row supersets scans
-  prune with, composed from the two structures above and memoized.
+* **candidate sets** — the per-(table, predicate) row supersets scans
+  prune with, as sorted unique ``int64`` row positions composed from the
+  two structures above, and memoized.
 
 Every cache entry is keyed by the owning table's
 :meth:`~repro.storage.catalog.Catalog.table_version`, so replacing or
@@ -26,17 +27,18 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.access.dictionary import adopt_dictionary, table_dictionary
 from repro.access.indexes import IndexDef, build_index
-from repro.access.pruning import candidate_mask
+from repro.access.pruning import candidate_positions
 from repro.access.zonemap import ColumnZoneMap, build_zone_map, extend_zone_map
 from repro.expr.ast import BooleanExpr, ColumnRef
-from repro.storage.bitmap import Bitmap
 from repro.storage.catalog import Catalog
 
-#: Memoized candidate bitmaps kept per table (a bitmap costs one byte per
-#: row, so diverse ad-hoc workloads would otherwise grow without bound —
-#: the plan cache is LRU-bounded for the same reason).  Eviction is
+#: Memoized candidate sets kept per table (a set costs eight bytes per
+#: candidate row, so diverse ad-hoc workloads would otherwise grow without
+#: bound — the plan cache is LRU-bounded for the same reason).  Eviction is
 #: insertion-ordered; cached plans simply recompute on a miss.
 CANDIDATE_CACHE_SIZE = 128
 
@@ -73,7 +75,7 @@ class _TableEntry:
     version: int
     zone_maps: dict[str, ColumnZoneMap | None] = field(default_factory=dict)
     indexes: dict[tuple[str, str], object] = field(default_factory=dict)
-    candidates: dict[str, Bitmap | None] = field(default_factory=dict)
+    candidates: dict[str, np.ndarray | None] = field(default_factory=dict)
 
 
 def base_predicate_column(predicate: BooleanExpr) -> str | None:
@@ -100,7 +102,7 @@ def _walk_refs(predicate: BooleanExpr):
 
 
 class AccessPathManager:
-    """Registry of zone maps, indexes and candidate bitmaps for one catalog."""
+    """Registry of zone maps, indexes and candidate sets for one catalog."""
 
     def __init__(self, catalog: Catalog) -> None:
         # Weak: the catalog owns its manager, and a strong back-reference
@@ -209,7 +211,7 @@ class AccessPathManager:
         ``extended`` methods) instead of being dropped and lazily rebuilt;
         delete-only commits carry them over unchanged (deleted rows are
         filtered at candidate resolution and at the scan).  Candidate
-        bitmaps are never carried — they fold the delete bitmap, so the new
+        sets are never carried — they fold the delete mask, so the new
         version starts with an empty memo.  Old structures are not mutated:
         snapshots pinned at the previous version keep reading theirs.
 
@@ -333,13 +335,14 @@ class AccessPathManager:
     # ------------------------------------------------------------------ #
     # Candidate resolution
     # ------------------------------------------------------------------ #
-    def candidates(self, table: str, predicate: BooleanExpr) -> Bitmap | None:
+    def candidates(self, table: str, predicate: BooleanExpr) -> np.ndarray | None:
         """A sound superset of ``table``'s rows that may satisfy ``predicate``.
 
-        Composes index lookups (exact) and zone-map page masks (page
-        granular) over the predicate tree; returns ``None`` when no pruning
-        evidence exists or the evidence keeps every row.  Results are
-        memoized per (table version, predicate key).
+        Sorted unique ``int64`` row positions (read-only: they are shared
+        through the memo), composed from index lookups (exact) and zone-map
+        page masks (page granular) over the predicate tree; ``None`` when no
+        pruning evidence exists or the evidence keeps every row.  Results
+        are memoized per (table version, predicate key).
         """
         key = predicate.key()
         with self._lock:
@@ -349,19 +352,19 @@ class AccessPathManager:
             if key in entry.candidates:
                 self.stats.candidate_hits += 1
                 return entry.candidates[key]
-        bitmap = self._compute_candidates(table, predicate)
+        positions = self._compute_candidates(table, predicate)
         with self._lock:
             entry = self._entry_locked(table)
             # Cache only if the table was not replaced while computing: a
-            # concurrent replace would otherwise pin a bitmap of the old
-            # contents (and possibly the wrong size) under the new version.
+            # concurrent replace would otherwise pin a candidate set of the
+            # old contents (and possibly the wrong range) under the new version.
             if entry.version == version:
                 while len(entry.candidates) >= CANDIDATE_CACHE_SIZE:
                     entry.candidates.pop(next(iter(entry.candidates)))
-                entry.candidates[key] = bitmap
-            return bitmap
+                entry.candidates[key] = positions
+            return positions
 
-    def _compute_candidates(self, table: str, predicate: BooleanExpr) -> Bitmap | None:
+    def _compute_candidates(self, table: str, predicate: BooleanExpr) -> np.ndarray | None:
         table_obj = self.catalog.get(table)
         num_rows = table_obj.num_rows
 
@@ -371,26 +374,33 @@ class AccessPathManager:
                 return None
             index = self.index_for(table, column)
             if index is not None:
-                bitmap = index.lookup(base)
-                if bitmap is not None:
-                    return bitmap.mask
+                positions = index.lookup(base)
+                if positions is not None:
+                    return positions
             zone_map = self.zone_map(table, column)
             if zone_map is None:
                 return None
-            return zone_map.row_mask(base, num_rows)
+            return zone_map.candidate_pages(base, num_rows)
 
-        mask = candidate_mask(predicate, evidence)
-        # Fold the table's delete bitmap in (see repro.mutation): a deleted
+        positions = candidate_positions(predicate, evidence)
+        # Fold the table's delete mask in (see repro.mutation): a deleted
         # row is never a candidate, so page pruning and morsel skipping stay
         # sound — and get *stronger* — as rows are deleted.  The scan layer
         # filters deletes independently, so this fold is an optimization for
         # accounting, not the correctness barrier.
         if table_obj.has_deletes():
-            live = ~table_obj.delete_mask
-            mask = live if mask is None else (mask & live)
-        if mask is None or bool(mask.all()):
+            deleted = table_obj.delete_mask
+            if positions is None:
+                positions = np.flatnonzero(~deleted)
+            else:
+                positions = positions[~deleted[positions]]
+        if positions is None or positions.shape[0] == num_rows:
             return None
-        return Bitmap.from_mask(mask)
+        # A private copy: a lookup may answer with an index's own array, and
+        # the memo hands this one to every scan, so it is made read-only.
+        positions = np.array(positions, dtype=np.int64)
+        positions.flags.writeable = False
+        return positions
 
 
 _ENSURE_LOCK = threading.Lock()

@@ -16,18 +16,24 @@ recursion:
   but only when *every* branch implies something;
 * anything under a NOT is conservatively skipped.
 
-**How is the candidate set built?**  :func:`candidate_mask` mirrors that
-recursion over the implied predicate, asking per base predicate for either
-an exact TRUE-row set (a secondary index) or a superset (zone-map page
-mask).  Supersets stay supersets under the composition rules: AND
-intersects whatever evidence exists, OR unions only when every branch has
-evidence.  The result is therefore always a sound superset of the rows the
-scan must produce.
+**How is the candidate set built?**  :func:`candidate_positions` mirrors
+that recursion over the implied predicate, asking per base predicate for
+either an exact TRUE-row set (a secondary index: sorted, unique ``int64``
+row positions) or a superset (a zone map's :class:`PageMask`).  Supersets
+stay supersets under the composition rules: AND intersects whatever
+evidence exists, OR unions only when every branch has evidence.  The result
+is therefore always a sound superset of the rows the scan must produce.
+
+Composition costs what the evidence holds, never the table's length: a page
+mask stays one flag per page until it is the final set or an OR operand
+beside exact positions, and an AND with exact positions keeps the positions
+whose page is kept (``positions[keep[positions // page_size]]``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,35 +77,105 @@ def _implied(predicate: BooleanExpr, alias: str) -> BooleanExpr | None:
     return None
 
 
-#: Signature of the per-base-predicate evidence callbacks: return a boolean
-#: candidate row mask (True = the row may satisfy the predicate) or None
-#: when no evidence exists for that predicate.
-EvidenceFn = Callable[[BooleanExpr], "np.ndarray | None"]
+@dataclass(frozen=True)
+class PageMask:
+    """Page-granular evidence: which pages *may* hold a row where a predicate is TRUE.
+
+    ``keep`` has one flag per page of a ``num_rows``-row column cut into
+    ``page_size``-row pages (the last page may be short).
+    """
+
+    keep: np.ndarray
+    page_size: int
+    num_rows: int
+
+    def rows(self) -> np.ndarray:
+        """Row positions of the kept pages, ascending."""
+        pages = np.flatnonzero(self.keep)
+        rows = (pages[:, None] * self.page_size + np.arange(self.page_size)).ravel()
+        return rows[: np.searchsorted(rows, self.num_rows)]
+
+    def filter(self, positions: np.ndarray) -> np.ndarray:
+        """The ``positions`` that lie on a kept page (order preserved)."""
+        return positions[self.keep[positions // self.page_size]]
 
 
-def candidate_mask(predicate: BooleanExpr, evidence: EvidenceFn) -> np.ndarray | None:
-    """Compose per-base-predicate evidence into one candidate row mask.
+#: Signature of the per-base-predicate evidence callbacks: return sorted
+#: unique ``int64`` row positions (exact), a :class:`PageMask` (superset),
+#: or None when no evidence exists for that predicate.
+EvidenceFn = Callable[[BooleanExpr], "np.ndarray | PageMask | None"]
+
+
+def candidate_positions(predicate: BooleanExpr, evidence: EvidenceFn) -> np.ndarray | None:
+    """Compose per-base-predicate evidence into one candidate row set.
 
     ``evidence`` is consulted for every base predicate; AND intersects the
-    masks that exist, OR unions them only when every branch produced one.
-    Returns ``None`` when no pruning evidence exists anywhere.
+    sets that exist, OR unions them only when every branch produced one.
+    Returns sorted unique ``int64`` row positions, or ``None`` when no
+    pruning evidence exists anywhere or a page mask that keeps every page is
+    all there is.
     """
+    composed = _compose(predicate, evidence)
+    if isinstance(composed, PageMask):
+        return None if bool(composed.keep.all()) else composed.rows()
+    return composed
+
+
+def _compose(predicate: BooleanExpr, evidence: EvidenceFn):
     if isinstance(predicate, NotExpr):
         return None
     if isinstance(predicate, AndExpr):
-        combined: np.ndarray | None = None
+        combined = None
         for child in predicate.children():
-            mask = candidate_mask(child, evidence)
-            if mask is None:
-                continue
-            combined = mask if combined is None else (combined & mask)
+            part = _compose(child, evidence)
+            if part is not None:
+                combined = part if combined is None else _and(combined, part)
         return combined
     if isinstance(predicate, OrExpr):
         combined = None
         for child in predicate.children():
-            mask = candidate_mask(child, evidence)
-            if mask is None:
+            part = _compose(child, evidence)
+            if part is None:
                 return None
-            combined = mask if combined is None else (combined | mask)
+            combined = part if combined is None else _or(combined, part)
         return combined
     return evidence(predicate)
+
+
+def _same_pages(left, right) -> bool:
+    return (
+        isinstance(left, PageMask)
+        and isinstance(right, PageMask)
+        and left.page_size == right.page_size
+    )
+
+
+def _rows(evidence) -> np.ndarray:
+    return evidence.rows() if isinstance(evidence, PageMask) else evidence
+
+
+def _and(left, right):
+    if _same_pages(left, right):
+        return PageMask(left.keep & right.keep, left.page_size, left.num_rows)
+    if isinstance(left, PageMask):
+        left, right = right, left  # AND is symmetric: any page mask goes right
+    if isinstance(right, PageMask):
+        return right.filter(_rows(left))
+    return _intersect_sorted(left, right)
+
+
+def _or(left, right):
+    if _same_pages(left, right):
+        return PageMask(left.keep | right.keep, left.page_size, left.num_rows)
+    return np.union1d(_rows(left), _rows(right))
+
+
+def _intersect_sorted(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The positions in both sorted unique arrays: O(small · log large)."""
+    if left.size > right.size:
+        left, right = right, left
+    if left.size == 0:
+        return left
+    slots = np.searchsorted(right, left)
+    slots[slots == right.size] = 0
+    return left[right[slots] == left]

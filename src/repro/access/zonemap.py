@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.access.pruning import PageMask
 from repro.expr.ast import (
     BetweenPredicate,
     BooleanExpr,
@@ -131,12 +132,17 @@ class ColumnZoneMap:
                 return None
         return keep
 
-    def row_mask(self, predicate: BooleanExpr, num_rows: int) -> np.ndarray | None:
-        """The page mask expanded to row granularity (True = candidate row)."""
+    def candidate_pages(self, predicate: BooleanExpr, num_rows: int) -> PageMask | None:
+        """The page mask with its geometry, as candidate-set evidence.
+
+        It stays page-granular for composition (see
+        :func:`repro.access.pruning.candidate_positions`): rows are only
+        listed when it is the final set or is unioned with exact positions.
+        """
         pages = self.page_mask(predicate)
         if pages is None:
             return None
-        return np.repeat(pages, self.page_size)[:num_rows]
+        return PageMask(pages, self.page_size, num_rows)
 
     def __repr__(self) -> str:
         return (

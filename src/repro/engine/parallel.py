@@ -39,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.engine.metrics import ExecContext, ExecOptions
 from repro.engine.result import OutputColumns
 from repro.physical.compile import compile_plan, plan_scan_aliases
+from repro.physical.operators import candidates_in_range
 from repro.plan.logical import TableScanNode
 from repro.storage.catalog import Catalog
 from repro.storage.table import owned_page_range
@@ -173,7 +174,7 @@ def execute_plan(
     Args:
         prepared: the :class:`~repro.engine.session.PreparedPlan`.  Its
             access plan (when present) is resolved here into candidate
-            bitmaps that restrict the scans (zone-map/index pruning) and let
+            sets that restrict the scans (zone-map/index pruning) and let
             the driver skip morsels whose partition of the partitioning
             alias holds no candidate row — pruning never changes the rows
             returned, only the pages touched.  Its query lets sharded
@@ -220,7 +221,7 @@ def execute_plan(
         live = [
             partition
             for partition in all_partitions
-            if bool(alias_candidates.mask[partition.start : partition.stop].any())
+            if candidates_in_range(alias_candidates, partition.start, partition.stop).size
         ]
         if not live:
             live = all_partitions[:1]

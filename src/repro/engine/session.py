@@ -149,7 +149,7 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     planning_work: dict[str, int] = field(default_factory=dict)
     #: Per-alias access-path choices
     #: (:class:`~repro.access.chooser.QueryAccessPlan`); ``None`` when access
-    #: paths are disabled.  Execution resolves it into candidate bitmaps that
+    #: paths are disabled.  Execution resolves it into candidate sets that
     #: prune scans; resolution is memoized per table version, so repeated
     #: executions of a cached plan pay nothing.  Resolution is version-pinned:
     #: once a table mutates past the plan's snapshot, its alias simply stops
@@ -162,7 +162,7 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
 
         The access plan reaches the access-path manager (an ``RLock``) and
         the snapshot holds the tables; the coordinator resolves the former to
-        plain candidate bitmaps and ships the latter once, by token.
+        plain candidate position arrays and ships the latter once, by token.
         """
         return dataclasses.replace(self, access_plan=None, snapshot=None)
 

@@ -7,8 +7,8 @@ splits the partitioning alias's partitions into **contiguous blocks** (one
 per shard, ``np.array_split`` geometry), ships each block to a worker
 *process* together with everything needed to re-create the physical plan —
 the prepared plan (minus its process-local state) and the resolved
-scan-candidate bitmaps — and gathers the per-shard outputs back **in shard
-order**.
+scan-candidate sets (sorted row positions) — and gathers the per-shard
+outputs back **in shard order**.
 
 Because shard blocks are contiguous in partition order, gathering in shard
 order *is* the partition-order merge: for a fixed partition count the result
@@ -96,11 +96,11 @@ class ShardSpec:
             <repro.engine.session.PreparedPlan.shippable>` leaves it —
             everything *except* process-local state (the snapshot's tables
             ship separately, once; access paths are resolved at the
-            coordinator and only the candidate bitmaps below ship).
+            coordinator and only the candidate sets below ship).
         collect_feedback: record per-predicate/per-operator observations.
         feedback_excluded_aliases: aliases whose observations are biased by
             candidate pruning (see :class:`~repro.engine.metrics.ExecContext`).
-        scan_candidates: alias -> candidate bitmap, resolved at the
+        scan_candidates: alias -> candidate row positions, resolved at the
             coordinator from the access-path layer.
         partition_alias: the alias whose scan is partitioned.
         parallelism: morsel threads *inside* each worker process.

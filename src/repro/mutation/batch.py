@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.access.dictionary import cached_dictionary, carry_dictionaries
 from repro.mutation.delta import ColumnDelta, MutationCommit, TableDelta, column_delta_for_segment
-from repro.storage.column import Column
+from repro.storage.column import Column, capped_by_span
 from repro.storage.table import Table
 
 
@@ -321,16 +321,14 @@ def extend_column(old: Column, segment: Column) -> Column:
         old.name, data, ctype=old.ctype, null_mask=nulls, page_size=old.page_size
     )
     distinct, bounds, bounds_known = old.cached_statistics()
+    merged = _merge_bounds(bounds, segment.min_max()) if bounds_known else None
     if distinct is not None:
         # Upper-bound estimate: segment values may repeat existing ones
         # (carry_dictionaries replaces it with the exact count when it can).
-        extended.seed_statistics(
-            distinct_count=min(distinct + segment.distinct_count(), len(extended))
-        )
+        estimate = min(distinct + segment.distinct_count(), len(extended))
+        extended.seed_statistics(distinct_count=capped_by_span(estimate, merged))
     if bounds_known:
-        extended.seed_statistics(
-            min_max=_merge_bounds(bounds, segment.min_max()), min_max_known=True
-        )
+        extended.seed_statistics(min_max=merged, min_max_known=True)
     return extended
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.baseline.operators import FilterOperator, HashJoinOperator, UnionOperator
 from repro.bypass.operators import (
     BypassFilterOperator,
@@ -37,7 +39,6 @@ from repro.engine.result import OutputColumns
 from repro.physical.base import PhysicalOperator
 from repro.physical.operators import ScanPhysical
 from repro.plan.logical import FilterNode, JoinNode, PlanNode, ProjectNode, TableScanNode
-from repro.storage.bitmap import Bitmap
 from repro.storage.catalog import Catalog
 from repro.storage.table import TablePartition
 
@@ -163,7 +164,7 @@ def compile_plan(
     catalog: Catalog,
     partition_alias: str | None = None,
     partition: TablePartition | None = None,
-    scan_candidates: dict[str, Bitmap] | None = None,
+    scan_candidates: dict[str, np.ndarray] | None = None,
 ) -> PhysicalPlan:
     """Compile a :class:`~repro.engine.session.PreparedPlan` into a :class:`PhysicalPlan`.
 
@@ -174,8 +175,9 @@ def compile_plan(
         catalog: base tables.
         partition_alias: alias whose scan is restricted to ``partition``.
         partition: the row-range slice for ``partition_alias``.
-        scan_candidates: alias -> access-path candidate bitmap; scans of
-            those aliases emit only candidate rows (zone-map/index pruning).
+        scan_candidates: alias -> access-path candidate set (sorted row
+            positions); scans of those aliases emit only candidate rows
+            (zone-map/index pruning).
     """
     model = MODELS.get(prepared.kind)
     if model is None:

@@ -18,7 +18,6 @@ from repro.bypass.streams import StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.engine.metrics import ExecContext
 from repro.physical.base import PhysicalOperator
-from repro.storage.bitmap import Bitmap
 from repro.storage.column import touched_pages
 from repro.storage.table import Table, TablePartition, owned_page_range
 
@@ -32,6 +31,12 @@ def _scan_indices(table: Table, partition: TablePartition | None) -> np.ndarray:
     return partition.positions()
 
 
+def candidates_in_range(candidates: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """The sorted ``candidates`` inside the row range ``[start, stop)`` (a view)."""
+    first, end = np.searchsorted(candidates, (start, stop))
+    return candidates[first:end]
+
+
 class ScanPhysical(PhysicalOperator):
     """Base-table scan emitting one batch over the (partitioned) row range.
 
@@ -41,11 +46,12 @@ class ScanPhysical(PhysicalOperator):
     :class:`StreamSet`.
 
     ``candidates`` optionally restricts the scan to an access-path candidate
-    bitmap (zone-map / index pruning, see :mod:`repro.access`): only set
-    positions inside the scan's row range are emitted, so pages holding no
-    candidate row are never touched by downstream reads.  The bitmap is a
-    sound superset of the rows satisfying the query's implied predicate for
-    this alias, which keeps results byte-identical to an unpruned scan.
+    set (zone-map / index pruning, see :mod:`repro.access`): sorted unique
+    row positions, of which only those inside the scan's row range are
+    emitted, so pages holding no candidate row are never touched by
+    downstream reads.  The set is a sound superset of the rows satisfying
+    the query's implied predicate for this alias, which keeps results
+    byte-identical to an unpruned scan.
     """
 
     label = "ScanPhysical"
@@ -57,14 +63,14 @@ class ScanPhysical(PhysicalOperator):
         table: Table,
         partition: TablePartition | None = None,
         node_id: int | None = None,
-        candidates: Bitmap | None = None,
+        candidates: np.ndarray | None = None,
     ) -> None:
         super().__init__(node_id=node_id)
         if kind not in BATCH_TYPES:
             raise ValueError(f"unknown execution kind {kind!r}")
-        if candidates is not None and candidates.size != table.num_rows:
+        if candidates is not None and candidates.size and candidates[-1] >= table.num_rows:
             raise ValueError(
-                f"candidate bitmap size {candidates.size} does not match table "
+                f"candidate row {int(candidates[-1])} is out of range for table "
                 f"{table.name!r} with {table.num_rows} rows"
             )
         self.batch_type = BATCH_TYPES[kind]
@@ -97,7 +103,7 @@ class ScanPhysical(PhysicalOperator):
             # but a deleted row must never surface.
             return self.table.live_positions_in(_scan_indices(self.table, self.partition))
         indices = self.table.live_positions_in(
-            np.flatnonzero(self.candidates.mask[start:stop]) + start
+            candidates_in_range(self.candidates, start, stop)
         )
         page_size = self.table.page_size
         first_page, end_page = owned_page_range(start, stop, page_size)

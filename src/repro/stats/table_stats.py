@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.storage.catalog import Catalog
-from repro.storage.column import count_distinct
+from repro.storage.column import capped_by_span, count_distinct
 from repro.storage.table import Table
 
 
@@ -78,8 +78,9 @@ class TableStats:
         only its count/bound attributes are read).  Row and NULL counts are
         exact; min/max bounds only widen (deleted rows may leave them looser
         than a fresh collection — still sound for estimation and pruning);
-        distinct counts are upper-bound estimates, except where the delta
-        carries the exact count from the column's dictionary.
+        distinct counts are upper-bound estimates (for integer and boolean
+        columns no larger than the merged span ``max - min + 1``), except
+        where the delta carries the exact count from the column's dictionary.
         """
         new_rows = self.num_rows + delta.appended_rows - delta.deleted_count
         merged = TableStats(
@@ -106,9 +107,12 @@ class TableStats:
                 distinct_count=(
                     column_delta.distinct_count
                     if column_delta.distinct_count is not None
-                    else min(
-                        old.distinct_count + column_delta.appended_distinct,
-                        max(new_rows, 1),
+                    else capped_by_span(
+                        min(
+                            old.distinct_count + column_delta.appended_distinct,
+                            max(new_rows, 1),
+                        ),
+                        None if min_value is None else (min_value, max_value),
                     )
                 ),
                 null_count=(

@@ -85,6 +85,21 @@ def count_distinct(values: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def capped_by_span(distinct: int, bounds: tuple | None) -> int:
+    """A distinct-count estimate capped at the span of integer/boolean ``bounds``.
+
+    Values in ``[low, high]`` take at most ``high - low + 1`` distinct
+    integers, so an append-merged estimate (old count plus the appended
+    segment's, which counts every repeat again) stays inside the domain it
+    was drawn from.  Other bounds, or none, leave ``distinct`` unchanged.
+    """
+    if bounds is None or not all(
+        isinstance(value, (int, np.integer, np.bool_)) for value in bounds
+    ):
+        return distinct
+    return min(distinct, int(bounds[1]) - int(bounds[0]) + 1)
+
+
 class ColumnType(enum.Enum):
     """Supported column value types."""
 

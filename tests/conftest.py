@@ -5,10 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro import Catalog, PreparedPlan, Session, Table
+from repro.engine.shard import shutdown_shard_pools
 from repro.plan.query import JoinCondition, Query
 from repro.expr.builders import and_, col, lit, or_
 from repro.workloads.imdb import generate_imdb_catalog
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _no_shard_pool_outlives_its_module():
+    """Stop the shard worker pools a test module started, when it ends.
+
+    A pool left alive blocks a later module that stops the multiprocessing
+    forkserver (the e2e benchmark smoke test does, after each workload).
+    """
+    yield
+    shutdown_shard_pools()
 
 
 @pytest.fixture(scope="session")

@@ -75,9 +75,9 @@ class TestZoneMap:
             name for name in ("ts", "cat", "score") if name in predicate.key()
         )
         zone_map = build_zone_map(clustered_table.column(column_name))
-        mask = zone_map.row_mask(predicate, clustered_table.num_rows)
-        assert mask is not None
-        kept = set(np.flatnonzero(mask).tolist())
+        pages = zone_map.candidate_pages(predicate, clustered_table.num_rows)
+        assert pages is not None
+        kept = set(pages.rows().tolist())
         assert _true_rows(clustered_table, predicate) <= kept
 
     def test_unsupported_shapes_return_none(self, clustered_table):
@@ -121,16 +121,16 @@ class TestIndexes:
         if kind == "sorted" and "!=" in predicate.key():
             pytest.skip("sorted indexes do not answer !=")
         index = build_index(clustered_table.column(column_name), kind=kind)
-        bitmap = index.lookup(predicate)
-        assert bitmap is not None
-        assert set(bitmap.positions().tolist()) == _true_rows(clustered_table, predicate)
+        positions = index.lookup(predicate)
+        assert positions is not None
+        assert positions.tolist() == sorted(_true_rows(clustered_table, predicate))
 
     def test_bitmap_ne_keeps_nan_rows(self):
         table = Table("t", [_column("x", [1.0, float("nan"), 2.0, None])])
         index = build_index(table.column("x"), kind="bitmap")
-        bitmap = index.lookup(col("t", "x").ne(1.0))
+        positions = index.lookup(col("t", "x").ne(1.0))
         # NaN != 1.0 is TRUE; NULL is UNKNOWN and excluded.
-        assert set(bitmap.positions().tolist()) == {1, 2}
+        assert positions.tolist() == [1, 2]
 
     def test_dictionary_encoding_round_trip(self, clustered_table):
         encoding = DictionaryEncoding.encode(clustered_table.column("cat"))
@@ -149,7 +149,7 @@ class TestIndexes:
         cls = BitmapIndex if kind == "bitmap" else SortedIndex
         clone = cls.from_arrays(index.to_arrays())
         predicate = col("e", "ts") >= lit(150)
-        assert clone.lookup(predicate) == index.lookup(predicate)
+        assert np.array_equal(clone.lookup(predicate), index.lookup(predicate))
 
 
 # --------------------------------------------------------------------------- #
@@ -200,7 +200,7 @@ class TestManager:
         manager.create_index("events", "cat", kind="bitmap")
         old_index = manager.index_for("events", "cat")
         predicate = col("e", "cat").eq("c1")
-        old_bitmap = manager.candidates("events", predicate)
+        old_positions = manager.candidates("events", predicate)
 
         replacement = Table(
             "events",
@@ -209,9 +209,9 @@ class TestManager:
         catalog.replace(replacement)
         new_index = manager.index_for("events", "cat")
         assert new_index is not old_index  # definition survived, structure rebuilt
-        new_bitmap = manager.candidates("events", predicate)
-        assert new_bitmap != old_bitmap
-        assert set(new_bitmap.positions().tolist()) == {1}
+        new_positions = manager.candidates("events", predicate)
+        assert not np.array_equal(new_positions, old_positions)
+        assert new_positions.tolist() == [1]
         assert manager.stats.invalidations >= 1
 
     def test_duplicate_create_rejected_and_drop_unregisters(self, clustered_table):
@@ -235,9 +235,9 @@ class TestManager:
             and_(col("e", "cat").eq("c1"), col("e", "ts") < lit(120)),
             col("e", "ts") >= lit(190),
         )
-        bitmap = manager.candidates("events", predicate)
-        assert bitmap is not None
-        kept = set(bitmap.positions().tolist())
+        positions = manager.candidates("events", predicate)
+        assert positions is not None
+        kept = set(positions.tolist())
         assert _true_rows(clustered_table, predicate) <= kept
         assert len(kept) < clustered_table.num_rows
 

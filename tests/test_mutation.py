@@ -186,6 +186,39 @@ class TestStatistics:
         assert known and bounds == (0.0, 123.0)
         assert distinct == 11
 
+    def test_integer_distinct_counts_stay_inside_the_value_span(self):
+        rng = np.random.default_rng(5)
+        catalog = Catalog(
+            [
+                Table(
+                    "e",
+                    [
+                        Column("cat_id", rng.integers(0, 80, 800)),
+                        Column("flag", rng.random(800) < 0.5),
+                    ],
+                )
+            ]
+        )
+        for column in catalog.get("e").columns():
+            column.min_max()  # warm the memo the merge extends
+            column.distinct_count()
+        stats = collect_table_stats(catalog.get("e"))
+        for _ in range(20):
+            batch = catalog.begin_mutation()
+            batch.insert(
+                "e",
+                [
+                    {"cat_id": int(value), "flag": bool(value % 2)}
+                    for value in rng.integers(0, 80, 50)
+                ],
+            )
+            stats = stats.apply_delta(batch.commit().deltas["e"])
+            table = catalog.get("e")
+            for name, domain in (("cat_id", 80), ("flag", 2)):
+                # The column-extension path and the statistics-delta path.
+                assert table.column(name).cached_statistics()[0] <= domain
+                assert stats.columns[name].distinct_count <= domain
+
     def test_unwarmed_column_stays_lazy(self):
         catalog = small_catalog()
         batch = catalog.begin_mutation()
@@ -245,13 +278,12 @@ class TestAccessMaintenance:
         manager.create_index("e", "k", kind="bitmap")
         predicate = col("e", "k").eq(lit(3))
         before = manager.candidates("e", predicate)
-        deleted = int(before.positions()[0])
+        deleted = int(before[0])
         batch = catalog.begin_mutation()
         batch.delete("e", positions=[deleted])
         batch.commit()
         after = manager.candidates("e", predicate)
-        assert not after.get(deleted)
-        assert after.count() == before.count() - 1
+        assert after.tolist() == before[1:].tolist()
 
     def test_deleted_rows_never_surface_without_access_paths(self):
         catalog = self._catalog()
@@ -289,7 +321,7 @@ class TestExtensionEquivalence:
             is_null(col("t", "c")),
         ]
         for predicate in probes:
-            assert extended.lookup(predicate) == rebuilt.lookup(predicate)
+            assert np.array_equal(extended.lookup(predicate), rebuilt.lookup(predicate))
 
     def test_bitmap_extension_from_all_null_column(self):
         # The pre-append dictionary is empty (every cell NULL): extension
@@ -304,7 +336,7 @@ class TestExtensionEquivalence:
             is_null(col("t", "c")),
             col("t", "c").ne(lit(1.5)),
         ):
-            assert extended.lookup(predicate) == rebuilt.lookup(predicate)
+            assert np.array_equal(extended.lookup(predicate), rebuilt.lookup(predicate))
 
     def test_extended_zone_map_equals_rebuilt(self):
         rng = np.random.default_rng(4)

@@ -12,7 +12,7 @@ contract down:
   plan (same structure, same output);
 * the one deliberately *unshippable* component — the access-path manager
   reachable from ``PreparedPlan.access_plan`` — is excluded by design: the
-  coordinator resolves candidates and ships plain bitmaps instead;
+  coordinator resolves candidates and ships plain position arrays instead;
 * worker processes load on-disk datasets read-only: no WAL writer, no
   recovery side effects, mutations refused.
 """
@@ -88,7 +88,7 @@ def test_selectivity_overrides_replan_identically(session):
 
 
 def test_shard_spec_pickles_without_access_plan(session, catalog):
-    """The spec ships resolved candidate bitmaps, never the access manager."""
+    """The spec ships resolved candidate positions, never the access manager."""
     prepared = session.prepare(SQL, planner="tcombined")
     spec = ShardSpec(
         prepared=prepared.shippable(),
