@@ -1,24 +1,18 @@
 """Traditional query execution: the comparison baselines.
 
-* :mod:`repro.baseline.relation` — plain (untagged) index relations.
-* :mod:`repro.baseline.operators` — filter / hash-join / union
-  operators of the traditional model.
 * :mod:`repro.baseline.planners` — BDisj and BPushConj (Section 5).
+* :mod:`repro.baseline.operators` — BDisj's deduplicating union root.
+
+Their filters and joins are the tagged operators under one-tag maps (see
+:mod:`repro.physical.compile`): a traditional plan is a tagged plan in which
+every relation carries one tag.
 """
 
-from repro.baseline.operators import (
-    FilterOperator,
-    HashJoinOperator,
-    UnionOperator,
-)
+from repro.baseline.operators import UnionOperator
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
-from repro.baseline.relation import Relation
 
 __all__ = [
     "BDisjPlanner",
     "BPushConjPlanner",
-    "FilterOperator",
-    "HashJoinOperator",
-    "Relation",
     "UnionOperator",
 ]

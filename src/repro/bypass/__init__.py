@@ -9,8 +9,9 @@ WHERE expression *bypass* the remaining (possibly expensive) operators.
 This subpackage implements the technique faithfully enough to serve as a
 third execution model next to the traditional and tagged ones:
 
-* a **stream** is a plain (untagged) relation annotated with the truth
-  assignments its tuples are known to satisfy (:mod:`repro.bypass.streams`);
+* a **stream** is a plain (untagged) :class:`~repro.bypass.streams.Relation`
+  annotated with the truth assignments its tuples are known to satisfy
+  (:mod:`repro.bypass.streams`);
 * bypass **operators** split, join and collect streams
   (:mod:`repro.bypass.operators`);
 * the bypass **planner** reuses the TPushdown plan shape — the bypass
@@ -35,7 +36,7 @@ from repro.bypass.operators import (
     BypassProjectOperator,
 )
 from repro.bypass.planner import BypassPlanner
-from repro.bypass.streams import BypassStream, StreamSet
+from repro.bypass.streams import BypassStream, Relation, StreamSet
 
 __all__ = [
     "BypassFilterOperator",
@@ -43,5 +44,6 @@ __all__ = [
     "BypassProjectOperator",
     "BypassPlanner",
     "BypassStream",
+    "Relation",
     "StreamSet",
 ]

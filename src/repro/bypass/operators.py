@@ -1,8 +1,9 @@
 """Bypass operators: filter (with true/false streams), join, project.
 
-The operators mirror the traditional operators of :mod:`repro.baseline` but
-work on :class:`~repro.bypass.streams.StreamSet` objects instead of single
-relations.  Tags are used only at plan/operator level to decide which streams
+The operators work on :class:`~repro.bypass.streams.StreamSet` objects: each
+stream is a plain :class:`~repro.bypass.streams.Relation` that a filter
+compacts and a join pairs with one hash table per stream pair.  Tags are
+used only at plan/operator level to decide which streams
 may bypass an operator or be discarded outright; the data path itself is the
 conventional one (copying index rows between streams, one hash table per
 stream pair), which is precisely what separates the bypass technique from
@@ -16,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baseline.operators import join_relations
-from repro.baseline.relation import Relation
-from repro.bypass.streams import BypassStream, StreamSet
+from repro.bypass.streams import BypassStream, Relation, StreamSet
 from repro.core.generalize import generalize_tag, refutes_root, satisfies_root
 from repro.core.predtree import PredicateTree
 from repro.core.tags import Tag
@@ -31,8 +30,45 @@ from repro.engine.result import (
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
 from repro.physical.base import BuildProbeJoin, StreamingFilter
-from repro.physical.expressions import evaluate_predicate
+from repro.physical.expressions import evaluate_predicate, read_join_keys
 from repro.plan.query import JoinCondition
+from repro.utils.join import equi_join_indices
+
+
+def join_relations(
+    conditions: list[JoinCondition],
+    left: Relation,
+    right: Relation,
+    context: ExecContext,
+) -> Relation:
+    """Equi-join two plain relations: one hash table, built over the smaller.
+
+    The pairwise join body the bypass join runs once per stream pair.  An
+    empty input yields an empty relation over both alias sets without
+    building or reading anything.
+    """
+    merged_tables = {**left.tables, **right.tables}
+    if left.num_rows == 0 or right.num_rows == 0:
+        empty = np.empty(0, dtype=np.int64)
+        indices = {alias: empty for alias in list(left.indices) + list(right.indices)}
+        return Relation(merged_tables, indices)
+
+    context.metrics.record_hash_build(left.num_rows, right.num_rows)
+
+    left_keys, right_keys = read_join_keys(
+        conditions, left.tables, left.indices, right.tables, right.indices, context
+    )
+    left_match, right_match = equi_join_indices(left_keys, right_keys)
+
+    out_indices: dict[str, np.ndarray] = {}
+    for alias in left.indices:
+        out_indices[alias] = left.indices[alias][left_match]
+    for alias in right.indices:
+        out_indices[alias] = right.indices[alias][right_match]
+
+    context.metrics.join_output_rows += int(left_match.size)
+    context.metrics.tuples_materialized += int(left_match.size)
+    return Relation(merged_tables, out_indices)
 
 
 class BypassFilterOperator(StreamingFilter):

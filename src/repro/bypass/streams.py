@@ -1,6 +1,9 @@
 """Streams: the unit of data flow in the bypass execution model.
 
-A :class:`BypassStream` couples a plain index relation with the truth
+A :class:`Relation` is a plain (untagged) index relation: like Basilisk's
+intermediate relations its rows are tuples of indices into the base tables,
+but there are no slices, so routing a row anywhere means copying it.
+A :class:`BypassStream` couples such a relation with the truth
 assignments (a :class:`~repro.core.tags.Tag`) its tuples are known to
 satisfy.  Unlike a tagged relation — where all slices share one physical
 relation and only bitmaps differ — every stream owns its own relation, so
@@ -11,13 +14,67 @@ makes the bypass model an honest comparator.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.baseline.relation import Relation
 from repro.core.tags import Tag
 from repro.storage.table import Table
+
+
+class Relation:
+    """An untagged index relation: alias -> row-index arrays of one length."""
+
+    def __init__(
+        self,
+        tables: Mapping[str, Table],
+        indices: Mapping[str, np.ndarray],
+    ) -> None:
+        self.tables = dict(tables)
+        self.indices = {alias: np.asarray(idx, dtype=np.int64) for alias, idx in indices.items()}
+        lengths = {idx.shape[0] for idx in self.indices.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"index arrays have differing lengths: {lengths}")
+        self._num_rows = lengths.pop() if lengths else 0
+
+    @classmethod
+    def from_base_table(cls, alias: str, table: Table) -> "Relation":
+        """Relation over every row of a base table."""
+        return cls({alias: table}, {alias: np.arange(table.num_rows, dtype=np.int64)})
+
+    @classmethod
+    def merge(cls, relations: list["Relation"]) -> "Relation":
+        """Concatenate relations over the same alias set, in order."""
+        if len(relations) == 1:
+            return relations[0]
+        tables = {}
+        for relation in relations:
+            tables.update(relation.tables)
+        indices = {
+            alias: np.concatenate([relation.indices[alias] for relation in relations])
+            for alias in relations[0].indices
+        }
+        return cls(tables, indices)
+
+    @property
+    def num_rows(self) -> int:
+        """Number of tuples in the relation."""
+        return self._num_rows
+
+    @property
+    def aliases(self) -> list[str]:
+        """Aliases joined into this relation."""
+        return list(self.indices)
+
+    def take(self, positions: np.ndarray) -> "Relation":
+        """A new relation containing only the rows at ``positions``."""
+        return Relation(
+            self.tables,
+            {alias: idx[positions] for alias, idx in self.indices.items()},
+        )
+
+    def __repr__(self) -> str:
+        return f"Relation(aliases={self.aliases}, rows={self.num_rows})"
 
 
 class BypassStream:
@@ -72,8 +129,7 @@ class StreamSet:
     def from_scan(cls, alias: str, table: Table, positions: np.ndarray, metrics) -> "StreamSet":
         """The batch a scan emits: one stream over ``positions``, empty tag."""
         metrics.streams_created += 1
-        relation = Relation.from_scan(alias, table, positions, metrics)
-        return cls([BypassStream(Tag.empty(), relation)])
+        return cls([BypassStream(Tag.empty(), Relation({alias: table}, {alias: positions}))])
 
     @classmethod
     def merge(cls, batches: list["StreamSet"]) -> "StreamSet":
@@ -148,11 +204,4 @@ def _merge_streams(first: BypassStream, second: BypassStream) -> BypassStream:
         raise ValueError(
             f"cannot merge streams with different tags: {first.tag!r} vs {second.tag!r}"
         )
-    merged_tables = {**first.relation.tables, **second.relation.tables}
-    merged_indices = {
-        alias: np.concatenate(
-            [first.relation.indices[alias], second.relation.indices[alias]]
-        )
-        for alias in first.relation.indices
-    }
-    return BypassStream(first.tag, Relation(merged_tables, merged_indices))
+    return BypassStream(first.tag, Relation.merge([first.relation, second.relation]))

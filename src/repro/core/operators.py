@@ -4,9 +4,15 @@ These implement the runtime side of Section 2: given the tag maps produced at
 plan time, each operator touches only the relational slices its tag map names
 and routes results to output tags.  Implementation follows Basilisk's choices
 (Section 2.5): filters evaluate their predicate once over the union of the
-matching slices' bitmaps and never physically delete rows; joins build a
-single shared structure over all participating slices; values are fetched
-lazily by row index through the storage layer.
+matching slices' bitmaps and rewrite bitmaps instead of deleting rows; joins
+build a single shared structure over all participating slices; values are
+fetched lazily by row index through the storage layer.
+
+A relation of one slice takes a one-slice path, chosen from the input: a
+filter with only a TRUE outcome gathers the passing rows into a compacted
+relation (no other row could stay live), and a join of one slice per side is
+a single hash join without slice bookkeeping.  Traditional plans run here
+under one-tag maps, so for them this path *is* the plain filter and join.
 
 Each class is a :class:`~repro.physical.base.PhysicalOperator`: the batched
 pull protocol comes from the streaming bases, ``execute(...)`` is the
@@ -40,6 +46,12 @@ def _concatenate(chunks: list[np.ndarray]) -> np.ndarray:
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
+def _slice_positions(relation: TaggedRelation, tag: Tag) -> np.ndarray | None:
+    """Positions of one slice's rows, or ``None`` when it holds every row."""
+    bitmap = relation.slices[tag]
+    return None if bitmap.count() == relation.num_rows else bitmap.positions()
+
+
 class TaggedFilterOperator(StreamingFilter):
     """Filter operator driven by a tag map (Section 2.2 / 2.5.2)."""
 
@@ -49,10 +61,20 @@ class TaggedFilterOperator(StreamingFilter):
         super().__init__(child, node_id)
         self.predicate = predicate
         self.tag_map = tag_map
+        #: In-tag -> its TRUE tag, for the entries whose only outcome is TRUE.
+        self._true_only = {
+            tag: entry.pos_tag
+            for tag, entry in tag_map.entries.items()
+            if entry.output_tags() == [entry.pos_tag]
+        }
 
     def execute(self, relation: TaggedRelation, context: ExecContext) -> TaggedRelation:
         """Apply the filter to ``relation`` and return the output relation."""
         context.metrics.operators_executed += 1
+        if len(relation.slices) == 1:
+            (tag,) = relation.slices
+            if tag in self._true_only:
+                return self._keep_true(relation, tag, self._true_only[tag], context)
 
         matching = [tag for tag in relation.slices if self.tag_map.matches(tag)]
         passthrough = [tag for tag in relation.slices if not self.tag_map.matches(tag)]
@@ -99,6 +121,24 @@ class TaggedFilterOperator(StreamingFilter):
         context.metrics.slices_created += len(slices)
         return relation.with_slices(slices)
 
+    def _keep_true(
+        self, relation: TaggedRelation, tag: Tag, pos_tag: Tag, context: ExecContext
+    ) -> TaggedRelation:
+        """One slice whose only outcome is TRUE: evaluate it, gather the survivors.
+
+        Every other row of the relation would be dead after the filter, so
+        the output is compacted to the passing rows (one slice under
+        ``pos_tag``); a full slice is evaluated without a position gather.
+        """
+        positions = _slice_positions(relation, tag)
+        truth = self._evaluate(relation, positions, context)
+        context.metrics.predicate_evaluations += 1
+        context.metrics.predicate_rows_evaluated += int(truth.size)
+        keep = np.flatnonzero(tv.is_true(truth))
+        output = relation.take(keep if positions is None else positions[keep], pos_tag)
+        context.metrics.slices_created += len(output.slices)
+        return output
+
     def _evaluate(
         self, relation: TaggedRelation, positions: np.ndarray, context: ExecContext
     ) -> np.ndarray:
@@ -123,6 +163,7 @@ class TaggedJoinOperator(BuildProbeJoin):
         super().__init__(build, probe, node_id)
         self.conditions = list(conditions)
         self.tag_map = tag_map
+        self._left_tags, self._right_tags = tag_map.left_tags(), tag_map.right_tags()
 
     def execute(
         self, left: TaggedRelation, right: TaggedRelation, context: ExecContext
@@ -136,12 +177,72 @@ class TaggedJoinOperator(BuildProbeJoin):
         """
         context.metrics.operators_executed += 1
 
-        left_tags = [tag for tag in left.slices if tag in self.tag_map.left_tags()]
-        right_tags = [tag for tag in right.slices if tag in self.tag_map.right_tags()]
-        merged_tables = {**left.tables, **right.tables}
+        left_tags = [tag for tag in left.slices if tag in self._left_tags]
+        right_tags = [tag for tag in right.slices if tag in self._right_tags]
+        pair = (left_tags[0], right_tags[0]) if len(left_tags) == len(right_tags) == 1 else None
+        if pair in self.tag_map.entries:
+            joined = self._join_pair(left, right, pair, context)
+        else:
+            joined = self._join_groups(left, right, left_tags, right_tags, context)
 
-        if not left_tags or not right_tags:
+        merged_tables = {**left.tables, **right.tables}
+        if joined is None:
             return TaggedRelation(merged_tables, self._empty_indices(left, right), {})
+        kept_left_rows, kept_right_rows, out_slices = joined
+        output_rows = int(kept_left_rows.size)
+
+        out_indices: dict[str, np.ndarray] = {}
+        for alias in left.indices:
+            out_indices[alias] = left.indices[alias][kept_left_rows]
+        for alias in right.indices:
+            out_indices[alias] = right.indices[alias][kept_right_rows]
+
+        context.metrics.join_output_rows += output_rows
+        context.metrics.tuples_materialized += output_rows
+        context.metrics.slices_created += len(out_slices)
+        return TaggedRelation(merged_tables, out_indices, out_slices)
+
+    def _join_pair(
+        self,
+        left: TaggedRelation,
+        right: TaggedRelation,
+        pair: tuple[Tag, Tag],
+        context: ExecContext,
+    ):
+        """One mapped slice per side: a single hash join, no slice bookkeeping.
+
+        A full slice joins on the relation's whole index arrays (no position
+        gather).  Returns ``(left rows, right rows, slices)`` or ``None``.
+        """
+        left_rows = _slice_positions(left, pair[0])
+        right_rows = _slice_positions(right, pair[1])
+        context.metrics.record_hash_build(
+            left.num_rows if left_rows is None else int(left_rows.size),
+            right.num_rows if right_rows is None else int(right_rows.size),
+        )
+        left_keys, right_keys = self._join_keys(left, right, left_rows, right_rows, context)
+        left_match, right_match = equi_join_indices(left_keys, right_keys)
+        if left_match.size == 0:
+            return None
+        return (
+            left_match if left_rows is None else left_rows[left_match],
+            right_match if right_rows is None else right_rows[right_match],
+            {self.tag_map.entries[pair]: Bitmap.full(int(left_match.size))},
+        )
+
+    def _join_groups(
+        self,
+        left: TaggedRelation,
+        right: TaggedRelation,
+        left_tags: list[Tag],
+        right_tags: list[Tag],
+        context: ExecContext,
+    ):
+        """Any slices per side: one join per group of right slices sharing
+        their compatible left slices.  Returns ``(left rows, right rows,
+        slices)`` or ``None`` when nothing matches."""
+        if not left_tags or not right_tags:
+            return None
 
         # Participating rows (ascending) with the index of the slice each is in
         # (slices are mutually exclusive), and their join keys (−1 = NULL key).
@@ -196,32 +297,19 @@ class TaggedJoinOperator(BuildProbeJoin):
                 )
 
         if not matched_left_chunks:
-            return TaggedRelation(merged_tables, self._empty_indices(left, right), {})
+            return None
 
         kept_left_rows = _concatenate(matched_left_chunks)
-        kept_right_rows = _concatenate(matched_right_chunks)
-        output_rows = int(kept_left_rows.size)
-
-        out_indices: dict[str, np.ndarray] = {}
-        for alias in left.indices:
-            out_indices[alias] = left.indices[alias][kept_left_rows]
-        for alias in right.indices:
-            out_indices[alias] = right.indices[alias][kept_right_rows]
-
         out_slices: dict[Tag, Bitmap] = {}
         if len(out_tags) == 1:
-            out_slices[out_tags[0]] = Bitmap.full(output_rows)
+            out_slices[out_tags[0]] = Bitmap.full(int(kept_left_rows.size))
         else:
             kept_tag_indices = _concatenate(matched_tag_chunks)
             for index, out_tag in enumerate(out_tags):
                 mask = kept_tag_indices == index
                 if mask.any():
                     out_slices[out_tag] = Bitmap.from_mask(mask)
-
-        context.metrics.join_output_rows += output_rows
-        context.metrics.tuples_materialized += output_rows
-        context.metrics.slices_created += len(out_slices)
-        return TaggedRelation(merged_tables, out_indices, out_slices)
+        return kept_left_rows, _concatenate(matched_right_chunks), out_slices
 
     @staticmethod
     def _participants(relation: TaggedRelation, tags: list[Tag]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,10 @@
 Basilisk is column-oriented: intermediate relations hold *tuples of row
 indices* into the base tables rather than values, and the relational slices
 of a tagged relation are stored as a hash table of bitmaps keyed by tag
-(Section 2.5.1).  Filters only rewrite bitmaps — rows are never physically
-removed — and the actual values are reconstructed lazily by index lookups
-when an operator needs them.
+(Section 2.5.1).  Filters rewrite bitmaps rather than remove rows (except
+the one-slice filter, whose dead rows are gathered away with :meth:`take`),
+and the actual values are reconstructed lazily by index lookups when an
+operator needs them.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class TaggedRelation:
 
     @property
     def live_rows(self) -> int:
-        """Live tuples: rows are never physically dropped, so the slices count."""
+        """Live tuples: the rows some slice holds (dead rows may remain physically)."""
         return self.total_tuples()
 
     @property
@@ -155,6 +156,24 @@ class TaggedRelation:
     def with_slices(self, slices: Mapping[Tag, Bitmap]) -> "TaggedRelation":
         """A new tagged relation sharing this one's index columns."""
         return TaggedRelation(self.tables, self.indices, slices)
+
+    def take(self, positions: np.ndarray, tag: Tag) -> "TaggedRelation":
+        """A one-slice relation holding only the rows at ``positions``, under ``tag``."""
+        indices = {alias: idx[positions] for alias, idx in self.indices.items()}
+        return TaggedRelation(self.tables, indices, {tag: Bitmap.full(int(positions.size))})
+
+    def row_keys(self) -> np.ndarray:
+        """A 2-D array (live rows x aliases) identifying each live tuple by base indices.
+
+        Columns are ordered by sorted alias name, so relations over the same
+        alias set produce comparable keys (the union root deduplicates on them).
+        """
+        aliases = sorted(self.indices)
+        if not aliases:
+            return np.empty((0, 0), dtype=np.int64)
+        keys = np.stack([self.indices[alias] for alias in aliases], axis=1)
+        live = self.active_bitmap()
+        return keys if live.count() == self._num_rows else keys[live.mask]
 
     def materialize_rows(self, tag: Tag | None = None) -> list[dict[str, int]]:
         """Row-index tuples of one slice (or of every live row).

@@ -10,13 +10,13 @@ same batched pull contract:
 * :meth:`PhysicalOperator.close` releases per-execution state, making the
   operator reusable for another ``open``.
 
-A *batch* is the execution model's relation payload: a plain
-:class:`~repro.baseline.relation.Relation` for traditional operators, a
-:class:`~repro.core.tagged_relation.TaggedRelation` for tagged operators, a
+A *batch* is the operators' relation payload: a
+:class:`~repro.core.tagged_relation.TaggedRelation` for the tagged operators
+(which run tagged and traditional plans alike), a
 :class:`~repro.bypass.streams.StreamSet` for bypass operators, and
 :class:`~repro.engine.result.OutputColumns` at the root of every tree.  Each
 batch type owns ``live_rows`` (its live tuple count) and an order-preserving
-``merge(batches)``; the three relation types also own ``from_scan``.  The
+``merge(batches)``; the two relation types also own ``from_scan``.  The
 morsel-driven driver (:mod:`repro.engine.parallel`) runs one operator tree
 per table partition and merges the root batches in partition order, which is
 what makes parallel output byte-identical to serial output.

@@ -5,7 +5,10 @@ any execution model into one :class:`PhysicalPlan`: a tree of
 :class:`~repro.physical.base.PhysicalOperator` objects whose root emits
 :class:`~repro.engine.result.OutputColumns` batches.  The walk over the
 logical tree(s) is the same for every model; :data:`MODELS` names the
-operator built at each filter, join and root.
+operator built at each filter, join and root.  A traditional plan runs on
+the tagged filter and join under one-tag maps (:data:`ONE_TAG_FILTER`,
+:data:`ONE_TAG_JOIN`): every relation is one slice under the empty tag, which
+the tagged operators' one-slice path executes as a plain filter and join.
 
 The compiler optionally restricts a single table alias to a
 :class:`~repro.storage.table.TablePartition`; the morsel driver compiles one
@@ -23,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.baseline.operators import FilterOperator, HashJoinOperator, UnionOperator
+from repro.baseline.operators import UnionOperator
 from repro.bypass.operators import (
     BypassFilterOperator,
     BypassJoinOperator,
@@ -34,6 +37,8 @@ from repro.core.operators import (
     TaggedJoinOperator,
     TaggedProjectOperator,
 )
+from repro.core.tagmap import FilterEntry, FilterTagMap, JoinTagMap
+from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.engine.result import OutputColumns
 from repro.physical.base import PhysicalOperator
@@ -103,6 +108,12 @@ def _tagged_root(prepared, children, catalog):
     )
 
 
+#: A traditional filter: the one slice keeps its TRUE rows under the empty tag.
+ONE_TAG_FILTER = FilterTagMap({Tag.empty(): FilterEntry(pos_tag=Tag.empty())})
+#: A traditional join: the one slice of each side pairs into one output slice.
+ONE_TAG_JOIN = JoinTagMap({(Tag.empty(), Tag.empty()): Tag.empty()})
+
+
 def _traditional_root(prepared, children, catalog):
     if not children:
         raise ValueError("traditional plan has no subplans")
@@ -138,11 +149,11 @@ MODELS = {
         root=_tagged_root,
     ),
     "traditional": _Model(
-        filter=lambda prepared, node, child: FilterOperator(
-            node.predicate, child, node.node_id
+        filter=lambda prepared, node, child: TaggedFilterOperator(
+            node.predicate, ONE_TAG_FILTER, child, node.node_id
         ),
-        join=lambda prepared, node, build, probe: HashJoinOperator(
-            node.conditions, build, probe, node.node_id
+        join=lambda prepared, node, build, probe: TaggedJoinOperator(
+            node.conditions, ONE_TAG_JOIN, build, probe, node.node_id
         ),
         root=_traditional_root,
     ),

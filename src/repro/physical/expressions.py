@@ -1,17 +1,15 @@
 """The shared expression-evaluation and join-key path.
 
-Before the physical-operator layer existed, the baseline, tagged, and bypass
-operator files each carried a private near-copy of the same three routines:
-building a :class:`~repro.expr.eval.RowBatch` over the aliases a predicate
-references, reading and encoding join-key columns, and orienting a join
-condition toward the build input.  Those copies drifted independently; this
-module is now the single implementation all three execution models call.
+Three routines every operator family needs live here once: building a
+:class:`~repro.expr.eval.RowBatch` over the aliases a predicate references,
+reading and encoding join-key columns, and orienting a join condition toward
+the build input.
 
 Everything here is model-agnostic: functions accept the ``tables`` /
-``indices`` mappings every relation representation exposes (plain
-:class:`~repro.baseline.relation.Relation`, tagged relations, and bypass
-streams all share that shape), so no execution-model package is imported and
-no import cycles arise.
+``indices`` mappings every relation representation exposes (tagged relations
+and the bypass model's plain :class:`~repro.bypass.streams.Relation` share
+that shape), so no execution-model package is imported and no import cycles
+arise.
 """
 
 from __future__ import annotations
@@ -63,20 +61,23 @@ def evaluate_predicate(
             f"{sorted(missing)} not present in the input relation "
             f"(aliases: {sorted(indices)})"
         )
+    # A predicate over no column (``1 = 1``) reads nothing, but its batch
+    # still needs the relation's row count: size it by any one alias.
+    batch_aliases = aliases or frozenset(list(indices)[:1])
     if positions is not None:
         num_rows = int(np.asarray(positions).shape[0])
-    elif aliases:
-        num_rows = int(np.asarray(indices[next(iter(aliases))]).shape[0])
+    elif batch_aliases:
+        num_rows = int(np.asarray(indices[next(iter(batch_aliases))]).shape[0])
     else:
         num_rows = 0
     if num_rows == 0:
         # Zero-row early exit: no batch dicts, no RowBatch, no column reads.
         return np.zeros(0, dtype=np.uint8)
     if positions is None:
-        batch_indices = {alias: indices[alias] for alias in aliases}
+        batch_indices = {alias: indices[alias] for alias in batch_aliases}
     else:
-        batch_indices = {alias: indices[alias][positions] for alias in aliases}
-    batch_tables = {alias: tables[alias] for alias in aliases}
+        batch_indices = {alias: indices[alias][positions] for alias in batch_aliases}
+    batch_tables = {alias: tables[alias] for alias in batch_aliases}
     batch = RowBatch(
         batch_tables, batch_indices, cache=context.cache, iostats=context.iostats
     )

@@ -1,19 +1,20 @@
 """The scan: the one physical operator that belongs to no execution model.
 
 Filters, joins and roots are the model classes themselves
-(:mod:`repro.core.operators`, :mod:`repro.baseline.operators`,
-:mod:`repro.bypass.operators`, on the streaming bases of
+(:mod:`repro.core.operators` for tagged and traditional plans,
+:mod:`repro.bypass.operators`, and BDisj's union root in
+:mod:`repro.baseline.operators`, on the streaming bases of
 :mod:`repro.physical.base`).  The scan below them all is shared: it is where
 a :class:`~repro.storage.table.TablePartition` restricts a tree to one morsel,
 where access-path candidates prune pages, and where logically deleted rows
-are dropped; only the batch it wraps its row positions in differs per model.
+are dropped; only the batch it wraps its row positions in differs: a
+one-slice tagged relation, or a one-stream set for the bypass model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baseline.relation import Relation
 from repro.bypass.streams import StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.engine.metrics import ExecContext
@@ -21,8 +22,9 @@ from repro.physical.base import PhysicalOperator
 from repro.storage.column import touched_pages
 from repro.storage.table import Table, TablePartition, owned_page_range
 
-#: Execution kind -> the batch type its operators exchange.
-BATCH_TYPES = {"traditional": Relation, "tagged": TaggedRelation, "bypass": StreamSet}
+#: Execution kind -> the batch type its operators exchange (a traditional plan
+#: runs on the tagged operators, so its scans emit one-slice tagged relations).
+BATCH_TYPES = {"traditional": TaggedRelation, "tagged": TaggedRelation, "bypass": StreamSet}
 
 
 def _scan_indices(table: Table, partition: TablePartition | None) -> np.ndarray:
@@ -41,9 +43,8 @@ class ScanPhysical(PhysicalOperator):
     """Base-table scan emitting one batch over the (partitioned) row range.
 
     ``kind`` selects the batch representation (:data:`BATCH_TYPES`):
-    ``"traditional"`` emits a plain :class:`Relation`, ``"tagged"`` a
-    single-slice :class:`TaggedRelation`, ``"bypass"`` a single-stream
-    :class:`StreamSet`.
+    ``"tagged"`` and ``"traditional"`` emit a single-slice
+    :class:`TaggedRelation`, ``"bypass"`` a single-stream :class:`StreamSet`.
 
     ``candidates`` optionally restricts the scan to an access-path candidate
     set (zone-map / index pruning, see :mod:`repro.access`): sorted unique

@@ -1,37 +1,55 @@
-"""Unit tests for the traditional execution operators and planners."""
+"""Unit tests for the traditional execution model: the one-slice tagged
+operators its plans compile to, BDisj's union root, and the planners."""
 
 import numpy as np
 import pytest
 
-from repro.baseline.operators import FilterOperator, HashJoinOperator, UnionOperator
+from repro.baseline.operators import UnionOperator
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
-from repro.baseline.relation import Relation
+from repro.core.operators import TaggedFilterOperator, TaggedJoinOperator
 from repro.core.planner.base import PlannerContext
+from repro.core.tagged_relation import TaggedRelation
+from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.expr.builders import and_, col, lit, or_
+from repro.physical.compile import ONE_TAG_FILTER, ONE_TAG_JOIN
 from repro.physical.operators import ScanPhysical
 from repro.plan.logical import JoinNode, ProjectNode, TableScanNode, collect_filters
 from repro.plan.query import JoinCondition, Query
+from repro.storage.bitmap import Bitmap
+
+EMPTY = Tag.empty()
 
 
 @pytest.fixture
 def title_relation(paper_catalog):
-    return Relation.from_base_table("t", paper_catalog.get("title"))
+    return TaggedRelation.from_base_table("t", paper_catalog.get("title"))
 
 
 @pytest.fixture
 def mi_relation(paper_catalog):
-    return Relation.from_base_table("mi_idx", paper_catalog.get("movie_info_idx"))
+    return TaggedRelation.from_base_table("mi_idx", paper_catalog.get("movie_info_idx"))
+
+
+def traditional_filter(predicate):
+    return TaggedFilterOperator(predicate, ONE_TAG_FILTER)
+
+
+def traditional_join(conditions):
+    return TaggedJoinOperator(conditions, ONE_TAG_JOIN)
 
 
 class TestRelation:
+    """The one-slice tagged relation every traditional operator exchanges."""
+
     def test_from_base_table(self, title_relation):
         assert title_relation.num_rows == 7
         assert title_relation.aliases == ["t"]
+        assert title_relation.tags() == [EMPTY]
 
     def test_take(self, title_relation):
-        subset = title_relation.take(np.array([1, 3]))
-        assert subset.num_rows == 2
+        subset = title_relation.take(np.array([1, 3]), EMPTY)
+        assert subset.num_rows == subset.live_rows == 2
         assert subset.indices["t"].tolist() == [1, 3]
 
     def test_row_keys_shape(self, title_relation):
@@ -41,7 +59,9 @@ class TestRelation:
     def test_mismatched_lengths_rejected(self, paper_catalog):
         table = paper_catalog.get("title")
         with pytest.raises(ValueError):
-            Relation({"a": table, "b": table}, {"a": np.array([0]), "b": np.array([0, 1])})
+            TaggedRelation(
+                {"a": table, "b": table}, {"a": np.array([0]), "b": np.array([0, 1])}, {}
+            )
 
 
 class TestOperators:
@@ -50,35 +70,39 @@ class TestOperators:
         scan = ScanPhysical("traditional", "t", paper_catalog.get("title"))
         scan.open(context)
         relation = scan.next_batch()
-        assert relation.num_rows == 7
-        assert context.metrics.tuples_materialized == 7
+        assert relation.num_rows == relation.live_rows == 7
+        assert relation.tags() == [EMPTY]
+        # A scan emits row positions; it materializes no tuples.
+        assert context.metrics.tuples_materialized == 0
 
     def test_filter_keeps_only_true_rows(self, title_relation):
         context = ExecContext()
         predicate = col("t", "production_year") > lit(2000)
-        output = FilterOperator(predicate).execute(title_relation, context)
-        assert output.num_rows == 3
+        output = traditional_filter(predicate).execute(title_relation, context)
+        # Compacted like a traditional filter: only the passing rows remain.
+        assert output.num_rows == output.live_rows == 3
         assert context.metrics.predicate_rows_evaluated == 7
 
     def test_filter_on_empty_relation(self, title_relation):
-        empty = title_relation.take(np.array([], dtype=np.int64))
-        output = FilterOperator(col("t", "production_year") > lit(2000)).execute(
+        empty = title_relation.take(np.array([], dtype=np.int64), EMPTY)
+        output = traditional_filter(col("t", "production_year") > lit(2000)).execute(
             empty, ExecContext()
         )
         assert output.num_rows == 0
 
     def test_filter_missing_alias_raises(self, mi_relation):
         with pytest.raises(ValueError):
-            FilterOperator(col("t", "production_year") > lit(2000)).execute(
+            traditional_filter(col("t", "production_year") > lit(2000)).execute(
                 mi_relation, ExecContext()
             )
 
     def test_hash_join(self, title_relation, mi_relation):
         context = ExecContext()
         condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))
-        output = HashJoinOperator([condition]).execute(title_relation, mi_relation, context)
-        assert output.num_rows == 6  # every movie_info_idx row has a matching title
+        output = traditional_join([condition]).execute(title_relation, mi_relation, context)
+        assert output.num_rows == output.live_rows == 6  # every mi_idx row has a title
         assert set(output.aliases) == {"t", "mi_idx"}
+        assert output.tags() == [EMPTY]
         assert context.metrics.join_output_rows == 6
 
     def test_hash_join_counters_name_the_built_side_either_way_round(
@@ -90,7 +114,7 @@ class TestOperators:
         outputs = []
         for left, right in ((small, large), (large, small)):
             context = ExecContext()
-            outputs.append(HashJoinOperator([condition]).execute(left, right, context))
+            outputs.append(traditional_join([condition]).execute(left, right, context))
             assert context.metrics.hash_tables_built == 1
             assert context.metrics.join_build_rows == small.num_rows
             assert context.metrics.join_probe_rows == large.num_rows
@@ -99,23 +123,37 @@ class TestOperators:
         )
 
     def test_hash_join_with_empty_side(self, title_relation, mi_relation):
-        empty = mi_relation.take(np.array([], dtype=np.int64))
+        empty = mi_relation.take(np.array([], dtype=np.int64), EMPTY)
         condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))
-        output = HashJoinOperator([condition]).execute(title_relation, empty, ExecContext())
+        context = ExecContext()
+        output = traditional_join([condition]).execute(title_relation, empty, context)
         assert output.num_rows == 0
+        assert set(output.aliases) == {"t", "mi_idx"}
+        assert context.metrics.hash_tables_built == 0
 
     def test_hash_join_requires_condition(self):
         with pytest.raises(ValueError):
-            HashJoinOperator([])
+            traditional_join([])
 
     def test_union_deduplicates(self, title_relation):
-        first = title_relation.take(np.array([0, 1, 2]))
-        second = title_relation.take(np.array([2, 3]))
+        first = title_relation.take(np.array([0, 1, 2]), EMPTY)
+        second = title_relation.take(np.array([2, 3]), EMPTY)
         context = ExecContext()
         output = UnionOperator().execute([first, second], context)
-        assert output.num_rows == 4
+        assert output.num_rows == output.live_rows == 4
+        assert output.indices["t"].tolist() == [0, 1, 2, 3]
         assert context.metrics.union_input_rows == 5
         assert context.metrics.union_output_rows == 4
+
+    def test_union_reads_only_live_rows(self, title_relation):
+        # Only rows 0, 2 and 6 of the first input are live; the rest never
+        # reach the union.
+        first = title_relation.with_slices({EMPTY: Bitmap.from_positions(7, [0, 2, 6])})
+        second = title_relation.take(np.array([6, 1, 2]), EMPTY)
+        context = ExecContext()
+        output = UnionOperator().execute([first, second], context)
+        assert output.indices["t"].tolist() == [0, 2, 6, 1]
+        assert context.metrics.union_input_rows == 6
 
     def test_union_requires_same_alias_sets(self, title_relation, mi_relation):
         with pytest.raises(ValueError, match="alias sets"):

@@ -18,6 +18,22 @@ class TestConstruction:
         assert bitmap.count() == 5
         assert not bitmap.is_empty()
 
+    @pytest.mark.parametrize("size", [0, 1, 6])
+    def test_full_behaves_like_its_materialized_mask(self, size):
+        # A full bitmap builds its mask lazily; every view of it must agree
+        # with a bitmap over an explicit all-true array.
+        lazy, eager = Bitmap.full(size), Bitmap(np.ones(size, dtype=np.bool_))
+        assert lazy.size == eager.size == size
+        assert lazy.is_empty() == eager.is_empty() == (size == 0)
+        assert lazy.positions().tolist() == eager.positions().tolist() == list(range(size))
+        assert lazy.positions().dtype == eager.positions().dtype
+        other = Bitmap.from_positions(size, range(0, size, 2))
+        assert (lazy & other) == (eager & other) == other
+        assert (lazy - other) == (eager - other)
+        assert (~lazy).is_empty()
+        assert lazy == eager
+        assert lazy.mask.tolist() == [True] * size
+
     def test_from_positions(self):
         bitmap = Bitmap.from_positions(8, [1, 3, 5])
         assert bitmap.count() == 3

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from repro import Catalog, Session, Table
-from repro.baseline.relation import Relation
 from repro.bypass.operators import (
     BypassFilterOperator,
     BypassJoinOperator,
     BypassProjectOperator,
 )
 from repro.bypass.planner import BypassPlanner
-from repro.bypass.streams import BypassStream, StreamSet
+from repro.bypass.streams import BypassStream, Relation, StreamSet
 from repro.core.planner.base import PlannerContext
 from repro.core.predtree import PredicateTree
 from repro.core.tags import Tag

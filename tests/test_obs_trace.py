@@ -111,10 +111,10 @@ class TestTracerUnit:
         with remote.span("shard"):
             pass
         payload = remote.to_payload()
-        # Fake a foreign clock origin offset from ours (small enough that
-        # float precision keeps sub-microsecond durations exact).
-        payload["roots"][0]["start"] += 1000.0
-        payload["roots"][0]["end"] += 1000.0
+        # A foreign clock origin far from ours, with a duration long enough
+        # that re-anchoring at this clock's magnitude cannot round it away.
+        payload["roots"][0]["start"] = 1000.0
+        payload["roots"][0]["end"] = 1000.25
         local = Tracer()
         local.begin("execute")
         local.absorb_payload(payload)
@@ -122,7 +122,7 @@ class TestTracerUnit:
         (execute,) = local.roots
         (shard,) = execute.children
         assert shard.start == pytest.approx(execute.start)
-        assert shard.duration == pytest.approx(remote.roots[0].duration)
+        assert shard.duration == pytest.approx(0.25, abs=1e-9)
 
     def test_exports_are_well_formed(self):
         tracer = Tracer()

@@ -8,8 +8,7 @@ import pytest
 from repro import Catalog, Session, Table
 from repro.engine.metrics import ExecContext, ExecutionMetrics
 from repro.engine.parallel import choose_partition_alias
-from repro.baseline.relation import Relation
-from repro.bypass.streams import BypassStream, StreamSet
+from repro.bypass.streams import BypassStream, Relation, StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.result import OutputColumns
@@ -86,13 +85,16 @@ class TestPhysicalProtocol:
 
     def test_scan_kinds_produce_model_batches(self, small_table):
         for kind, expected in (
-            ("traditional", Relation),
+            ("traditional", TaggedRelation),
             ("tagged", TaggedRelation),
             ("bypass", StreamSet),
         ):
             scan = ScanPhysical(kind, "t", small_table)
             scan.open(ExecContext())
-            assert isinstance(scan.next_batch(), expected)
+            batch = scan.next_batch()
+            assert isinstance(batch, expected)
+            if expected is TaggedRelation:
+                assert batch.tags() == [Tag.empty()]
 
     def test_deleted_row_never_reaches_any_scan_output(self, small_table):
         mask = np.zeros(small_table.num_rows, dtype=np.bool_)
@@ -115,10 +117,12 @@ class TestPhysicalProtocol:
 
 class TestBatchMerging:
     def test_merge_relations_preserves_order(self, small_table):
-        first = Relation({"t": small_table}, {"t": np.array([0, 1])})
-        second = Relation({"t": small_table}, {"t": np.array([5, 6])})
-        merged = Relation.merge([first, second])
-        assert merged.indices["t"].tolist() == [0, 1, 5, 6]
+        # A stream's relation keeps its batches' rows in order when merged.
+        tag = Tag.empty()
+        first = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([0, 1])}))])
+        second = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([5, 6])}))])
+        (merged,) = StreamSet.merge([first, second])
+        assert merged.relation.indices["t"].tolist() == [0, 1, 5, 6]
 
     def test_merge_tagged_relations_offsets_slices(self, small_table):
         tag = Tag.empty()

@@ -96,6 +96,22 @@ class TestAllPlannersAgree:
         titles = {row[0] for row in result.rows}
         assert titles == PAPER_QUERY_MATCHES
 
+    @pytest.mark.parametrize("planner", sorted(ALL_PLANNERS))
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("1 = 1", {1972, 1988, 1994, 2001, 2008, 2009}),
+            ("1 = 2", set()),
+            ("1 = 2 OR t.production_year > 2000", {2001, 2008, 2009}),
+        ],
+    )
+    def test_predicates_over_no_column(self, paper_session, planner, where, expected):
+        # A conjunct that reads no column is sized by the relation it filters.
+        result = paper_session.execute(
+            f"SELECT t.production_year FROM title AS t WHERE {where}", planner=planner
+        )
+        assert {row[0] for row in result.rows} == expected
+
 
 class TestWorkCounters:
     def test_tagged_evaluates_each_predicate_once(self, paper_session, paper_query_sql):
