@@ -27,11 +27,11 @@ test-crash:
 OUT ?= .bench_tmp/e2e.json
 bench-e2e:
 	mkdir -p $(dir $(OUT))
-	python3 benchmarks/e2e/run.py --repeats 3 --out $(OUT)
+	$(PYTHON) benchmarks/e2e/run.py --repeats 3 --out $(OUT)
 
 ## diff two bench-e2e records: make bench-compare A=before.json B=after.json
 bench-compare:
-	python3 benchmarks/e2e/compare.py $(A) $(B)
+	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
 ## own-time profile of warm passes of one e2e workload: make profile W=job_warm
 W ?= job_warm

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from repro.engine.result import QueryResult
 from repro.engine.session import Session
 from repro.plan.query import Query
+
+#: The planners the paper's TMin oracle minimizes over (Figure 3c): the four
+#: candidate planners TCombined itself considers.  TExhaustive is an
+#: extension beyond the paper and is excluded so TMin keeps its meaning.
+TMIN_CANDIDATES = ("tpushdown", "tpullup", "titerpush", "tpushconj")
 
 
 @dataclass
@@ -64,3 +70,23 @@ def time_query(
         row_count=last.row_count,
         metrics=last.metrics.as_dict(),
     )
+
+
+def time_fastest(
+    session: Session,
+    query: Query,
+    planners: tuple[str, ...] = TMIN_CANDIDATES,
+    repetitions: int = 3,
+) -> BenchmarkMeasurement:
+    """The TMin oracle: time each planner and keep the fastest mean.
+
+    Each candidate is measured with :func:`time_query`; the one with the
+    lowest mean total time is returned, labelled ``"tmin"``.  Candidates
+    that disagree on the row count raise ``AssertionError``.
+    """
+    measurements = [time_query(session, query, planner, repetitions) for planner in planners]
+    row_counts = {m.planner: m.row_count for m in measurements}
+    if len(set(row_counts.values())) > 1:
+        raise AssertionError(f"tmin candidates disagree on {query.name}: {row_counts}")
+    fastest = min(measurements, key=lambda m: m.total_seconds)
+    return dataclasses.replace(fastest, planner="tmin")

@@ -1,13 +1,14 @@
 """Bypass operators: filter (with true/false streams), join, project.
 
 The operators work on :class:`~repro.bypass.streams.StreamSet` objects: each
-stream is a plain :class:`~repro.bypass.streams.Relation` that a filter
-compacts and a join pairs with one hash table per stream pair.  Tags are
-used only at plan/operator level to decide which streams
-may bypass an operator or be discarded outright; the data path itself is the
-conventional one (copying index rows between streams, one hash table per
-stream pair), which is precisely what separates the bypass technique from
-tagged execution.
+stream is a one-slice :class:`~repro.core.tagged_relation.TaggedRelation`
+that a filter splits by copying rows into new streams and a join pairs with
+one hash table per stream pair (:func:`repro.core.operators.hash_join`, the
+tagged join's own kernel).  Tags are used only at plan/operator level to
+decide which streams may bypass an operator or be discarded outright; the
+data path itself is the conventional one (copying index rows between
+streams, one hash table per stream pair), which is precisely what separates
+the bypass technique from tagged execution.
 
 Each class is a :class:`~repro.physical.base.PhysicalOperator`; ``execute(...)``
 is the whole-stream-set kernel, callable on its own without children.
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bypass.streams import BypassStream, Relation, StreamSet
+from repro.bypass.streams import StreamSet
 from repro.core.generalize import generalize_tag, refutes_root, satisfies_root
+from repro.core.operators import hash_join, joined_relation
 from repro.core.predtree import PredicateTree
+from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.engine.result import (
@@ -30,45 +33,9 @@ from repro.engine.result import (
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
 from repro.physical.base import BuildProbeJoin, StreamingFilter
-from repro.physical.expressions import evaluate_predicate, read_join_keys
+from repro.physical.expressions import evaluate_predicate
 from repro.plan.query import JoinCondition
-from repro.utils.join import equi_join_indices
-
-
-def join_relations(
-    conditions: list[JoinCondition],
-    left: Relation,
-    right: Relation,
-    context: ExecContext,
-) -> Relation:
-    """Equi-join two plain relations: one hash table, built over the smaller.
-
-    The pairwise join body the bypass join runs once per stream pair.  An
-    empty input yields an empty relation over both alias sets without
-    building or reading anything.
-    """
-    merged_tables = {**left.tables, **right.tables}
-    if left.num_rows == 0 or right.num_rows == 0:
-        empty = np.empty(0, dtype=np.int64)
-        indices = {alias: empty for alias in list(left.indices) + list(right.indices)}
-        return Relation(merged_tables, indices)
-
-    context.metrics.record_hash_build(left.num_rows, right.num_rows)
-
-    left_keys, right_keys = read_join_keys(
-        conditions, left.tables, left.indices, right.tables, right.indices, context
-    )
-    left_match, right_match = equi_join_indices(left_keys, right_keys)
-
-    out_indices: dict[str, np.ndarray] = {}
-    for alias in left.indices:
-        out_indices[alias] = left.indices[alias][left_match]
-    for alias in right.indices:
-        out_indices[alias] = right.indices[alias][right_match]
-
-    context.metrics.join_output_rows += int(left_match.size)
-    context.metrics.tuples_materialized += int(left_match.size)
-    return Relation(merged_tables, out_indices)
+from repro.storage.bitmap import Bitmap
 
 
 class BypassFilterOperator(StreamingFilter):
@@ -98,11 +65,11 @@ class BypassFilterOperator(StreamingFilter):
         """Run the filter over every stream that still needs it."""
         context.metrics.operators_executed += 1
         output = StreamSet()
-        for stream in streams:
-            if self._should_bypass(stream.tag):
+        for tag, stream in streams.items():
+            if self._should_bypass(tag):
                 output.add(stream)
                 continue
-            self._split_stream(stream, output, context)
+            self._split_stream(tag, stream, output, context)
         context.metrics.streams_created += output.num_streams
         return output
 
@@ -123,20 +90,17 @@ class BypassFilterOperator(StreamingFilter):
         return False
 
     def _split_stream(
-        self, stream: BypassStream, output: StreamSet, context: ExecContext
+        self, tag: Tag, stream: TaggedRelation, output: StreamSet, context: ExecContext
     ) -> None:
-        relation = stream.relation
-        if relation.num_rows == 0:
-            return
         truth = evaluate_predicate(
             self.predicate,
-            relation.tables,
-            relation.indices,
+            stream.tables,
+            stream.indices,
             context,
             description="bypass filter",
         )
         context.metrics.predicate_evaluations += 1
-        context.metrics.predicate_rows_evaluated += relation.num_rows
+        context.metrics.predicate_rows_evaluated += stream.num_rows
 
         outcomes = [(tv.TRUE, np.flatnonzero(tv.is_true(truth)))]
         false_positions = np.flatnonzero(tv.is_false(truth))
@@ -153,13 +117,11 @@ class BypassFilterOperator(StreamingFilter):
         for value, positions in outcomes:
             if positions.size == 0:
                 continue
-            tag = stream.tag.with_assignment(predicate_key, value)
-            tag = self._generalize(tag)
-            if tag is None:
+            out_tag = self._generalize(tag.with_assignment(predicate_key, value))
+            if out_tag is None:
                 continue
-            new_stream = stream.take(positions, tag)
-            context.metrics.tuples_materialized += new_stream.num_rows
-            output.add(new_stream)
+            context.metrics.tuples_materialized += int(positions.size)
+            output.add(stream.take(positions, out_tag))
 
     def _generalize(self, tag: Tag) -> Tag | None:
         if self.tree is None:
@@ -193,18 +155,23 @@ class BypassJoinOperator(BuildProbeJoin):
         """Join every viable (left stream, right stream) pair."""
         context.metrics.operators_executed += 1
         output = StreamSet()
-        for left_stream in left:
-            for right_stream in right:
-                combined = self._combine_tags(left_stream.tag, right_stream.tag)
+        for left_tag, left_stream in left.items():
+            for right_tag, right_stream in right.items():
+                combined = self._combine_tags(left_tag, right_tag)
                 if combined is None:
                     continue
                 # Each stream pair builds its own hash table: this is the
                 # per-pair work the shared hash table of tagged execution
                 # amortizes away.  (Empty join results are dropped by add.)
-                joined = join_relations(
-                    self.conditions, left_stream.relation, right_stream.relation, context
+                left_rows, right_rows = hash_join(
+                    self.conditions, left_stream, right_stream, None, None, context
                 )
-                output.add(BypassStream(combined, joined))
+                slices = {combined: Bitmap.full(int(left_rows.size))}
+                output.add(
+                    joined_relation(
+                        left_stream, right_stream, left_rows, right_rows, slices, context
+                    )
+                )
         context.metrics.streams_created += output.num_streams
         return output
 
@@ -257,10 +224,10 @@ class BypassProjectOperator(StreamingFilter):
     def execute(self, streams: StreamSet, context: ExecContext) -> OutputColumns:
         """Materialize the output columns of the accepted streams."""
         context.metrics.operators_executed += 1
-        accepted: list[Relation] = []
-        for stream in streams:
-            relation = self._accept(stream, context)
-            if relation is not None and relation.num_rows > 0:
+        accepted: list[TaggedRelation] = []
+        for tag, stream in streams.items():
+            relation = self._accept(tag, stream, context)
+            if relation is not None:
                 accepted.append(relation)
 
         if not accepted:
@@ -269,49 +236,38 @@ class BypassProjectOperator(StreamingFilter):
             # partial aggregation need the column names and dtypes.  The
             # compiler supplies the alias -> table map; when this operator
             # was built by hand without one, fall back to a rejected
-            # stream's relation (which spans the full alias set at the
-            # root), and only a schema-less empty when no stream arrived.
+            # stream (which spans the full alias set at the root), and only
+            # a schema-less empty when no stream arrived.
             if self.alias_tables is not None:
                 return materialize_empty_output(
                     self.alias_tables, list(self.alias_tables), self.select
                 )
             for stream in streams:
-                return materialize_empty_output(
-                    stream.relation.tables, stream.relation.indices, self.select
-                )
+                return materialize_empty_output(stream.tables, stream.indices, self.select)
             return OutputColumns.empty()
 
-        merged_tables = {}
-        for relation in accepted:
-            merged_tables.update(relation.tables)
-        aliases = sorted(accepted[0].indices)
-        merged_indices = {
-            alias: np.concatenate([relation.indices[alias] for relation in accepted])
-            for alias in aliases
-        }
-        final = Relation(merged_tables, merged_indices)
+        final = TaggedRelation.merge(accepted)
         positions = np.arange(final.num_rows, dtype=np.int64)
         context.metrics.output_rows += final.num_rows
         return materialize_output(final.tables, final.indices, positions, self.select)
 
-    def _accept(self, stream: BypassStream, context: ExecContext) -> Relation | None:
-        if self.tree is None:
-            return stream.relation
-        if satisfies_root(self.tree, stream.tag):
-            return stream.relation
-        if refutes_root(self.tree, stream.tag, include_unknown=True):
+    def _accept(
+        self, tag: Tag, stream: TaggedRelation, context: ExecContext
+    ) -> TaggedRelation | None:
+        if self.tree is None or satisfies_root(self.tree, tag):
+            return stream
+        if refutes_root(self.tree, tag, include_unknown=True):
             return None
         # Undetermined: fall back to evaluating the full residual predicate.
-        relation = stream.relation
         truth = evaluate_predicate(
             self.tree.expression,
-            relation.tables,
-            relation.indices,
+            stream.tables,
+            stream.indices,
             context,
             description="residual",
         )
-        context.metrics.residual_rows_evaluated += relation.num_rows
+        context.metrics.residual_rows_evaluated += stream.num_rows
         keep = np.flatnonzero(tv.is_true(truth))
         if keep.size == 0:
             return None
-        return relation.take(keep)
+        return stream.take(keep, tag)

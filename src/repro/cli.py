@@ -70,7 +70,7 @@ import sys
 
 from repro.bench import figures as bench_figures
 from repro.bench.report import format_table
-from repro.engine.session import ALL_PLANNERS, Session
+from repro.engine.session import PLANNERS, Session
 from repro.service import QueryService
 from repro.storage.disk import load_catalog, save_catalog
 from repro.testing.datagen import RandomCatalogConfig, generate_random_catalog
@@ -151,13 +151,7 @@ def _write_trace(result, path: str, trace_format: str) -> None:
 def _cmd_query(args: argparse.Namespace) -> int:
     session = _session_for(args)
     want_trace = args.trace is not None
-    if want_trace and args.planner == "tmin":
-        print("--trace is unavailable for the tmin oracle", file=sys.stderr)
-        return 2
     if args.explain_analyze:
-        if args.planner == "tmin":
-            print("--explain-analyze is unavailable for the tmin oracle", file=sys.stderr)
-            return 2
         from repro.optimizer import explain_analyze_report
 
         prepared = session.prepare(args.sql, planner=args.planner)
@@ -1027,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = subparsers.add_parser("query", help="run a SQL query against a saved dataset")
     query.add_argument("--data", required=True, help="catalog directory")
     query.add_argument("--sql", required=True, help="SQL text")
-    query.add_argument("--planner", default="tcombined", choices=sorted(ALL_PLANNERS))
+    query.add_argument("--planner", default="tcombined", choices=sorted(PLANNERS))
     query.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     query.add_argument("--metrics", action="store_true", help="print work counters")
     query.add_argument(
@@ -1062,7 +1056,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = subparsers.add_parser("explain", help="print the chosen plan")
     explain.add_argument("--data", required=True)
     explain.add_argument("--sql", required=True)
-    explain.add_argument("--planner", default="tcombined", choices=sorted(ALL_PLANNERS))
+    explain.add_argument("--planner", default="tcombined", choices=sorted(PLANNERS))
     explain.set_defaults(func=_cmd_explain)
 
     compare = subparsers.add_parser("compare", help="run one query under several planners")
@@ -1072,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--planners",
         nargs="+",
         default=["tcombined", "bdisj", "bpushconj", "bypass"],
-        choices=sorted(ALL_PLANNERS),
+        choices=sorted(PLANNERS),
     )
     _add_parallel_flags(compare)
     compare.set_defaults(func=_cmd_compare)
@@ -1083,7 +1077,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--data", required=True, help="catalog directory")
     batch.add_argument("--file", help="file of ;-separated SQL statements")
     batch.add_argument("--sql", action="append", help="inline SQL (repeatable)")
-    batch.add_argument("--planner", default="tcombined", choices=sorted(ALL_PLANNERS))
+    batch.add_argument("--planner", default="tcombined", choices=sorted(PLANNERS))
     batch.add_argument("--repeat", type=int, default=1, help="repetitions of the query list")
     batch.add_argument("--workers", type=int, default=4, help="worker threads")
     batch.add_argument("--timeout", type=float, default=None, help="per-query timeout (s)")
@@ -1098,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="read SQL from stdin and serve it with plan caching"
     )
     serve.add_argument("--data", required=True, help="catalog directory")
-    serve.add_argument("--planner", default="tcombined", choices=sorted(ALL_PLANNERS))
+    serve.add_argument("--planner", default="tcombined", choices=sorted(PLANNERS))
     serve.add_argument("--cache-size", type=int, default=256, help="plan cache capacity")
     serve.add_argument("--max-rows", type=int, default=DEFAULT_MAX_ROWS)
     _add_feedback_flags(serve)
@@ -1184,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sql", action="append", help="inline SQL to run first so counters move (repeatable)"
     )
     metrics.add_argument("--file", help="file of ;-separated SQL statements to run first")
-    metrics.add_argument("--planner", default="tcombined", choices=sorted(ALL_PLANNERS))
+    metrics.add_argument("--planner", default="tcombined", choices=sorted(PLANNERS))
     metrics.add_argument(
         "--format",
         choices=("prometheus", "json"),
@@ -1271,7 +1265,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--table-size", type=int, default=150)
     fuzz.add_argument("--dimensions", type=int, default=2)
-    fuzz.add_argument("--planners", nargs="+", default=list(DEFAULT_PLANNERS))
+    fuzz.add_argument(
+        "--planners", nargs="+", default=list(DEFAULT_PLANNERS), choices=sorted(PLANNERS)
+    )
     fuzz.set_defaults(func=_cmd_fuzz)
 
     figures = subparsers.add_parser(

@@ -13,6 +13,8 @@ filter with only a TRUE outcome gathers the passing rows into a compacted
 relation (no other row could stay live), and a join of one slice per side is
 a single hash join without slice bookkeeping.  Traditional plans run here
 under one-tag maps, so for them this path *is* the plain filter and join.
+That single hash join is :func:`hash_join`; the bypass join
+(:mod:`repro.bypass.operators`) runs the same kernel once per stream pair.
 
 Each class is a :class:`~repro.physical.base.PhysicalOperator`: the batched
 pull protocol comes from the streaming bases, ``execute(...)`` is the
@@ -50,6 +52,59 @@ def _slice_positions(relation: TaggedRelation, tag: Tag) -> np.ndarray | None:
     """Positions of one slice's rows, or ``None`` when it holds every row."""
     bitmap = relation.slices[tag]
     return None if bitmap.count() == relation.num_rows else bitmap.positions()
+
+
+def hash_join(
+    conditions: list[JoinCondition],
+    left: TaggedRelation,
+    right: TaggedRelation,
+    left_rows: np.ndarray | None,
+    right_rows: np.ndarray | None,
+    context: ExecContext,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The join kernel: one hash table over the given rows of two relations.
+
+    ``left_rows`` / ``right_rows`` are positions into each relation, or
+    ``None`` for every row (joined on the whole index arrays, no gather).
+    Returns the matching ``(left, right)`` positions into the relations.
+    The tagged join's one-slice path runs it once, the bypass join once per
+    stream pair.
+    """
+    context.metrics.record_hash_build(
+        left.num_rows if left_rows is None else int(left_rows.size),
+        right.num_rows if right_rows is None else int(right_rows.size),
+    )
+    left_keys, right_keys = read_join_keys(
+        conditions,
+        left.tables,
+        left.indices,
+        right.tables,
+        right.indices,
+        context,
+        left_positions=left_rows,
+        right_positions=right_rows,
+    )
+    left_match, right_match = equi_join_indices(left_keys, right_keys)
+    return (
+        left_match if left_rows is None else left_rows[left_match],
+        right_match if right_rows is None else right_rows[right_match],
+    )
+
+
+def joined_relation(
+    left: TaggedRelation,
+    right: TaggedRelation,
+    left_rows: np.ndarray,
+    right_rows: np.ndarray,
+    slices: dict[Tag, Bitmap],
+    context: ExecContext,
+) -> TaggedRelation:
+    """A join's output: the matched rows' index columns of both sides, under ``slices``."""
+    indices = {alias: idx[left_rows] for alias, idx in left.indices.items()}
+    indices.update({alias: idx[right_rows] for alias, idx in right.indices.items()})
+    context.metrics.join_output_rows += int(left_rows.size)
+    context.metrics.tuples_materialized += int(left_rows.size)
+    return TaggedRelation({**left.tables, **right.tables}, indices, slices)
 
 
 class TaggedFilterOperator(StreamingFilter):
@@ -185,22 +240,12 @@ class TaggedJoinOperator(BuildProbeJoin):
         else:
             joined = self._join_groups(left, right, left_tags, right_tags, context)
 
-        merged_tables = {**left.tables, **right.tables}
         if joined is None:
-            return TaggedRelation(merged_tables, self._empty_indices(left, right), {})
+            nothing = np.empty(0, dtype=np.int64)
+            return joined_relation(left, right, nothing, nothing, {}, context)
         kept_left_rows, kept_right_rows, out_slices = joined
-        output_rows = int(kept_left_rows.size)
-
-        out_indices: dict[str, np.ndarray] = {}
-        for alias in left.indices:
-            out_indices[alias] = left.indices[alias][kept_left_rows]
-        for alias in right.indices:
-            out_indices[alias] = right.indices[alias][kept_right_rows]
-
-        context.metrics.join_output_rows += output_rows
-        context.metrics.tuples_materialized += output_rows
         context.metrics.slices_created += len(out_slices)
-        return TaggedRelation(merged_tables, out_indices, out_slices)
+        return joined_relation(left, right, kept_left_rows, kept_right_rows, out_slices, context)
 
     def _join_pair(
         self,
@@ -211,24 +256,19 @@ class TaggedJoinOperator(BuildProbeJoin):
     ):
         """One mapped slice per side: a single hash join, no slice bookkeeping.
 
-        A full slice joins on the relation's whole index arrays (no position
-        gather).  Returns ``(left rows, right rows, slices)`` or ``None``.
+        Returns ``(left rows, right rows, slices)`` or ``None``.
         """
-        left_rows = _slice_positions(left, pair[0])
-        right_rows = _slice_positions(right, pair[1])
-        context.metrics.record_hash_build(
-            left.num_rows if left_rows is None else int(left_rows.size),
-            right.num_rows if right_rows is None else int(right_rows.size),
+        left_rows, right_rows = hash_join(
+            self.conditions,
+            left,
+            right,
+            _slice_positions(left, pair[0]),
+            _slice_positions(right, pair[1]),
+            context,
         )
-        left_keys, right_keys = self._join_keys(left, right, left_rows, right_rows, context)
-        left_match, right_match = equi_join_indices(left_keys, right_keys)
-        if left_match.size == 0:
+        if left_rows.size == 0:
             return None
-        return (
-            left_match if left_rows is None else left_rows[left_match],
-            right_match if right_rows is None else right_rows[right_match],
-            {self.tag_map.entries[pair]: Bitmap.full(int(left_match.size))},
-        )
+        return left_rows, right_rows, {self.tag_map.entries[pair]: Bitmap.full(int(left_rows.size))}
 
     def _join_groups(
         self,
@@ -248,7 +288,16 @@ class TaggedJoinOperator(BuildProbeJoin):
         # (slices are mutually exclusive), and their join keys (−1 = NULL key).
         left_rows, left_slice = self._participants(left, left_tags)
         right_rows, right_slice = self._participants(right, right_tags)
-        left_keys, right_keys = self._join_keys(left, right, left_rows, right_rows, context)
+        left_keys, right_keys = read_join_keys(
+            self.conditions,
+            left.tables,
+            left.indices,
+            right.tables,
+            right.indices,
+            context,
+            left_positions=left_rows,
+            right_positions=right_rows,
+        )
 
         # Output-tag lookup table indexed by (left slice id, right slice id).
         out_tags: list[Tag] = []
@@ -332,32 +381,6 @@ class TaggedJoinOperator(BuildProbeJoin):
         is_wanted = np.zeros(num_slices, dtype=np.bool_)
         is_wanted[list(wanted)] = True
         return np.flatnonzero(is_wanted[slice_ids])
-
-    def _join_keys(
-        self,
-        left: TaggedRelation,
-        right: TaggedRelation,
-        left_positions: np.ndarray,
-        right_positions: np.ndarray,
-        context: ExecContext,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return read_join_keys(
-            self.conditions,
-            left.tables,
-            left.indices,
-            right.tables,
-            right.indices,
-            context,
-            left_positions=left_positions,
-            right_positions=right_positions,
-        )
-
-    @staticmethod
-    def _empty_indices(left: TaggedRelation, right: TaggedRelation) -> dict[str, np.ndarray]:
-        empty = np.empty(0, dtype=np.int64)
-        out = {alias: empty for alias in left.indices}
-        out.update({alias: empty for alias in right.indices})
-        return out
 
 
 class TaggedProjectOperator(PhysicalOperator):

@@ -32,14 +32,8 @@ from repro.core.planner.pullup import TPullupPlanner
 from repro.core.planner.pushconj import TPushConjPlanner
 from repro.core.planner.pushdown import TPushdownPlanner
 
-#: The planners the paper's TMin oracle minimizes over (Figure 3c): the four
-#: candidate planners TCombined itself considers.  TExhaustive is an
-#: extension beyond the paper and is excluded so TMin keeps its meaning.
-TMIN_CANDIDATES = ("tpushdown", "tpullup", "titerpush", "tpushconj")
-
 __all__ = [
     "CostParams",
-    "TMIN_CANDIDATES",
     "PlanOptions",
     "PlannerContext",
     "PlannerResult",

@@ -86,6 +86,10 @@ class TaggedRelation:
             for alias in batches[0].indices
         }
         total_rows = sum(batch.num_rows for batch in batches)
+        tags = {tag for batch in batches for tag in batch.slices}
+        if len(tags) == 1 and all(batch.live_rows == batch.num_rows for batch in batches):
+            # One tag over every row (bypass streams, one-tag plans): stays full.
+            return cls(tables, indices, {tags.pop(): Bitmap.full(total_rows)})
         masks: dict[Tag, np.ndarray] = {}
         offset = 0
         for batch in batches:

@@ -13,7 +13,6 @@ planner name    meaning
 ``titerpush``   tagged execution, iterative push-down search
 ``tpushconj``   tagged execution forced to mimic a conjunctive planner
 ``texhaustive`` tagged execution, DP join ordering (extension beyond the paper)
-``tmin``        oracle: execute every tagged candidate planner, keep the fastest
 ``bdisj``       traditional execution, per-root-clause plans + union
 ``bpushconj``   traditional execution, conjunctive pushdown only
 ``bypass``      bypass-technique execution (related-work comparator)
@@ -51,7 +50,6 @@ from dataclasses import dataclass, field
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
 from repro.bypass.planner import BypassPlanner
 from repro.core import planner as tagged
-from repro.core.planner import TMIN_CANDIDATES
 from repro.core.planner.base import PLAN_OPTION_NAMES, PlannerContext, PlanOptions
 from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations
@@ -65,8 +63,7 @@ from repro.storage.catalog import Catalog
 
 #: The planner table: name -> planner class; the class's ``kind`` names the
 #: execution model of the :class:`~repro.core.planner.base.PlannerResult` it
-#: returns.  ``tmin`` is not a planner but an oracle over several of them
-#: (:meth:`Session.execute`).
+#: returns.  Every name a caller may pass as ``planner=`` is a row here.
 PLANNERS = {
     planner_class.name: planner_class
     for planner_class in (
@@ -84,7 +81,6 @@ PLANNERS = {
 TAGGED_PLANNERS = tuple(
     name for name, planner_class in PLANNERS.items() if planner_class.kind == "tagged"
 )
-ALL_PLANNERS = tuple(PLANNERS) + ("tmin",)
 
 
 @dataclass
@@ -230,11 +226,8 @@ class Session:
         options = self.options.replace(**overrides)
         history = obs_history.get_history()
         wall_timer = Stopwatch()
-        if planner == "tmin":
-            result = self._execute_tmin(query, naive_tags, options)
-        else:
-            prepared = self.prepare(query, planner, naive_tags)
-            result = self.execute_prepared(prepared, **vars(options))
+        prepared = self.prepare(query, planner, naive_tags)
+        result = self.execute_prepared(prepared, **vars(options))
         if history is not None:
             history.record_query(
                 fingerprint=obs_history.session_fingerprint(query, planner),
@@ -267,11 +260,8 @@ class Session:
     ) -> PreparedPlan:
         """Parse, collect statistics and plan; returns a :class:`PreparedPlan`.
 
-        ``tmin`` cannot be prepared: it is an oracle that *executes* every
-        tagged candidate and keeps the fastest, so there is no single plan to
-        hand back before execution.
-
-        The plan is built under the session's
+        ``planner`` names a row of :data:`PLANNERS`; any other name raises
+        ``ValueError``.  The plan is built under the session's
         :class:`~repro.core.planner.base.PlanOptions` (``naive_tags``
         overrides that one field for this call) and carries them.
 
@@ -283,15 +273,10 @@ class Session:
         included.
         """
         planner = planner.lower()
-        if planner == "tmin":
-            raise ValueError(
-                "tmin executes every candidate planner and cannot be prepared; "
-                "call execute() instead"
-            )
         planner_class = PLANNERS.get(planner)
         if planner_class is None:
             raise ValueError(
-                f"unknown planner {planner!r}; choose one of {', '.join(ALL_PLANNERS)}"
+                f"unknown planner {planner!r}; choose one of {', '.join(PLANNERS)}"
             )
         bound = self._bind(query)
         timer = Stopwatch()
@@ -456,12 +441,7 @@ class Session:
         planner: str = "tcombined",
         naive_tags: bool | None = None,
     ) -> str:
-        """Return the chosen plan(s) as a pretty-printed string.
-
-        ``tmin`` has no plan of its own and shows ``tcombined``'s.
-        """
-        if planner.lower() == "tmin":
-            planner = "tcombined"
+        """Return the chosen plan(s) as a pretty-printed string."""
         return self.prepare(query, planner, naive_tags).plan_description
 
     # ------------------------------------------------------------------ #
@@ -493,22 +473,3 @@ class Session:
             selectivity_overrides=selectivity_overrides,
             access_manager=self._access_manager(),
         )
-
-    def _execute_tmin(
-        self, query: Query, naive_tags: bool | None, options: ExecOptions
-    ) -> QueryResult:
-        """Execute every tagged candidate planner and keep the fastest run.
-
-        The oracle compares wall-clock, so candidates run untraced and
-        without feedback collection whatever ``options`` says.
-        """
-        options = options.replace(trace=False, collect_feedback=False)
-        best: QueryResult | None = None
-        for planner in TMIN_CANDIDATES:
-            prepared = self.prepare(query, planner, naive_tags)
-            result = self.execute_prepared(prepared, **vars(options))
-            if best is None or result.total_seconds < best.total_seconds:
-                best = result
-        assert best is not None
-        best.planner_name = "tmin"
-        return best

@@ -19,9 +19,9 @@ see this module's state: per-execution counters merge through the engine's
 ``ExecContext`` fork/absorb, and only the *coordinator* — ``QueryService``'s
 publish point, or ``Session.execute`` for bare sessions — records the merged
 totals here, exactly once per query.  The service never calls
-``Session.execute`` (it runs prepared plans, and the ``tmin`` oracle through
-the session's non-publishing internal), so there is one publish point per
-query by construction.
+``Session.execute`` (it runs prepared plans through
+``Session.execute_prepared``, which does not publish), so there is one
+publish point per query by construction.
 
 The ambient seam (:func:`set_history` / :func:`get_history`) is how
 lower layers — the compactor, recovery, conflict retry — journal events

@@ -13,10 +13,12 @@ same batched pull contract:
 A *batch* is the operators' relation payload: a
 :class:`~repro.core.tagged_relation.TaggedRelation` for the tagged operators
 (which run tagged and traditional plans alike), a
-:class:`~repro.bypass.streams.StreamSet` for bypass operators, and
+:class:`~repro.bypass.streams.StreamSet` of one-slice tagged relations for
+bypass operators, and
 :class:`~repro.engine.result.OutputColumns` at the root of every tree.  Each
 batch type owns ``live_rows`` (its live tuple count) and an order-preserving
-``merge(batches)``; the two relation types also own ``from_scan``.  The
+``merge(batches)``; ``TaggedRelation`` and ``StreamSet`` also own
+``from_scan``.  The
 morsel-driven driver (:mod:`repro.engine.parallel`) runs one operator tree
 per table partition and merges the root batches in partition order, which is
 what makes parallel output byte-identical to serial output.

@@ -6,10 +6,10 @@ reading and encoding join-key columns, and orienting a join condition toward
 the build input.
 
 Everything here is model-agnostic: functions accept the ``tables`` /
-``indices`` mappings every relation representation exposes (tagged relations
-and the bypass model's plain :class:`~repro.bypass.streams.Relation` share
-that shape), so no execution-model package is imported and no import cycles
-arise.
+``indices`` mappings of a
+:class:`~repro.core.tagged_relation.TaggedRelation` (the one relation type
+every execution model exchanges), not the relation itself, so no
+execution-model package is imported and no import cycles arise.
 """
 
 from __future__ import annotations

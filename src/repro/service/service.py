@@ -248,10 +248,6 @@ class QueryService:
         :class:`~repro.core.planner.base.PlanOptions` for this call (and is,
         like every planning option, part of the plan-cache key).
 
-        The oracle planner ``tmin`` executes every tagged candidate and keeps
-        the fastest, so it has no single plan to cache; the wrapped session
-        runs it (still benefiting from the stats cache).
-
         ``trace`` opts the execution into structured tracing exactly as in
         :meth:`Session.execute_prepared` — the result carries the span tree.
         Independently of tracing, every execution publishes into the global
@@ -262,15 +258,6 @@ class QueryService:
         planner = planner.lower()
         query = self._bind(query)
         wall_timer = Stopwatch()
-        if planner == "tmin":
-            result = self.session._execute_tmin(query, naive_tags, self.options)
-            self._publish(
-                result,
-                wall_timer.elapsed(),
-                key=obs_history.session_fingerprint(query, planner),
-            )
-            return result
-
         lookup_timer = Stopwatch()
         key = self._fingerprint(query, planner, naive_tags)
         try:
@@ -302,9 +289,7 @@ class QueryService:
         if history is not None:
             history.record_replan(key)
 
-    def _publish(
-        self, result: QueryResult, elapsed_seconds: float, key: str | None
-    ) -> None:
+    def _publish(self, result: QueryResult, elapsed_seconds: float, key: str) -> None:
         """Feed one finished execution into the registry, slow log and history.
 
         This is the single coordinator-side publish point: per-morsel and
@@ -320,12 +305,11 @@ class QueryService:
             morsels=result.metrics.morsels_executed,
             shard_tasks=result.metrics.shards_executed,
         )
-        fingerprint = key if key is not None else f"<{result.planner_name}>"
         slow_record = None
         log = self.slow_query_log
         if log is not None and elapsed_seconds >= log.threshold_seconds:
             slow_record = SlowQueryRecord(
-                fingerprint=fingerprint,
+                fingerprint=key,
                 planner=result.planner_name,
                 elapsed_seconds=elapsed_seconds,
                 planning_seconds=result.planning_seconds,
@@ -341,7 +325,7 @@ class QueryService:
         if history is not None:
             trace = result.trace.to_dict() if result.trace is not None else None
             history.record_query(
-                fingerprint=fingerprint,
+                fingerprint=key,
                 planner=result.planner_name,
                 seconds=elapsed_seconds,
                 execution_seconds=result.execution_seconds,
@@ -428,8 +412,6 @@ class QueryService:
         """Prepare (but do not execute) ``queries``; returns plans added."""
         added = 0
         planner_name = planner.lower()
-        if planner_name == "tmin":
-            return 0
         for query in queries:
             query = self._bind(query)
             key = self._fingerprint(query, planner_name, naive_tags)

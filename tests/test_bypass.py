@@ -12,9 +12,10 @@ from repro.bypass.operators import (
     BypassProjectOperator,
 )
 from repro.bypass.planner import BypassPlanner
-from repro.bypass.streams import BypassStream, Relation, StreamSet
+from repro.bypass.streams import StreamSet
 from repro.core.planner.base import PlannerContext
 from repro.core.predtree import PredicateTree
+from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.expr.builders import and_, col, lit, or_
@@ -22,6 +23,7 @@ from repro.expr.three_valued import FALSE, TRUE
 from repro.physical.compile import compile_plan
 from repro.physical.operators import ScanPhysical
 from repro.plan.query import Query
+from repro.storage.bitmap import Bitmap
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog, make_dnf_query
 
 from tests.conftest import PAPER_QUERY_MATCHES, hand_built_plan
@@ -30,25 +32,34 @@ from tests.conftest import PAPER_QUERY_MATCHES, hand_built_plan
 # --------------------------------------------------------------------------- #
 # Streams
 # --------------------------------------------------------------------------- #
+def _stream(tag: Tag, alias: str, table: Table) -> TaggedRelation:
+    """A stream over every row of ``table``: one full slice under ``tag``."""
+    return TaggedRelation.from_base_table(alias, table).with_slices(
+        {tag: Bitmap.full(table.num_rows)}
+    )
+
+
 class TestStreams:
     def test_stream_from_base_table(self, paper_catalog):
-        stream = BypassStream.from_base_table("t", paper_catalog.get("title"))
-        assert stream.tag == Tag.empty()
+        stream = TaggedRelation.from_base_table("t", paper_catalog.get("title"))
+        assert stream.tags() == [Tag.empty()]
         assert stream.num_rows == paper_catalog.get("title").num_rows
         assert stream.aliases == ["t"]
 
     def test_take_produces_subset_with_new_tag(self, paper_catalog):
-        stream = BypassStream.from_base_table("t", paper_catalog.get("title"))
+        stream = TaggedRelation.from_base_table("t", paper_catalog.get("title"))
         tag = Tag({"(t.production_year > 2000)": TRUE})
         subset = stream.take(np.array([0, 2], dtype=np.int64), tag)
         assert subset.num_rows == 2
-        assert subset.tag == tag
+        assert subset.tags() == [tag]
+        # Rows are copied into the new stream's own index columns.
+        assert subset.indices["t"].tolist() == [0, 2]
         # The original stream is unchanged.
         assert stream.num_rows == 7
 
     def test_stream_set_merges_same_tag(self, paper_catalog):
         table = paper_catalog.get("title")
-        base = BypassStream.from_base_table("t", table)
+        base = TaggedRelation.from_base_table("t", table)
         tag = Tag({"(t.production_year > 2000)": TRUE})
         first = base.take(np.array([0, 1], dtype=np.int64), tag)
         second = base.take(np.array([6], dtype=np.int64), tag)
@@ -58,7 +69,7 @@ class TestStreams:
 
     def test_stream_set_keeps_distinct_tags_separate(self, paper_catalog):
         table = paper_catalog.get("title")
-        base = BypassStream.from_base_table("t", table)
+        base = TaggedRelation.from_base_table("t", table)
         true_tag = Tag({"(t.production_year > 2000)": TRUE})
         false_tag = Tag({"(t.production_year > 2000)": FALSE})
         streams = StreamSet(
@@ -72,21 +83,20 @@ class TestStreams:
 
     def test_stream_set_drops_empty_streams(self, paper_catalog):
         table = paper_catalog.get("title")
-        base = BypassStream.from_base_table("t", table)
+        base = TaggedRelation.from_base_table("t", table)
         empty = base.take(np.empty(0, dtype=np.int64), Tag.empty())
         streams = StreamSet([empty])
         assert streams.num_streams == 0
         assert not streams
 
     def test_merge_rejects_different_tags(self, paper_catalog):
-        from repro.bypass.streams import _merge_streams
-
         table = paper_catalog.get("title")
-        base = BypassStream.from_base_table("t", table)
+        base = TaggedRelation.from_base_table("t", table)
         first = base.take(np.array([0], dtype=np.int64), Tag({"a": TRUE}))
         second = base.take(np.array([1], dtype=np.int64), Tag({"a": FALSE}))
+        # Merging streams of different tags yields two slices: not a stream.
         with pytest.raises(ValueError):
-            _merge_streams(first, second)
+            StreamSet([TaggedRelation.merge([first, second])])
 
 
 # --------------------------------------------------------------------------- #
@@ -215,10 +225,10 @@ class TestBypassJoin:
             }
         )
         left = StreamSet(
-            [BypassStream(left_tag, Relation.from_base_table("t", title))]
+            [_stream(left_tag, "t", title)]
         )
         right = StreamSet(
-            [BypassStream(right_tag, Relation.from_base_table("mi_idx", info))]
+            [_stream(right_tag, "mi_idx", info)]
         )
         output = join.execute(left, right, context)
         assert output.num_streams == 0
@@ -238,8 +248,8 @@ class TestBypassProject:
         refuted = Tag({tree.root_key: FALSE})
         streams = StreamSet(
             [
-                BypassStream(satisfied, Relation.from_base_table("t", title)),
-                BypassStream(refuted, Relation.from_base_table("t", title)),
+                _stream(satisfied, "t", title),
+                _stream(refuted, "t", title),
             ]
         )
         project = BypassProjectOperator(tree, [col("t", "title")])
@@ -252,7 +262,7 @@ class TestBypassProject:
         context = ExecContext()
         title = paper_catalog.get("title")
         streams = StreamSet(
-            [BypassStream(Tag.empty(), Relation.from_base_table("t", title))]
+            [_stream(Tag.empty(), "t", title)]
         )
         project = BypassProjectOperator(tree, [col("t", "title")])
         output = project.execute(streams, context)
@@ -269,7 +279,7 @@ class TestBypassProject:
         context = ExecContext()
         title = paper_catalog.get("title")
         streams = StreamSet(
-            [BypassStream(Tag.empty(), Relation.from_base_table("t", title))]
+            [_stream(Tag.empty(), "t", title)]
         )
         project = BypassProjectOperator(None, [])
         output = project.execute(streams, context)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import Catalog, Session, Table
-from repro.engine.session import ALL_PLANNERS
+from repro.engine.session import PLANNERS
 from repro.mutation import Compactor, ConflictError, retry_on_conflict
 from repro.mutation.diskops import (
     append_rows_to_saved_catalog,
@@ -188,7 +188,7 @@ class TestWritersDuringOnlineCompaction:
 
         # Differential: every planner returns byte-identical rows.
         expected = None
-        for planner in ALL_PLANNERS:
+        for planner in PLANNERS:
             result = session.execute(sql, planner=planner)
             rows = sorted(result.rows)
             if expected is None:

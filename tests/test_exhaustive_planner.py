@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.planner import TMIN_CANDIDATES
 from repro.core.planner.base import PlannerContext
 from repro.core.planner.exhaustive import TExhaustivePlanner
 from repro.core.planner.pushdown import TPushdownPlanner
@@ -19,9 +18,6 @@ from tests.conftest import PAPER_QUERY_MATCHES
 class TestRegistration:
     def test_registered_as_texhaustive(self):
         assert PLANNERS["texhaustive"] is TExhaustivePlanner
-
-    def test_not_part_of_tmin_candidates(self):
-        assert "texhaustive" not in TMIN_CANDIDATES
 
 
 class TestPlanShape:

@@ -8,8 +8,7 @@ Covers the `repro.obs.history` subsystem in units and through its seams:
 * per-fingerprint statistics accumulation and the bucketed percentiles;
 * the regression detector's baseline/recent window logic;
 * the rotating slow-query file sink;
-* `QueryService` / bare `Session` feeding history exactly once per query
-  (including the tmin delegation, which must not double count);
+* `QueryService` / bare `Session` feeding history exactly once per query;
 * offline replay parity and the `repro history` / `repro top` /
   `repro metrics --format` CLI surfaces.
 """
@@ -476,20 +475,6 @@ class TestServiceIntegration:
             set_history(None)
         assert len(history.stats) == 2  # distinct planners, distinct keys
         assert all(e.calls == 1 for e in history.stats.entries())
-
-    def test_tmin_through_service_counts_once(self, catalog):
-        """The service's tmin path delegates to Session.execute; the
-        suppression seam must keep it a single history record."""
-        history = WorkloadHistory()
-        set_history(history)
-        try:
-            with QueryService(Session(catalog)) as service:
-                service.execute(SQL_SCAN, planner="tmin")
-        finally:
-            set_history(None)
-        entries = history.stats.entries()
-        assert sum(e.calls for e in entries) == 1
-        assert entries[0].planner == "tmin"
 
     def test_session_without_ambient_records_nothing(self, catalog):
         session = Session(catalog)

@@ -30,7 +30,6 @@ from repro.testing import (
 )
 from repro.testing.differential import DEFAULT_PLANNERS
 
-ALL_PLANNERS = DEFAULT_PLANNERS + ("tmin",)
 PARALLELISM_LEVELS = (1, 4)
 SHARD_COUNTS = (1, 2)
 QUERY_SEED = 23
@@ -68,7 +67,7 @@ def _run(session, query, planner, parallelism, shards):
     )
 
 
-@pytest.mark.parametrize("planner", ALL_PLANNERS)
+@pytest.mark.parametrize("planner", DEFAULT_PLANNERS)
 def test_history_on_off_byte_identical(catalog, query, planner, tmp_path, _clean_ambient):
     session = Session(catalog, stats_sample_size=200)
     for parallelism in PARALLELISM_LEVELS:
@@ -86,17 +85,10 @@ def test_history_on_off_byte_identical(catalog, query, planner, tmp_path, _clean
                 set_history(None)
                 history.close()
             label = (planner, parallelism, shards)
-            if planner == "tmin":
-                # tmin keeps the wall-clock winner; row *sets* must match.
-                assert observed.sorted_rows() == bare.sorted_rows(), label
-            else:
-                assert observed.rows == bare.rows, label
-                assert observed.plan_description == bare.plan_description, label
-                assert observed.iostats.values_read == bare.iostats.values_read, label
-                assert (
-                    observed.iostats.sequential_scans
-                    == bare.iostats.sequential_scans
-                ), label
+            assert observed.rows == bare.rows, label
+            assert observed.plan_description == bare.plan_description, label
+            assert observed.iostats.values_read == bare.iostats.values_read, label
+            assert observed.iostats.sequential_scans == bare.iostats.sequential_scans, label
             # History really did record the observed run.
             assert sum(e.calls for e in history.stats.entries()) == 1, label
 
@@ -134,10 +126,9 @@ def test_service_no_double_counting_with_shards(catalog, query, _clean_ambient):
         with QueryService(Session(catalog, stats_sample_size=200), shards=2) as service:
             for _ in range(3):
                 service.execute(query)
-            service.execute(query, planner="tmin")
     finally:
         set_history(None)
-    assert sum(e.calls for e in history.stats.entries()) == 4
+    assert sum(e.calls for e in history.stats.entries()) == 3
 
 
 def test_injected_regression_flagged_by_cli(tmp_path, capsys):

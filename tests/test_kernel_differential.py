@@ -109,7 +109,7 @@ def oracle_rows(catalogs):
 # --------------------------------------------------------------------------- #
 # The matrix: planners x parallelism/partitions x indexes, against the oracle
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("planner", DEFAULT_PLANNERS + ("tmin",))
+@pytest.mark.parametrize("planner", DEFAULT_PLANNERS)
 @pytest.mark.parametrize(
     "parallelism,partitions,indexed",
     [(1, 1, False), (1, 3, True), (4, 1, True), (4, 3, False)],

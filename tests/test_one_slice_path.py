@@ -3,7 +3,8 @@
 A relation with one slice takes the one-slice path (a compacting filter, a
 single hash join); the same rows split into two slices whose tag-map entries
 route to one output tag take the general path.  Both must yield the same live
-tuples in the same order and the same work counters.
+tuples in the same order and the same work counters.  The bypass join, which
+runs the one-slice join's kernel once per stream pair, is one more input.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bypass.operators import BypassJoinOperator
+from repro.bypass.streams import StreamSet
 from repro.core.operators import TaggedFilterOperator, TaggedJoinOperator
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tagmap import FilterEntry, FilterTagMap, JoinTagMap
@@ -38,6 +41,8 @@ JOIN_COUNTERS = (
     "tuples_materialized",
     "slices_created",
 )
+#: A bypass join counts the streams it creates, not slices.
+BYPASS_JOIN_COUNTERS = JOIN_COUNTERS[:-1]
 
 
 def _nullable(rng: np.random.Generator, values: np.ndarray, null_rate: float) -> list:
@@ -170,6 +175,20 @@ def test_join_one_slice_matches_general_path(tables, left_kind, right_kind, spli
         # NULL keys never join.
         null_keys = {row for row in range(LEFT_ROWS) if left_table.row(row)["k"] is None}
         assert not null_keys & {row["l"] for row in fast.materialize_rows()}
+
+    # The bypass join runs the same kernel on the same rows, compacted into streams.
+    bypass_context = ExecContext()
+    streams = BypassJoinOperator(conditions, None).execute(
+        StreamSet([TaggedRelation.from_base_table("l", left_table).take(left_positions, ONE)]),
+        StreamSet([TaggedRelation.from_base_table("r", right_table).take(right_positions, ONE)]),
+        bypass_context,
+    )
+    assert [row for stream in streams for row in stream.materialize_rows()] == (
+        fast.materialize_rows()
+    )
+    assert _counters(bypass_context, BYPASS_JOIN_COUNTERS) == _counters(
+        fast_context, BYPASS_JOIN_COUNTERS
+    )
 
 
 def test_join_pair_without_map_entry_is_empty(tables):

@@ -8,7 +8,7 @@ import pytest
 from repro import Catalog, Session, Table
 from repro.engine.metrics import ExecContext, ExecutionMetrics
 from repro.engine.parallel import choose_partition_alias
-from repro.bypass.streams import BypassStream, Relation, StreamSet
+from repro.bypass.streams import StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.result import OutputColumns
@@ -106,8 +106,7 @@ class TestPhysicalProtocol:
             scan.open(ExecContext())
             batch = scan.next_batch()
             if kind == "bypass":
-                (stream,) = batch
-                batch = stream.relation
+                (batch,) = batch
             assert batch.indices["t"].tolist() == live, kind
 
     def test_unknown_kind_rejected(self, small_table):
@@ -115,14 +114,21 @@ class TestPhysicalProtocol:
             ScanPhysical("mystery", "t", small_table)
 
 
+def _stream(table: Table, rows: list[int]) -> TaggedRelation:
+    """A bypass stream: a one-slice relation over ``rows``, empty tag."""
+    return TaggedRelation(
+        {"t": table}, {"t": np.array(rows)}, {Tag.empty(): Bitmap.full(len(rows))}
+    )
+
+
 class TestBatchMerging:
     def test_merge_relations_preserves_order(self, small_table):
-        # A stream's relation keeps its batches' rows in order when merged.
-        tag = Tag.empty()
-        first = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([0, 1])}))])
-        second = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([5, 6])}))])
+        # A stream keeps its batches' rows in order when merged.
+        first = StreamSet([_stream(small_table, [0, 1])])
+        second = StreamSet([_stream(small_table, [5, 6])])
         (merged,) = StreamSet.merge([first, second])
-        assert merged.relation.indices["t"].tolist() == [0, 1, 5, 6]
+        assert merged.indices["t"].tolist() == [0, 1, 5, 6]
+        assert merged.tags() == [Tag.empty()]
 
     def test_merge_tagged_relations_offsets_slices(self, small_table):
         tag = Tag.empty()
@@ -138,9 +144,8 @@ class TestBatchMerging:
         assert merged.indices["t"].tolist() == [0, 1, 5, 6, 7]
 
     def test_merge_stream_sets_merges_equal_tags(self, small_table):
-        tag = Tag.empty()
-        first = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([0])}))])
-        second = StreamSet([BypassStream(tag, Relation({"t": small_table}, {"t": np.array([1])}))])
+        first = StreamSet([_stream(small_table, [0])])
+        second = StreamSet([_stream(small_table, [1])])
         merged = StreamSet.merge([first, second])
         assert merged.num_streams == 1
         assert merged.total_rows == 2

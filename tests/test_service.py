@@ -95,14 +95,6 @@ def test_distinct_planners_get_distinct_entries(service):
     assert len(service.plan_cache) == 2
 
 
-def test_tmin_is_served_uncached_and_agrees(service):
-    direct = Session(movie_catalog()).execute(SQL, planner="tmin")
-    served = service.execute(SQL, planner="tmin")
-    assert served.planner_name == "tmin"
-    assert not served.cache_hit
-    assert served.sorted_rows() == direct.sorted_rows()
-
-
 def test_warm_prepares_without_executing(service):
     added = service.warm([SQL, SQL_REFORMATTED], planner="tcombined")
     assert added == 1

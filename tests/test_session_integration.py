@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Catalog, Session, Table
-from repro.engine.session import ALL_PLANNERS, TAGGED_PLANNERS
+from repro.engine.session import PLANNERS, TAGGED_PLANNERS
 from tests.conftest import PAPER_QUERY_MATCHES
 
 
@@ -25,10 +25,6 @@ class TestSessionBasics:
     def test_explain_rejects_what_prepare_rejects(self, paper_session, paper_query_sql):
         with pytest.raises(ValueError, match="unknown planner 'nonsense'"):
             paper_session.explain(paper_query_sql, planner="nonsense")
-        # The oracle has no plan of its own: it shows tcombined's.
-        assert paper_session.explain(paper_query_sql, planner="tmin") == (
-            paper_session.explain(paper_query_sql, planner="tcombined")
-        )
 
     def test_explain_traditional(self, paper_session, paper_query_sql):
         rendered = paper_session.explain(paper_query_sql, planner="bdisj")
@@ -84,7 +80,7 @@ class TestSessionBasics:
 
 
 class TestAllPlannersAgree:
-    @pytest.mark.parametrize("planner", sorted(ALL_PLANNERS))
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
     def test_paper_query_under_every_planner(self, paper_session, paper_query_sql, planner):
         result = paper_session.execute(paper_query_sql, planner=planner)
         titles = {row[0] for row in result.rows}
@@ -96,7 +92,7 @@ class TestAllPlannersAgree:
         titles = {row[0] for row in result.rows}
         assert titles == PAPER_QUERY_MATCHES
 
-    @pytest.mark.parametrize("planner", sorted(ALL_PLANNERS))
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
     @pytest.mark.parametrize(
         "where, expected",
         [

@@ -40,9 +40,6 @@ from repro.testing.differential import DEFAULT_PLANNERS
 from repro.testing.oracle import evaluate_oracle
 from repro.testing.querygen import RandomQueryConfig, generate_random_query
 
-#: Every planner of every execution model, plus the adaptive tmin planner.
-ALL_PLANNERS = DEFAULT_PLANNERS + ("tmin",)
-
 SHARD_COUNTS = (1, 2, 4)
 PARALLELISM_LEVELS = (1, 4)
 PARTITION_COUNTS = (1, 3)
@@ -90,7 +87,7 @@ def workload(catalogs):
 
 
 @pytest.mark.parametrize("indexed", (False, True), ids=("plain", "indexed"))
-@pytest.mark.parametrize("planner", ALL_PLANNERS)
+@pytest.mark.parametrize("planner", DEFAULT_PLANNERS)
 def test_sharded_byte_identical_to_serial(sessions, workload, planner, indexed):
     query, expected = workload
     session = sessions[indexed]
@@ -110,14 +107,6 @@ def test_sharded_byte_identical_to_serial(sessions, workload, planner, indexed):
                     shards=shards,
                 )
                 label = (planner, indexed, partitions, parallelism, shards)
-                if planner == "tmin":
-                    # tmin races every tagged candidate and keeps the
-                    # wall-clock fastest, so *which* plan's row order wins is
-                    # timing-dependent even without shards.  The guarantee is
-                    # set-level: always the oracle answer.
-                    assert result.sorted_rows() == expected, label
-                    assert result.row_count == serial.row_count, label
-                    continue
                 # Byte-identical rows, identical plan choice.
                 assert result.rows == serial.rows, label
                 assert result.plan_description == serial.plan_description, label
@@ -297,23 +286,19 @@ def topk_session():
 
 _TOPK_FROM = "FROM T AS t WHERE (t.x > 0.2 AND t.y < 0.9) OR (t.y > 0.6)"
 
-#: ``(ORDER BY ... LIMIT, is the order total)`` — ties keep input order, which
-#: the plan decides, so only total orders are comparable under ``tmin``.
 TOPK_CLAUSES = (
-    ("ORDER BY t.k LIMIT 7", False),  # duplicates straddle the boundary
-    ("ORDER BY t.k DESC LIMIT 7", False),
-    ("ORDER BY t.a DESC, t.id LIMIT 9", True),  # two keys, float primary
-    ("ORDER BY t.k, t.a DESC, t.id DESC LIMIT 45", True),
-    ("ORDER BY t.a, t.id LIMIT 200", True),  # past the non-NULL keys: NULL rows returned
-    ("ORDER BY t.id DESC LIMIT 1", True),
+    "ORDER BY t.k LIMIT 7",  # duplicates straddle the boundary
+    "ORDER BY t.k DESC LIMIT 7",
+    "ORDER BY t.a DESC, t.id LIMIT 9",  # two keys, float primary
+    "ORDER BY t.k, t.a DESC, t.id DESC LIMIT 45",
+    "ORDER BY t.a, t.id LIMIT 200",  # past the non-NULL keys: NULL rows returned
+    "ORDER BY t.id DESC LIMIT 1",
 )
 
 
-@pytest.mark.parametrize("planner", ALL_PLANNERS)
+@pytest.mark.parametrize("planner", DEFAULT_PLANNERS)
 def test_order_by_limit_pushdown_byte_identical(topk_session, planner):
-    for clause, total in TOPK_CLAUSES:
-        if planner == "tmin" and not total:
-            continue
+    for clause in TOPK_CLAUSES:
         sql = f"SELECT t.id, t.k, t.a {_TOPK_FROM} {clause}"
         serial = topk_session.execute(sql, planner=planner, parallelism=1, partitions=4)
         assert 0 < serial.row_count

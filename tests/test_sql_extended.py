@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import AggregateFunction, parse_query
-from repro.engine.session import ALL_PLANNERS
+from repro.engine.session import PLANNERS
 from repro.sql.parser import ParseError
 
 
@@ -102,7 +102,7 @@ class TestParsing:
 
 
 class TestExecution:
-    @pytest.mark.parametrize("planner", sorted(ALL_PLANNERS))
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
     def test_count_star_matches_plain_row_count(self, paper_session, paper_query_sql, planner):
         plain = paper_session.execute(paper_query_sql, planner=planner)
         counted = paper_session.execute(
