@@ -33,10 +33,13 @@ bench-e2e:
 bench-compare:
 	$(PYTHON) benchmarks/e2e/compare.py $(A) $(B)
 
-## own-time profile of warm passes of one e2e workload: make profile W=job_warm
+## profile of warm passes of one e2e workload: make profile W=job_warm;
+## functions by own time (SORT=tottime, the default) or with their callees
+## (SORT=cumulative, which shows an operator method's whole share)
 W ?= job_warm
+SORT ?= tottime
 profile:
-	$(PYTHON) scripts/profile_workload.py $(W)
+	$(PYTHON) scripts/profile_workload.py $(W) --sort $(SORT)
 
 ## docs gates: every public module has a docstring, README examples execute,
 ## file and dotted references in README/docs resolve

@@ -1,17 +1,20 @@
 """Profile N warm passes of one ``benchmarks/e2e`` workload (read-only use of it).
 
-    python3 scripts/profile_workload.py job_warm [passes]
+    python3 scripts/profile_workload.py job_warm [passes] [--sort cumulative]
 
 Prints the best-of and worst-of latency per statement (best-of is what
 ``harness.Window.steady`` feeds into p50 / p90 / ``throughput_qps``, so a
 statement that is slow once per period — the first read after a compaction —
 only shows in the worst-of column; measured under the profiler, so inflated
 but comparable), then the top 25 functions by own time — the view that shows
-what an operator's self-time in the layer split is actually spent on.
+what an operator's self-time in the layer split is actually spent on — or,
+with ``--sort cumulative``, by time including callees, which shows the share
+of a method whose work happens in the functions it calls.
 """
 
 from __future__ import annotations
 
+import argparse
 import cProfile
 import pstats
 import sys
@@ -25,7 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 from workloads import WORKLOADS  # noqa: E402
 
 
-def main(name: str = "job_warm", passes: str = "5") -> None:
+def main(name: str, passes: int, sort: str) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         workload = WORKLOADS[name](7, False, Path(scratch))
         workload.setup()
@@ -33,7 +36,7 @@ def main(name: str = "job_warm", passes: str = "5") -> None:
             workload.begin_window()
             profiler = cProfile.Profile()
             seen: dict[tuple[str, str], list[float]] = {}
-            for _ in range(int(passes)):
+            for _ in range(passes):
                 for op in workload.operations():
                     started = time.perf_counter()
                     profiler.runcall(op.call, False)
@@ -43,8 +46,13 @@ def main(name: str = "job_warm", passes: str = "5") -> None:
     print("   best ms   worst ms")
     for (kind, key), seconds in sorted(seen.items(), key=lambda item: -min(item[1])):
         print(f"{min(seconds) * 1e3:10.2f} {max(seconds) * 1e3:10.2f}  {kind}/{key}")
-    pstats.Stats(profiler).sort_stats("tottime").print_stats(25)
+    pstats.Stats(profiler).sort_stats(sort).print_stats(25)
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", nargs="?", default="job_warm", choices=sorted(WORKLOADS))
+    parser.add_argument("passes", nargs="?", type=int, default=5)
+    parser.add_argument("--sort", default="tottime", choices=("tottime", "cumulative"))
+    args = parser.parse_args()
+    main(args.workload, args.passes, args.sort)

@@ -4,17 +4,19 @@ These implement the runtime side of Section 2: given the tag maps produced at
 plan time, each operator touches only the relational slices its tag map names
 and routes results to output tags.  Implementation follows Basilisk's choices
 (Section 2.5): filters evaluate their predicate once over the union of the
-matching slices' bitmaps and rewrite bitmaps instead of deleting rows; joins
-build a single shared structure over all participating slices; values are
-fetched lazily by row index through the storage layer.
+matching slices' bitmaps and rewrite bitmaps instead of deleting rows; a join
+builds one hash table over the rows of all participating slices, probes it
+once and keeps the pairs whose slices its tag map pairs; values are fetched
+lazily by row index through the storage layer.
 
-A relation of one slice takes a one-slice path, chosen from the input: a
-filter with only a TRUE outcome gathers the passing rows into a compacted
-relation (no other row could stay live), and a join of one slice per side is
-a single hash join without slice bookkeeping.  Traditional plans run here
-under one-tag maps, so for them this path *is* the plain filter and join.
-That single hash join is :func:`hash_join`; the bypass join
-(:mod:`repro.bypass.operators`) runs the same kernel once per stream pair.
+A filter of one slice with only a TRUE outcome takes a one-slice path, chosen
+from the input: it gathers the passing rows into a compacted relation (no
+other row could stay live).  A join of one mapped slice per side needs no
+slice lookup, and a full slice is joined without a position gather.
+Traditional plans run here under one-tag maps, so for them these *are* the
+plain filter and join.  The one hash join is :func:`hash_join`; the bypass
+join (:mod:`repro.bypass.operators`) runs the same kernel once per stream
+pair.
 
 Each class is a :class:`~repro.physical.base.PhysicalOperator`: the batched
 pull protocol comes from the streaming bases, ``execute(...)`` is the
@@ -43,11 +45,6 @@ from repro.utils.join import equi_join_indices
 _NOT_EVALUATED = np.uint8(255)
 
 
-def _concatenate(chunks: list[np.ndarray]) -> np.ndarray:
-    """``np.concatenate`` that does not copy a lone chunk (the usual case)."""
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-
-
 def _slice_positions(relation: TaggedRelation, tag: Tag) -> np.ndarray | None:
     """Positions of one slice's rows, or ``None`` when it holds every row."""
     bitmap = relation.slices[tag]
@@ -67,13 +64,8 @@ def hash_join(
     ``left_rows`` / ``right_rows`` are positions into each relation, or
     ``None`` for every row (joined on the whole index arrays, no gather).
     Returns the matching ``(left, right)`` positions into the relations.
-    The tagged join's one-slice path runs it once, the bypass join once per
-    stream pair.
+    The tagged join runs it once, the bypass join once per stream pair.
     """
-    context.metrics.record_hash_build(
-        left.num_rows if left_rows is None else int(left_rows.size),
-        right.num_rows if right_rows is None else int(right_rows.size),
-    )
     left_keys, right_keys = read_join_keys(
         conditions,
         left.tables,
@@ -83,6 +75,9 @@ def hash_join(
         context,
         left_positions=left_rows,
         right_positions=right_rows,
+    )
+    context.metrics.record_hash_build(
+        int(np.count_nonzero(left_keys >= 0)), int(np.count_nonzero(right_keys >= 0))
     )
     left_match, right_match = equi_join_indices(left_keys, right_keys)
     return (
@@ -225,21 +220,12 @@ class TaggedJoinOperator(BuildProbeJoin):
     ) -> TaggedRelation:
         """Join ``left`` and ``right`` and return the output tagged relation.
 
-        Only slice pairings with a tag-map entry are joined; incompatible
-        pairings are never generated.  Right slices sharing the same set of
-        compatible left slices are probed together against one shared build
-        structure, mirroring Basilisk's single hash table per join.
+        As in Basilisk, a join builds one hash table over the rows of every
+        participating slice and probes it once; a matching pair survives when
+        the tag map pairs its two slices, and that entry is its output tag.
         """
         context.metrics.operators_executed += 1
-
-        left_tags = [tag for tag in left.slices if tag in self._left_tags]
-        right_tags = [tag for tag in right.slices if tag in self._right_tags]
-        pair = (left_tags[0], right_tags[0]) if len(left_tags) == len(right_tags) == 1 else None
-        if pair in self.tag_map.entries:
-            joined = self._join_pair(left, right, pair, context)
-        else:
-            joined = self._join_groups(left, right, left_tags, right_tags, context)
-
+        joined = self._join_slices(left, right, context)
         if joined is None:
             nothing = np.empty(0, dtype=np.int64)
             return joined_relation(left, right, nothing, nothing, {}, context)
@@ -247,59 +233,18 @@ class TaggedJoinOperator(BuildProbeJoin):
         context.metrics.slices_created += len(out_slices)
         return joined_relation(left, right, kept_left_rows, kept_right_rows, out_slices, context)
 
-    def _join_pair(
-        self,
-        left: TaggedRelation,
-        right: TaggedRelation,
-        pair: tuple[Tag, Tag],
-        context: ExecContext,
-    ):
-        """One mapped slice per side: a single hash join, no slice bookkeeping.
+    def _join_slices(self, left: TaggedRelation, right: TaggedRelation, context: ExecContext):
+        """One hash join over the rows of every mapped slice of both sides.
 
-        Returns ``(left rows, right rows, slices)`` or ``None``.
+        Returns ``(left rows, right rows, slices)`` or ``None`` when nothing
+        matches.  The slice of each matched row is looked up only when some
+        pair of slices is not joined or the map has several output tags; with
+        one slice per side the rows of a full slice are not even gathered.
         """
-        left_rows, right_rows = hash_join(
-            self.conditions,
-            left,
-            right,
-            _slice_positions(left, pair[0]),
-            _slice_positions(right, pair[1]),
-            context,
-        )
-        if left_rows.size == 0:
-            return None
-        return left_rows, right_rows, {self.tag_map.entries[pair]: Bitmap.full(int(left_rows.size))}
-
-    def _join_groups(
-        self,
-        left: TaggedRelation,
-        right: TaggedRelation,
-        left_tags: list[Tag],
-        right_tags: list[Tag],
-        context: ExecContext,
-    ):
-        """Any slices per side: one join per group of right slices sharing
-        their compatible left slices.  Returns ``(left rows, right rows,
-        slices)`` or ``None`` when nothing matches."""
-        if not left_tags or not right_tags:
-            return None
-
-        # Participating rows (ascending) with the index of the slice each is in
-        # (slices are mutually exclusive), and their join keys (−1 = NULL key).
-        left_rows, left_slice = self._participants(left, left_tags)
-        right_rows, right_slice = self._participants(right, right_tags)
-        left_keys, right_keys = read_join_keys(
-            self.conditions,
-            left.tables,
-            left.indices,
-            right.tables,
-            right.indices,
-            context,
-            left_positions=left_rows,
-            right_positions=right_rows,
-        )
-
-        # Output-tag lookup table indexed by (left slice id, right slice id).
+        left_tags = [tag for tag in left.slices if tag in self._left_tags]
+        right_tags = [tag for tag in right.slices if tag in self._right_tags]
+        # Output-tag lookup table indexed by (left slice id, right slice id);
+        # -1 where the tag map does not pair the two slices.
         out_tags: list[Tag] = []
         out_tag_index: dict[Tag, int] = {}
         allowed = np.full((len(left_tags), len(right_tags)), -1, dtype=np.int64)
@@ -312,75 +257,53 @@ class TaggedJoinOperator(BuildProbeJoin):
                 out_tag_index[out_tag] = len(out_tags)
                 out_tags.append(out_tag)
             allowed[left_tag_index[left_tag], right_tag_index[right_tag]] = out_tag_index[out_tag]
-
-        # Group right slices by their compatible left-slice sets so each group
-        # is joined exactly once against exactly the rows it may match.
-        groups: dict[frozenset[int], list[int]] = {}
-        for right_index in range(len(right_tags)):
-            compatible = frozenset(np.flatnonzero(allowed[:, right_index] >= 0).tolist())
-            if compatible:
-                groups.setdefault(compatible, []).append(right_index)
-
-        matched_left_chunks: list[np.ndarray] = []
-        matched_right_chunks: list[np.ndarray] = []
-        matched_tag_chunks: list[np.ndarray] = []
-
-        for compatible_left, right_indices in groups.items():
-            left_pick = self._members(left_slice, compatible_left, len(left_tags))
-            right_pick = self._members(right_slice, right_indices, len(right_tags))
-            left_group, right_group = left_rows[left_pick], right_rows[right_pick]
-            if left_group.size == 0 or right_group.size == 0:
-                continue
-            context.metrics.record_hash_build(int(left_group.size), int(right_group.size))
-
-            left_match, right_match = equi_join_indices(
-                left_keys[left_pick], right_keys[right_pick]
-            )
-            if left_match.size == 0:
-                continue
-            matched_left_chunks.append(left_group[left_match])
-            matched_right_chunks.append(right_group[right_match])
-            if len(out_tags) > 1:  # with one output tag every pair carries it
-                matched_tag_chunks.append(
-                    allowed[left_slice[left_pick][left_match], right_slice[right_pick][right_match]]
-                )
-
-        if not matched_left_chunks:
+        if not out_tags:
             return None
 
-        kept_left_rows = _concatenate(matched_left_chunks)
-        out_slices: dict[Tag, Bitmap] = {}
+        left_rows, left_slice = self._participants(left, left_tags)
+        right_rows, right_slice = self._participants(right, right_tags)
+        kept_left, kept_right = hash_join(
+            self.conditions, left, right, left_rows, right_rows, context
+        )
+        if len(out_tags) > 1 or (allowed < 0).any():
+            # Each pair's cell of ``allowed``, as a flat index (a 2-D fancy
+            # index costs twice as much).
+            cell = 0 if right_slice is None else right_slice[kept_right]
+            if left_slice is not None:
+                cell = cell + left_slice[kept_left] * len(right_tags)
+            tag_ids = allowed.ravel()[cell]
+            # Positions, not a boolean mask: gathering by position is several
+            # times faster than boolean indexing when most pairs survive.
+            joined = np.flatnonzero(tag_ids >= 0)
+            if joined.size < tag_ids.size:
+                kept_left, kept_right, tag_ids = (
+                    kept_left[joined], kept_right[joined], tag_ids[joined]
+                )
+        if kept_left.size == 0:
+            return None
+
         if len(out_tags) == 1:
-            out_slices[out_tags[0]] = Bitmap.full(int(kept_left_rows.size))
-        else:
-            kept_tag_indices = _concatenate(matched_tag_chunks)
-            for index, out_tag in enumerate(out_tags):
-                mask = kept_tag_indices == index
-                if mask.any():
-                    out_slices[out_tag] = Bitmap.from_mask(mask)
-        return kept_left_rows, _concatenate(matched_right_chunks), out_slices
+            return kept_left, kept_right, {out_tags[0]: Bitmap.full(int(kept_left.size))}
+        out_slices: dict[Tag, Bitmap] = {}
+        for index, out_tag in enumerate(out_tags):
+            mask = tag_ids == index
+            if mask.any():
+                out_slices[out_tag] = Bitmap.from_mask(mask)
+        return kept_left, kept_right, out_slices
 
     @staticmethod
-    def _participants(relation: TaggedRelation, tags: list[Tag]) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending positions of the rows in the listed slices, and per
-        position the index (into ``tags``) of the slice holding it."""
+    def _participants(
+        relation: TaggedRelation, tags: list[Tag]
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Ascending positions of the rows in the listed slices (``None`` for
+        every row), and per relation row the index (into ``tags``) of the
+        slice holding it (``None`` for one slice: index 0)."""
         if len(tags) == 1:
-            positions = relation.slices[tags[0]].positions()
-            return positions, np.zeros(positions.size, dtype=np.int64)
+            return _slice_positions(relation, tags[0]), None
         slice_of_row = np.full(relation.num_rows, -1, dtype=np.int64)
         for index, tag in enumerate(tags):
             slice_of_row[relation.slices[tag].positions()] = index
-        positions = np.flatnonzero(slice_of_row >= 0)
-        return positions, slice_of_row[positions]
-
-    @staticmethod
-    def _members(slice_ids: np.ndarray, wanted, num_slices: int) -> np.ndarray | slice:
-        """Selector of the participants lying in the ``wanted`` slices."""
-        if len(wanted) == num_slices:
-            return slice(None)
-        is_wanted = np.zeros(num_slices, dtype=np.bool_)
-        is_wanted[list(wanted)] = True
-        return np.flatnonzero(is_wanted[slice_ids])
+        return np.flatnonzero(slice_of_row >= 0), slice_of_row
 
 
 class TaggedProjectOperator(PhysicalOperator):

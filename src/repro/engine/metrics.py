@@ -87,7 +87,11 @@ class ExecutionMetrics:
             bucket[1] += pages_pruned
 
     def record_hash_build(self, left_rows: int, right_rows: int) -> None:
-        """Account one hash table: built over the side the join kernel builds."""
+        """Account one hash table: built over the side the join kernel builds.
+
+        Give each side's rows with a non-NULL key: the kernel drops the others
+        and picks its build side from these counts.
+        """
         on_left = builds_on_left(left_rows, right_rows)
         self.hash_tables_built += 1
         self.join_build_rows += left_rows if on_left else right_rows

@@ -8,7 +8,7 @@ logical tree(s) is the same for every model; :data:`MODELS` names the
 operator built at each filter, join and root.  A traditional plan runs on
 the tagged filter and join under one-tag maps (:data:`ONE_TAG_FILTER`,
 :data:`ONE_TAG_JOIN`): every relation is one slice under the empty tag, which
-the tagged operators' one-slice path executes as a plain filter and join.
+the tagged operators execute as a plain filter and join.
 
 The compiler optionally restricts a single table alias to a
 :class:`~repro.storage.table.TablePartition`; the morsel driver compiles one

@@ -178,6 +178,17 @@ def nested_loop_pairs(left, right):
     ]
 
 
+@st.composite
+def one_partner_keys(draw):
+    """``(left, right)`` keys whose built (smaller) side has unique non-NULL keys,
+    so no probe row has two partners; either side may be the built one."""
+    built = draw(st.lists(st.integers(0, 15), unique=True, max_size=10))
+    probed = draw(st.lists(st.integers(0, 15), min_size=len(built) + 1, max_size=24))
+    built = draw(st.permutations(built + [-1] * draw(st.integers(0, 3))))
+    probed = draw(st.permutations(probed + [-1] * draw(st.integers(0, 3))))
+    return (built, probed) if draw(st.booleans()) else (probed, built)
+
+
 class TestEquiJoinOrderProperty:
     @given(join_keys, join_keys)
     @example([3, 3, 1, -1, 3, 0, 1], [1, 3])  # left larger: the right side is built
@@ -187,6 +198,16 @@ class TestEquiJoinOrderProperty:
     @example([], [1, 2])
     @example([1, 2], [])
     def test_pairs_and_their_order_match_a_nested_loop(self, left, right):
+        li, ri = equi_join_indices(
+            np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+        )
+        assert list(zip(li.tolist(), ri.tolist())) == nested_loop_pairs(left, right)
+
+    @given(one_partner_keys())
+    @example(([2, -1, 0], [0, 0, 5, 2, -1, 2]))  # the left side is built
+    @example(([0, 0, 5, 2, -1, 2], [2, -1, 0]))  # the right side is built
+    def test_one_partner_pairs_keep_the_nested_loop_order(self, keys):
+        left, right = keys
         li, ri = equi_join_indices(
             np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
         )
