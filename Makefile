@@ -6,9 +6,10 @@ RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 
 .PHONY: test lint test-crash bench-e2e bench-compare profile docs-check examples
 
-## tier-1 test suite (the gate every change must keep green)
+## tier-1 test suite (the gate every change must keep green); the ten slowest
+## tests are listed at the end of every run
 test:
-	$(RUN) -m pytest -x -q
+	$(RUN) -m pytest -x -q --durations=10
 
 ## lint gate (ruff; configured in pyproject.toml)
 lint:

@@ -1065,7 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--planners",
         nargs="+",
-        default=["tcombined", "bdisj", "bpushconj", "bypass"],
+        default=["tcombined", "bdisj", "bpushconj"],
         choices=sorted(PLANNERS),
     )
     _add_parallel_flags(compare)

@@ -115,10 +115,10 @@ def generalize_tag(tree: PredicateTree, tag: Tag) -> Tag:
     implies ``year > 1980``); those derived assignments drive propagation but
     never appear in the resulting tag themselves.
 
-    Every planner candidate of a query, and the bypass operators at run
-    time, generalize through the same tree, so each distinct tag runs the
-    algorithm once.  Threads sharing a tree may race to fill an entry; they
-    compute equal tags, so whichever store lands last changes nothing.
+    Every planner candidate of a query generalizes through the same tree,
+    so each distinct tag runs the algorithm once.  Threads sharing a tree
+    may race to fill an entry; they compute equal tags, so whichever store
+    lands last changes nothing.
     """
     generalized = tree.generalized.get(tag)
     if generalized is None:

@@ -14,13 +14,13 @@ from the input: it gathers the passing rows into a compacted relation (no
 other row could stay live).  A join of one mapped slice per side needs no
 slice lookup, and a full slice is joined without a position gather.
 Traditional plans run here under one-tag maps, so for them these *are* the
-plain filter and join.  The one hash join is :func:`hash_join`; the bypass
-join (:mod:`repro.bypass.operators`) runs the same kernel once per stream
-pair.
+plain filter and join.
 
-Each class is a :class:`~repro.physical.base.PhysicalOperator`: the batched
-pull protocol comes from the streaming bases, ``execute(...)`` is the
-whole-relation kernel (callable on its own, without children).
+Each class is a :class:`~repro.physical.base.PhysicalOperator`: ``_next``
+pulls its input batches (a filter streams one output batch per input batch;
+a join drains and merges its build side once, then streams its probe side),
+and ``execute(...)`` is the whole-relation kernel (callable on its own,
+without children).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.engine.metrics import ExecContext
 from repro.engine.result import materialize_output
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
-from repro.physical.base import BuildProbeJoin, PhysicalOperator, StreamingFilter
+from repro.physical.base import PhysicalOperator
 from repro.physical.expressions import evaluate_predicate, read_join_keys
 from repro.plan.query import JoinCondition
 from repro.storage.bitmap import Bitmap
@@ -64,7 +64,6 @@ def hash_join(
     ``left_rows`` / ``right_rows`` are positions into each relation, or
     ``None`` for every row (joined on the whole index arrays, no gather).
     Returns the matching ``(left, right)`` positions into the relations.
-    The tagged join runs it once, the bypass join once per stream pair.
     """
     left_keys, right_keys = read_join_keys(
         conditions,
@@ -102,13 +101,18 @@ def joined_relation(
     return TaggedRelation({**left.tables, **right.tables}, indices, slices)
 
 
-class TaggedFilterOperator(StreamingFilter):
-    """Filter operator driven by a tag map (Section 2.2 / 2.5.2)."""
+class TaggedFilterOperator(PhysicalOperator):
+    """Filter operator driven by a tag map (Section 2.2 / 2.5.2).
+
+    One output relation per input relation, through :meth:`execute`.
+    """
+
+    label = "FilterPhysical"
 
     def __init__(
         self, predicate: BooleanExpr, tag_map: FilterTagMap, child=None, node_id=None
     ) -> None:
-        super().__init__(child, node_id)
+        super().__init__([child], node_id=node_id)
         self.predicate = predicate
         self.tag_map = tag_map
         #: In-tag -> its TRUE tag, for the entries whose only outcome is TRUE.
@@ -117,6 +121,15 @@ class TaggedFilterOperator(StreamingFilter):
             for tag, entry in tag_map.entries.items()
             if entry.output_tags() == [entry.pos_tag]
         }
+
+    def _next(self, context: ExecContext):
+        relation = self.children[0].next_batch()
+        if relation is None:
+            return None
+        output = self.execute(relation, context)
+        if context.collect_feedback:
+            self.record_rows(context, relation.live_rows, output.live_rows)
+        return output
 
     def execute(self, relation: TaggedRelation, context: ExecContext) -> TaggedRelation:
         """Apply the filter to ``relation`` and return the output relation."""
@@ -197,8 +210,14 @@ class TaggedFilterOperator(StreamingFilter):
         )
 
 
-class TaggedJoinOperator(BuildProbeJoin):
-    """Hash equi-join driven by a tag map (Section 2.3 / 2.5.3)."""
+class TaggedJoinOperator(PhysicalOperator):
+    """Hash equi-join driven by a tag map (Section 2.3 / 2.5.3).
+
+    The build (left) child is drained and merged once, the probe child
+    streamed through :meth:`execute`.
+    """
+
+    label = "JoinPhysical"
 
     def __init__(
         self,
@@ -210,10 +229,35 @@ class TaggedJoinOperator(BuildProbeJoin):
     ) -> None:
         if not conditions:
             raise ValueError("a tagged join requires at least one join condition")
-        super().__init__(build, probe, node_id)
+        super().__init__([build, probe], node_id=node_id)
         self.conditions = list(conditions)
         self.tag_map = tag_map
         self._left_tags, self._right_tags = tag_map.left_tags(), tag_map.right_tags()
+        self._build_relation: TaggedRelation | None = None
+
+    def open(self, context: ExecContext) -> None:
+        super().open(context)
+        self._build_relation = None
+
+    def close(self) -> None:
+        super().close()
+        self._build_relation = None
+
+    def _next(self, context: ExecContext):
+        if self._build_relation is None:
+            build_batches = self.children[0].drain()
+            if not build_batches:
+                return None
+            self._build_relation = TaggedRelation.merge(build_batches)
+            if context.collect_feedback:
+                self.record_rows(context, self._build_relation.live_rows, 0)
+        probe = self.children[1].next_batch()
+        if probe is None:
+            return None
+        output = self.execute(self._build_relation, probe, context)
+        if context.collect_feedback:
+            self.record_rows(context, probe.live_rows, output.live_rows)
+        return output
 
     def execute(
         self, left: TaggedRelation, right: TaggedRelation, context: ExecContext

@@ -14,7 +14,7 @@ feedback-corrected selectivity overrides injected by the service layer.
 
 :class:`TaggedPlanner` is the base class of every planner: subclasses
 implement :meth:`TaggedPlanner.build_plan` and inherit costing and common
-plan-building helpers; the untagged planners (traditional, bypass) reuse the
+plan-building helpers; the untagged (traditional) planners reuse the
 helpers and finish through :meth:`TaggedPlanner.untagged_result`.  All of
 them return one :class:`PlannerResult`.
 """
@@ -211,8 +211,7 @@ class PlannerResult:
 
     Attributes:
         planner_name: the planner that chose the plan.
-        kind: execution model — ``"tagged"``, ``"traditional"`` or
-            ``"bypass"``.
+        kind: execution model — ``"tagged"`` or ``"traditional"``.
         roots: the logical tree(s) execution compiles — one per root clause
             for BDisj (unioned when there are several), otherwise one.
         annotations: tag maps for tagged plans, ``None`` otherwise.

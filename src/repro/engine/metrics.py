@@ -32,7 +32,6 @@ class ExecutionMetrics:
     union_output_rows: int = 0
     operators_executed: int = 0
     slices_created: int = 0
-    streams_created: int = 0
     hash_tables_built: int = 0
     output_rows: int = 0
     morsels_executed: int = 0
@@ -117,7 +116,6 @@ class ExecutionMetrics:
         self.union_output_rows += other.union_output_rows
         self.operators_executed += other.operators_executed
         self.slices_created += other.slices_created
-        self.streams_created += other.streams_created
         self.hash_tables_built += other.hash_tables_built
         self.output_rows += other.output_rows
         self.morsels_executed += other.morsels_executed
@@ -155,7 +153,6 @@ class ExecutionMetrics:
             "union_output_rows": self.union_output_rows,
             "operators_executed": self.operators_executed,
             "slices_created": self.slices_created,
-            "streams_created": self.streams_created,
             "hash_tables_built": self.hash_tables_built,
             "output_rows": self.output_rows,
             "morsels_executed": self.morsels_executed,

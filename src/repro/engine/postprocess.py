@@ -1,8 +1,8 @@
 """Output shaping: aggregation, DISTINCT, ORDER BY and LIMIT.
 
 These steps run on the :class:`~repro.engine.result.OutputColumns` produced
-by the projection operator, after the execution model (traditional, tagged or
-bypass) has done its work.  They are therefore shared by every planner and do
+by the projection operator, after the execution model (traditional or
+tagged) has done its work.  They are therefore shared by every planner and do
 not interact with tag management — but they are part of the timed execution,
 just as they would be in a real engine.  Under parallel execution they run
 exactly once, on the partition-order-merged output.

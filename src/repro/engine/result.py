@@ -31,11 +31,6 @@ class OutputColumns:
     def empty(cls) -> "OutputColumns":
         return cls(names=[], columns=[], row_count=0)
 
-    @property
-    def live_rows(self) -> int:
-        """Result rows (the batch-type protocol of :mod:`repro.physical.base`)."""
-        return self.row_count
-
     @classmethod
     def merge(cls, batches: list["OutputColumns"]) -> "OutputColumns":
         """Concatenate output batches in order.
@@ -184,32 +179,3 @@ def materialize_output(
         columns.append((values, nulls))
     return OutputColumns(names=names, columns=columns, row_count=int(positions.size))
 
-
-def materialize_empty_output(
-    tables: dict[str, Table],
-    aliases: "list[str] | dict",
-    select: list,
-) -> OutputColumns:
-    """A zero-row :class:`OutputColumns` that still carries the schema.
-
-    Used when a plan root accepts no rows at all: downstream shaping
-    (aggregation over an empty input yields ``COUNT = 0`` / NULL extremes)
-    and sharded partial aggregation both need the column names and dtypes
-    even when there is nothing to read.  Builds typed empty arrays directly
-    from the column metadata — no pages are touched, so IO accounting is
-    identical to not materializing at all.
-    """
-    if select:
-        wanted = [(column.alias, column.column) for column in select]
-    else:
-        wanted = [
-            (alias, column_name)
-            for alias in sorted(aliases)
-            for column_name in tables[alias].column_names
-        ]
-    names = [f"{alias}.{column_name}" for alias, column_name in wanted]
-    columns: list[tuple[np.ndarray, np.ndarray]] = []
-    for alias, column_name in wanted:
-        dtype = tables[alias].column(column_name).ctype.numpy_dtype
-        columns.append((np.empty(0, dtype=dtype), np.zeros(0, dtype=np.bool_)))
-    return OutputColumns(names=names, columns=columns, row_count=0)

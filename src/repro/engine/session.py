@@ -15,7 +15,6 @@ planner name    meaning
 ``texhaustive`` tagged execution, DP join ordering (extension beyond the paper)
 ``bdisj``       traditional execution, per-root-clause plans + union
 ``bpushconj``   traditional execution, conjunctive pushdown only
-``bypass``      bypass-technique execution (related-work comparator)
 ==============  ======================================================
 
 Example::
@@ -48,7 +47,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
-from repro.bypass.planner import BypassPlanner
 from repro.core import planner as tagged
 from repro.core.planner.base import PLAN_OPTION_NAMES, PlannerContext, PlanOptions
 from repro.core.predtree import PredicateTree
@@ -75,7 +73,6 @@ PLANNERS = {
         tagged.TExhaustivePlanner,
         BDisjPlanner,
         BPushConjPlanner,
-        BypassPlanner,
     )
 }
 TAGGED_PLANNERS = tuple(
@@ -95,7 +92,7 @@ class PreparedPlan:
 
     Attributes:
         planner: the planner name the caller requested (``"tcombined"``, ...).
-        kind: execution model — ``"tagged"``, ``"traditional"`` or ``"bypass"``.
+        kind: execution model — ``"tagged"`` or ``"traditional"``.
         query: the bound query (drives output shaping and projection).
         roots: the logical tree(s) execution compiles — one per subplan of a
             traditional plan, otherwise the single plan tree.
@@ -103,9 +100,6 @@ class PreparedPlan:
         predicate_tree: the query's predicate tree (``None`` without WHERE).
         plan_description: pretty-printed plan, as shown by ``explain``.
         planning_seconds: wall-clock cost of the prepare phase.
-        options: the :class:`~repro.core.planner.base.PlanOptions` the plan
-            was planned under (bypass execution evaluates with its
-            ``three_valued``).
         estimated_rows: estimated output rows per plan node id (tag-aware
             for tagged plans, generic bottom-up walk otherwise); consumed by
             ``--explain-analyze``.
@@ -138,7 +132,6 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     predicate_tree: PredicateTree | None
     plan_description: str
     planning_seconds: float
-    options: PlanOptions = PlanOptions()
     estimated_rows: dict[int, float] = field(default_factory=dict)
     estimated_output_rows: float = 0.0
     clause_selectivities: dict[str, float] = field(default_factory=dict)
@@ -263,7 +256,7 @@ class Session:
         ``planner`` names a row of :data:`PLANNERS`; any other name raises
         ``ValueError``.  The plan is built under the session's
         :class:`~repro.core.planner.base.PlanOptions` (``naive_tags``
-        overrides that one field for this call) and carries them.
+        overrides that one field for this call).
 
         ``selectivity_overrides`` maps expression keys to observed
         selectivities (see
@@ -288,9 +281,9 @@ class Session:
         predicate_tree = context.predicate_tree
         planning_work = context.tag_map_builder().work
         if predicate_tree is not None:
-            # The plan keeps the compiled tree for execution (the bypass
-            # operators generalize through it), not the thousands of tags
-            # the discarded candidate plans generalized along the way.
+            # The plan keeps the compiled tree (its expression is the tagged
+            # root's residual predicate), not the thousands of tags the
+            # discarded candidate plans generalized along the way.
             predicate_tree.generalized.clear()
         return PreparedPlan(
             planner=planner,
@@ -301,7 +294,6 @@ class Session:
             predicate_tree=predicate_tree,
             plan_description=planned.description(),
             planning_seconds=timer.elapsed(),
-            options=context.options,
             estimated_rows=dict(planned.node_rows),
             estimated_output_rows=planned.estimated_output_rows,
             clause_selectivities=clause_selectivities(
@@ -334,8 +326,8 @@ class Session:
         The run is governed by one :class:`~repro.engine.metrics.ExecOptions`
         (field meanings are documented there): the session's, with the
         keyword ``overrides`` applied, e.g.
-        ``execute_prepared(plan, partitions=4, shards=2)``.  All three
-        models execute through the same physical-operator layer, morsel by
+        ``execute_prepared(plan, partitions=4, shards=2)``.  Both models
+        execute through the same physical-operator layer, morsel by
         morsel, in-process or on shard worker processes; output shaping runs
         once, after the gather.
 

@@ -73,6 +73,8 @@ def build_estimate_provider(
     through the provider, keeping ``repro.core.planner`` free of access-path
     imports.
     """
+    # A type error in the query is reported before any statistic is sampled.
+    query.check_ordering_types(catalog)
     collect = collect_table_stats if stats_provider is None else stats_provider.table_stats
     table_stats = {
         table_name: collect(catalog.get(table_name))
@@ -269,7 +271,7 @@ def estimate_plan_rows(plan: PlanNode, estimates: EstimateProvider) -> dict[int,
 
     A model-agnostic bottom-up walk (scans emit base rows, filters multiply
     by predicate selectivity, joins apply the NDV formula); used to annotate
-    traditional and bypass plans for ``--explain-analyze``.  Tagged plans get
+    traditional plans for ``--explain-analyze``.  Tagged plans get
     their (tag-aware) per-node estimates from the cost model instead.
     """
     rows_by_node: dict[int, float] = {}

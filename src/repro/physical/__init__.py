@@ -1,15 +1,15 @@
 """The unified physical-operator layer.
 
 One batched ``open()/next_batch()/close()`` operator protocol
-(:mod:`repro.physical.base`) that the baseline, tagged, and bypass execution
-models all compile onto (:mod:`repro.physical.compile`), sharing a single
+(:mod:`repro.physical.base`) that the traditional and tagged execution models
+both compile onto (:mod:`repro.physical.compile`), sharing a single
 expression-evaluation and join-key path (:mod:`repro.physical.expressions`).
 The morsel-driven parallel driver (:mod:`repro.engine.parallel`) runs one
 compiled tree per table partition and merges batches deterministically.
 
 Only the model-agnostic pieces are imported eagerly; the operator and
-compiler modules import the three execution-model packages, which themselves
-use :mod:`repro.physical.expressions`, so they are exposed lazily to keep the
+compiler modules import the execution-model packages, which themselves use
+:mod:`repro.physical.expressions`, so they are exposed lazily to keep the
 import graph acyclic.
 """
 

@@ -1,7 +1,7 @@
 """The physical-operator protocol: ``open() / next_batch() / close()``.
 
-Every physical operator — for all three execution models — implements the
-same batched pull contract:
+Every physical operator — for both execution models — implements the same
+batched pull contract:
 
 * :meth:`PhysicalOperator.open` binds the operator (and, recursively, its
   children) to one :class:`~repro.engine.metrics.ExecContext`;
@@ -11,23 +11,13 @@ same batched pull contract:
   operator reusable for another ``open``.
 
 A *batch* is the operators' relation payload: a
-:class:`~repro.core.tagged_relation.TaggedRelation` for the tagged operators
-(which run tagged and traditional plans alike), a
-:class:`~repro.bypass.streams.StreamSet` of one-slice tagged relations for
-bypass operators, and
-:class:`~repro.engine.result.OutputColumns` at the root of every tree.  Each
-batch type owns ``live_rows`` (its live tuple count) and an order-preserving
-``merge(batches)``; ``TaggedRelation`` and ``StreamSet`` also own
-``from_scan``.  The
-morsel-driven driver (:mod:`repro.engine.parallel`) runs one operator tree
-per table partition and merges the root batches in partition order, which is
-what makes parallel output byte-identical to serial output.
-
-The streaming halves of the contract live here once — :class:`StreamingFilter`
-(one output batch per input batch) and :class:`BuildProbeJoin` (drain and
-merge the build side, stream the probe side).  Each execution model's filter,
-join and root class *is* one of these, supplying only its whole-batch kernel
-``execute(...)``.
+:class:`~repro.core.tagged_relation.TaggedRelation` between the scans, filters
+and joins (which run tagged and traditional plans alike), and
+:class:`~repro.engine.result.OutputColumns` at the root of every tree.  Both
+batch types own an order-preserving ``merge(batches)``.  The morsel-driven
+driver (:mod:`repro.engine.parallel`) runs one operator tree per table
+partition and merges the root batches in partition order, which is what makes
+parallel output byte-identical to serial output.
 """
 
 from __future__ import annotations
@@ -135,62 +125,3 @@ class PhysicalOperator(Generic[Batch]):
     def __repr__(self) -> str:
         return f"{type(self).__name__}(children={len(self.children)})"
 
-
-class StreamingFilter(PhysicalOperator):
-    """One output batch per input batch, through the subclass's ``execute(batch, context)``."""
-
-    label = "FilterPhysical"
-
-    def __init__(
-        self, child: PhysicalOperator | None = None, node_id: int | None = None
-    ) -> None:
-        super().__init__([child], node_id=node_id)
-
-    def _next(self, context: ExecContext):
-        batch = self.children[0].next_batch()
-        if batch is None:
-            return None
-        output = self.execute(batch, context)
-        if context.collect_feedback:
-            self.record_rows(context, batch.live_rows, output.live_rows)
-        return output
-
-
-class BuildProbeJoin(PhysicalOperator):
-    """Hash join shape: the build (left) child is drained and merged once, the
-    probe child streamed through the subclass's ``execute(build, probe, context)``."""
-
-    label = "JoinPhysical"
-
-    def __init__(
-        self,
-        build: PhysicalOperator | None = None,
-        probe: PhysicalOperator | None = None,
-        node_id: int | None = None,
-    ) -> None:
-        super().__init__([build, probe], node_id=node_id)
-        self._build_batch = None
-
-    def open(self, context: ExecContext) -> None:
-        super().open(context)
-        self._build_batch = None
-
-    def close(self) -> None:
-        super().close()
-        self._build_batch = None
-
-    def _next(self, context: ExecContext):
-        if self._build_batch is None:
-            build_batches = self.children[0].drain()
-            if not build_batches:
-                return None
-            self._build_batch = type(build_batches[0]).merge(build_batches)
-            if context.collect_feedback:
-                self.record_rows(context, self._build_batch.live_rows, 0)
-        probe_batch = self.children[1].next_batch()
-        if probe_batch is None:
-            return None
-        output = self.execute(self._build_batch, probe_batch, context)
-        if context.collect_feedback:
-            self.record_rows(context, probe_batch.live_rows, output.live_rows)
-        return output

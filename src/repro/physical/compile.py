@@ -1,14 +1,15 @@
 """Lowering a prepared plan onto the physical-operator layer.
 
 :func:`compile_plan` turns a :class:`~repro.engine.session.PreparedPlan` of
-any execution model into one :class:`PhysicalPlan`: a tree of
+either execution model (tagged or traditional) into one
+:class:`PhysicalPlan`: a tree of
 :class:`~repro.physical.base.PhysicalOperator` objects whose root emits
-:class:`~repro.engine.result.OutputColumns` batches.  The walk over the
-logical tree(s) is the same for every model; :data:`MODELS` names the
-operator built at each filter, join and root.  A traditional plan runs on
-the tagged filter and join under one-tag maps (:data:`ONE_TAG_FILTER`,
-:data:`ONE_TAG_JOIN`): every relation is one slice under the empty tag, which
-the tagged operators execute as a plain filter and join.
+:class:`~repro.engine.result.OutputColumns` batches.  Both models run on the
+tagged filter and join, and the walk over the logical tree(s) is the same;
+:data:`MODELS` names the tag maps and the root each one uses.  A traditional
+plan runs under one-tag maps (:data:`ONE_TAG_FILTER`, :data:`ONE_TAG_JOIN`):
+every relation is one slice under the empty tag, which the tagged operators
+execute as a plain filter and join.
 
 The compiler optionally restricts a single table alias to a
 :class:`~repro.storage.table.TablePartition`; the morsel driver compiles one
@@ -27,11 +28,6 @@ from typing import Callable
 import numpy as np
 
 from repro.baseline.operators import UnionOperator
-from repro.bypass.operators import (
-    BypassFilterOperator,
-    BypassJoinOperator,
-    BypassProjectOperator,
-)
 from repro.core.operators import (
     TaggedFilterOperator,
     TaggedJoinOperator,
@@ -53,7 +49,7 @@ class PhysicalPlan:
     """A compiled physical-operator tree, ready to execute.
 
     Attributes:
-        kind: execution model (``"tagged"``, ``"traditional"``, ``"bypass"``).
+        kind: execution model (``"tagged"`` or ``"traditional"``).
         root: the root operator; its batches are ``OutputColumns``.
         partition: the table partition this tree is restricted to (``None``
             for a whole-table tree).
@@ -83,8 +79,8 @@ class _Model:
     filter: Callable
     #: ``(prepared, node, build, probe) -> operator``.
     join: Callable
-    #: ``(prepared, children, catalog) -> root operator`` over the compiled
-    #: children of ``prepared.roots``.
+    #: ``(prepared, children) -> root operator`` over the compiled children of
+    #: ``prepared.roots``.
     root: Callable
 
 
@@ -96,7 +92,7 @@ def _tagged_filter(prepared, node, child):
     return TaggedFilterOperator(node.predicate, tag_map, child, node.node_id)
 
 
-def _tagged_root(prepared, children, catalog):
+def _tagged_root(prepared, children):
     (plan,) = prepared.roots
     annotations, tree = prepared.annotations, prepared.predicate_tree
     return TaggedProjectOperator(
@@ -114,28 +110,10 @@ ONE_TAG_FILTER = FilterTagMap({Tag.empty(): FilterEntry(pos_tag=Tag.empty())})
 ONE_TAG_JOIN = JoinTagMap({(Tag.empty(), Tag.empty()): Tag.empty()})
 
 
-def _traditional_root(prepared, children, catalog):
+def _traditional_root(prepared, children):
     if not children:
         raise ValueError("traditional plan has no subplans")
     return UnionOperator(children, prepared.roots[-1].columns)
-
-
-def _bypass_root(prepared, children, catalog):
-    (plan,) = prepared.roots
-    # The root keeps the alias -> table map so a partition where every
-    # stream was rejected still emits a schema-carrying empty output
-    # (downstream aggregation needs the column names and dtypes).
-    alias_tables = {
-        alias: catalog.get(table) for alias, table in plan_scan_aliases(prepared).items()
-    }
-    return BypassProjectOperator(
-        prepared.predicate_tree,
-        plan.columns,
-        prepared.options.three_valued,
-        alias_tables,
-        children[0],
-        plan.node_id,
-    )
 
 
 #: Execution kind -> the operators its plans compile to.
@@ -157,16 +135,6 @@ MODELS = {
         ),
         root=_traditional_root,
     ),
-    "bypass": _Model(
-        filter=lambda prepared, node, child: BypassFilterOperator(
-            node.predicate, prepared.predicate_tree, prepared.options.three_valued,
-            child, node.node_id,
-        ),
-        join=lambda prepared, node, build, probe: BypassJoinOperator(
-            node.conditions, prepared.predicate_tree, build, probe, node.node_id
-        ),
-        root=_bypass_root,
-    ),
 }
 
 
@@ -181,8 +149,8 @@ def compile_plan(
 
     Args:
         prepared: the plan; ``kind`` picks the operators, ``roots`` are the
-            logical trees walked, ``annotations`` / ``predicate_tree`` /
-            ``options.three_valued`` parameterize them.
+            logical trees walked, ``annotations`` / ``predicate_tree``
+            parameterize them.
         catalog: base tables.
         partition_alias: alias whose scan is restricted to ``partition``.
         partition: the row-range slice for ``partition_alias``.
@@ -197,7 +165,6 @@ def compile_plan(
 
     def scan(node: TableScanNode) -> ScanPhysical:
         return ScanPhysical(
-            prepared.kind,
             node.alias,
             catalog.get(node.table_name),
             partition if node.alias == partition_alias else None,
@@ -210,7 +177,7 @@ def compile_plan(
             raise ValueError(f"{prepared.kind} plans must be rooted at a ProjectNode")
     children = [_lower(root.child, prepared, model, scan) for root in prepared.roots]
     return PhysicalPlan(
-        kind=prepared.kind, root=model.root(prepared, children, catalog), partition=partition
+        kind=prepared.kind, root=model.root(prepared, children), partition=partition
     )
 
 

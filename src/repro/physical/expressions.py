@@ -1,6 +1,6 @@
 """The shared expression-evaluation and join-key path.
 
-Three routines every operator family needs live here once: building a
+Three routines every operator needs live here once: building a
 :class:`~repro.expr.eval.RowBatch` over the aliases a predicate references,
 reading and encoding join-key columns, and orienting a join condition toward
 the build input.
@@ -83,7 +83,7 @@ def evaluate_predicate(
     )
     feedback_eligible = (
         context.collect_feedback
-        and description in ("filter", "bypass filter")
+        and description == "filter"
         and not (aliases & context.feedback_excluded_aliases)
     )
     truth = FusedEvaluator(

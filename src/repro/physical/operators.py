@@ -1,30 +1,23 @@
 """The scan: the one physical operator that belongs to no execution model.
 
 Filters, joins and roots are the model classes themselves
-(:mod:`repro.core.operators` for tagged and traditional plans,
-:mod:`repro.bypass.operators`, and BDisj's union root in
-:mod:`repro.baseline.operators`, on the streaming bases of
-:mod:`repro.physical.base`).  The scan below them all is shared: it is where
-a :class:`~repro.storage.table.TablePartition` restricts a tree to one morsel,
-where access-path candidates prune pages, and where logically deleted rows
-are dropped; only the batch it wraps its row positions in differs: a
-one-slice tagged relation, or a one-stream set for the bypass model.
+(:mod:`repro.core.operators` for tagged and traditional plans, and BDisj's
+union root in :mod:`repro.baseline.operators`).  The scan below them all is
+shared: it is where a :class:`~repro.storage.table.TablePartition` restricts
+a tree to one morsel, where access-path candidates prune pages, and where
+logically deleted rows are dropped.  It emits one one-slice
+:class:`~repro.core.tagged_relation.TaggedRelation` under the empty tag.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bypass.streams import StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.engine.metrics import ExecContext
 from repro.physical.base import PhysicalOperator
 from repro.storage.column import touched_pages
 from repro.storage.table import Table, TablePartition, owned_page_range
-
-#: Execution kind -> the batch type its operators exchange (a traditional plan
-#: runs on the tagged operators, so its scans emit one-slice tagged relations).
-BATCH_TYPES = {"traditional": TaggedRelation, "tagged": TaggedRelation, "bypass": StreamSet}
 
 
 def _scan_indices(table: Table, partition: TablePartition | None) -> np.ndarray:
@@ -40,11 +33,8 @@ def candidates_in_range(candidates: np.ndarray, start: int, stop: int) -> np.nda
 
 
 class ScanPhysical(PhysicalOperator):
-    """Base-table scan emitting one batch over the (partitioned) row range.
-
-    ``kind`` selects the batch representation (:data:`BATCH_TYPES`):
-    ``"tagged"`` and ``"traditional"`` emit a single-slice
-    :class:`TaggedRelation`, ``"bypass"`` a single-stream :class:`StreamSet`.
+    """Base-table scan emitting one single-slice :class:`TaggedRelation` over
+    the (partitioned) row range.
 
     ``candidates`` optionally restricts the scan to an access-path candidate
     set (zone-map / index pruning, see :mod:`repro.access`): sorted unique
@@ -59,7 +49,6 @@ class ScanPhysical(PhysicalOperator):
 
     def __init__(
         self,
-        kind: str,
         alias: str,
         table: Table,
         partition: TablePartition | None = None,
@@ -67,14 +56,11 @@ class ScanPhysical(PhysicalOperator):
         candidates: np.ndarray | None = None,
     ) -> None:
         super().__init__(node_id=node_id)
-        if kind not in BATCH_TYPES:
-            raise ValueError(f"unknown execution kind {kind!r}")
         if candidates is not None and candidates.size and candidates[-1] >= table.num_rows:
             raise ValueError(
                 f"candidate row {int(candidates[-1])} is out of range for table "
                 f"{table.name!r} with {table.num_rows} rows"
             )
-        self.batch_type = BATCH_TYPES[kind]
         self.alias = alias
         self.table = table
         self.partition = partition
@@ -123,4 +109,4 @@ class ScanPhysical(PhysicalOperator):
         indices = self._pruned_indices(context)
         context.metrics.operators_executed += 1
         self.record_rows(context, int(indices.size), int(indices.size))
-        return self.batch_type.from_scan(self.alias, self.table, indices, context.metrics)
+        return TaggedRelation.from_scan(self.alias, self.table, indices, context.metrics)

@@ -6,7 +6,7 @@ traditionally strips).  To make the engine usable for the reporting-style
 queries the JOB workload actually contains, the query layer supports the
 standard output-shaping clauses.  They are applied *after* the execution
 model produced the joined, filtered tuple set, so they are identical for the
-traditional, tagged and bypass models and never interact with tag management.
+traditional and tagged models and never interact with tag management.
 
 This module defines the plan-level descriptions; the evaluation lives in
 :mod:`repro.engine.postprocess`.

@@ -11,8 +11,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.expr.ast import BooleanExpr, ColumnRef, flatten, iter_base_predicates
+from repro.expr.ast import (
+    BetweenPredicate,
+    BooleanExpr,
+    ColumnRef,
+    Comparison,
+    ExprError,
+    ValueExpr,
+    flatten,
+    iter_base_predicates,
+)
 from repro.plan.postselect import AggregateSpec, OrderItem
+from repro.storage.column import ColumnType
+
+#: Comparison operators that order their operands.
+_ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,48 @@ class Query:
                 raise ValueError(
                     f"aggregate argument {aggregate.argument.key()} has unknown alias"
                 )
+
+    def check_ordering_types(self, catalog) -> None:
+        """Raise :class:`~repro.expr.ast.ExprError` for an ordering comparison
+        (``<`` ``<=`` ``>`` ``>=``, and BETWEEN's bounds) between a string
+        and a number.
+
+        Such a comparison has no answer; without this check it surfaces as a
+        bare ``TypeError`` from NumPy in the middle of statistics sampling.
+        ``=`` and ``!=`` across types are left alone (they are simply false).
+        """
+        if self.predicate is None:
+            return
+        for predicate in iter_base_predicates(self.predicate):
+            if isinstance(predicate, Comparison) and predicate.op in _ORDERING_OPS:
+                sides = [(predicate.left, predicate.op, predicate.right)]
+            elif isinstance(predicate, BetweenPredicate):
+                sides = [
+                    (predicate.operand, ">=", predicate.low),
+                    (predicate.operand, "<=", predicate.high),
+                ]
+            else:
+                continue
+            for left, op, right in sides:
+                (left_kind, left_text), (right_kind, right_text) = (
+                    self._operand(left, catalog), self._operand(right, catalog)
+                )
+                if left_kind and right_kind and left_kind != right_kind:
+                    raise ExprError(
+                        f"cannot order {left_text} {op} {right_text}: "
+                        f"{left_kind} against {right_kind}"
+                    )
+
+    def _operand(self, value: ValueExpr, catalog) -> tuple[str | None, str]:
+        """An operand's kind (``"string"``, ``"number"``, ``None`` for NULL)
+        and its description for an error message."""
+        if isinstance(value, ColumnRef):
+            ctype = catalog.get(self.tables[value.alias]).column(value.column).ctype
+            kind = "string" if ctype is ColumnType.STRING else "number"
+            return kind, f"{ctype.value} column {value.key()}"
+        if value.value is None:
+            return None, "NULL"
+        return ("string" if isinstance(value.value, str) else "number"), f"literal {value.key()}"
 
     # ------------------------------------------------------------------ #
     # Output shaping

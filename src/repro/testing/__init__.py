@@ -1,7 +1,7 @@
 """Differential-testing toolkit.
 
 Correctness of the tagged execution model is non-negotiable: every planner —
-tagged, traditional or bypass — must return exactly the same rows for the
+tagged or traditional — must return exactly the same rows for the
 same query.  This subpackage provides the pieces needed to check that
 systematically:
 

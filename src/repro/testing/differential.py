@@ -21,7 +21,6 @@ DEFAULT_PLANNERS = (
     "texhaustive",
     "bdisj",
     "bpushconj",
-    "bypass",
 )
 
 

@@ -67,7 +67,7 @@ class TestRelation:
 class TestOperators:
     def test_scan(self, paper_catalog):
         context = ExecContext()
-        scan = ScanPhysical("traditional", "t", paper_catalog.get("title"))
+        scan = ScanPhysical("t", paper_catalog.get("title"))
         scan.open(context)
         relation = scan.next_batch()
         assert relation.num_rows == relation.live_rows == 7

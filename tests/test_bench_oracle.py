@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.bench import TMIN_CANDIDATES, run_job_figure, runner, time_fastest
 from repro.cli import build_parser
+from repro.engine.session import PLANNERS
 
 
 def test_not_part_of_tmin_candidates():
@@ -39,14 +42,16 @@ class TestTimeFastest:
             time_fastest(None, paper_query, ("a", "b"), 1)
 
 
-class TestTminIsNoPlanner:
-    def test_session_rejects_tmin(self, paper_session, paper_query_sql):
+@pytest.mark.parametrize("name", ("tmin", "bypass"))
+class TestRemovedPlannersAreUnknown:
+    def test_session_rejects(self, paper_session, paper_query_sql, name):
+        message = f"unknown planner '{name}'; choose one of {', '.join(PLANNERS)}"
         for call in (paper_session.prepare, paper_session.execute, paper_session.explain):
-            with pytest.raises(ValueError, match="unknown planner 'tmin'; choose one of tpushdown"):
-                call(paper_query_sql, planner="tmin")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(paper_query_sql, planner=name)
 
-    def test_cli_rejects_tmin(self):
+    def test_cli_rejects(self, name):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["query", "--data", "x", "--sql", "SELECT", "--planner", "tmin"]
+                ["query", "--data", "x", "--sql", "SELECT", "--planner", name]
             )

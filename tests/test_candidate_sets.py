@@ -198,6 +198,6 @@ def test_scan_slice_and_morsel_skip_match_the_mask(data):
         "t", [Column("v", np.arange(n), page_size=page_size)], delete_mask=deletes
     )
     partition = TablePartition(table, 0, start, stop)
-    scan = ScanPhysical("tagged", "t", table, partition, node_id=0, candidates=positions)
+    scan = ScanPhysical("t", table, partition, node_id=0, candidates=positions)
     expected = table.live_positions_in(np.flatnonzero(mask[start:stop]) + start)
     assert scan._pruned_indices(ExecContext()).tolist() == expected.tolist()

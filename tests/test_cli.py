@@ -132,12 +132,12 @@ class TestCompare:
                 "--planners",
                 "tcombined",
                 "bdisj",
-                "bypass",
+                "bpushconj",
             ]
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "tcombined" in output and "bdisj" in output and "bypass" in output
+        assert "tcombined" in output and "bdisj" in output and "bpushconj" in output
         assert "speedup" in output
 
 
@@ -155,7 +155,7 @@ class TestFuzz:
                 "--planners",
                 "tcombined",
                 "bdisj",
-                "bypass",
+                "bpushconj",
             ]
         )
         assert code == 0

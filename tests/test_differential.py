@@ -1,8 +1,8 @@
 """Differential tests: every planner agrees with the naive oracle.
 
 These are the highest-value correctness tests in the repository: they compare
-the tagged execution model (all planners), the traditional model (BDisj,
-BPushConj) and the bypass model against a row-at-a-time reference evaluator
+the tagged execution model (all planners) and the traditional model (BDisj,
+BPushConj) against a row-at-a-time reference evaluator
 on randomly generated catalogs and disjunctive queries, including NULLs,
 NOT nodes and repeated subexpressions.
 """
@@ -75,7 +75,7 @@ class TestRunDifferential:
             ),
         )
         report = run_differential(
-            fuzz_catalog, query, planners=("tcombined", "bdisj", "bpushconj", "bypass"),
+            fuzz_catalog, query, planners=("tcombined", "bdisj", "bpushconj"),
             session=fuzz_session,
         )
         assert report.agreed, f"{query.predicate.key()}: {report.describe()}"
@@ -89,7 +89,7 @@ class TestFuzzCampaign:
             catalog_config=RandomCatalogConfig(
                 seed=3, num_dimensions=2, fact_rows=60, dimension_rows=90
             ),
-            planners=("tcombined", "bdisj", "bypass"),
+            planners=("tcombined", "bdisj"),
         )
         assert len(reports) == 4
         assert all(report.agreed for report in reports), [
@@ -130,15 +130,3 @@ class TestHypothesisDifferential:
         expected = evaluate_oracle(fuzz_catalog, query)
         result = fuzz_session.execute(query, planner="tcombined")
         assert result.sorted_rows() == expected
-
-    @settings(
-        max_examples=10,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-    )
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_bypass_matches_tagged(self, fuzz_catalog, fuzz_session, seed):
-        query = generate_random_query(fuzz_catalog, RandomQueryConfig(seed=seed))
-        tagged = fuzz_session.execute(query, planner="tcombined")
-        bypass = fuzz_session.execute(query, planner="bypass")
-        assert bypass.sorted_rows() == tagged.sorted_rows()

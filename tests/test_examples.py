@@ -51,12 +51,6 @@ def test_analytics_report(capsys):
     assert "Watchlist candidates" in out
 
 
-def test_bypass_vs_tagged(capsys):
-    load_example("bypass_vs_tagged").main(table_size=400)
-    out = capsys.readouterr().out
-    assert "bdisj" in out and "bypass" in out and "tcombined" in out
-
-
 def test_movie_night(capsys):
     load_example("movie_night").main(scale=0.01, groups=(1,))
     out = capsys.readouterr().out

@@ -93,11 +93,13 @@ def test_each_override_reaches_the_one_type_that_declares_it(catalog):
     assert session.plan_options.replace(naive_tags=None) is session.plan_options
 
 
-def test_a_plan_carries_the_options_it_was_planned_under(catalog):
+def test_a_per_call_naive_tags_override_reaches_the_planner(catalog):
     session = Session(catalog, cost_params=CostParams(alpha=2.0), naive_tags=True)
-    assert session.prepare(SQL).options is session.plan_options
-    generalized = session.prepare(SQL, naive_tags=False)
-    assert generalized.options == session.plan_options.replace(naive_tags=False)
+    generalized = Session(catalog, cost_params=CostParams(alpha=2.0), naive_tags=False)
+    # Planning work is a function of the options a plan was built under.
+    work = session.prepare(SQL, naive_tags=False).planning_work
+    assert work == generalized.prepare(SQL).planning_work
+    assert work != session.prepare(SQL).planning_work
     assert session.execute(SQL).sorted_rows() == session.execute(
         SQL, naive_tags=False
     ).sorted_rows()

@@ -25,7 +25,7 @@ RUNS = 3
 #: The morsel-execution grid the determinism claim is made over.
 SETTINGS = [(1, 1), (1, 3), (4, 1), (4, 3)]
 
-PLANNERS = ("tpushconj", "tcombined", "bdisj", "bypass")
+PLANNERS = ("tpushconj", "tcombined", "bdisj")
 
 
 def feedback_catalog(rows: int = 2500, seed: int = 11) -> Catalog:

@@ -15,12 +15,11 @@ The cost model sums per-tag row estimates in set order, which follows the
 interpreter's string-hash seed and can move a cost by one ulp; recording and
 checking both run under ``PYTHONHASHSEED=0``, in a child interpreter.
 
-The untagged planners (``bdisj``, ``bpushconj``, ``bypass``) are pinned by
-their ``plan_description`` alone, in ``tests/golden/baseline_plans.json``
-(recorded at the commit before they were rebuilt on the tagged planners'
-helpers).  The same file carries the premise of the paper's Fig. 3d: BPushConj
-describes exactly the tree TPushConj builds, and bypass the tree TPushdown
-builds.
+The untagged planners (``bdisj``, ``bpushconj``) are pinned by their
+``plan_description`` alone, in ``tests/golden/baseline_plans.json`` (recorded
+at the commit before they were rebuilt on the tagged planners' helpers).  The
+same file carries the premise of the paper's Fig. 3d: BPushConj describes
+exactly the tree TPushConj builds.
 
 Re-record (only when plans are *meant* to change)::
 
@@ -53,7 +52,7 @@ GOLDEN = Path(__file__).parent / "golden" / "plans.json"
 BASELINE_GOLDEN = Path(__file__).parent / "golden" / "baseline_plans.json"
 #: untagged planner -> the tagged planner whose tree it must describe
 #: (``bdisj`` plans one tree per root clause and has no tagged twin).
-BASELINE_PLANNERS = {"bdisj": None, "bpushconj": "tpushconj", "bypass": "tpushdown"}
+BASELINE_PLANNERS = {"bdisj": None, "bpushconj": "tpushconj"}
 PLANNERS = ("tpushdown", "tpullup", "titerpush", "tpushconj", "tcombined", "texhaustive")
 #: (three_valued, naive_tags)
 CONFIGS = ((True, False), (False, False), (True, True), (False, True))

@@ -27,11 +27,6 @@ def reference_results(imdb_session):
 
 class TestModelAgreement:
     @pytest.mark.parametrize("group", GROUPS)
-    def test_bypass_matches_tagged(self, imdb_session, reference_results, group):
-        bypass = imdb_session.execute(job_query(group), planner="bypass")
-        assert bypass.sorted_rows() == reference_results[group].sorted_rows()
-
-    @pytest.mark.parametrize("group", GROUPS)
     def test_texhaustive_matches_tagged(self, imdb_session, reference_results, group):
         exhaustive = imdb_session.execute(job_query(group), planner="texhaustive")
         assert exhaustive.sorted_rows() == reference_results[group].sorted_rows()
@@ -64,11 +59,3 @@ class TestWorkCounterDirections:
                 bdisj.metrics.predicate_rows_evaluated
                 >= tagged.metrics.predicate_rows_evaluated
             )
-
-    @pytest.mark.parametrize("group", GROUPS[:2])
-    def test_bypass_builds_at_least_as_many_hash_tables(
-        self, imdb_session, reference_results, group
-    ):
-        bypass = imdb_session.execute(job_query(group), planner="bypass")
-        tagged = reference_results[group]
-        assert bypass.metrics.hash_tables_built >= tagged.metrics.hash_tables_built

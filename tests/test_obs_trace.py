@@ -243,7 +243,7 @@ class TestSpanTreeInvariants:
 
 
 class TestTracingIsANoOp:
-    @pytest.mark.parametrize("planner", ["tcombined", "bdisj", "bypass"])
+    @pytest.mark.parametrize("planner", ["tcombined", "bdisj"])
     @pytest.mark.parametrize("parallelism", [1, 4])
     def test_results_and_io_identical_in_process(self, catalog, planner, parallelism):
         session = Session(catalog, parallelism=parallelism, partitions=4, shards=1)

@@ -22,7 +22,7 @@ from repro.testing.oracle import evaluate_oracle
 from repro.testing.querygen import RandomQueryConfig, generate_random_query
 
 #: One planner per execution model, plus the DP search planner.
-PLANNERS = ("tcombined", "texhaustive", "bdisj", "bpushconj", "bypass")
+PLANNERS = ("tcombined", "texhaustive", "bdisj", "bpushconj")
 
 PARALLELISM_LEVELS = (1, 2, 4)
 PARTITION_COUNTS = (1, 3, 7)

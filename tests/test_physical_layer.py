@@ -8,14 +8,16 @@ import pytest
 from repro import Catalog, Session, Table
 from repro.engine.metrics import ExecContext, ExecutionMetrics
 from repro.engine.parallel import choose_partition_alias
-from repro.bypass.streams import StreamSet
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.result import OutputColumns
 from repro.physical.compile import compile_plan, plan_scan_aliases
 from repro.physical.operators import ScanPhysical
+from repro.plan.logical import ProjectNode, TableScanNode
 from repro.storage.bitmap import Bitmap
 from repro.storage.table import TablePartition
+
+from tests.conftest import hand_built_plan
 
 
 @pytest.fixture()
@@ -59,10 +61,12 @@ class TestTablePartitions:
 
 class TestPhysicalProtocol:
     def test_scan_emits_one_batch_then_exhausts(self, small_table):
-        scan = ScanPhysical("traditional", "t", small_table)
+        scan = ScanPhysical("t", small_table)
         context = ExecContext()
         scan.open(context)
         batch = scan.next_batch()
+        assert isinstance(batch, TaggedRelation)
+        assert batch.tags() == [Tag.empty()]
         assert batch.num_rows == 10
         assert scan.next_batch() is None
         scan.close()
@@ -73,49 +77,32 @@ class TestPhysicalProtocol:
 
     def test_partitioned_scan_restricted_to_range(self, small_table):
         partition = small_table.partitions(2)[1]
-        scan = ScanPhysical("traditional", "t", small_table, partition)
+        scan = ScanPhysical("t", small_table, partition)
         scan.open(ExecContext())
         batch = scan.next_batch()
         assert batch.indices["t"].tolist() == list(range(partition.start, partition.stop))
 
     def test_next_batch_before_open_raises(self, small_table):
-        scan = ScanPhysical("traditional", "t", small_table)
+        scan = ScanPhysical("t", small_table)
         with pytest.raises(RuntimeError, match="open"):
             scan.next_batch()
-
-    def test_scan_kinds_produce_model_batches(self, small_table):
-        for kind, expected in (
-            ("traditional", TaggedRelation),
-            ("tagged", TaggedRelation),
-            ("bypass", StreamSet),
-        ):
-            scan = ScanPhysical(kind, "t", small_table)
-            scan.open(ExecContext())
-            batch = scan.next_batch()
-            assert isinstance(batch, expected)
-            if expected is TaggedRelation:
-                assert batch.tags() == [Tag.empty()]
 
     def test_deleted_row_never_reaches_any_scan_output(self, small_table):
         mask = np.zeros(small_table.num_rows, dtype=np.bool_)
         mask[[2, 7]] = True
         table = small_table.with_delete_mask(mask)
-        live = [0, 1, 3, 4, 5, 6, 8, 9]
-        for kind in ("traditional", "tagged", "bypass"):
-            scan = ScanPhysical(kind, "t", table)
-            scan.open(ExecContext())
-            batch = scan.next_batch()
-            if kind == "bypass":
-                (batch,) = batch
-            assert batch.indices["t"].tolist() == live, kind
+        scan = ScanPhysical("t", table)
+        scan.open(ExecContext())
+        assert scan.next_batch().indices["t"].tolist() == [0, 1, 3, 4, 5, 6, 8, 9]
 
     def test_unknown_kind_rejected(self, small_table):
+        plan = ProjectNode(TableScanNode("t", "t"), [])
         with pytest.raises(ValueError, match="kind"):
-            ScanPhysical("mystery", "t", small_table)
+            compile_plan(hand_built_plan("mystery", [plan]), Catalog([small_table]))
 
 
-def _stream(table: Table, rows: list[int]) -> TaggedRelation:
-    """A bypass stream: a one-slice relation over ``rows``, empty tag."""
+def _one_slice(table: Table, rows: list[int]) -> TaggedRelation:
+    """A one-slice relation over ``rows``, empty tag."""
     return TaggedRelation(
         {"t": table}, {"t": np.array(rows)}, {Tag.empty(): Bitmap.full(len(rows))}
     )
@@ -123,10 +110,10 @@ def _stream(table: Table, rows: list[int]) -> TaggedRelation:
 
 class TestBatchMerging:
     def test_merge_relations_preserves_order(self, small_table):
-        # A stream keeps its batches' rows in order when merged.
-        first = StreamSet([_stream(small_table, [0, 1])])
-        second = StreamSet([_stream(small_table, [5, 6])])
-        (merged,) = StreamSet.merge([first, second])
+        # One-slice relations keep their batches' rows in order when merged.
+        merged = TaggedRelation.merge(
+            [_one_slice(small_table, [0, 1]), _one_slice(small_table, [5, 6])]
+        )
         assert merged.indices["t"].tolist() == [0, 1, 5, 6]
         assert merged.tags() == [Tag.empty()]
 
@@ -142,13 +129,6 @@ class TestBatchMerging:
         assert merged.num_rows == 5
         assert merged.slices[tag].positions().tolist() == [0, 1, 2, 4]
         assert merged.indices["t"].tolist() == [0, 1, 5, 6, 7]
-
-    def test_merge_stream_sets_merges_equal_tags(self, small_table):
-        first = StreamSet([_stream(small_table, [0])])
-        second = StreamSet([_stream(small_table, [1])])
-        merged = StreamSet.merge([first, second])
-        assert merged.num_streams == 1
-        assert merged.total_rows == 2
 
     def test_merge_output_columns_concatenates(self):
         def block(values):

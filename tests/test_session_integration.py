@@ -1,9 +1,12 @@
 """Integration tests for the Session API on the paper's running example."""
 
+import re
+
 import pytest
 
 from repro import Catalog, Session, Table
 from repro.engine.session import PLANNERS, TAGGED_PLANNERS
+from repro.expr.ast import ExprError
 from tests.conftest import PAPER_QUERY_MATCHES
 
 
@@ -107,6 +110,28 @@ class TestAllPlannersAgree:
             f"SELECT t.production_year FROM title AS t WHERE {where}", planner=planner
         )
         assert {row[0] for row in result.rows} == expected
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("t.production_year > 'abc'", "int column t.production_year > literal 'abc'"),
+            ("t.title > 5", "string column t.title > literal 5"),
+            ("5 <= t.title", "literal 5 <= string column t.title"),
+            ("t.production_year BETWEEN 'a' AND 'z'", "t.production_year >= literal 'a'"),
+        ],
+    )
+    def test_ordering_a_string_against_a_number_is_an_expr_error(
+        self, paper_session, planner, where, message
+    ):
+        sql = f"SELECT t.title FROM title AS t WHERE t.production_year > 1980 OR {where}"
+        with pytest.raises(ExprError, match=re.escape(message)):
+            paper_session.execute(sql, planner=planner)
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_equality_across_types_is_false(self, paper_session, planner):
+        sql = "SELECT t.title FROM title AS t WHERE t.production_year = 'abc' OR t.title = 5"
+        assert paper_session.execute(sql, planner=planner).row_count == 0
 
 
 class TestWorkCounters:

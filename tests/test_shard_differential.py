@@ -181,7 +181,7 @@ AGGREGATE_SQLS = (
 )
 
 
-@pytest.mark.parametrize("planner", ("tcombined", "bdisj", "bypass"))
+@pytest.mark.parametrize("planner", ("tcombined", "bdisj"))
 def test_aggregate_pushdown_byte_identical(sessions, catalogs, planner):
     session = sessions[False]
     for sql, expect_push in AGGREGATE_SQLS:

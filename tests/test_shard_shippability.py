@@ -48,7 +48,7 @@ def session(catalog):
     return Session(catalog, stats_sample_size=200)
 
 
-@pytest.mark.parametrize("planner", ("tcombined", "texhaustive", "bdisj", "bypass"))
+@pytest.mark.parametrize("planner", ("tcombined", "texhaustive", "bdisj"))
 def test_prepared_components_pickle_and_recompile(session, catalog, planner):
     prepared = session.prepare(SQL, planner=planner)
     # What scatter_gather hands the shard layer.

@@ -167,7 +167,7 @@ class TestExecution:
         )
         results = {
             planner: paper_session.execute(sql, planner=planner).rows
-            for planner in ("tcombined", "bdisj", "bpushconj", "bypass")
+            for planner in ("tcombined", "bdisj", "bpushconj")
         }
         reference = results["tcombined"]
         assert all(rows == reference for rows in results.values())

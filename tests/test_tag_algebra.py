@@ -283,8 +283,8 @@ def test_column_to_column_comparisons_refute_their_negation():
 
 
 def test_threads_sharing_one_tree_agree_with_serial_answers():
-    """The ``QueryService`` worker pool and the bypass executor generalize
-    through one shared tree from several threads at once."""
+    """The ``QueryService`` worker pool's planners generalize through one
+    shared tree from several threads at once."""
     rng = random.Random(20240925)
     leaves = [leaf for leaf, _value in LEAVES]
     clauses = [AndExpr(rng.sample(leaves, 3)) for _ in range(6)]
