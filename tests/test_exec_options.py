@@ -93,7 +93,7 @@ def test_each_override_reaches_the_one_type_that_declares_it(catalog):
     assert session.plan_options.replace(naive_tags=None) is session.plan_options
 
 
-def test_a_per_call_naive_tags_override_reaches_the_planner(catalog):
+def test_a_plan_carries_the_options_it_was_planned_under(catalog):
     session = Session(catalog, cost_params=CostParams(alpha=2.0), naive_tags=True)
     generalized = Session(catalog, cost_params=CostParams(alpha=2.0), naive_tags=False)
     # Planning work is a function of the options a plan was built under.

@@ -36,9 +36,26 @@ class TestModelAgreement:
         bdisj = imdb_session.execute(job_query(group), planner="bdisj")
         assert bdisj.sorted_rows() == reference_results[group].sorted_rows()
 
+    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize(
+        "planner", ("tpushdown", "tpullup", "titerpush", "tpushconj", "bpushconj")
+    )
+    def test_other_planners_match_tagged(self, imdb_session, reference_results, planner, group):
+        result = imdb_session.execute(job_query(group), planner=planner)
+        assert result.sorted_rows() == reference_results[group].sorted_rows()
+
 
 class TestWorkCounterDirections:
     """The paper's qualitative claims, checked on a real JOB-style group."""
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_tagged_builds_one_hash_table_per_join(self, imdb_session, reference_results, group):
+        # Section 2.5.3: all slice pairings of a join probe one shared hash table.
+        query = job_query(group)
+        tagged = reference_results[group]
+        assert tagged.metrics.hash_tables_built == len(query.join_conditions)
+        bdisj = imdb_session.execute(query, planner="bdisj")
+        assert bdisj.metrics.hash_tables_built >= tagged.metrics.hash_tables_built
 
     @pytest.mark.parametrize("group", GROUPS[:2])
     def test_bdisj_needs_union_tagged_does_not(self, imdb_session, reference_results, group):

@@ -87,6 +87,19 @@ class TestPhysicalProtocol:
         with pytest.raises(RuntimeError, match="open"):
             scan.next_batch()
 
+    def test_scan_kinds_produce_model_batches(self, small_table):
+        # Both execution kinds compile a scan to the one batch type.
+        plan = ProjectNode(TableScanNode("t", "t"), [])
+        for kind in ("traditional", "tagged"):
+            physical = compile_plan(hand_built_plan(kind, [plan]), Catalog([small_table]))
+            (scan,) = physical.root.children
+            assert isinstance(scan, ScanPhysical), kind
+            scan.open(ExecContext())
+            batch = scan.next_batch()
+            assert isinstance(batch, TaggedRelation), kind
+            assert batch.tags() == [Tag.empty()]
+            assert batch.num_rows == small_table.num_rows
+
     def test_deleted_row_never_reaches_any_scan_output(self, small_table):
         mask = np.zeros(small_table.num_rows, dtype=np.bool_)
         mask[[2, 7]] = True

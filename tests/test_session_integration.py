@@ -89,6 +89,36 @@ class TestAllPlannersAgree:
         titles = {row[0] for row in result.rows}
         assert titles == PAPER_QUERY_MATCHES
 
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_query_without_where_under_every_planner(self, paper_session, planner):
+        result = paper_session.execute(
+            "SELECT t.title FROM title AS t JOIN movie_info_idx AS mi_idx ON t.id = mi_idx.movie_id",
+            planner=planner,
+        )
+        assert result.row_count == 6
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_single_table_query_under_every_planner(self, paper_session, planner):
+        result = paper_session.execute(
+            "SELECT t.title FROM title AS t WHERE t.production_year > 2000", planner=planner
+        )
+        assert {row[0] for row in result.rows} == {"The Dark Knight", "Evolution", "Avatar"}
+
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    def test_null_join_keys_and_predicates_under_every_planner(self, planner):
+        # Row 2's year, row 3's score and no join key match are NULL-driven misses.
+        catalog = Catalog(
+            [
+                Table.from_dict("t", {"id": [1, 2, 3, 4], "year": [2005, None, 1990, 1970]}),
+                Table.from_dict("s", {"tid": [1, 2, 3, 4], "score": [9.0, 8.5, None, 6.0]}),
+            ]
+        )
+        sql = (
+            "SELECT t.id FROM t AS t JOIN s AS s ON t.id = s.tid "
+            "WHERE (t.year > 2000 AND s.score > 7.0) OR (t.year > 1980 AND s.score > 8.0)"
+        )
+        assert Session(catalog).execute(sql, planner=planner).rows == [(1,)]
+
     @pytest.mark.parametrize("planner", sorted(TAGGED_PLANNERS))
     def test_naive_tags_give_same_answers(self, paper_session, paper_query_sql, planner):
         result = paper_session.execute(paper_query_sql, planner=planner, naive_tags=True)
@@ -152,6 +182,12 @@ class TestWorkCounters:
         bdisj = paper_session.execute(paper_query_sql, planner="bdisj")
         assert tagged.metrics.union_input_rows == 0
         assert bdisj.metrics.union_input_rows > 0
+
+    @pytest.mark.parametrize("planner", sorted(TAGGED_PLANNERS))
+    def test_tagged_join_builds_one_hash_table(self, paper_session, paper_query_sql, planner):
+        # Figure 1 has three viable slice pairings; they share one hash table.
+        result = paper_session.execute(paper_query_sql, planner=planner)
+        assert result.metrics.hash_tables_built == 1
 
     def test_output_row_metric_matches_result(self, paper_session, paper_query_sql):
         result = paper_session.execute(paper_query_sql, planner="tcombined")
