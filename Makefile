@@ -36,11 +36,13 @@ bench-compare:
 
 ## profile of warm passes of one e2e workload: make profile W=job_warm;
 ## functions by own time (SORT=tottime, the default) or with their callees
-## (SORT=cumulative, which shows an operator method's whole share)
+## (SORT=cumulative, which shows an operator method's whole share); SEED
+## picks the workload's data and statements
 W ?= job_warm
 SORT ?= tottime
+SEED ?= 7
 profile:
-	$(PYTHON) scripts/profile_workload.py $(W) --sort $(SORT)
+	$(PYTHON) scripts/profile_workload.py $(W) --sort $(SORT) --seed $(SEED)
 
 ## docs gates: every public module has a docstring, README examples execute,
 ## file and dotted references in README/docs resolve

@@ -1,6 +1,6 @@
 """Profile N warm passes of one ``benchmarks/e2e`` workload (read-only use of it).
 
-    python3 scripts/profile_workload.py job_warm [passes] [--sort cumulative]
+    python3 scripts/profile_workload.py job_warm [passes] [--sort cumulative] [--seed 23]
 
 Prints the best-of and worst-of latency per statement (best-of is what
 ``harness.Window.steady`` feeds into p50 / p90 / ``throughput_qps``, so a
@@ -9,7 +9,8 @@ only shows in the worst-of column; measured under the profiler, so inflated
 but comparable), then the top 25 functions by own time — the view that shows
 what an operator's self-time in the layer split is actually spent on — or,
 with ``--sort cumulative``, by time including callees, which shows the share
-of a method whose work happens in the functions it calls.
+of a method whose work happens in the functions it calls.  ``--seed``
+picks the workload's data and statements (default 7, the benchmark's seed).
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 from workloads import WORKLOADS  # noqa: E402
 
 
-def main(name: str, passes: int, sort: str) -> None:
+def main(name: str, passes: int, sort: str, seed: int) -> None:
     with tempfile.TemporaryDirectory() as scratch:
-        workload = WORKLOADS[name](7, False, Path(scratch))
+        workload = WORKLOADS[name](seed, False, Path(scratch))
         workload.setup()
         try:
             workload.begin_window()
@@ -54,5 +55,6 @@ if __name__ == "__main__":
     parser.add_argument("workload", nargs="?", default="job_warm", choices=sorted(WORKLOADS))
     parser.add_argument("passes", nargs="?", type=int, default=5)
     parser.add_argument("--sort", default="tottime", choices=("tottime", "cumulative"))
+    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
-    main(args.workload, args.passes, args.sort)
+    main(args.workload, args.passes, args.sort, args.seed)

@@ -1,4 +1,4 @@
-"""Predicate trees.
+"""Predicate trees, and the bit tables tag algebra runs on.
 
 The query's WHERE expression is represented as a *predicate tree*
 (Section 3.2): leaves are base predicates, interior nodes are AND / OR / NOT,
@@ -9,15 +9,36 @@ their structural key.  Tag generalization propagates assignments per instance
 and collapses them per key, which is what lets tagged execution evaluate every
 predicate exactly once even when it appears repeatedly (Section 3.2,
 "Duplicates").
+
+Over one tree a tag is also a triple of Python ints, its *planes*
+``(F, T, U)``: bit *i* of the plane indexed by a truth value is set when the
+tree's *i*-th key, in sorted string order, carries that value.  Ascending bits
+therefore visit a tag's assignments in the order :meth:`Tag.items` does.
+:class:`BitTables` compiles, on first use, what tag-map construction and
+Algorithm 1 ask of the tree per tag — parent links, ancestor masks (precept
+2), children masks and leaf implications — so the per-tag work is word
+operations.  The tree interns one :class:`Tag` per planes value; tags are
+built only where a caller needs them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cached_property
 
 from repro.core.implication import implication_group, implied_truth_value
+from repro.core.tags import Tag
 from repro.expr.ast import AndExpr, BooleanExpr, NotExpr, OrExpr, flatten
-from repro.expr.three_valued import FALSE, TRUE, TruthValue
+from repro.expr.three_valued import FALSE, TRUE, UNKNOWN
+
+#: A tag over one tree as three bit planes, indexed by truth value.
+Planes = tuple[int, int, int]
+
+#: The planes of the empty tag.
+EMPTY_PLANES: Planes = (0, 0, 0)
+
+#: Node kinds in :class:`BitTables`.
+LEAF, AND, OR, NOT = range(4)
 
 
 class PredNode:
@@ -54,17 +75,119 @@ class PredNode:
         return f"PredNode({self.key})"
 
 
+class BitTables:
+    """One tree's keys as bits, and what Algorithm 1 needs of them as masks.
+
+    Attributes:
+        keys: the distinct keys in sorted order; bit *i* stands for
+            ``keys[i]``.
+        bits: key -> bit index.
+        links: per bit, one ``(parent bit index, parent kind, parent's
+            children mask)`` per instance that has a parent — what upward
+            propagation walks.
+        ancestor_masks: per bit, the mask of each instance's ancestors.
+        interior: ``(bit mask, kind, children mask)`` of every distinct
+            interior key, children before parents.
+        root: the root key's bit mask.
+        leaf_order: leaf bit indexes in first-occurrence order.
+        leaf_implications: per bit, indexed by the truth value assigned to
+            that leaf, the planes of the other leaves the assignment forces
+            (value-level implication; only T and F force anything), or None.
+        implying: mask of the leaves whose assignment can force another.
+    """
+
+    __slots__ = (
+        "keys",
+        "bits",
+        "links",
+        "ancestor_masks",
+        "interior",
+        "root",
+        "leaf_order",
+        "leaf_implications",
+        "implying",
+    )
+
+    def __init__(self, tree: "PredicateTree") -> None:
+        self.keys = tuple(sorted(tree._instances))
+        self.bits = {key: index for index, key in enumerate(self.keys)}
+        bits = self.bits
+        kinds = {}
+        children = {}
+        for key, nodes in tree._instances.items():
+            node = nodes[0]
+            kinds[key] = AND if node.is_and else OR if node.is_or else NOT if node.is_not else LEAF
+            children[key] = _mask(bits[child.key] for child in node.children)
+        self.links = tuple(
+            tuple(
+                (bits[node.parent.key], kinds[node.parent.key], children[node.parent.key])
+                for node in tree._instances[key]
+                if node.parent is not None
+            )
+            for key in self.keys
+        )
+        self.ancestor_masks = tuple(
+            tuple(_mask(bits[a.key] for a in node.ancestors()) for node in tree._instances[key])
+            for key in self.keys
+        )
+        # A child's key is part of its parent's, so shorter keys come first.
+        self.interior = tuple(
+            (1 << bits[key], kinds[key], children[key])
+            for key in sorted(self.keys, key=len)
+            if kinds[key] != LEAF
+        )
+        self.root = 1 << bits[tree.root.key]
+        self.leaf_order = tuple(bits[predicate.key()] for predicate in tree._base_predicates)
+        self.leaf_implications = _leaf_implications(tree._base_predicates, bits)
+        self.implying = _mask(
+            index for index, forced in enumerate(self.leaf_implications) if any(forced)
+        )
+
+
+def _mask(indexes) -> int:
+    mask = 0
+    for index in indexes:
+        mask |= 1 << index
+    return mask
+
+
+def _leaf_implications(base_predicates: list[BooleanExpr], bits: dict[str, int]) -> tuple:
+    """Per bit, indexed by truth value, the planes of the leaves that
+    assigning that value to the leaf forces, or None.
+
+    Only leaves over the same column can force one another, so the table is
+    built per :func:`implication_group`; it is empty for most queries.
+    """
+    groups: dict[object, list[BooleanExpr]] = {}
+    for predicate in base_predicates:
+        group = implication_group(predicate)
+        if group is not None:
+            groups.setdefault(group, []).append(predicate)
+    table = [[None, None, None] for _bit in bits]
+    for members in groups.values():
+        for fact in members:
+            for value in (TRUE, FALSE):
+                forced = [0, 0, 0]
+                for target in members:
+                    if target is not fact:
+                        implied = implied_truth_value(target, [(fact, value)])
+                        if implied is not None:
+                            forced[implied] |= 1 << bits[target.key()]
+                if any(forced):
+                    table[bits[fact.key()]][value] = tuple(forced)
+    return tuple(map(tuple, table))
+
+
 class PredicateTree:
     """Normalized predicate tree for one query's WHERE expression.
 
-    The tree is *compiled* at construction: everything tag-map construction
-    asks of it per tag — the instances of a key, the distinct base
-    predicates, each instance's ancestor keys (precept 2), and which leaf
-    assignments force which other leaves through value-level implication —
-    is tabulated once, so the per-tag work is dictionary lookups.  It also
-    holds the query's memo of generalized tags (see
-    :func:`repro.core.generalize.generalize_tag`); nothing here outlives the
-    tree, and a pickled tree is rebuilt from its expression.
+    Construction indexes the instances of every key; the :class:`BitTables`
+    are compiled on first use (:attr:`tables`), so a tree unpickled in a
+    worker that never builds a tag map does not pay for them.  The tree also
+    holds the query's tag memos: :attr:`generalized` (planes -> generalized
+    tag, see :func:`repro.core.generalize.generalize_tag`) and the intern
+    tables behind :meth:`tag`.  Nothing here outlives the tree, and a pickled
+    tree is rebuilt from its expression.
     """
 
     def __init__(self, expr: BooleanExpr) -> None:
@@ -78,29 +201,12 @@ class PredicateTree:
         self._base_predicates = [
             nodes[0].expr for nodes in self._instances.values() if nodes[0].is_leaf
         ]
-        #: Per key, the ancestor keys of each of its instances.
-        self._ancestor_keys = {
-            key: tuple(frozenset(a.key for a in node.ancestors()) for node in nodes)
-            for key, nodes in self._instances.items()
-        }
-        #: Per key, one ``(parent node, keys of the parent's children)`` link
-        #: per instance that has a parent: what upward propagation
-        #: (Algorithm 1) walks.
-        self.parent_links = {
-            key: tuple(
-                (node.parent, tuple(child.key for child in node.parent.children))
-                for node in nodes
-                if node.parent is not None
-            )
-            for key, nodes in self._instances.items()
-        }
-        #: Position of each distinct leaf in first-occurrence order.
-        self.leaf_positions = {
-            predicate.key(): position for position, predicate in enumerate(self._base_predicates)
-        }
-        self.leaf_implications = self._leaf_implications()
-        #: Memo of :func:`repro.core.generalize.generalize_tag` for this tree.
-        self.generalized: dict = {}
+        #: Memo of :func:`repro.core.generalize.generalize_tag`: planes ->
+        #: the generalized tag.
+        self.generalized: dict[Planes, Tag] = {}
+        #: One tag per planes value (:meth:`tag`), and the way back.
+        self.interned: dict[Planes, Tag] = {}
+        self.tag_planes: dict[Tag, Planes] = {}
 
     def __reduce__(self):
         return (PredicateTree, (self._expr,))
@@ -111,30 +217,47 @@ class PredicateTree:
             node.children.append(self._build(child, node))
         return node
 
-    def _leaf_implications(self) -> dict[tuple[str, TruthValue], dict[str, TruthValue]]:
-        """``(leaf key, T/F) -> {other leaf key: the value it is forced to}``.
+    # ------------------------------------------------------------------ #
+    # Tags as planes
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def tables(self) -> BitTables:
+        """The compiled bit tables (built on first use)."""
+        return BitTables(self)
 
-        Only leaves over the same column can force one another, so the table
-        is built per :func:`implication_group`; it is empty for most queries.
-        """
-        groups: dict[object, list[BooleanExpr]] = {}
-        for predicate in self._base_predicates:
-            group = implication_group(predicate)
-            if group is not None:
-                groups.setdefault(group, []).append(predicate)
-        table: dict[tuple[str, TruthValue], dict[str, TruthValue]] = {}
-        for members in groups.values():
-            for fact in members:
-                for value in (TRUE, FALSE):
-                    forced = {}
-                    for target in members:
-                        if target is not fact:
-                            implied = implied_truth_value(target, [(fact, value)])
-                            if implied is not None:
-                                forced[target.key()] = implied
-                    if forced:
-                        table[(fact.key(), value)] = forced
-        return table
+    def encode(self, tag: Tag) -> Planes:
+        """The planes of ``tag``'s assignments to keys of this tree."""
+        bits = self.tables.bits
+        planes = [0, 0, 0]
+        for key, value in tag.items():
+            index = bits.get(key)
+            if index is not None:
+                planes[value] |= 1 << index
+        return tuple(planes)
+
+    def tag(self, planes: Planes) -> Tag:
+        """The one :class:`Tag` of this tree with these planes."""
+        tag = self.interned.get(planes)
+        if tag is None:
+            false, true, unknown = planes
+            keys = self.tables.keys
+            values = {}
+            rest = false | true | unknown
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                values[keys[low.bit_length() - 1]] = (
+                    TRUE if low & true else FALSE if low & false else UNKNOWN
+                )
+            tag = self.interned.setdefault(planes, Tag._of(values) if values else Tag.empty())
+            self.tag_planes[tag] = planes
+        return tag
+
+    def forget_tags(self) -> None:
+        """Drop the generalization memo and the interned tags."""
+        self.generalized.clear()
+        self.interned.clear()
+        self.tag_planes.clear()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -184,7 +307,7 @@ class PredicateTree:
         return list(self._base_predicates)
 
     # ------------------------------------------------------------------ #
-    # Structure queries used by tag-map construction and the benefit score
+    # Structure queries used by the benefit score and tests
     # ------------------------------------------------------------------ #
     def parents(self, key: str) -> list[PredNode]:
         """Parent node of each instance of ``key`` (roots have no parent)."""
@@ -197,34 +320,12 @@ class PredicateTree:
     def every_instance_has_assigned_ancestor(self, key: str, assigned_keys) -> bool:
         """Precept (2) check: every instance of ``key`` has an ancestor whose
         key carries an assignment."""
-        if key not in self._ancestor_keys:
+        tables = self.tables
+        index = tables.bits.get(key)
+        if index is None:
             return False
-        for ancestors in self._ancestor_keys[key]:
-            if ancestors.isdisjoint(assigned_keys):
-                return False
-        return True
-
-    def implied_value(self, predicate: BooleanExpr, tag) -> TruthValue | None:
-        """Truth value of ``predicate`` forced by the tag's leaf assignments.
-
-        The first assignment (in tag order) that decides the predicate wins,
-        exactly as :func:`implied_truth_value` over those facts would.
-        """
-        predicate_key = predicate.key()
-        if predicate_key not in self.leaf_positions:
-            # Not a leaf of this tree, so not in the table: ask directly.
-            facts = [
-                (self._expr_by_key[key], value)
-                for key, value in tag.items()
-                if key in self.leaf_positions
-            ]
-            return implied_truth_value(predicate, facts)
-        if self.leaf_implications:
-            for assignment in tag.items():
-                forced = self.leaf_implications.get(assignment)
-                if forced is not None and predicate_key in forced:
-                    return forced[predicate_key]
-        return None
+        assigned = _mask(tables.bits[k] for k in assigned_keys if k in tables.bits)
+        return all(mask & assigned for mask in tables.ancestor_masks[index])
 
     def num_nodes(self) -> int:
         """Total number of node instances in the tree."""

@@ -16,14 +16,23 @@ strategy of Section 3.3 with its two precepts:
 2. never apply a filter to a slice whose tag already dominates the predicate
    (every occurrence of the predicate has an assigned ancestor), since the
    split would not refine the selection.
+
+Between operators the builder carries tags as planes
+(:data:`repro.core.predtree.Planes`): a filter output is the input's planes
+with one bit set, a join output the OR of both sides after a conflict test,
+the precepts are mask tests against the tree's
+:class:`~repro.core.predtree.BitTables`, and its memos are keyed by planes.
+:class:`~repro.core.tags.Tag` objects, interned per tree, appear only in what
+it returns: tag-map entries, output tags and the projection's sets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.core.generalize import generalize_tag, refutes_root, satisfies_root
-from repro.core.predtree import PredicateTree
+from repro.core.generalize import generalized_tag
+from repro.core.predtree import EMPTY_PLANES, Planes, PredicateTree
 from repro.core.tags import Tag
 from repro.expr.ast import BooleanExpr
 from repro.expr.three_valued import FALSE, TRUE, UNKNOWN
@@ -110,6 +119,12 @@ class PlanTagAnnotations:
 #: Marks "not computed yet" in memos whose values may be ``None``.
 _MISSING = object()
 
+#: An operator's output: its tags' planes, and the tags, in the same order.
+Outputs = tuple[tuple[Planes, ...], tuple[Tag, ...]]
+
+#: What every table scan outputs: the empty tag.
+_SCAN_OUTPUTS: Outputs = ((EMPTY_PLANES,), (Tag.empty(),))
+
 
 class TagMapBuilder:
     """Builds tag maps for every operator of a logical plan.
@@ -141,10 +156,10 @@ class TagMapBuilder:
         self.tree = tree
         self.naive = naive
         self.three_valued = three_valued
-        self._filter_entries: dict[tuple[str, Tag], FilterEntry | None] = {}
-        self._join_outputs: dict[tuple[Tag, Tag], Tag | None] = {}
-        #: (operator, its parameters, input tags) -> (tag map, output tags)
-        self._operators: dict[tuple, tuple[object, tuple[Tag, ...]]] = {}
+        self._filter_entries: dict[tuple[int, Planes], tuple | None] = {}
+        self._join_outputs: dict[tuple[Planes, Planes], Planes | None] = {}
+        #: (operator, its parameters, input planes) -> (tag map, outputs)
+        self._operators: dict[tuple, tuple[object, Outputs]] = {}
         self._plans_built = 0
 
     @property
@@ -169,162 +184,197 @@ class TagMapBuilder:
     # ------------------------------------------------------------------ #
     # Per-node construction
     # ------------------------------------------------------------------ #
-    def _build_node(self, node: PlanNode, annotations: PlanTagAnnotations) -> tuple[Tag, ...]:
+    def _build_node(self, node: PlanNode, annotations: PlanTagAnnotations) -> Outputs:
         if isinstance(node, TableScanNode):
-            tags = (Tag.empty(),)
+            outputs = _SCAN_OUTPUTS
         elif isinstance(node, FilterNode):
-            input_tags = self._build_node(node.child, annotations)
-            annotations.filter_maps[node.node_id], tags = self._operator(
-                ("filter", node.predicate.key(), input_tags),
-                lambda: self._build_filter(node.predicate, input_tags),
+            inputs = self._build_node(node.child, annotations)
+            annotations.filter_maps[node.node_id], outputs = self._operator(
+                ("filter", node.predicate.key(), inputs[0]),
+                lambda: self._build_filter(node.predicate, zip(*inputs)),
             )
         elif isinstance(node, JoinNode):
-            left_tags = self._build_node(node.left, annotations)
-            right_tags = self._build_node(node.right, annotations)
-            annotations.join_maps[node.node_id], tags = self._operator(
-                ("join", left_tags, right_tags), lambda: self._build_join(left_tags, right_tags)
+            left = self._build_node(node.left, annotations)
+            right = self._build_node(node.right, annotations)
+            annotations.join_maps[node.node_id], outputs = self._operator(
+                ("join", left[0], right[0]),
+                lambda: self._build_join(list(zip(*left)), list(zip(*right))),
             )
         elif isinstance(node, ProjectNode):
-            input_tags = self._build_node(node.child, annotations)
-            annotations.projection, tags = self._operator(
-                ("project", input_tags), lambda: self._build_projection(input_tags)
+            inputs = self._build_node(node.child, annotations)
+            annotations.projection, outputs = self._operator(
+                ("project", inputs[0]), lambda: self._build_projection(zip(*inputs))
             )
         else:
             raise TypeError(f"unknown plan node type: {type(node).__name__}")
-        annotations.output_tags[node.node_id] = list(tags)
-        return tags
+        annotations.output_tags[node.node_id] = list(outputs[1])
+        return outputs
 
-    def _operator(self, key: tuple, build) -> tuple[object, tuple[Tag, ...]]:
-        """The tag map and output tags of one operator, built once per ``key``.
+    def _operator(self, key: tuple, build) -> tuple[object, Outputs]:
+        """The tag map and outputs of one operator, built once per ``key``.
 
         Tag maps depend only on the operator and the tags flowing into it, so
         sub-plans shared between candidate plans share their tag maps.
         """
         built = self._operators.get(key)
         if built is None:
-            built = self._operators[key] = build()
+            tag_map, output = build()
+            built = self._operators[key] = (tag_map, (tuple(output), tuple(output.values())))
         return built
 
-    def _generalize(self, tag: Tag) -> Tag:
-        if self.naive or self.tree is None:
-            return tag
-        return generalize_tag(self.tree, tag)
+    def _tag(self, planes: Planes) -> Tag:
+        return Tag.empty() if self.tree is None else self.tree.tag(planes)
 
-    def _refuted(self, tag: Tag) -> bool:
-        if self.tree is None:
-            return False
-        if self.naive:
-            # Even the naive strategy never *keeps* provably-dead tuples at the
-            # projection, but it does keep them flowing through the plan.
-            return False
-        return refutes_root(self.tree, tag, include_unknown=self.three_valued)
+    def _generalized(self, planes: Planes) -> Planes:
+        tree = self.tree
+        return tree.tag_planes[generalized_tag(tree, planes)]
+
+    def _refutes(self, planes: Planes) -> bool:
+        """Whether generalized ``planes`` prove their tuples never reach the
+        output: a FALSE root, or an UNKNOWN one under three-valued logic."""
+        root = self.tree.tables.root
+        return bool(root & planes[FALSE] or (self.three_valued and root & planes[UNKNOWN]))
 
     def _build_filter(
-        self, predicate: BooleanExpr, input_tags: tuple[Tag, ...]
-    ) -> tuple[FilterTagMap, tuple[Tag, ...]]:
-        predicate_key = predicate.key()
+        self, predicate: BooleanExpr, inputs: Iterable[tuple[Planes, Tag]]
+    ) -> tuple[FilterTagMap, dict[Planes, Tag]]:
+        if self.tree is None or predicate.key() not in self.tree:
+            raise ValueError(
+                f"filter predicate {predicate.key()} is not part of the query's predicate tree"
+            )
+        index = self.tree.tables.bits[predicate.key()]
         tag_map = FilterTagMap()
-        output: dict[Tag, None] = {}
+        # Output planes -> tag, in first-produced order (re-adding an equal
+        # pair leaves the order alone).
+        output: dict[Planes, Tag] = {}
 
-        for in_tag in input_tags:
-            entry = self._filter_entries.get((predicate_key, in_tag), _MISSING)
+        for in_planes, in_tag in inputs:
+            entry = self._filter_entries.get((index, in_planes), _MISSING)
             if entry is _MISSING:
-                entry = self._filter_entry(predicate, predicate_key, in_tag)
-                self._filter_entries[(predicate_key, in_tag)] = entry
+                entry = self._filter_entries[(index, in_planes)] = self._filter_entry(
+                    index, in_planes
+                )
             if entry is None:
                 # Slice passes through untouched.
-                output.setdefault(in_tag)
+                output[in_planes] = in_tag
                 continue
-            tag_map.entries[in_tag] = entry
-            for out_tag in entry.output_tags():
-                output.setdefault(out_tag)
+            filter_entry, outputs = entry
+            tag_map.entries[in_tag] = filter_entry
+            output.update(outputs)
 
-        return tag_map, tuple(output)
+        return tag_map, output
 
-    def _filter_entry(
-        self, predicate: BooleanExpr, predicate_key: str, in_tag: Tag
-    ) -> FilterEntry | None:
-        if self.naive:
-            return FilterEntry(
-                pos_tag=in_tag.with_assignment(predicate_key, TRUE),
-                neg_tag=in_tag.with_assignment(predicate_key, FALSE),
-                unk_tag=(
-                    in_tag.with_assignment(predicate_key, UNKNOWN)
-                    if self.three_valued
-                    else None
-                ),
-            )
-
-        if predicate_key in in_tag:
-            return None
-        if self.tree is not None:
-            # Precept (2): skip slices whose tag already dominates the predicate.
-            if self.tree.every_instance_has_assigned_ancestor(predicate_key, in_tag.keys()):
+    def _filter_entry(self, index: int, in_planes: Planes) -> tuple | None:
+        """``(FilterEntry, its (output planes, output tag) pairs)`` for one
+        input slice, or None when the slice passes the filter untouched."""
+        bit = 1 << index
+        false, true, unknown = in_planes
+        if not self.naive:
+            assigned = false | true | unknown
+            tables = self.tree.tables
+            if assigned & bit:
                 return None
-            if self.tree.implied_value(predicate, in_tag) is not None:
+            # Precept (2): skip slices whose tag already dominates the predicate.
+            if all(ancestors & assigned for ancestors in tables.ancestor_masks[index]):
+                return None
+            if _implied(tables, in_planes, bit):
                 # The slice's tag already determines this predicate's outcome
                 # through value-level implication (e.g. year > 2000 determines
                 # year > 1980), so splitting it would not refine the selection.
                 return None
+        else:
+            # The naive strategy re-splits slices that already carry the key.
+            false, true, unknown = false & ~bit, true & ~bit, unknown & ~bit
+        # The positive, negative and (three-valued) unknown outputs.
+        outputs = [(false, true | bit, unknown), (false | bit, true, unknown)]
+        if self.three_valued:
+            outputs.append((false, true, unknown | bit))
+        if not self.naive:
+            # When every outcome is dropped the predicate still needs to run
+            # to decide the tuples' fate (they all die), so the entry is kept.
+            outputs = [self._filter_output(planes) for planes in outputs]
+        tags = [None if planes is None else self.tree.tag(planes) for planes in outputs]
+        produced = [(planes, tag) for planes, tag in zip(outputs, tags) if tag is not None]
+        return FilterEntry(*tags), produced
 
-        # When every outcome is dropped the predicate still needs to run to
-        # decide the tuples' fate (they all die), so the entry is kept.
-        return FilterEntry(
-            pos_tag=self._filter_output(in_tag, predicate_key, TRUE),
-            neg_tag=self._filter_output(in_tag, predicate_key, FALSE),
-            unk_tag=(
-                self._filter_output(in_tag, predicate_key, UNKNOWN) if self.three_valued else None
-            ),
-        )
-
-    def _filter_output(self, in_tag: Tag, predicate_key: str, value) -> Tag | None:
-        generalized = self._generalize(in_tag.with_assignment(predicate_key, value))
-        if self._refuted(generalized):
+    def _filter_output(self, planes: Planes) -> Planes | None:
+        out_planes = self._generalized(planes)
+        if self._refutes(out_planes):
             # Precept (1): never emit tags that cannot reach the output.
             return None
-        return generalized
+        return out_planes
 
     def _build_join(
-        self, left_tags: tuple[Tag, ...], right_tags: tuple[Tag, ...]
-    ) -> tuple[JoinTagMap, tuple[Tag, ...]]:
+        self, left: list[tuple[Planes, Tag]], right: list[tuple[Planes, Tag]]
+    ) -> tuple[JoinTagMap, dict[Planes, Tag]]:
         tag_map = JoinTagMap()
-        output: dict[Tag, None] = {}
-        for left_tag in left_tags:
-            for right_tag in right_tags:
-                out_tag = self._join_outputs.get((left_tag, right_tag), _MISSING)
-                if out_tag is _MISSING:
-                    out_tag = self._join_output(left_tag, right_tag)
-                    self._join_outputs[(left_tag, right_tag)] = out_tag
-                if out_tag is not None:
+        output: dict[Planes, Tag] = {}
+        for left_planes, left_tag in left:
+            for right_planes, right_tag in right:
+                out = self._join_outputs.get((left_planes, right_planes), _MISSING)
+                if out is _MISSING:
+                    out_planes = self._join_output(left_planes, right_planes)
+                    out = self._join_outputs[(left_planes, right_planes)] = (
+                        None if out_planes is None else (out_planes, self._tag(out_planes))
+                    )
+                if out is not None:
+                    out_planes, out_tag = out
                     tag_map.entries[(left_tag, right_tag)] = out_tag
-                    output.setdefault(out_tag)
-        return tag_map, tuple(output)
+                    output[out_planes] = out_tag
+        return tag_map, output
 
-    def _join_output(self, left_tag: Tag, right_tag: Tag) -> Tag | None:
-        try:
-            combined = left_tag.union(right_tag)
-        except ValueError:
+    def _join_output(self, left: Planes, right: Planes) -> Planes | None:
+        left_false, left_true, left_unknown = left
+        right_false, right_true, right_unknown = right
+        if (
+            left_false & (right_true | right_unknown)
+            or left_true & (right_false | right_unknown)
+            or left_unknown & (right_false | right_true)
+        ):
             # Conflicting assignments describe an empty pairing.
             return None
-        out_tag = self._generalize(combined)
-        if self._refuted(out_tag):
+        combined = (left_false | right_false, left_true | right_true, left_unknown | right_unknown)
+        if self.naive or self.tree is None:
+            # The naive strategy keeps provably-dead tuples flowing through the
+            # plan; only the projection drops them.
+            return combined
+        out_planes = self._generalized(combined)
+        if self._refutes(out_planes):
             # Precept (1): skip pairings that cannot reach the output.
             return None
-        return out_tag
+        return out_planes
 
     def _build_projection(
-        self, input_tags: tuple[Tag, ...]
-    ) -> tuple[ProjectionTagSet, tuple[Tag, ...]]:
+        self, inputs: Iterable[tuple[Planes, Tag]]
+    ) -> tuple[ProjectionTagSet, dict[Planes, Tag]]:
         projection = ProjectionTagSet()
         if self.tree is None:
-            projection.allowed = set(input_tags)
-        else:
-            for tag in input_tags:
-                generalized = generalize_tag(self.tree, tag)
-                if satisfies_root(self.tree, generalized):
-                    projection.allowed.add(tag)
-                elif not refutes_root(self.tree, generalized, include_unknown=self.three_valued):
-                    # No definite verdict: the executor must evaluate the
-                    # residual predicate on this slice.
-                    projection.residual.add(tag)
-        return projection, tuple(sorted(projection.allowed, key=repr))
+            output = dict(inputs)
+            projection.allowed = set(output.values())
+            return projection, output
+        root = self.tree.tables.root
+        allowed = []
+        for planes, tag in inputs:
+            out_planes = self._generalized(planes)
+            if root & out_planes[TRUE]:
+                projection.allowed.add(tag)
+                allowed.append((repr(tag), planes, tag))
+            elif not self._refutes(out_planes):
+                # No definite verdict: the executor must evaluate the
+                # residual predicate on this slice.
+                projection.residual.add(tag)
+        return projection, {planes: tag for _text, planes, tag in sorted(allowed)}
+
+
+def _implied(tables, planes: Planes, bit: int) -> bool:
+    """Whether a leaf assignment in ``planes`` forces the leaf ``bit``
+    through value-level implication."""
+    rest = (planes[FALSE] | planes[TRUE]) & tables.implying
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        index = low.bit_length() - 1
+        forced = tables.leaf_implications[index][TRUE if low & planes[TRUE] else FALSE]
+        if forced is not None and (forced[FALSE] | forced[TRUE]) & bit:
+            return True
+    return False

@@ -284,7 +284,7 @@ class Session:
             # The plan keeps the compiled tree (its expression is the tagged
             # root's residual predicate), not the thousands of tags the
             # discarded candidate plans generalized along the way.
-            predicate_tree.generalized.clear()
+            predicate_tree.forget_tags()
         return PreparedPlan(
             planner=planner,
             kind=planned.kind,

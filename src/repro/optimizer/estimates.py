@@ -73,8 +73,11 @@ def build_estimate_provider(
     through the provider, keeping ``repro.core.planner`` free of access-path
     imports.
     """
-    # A type error in the query is reported before any statistic is sampled.
+    # A type error in the query, or NULLs two-valued planning cannot honour,
+    # is reported before any statistic is sampled.
     query.check_ordering_types(catalog)
+    if not options.three_valued:
+        query.check_null_free(catalog)
     collect = collect_table_stats if stats_provider is None else stats_provider.table_stats
     table_stats = {
         table_name: collect(catalog.get(table_name))

@@ -17,6 +17,8 @@ from repro.expr.ast import (
     ColumnRef,
     Comparison,
     ExprError,
+    InPredicate,
+    LikePredicate,
     ValueExpr,
     flatten,
     iter_base_predicates,
@@ -26,6 +28,16 @@ from repro.storage.column import ColumnType
 
 #: Comparison operators that order their operands.
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
+
+
+class TwoValuedNullError(ValueError):
+    """Two-valued planning (``three_valued=False``) met a WHERE column that
+    holds NULLs.
+
+    Two-valued tag maps have no UNKNOWN output, so the rows on which a
+    predicate is UNKNOWN would leave the plan at that predicate's filter even
+    where another disjunct makes the WHERE clause TRUE.
+    """
 
 
 @dataclass(frozen=True)
@@ -160,6 +172,32 @@ class Query:
                     raise ExprError(
                         f"cannot order {left_text} {op} {right_text}: "
                         f"{left_kind} against {right_kind}"
+                    )
+
+    def check_null_free(self, catalog) -> None:
+        """Raise :class:`TwoValuedNullError` for the first WHERE column that
+        holds a NULL.  ``IS NULL`` operands are exempt: that test is never
+        UNKNOWN."""
+        if self.predicate is None:
+            return
+        checked = set()
+        for predicate in iter_base_predicates(self.predicate):
+            if isinstance(predicate, Comparison):
+                operands = (predicate.left, predicate.right)
+            elif isinstance(predicate, BetweenPredicate):
+                operands = (predicate.operand, predicate.low, predicate.high)
+            elif isinstance(predicate, (InPredicate, LikePredicate)):
+                operands = (predicate.operand,)
+            else:
+                continue
+            for operand in operands:
+                if not isinstance(operand, ColumnRef) or operand.key() in checked:
+                    continue
+                checked.add(operand.key())
+                if catalog.get(self.tables[operand.alias]).column(operand.column).has_nulls():
+                    raise TwoValuedNullError(
+                        f"column {operand.key()} holds NULLs; two-valued planning "
+                        "(three_valued=False) needs NULL-free predicate columns"
                     )
 
     def _operand(self, value: ValueExpr, catalog) -> tuple[str | None, str]:

@@ -7,6 +7,7 @@ import pytest
 from repro import Catalog, Session, Table
 from repro.engine.session import PLANNERS, TAGGED_PLANNERS
 from repro.expr.ast import ExprError
+from repro.plan.query import TwoValuedNullError
 from tests.conftest import PAPER_QUERY_MATCHES
 
 
@@ -237,3 +238,33 @@ class TestThreeValuedIntegration:
             planner="tcombined",
         )
         assert {row[0] for row in result.rows} == {"B", "E"}
+
+
+class TestTwoValuedPlanningRejectsNulls:
+    """Two-valued tag maps have no UNKNOWN output: a NULL in a WHERE column
+    would drop rows another disjunct keeps, so planning refuses it."""
+
+    SQL = "SELECT f.id FROM f AS f JOIN d AS d ON f.id = d.fid WHERE f.a > 1 OR d.c = 2"
+
+    @staticmethod
+    def catalog(a):
+        return Catalog(
+            [
+                Table.from_dict("f", {"id": [0, 1, 2, 3], "a": a}),
+                Table.from_dict("d", {"fid": [0, 1, 2, 3], "c": [0, 1, 2, 0]}),
+            ]
+        )
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_null_in_a_where_column_is_a_named_error(self, planner):
+        catalog = self.catalog([2.0, 3.0, None, 0.0])
+        with pytest.raises(TwoValuedNullError, match=r"column f\.a holds NULLs.*NULL-free"):
+            Session(catalog, three_valued=False).execute(self.SQL, planner)
+        rows = Session(catalog).execute(self.SQL, planner).rows
+        assert sorted(row[0] for row in rows) == [0, 1, 2]
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_null_free_columns_plan_two_valued(self, planner):
+        catalog = self.catalog([2.0, 3.0, 0.5, 0.0])
+        rows = Session(catalog, three_valued=False).execute(self.SQL, planner).rows
+        assert sorted(row[0] for row in rows) == [0, 1, 2]

@@ -1,8 +1,8 @@
 """The memoized tag algebra equals Algorithm 1, whatever order it is used in.
 
-``generalize_tag`` answers from tables compiled on the predicate tree (parent
-links, ancestor key sets, the leaf-implication table) and from a per-tree
-memo.  The reference below is a straight transcription of Algorithm 1 that
+``generalize_tag`` answers from bit tables compiled on the predicate tree
+(parent links, ancestor masks, the leaf-implication planes) and from a
+per-tree memo.  The reference below is a straight transcription of Algorithm 1 that
 uses none of them: it walks node objects, re-derives implications with
 :func:`implied_truth_value` over every leaf, and builds its result through the
 public ``Tag`` constructor.
@@ -16,6 +16,7 @@ import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -275,6 +276,27 @@ def test_first_deciding_fact_in_tag_order_wins():
     assert generalize_tag(tree, tag) == reference_generalize(tree, tag) == Tag({tree.root_key: FALSE})
 
 
+@pytest.mark.parametrize(
+    "tree_expr, expected",
+    [
+        # The worklist's second visit to the OR overwrites the tag's F.
+        (lambda either: either, TRUE),
+        # The tag's F reaches the AND before p's T reaches the OR, and the
+        # AND keeps it.
+        (lambda either: AndExpr([either, X < Y]), FALSE),
+    ],
+)
+def test_contradicted_assignment_goes_to_the_worklist(tree_expr, expected):
+    """``{(p OR q) = F, p = T}`` holds no row; Algorithm 1's answer on it is
+    whatever its worklist order makes it, not the bottom-up fixpoint."""
+    p, q = Y > 2, like(NAME, "a%")
+    either = OrExpr([p, q])
+    tree = PredicateTree(tree_expr(either))
+    tag = Tag({either.key(): FALSE, p.key(): TRUE})
+    assert generalize_tag(tree, tag) == reference_generalize(tree, tag)
+    assert generalize_tag(tree, tag) == Tag({tree.root_key: expected})
+
+
 def test_column_to_column_comparisons_refute_their_negation():
     less, not_less = X < Y, X >= Y
     tree = PredicateTree(AndExpr([OrExpr([less, like(NAME, "a%")]), OrExpr([not_less, Y > 2])]))
@@ -316,4 +338,4 @@ def test_threads_sharing_one_tree_agree_with_serial_answers():
                 assert answers == serial
     finally:
         sys.setswitchinterval(switch_interval)
-    assert {tag: shared.generalized[tag] for tag in tags} == serial
+    assert {tag: shared.generalized[shared.encode(tag)] for tag in tags} == serial
