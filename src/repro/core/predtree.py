@@ -254,10 +254,12 @@ class PredicateTree:
         return tag
 
     def forget_tags(self) -> None:
-        """Drop the generalization memo and the interned tags."""
+        """Drop the generalization memo, the interned tags and the compiled
+        tables (recompiled if a tag is asked for again)."""
         self.generalized.clear()
         self.interned.clear()
         self.tag_planes.clear()
+        self.__dict__.pop("tables", None)  # the cached_property's value
 
     # ------------------------------------------------------------------ #
     # Introspection

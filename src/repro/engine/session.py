@@ -281,9 +281,9 @@ class Session:
         predicate_tree = context.predicate_tree
         planning_work = context.tag_map_builder().work
         if predicate_tree is not None:
-            # The plan keeps the compiled tree (its expression is the tagged
-            # root's residual predicate), not the thousands of tags the
-            # discarded candidate plans generalized along the way.
+            # The plan keeps the tree (its expression is the tagged root's
+            # residual predicate), not its bit tables or the thousands of
+            # tags the discarded candidate plans generalized along the way.
             predicate_tree.forget_tags()
         return PreparedPlan(
             planner=planner,
