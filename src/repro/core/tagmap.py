@@ -157,7 +157,7 @@ class TagMapBuilder:
         self.naive = naive
         self.three_valued = three_valued
         self._filter_entries: dict[tuple[int, Planes], tuple | None] = {}
-        self._join_outputs: dict[tuple[Planes, Planes], Planes | None] = {}
+        self._join_outputs: dict[tuple[Planes, Planes], tuple[Planes, Tag] | None] = {}
         #: (operator, its parameters, input planes) -> (tag map, outputs)
         self._operators: dict[tuple, tuple[object, Outputs]] = {}
         self._plans_built = 0
