@@ -17,8 +17,8 @@ setup(
     version="1.1.0",
     description=(
         "Reproduction of 'Optimizing Disjunctive Queries with Tagged "
-        "Execution' (SIGMOD 2024): a columnar engine with tagged, "
-        "traditional and bypass execution models plus a caching query service"
+        "Execution' (SIGMOD 2024): a columnar engine with tagged and "
+        "traditional execution models plus a caching query service"
     ),
     long_description=README.read_text(encoding="utf-8"),
     long_description_content_type="text/markdown",

@@ -20,7 +20,6 @@ from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
 from repro.engine.result import materialize_output
 from repro.physical.base import PhysicalOperator
-from repro.storage.bitmap import Bitmap
 
 
 class UnionOperator(PhysicalOperator):
@@ -29,7 +28,7 @@ class UnionOperator(PhysicalOperator):
     Children are the pipelines of a traditional plan's roots; each is
     drained fully (they are independent pipelines over the same partition) and
     emits into a single OutputColumns batch.  BDisj's union (``execute``)
-    deduplicates the live rows by the tuple of base-table row indices, which
+    deduplicates the rows by the tuple of base-table row indices, which
     is exactly the identity of a joined tuple in an index relation; a lone
     subplan needs no union and passes through.
     """
@@ -50,32 +49,32 @@ class UnionOperator(PhysicalOperator):
             return None
         self._done = True
         relations = [TaggedRelation.merge(child.drain()) for child in self.children]
-        non_empty = [relation for relation in relations if relation.live_rows > 0]
+        non_empty = [relation for relation in relations if relation.num_rows > 0]
         if len(relations) == 1 or not non_empty:
             final = relations[0]
         else:
             final = self.execute(non_empty, context)
-        positions = final.active_bitmap().positions()
-        context.metrics.output_rows += int(positions.size)
+        positions = np.arange(final.num_rows, dtype=np.int64)
+        context.metrics.output_rows += final.num_rows
         if context.collect_feedback:
             self.record_rows(
-                context, sum(relation.live_rows for relation in relations), int(positions.size)
+                context, sum(relation.num_rows for relation in relations), final.num_rows
             )
         return materialize_output(final.tables, final.indices, positions, self.columns)
 
     def execute(self, relations: list[TaggedRelation], context: ExecContext) -> TaggedRelation:
-        """Run the union: one slice holding each distinct live tuple once, in first-seen order."""
+        """Run the union: one slice holding each distinct tuple once, in first-seen order."""
         context.metrics.operators_executed += 1
-        relations = [relation for relation in relations if relation.live_rows > 0]
+        relations = [relation for relation in relations if relation.num_rows > 0]
         if not relations:
             raise ValueError("union of zero non-empty relations is undefined")
         alias_sets = {frozenset(relation.indices) for relation in relations}
         if len(alias_sets) != 1:
             raise ValueError(f"union inputs cover different alias sets: {alias_sets}")
 
-        context.metrics.union_input_rows += sum(relation.live_rows for relation in relations)
+        context.metrics.union_input_rows += sum(relation.num_rows for relation in relations)
 
-        # The stacked keys are the live index rows themselves, so the output's
+        # The stacked keys are the index rows themselves, so the output's
         # index columns are read straight out of the kept keys.
         stacked = np.concatenate([relation.row_keys() for relation in relations], axis=0)
         _unique, first_positions = np.unique(stacked, axis=0, return_index=True)
@@ -88,7 +87,7 @@ class UnionOperator(PhysicalOperator):
         output = TaggedRelation(
             tables,
             {alias: kept[:, column] for column, alias in enumerate(aliases)},
-            {Tag.empty(): Bitmap.full(kept.shape[0])},
+            (Tag.empty(),),
         )
         context.metrics.union_output_rows += output.num_rows
         context.metrics.tuples_materialized += output.num_rows

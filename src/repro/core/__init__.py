@@ -6,8 +6,8 @@
   subexpression tracking.
 * :mod:`repro.core.generalize` — Algorithm 1 (GeneralizeTag) including the
   three-valued-logic extension.
-* :mod:`repro.core.tagged_relation` — tagged relations: index relations plus
-  tag -> bitmap slices.
+* :mod:`repro.core.tagged_relation` — tagged relations: index relations of
+  live rows plus a slice id (into a tuple of tags) per row.
 * :mod:`repro.core.tagmap` — tag-map construction per Section 3.3.
 * :mod:`repro.core.operators` — tagged filter / join / projection operators.
 * :mod:`repro.core.planner` — the tagged planners (TPushdown, TPullup,

@@ -2,19 +2,28 @@
 
 These implement the runtime side of Section 2: given the tag maps produced at
 plan time, each operator touches only the relational slices its tag map names
-and routes results to output tags.  Implementation follows Basilisk's choices
-(Section 2.5): filters evaluate their predicate once over the union of the
-matching slices' bitmaps and rewrite bitmaps instead of deleting rows; a join
-builds one hash table over the rows of all participating slices, probes it
-once and keeps the pairs whose slices its tag map pairs; values are fetched
-lazily by row index through the storage layer.
+and routes results to output tags.  A relation holds live rows only, each
+with a slice id (:mod:`repro.core.tagged_relation`), so every operator routes
+rows the same way — one lookup table indexed by slice id — and compacts its
+output to the rows it keeps, in ascending order:
 
-A filter of one slice with only a TRUE outcome takes a one-slice path, chosen
-from the input: it gathers the passing rows into a compacted relation (no
-other row could stay live).  A join of one mapped slice per side needs no
-slice lookup, and a full slice is joined without a position gather.
-Traditional plans run here under one-tag maps, so for them these *are* the
-plain filter and join.
+* a filter evaluates its predicate once over the rows of the matching slices
+  and looks up ``route[slice id, truth value]``, the output tag or a drop;
+  passthrough slices keep their tag, and two routes to one tag merge;
+* a join builds one hash table over the rows of all participating slices,
+  probes it once and looks up ``allowed[left slice id, right slice id]`` for
+  each matching pair;
+* the projection keeps the rows of allowed slices and the residual rows that
+  pass the residual predicate.
+
+This deviates from Basilisk (Sections 2.5.1–2.5.2), whose filters rewrite
+bitmaps and leave dropped rows in the relation; see the module docstring of
+:mod:`repro.core.tagged_relation` for the measured reason.  A full slice is
+never gathered: a one-tag filter input whose tag matches is evaluated
+without positions, and a join side whose every slice takes part is joined on
+its whole index arrays.  Values are fetched lazily by row index through the
+storage layer.  Traditional plans run here under one-tag maps, so for them
+these *are* the plain filter and join.
 
 Each class is a :class:`~repro.physical.base.PhysicalOperator`: ``_next``
 pulls its input batches (a filter streams one output batch per input batch;
@@ -37,18 +46,10 @@ from repro.expr.ast import BooleanExpr
 from repro.physical.base import PhysicalOperator
 from repro.physical.expressions import evaluate_predicate, read_join_keys
 from repro.plan.query import JoinCondition
-from repro.storage.bitmap import Bitmap
 from repro.utils.join import equi_join_indices
 
-#: Sentinel stored in the full-length truth array for rows the filter did not
-#: evaluate (they belong to no matching slice).
-_NOT_EVALUATED = np.uint8(255)
-
-
-def _slice_positions(relation: TaggedRelation, tag: Tag) -> np.ndarray | None:
-    """Positions of one slice's rows, or ``None`` when it holds every row."""
-    bitmap = relation.slices[tag]
-    return None if bitmap.count() == relation.num_rows else bitmap.positions()
+#: Truth values, one entry each per slice in a filter's routing table.
+_OUTCOMES = 3
 
 
 def hash_join(
@@ -85,24 +86,47 @@ def hash_join(
     )
 
 
-def joined_relation(
-    left: TaggedRelation,
-    right: TaggedRelation,
-    left_rows: np.ndarray,
-    right_rows: np.ndarray,
-    slices: dict[Tag, Bitmap],
-    context: ExecContext,
-) -> TaggedRelation:
-    """A join's output: the matched rows' index columns of both sides, under ``slices``."""
-    indices = {alias: idx[left_rows] for alias, idx in left.indices.items()}
-    indices.update({alias: idx[right_rows] for alias, idx in right.indices.items()})
-    context.metrics.join_output_rows += int(left_rows.size)
-    context.metrics.tuples_materialized += int(left_rows.size)
-    return TaggedRelation({**left.tables, **right.tables}, indices, slices)
+def _tag_id(out_tags: dict[Tag, int], tag: Tag | None) -> int:
+    """The id of output tag ``tag``, in first-use order; -1 for ``None``, a dropped row."""
+    return -1 if tag is None else out_tags.setdefault(tag, len(out_tags))
+
+
+def _route(
+    cell: np.ndarray, route: list[int], out_tags: list[Tag]
+) -> tuple[np.ndarray | None, list[Tag], np.ndarray | None]:
+    """Send each row to ``out_tags[route[cell[row]]]``, or drop it where that is -1.
+
+    ``cell`` is each row's index into the lookup table ``route``: a filter's
+    (slice id, truth value), a join's (left slice id, right slice id).
+    Returns the ascending positions of the kept rows (``None`` when every row
+    is kept), the output tags that receive rows (in ``out_tags`` order) and
+    each kept row's index into them (``None`` for one tag).  With several
+    candidate tags, one count of rows per cell tells which of them receive
+    rows, so the table is renumbered to those before it is applied.
+    """
+    used = sorted({out for out in route if out >= 0})
+    dropped = -1 in route
+    if len(used) > 1:
+        counts = np.bincount(cell, minlength=len(route)).tolist()
+        used = sorted({out for out, rows in zip(route, counts) if rows and out >= 0})
+        dropped = any(rows and out < 0 for out, rows in zip(route, counts))
+    tags = [out_tags[out] for out in used]
+    renumber = {out: index for index, out in enumerate(used)}
+    table = np.array([renumber.get(out, -1) for out in route], dtype=np.int64)
+    # ``take``, not fancy indexing: a uint8 index array would be cast first.
+    if len(used) <= 1:
+        out_ids = None
+        keep = np.flatnonzero((table >= 0).take(cell)) if dropped else None
+    else:
+        out_ids = table.take(cell)
+        keep = np.flatnonzero(out_ids >= 0) if dropped else None
+    if keep is None or keep.size == cell.size:
+        return None, tags, out_ids
+    return keep, tags, None if out_ids is None else out_ids[keep]
 
 
 class TaggedFilterOperator(PhysicalOperator):
-    """Filter operator driven by a tag map (Section 2.2 / 2.5.2).
+    """Filter operator driven by a tag map (Section 2.2).
 
     One output relation per input relation, through :meth:`execute`.
     """
@@ -115,12 +139,6 @@ class TaggedFilterOperator(PhysicalOperator):
         super().__init__([child], node_id=node_id)
         self.predicate = predicate
         self.tag_map = tag_map
-        #: In-tag -> its TRUE tag, for the entries whose only outcome is TRUE.
-        self._true_only = {
-            tag: entry.pos_tag
-            for tag, entry in tag_map.entries.items()
-            if entry.output_tags() == [entry.pos_tag]
-        }
 
     def _next(self, context: ExecContext):
         relation = self.children[0].next_batch()
@@ -128,82 +146,61 @@ class TaggedFilterOperator(PhysicalOperator):
             return None
         output = self.execute(relation, context)
         if context.collect_feedback:
-            self.record_rows(context, relation.live_rows, output.live_rows)
+            self.record_rows(context, relation.num_rows, output.num_rows)
         return output
 
     def execute(self, relation: TaggedRelation, context: ExecContext) -> TaggedRelation:
         """Apply the filter to ``relation`` and return the output relation."""
         context.metrics.operators_executed += 1
-        if len(relation.slices) == 1:
-            (tag,) = relation.slices
-            if tag in self._true_only:
-                return self._keep_true(relation, tag, self._true_only[tag], context)
-
-        matching = [tag for tag in relation.slices if self.tag_map.matches(tag)]
-        passthrough = [tag for tag in relation.slices if not self.tag_map.matches(tag)]
-
-        output_masks: dict[Tag, np.ndarray] = {}
-
-        def add_mask(tag: Tag, mask: np.ndarray) -> None:
-            if not mask.any():
-                return
-            if tag in output_masks:
-                output_masks[tag] = output_masks[tag] | mask
+        # route[slice id * 3 + truth value] -> output tag id, or -1 to drop the
+        # row (truth values in order: FALSE, TRUE, UNKNOWN).
+        out_tags: dict[Tag, int] = {}
+        route: list[int] = []
+        evaluated = []
+        for slice_id, tag in enumerate(relation.tags):
+            entry = self.tag_map.entries.get(tag)
+            if entry is None:
+                route += [_tag_id(out_tags, tag)] * _OUTCOMES
             else:
-                output_masks[tag] = mask
+                evaluated.append(slice_id)
+                route += (
+                    _tag_id(out_tags, entry.neg_tag),
+                    _tag_id(out_tags, entry.pos_tag),
+                    _tag_id(out_tags, entry.unk_tag),
+                )
+        if not evaluated:
+            context.metrics.slices_created += len(relation.tags)
+            return relation
 
-        for tag in passthrough:
-            add_mask(tag, relation.slices[tag].mask)
-
-        if matching:
-            union_bitmap = Bitmap.union_all(
-                (relation.slices[tag] for tag in matching), size=relation.num_rows
-            )
-            positions = union_bitmap.positions()
-            truth_full = np.full(relation.num_rows, _NOT_EVALUATED, dtype=np.uint8)
-            if positions.size:
-                truth_full[positions] = self._evaluate(relation, positions, context)
-            context.metrics.predicate_evaluations += 1
-            context.metrics.predicate_rows_evaluated += int(positions.size)
-
-            true_mask = truth_full == np.uint8(int(tv.TRUE))
-            false_mask = truth_full == np.uint8(int(tv.FALSE))
-            unknown_mask = truth_full == np.uint8(int(tv.UNKNOWN))
-
-            for tag in matching:
-                entry = self.tag_map.entries[tag]
-                slice_mask = relation.slices[tag].mask
-                if entry.pos_tag is not None:
-                    add_mask(entry.pos_tag, slice_mask & true_mask)
-                if entry.neg_tag is not None:
-                    add_mask(entry.neg_tag, slice_mask & false_mask)
-                if entry.unk_tag is not None:
-                    add_mask(entry.unk_tag, slice_mask & unknown_mask)
-
-        slices = {tag: Bitmap.from_mask(mask) for tag, mask in output_masks.items()}
-        context.metrics.slices_created += len(slices)
-        return relation.with_slices(slices)
-
-    def _keep_true(
-        self, relation: TaggedRelation, tag: Tag, pos_tag: Tag, context: ExecContext
-    ) -> TaggedRelation:
-        """One slice whose only outcome is TRUE: evaluate it, gather the survivors.
-
-        Every other row of the relation would be dead after the filter, so
-        the output is compacted to the passing rows (one slice under
-        ``pos_tag``); a full slice is evaluated without a position gather.
-        """
-        positions = _slice_positions(relation, tag)
+        slice_ids = relation.slice_ids
+        positions = None
+        if len(evaluated) < len(relation.tags):
+            matching = np.zeros(len(relation.tags), dtype=np.bool_)
+            matching[evaluated] = True
+            positions = np.flatnonzero(matching[slice_ids])
         truth = self._evaluate(relation, positions, context)
         context.metrics.predicate_evaluations += 1
         context.metrics.predicate_rows_evaluated += int(truth.size)
-        keep = np.flatnonzero(tv.is_true(truth))
-        output = relation.take(keep if positions is None else positions[keep], pos_tag)
-        context.metrics.slices_created += len(output.slices)
+        if slice_ids is None:
+            cell = truth
+        else:
+            cell = slice_ids * _OUTCOMES
+            if positions is None:
+                cell += truth
+            else:
+                # A passthrough slice routes every truth value alike.
+                cell[positions] += truth
+
+        keep, tags, out_ids = _route(cell, route, list(out_tags))
+        indices = relation.indices
+        if keep is not None:
+            indices = {alias: idx[keep] for alias, idx in indices.items()}
+        output = TaggedRelation(relation.tables, indices, tags, out_ids)
+        context.metrics.slices_created += len(output.tags)
         return output
 
     def _evaluate(
-        self, relation: TaggedRelation, positions: np.ndarray, context: ExecContext
+        self, relation: TaggedRelation, positions: np.ndarray | None, context: ExecContext
     ) -> np.ndarray:
         return evaluate_predicate(
             self.predicate, relation.tables, relation.indices, context, positions=positions
@@ -250,13 +247,13 @@ class TaggedJoinOperator(PhysicalOperator):
                 return None
             self._build_relation = TaggedRelation.merge(build_batches)
             if context.collect_feedback:
-                self.record_rows(context, self._build_relation.live_rows, 0)
+                self.record_rows(context, self._build_relation.num_rows, 0)
         probe = self.children[1].next_batch()
         if probe is None:
             return None
         output = self.execute(self._build_relation, probe, context)
         if context.collect_feedback:
-            self.record_rows(context, probe.live_rows, output.live_rows)
+            self.record_rows(context, probe.num_rows, output.num_rows)
         return output
 
     def execute(
@@ -269,85 +266,66 @@ class TaggedJoinOperator(PhysicalOperator):
         the tag map pairs its two slices, and that entry is its output tag.
         """
         context.metrics.operators_executed += 1
-        joined = self._join_slices(left, right, context)
-        if joined is None:
-            nothing = np.empty(0, dtype=np.int64)
-            return joined_relation(left, right, nothing, nothing, {}, context)
-        kept_left_rows, kept_right_rows, out_slices = joined
-        context.metrics.slices_created += len(out_slices)
-        return joined_relation(left, right, kept_left_rows, kept_right_rows, out_slices, context)
+        kept_left, kept_right, tags, out_ids = self._join_slices(left, right, context)
+        indices = {alias: idx[kept_left] for alias, idx in left.indices.items()}
+        indices.update({alias: idx[kept_right] for alias, idx in right.indices.items()})
+        output = TaggedRelation({**left.tables, **right.tables}, indices, tags, out_ids)
+        context.metrics.join_output_rows += output.num_rows
+        context.metrics.tuples_materialized += output.num_rows
+        context.metrics.slices_created += len(output.tags)
+        return output
 
     def _join_slices(self, left: TaggedRelation, right: TaggedRelation, context: ExecContext):
         """One hash join over the rows of every mapped slice of both sides.
 
-        Returns ``(left rows, right rows, slices)`` or ``None`` when nothing
-        matches.  The slice of each matched row is looked up only when some
-        pair of slices is not joined or the map has several output tags; with
-        one slice per side the rows of a full slice are not even gathered.
+        Returns the matched ``(left rows, right rows)``, the output tags and
+        each pair's index into them (``None`` for one tag).  When there is one
+        output tag and every pair of participating slices is joined, the slice
+        of a matched row is never looked up.
         """
-        left_tags = [tag for tag in left.slices if tag in self._left_tags]
-        right_tags = [tag for tag in right.slices if tag in self._right_tags]
-        # Output-tag lookup table indexed by (left slice id, right slice id);
-        # -1 where the tag map does not pair the two slices.
-        out_tags: list[Tag] = []
-        out_tag_index: dict[Tag, int] = {}
-        allowed = np.full((len(left_tags), len(right_tags)), -1, dtype=np.int64)
-        left_tag_index = {tag: index for index, tag in enumerate(left_tags)}
-        right_tag_index = {tag: index for index, tag in enumerate(right_tags)}
+        # allowed[left slice id * right slices + right slice id] -> output tag
+        # id, or -1 where the tag map does not pair the two slices.
+        out_tags: dict[Tag, int] = {}
+        allowed = [-1] * (len(left.tags) * len(right.tags))
+        left_ids = {tag: index for index, tag in enumerate(left.tags) if tag in self._left_tags}
+        right_ids = {tag: index for index, tag in enumerate(right.tags) if tag in self._right_tags}
+        pairs = 0
         for (left_tag, right_tag), out_tag in self.tag_map.entries.items():
-            if left_tag not in left_tag_index or right_tag not in right_tag_index:
-                continue
-            if out_tag not in out_tag_index:
-                out_tag_index[out_tag] = len(out_tags)
-                out_tags.append(out_tag)
-            allowed[left_tag_index[left_tag], right_tag_index[right_tag]] = out_tag_index[out_tag]
-        if not out_tags:
-            return None
-
-        left_rows, left_slice = self._participants(left, left_tags)
-        right_rows, right_slice = self._participants(right, right_tags)
-        kept_left, kept_right = hash_join(
-            self.conditions, left, right, left_rows, right_rows, context
-        )
-        if len(out_tags) > 1 or (allowed < 0).any():
-            # Each pair's cell of ``allowed``, as a flat index (a 2-D fancy
-            # index costs twice as much).
-            cell = 0 if right_slice is None else right_slice[kept_right]
-            if left_slice is not None:
-                cell = cell + left_slice[kept_left] * len(right_tags)
-            tag_ids = allowed.ravel()[cell]
-            # Positions, not a boolean mask: gathering by position is several
-            # times faster than boolean indexing when most pairs survive.
-            joined = np.flatnonzero(tag_ids >= 0)
-            if joined.size < tag_ids.size:
-                kept_left, kept_right, tag_ids = (
-                    kept_left[joined], kept_right[joined], tag_ids[joined]
+            if left_tag in left_ids and right_tag in right_ids:
+                allowed[left_ids[left_tag] * len(right.tags) + right_ids[right_tag]] = (
+                    _tag_id(out_tags, out_tag)
                 )
-        if kept_left.size == 0:
-            return None
+                pairs += 1
+        if not out_tags:
+            nothing = np.empty(0, dtype=np.int64)
+            return nothing, nothing, [], None
 
-        if len(out_tags) == 1:
-            return kept_left, kept_right, {out_tags[0]: Bitmap.full(int(kept_left.size))}
-        out_slices: dict[Tag, Bitmap] = {}
-        for index, out_tag in enumerate(out_tags):
-            mask = tag_ids == index
-            if mask.any():
-                out_slices[out_tag] = Bitmap.from_mask(mask)
-        return kept_left, kept_right, out_slices
+        kept_left, kept_right = hash_join(
+            self.conditions,
+            left,
+            right,
+            self._participants(left, list(left_ids.values())),
+            self._participants(right, list(right_ids.values())),
+            context,
+        )
+        if len(out_tags) == 1 and pairs == len(left_ids) * len(right_ids):
+            return kept_left, kept_right, list(out_tags), None
+        cell = 0 if right.slice_ids is None else right.slice_ids[kept_right]
+        if left.slice_ids is not None:
+            cell = cell + left.slice_ids[kept_left] * len(right.tags)
+        keep, tags, out_ids = _route(cell, allowed, list(out_tags))
+        if keep is not None:
+            kept_left, kept_right = kept_left[keep], kept_right[keep]
+        return kept_left, kept_right, tags, out_ids
 
     @staticmethod
-    def _participants(
-        relation: TaggedRelation, tags: list[Tag]
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Ascending positions of the rows in the listed slices (``None`` for
-        every row), and per relation row the index (into ``tags``) of the
-        slice holding it (``None`` for one slice: index 0)."""
-        if len(tags) == 1:
-            return _slice_positions(relation, tags[0]), None
-        slice_of_row = np.full(relation.num_rows, -1, dtype=np.int64)
-        for index, tag in enumerate(tags):
-            slice_of_row[relation.slices[tag].positions()] = index
-        return np.flatnonzero(slice_of_row >= 0), slice_of_row
+    def _participants(relation: TaggedRelation, slice_ids: list[int]) -> np.ndarray | None:
+        """Ascending positions of the rows in the listed slices (``None`` for every row)."""
+        if len(slice_ids) == len(relation.tags):
+            return None
+        participates = np.zeros(len(relation.tags), dtype=np.bool_)
+        participates[slice_ids] = True
+        return np.flatnonzero(participates[relation.slice_ids])
 
 
 class TaggedProjectOperator(PhysicalOperator):
@@ -378,7 +356,7 @@ class TaggedProjectOperator(PhysicalOperator):
             return None
         positions = self.execute(relation, context)
         if context.collect_feedback:
-            self.record_rows(context, relation.live_rows, int(positions.size))
+            self.record_rows(context, relation.num_rows, int(positions.size))
         return materialize_output(relation.tables, relation.indices, positions, self.columns)
 
     def execute(self, relation: TaggedRelation, context: ExecContext) -> np.ndarray:
@@ -386,36 +364,35 @@ class TaggedProjectOperator(PhysicalOperator):
         context.metrics.operators_executed += 1
         projection = self.projection
         if projection is None:
-            projection = ProjectionTagSet(allowed=set(relation.slices))
-        selected = Bitmap.empty(relation.num_rows)
-        for tag in projection.allowed:
-            if tag in relation.slices:
-                selected = selected | relation.slices[tag]
-
-        residual_tags = [tag for tag in projection.residual if tag in relation.slices]
-        if residual_tags:
-            if self.residual_predicate is None:
-                raise ValueError(
-                    "relation contains slices without a definite root assignment "
-                    "but no residual predicate was provided"
-                )
-            residual_bitmap = Bitmap.union_all(
-                (relation.slices[tag] for tag in residual_tags), size=relation.num_rows
+            projection = ProjectionTagSet(allowed=set(relation.tags))
+        allowed = np.array([tag in projection.allowed for tag in relation.tags], dtype=np.bool_)
+        residual = np.array([tag in projection.residual for tag in relation.tags], dtype=np.bool_)
+        if allowed.all() and not residual.any():
+            context.metrics.output_rows += relation.num_rows
+            return np.arange(relation.num_rows, dtype=np.int64)
+        if residual.any() and self.residual_predicate is None:
+            raise ValueError(
+                "relation contains slices without a definite root assignment "
+                "but no residual predicate was provided"
             )
-            positions = residual_bitmap.positions()
-            if positions.size:
-                truth = evaluate_predicate(
-                    self.residual_predicate,
-                    relation.tables,
-                    relation.indices,
-                    context,
-                    positions=positions,
-                    description="residual",
-                )
-                context.metrics.residual_rows_evaluated += int(positions.size)
-                passing = positions[tv.is_true(truth)]
-                selected = selected | Bitmap.from_positions(relation.num_rows, passing)
 
-        result_positions = selected.positions()
+        slice_ids = relation.slice_ids
+        if slice_ids is None:
+            slice_ids = np.zeros(relation.num_rows, dtype=np.int64)
+        selected = allowed[slice_ids]
+        positions = np.flatnonzero(residual[slice_ids])
+        if positions.size:
+            truth = evaluate_predicate(
+                self.residual_predicate,
+                relation.tables,
+                relation.indices,
+                context,
+                positions=positions,
+                description="residual",
+            )
+            context.metrics.residual_rows_evaluated += int(positions.size)
+            selected[positions[tv.is_true(truth)]] = True
+
+        result_positions = np.flatnonzero(selected)
         context.metrics.output_rows += int(result_positions.size)
         return result_positions

@@ -6,8 +6,8 @@ arbitrarily complex boolean subexpression of the query's predicate
 (:meth:`repro.expr.ast.BooleanExpr.key`), so the same subexpression appearing
 in different places is recognized as one expression.
 
-Tags are immutable and hashable: they serve as dictionary keys both in tagged
-relations (tag -> bitmap) and in tag maps.
+Tags are immutable and hashable: they label the slices of tagged relations
+and serve as dictionary keys in tag maps.
 """
 
 from __future__ import annotations

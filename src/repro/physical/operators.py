@@ -109,4 +109,4 @@ class ScanPhysical(PhysicalOperator):
         indices = self._pruned_indices(context)
         context.metrics.operators_executed += 1
         self.record_rows(context, int(indices.size), int(indices.size))
-        return TaggedRelation.from_scan(self.alias, self.table, indices, context.metrics)
+        return TaggedRelation.from_scan(self.alias, self.table, indices)

@@ -1,11 +1,11 @@
 """Typed columns with simulated page-granular reads.
 
 A :class:`Column` owns a NumPy array of values plus an optional NULL mask.
-Reads go through :meth:`Column.read` / :meth:`Column.read_at`, which account
-page traffic against an :class:`~repro.storage.iostats.IOStats` object via an
-LFU page cache — the same structure Basilisk uses (Section 5, "System"):
-low-selectivity bitmaps trigger page-by-page reads of only the relevant pages,
-while high-selectivity bitmaps fall back to a sequential scan of the column.
+Reads go through :meth:`Column.read_at`, which accounts page traffic against
+an :class:`~repro.storage.iostats.IOStats` object via an LFU page cache — the
+same structure Basilisk uses (Section 5, "System"): a read of few positions
+touches only the pages holding them, while a read of many falls back to a
+sequential scan of the column.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.storage.bitmap import Bitmap
 from repro.storage.iostats import GLOBAL_IO_STATS, IOStats
 from repro.storage.pagecache import LFUPageCache
 
 #: Number of values per simulated disk page.
 DEFAULT_PAGE_SIZE = 1024
 
-#: Bitmaps selecting more than this fraction of a column are read with a
+#: Reads of more than this fraction of a column's rows are accounted as a
 #: sequential scan instead of page-by-page random reads (Section 5).
 SEQUENTIAL_SCAN_THRESHOLD = 0.2
 
@@ -288,33 +287,6 @@ class Column:
     # ------------------------------------------------------------------ #
     # Simulated reads
     # ------------------------------------------------------------------ #
-    def read(
-        self,
-        bitmap: Bitmap | None = None,
-        cache: LFUPageCache | None = None,
-        iostats: IOStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Read the values selected by ``bitmap`` (or all values).
-
-        Returns ``(values, nulls)`` aligned with the set positions of the
-        bitmap (ascending row order).  Page traffic is accounted against
-        ``iostats``; reads of highly selective bitmaps touch only the pages
-        containing selected rows, otherwise the full column is scanned.
-        """
-        iostats = iostats if iostats is not None else GLOBAL_IO_STATS
-        if bitmap is None:
-            positions = np.arange(len(self), dtype=np.int64)
-            self._account_sequential(iostats)
-        else:
-            if bitmap.size != len(self):
-                raise ValueError(
-                    f"bitmap size {bitmap.size} does not match column length {len(self)}"
-                )
-            positions = bitmap.positions()
-            self._account_bitmap_read(positions, cache, iostats)
-        iostats.record_values(int(positions.size))
-        return self._data[positions], self._nulls[positions]
-
     def read_at(
         self,
         positions: np.ndarray | Sequence[int],
@@ -342,13 +314,10 @@ class Column:
         """
         iostats = iostats if iostats is not None else GLOBAL_IO_STATS
         positions = np.asarray(positions, dtype=np.int64)
-        self._account_bitmap_read(positions, cache, iostats)
+        self._account_positions(positions, cache, iostats)
         iostats.record_values(int(positions.size))
 
-    def _account_sequential(self, iostats: IOStats) -> None:
-        iostats.record_sequential_scan(self.num_pages)
-
-    def _account_bitmap_read(
+    def _account_positions(
         self,
         positions: np.ndarray,
         cache: LFUPageCache | None,
@@ -366,7 +335,7 @@ class Column:
             seen = np.zeros(len(self), dtype=np.bool_)
             seen[positions] = True
             if np.count_nonzero(seen) / len(self) > SEQUENTIAL_SCAN_THRESHOLD:
-                self._account_sequential(iostats)
+                iostats.record_sequential_scan(self.num_pages)
                 return
         iostats.record_selective_read()
         pages = touched_pages(positions, self.page_size, self.num_pages)

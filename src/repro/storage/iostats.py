@@ -1,7 +1,7 @@
 """I/O accounting for the simulated storage layer.
 
 Basilisk reads column data from disk with direct I/O and routes the reads
-through an LFU page cache; which pages get touched depends on the bitmaps
+through an LFU page cache; which pages get touched depends on the row positions
 driving each read (Section 2.5 of the paper).  Real disk I/O is out of scope
 for a pure-Python reproduction, so instead every column read is *accounted*:
 the number of pages touched, the number of cache hits/misses, and whether the
@@ -25,9 +25,9 @@ class IOStats:
         pages_read: pages fetched from "disk" (cache misses).
         pages_hit: pages served from the page cache.
         sequential_scans: number of reads that fell back to scanning the
-            whole column sequentially (high-selectivity bitmaps).
-        selective_reads: number of reads served page-by-page from a
-            low-selectivity bitmap.
+            whole column sequentially (reads of many positions).
+        selective_reads: number of reads served page-by-page (reads of few
+            positions).
         values_read: total number of individual cell values materialized.
     """
 
@@ -49,7 +49,7 @@ class IOStats:
         self.pages_read += num_pages
 
     def record_selective_read(self) -> None:
-        """Record a bitmap-driven selective read."""
+        """Record a page-by-page read of selected positions."""
         self.selective_reads += 1
 
     def record_values(self, count: int) -> None:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.bitmap import Bitmap
 from repro.storage.column import Column, ColumnType
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
@@ -129,7 +128,7 @@ class Table:
     def num_rows(self) -> int:
         """Number of *physical* rows (deleted rows included).
 
-        Page geometry, partitioning, bitmaps and scan positions are all
+        Page geometry, partitioning and scan positions are all
         defined over the physical range; use :attr:`num_live` for the number
         of rows a query can observe.
         """
@@ -210,16 +209,6 @@ class Table:
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
-    def read_column(
-        self,
-        column_name: str,
-        bitmap: Bitmap | None = None,
-        cache: LFUPageCache | None = None,
-        iostats: IOStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Read one column, optionally restricted by a bitmap."""
-        return self.column(column_name).read(bitmap, cache=cache, iostats=iostats)
-
     def read_column_at(
         self,
         column_name: str,

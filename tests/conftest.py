@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Catalog, PreparedPlan, Session, Table
+from repro.core.tagged_relation import TaggedRelation
 from repro.engine.shard import shutdown_shard_pools
 from repro.plan.query import JoinCondition, Query
 from repro.expr.builders import and_, col, lit, or_
@@ -87,6 +89,23 @@ def hand_built_plan(
         plan_description="",
         planning_seconds=0.0,
     )
+
+
+def sliced_relation(alias: str, table: Table, slices) -> TaggedRelation:
+    """A one-alias relation holding the given base rows under each tag.
+
+    ``slices`` maps tag -> row positions of ``table`` (disjoint across tags);
+    the relation holds their union in ascending order, and empty slices are
+    left out.
+    """
+    tags = [tag for tag, rows in slices.items() if len(rows)]
+    rows = [np.asarray(slices[tag], dtype=np.int64) for tag in tags]
+    if not tags:
+        return TaggedRelation({alias: table}, {alias: np.empty(0, dtype=np.int64)}, ())
+    positions = np.concatenate(rows)
+    slice_ids = np.concatenate([np.full(len(part), index) for index, part in enumerate(rows)])
+    order = np.argsort(positions, kind="stable")
+    return TaggedRelation({alias: table}, {alias: positions[order]}, tags, slice_ids[order])
 
 
 PAPER_QUERY_SQL = """

@@ -16,7 +16,6 @@ from repro.physical.compile import ONE_TAG_FILTER, ONE_TAG_JOIN
 from repro.physical.operators import ScanPhysical
 from repro.plan.logical import JoinNode, ProjectNode, TableScanNode, collect_filters
 from repro.plan.query import JoinCondition, Query
-from repro.storage.bitmap import Bitmap
 
 EMPTY = Tag.empty()
 
@@ -29,6 +28,13 @@ def title_relation(paper_catalog):
 @pytest.fixture
 def mi_relation(paper_catalog):
     return TaggedRelation.from_base_table("mi_idx", paper_catalog.get("movie_info_idx"))
+
+
+def rows_of(relation, positions):
+    """The one-alias ``relation``'s rows at ``positions``, as a scan emits them."""
+    (alias,) = relation.aliases
+    rows = relation.indices[alias][np.asarray(positions, dtype=np.int64)]
+    return TaggedRelation.from_scan(alias, relation.tables[alias], rows)
 
 
 def traditional_filter(predicate):
@@ -45,11 +51,12 @@ class TestRelation:
     def test_from_base_table(self, title_relation):
         assert title_relation.num_rows == 7
         assert title_relation.aliases == ["t"]
-        assert title_relation.tags() == [EMPTY]
+        assert title_relation.tags == (EMPTY,)
 
-    def test_take(self, title_relation):
-        subset = title_relation.take(np.array([1, 3]), EMPTY)
-        assert subset.num_rows == subset.live_rows == 2
+    def test_from_scan(self, title_relation):
+        subset = rows_of(title_relation, [1, 3])
+        assert subset.num_rows == 2
+        assert subset.tags == (EMPTY,)
         assert subset.indices["t"].tolist() == [1, 3]
 
     def test_row_keys_shape(self, title_relation):
@@ -60,7 +67,7 @@ class TestRelation:
         table = paper_catalog.get("title")
         with pytest.raises(ValueError):
             TaggedRelation(
-                {"a": table, "b": table}, {"a": np.array([0]), "b": np.array([0, 1])}, {}
+                {"a": table, "b": table}, {"a": np.array([0]), "b": np.array([0, 1])}, ()
             )
 
 
@@ -70,8 +77,8 @@ class TestOperators:
         scan = ScanPhysical("t", paper_catalog.get("title"))
         scan.open(context)
         relation = scan.next_batch()
-        assert relation.num_rows == relation.live_rows == 7
-        assert relation.tags() == [EMPTY]
+        assert relation.num_rows == 7
+        assert relation.tags == (EMPTY,)
         # A scan emits row positions; it materializes no tuples.
         assert context.metrics.tuples_materialized == 0
 
@@ -80,11 +87,11 @@ class TestOperators:
         predicate = col("t", "production_year") > lit(2000)
         output = traditional_filter(predicate).execute(title_relation, context)
         # Compacted like a traditional filter: only the passing rows remain.
-        assert output.num_rows == output.live_rows == 3
+        assert output.num_rows == 3
         assert context.metrics.predicate_rows_evaluated == 7
 
     def test_filter_on_empty_relation(self, title_relation):
-        empty = title_relation.take(np.array([], dtype=np.int64), EMPTY)
+        empty = rows_of(title_relation, [])
         output = traditional_filter(col("t", "production_year") > lit(2000)).execute(
             empty, ExecContext()
         )
@@ -100,9 +107,9 @@ class TestOperators:
         context = ExecContext()
         condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))
         output = traditional_join([condition]).execute(title_relation, mi_relation, context)
-        assert output.num_rows == output.live_rows == 6  # every mi_idx row has a title
+        assert output.num_rows == 6  # every mi_idx row has a title
         assert set(output.aliases) == {"t", "mi_idx"}
-        assert output.tags() == [EMPTY]
+        assert output.tags == (EMPTY,)
         assert context.metrics.join_output_rows == 6
 
     def test_hash_join_counters_name_the_built_side_either_way_round(
@@ -123,7 +130,7 @@ class TestOperators:
         )
 
     def test_hash_join_with_empty_side(self, title_relation, mi_relation):
-        empty = mi_relation.take(np.array([], dtype=np.int64), EMPTY)
+        empty = rows_of(mi_relation, [])
         condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))
         context = ExecContext()
         output = traditional_join([condition]).execute(title_relation, empty, context)
@@ -136,20 +143,20 @@ class TestOperators:
             traditional_join([])
 
     def test_union_deduplicates(self, title_relation):
-        first = title_relation.take(np.array([0, 1, 2]), EMPTY)
-        second = title_relation.take(np.array([2, 3]), EMPTY)
+        first = rows_of(title_relation, [0, 1, 2])
+        second = rows_of(title_relation, [2, 3])
         context = ExecContext()
         output = UnionOperator().execute([first, second], context)
-        assert output.num_rows == output.live_rows == 4
+        assert output.num_rows == 4
         assert output.indices["t"].tolist() == [0, 1, 2, 3]
         assert context.metrics.union_input_rows == 5
         assert context.metrics.union_output_rows == 4
 
     def test_union_reads_only_live_rows(self, title_relation):
-        # Only rows 0, 2 and 6 of the first input are live; the rest never
-        # reach the union.
-        first = title_relation.with_slices({EMPTY: Bitmap.from_positions(7, [0, 2, 6])})
-        second = title_relation.take(np.array([6, 1, 2]), EMPTY)
+        # The first input holds rows 0, 2 and 6 only (a filter compacted the
+        # rest away); the union reads just those.
+        first = rows_of(title_relation, [0, 2, 6])
+        second = rows_of(title_relation, [6, 1, 2])
         context = ExecContext()
         output = UnionOperator().execute([first, second], context)
         assert output.indices["t"].tolist() == [0, 2, 6, 1]

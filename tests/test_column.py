@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.storage.bitmap import Bitmap
 from repro.storage.column import Column, ColumnType, column_from_iterable
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
@@ -84,21 +83,16 @@ class TestStats:
 class TestReads:
     def test_full_read(self):
         column = Column("c", [10, 20, 30])
-        values, nulls = column.read(iostats=IOStats())
+        values, nulls = column.read_at(np.arange(3), iostats=IOStats())
         assert list(values) == [10, 20, 30]
         assert not nulls.any()
 
-    def test_bitmap_read_returns_selected_rows(self):
+    def test_read_at_returns_selected_rows(self):
         column = Column("c", [10, 20, 30, 40])
         stats = IOStats()
-        values, _ = column.read(Bitmap.from_positions(4, [1, 3]), iostats=stats)
+        values, _ = column.read_at(np.array([1, 3]), iostats=stats)
         assert list(values) == [20, 40]
         assert stats.values_read == 2
-
-    def test_bitmap_size_mismatch_raises(self):
-        column = Column("c", [1, 2, 3])
-        with pytest.raises(ValueError):
-            column.read(Bitmap.empty(5), iostats=IOStats())
 
     def test_read_at_repeats_positions(self):
         column = Column("c", [10, 20, 30])
@@ -108,30 +102,30 @@ class TestReads:
     def test_full_read_counts_sequential_scan(self):
         column = Column("c", list(range(5000)), page_size=1000)
         stats = IOStats()
-        column.read(iostats=stats)
+        column.read_at(np.arange(5000), iostats=stats)
         assert stats.sequential_scans == 1
         assert stats.pages_read == 5
 
     def test_selective_read_touches_only_needed_pages(self):
         column = Column("c", list(range(10_000)), page_size=1000)
         stats = IOStats()
-        column.read(Bitmap.from_positions(10_000, [5, 1500]), iostats=stats)
+        column.read_at(np.array([5, 1500]), iostats=stats)
         assert stats.selective_reads == 1
         assert stats.pages_read == 2
 
     def test_high_selectivity_read_falls_back_to_sequential(self):
         column = Column("c", list(range(1000)), page_size=100)
         stats = IOStats()
-        column.read(Bitmap.from_positions(1000, range(500)), iostats=stats)
+        column.read_at(np.arange(500), iostats=stats)
         assert stats.sequential_scans == 1
 
     def test_cache_hits_are_recorded(self):
         column = Column("c", list(range(10_000)), page_size=1000)
         cache = LFUPageCache(capacity=16)
         stats = IOStats()
-        bitmap = Bitmap.from_positions(10_000, [1, 2, 3])
-        column.read(bitmap, cache=cache, iostats=stats)
-        column.read(bitmap, cache=cache, iostats=stats)
+        positions = np.array([1, 2, 3])
+        column.read_at(positions, cache=cache, iostats=stats)
+        column.read_at(positions, cache=cache, iostats=stats)
         assert stats.pages_hit >= 1
 
     def test_read_nulls_propagated(self):

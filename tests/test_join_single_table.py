@@ -20,9 +20,9 @@ from repro.engine.metrics import ExecContext
 from repro.expr.builders import col
 from repro.expr.three_valued import TRUE
 from repro.plan.query import JoinCondition
-from repro.storage.bitmap import Bitmap
 from repro.storage.table import Table
 from repro.utils.join import builds_on_left
+from tests.conftest import sliced_relation
 
 
 def _tag(name: str) -> Tag:
@@ -55,11 +55,9 @@ def _keys(rng: np.random.Generator, rows: int) -> list:
 def _sliced(alias: str, table: Table, tags: list[Tag], rng: np.random.Generator):
     """``table`` split over ``tags`` (some rows in no slice), and each row's tag."""
     choice = rng.integers(0, len(tags) + 1, table.num_rows)  # the last = no slice
-    slices = {
-        tag: Bitmap.from_mask(choice == index) for index, tag in enumerate(tags)
-    }
+    slices = {tag: np.flatnonzero(choice == index) for index, tag in enumerate(tags)}
     row_tags = [tags[index] if index < len(tags) else None for index in choice]
-    return TaggedRelation.from_base_table(alias, table).with_slices(slices), row_tags
+    return sliced_relation(alias, table, slices), row_tags
 
 
 def _reference(left_keys, left_tags, right_keys, right_tags) -> list[tuple[int, int, Tag]]:
@@ -77,8 +75,8 @@ def _reference(left_keys, left_tags, right_keys, right_tags) -> list[tuple[int, 
 def _live_triples(relation: TaggedRelation) -> list[tuple[int, int, Tag]]:
     return [
         (int(relation.indices["l"][pos]), int(relation.indices["r"][pos]), tag)
-        for tag, bitmap in relation.slices.items()
-        for pos in bitmap.positions()
+        for tag in relation.tags
+        for pos in relation.slice_positions(tag)
     ]
 
 
@@ -96,7 +94,8 @@ def test_one_table_matches_per_slice_pair_joins(seed):
 
     expected = _reference(left_keys, left_tags, right_keys, right_tags)
     assert sorted(_live_triples(output), key=repr) == sorted(expected, key=repr)
-    assert output.live_rows == output.num_rows  # no dead pair is materialized
+    # no dead pair is materialized
+    assert sum(output.slice_positions(tag).size for tag in output.tags) == output.num_rows
     metrics = context.metrics
     assert metrics.hash_tables_built == 1
     assert metrics.join_output_rows == len(expected)

@@ -1,9 +1,10 @@
-"""The tagged filter's and join's one-slice path against their general path.
+"""The tagged filter's and join's one-slice inputs against split inputs.
 
-A relation with one slice takes the one-slice path (a compacting filter, a
-single hash join); the same rows split into two slices whose tag-map entries
-route to one output tag take the general path.  Both must yield the same live
-tuples in the same order and the same work counters.
+A relation with one slice is filtered and joined without a per-row slice
+lookup (and a full slice without a position gather); the same rows split into
+two slices whose tag-map entries route to one output tag look each row's
+slice up.  Both must yield the same tuples in the same order and the same
+work counters.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from repro.engine.metrics import ExecContext
 from repro.expr.builders import col, lit, or_
 from repro.expr.three_valued import TRUE
 from repro.plan.query import JoinCondition
-from repro.storage.bitmap import Bitmap
 from repro.storage.table import Table
+from tests.conftest import sliced_relation
 
 ONE = Tag({"(one)": TRUE})
 FIRST = Tag({"(first)": TRUE})
@@ -75,9 +76,7 @@ def _positions(kind: str, size: int, seed: int) -> np.ndarray:
 
 
 def _one_slice(alias: str, table: Table, positions: np.ndarray) -> TaggedRelation:
-    return TaggedRelation.from_base_table(alias, table).with_slices(
-        {ONE: Bitmap.from_positions(table.num_rows, positions)}
-    )
+    return sliced_relation(alias, table, {ONE: positions})
 
 
 def _two_slices(alias: str, table: Table, positions: np.ndarray, seed: int) -> TaggedRelation:
@@ -85,11 +84,8 @@ def _two_slices(alias: str, table: Table, positions: np.ndarray, seed: int) -> T
     to_first = np.random.default_rng(seed).random(positions.size) < 0.5
     if positions.size >= 2:
         to_first[0], to_first[-1] = True, False
-    return TaggedRelation.from_base_table(alias, table).with_slices(
-        {
-            FIRST: Bitmap.from_positions(table.num_rows, positions[to_first]),
-            SECOND: Bitmap.from_positions(table.num_rows, positions[~to_first]),
-        }
+    return sliced_relation(
+        alias, table, {FIRST: positions[to_first], SECOND: positions[~to_first]}
     )
 
 
@@ -112,8 +108,8 @@ def test_filter_one_slice_matches_general_path(tables, kind, predicate_name):
     positions = _positions(kind, LEFT_ROWS, seed=1)
     one = _one_slice("l", left, positions)
     split = _two_slices("l", left, positions, seed=2)
-    assert len(one.slices) == (0 if kind == "empty" else 1)
-    assert len(split.slices) == (0 if kind == "empty" else 2)
+    assert len(one.tags) == (0 if kind == "empty" else 1)
+    assert len(split.tags) == (0 if kind == "empty" else 2)
 
     fast_context, general_context = ExecContext(), ExecContext()
     fast = TaggedFilterOperator(
@@ -125,13 +121,13 @@ def test_filter_one_slice_matches_general_path(tables, kind, predicate_name):
     ).execute(split, general_context)
 
     assert fast.materialize_rows() == general.materialize_rows()
-    assert fast.tags() == general.tags()
+    assert fast.tags == general.tags
     assert _counters(fast_context, FILTER_COUNTERS) == _counters(
         general_context, FILTER_COUNTERS
     )
     if kind != "empty":
-        # The one-slice path compacts: only live rows remain.
-        assert fast.num_rows == fast.live_rows
+        # The filter compacts: only live rows remain.
+        assert fast.num_rows == sum(fast.slice_positions(tag).size for tag in fast.tags)
 
 
 @pytest.mark.parametrize("left_kind", ["full", "partial", "empty"])
@@ -163,7 +159,7 @@ def test_join_one_slice_matches_general_path(tables, left_kind, right_kind, spli
     )
 
     assert fast.materialize_rows() == general.materialize_rows()
-    assert fast.tags() == general.tags()
+    assert fast.tags == general.tags
     assert _counters(fast_context, JOIN_COUNTERS) == _counters(general_context, JOIN_COUNTERS)
     if left_kind != "empty":
         assert fast_context.metrics.hash_tables_built == 1
@@ -182,5 +178,5 @@ def test_join_pair_without_map_entry_is_empty(tables):
         _one_slice("r", right_table, np.arange(RIGHT_ROWS)),
         context,
     )
-    assert output.live_rows == 0
+    assert output.num_rows == 0
     assert context.metrics.hash_tables_built == 0

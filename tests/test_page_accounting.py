@@ -12,7 +12,6 @@ must leave ``IOStats`` and the page cache exactly as that code did:
 import numpy as np
 import pytest
 
-from repro.storage.bitmap import Bitmap
 from repro.storage.column import SEQUENTIAL_SCAN_THRESHOLD, Column
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
@@ -68,9 +67,10 @@ def run_sequence(mode: str) -> list[tuple]:
     steps = []
     for index, positions in enumerate(position_sets().values()):
         if index % 3 == 2:
+            # A read of the distinct positions in ascending order.
             mask = np.zeros(ROWS, dtype=np.bool_)
             mask[positions] = True
-            column.read(Bitmap.from_mask(mask), cache=cache, iostats=stats)
+            column.read_at(np.flatnonzero(mask), cache=cache, iostats=stats)
         elif index % 3 == 1:
             column.account_read(positions, cache=cache, iostats=stats)
         else:

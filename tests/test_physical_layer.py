@@ -10,11 +10,11 @@ from repro.engine.metrics import ExecContext, ExecutionMetrics
 from repro.engine.parallel import choose_partition_alias
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
+from repro.expr.three_valued import TRUE
 from repro.engine.result import OutputColumns
 from repro.physical.compile import compile_plan, plan_scan_aliases
 from repro.physical.operators import ScanPhysical
 from repro.plan.logical import ProjectNode, TableScanNode
-from repro.storage.bitmap import Bitmap
 from repro.storage.table import TablePartition
 
 from tests.conftest import hand_built_plan
@@ -66,7 +66,7 @@ class TestPhysicalProtocol:
         scan.open(context)
         batch = scan.next_batch()
         assert isinstance(batch, TaggedRelation)
-        assert batch.tags() == [Tag.empty()]
+        assert batch.tags == (Tag.empty(),)
         assert batch.num_rows == 10
         assert scan.next_batch() is None
         scan.close()
@@ -97,7 +97,7 @@ class TestPhysicalProtocol:
             scan.open(ExecContext())
             batch = scan.next_batch()
             assert isinstance(batch, TaggedRelation), kind
-            assert batch.tags() == [Tag.empty()]
+            assert batch.tags == (Tag.empty(),)
             assert batch.num_rows == small_table.num_rows
 
     def test_deleted_row_never_reaches_any_scan_output(self, small_table):
@@ -116,9 +116,7 @@ class TestPhysicalProtocol:
 
 def _one_slice(table: Table, rows: list[int]) -> TaggedRelation:
     """A one-slice relation over ``rows``, empty tag."""
-    return TaggedRelation(
-        {"t": table}, {"t": np.array(rows)}, {Tag.empty(): Bitmap.full(len(rows))}
-    )
+    return TaggedRelation({"t": table}, {"t": np.array(rows)}, (Tag.empty(),))
 
 
 class TestBatchMerging:
@@ -128,19 +126,19 @@ class TestBatchMerging:
             [_one_slice(small_table, [0, 1]), _one_slice(small_table, [5, 6])]
         )
         assert merged.indices["t"].tolist() == [0, 1, 5, 6]
-        assert merged.tags() == [Tag.empty()]
+        assert merged.tags == (Tag.empty(),)
 
     def test_merge_tagged_relations_offsets_slices(self, small_table):
-        tag = Tag.empty()
-        first = TaggedRelation(
-            {"t": small_table}, {"t": np.array([0, 1])}, {tag: Bitmap.full(2)}
-        )
+        tag, other = Tag.empty(), Tag({"(other)": TRUE})
+        first = TaggedRelation({"t": small_table}, {"t": np.array([0, 1])}, (tag,))
         second = TaggedRelation(
-            {"t": small_table}, {"t": np.array([5, 6, 7])}, {tag: Bitmap.from_mask(np.array([True, False, True]))}
+            {"t": small_table}, {"t": np.array([5, 6, 7])}, (other, tag), np.array([1, 0, 1])
         )
         merged = TaggedRelation.merge([first, second])
         assert merged.num_rows == 5
-        assert merged.slices[tag].positions().tolist() == [0, 1, 2, 4]
+        assert merged.tags == (tag, other)
+        assert merged.slice_positions(tag).tolist() == [0, 1, 2, 4]
+        assert merged.slice_positions(other).tolist() == [3]
         assert merged.indices["t"].tolist() == [0, 1, 5, 6, 7]
 
     def test_merge_output_columns_concatenates(self):

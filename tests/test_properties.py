@@ -13,52 +13,7 @@ from repro.core.tags import Tag
 from repro.expr import three_valued as tv
 from repro.expr.ast import AndExpr, BooleanExpr, NotExpr, OrExpr
 from repro.expr.builders import col, lit
-from repro.storage.bitmap import Bitmap
 from repro.utils.join import equi_join_indices
-
-# --------------------------------------------------------------------------- #
-# Bitmaps
-# --------------------------------------------------------------------------- #
-bitmap_sizes = st.integers(min_value=0, max_value=64)
-
-
-@st.composite
-def bitmap_pairs(draw):
-    size = draw(bitmap_sizes)
-    bits_a = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    bits_b = draw(st.lists(st.booleans(), min_size=size, max_size=size))
-    return Bitmap.from_mask(np.array(bits_a, dtype=bool)), Bitmap.from_mask(
-        np.array(bits_b, dtype=bool)
-    )
-
-
-class TestBitmapProperties:
-    @given(bitmap_pairs())
-    def test_union_is_commutative(self, pair):
-        a, b = pair
-        assert a | b == b | a
-
-    @given(bitmap_pairs())
-    def test_intersection_is_commutative(self, pair):
-        a, b = pair
-        assert (a & b) == (b & a)
-
-    @given(bitmap_pairs())
-    def test_de_morgan(self, pair):
-        a, b = pair
-        assert ~(a | b) == (~a & ~b)
-        assert ~(a & b) == (~a | ~b)
-
-    @given(bitmap_pairs())
-    def test_difference_is_intersection_with_complement(self, pair):
-        a, b = pair
-        assert (a - b) == (a & ~b)
-
-    @given(bitmap_pairs())
-    def test_counts_are_consistent(self, pair):
-        a, b = pair
-        assert (a | b).count() + (a & b).count() == a.count() + b.count()
-
 
 # --------------------------------------------------------------------------- #
 # Three-valued logic

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.storage.bitmap import Bitmap
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.iostats import IOStats
@@ -69,8 +68,8 @@ class TestTableAccess:
     def test_rows_all(self, movies):
         assert len(movies.rows()) == 3
 
-    def test_read_column_with_bitmap(self, movies):
-        values, _ = movies.read_column("year", Bitmap.from_positions(3, [0, 2]), iostats=IOStats())
+    def test_read_column_at_selected_rows(self, movies):
+        values, _ = movies.read_column_at("year", np.array([0, 2]), iostats=IOStats())
         assert list(values) == [2001, 2010]
 
     def test_read_column_at(self, movies):

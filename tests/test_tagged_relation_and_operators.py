@@ -1,6 +1,9 @@
 """Unit tests for tagged relations and the tagged operators on the paper's example."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.operators import (
     TaggedFilterOperator,
@@ -16,7 +19,9 @@ from repro.expr.builders import col, lit
 from repro.expr.three_valued import FALSE, TRUE
 from repro.plan.logical import FilterNode, JoinNode, ProjectNode, TableScanNode
 from repro.plan.query import JoinCondition
-from repro.storage.bitmap import Bitmap
+from repro.storage.column import ColumnType
+from repro.storage.table import Table
+from tests.conftest import sliced_relation
 
 
 @pytest.fixture
@@ -33,40 +38,32 @@ class TestTaggedRelation:
     def test_from_base_table(self, title_table):
         relation = TaggedRelation.from_base_table("t", title_table)
         assert relation.num_rows == 7
-        assert relation.tags() == [Tag.empty()]
-        assert relation.slice_cardinality(Tag.empty()) == 7
-        assert relation.total_tuples() == 7
+        assert relation.tags == (Tag.empty(),)
+        assert relation.slice_ids is None
+        assert relation.slice_positions(Tag.empty()).tolist() == list(range(7))
 
     def test_empty_slices_are_dropped(self, title_table):
+        # No production year is NULL: the UNKNOWN output tag gets no rows.
+        a, b, c = (Tag({f"({name})": TRUE}) for name in "abc")
+        predicate = col("t", "production_year") > lit(2000)
+        tag_map = FilterTagMap({Tag.empty(): FilterEntry(pos_tag=a, neg_tag=b, unk_tag=c)})
         relation = TaggedRelation.from_base_table("t", title_table)
-        derived = relation.with_slices({Tag({"p": TRUE}): Bitmap.empty(7)})
-        assert derived.tags() == []
+        output = TaggedFilterOperator(predicate, tag_map).execute(relation, ExecContext())
+        assert set(output.tags) == {a, b}
+        assert output.slice_positions(a).tolist() == [0, 1, 6]
+        empty = {"t": np.empty(0, dtype=np.int64)}
+        assert TaggedRelation({"t": title_table}, empty, [a]).tags == ()
 
-    def test_mutual_exclusivity_check(self, title_table):
-        relation = TaggedRelation.from_base_table("t", title_table)
-        overlapping = relation.with_slices(
-            {
-                Tag({"p": TRUE}): Bitmap.from_positions(7, [0, 1]),
-                Tag({"p": FALSE}): Bitmap.from_positions(7, [1, 2]),
-            }
-        )
-        assert not overlapping.check_mutually_exclusive()
-        disjoint = relation.with_slices(
-            {
-                Tag({"p": TRUE}): Bitmap.from_positions(7, [0, 1]),
-                Tag({"p": FALSE}): Bitmap.from_positions(7, [2]),
-            }
-        )
-        assert disjoint.check_mutually_exclusive()
-
-    def test_bitmap_size_mismatch_rejected(self, title_table):
-        relation = TaggedRelation.from_base_table("t", title_table)
+    def test_slice_id_length_mismatch_rejected(self, title_table):
+        tags = [Tag({"p": TRUE}), Tag({"p": FALSE})]
         with pytest.raises(ValueError):
-            relation.with_slices({Tag.empty(): Bitmap.empty(3)})
+            TaggedRelation({"t": title_table}, {"t": np.arange(7)}, tags, np.zeros(3, np.int64))
+        with pytest.raises(ValueError):
+            TaggedRelation({"t": title_table}, {"t": np.arange(7)}, tags)
 
-    def test_slice_bitmap_of_absent_tag_is_empty(self, title_table):
+    def test_slice_positions_of_absent_tag_is_empty(self, title_table):
         relation = TaggedRelation.from_base_table("t", title_table)
-        assert relation.slice_bitmap(Tag({"p": TRUE})).is_empty()
+        assert relation.slice_positions(Tag({"p": TRUE})).size == 0
 
     def test_materialize_rows(self, title_table):
         relation = TaggedRelation.from_base_table("t", title_table)
@@ -74,14 +71,13 @@ class TestTaggedRelation:
         assert rows[0] == {"t": 0}
         assert len(rows) == 7
 
-    def test_active_bitmap_unions_slices(self, title_table):
-        relation = TaggedRelation.from_base_table("t", title_table).with_slices(
-            {
-                Tag({"p": TRUE}): Bitmap.from_positions(7, [0]),
-                Tag({"p": FALSE}): Bitmap.from_positions(7, [3, 4]),
-            }
+    def test_rows_are_the_union_of_slices(self, title_table):
+        relation = sliced_relation(
+            "t", title_table, {Tag({"p": TRUE}): [0], Tag({"p": FALSE}): [3, 4]}
         )
-        assert relation.active_bitmap().count() == 3
+        assert relation.num_rows == 3
+        assert sum(relation.slice_positions(tag).size for tag in relation.tags) == 3
+        assert relation.materialize_rows(Tag({"p": FALSE})) == [{"t": 3}, {"t": 4}]
 
 
 class TestTaggedFilter:
@@ -94,10 +90,10 @@ class TestTaggedFilter:
         context = ExecContext()
         output = TaggedFilterOperator(predicate, tag_map).execute(relation, context)
         # Movies after 2000: rows 0, 1, 6 (Dark Knight, Evolution, Avatar).
-        assert set(output.slice_bitmap(pos).positions().tolist()) == {0, 1, 6}
-        assert output.slice_cardinality(neg) == 4
+        assert set(output.indices["t"][output.slice_positions(pos)].tolist()) == {0, 1, 6}
+        assert output.slice_positions(neg).size == 4
         assert context.metrics.predicate_rows_evaluated == 7
-        assert output.check_mutually_exclusive()
+        assert output.num_rows == 7  # each row in exactly one slice
 
     def test_filter_drops_rows_when_output_tag_missing(self, title_table):
         relation = TaggedRelation.from_base_table("t", title_table)
@@ -105,26 +101,22 @@ class TestTaggedFilter:
         pos = Tag({predicate.key(): TRUE})
         tag_map = FilterTagMap({Tag.empty(): FilterEntry(pos_tag=pos, neg_tag=None)})
         output = TaggedFilterOperator(predicate, tag_map).execute(relation, ExecContext())
-        assert output.total_tuples() == 3
+        assert output.num_rows == 3
 
     def test_filter_passes_unmatched_slices_untouched(self, title_table):
-        relation = TaggedRelation.from_base_table("t", title_table)
         other_tag = Tag({"(x)": TRUE})
-        relation = relation.with_slices({other_tag: Bitmap.from_positions(7, [2, 3])})
+        relation = sliced_relation("t", title_table, {other_tag: [2, 3]})
         predicate = col("t", "production_year") > lit(2000)
         tag_map = FilterTagMap({})  # no entries at all
         context = ExecContext()
         output = TaggedFilterOperator(predicate, tag_map).execute(relation, context)
-        assert output.slice_cardinality(other_tag) == 2
+        assert output.slice_positions(other_tag).size == 2
         assert context.metrics.predicate_rows_evaluated == 0
 
     def test_filter_merges_slices_sharing_output_tag(self, title_table):
-        relation = TaggedRelation.from_base_table("t", title_table)
         a = Tag({"(a)": TRUE})
         b = Tag({"(b)": TRUE})
-        relation = relation.with_slices(
-            {a: Bitmap.from_positions(7, [0, 1]), b: Bitmap.from_positions(7, [2, 6])}
-        )
+        relation = sliced_relation("t", title_table, {a: [0, 1], b: [2, 6]})
         predicate = col("t", "production_year") > lit(2000)
         merged = Tag({"(merged)": TRUE})
         tag_map = FilterTagMap(
@@ -135,7 +127,7 @@ class TestTaggedFilter:
         )
         output = TaggedFilterOperator(predicate, tag_map).execute(relation, ExecContext())
         # Rows 0, 1 from slice a and row 6 from slice b pass the predicate.
-        assert output.slice_cardinality(merged) == 3
+        assert output.slice_positions(merged).size == 3
 
     def test_filter_requires_alias_present(self, mi_table):
         relation = TaggedRelation.from_base_table("mi_idx", mi_table)
@@ -143,6 +135,83 @@ class TestTaggedFilter:
         tag_map = FilterTagMap({Tag.empty(): FilterEntry(pos_tag=Tag({"x": TRUE}))})
         with pytest.raises(ValueError, match="aliases"):
             TaggedFilterOperator(predicate, tag_map).execute(relation, ExecContext())
+
+
+IN_TAGS = tuple(Tag({f"(in{index})": TRUE}) for index in range(4))
+OUT_TAGS = (Tag({"(out0)": TRUE}), Tag({"(out1)": TRUE}))
+THRESHOLD = 4
+
+
+@st.composite
+def routing_cases(draw):
+    """A relation over 1-4 input tags, a filter tag map over some of them, and
+    a nullable column (NULLs make UNKNOWN outcomes).  Output tags come from a
+    small pool that includes the input tags, so routes collide with each other
+    and with passthrough slices."""
+    num_tags = draw(st.integers(1, 4))
+    num_rows = draw(st.integers(1, 40))
+    values = draw(st.lists(st.none() | st.integers(0, 9), min_size=num_rows, max_size=num_rows))
+    row_tags = draw(
+        st.lists(st.integers(0, num_tags - 1), min_size=num_rows, max_size=num_rows)
+    )
+    rows = sorted(
+        draw(st.sets(st.integers(0, num_rows - 1), min_size=1, max_size=num_rows))
+    )
+    out_pool = st.none() | st.sampled_from(OUT_TAGS + IN_TAGS[:num_tags])
+    entries = {}
+    for tag in IN_TAGS[:num_tags]:
+        if draw(st.booleans()):  # otherwise a passthrough slice
+            entries[tag] = FilterEntry(
+                pos_tag=draw(out_pool), neg_tag=draw(out_pool), unk_tag=draw(out_pool)
+            )
+    return values, row_tags, rows, entries
+
+
+def _reference_route(values, row_tags, rows, entries):
+    """Row at a time: tag -> entry -> outcome -> output tag, or drop."""
+    routed = []
+    for row in rows:
+        tag = IN_TAGS[row_tags[row]]
+        entry = entries.get(tag)
+        if entry is None:
+            out = tag
+        elif values[row] is None:
+            out = entry.unk_tag
+        else:
+            out = entry.pos_tag if values[row] > THRESHOLD else entry.neg_tag
+        if out is not None:
+            routed.append((row, out))
+    return routed
+
+
+class TestFilterRoutingProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(routing_cases())
+    def test_filter_matches_row_at_a_time_routing(self, case):
+        values, row_tags, rows, entries = case
+        table = Table.from_dict("t", {"v": values}, types={"v": ColumnType.INT})
+        slices = {
+            tag: [row for row in rows if IN_TAGS[row_tags[row]] == tag] for tag in IN_TAGS
+        }
+        relation = sliced_relation("t", table, slices)
+        context = ExecContext()
+        predicate = col("t", "v") > lit(THRESHOLD)
+        output = TaggedFilterOperator(predicate, FilterTagMap(entries)).execute(relation, context)
+
+        expected = _reference_route(values, row_tags, rows, entries)
+        row_tag = [None] * output.num_rows
+        for tag in output.tags:
+            assert output.indices["t"][output.slice_positions(tag)].tolist() == [
+                row for row, out in expected if out == tag
+            ]
+            for position in output.slice_positions(tag).tolist():
+                row_tag[position] = tag
+        assert list(zip(output.indices["t"].tolist(), row_tag)) == expected
+        assert context.metrics.slices_created == len({out for _row, out in expected})
+        assert len(output.tags) == len(set(output.tags))
+        evaluated = [row for row in rows if IN_TAGS[row_tags[row]] in entries]
+        assert context.metrics.predicate_rows_evaluated == len(evaluated)
+        assert context.metrics.predicate_evaluations == (1 if evaluated else 0)
 
 
 class TestTaggedJoin:
@@ -153,17 +222,21 @@ class TestTaggedJoin:
         p3 = col("mi_idx", "info") > lit(8.0)
         p4 = col("mi_idx", "info") > lit(7.0)
 
-        left = TaggedRelation.from_base_table("t", title_table).with_slices(
+        left = sliced_relation(
+            "t",
+            title_table,
             {
-                Tag({p1.key(): TRUE}): Bitmap.from_positions(7, [0, 1, 6]),
-                Tag({p1.key(): FALSE, p2.key(): TRUE}): Bitmap.from_positions(7, [2, 3, 5]),
-            }
+                Tag({p1.key(): TRUE}): [0, 1, 6],
+                Tag({p1.key(): FALSE, p2.key(): TRUE}): [2, 3, 5],
+            },
         )
-        right = TaggedRelation.from_base_table("mi_idx", mi_table).with_slices(
+        right = sliced_relation(
+            "mi_idx",
+            mi_table,
             {
-                Tag({p3.key(): TRUE}): Bitmap.from_positions(6, [0, 1, 2, 3]),
-                Tag({p3.key(): FALSE, p4.key(): TRUE}): Bitmap.from_positions(6, [4, 5]),
-            }
+                Tag({p3.key(): TRUE}): [0, 1, 2, 3],
+                Tag({p3.key(): FALSE, p4.key(): TRUE}): [4, 5],
+            },
         )
         return left, right, p1, p2, p3, p4
 
@@ -185,9 +258,9 @@ class TestTaggedJoin:
         # Example 4: Dark Knight and Avatar under clause 1; Shawshank and Pulp
         # Fiction under the clause-2-only tag.  Beetlejuice (1988, score 7.5)
         # is never joined.
-        assert output.slice_cardinality(out_a) == 2
-        assert output.slice_cardinality(out_b) == 2
-        assert output.total_tuples() == 4
+        assert output.slice_positions(out_a).size == 2
+        assert output.slice_positions(out_b).size == 2
+        assert output.num_rows == 4
         assert context.metrics.join_output_rows == 4
         title_indices = set(output.indices["t"].tolist())
         assert 5 not in title_indices  # Beetlejuice's row never materialized
@@ -197,7 +270,7 @@ class TestTaggedJoin:
         tag_map = JoinTagMap({(Tag({"(zzz)": TRUE}), Tag({p3.key(): TRUE})): Tag.empty()})
         condition = JoinCondition(col("t", "id"), col("mi_idx", "movie_id"))
         output = TaggedJoinOperator([condition], tag_map).execute(left, right, ExecContext())
-        assert output.total_tuples() == 0
+        assert output.num_rows == 0
 
     def test_join_requires_conditions(self):
         with pytest.raises(ValueError):
@@ -221,15 +294,12 @@ class TestTaggedJoin:
 
 class TestTaggedProjection:
     def test_projection_selects_allowed_tags_only(self, title_table):
-        relation = TaggedRelation.from_base_table("t", title_table).with_slices(
-            {
-                Tag({"(keep)": TRUE}): Bitmap.from_positions(7, [0, 2]),
-                Tag({"(drop)": TRUE}): Bitmap.from_positions(7, [1]),
-            }
+        relation = sliced_relation(
+            "t", title_table, {Tag({"(keep)": TRUE}): [0, 2], Tag({"(drop)": TRUE}): [1]}
         )
         projection = ProjectionTagSet(allowed={Tag({"(keep)": TRUE})})
         positions = TaggedProjectOperator(projection).execute(relation, ExecContext())
-        assert positions.tolist() == [0, 2]
+        assert relation.indices["t"][positions].tolist() == [0, 2]
 
     def test_projection_residual_evaluates_predicate(self, title_table):
         relation = TaggedRelation.from_base_table("t", title_table)
