@@ -178,7 +178,9 @@ class TaggedFilterOperator(PhysicalOperator):
             matching = np.zeros(len(relation.tags), dtype=np.bool_)
             matching[evaluated] = True
             positions = np.flatnonzero(matching[slice_ids])
-        truth = self._evaluate(relation, positions, context)
+        truth = evaluate_predicate(
+            self.predicate, relation.tables, relation.indices, context, positions=positions
+        )
         context.metrics.predicate_evaluations += 1
         context.metrics.predicate_rows_evaluated += int(truth.size)
         if slice_ids is None:
@@ -198,13 +200,6 @@ class TaggedFilterOperator(PhysicalOperator):
         output = TaggedRelation(relation.tables, indices, tags, out_ids)
         context.metrics.slices_created += len(output.tags)
         return output
-
-    def _evaluate(
-        self, relation: TaggedRelation, positions: np.ndarray | None, context: ExecContext
-    ) -> np.ndarray:
-        return evaluate_predicate(
-            self.predicate, relation.tables, relation.indices, context, positions=positions
-        )
 
 
 class TaggedJoinOperator(PhysicalOperator):
