@@ -101,6 +101,8 @@ class TaggedRelation:
             return cls(tables, indices, list(tag_index))
         slice_ids = []
         for batch in batches:
+            if not batch.num_rows:
+                continue
             ids = np.array([tag_index[tag] for tag in batch.tags], dtype=np.int64)
             slice_ids.append(
                 np.full(batch.num_rows, ids[0]) if batch.slice_ids is None
