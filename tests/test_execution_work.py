@@ -8,6 +8,11 @@ compaction, slice encodings) must leave every figure here equal: predicate
 rows, join build/probe/output rows, materialized tuples, slices, hash tables
 and simulated page traffic all count work the plan asks for, not how the
 operators lay it out.
+
+A second pass runs the same queries in four morsels with feedback collection
+on, and also sums each operator's actual rows in and out: it pins the work of
+partitioned execution (build sides rebuilt per morsel, the page cache shared
+across morsels) and the per-operator actuals EXPLAIN ANALYZE reports.
 """
 
 from __future__ import annotations
@@ -74,6 +79,66 @@ EXPECTED = {
 }
 
 
+#: The partitioned pass (``partitions=4``, ``collect_feedback=True``); the
+#: ``actual_rows_*`` entries sum ``metrics.operator_actuals`` over every query.
+EXPECTED_PARTITIONED = {
+    "tcombined": {
+        "predicate_rows_evaluated": 351_552,
+        "predicate_evaluations": 561,
+        "residual_rows_evaluated": 0,
+        "join_build_rows": 18_834,
+        "join_probe_rows": 380_831,
+        "join_output_rows": 20_825,
+        "tuples_materialized": 20_825,
+        "union_input_rows": 0,
+        "union_output_rows": 0,
+        "operators_executed": 1_488,
+        "slices_created": 1_240,
+        "hash_tables_built": 256,
+        "output_rows": 3_557,
+        "morsels_executed": 132,
+        "pages_pruned": 0,
+        "partitions_skipped": 0,
+        "shards_executed": 0,
+        "clause_rows_evaluated": 351_552,
+        "pages_read": 1_769,
+        "pages_hit": 631,
+        "sequential_scans": 536,
+        "selective_reads": 537,
+        "values_read": 751_217,
+        "actual_rows_in": 1_354_741,
+        "actual_rows_out": 780_698,
+    },
+    "bdisj": {
+        "predicate_rows_evaluated": 1_353_629,
+        "predicate_evaluations": 900,
+        "residual_rows_evaluated": 0,
+        "join_build_rows": 23_938,
+        "join_probe_rows": 461_756,
+        "join_output_rows": 18_101,
+        "tuples_materialized": 21_658,
+        "union_input_rows": 4_105,
+        "union_output_rows": 3_557,
+        "operators_executed": 2_445,
+        "slices_created": 1_288,
+        "hash_tables_built": 535,
+        "output_rows": 3_557,
+        "morsels_executed": 132,
+        "pages_pruned": 0,
+        "partitions_skipped": 0,
+        "shards_executed": 0,
+        "clause_rows_evaluated": 1_353_629,
+        "pages_read": 3_829,
+        "pages_hit": 975,
+        "sequential_scans": 1_247,
+        "selective_reads": 723,
+        "values_read": 1_839_323,
+        "actual_rows_in": 3_154_731,
+        "actual_rows_out": 1_864_636,
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def job_catalog():
     return generate_imdb_catalog(scale=0.05, seed=7)
@@ -88,3 +153,17 @@ def test_job_pass_execution_work_is_pinned(job_catalog, planner):
         total.update(result.metrics.as_dict())
         total.update(result.iostats.as_dict())
     assert dict(total) == EXPECTED[planner]
+
+
+@pytest.mark.parametrize("planner", sorted(EXPECTED_PARTITIONED))
+def test_partitioned_job_pass_execution_work_is_pinned(job_catalog, planner):
+    session = Session(job_catalog, partitions=4, collect_feedback=True)
+    total: Counter[str] = Counter()
+    for query in job_query_groups():
+        result = session.execute(query, planner)
+        total.update(result.metrics.as_dict())
+        total.update(result.iostats.as_dict())
+        for rows_in, rows_out in result.metrics.operator_actuals.values():
+            total["actual_rows_in"] += rows_in
+            total["actual_rows_out"] += rows_out
+    assert dict(total) == EXPECTED_PARTITIONED[planner]
