@@ -7,8 +7,9 @@ BDisj's union deduplicates tuples produced by different root-clause
 subqueries — the redundant work the paper's Section 5.1 analysis attributes
 to traditional execution.
 
-``UnionOperator`` is a :class:`~repro.physical.base.PhysicalOperator`;
-``execute(...)`` is the union kernel, callable on its own without children.
+``UnionOperator`` is a :class:`~repro.physical.base.PhysicalOperator`:
+``run`` runs each subplan once, in order, and ``execute(...)`` is the union
+kernel, callable on its own without children.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ import numpy as np
 from repro.core.tagged_relation import TaggedRelation
 from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
-from repro.engine.result import materialize_output
+from repro.engine.result import OutputColumns, materialize_output
 from repro.physical.base import PhysicalOperator
 
 
 class UnionOperator(PhysicalOperator):
     """Traditional root: union the subplan pipelines, then materialize ``columns``.
 
-    Children are the pipelines of a traditional plan's roots; each is
-    drained fully (they are independent pipelines over the same partition) and
-    emits into a single OutputColumns batch.  BDisj's union (``execute``)
+    Children are the pipelines of a traditional plan's roots; each runs once,
+    in order (they are independent pipelines over the same partition), and
+    the union emits one OutputColumns.  BDisj's union (``execute``)
     deduplicates the rows by the tuple of base-table row indices, which
     is exactly the identity of a joined tuple in an index relation; a lone
     subplan needs no union and passes through.
@@ -38,17 +39,9 @@ class UnionOperator(PhysicalOperator):
     def __init__(self, children=(), columns=()) -> None:
         super().__init__(list(children))
         self.columns = list(columns or [])
-        self._done = False
 
-    def open(self, context: ExecContext) -> None:
-        super().open(context)
-        self._done = False
-
-    def _next(self, context: ExecContext):
-        if self._done:
-            return None
-        self._done = True
-        relations = [TaggedRelation.merge(child.drain()) for child in self.children]
+    def _run(self, context: ExecContext) -> OutputColumns:
+        relations = [child.run(context) for child in self.children]
         non_empty = [relation for relation in relations if relation.num_rows > 0]
         if len(relations) == 1 or not non_empty:
             final = relations[0]

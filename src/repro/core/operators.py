@@ -25,11 +25,10 @@ its whole index arrays.  Values are fetched lazily by row index through the
 storage layer.  Traditional plans run here under one-tag maps, so for them
 these *are* the plain filter and join.
 
-Each class is a :class:`~repro.physical.base.PhysicalOperator`: ``_next``
-pulls its input batches (a filter streams one output batch per input batch;
-a join drains and merges its build side once, then streams its probe side),
-and ``execute(...)`` is the whole-relation kernel (callable on its own,
-without children).
+Each class is a :class:`~repro.physical.base.PhysicalOperator`: ``run``
+runs its children once each (a join its build side, then its probe side) and
+returns one output, and ``execute(...)`` is the whole-relation kernel
+(callable on its own, without children).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.core.tagged_relation import TaggedRelation
 from repro.core.tagmap import FilterTagMap, JoinTagMap, ProjectionTagSet
 from repro.core.tags import Tag
 from repro.engine.metrics import ExecContext
-from repro.engine.result import materialize_output
+from repro.engine.result import OutputColumns, materialize_output
 from repro.expr import three_valued as tv
 from repro.expr.ast import BooleanExpr
 from repro.physical.base import PhysicalOperator
@@ -128,7 +127,7 @@ def _route(
 class TaggedFilterOperator(PhysicalOperator):
     """Filter operator driven by a tag map (Section 2.2).
 
-    One output relation per input relation, through :meth:`execute`.
+    Its output relation is :meth:`execute` over its child's.
     """
 
     label = "FilterPhysical"
@@ -140,10 +139,8 @@ class TaggedFilterOperator(PhysicalOperator):
         self.predicate = predicate
         self.tag_map = tag_map
 
-    def _next(self, context: ExecContext):
-        relation = self.children[0].next_batch()
-        if relation is None:
-            return None
+    def _run(self, context: ExecContext) -> TaggedRelation:
+        relation = self.children[0].run(context)
         output = self.execute(relation, context)
         if context.collect_feedback:
             self.record_rows(context, relation.num_rows, output.num_rows)
@@ -205,8 +202,8 @@ class TaggedFilterOperator(PhysicalOperator):
 class TaggedJoinOperator(PhysicalOperator):
     """Hash equi-join driven by a tag map (Section 2.3 / 2.5.3).
 
-    The build (left) child is drained and merged once, the probe child
-    streamed through :meth:`execute`.
+    The build (left) child runs first, then the probe child, and
+    :meth:`execute` joins their outputs.
     """
 
     label = "JoinPhysical"
@@ -225,30 +222,13 @@ class TaggedJoinOperator(PhysicalOperator):
         self.conditions = list(conditions)
         self.tag_map = tag_map
         self._left_tags, self._right_tags = tag_map.left_tags(), tag_map.right_tags()
-        self._build_relation: TaggedRelation | None = None
 
-    def open(self, context: ExecContext) -> None:
-        super().open(context)
-        self._build_relation = None
-
-    def close(self) -> None:
-        super().close()
-        self._build_relation = None
-
-    def _next(self, context: ExecContext):
-        if self._build_relation is None:
-            build_batches = self.children[0].drain()
-            if not build_batches:
-                return None
-            self._build_relation = TaggedRelation.merge(build_batches)
-            if context.collect_feedback:
-                self.record_rows(context, self._build_relation.num_rows, 0)
-        probe = self.children[1].next_batch()
-        if probe is None:
-            return None
-        output = self.execute(self._build_relation, probe, context)
+    def _run(self, context: ExecContext) -> TaggedRelation:
+        build = self.children[0].run(context)
+        probe = self.children[1].run(context)
+        output = self.execute(build, probe, context)
         if context.collect_feedback:
-            self.record_rows(context, probe.num_rows, output.num_rows)
+            self.record_rows(context, build.num_rows + probe.num_rows, output.num_rows)
         return output
 
     def execute(
@@ -345,10 +325,8 @@ class TaggedProjectOperator(PhysicalOperator):
         self.residual_predicate = residual_predicate
         self.columns = list(columns or [])
 
-    def _next(self, context: ExecContext):
-        relation = self.children[0].next_batch()
-        if relation is None:
-            return None
+    def _run(self, context: ExecContext) -> OutputColumns:
+        relation = self.children[0].run(context)
         positions = self.execute(relation, context)
         if context.collect_feedback:
             self.record_rows(context, relation.num_rows, int(positions.size))

@@ -78,37 +78,8 @@ class TaggedRelation:
 
     @classmethod
     def from_scan(cls, alias: str, table: Table, positions: np.ndarray) -> "TaggedRelation":
-        """The batch a scan emits: ``positions`` in one slice under the empty tag."""
+        """The relation a scan emits: ``positions`` in one slice under the empty tag."""
         return cls({alias: table}, {alias: positions}, (Tag.empty(),))
-
-    @classmethod
-    def merge(cls, batches: list["TaggedRelation"]) -> "TaggedRelation":
-        """Concatenate tagged relations in order (tags in first-seen order)."""
-        if len(batches) == 1:
-            return batches[0]
-        tables = {}
-        for batch in batches:
-            tables.update(batch.tables)
-        indices = {
-            alias: np.concatenate([batch.indices[alias] for batch in batches])
-            for alias in batches[0].indices
-        }
-        tag_index: dict[Tag, int] = {}
-        for batch in batches:
-            for tag in batch.tags:
-                tag_index.setdefault(tag, len(tag_index))
-        if len(tag_index) <= 1:
-            return cls(tables, indices, list(tag_index))
-        slice_ids = []
-        for batch in batches:
-            if not batch.num_rows:
-                continue
-            ids = np.array([tag_index[tag] for tag in batch.tags], dtype=np.int64)
-            slice_ids.append(
-                np.full(batch.num_rows, ids[0]) if batch.slice_ids is None
-                else ids[batch.slice_ids]
-            )
-        return cls(tables, indices, list(tag_index), np.concatenate(slice_ids))
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -2,7 +2,7 @@
 
 A query's physical plan is compiled once per table partition ("morsel") of a
 deterministically chosen partitioning alias; morsels execute on a worker
-pool and their output batches are merged **in partition order**, so for a
+pool and their outputs are merged **in partition order**, so for a
 fixed partition count the result is byte-identical at any worker count —
 only scheduling changes with ``parallelism``, never the work or the merge
 order.  ``partitions=1`` is exactly the legacy unpartitioned path.  The
@@ -137,25 +137,22 @@ def run_morsels(
         for partition in partitions
     ]
 
-    def run_morsel(partition, physical) -> tuple[OutputColumns, ExecContext]:
+    def run_morsel(partition, root) -> tuple[OutputColumns, ExecContext]:
         child = context.fork()
         if child.tracer is not None:
             with child.tracer.span(
                 "morsel", start_row=partition.start, stop_row=partition.stop
             ):
-                output = physical.execute(child)
+                output = root.run(child)
         else:
-            output = physical.execute(child)
+            output = root.run(child)
         return output, child
 
     if parallelism == 1 or len(morsels) == 1:
-        outcomes = [run_morsel(partition, physical) for partition, physical in morsels]
+        outcomes = [run_morsel(partition, root) for partition, root in morsels]
     else:
         pool = _morsel_pool(min(parallelism, len(morsels)))
-        futures = [
-            pool.submit(run_morsel, partition, physical)
-            for partition, physical in morsels
-        ]
+        futures = [pool.submit(run_morsel, partition, root) for partition, root in morsels]
         outcomes = [future.result() for future in futures]
 
     outputs = []
@@ -206,9 +203,9 @@ def execute_plan(
     scans = plan_scan_aliases(prepared) if num_partitions > 1 else {}
     alias = choose_partition_alias(scans, catalog)
     if alias is None:
-        physical = compile_plan(prepared, catalog, scan_candidates=scan_candidates)
+        root = compile_plan(prepared, catalog, scan_candidates=scan_candidates)
         context.metrics.morsels_executed += 1
-        return physical.execute(context)
+        return root.run(context)
 
     table = catalog.get(scans[alias])
     all_partitions = table.partitions(num_partitions)

@@ -28,24 +28,16 @@ class OutputColumns:
     row_count: int
 
     @classmethod
-    def empty(cls) -> "OutputColumns":
-        return cls(names=[], columns=[], row_count=0)
-
-    @classmethod
     def merge(cls, batches: list["OutputColumns"]) -> "OutputColumns":
         """Concatenate output batches in order.
 
         Empty batches are skipped; when every batch is empty, the first one
-        that still carries a column schema wins (a drained root that saw no
-        input at all yields a schema-less empty, and downstream aggregation
-        needs the names and dtypes from a sibling that kept them).
+        is the result (it still carries the names and dtypes that downstream
+        aggregation needs).
         """
         non_empty = [batch for batch in batches if batch.row_count > 0]
         if not non_empty:
-            for batch in batches:
-                if batch.names:
-                    return batch
-            return batches[0] if batches else cls.empty()
+            return batches[0]
         if len(non_empty) == 1:
             return non_empty[0]
         columns = [

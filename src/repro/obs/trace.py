@@ -13,11 +13,12 @@ Two kinds of timing live here:
   ``wal.commit`` / ``recovery`` / ``compaction`` spans) forming a tree.
   Spans carry attributes (the existing counters hitch a ride here).
 * **Operator timings** — per-``PhysicalOperator`` accumulators fed by
-  :meth:`Tracer.op_enter` / :meth:`Tracer.op_exit` around ``next_batch``.
-  A span per batch would drown the tree, so operators accumulate
-  ``(inclusive, self, calls)`` triples instead; ``self`` subtracts child
-  operators' time via a shadow stack, so self-times are additive and their
-  sum is bounded by the execution span on a serial run.
+  :meth:`Tracer.op_enter` / :meth:`Tracer.op_exit` around ``run``.
+  A span per operator run would drown the tree, so operators accumulate
+  ``(inclusive, self, calls)`` triples instead; ``calls`` counts ``run``
+  invocations (one per morsel the operator's tree ran in), and ``self``
+  subtracts child operators' time via a shadow stack, so self-times are
+  additive and their sum is bounded by the execution span on a serial run.
 
 Export formats: :meth:`Tracer.to_dict` / :meth:`Tracer.to_json` (plain tree)
 and :meth:`Tracer.to_chrome_trace` (Chrome ``chrome://tracing`` /  Perfetto
@@ -172,15 +173,15 @@ class Tracer:
     # -------------------------------------------------------- operator timing
 
     def op_enter(self) -> float:
-        """Start timing one ``next_batch`` call; returns the start stamp."""
+        """Start timing one operator ``run`` call; returns the start stamp."""
         self._op_stack.append(0.0)
         return time.perf_counter()
 
     def op_exit(self, node_id: int, label: str, started: float) -> None:
-        """Finish timing one ``next_batch`` call.
+        """Finish timing one operator ``run`` call.
 
         ``self`` time subtracts the time spent inside child operators'
-        ``next_batch`` calls, which the shadow stack accumulated while this
+        ``run`` calls, which the shadow stack accumulated while this
         frame was open.
         """
         elapsed = time.perf_counter() - started
@@ -200,7 +201,8 @@ class Tracer:
 
         ``{node_id: {"label", "seconds", "self_seconds", "calls"}}`` —
         ``seconds`` is inclusive of child operators (what EXPLAIN ANALYZE
-        shows), ``self_seconds`` is exclusive (additive across operators).
+        shows), ``self_seconds`` is exclusive (additive across operators),
+        ``calls`` is the number of ``run`` invocations (one per morsel).
         """
         out: dict[int, dict] = {}
         for (node_id, label), (incl, self_s, calls) in self.op_totals.items():

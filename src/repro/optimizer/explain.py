@@ -58,7 +58,7 @@ def explain_analyze_report(prepared, result) -> str:
 
     When the execution was traced (``result.trace`` is set), two more
     columns report wall-clock per operator: ``actual s`` — the operator's
-    inclusive ``next_batch`` seconds, summed over invocations and, under
+    inclusive ``run`` seconds, summed over invocations and, under
     parallel execution, over workers (so it measures work, like the row
     counts) — and ``rows/s`` (``act.out`` over those seconds).  Untraced
     executions show ``-`` in both.

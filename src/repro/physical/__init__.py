@@ -1,11 +1,11 @@
 """The unified physical-operator layer.
 
-One batched ``open()/next_batch()/close()`` operator protocol
-(:mod:`repro.physical.base`) that the traditional and tagged execution models
-both compile onto (:mod:`repro.physical.compile`), sharing a single
+One operator protocol, ``run(context)`` once per operator
+(:mod:`repro.physical.base`), that the traditional and tagged execution
+models both compile onto (:mod:`repro.physical.compile`), sharing a single
 expression-evaluation and join-key path (:mod:`repro.physical.expressions`).
 The morsel-driven parallel driver (:mod:`repro.engine.parallel`) runs one
-compiled tree per table partition and merges batches deterministically.
+compiled tree per table partition and merges the outputs deterministically.
 
 Only the model-agnostic pieces are imported eagerly; the operator and
 compiler modules import the execution-model packages, which themselves use
@@ -22,7 +22,6 @@ from repro.physical.expressions import (
 
 __all__ = [
     "PhysicalOperator",
-    "PhysicalPlan",
     "compile_plan",
     "evaluate_predicate",
     "orient_condition",
@@ -32,8 +31,8 @@ __all__ = [
 
 def __getattr__(name: str):
     """Lazily expose the compiler entry points (avoids import cycles)."""
-    if name in ("PhysicalPlan", "compile_plan"):
-        from repro.physical import compile as _compile
+    if name == "compile_plan":
+        from repro.physical.compile import compile_plan
 
-        return getattr(_compile, name)
+        return compile_plan
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,10 +1,9 @@
 """Lowering a prepared plan onto the physical-operator layer.
 
 :func:`compile_plan` turns a :class:`~repro.engine.session.PreparedPlan` of
-either execution model (tagged or traditional) into one
-:class:`PhysicalPlan`: a tree of
-:class:`~repro.physical.base.PhysicalOperator` objects whose root emits
-:class:`~repro.engine.result.OutputColumns` batches.  Both models run on the
+either execution model (tagged or traditional) into a tree of
+:class:`~repro.physical.base.PhysicalOperator` objects and returns its root,
+whose ``run(context)`` returns :class:`~repro.engine.result.OutputColumns`.  Both models run on the
 tagged filter and join, and the walk over the logical tree(s) is the same;
 :data:`MODELS` names the tag maps and the root each one uses.  A traditional
 plan runs under one-tag maps (:data:`ONE_TAG_FILTER`, :data:`ONE_TAG_JOIN`):
@@ -35,40 +34,11 @@ from repro.core.operators import (
 )
 from repro.core.tagmap import FilterEntry, FilterTagMap, JoinTagMap
 from repro.core.tags import Tag
-from repro.engine.metrics import ExecContext
-from repro.engine.result import OutputColumns
 from repro.physical.base import PhysicalOperator
 from repro.physical.operators import ScanPhysical
 from repro.plan.logical import FilterNode, JoinNode, PlanNode, ProjectNode, TableScanNode
 from repro.storage.catalog import Catalog
 from repro.storage.table import TablePartition
-
-
-@dataclass
-class PhysicalPlan:
-    """A compiled physical-operator tree, ready to execute.
-
-    Attributes:
-        kind: execution model (``"tagged"`` or ``"traditional"``).
-        root: the root operator; its batches are ``OutputColumns``.
-        partition: the table partition this tree is restricted to (``None``
-            for a whole-table tree).
-    """
-
-    kind: str
-    root: PhysicalOperator
-    partition: TablePartition | None = None
-
-    def execute(self, context: ExecContext) -> OutputColumns:
-        """Run the tree to completion and merge its output batches."""
-        self.root.open(context)
-        try:
-            batches = self.root.drain()
-        finally:
-            self.root.close()
-        if not batches:
-            return OutputColumns.empty()
-        return OutputColumns.merge(batches)
 
 
 @dataclass(frozen=True)
@@ -144,8 +114,8 @@ def compile_plan(
     partition_alias: str | None = None,
     partition: TablePartition | None = None,
     scan_candidates: dict[str, np.ndarray] | None = None,
-) -> PhysicalPlan:
-    """Compile a :class:`~repro.engine.session.PreparedPlan` into a :class:`PhysicalPlan`.
+) -> PhysicalOperator:
+    """Compile a :class:`~repro.engine.session.PreparedPlan`; returns the root operator.
 
     Args:
         prepared: the plan; ``kind`` picks the operators, ``roots`` are the
@@ -176,9 +146,7 @@ def compile_plan(
         if not isinstance(root, ProjectNode):
             raise ValueError(f"{prepared.kind} plans must be rooted at a ProjectNode")
     children = [_lower(root.child, prepared, model, scan) for root in prepared.roots]
-    return PhysicalPlan(
-        kind=prepared.kind, root=model.root(prepared, children), partition=partition
-    )
+    return model.root(prepared, children)
 
 
 def _lower(node: PlanNode, prepared, model: _Model, scan: Callable) -> PhysicalOperator:

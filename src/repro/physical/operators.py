@@ -65,11 +65,6 @@ class ScanPhysical(PhysicalOperator):
         self.table = table
         self.partition = partition
         self.candidates = candidates
-        self._done = False
-
-    def open(self, context: ExecContext) -> None:
-        super().open(context)
-        self._done = False
 
     def _pruned_indices(self, context: ExecContext) -> np.ndarray:
         """Candidate row positions of the scan range, with pruning accounted.
@@ -102,10 +97,7 @@ class ScanPhysical(PhysicalOperator):
             )
         return indices
 
-    def _next(self, context: ExecContext):
-        if self._done:
-            return None
-        self._done = True
+    def _run(self, context: ExecContext) -> TaggedRelation:
         indices = self._pruned_indices(context)
         context.metrics.operators_executed += 1
         self.record_rows(context, int(indices.size), int(indices.size))

@@ -75,8 +75,7 @@ class TestOperators:
     def test_scan(self, paper_catalog):
         context = ExecContext()
         scan = ScanPhysical("t", paper_catalog.get("title"))
-        scan.open(context)
-        relation = scan.next_batch()
+        relation = scan.run(context)
         assert relation.num_rows == 7
         assert relation.tags == (EMPTY,)
         # A scan emits row positions; it materializes no tuples.

@@ -167,3 +167,16 @@ def test_partitioned_job_pass_execution_work_is_pinned(job_catalog, planner):
             total["actual_rows_in"] += rows_in
             total["actual_rows_out"] += rows_out
     assert dict(total) == EXPECTED_PARTITIONED[planner]
+
+
+def test_traced_calls_count_operator_invocations(job_catalog):
+    # Every operator of a compiled tree runs once per morsel, and its traced
+    # ``calls`` counts exactly those runs.
+    session = Session(job_catalog, partitions=4, trace=True)
+    for planner in sorted(EXPECTED_PARTITIONED):
+        for query in job_query_groups()[:8]:
+            result = session.execute(query, planner)
+            morsels = result.metrics.morsels_executed
+            timings = result.trace.operator_timings()
+            assert timings and morsels == 4
+            assert {timing["calls"] for timing in timings.values()} == {morsels}

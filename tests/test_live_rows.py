@@ -1,11 +1,9 @@
-"""Live-row tagged relations: the slice-id representation, ``merge``, the
+"""Live-row tagged relations: the slice-id representation, the
 routing step the filter and the join share, and the row order every operator
 keeps when it compacts its output."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.operators import (
     TaggedFilterOperator,
@@ -132,79 +130,6 @@ class TestRepresentation:
 
     def test_materialize_rows_of_absent_tag_is_empty(self, table):
         assert _relation(table, [0, 1], [A]).materialize_rows(B) == []
-
-
-class TestMerge:
-    def test_single_batch_is_returned_as_is(self, table):
-        batch = _relation(table, [0, 1], [A, B], [1, 0])
-        assert TaggedRelation.merge([batch]) is batch
-
-    def test_batches_sharing_one_tag_need_no_slice_ids(self, table):
-        merged = TaggedRelation.merge([_relation(table, [0], [A]), _relation(table, [3, 4], [A])])
-        assert merged.tags == (A,)
-        assert merged.slice_ids is None
-        assert merged.indices["t"].tolist() == [0, 3, 4]
-
-    def test_batches_with_distinct_tags_get_an_id_per_row(self, table):
-        merged = TaggedRelation.merge(
-            [_relation(table, [0, 1], [A]), _relation(table, [2, 3, 4], [B])]
-        )
-        assert merged.tags == (A, B)
-        assert merged.slice_ids.tolist() == [0, 0, 1, 1, 1]
-
-    def test_tags_keep_first_seen_order(self, table):
-        first = _relation(table, [0, 1], [B, A], [1, 0])
-        second = _relation(table, [2, 3, 4], [C, A], [1, 0, 1])
-        merged = TaggedRelation.merge([first, second])
-        assert merged.tags == (B, A, C)
-        assert merged.slice_positions(A).tolist() == [0, 2, 4]
-        assert merged.slice_positions(B).tolist() == [1]
-        assert merged.slice_positions(C).tolist() == [3]
-
-    def test_empty_batch_contributes_no_tag(self, table):
-        merged = TaggedRelation.merge(
-            [_relation(table, [0], [A]), _relation(table, [], [C]), _relation(table, [5], [B])]
-        )
-        assert merged.tags == (A, B)
-        assert merged.indices["t"].tolist() == [0, 5]
-        assert merged.slice_ids.tolist() == [0, 1]
-
-    def test_merging_only_empty_batches_is_empty(self, table):
-        merged = TaggedRelation.merge([_relation(table, [], [A]), _relation(table, [], [B])])
-        assert merged.num_rows == 0
-        assert merged.tags == ()
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2)), max_size=6),
-            min_size=2,
-            max_size=4,
-        )
-    )
-    def test_merge_matches_row_at_a_time_concatenation(self, batches):
-        table = Table.from_dict("t", {"v": list(range(10))}, types={"v": ColumnType.INT})
-        relations = []
-        for batch in batches:
-            tags = sorted({tag for _row, tag in batch})
-            relations.append(
-                _relation(
-                    table,
-                    [row for row, _tag in batch],
-                    [(A, B, C)[tag] for tag in tags],
-                    [tags.index(tag) for _row, tag in batch] if len(tags) > 1 else None,
-                )
-            )
-        merged = TaggedRelation.merge(relations)
-        expected = [(row, (A, B, C)[tag]) for batch in batches for row, tag in batch]
-        assert merged.indices["t"].tolist() == [row for row, _tag in expected]
-        assert len(set(merged.tags)) == len(merged.tags)
-        assert set(merged.tags) == {tag for _row, tag in expected}
-        row_tag = [None] * merged.num_rows
-        for tag in merged.tags:
-            for position in merged.slice_positions(tag).tolist():
-                row_tag[position] = tag
-        assert row_tag == [tag for _row, tag in expected]
 
 
 class TestRoute:

@@ -59,9 +59,9 @@ def test_prepared_components_pickle_and_recompile(session, catalog, planner):
 
     original = compile_plan(prepared, catalog)
     recompiled = compile_plan(shipped, catalog)
-    assert type(recompiled.root) is type(original.root)
-    base = original.execute(ExecContext())
-    again = recompiled.execute(ExecContext())
+    assert type(recompiled) is type(original)
+    base = original.run(ExecContext())
+    again = recompiled.run(ExecContext())
     assert again.names == base.names
     assert again.row_count == base.row_count
 

@@ -338,7 +338,7 @@ class TestFullTaggedPipeline:
 
         output = compile_plan(
             hand_built_plan("tagged", [plan], annotations, tree), paper_catalog
-        ).execute(ExecContext())
+        ).run(ExecContext())
         titles = {
             row[output.names.index("t.title")]
             for row in zip(*[values.tolist() for values, _ in output.columns])
