@@ -16,6 +16,7 @@ appears multiple times in a query (Section 3.2, "Duplicates").
 
 from __future__ import annotations
 
+import numbers
 import re
 from collections.abc import Sequence
 
@@ -176,6 +177,7 @@ class BooleanExpr:
 
 
 _COMPARISON_OPS = {"=", "!=", "<", "<=", ">", ">="}
+_INT64 = np.iinfo(np.int64)
 
 
 def _compare(op: str, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -293,8 +295,30 @@ class InPredicate(BooleanExpr):
 
     def evaluate(self, batch: RowBatch) -> np.ndarray:
         values, nulls = self.operand.evaluate(batch)
-        mask = np.isin(values, np.array(self.values, dtype=values.dtype))
-        return tv.from_bool_array(mask, nulls)
+        return tv.from_bool_array(self.matches(values), nulls)
+
+    def matches(self, values: np.ndarray) -> np.ndarray:
+        """Whether each of ``values`` equals a listed literal, as Python's ``in`` decides.
+
+        The list is never cast into the values' dtype: a literal of another
+        kind (a string against numbers, ``1.5`` against integers) matches
+        nothing, and a ``NULL`` entry never matches.
+        """
+        if values.dtype.kind == "O":
+            kept, dtype = [value for value in self.values if isinstance(value, str)], object
+        else:
+            kept = [value for value in self.values if isinstance(value, numbers.Real)]
+            dtype = np.float64
+            if values.dtype.kind in "iub":
+                # An integer equals only the literals that are whole int64 values.
+                kept = [
+                    int(value) for value in kept
+                    if _INT64.min <= value <= _INT64.max and value == int(value)
+                ]
+                dtype = np.int64
+        if not kept:
+            return np.zeros(values.shape, dtype=np.bool_)
+        return np.isin(values, np.array(kept, dtype=dtype))
 
 
 class BetweenPredicate(BooleanExpr):

@@ -75,7 +75,7 @@ def leaf_code_table(expr, encoding: DictionaryEncoding) -> np.ndarray | None:
     if isinstance(expr, Comparison):
         return np.asarray(_compare(expr.op, values, expr.right.value), dtype=np.bool_)
     if isinstance(expr, InPredicate):
-        return np.isin(values, np.array(expr.values, dtype=values.dtype))
+        return expr.matches(values)
     if isinstance(expr, LikePredicate):
         regex = expr.regex
         return np.fromiter(

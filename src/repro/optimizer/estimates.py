@@ -76,6 +76,7 @@ def build_estimate_provider(
     # A type error in the query, or NULLs two-valued planning cannot honour,
     # is reported before any statistic is sampled.
     query.check_ordering_types(catalog)
+    query.check_join_key_types(catalog)
     if not options.three_valued:
         query.check_null_free(catalog)
     collect = collect_table_stats if stats_provider is None else stats_provider.table_stats

@@ -174,6 +174,22 @@ class Query:
                         f"{left_kind} against {right_kind}"
                     )
 
+    def check_join_key_types(self, catalog) -> None:
+        """Raise :class:`~repro.expr.ast.ExprError` for a join condition
+        between a string column and a number column.
+
+        Such keys cannot be hashed together; without this check the join
+        dies in NumPy with a bare ``TypeError``.
+        """
+        for condition in self.join_conditions:
+            (left_kind, left_text), (right_kind, right_text) = (
+                self._operand(condition.left, catalog), self._operand(condition.right, catalog)
+            )
+            if left_kind != right_kind:
+                raise ExprError(
+                    f"cannot join {left_text} = {right_text}: {left_kind} against {right_kind}"
+                )
+
     def check_null_free(self, catalog) -> None:
         """Raise :class:`TwoValuedNullError` for the first WHERE column that
         holds a NULL.  ``IS NULL`` operands are exempt: that test is never
