@@ -96,13 +96,6 @@ class ExecutionMetrics:
         self.join_build_rows += left_rows if on_left else right_rows
         self.join_probe_rows += right_rows if on_left else left_rows
 
-    def observed_selectivity(self, key: str) -> float | None:
-        """Observed pass rate of a recorded predicate (None when unseen)."""
-        bucket = self.predicate_counts.get(key)
-        if bucket is None or bucket[0] <= 0:
-            return None
-        return bucket[1] / bucket[0]
-
     def merge(self, other: "ExecutionMetrics") -> None:
         """Accumulate another metrics object into this one."""
         self.predicate_rows_evaluated += other.predicate_rows_evaluated
@@ -282,10 +275,6 @@ class ExecContext:
     #: counters so traces merge across morsel workers exactly like metrics.
     tracer: object | None = None
 
-    def timer(self) -> "Stopwatch":
-        """A fresh stopwatch (convenience for callers timing phases)."""
-        return Stopwatch()
-
     def fork(self) -> "ExecContext":
         """A child context for one morsel: fresh counters, shared page cache."""
         return ExecContext(
@@ -313,10 +302,3 @@ class Stopwatch:
     def elapsed(self) -> float:
         """Seconds since construction."""
         return time.perf_counter() - self._start
-
-    def restart(self) -> float:
-        """Return elapsed seconds and restart the stopwatch."""
-        now = time.perf_counter()
-        elapsed = now - self._start
-        self._start = now
-        return elapsed
