@@ -3,12 +3,12 @@
 :func:`compile_plan` turns a :class:`~repro.engine.session.PreparedPlan` of
 either execution model (tagged or traditional) into a tree of
 :class:`~repro.physical.base.PhysicalOperator` objects and returns its root,
-whose ``run(context)`` returns :class:`~repro.engine.result.OutputColumns`.  Both models run on the
-tagged filter and join, and the walk over the logical tree(s) is the same;
-:data:`MODELS` names the tag maps and the root each one uses.  A traditional
-plan runs under one-tag maps (:data:`ONE_TAG_FILTER`, :data:`ONE_TAG_JOIN`):
-every relation is one slice under the empty tag, which the tagged operators
-execute as a plain filter and join.
+whose ``run(context)`` returns :class:`~repro.engine.result.OutputColumns`.
+Both models run on the tagged filter and join, and the walk over the logical
+tree(s) is the same; :data:`MODELS` names the tag maps and the root each one
+uses.  A traditional plan runs under one-tag maps (:data:`ONE_TAG_FILTER`,
+:data:`ONE_TAG_JOIN`): every relation is one slice under the empty tag, which
+the tagged operators execute as a plain filter and join.
 
 The compiler optionally restricts a single table alias to a
 :class:`~repro.storage.table.TablePartition`; the morsel driver compiles one

@@ -115,10 +115,13 @@ class TestBatchMerging:
         assert merged.columns[0][0].tolist() == [1, 2, 3]
 
     def test_merge_output_columns_all_empty_keeps_schema(self):
-        empty = OutputColumns(names=["t.v"], columns=[(np.array([]), np.array([], dtype=np.bool_))], row_count=0)
-        other = OutputColumns(names=["t.v"], columns=[(np.array([]), np.array([], dtype=np.bool_))], row_count=0)
-        merged = OutputColumns.merge([empty, other])
-        assert merged is empty
+        def empty():
+            no_rows = (np.array([]), np.array([], dtype=np.bool_))
+            return OutputColumns(names=["t.v"], columns=[no_rows], row_count=0)
+
+        first = empty()
+        merged = OutputColumns.merge([first, empty()])
+        assert merged is first
         assert merged.names == ["t.v"]
         assert merged.row_count == 0
 
