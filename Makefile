@@ -4,7 +4,7 @@
 PYTHON ?= python
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 
-.PHONY: test lint test-crash bench-e2e bench-compare profile docs-check examples
+.PHONY: test lint test-crash bench-e2e bench-compare profile docs-check examples unused
 
 ## tier-1 test suite (the gate every change must keep green); the ten slowest
 ## tests are listed at the end of every run
@@ -48,6 +48,11 @@ profile:
 ## file and dotted references in README/docs resolve
 docs-check:
 	$(RUN) scripts/docs_check.py
+
+## src/ functions, classes and methods that nothing outside tests/ names, with
+## their test reference counts (a report for pruning, not a gate)
+unused:
+	$(PYTHON) scripts/unused_defs.py
 
 ## run every example end to end (examples bootstrap their own sys.path)
 examples:

@@ -5,14 +5,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.core.planner.combined import TCombinedPlanner
 from repro.engine.result import QueryResult
 from repro.engine.session import Session
 from repro.plan.query import Query
 
-#: The planners the paper's TMin oracle minimizes over (Figure 3c): the four
-#: candidate planners TCombined itself considers.  TExhaustive is an
-#: extension beyond the paper and is excluded so TMin keeps its meaning.
-TMIN_CANDIDATES = ("tpushdown", "tpullup", "titerpush", "tpushconj")
+#: The planners the paper's TMin oracle minimizes over (Figure 3c): the
+#: candidate planners TCombined itself considers, read from it so the two
+#: cannot drift apart.  TExhaustive is an extension beyond the paper and is
+#: not a candidate, so TMin keeps its meaning.
+TMIN_CANDIDATES = tuple(planner.name for planner in TCombinedPlanner.CANDIDATES)
 
 
 @dataclass

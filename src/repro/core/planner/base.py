@@ -12,11 +12,14 @@ Planners never construct estimators themselves — the provider is built by
 :func:`repro.optimizer.estimates.build_estimate_provider` and may carry
 feedback-corrected selectivity overrides injected by the service layer.
 
-:class:`TaggedPlanner` is the base class of every planner: subclasses
-implement :meth:`TaggedPlanner.build_plan` and inherit costing and common
-plan-building helpers; the untagged (traditional) planners reuse the
-helpers and finish through :meth:`TaggedPlanner.untagged_result`.  All of
-them return one :class:`PlannerResult`.
+:class:`TaggedPlanner` is the base class of every planner.  A planner
+with one fixed plan implements :meth:`TaggedPlanner.build_plan`; a
+searching planner overrides :meth:`TaggedPlanner.plan` and returns the
+result its search already costed for its pick.  Every candidate goes
+through :meth:`TaggedPlanner.cost` once.  The untagged (traditional)
+planners reuse the plan-building helpers and finish through
+:meth:`TaggedPlanner.untagged_result`.  All of them return one
+:class:`PlannerResult`.
 """
 
 from __future__ import annotations
@@ -130,6 +133,7 @@ class PlannerContext:
             naive=self.options.naive_tags,
             three_valued=self.options.three_valued,
         )
+        self._planned: dict[type, PlannerResult] = {}
 
     @classmethod
     def for_query(
@@ -173,6 +177,17 @@ class PlannerContext:
         """The query's tag-map builder, shared by every planner and candidate."""
         return self._tag_maps
 
+    def planned(self, planner_class: type[TaggedPlanner]) -> PlannerResult:
+        """``planner_class``'s result for this query, planned once per context.
+
+        TCombined reads its candidates here and TPullup its TPushdown base
+        plan, so a plan both need is built and costed once.
+        """
+        result = self._planned.get(planner_class)
+        if result is None:
+            result = self._planned[planner_class] = planner_class(self).plan()
+        return result
+
     def single_table_alias(self, expr: BooleanExpr) -> str | None:
         """The single alias referenced by ``expr``, or None when it spans tables."""
         aliases = expr.tables()
@@ -184,6 +199,25 @@ class PlannerContext:
         """Sort filters in benefiting order (Appendix A)."""
         return benefiting_order(self.predicate_tree, filters, self.estimates)
 
+    def pushdown_placement(self) -> tuple[dict[str, list[BooleanExpr]], list[BooleanExpr]]:
+        """TPushdown's filter placement (Section 4.2).
+
+        Returns each alias's single-table base predicates, and the base
+        predicates spanning several tables (which run after the joins), each
+        list in benefiting order.
+        """
+        per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in self.query.aliases}
+        multi_table: list[BooleanExpr] = []
+        if self.predicate_tree is not None:
+            for predicate in self.predicate_tree.base_predicates():
+                alias = self.single_table_alias(predicate)
+                if alias in per_alias:
+                    per_alias[alias].append(predicate)
+                else:
+                    multi_table.append(predicate)
+        ordered = {alias: self.order_filters(filters) for alias, filters in per_alias.items()}
+        return ordered, self.order_filters(multi_table)
+
     def effective_alias_rows(
         self, alias: str, pushed: list[BooleanExpr], disjunctive: bool
     ) -> float:
@@ -194,15 +228,9 @@ class PlannerContext:
         dropped by precept (1)), so the surviving fraction is the selectivity
         of their disjunction; conjunctive pushes multiply selectivities.
         """
-        base = self.estimates.base_rows(alias)
-        if not pushed:
-            return base
         if disjunctive and len(pushed) > 1:
-            return base * self.estimates.selectivity(or_(*pushed))
-        rows = base
-        for predicate in pushed:
-            rows *= self.estimates.selectivity(predicate)
-        return rows
+            return self.estimates.base_rows(alias) * self.estimates.selectivity(or_(*pushed))
+        return self.estimates.filtered_rows(alias, pushed)
 
 
 @dataclass
@@ -262,21 +290,16 @@ class TaggedPlanner:
     # Interface
     # ------------------------------------------------------------------ #
     def build_plan(self) -> PlanNode:
-        """Return the logical plan chosen by this planner."""
+        """The one logical plan of a planner that does not search."""
         raise NotImplementedError
 
     def plan(self) -> PlannerResult:
-        """Build the plan, its tag maps, its estimated cost and row counts."""
-        logical_plan = self.build_plan()
-        annotations, breakdown = self.cost_breakdown(logical_plan)
-        return PlannerResult(
-            self.name,
-            self.kind,
-            [logical_plan],
-            annotations,
-            dict(breakdown.node_rows),
-            breakdown.total,
-        )
+        """The chosen plan with its tag maps, estimated cost and row counts.
+
+        This costs :meth:`build_plan`'s tree; a searching planner overrides
+        it and returns the result it already costed for its pick.
+        """
+        return self.cost(self.build_plan())
 
     def untagged_result(self, roots: list[PlanNode]) -> PlannerResult:
         """The result of a planner whose trees execute without tag maps."""
@@ -290,16 +313,19 @@ class TaggedPlanner:
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def cost_breakdown(self, plan: PlanNode):
-        """Tag maps + full cost breakdown for a candidate plan."""
+    def cost(self, plan: PlanNode) -> PlannerResult:
+        """A candidate plan as this planner's result: its tag maps, its
+        estimated cost and its per-node row estimates."""
         annotations = self.context.tag_map_builder().build(plan)
         breakdown = estimate_plan_cost(plan, annotations, self.context.estimates)
-        return annotations, breakdown
-
-    def cost_plan(self, plan: PlanNode) -> tuple[PlanTagAnnotations, float]:
-        """Tag maps + estimated cost for a candidate plan."""
-        annotations, breakdown = self.cost_breakdown(plan)
-        return annotations, breakdown.total
+        return PlannerResult(
+            self.name,
+            self.kind,
+            [plan],
+            annotations,
+            breakdown.node_rows,
+            breakdown.total,
+        )
 
     def scan_node(self, alias: str) -> TableScanNode:
         """A scan node for ``alias``."""

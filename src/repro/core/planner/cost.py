@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from repro.core.tagmap import PlanTagAnnotations
 from repro.core.tags import Tag
-from repro.expr.ast import BooleanExpr
 from repro.plan.logical import FilterNode, JoinNode, PlanNode, ProjectNode, TableScanNode
 from repro.plan.query import JoinCondition
 
@@ -219,12 +218,3 @@ def _estimate_unique(
     ref = condition.left if side == "left" else condition.right
     distinct = estimates.distinct_values(ref.alias, ref.column)
     return min(rows, distinct)
-
-
-def filter_expressions_in_plan(plan: PlanNode) -> list[BooleanExpr]:
-    """Distinct filter predicates appearing in a plan (helper for planners)."""
-    seen: dict[str, BooleanExpr] = {}
-    for node in plan.walk():
-        if isinstance(node, FilterNode):
-            seen.setdefault(node.predicate.key(), node.predicate)
-    return list(seen.values())

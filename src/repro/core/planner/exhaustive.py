@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from repro.core.planner.base import TaggedPlanner
-from repro.expr.ast import BooleanExpr
+from repro.core.planner.base import PlannerResult, TaggedPlanner
 from repro.plan.logical import JoinNode, PlanNode
 from repro.plan.query import Query
 
@@ -35,7 +34,7 @@ class TExhaustivePlanner(TaggedPlanner):
 
     name = "texhaustive"
 
-    def build_plan(self) -> PlanNode:
+    def plan(self) -> PlannerResult:
         context = self.context
         query = context.query
         if len(query.aliases) > MAX_TABLES:
@@ -44,55 +43,31 @@ class TExhaustivePlanner(TaggedPlanner):
                 f"{len(query.aliases)} tables (maximum {MAX_TABLES})"
             )
 
-        leaf_plans, multi_table = self._pushed_leaves()
-
-        if len(query.aliases) == 1:
-            joined: PlanNode = leaf_plans[query.aliases[0]]
-        else:
-            joined = self._dp_join_tree(query, leaf_plans)
-
-        joined = self.stack_filters(joined, context.order_filters(multi_table))
-        return self.finish(joined)
+        per_alias, multi_table = context.pushdown_placement()
+        leaf_plans = {
+            alias: self.stack_filters(self.scan_node(alias), filters)
+            for alias, filters in per_alias.items()
+        }
+        best = self._dp_join_tree(query, leaf_plans)
+        if not multi_table:
+            return best
+        return self.cost(self.finish(self.stack_filters(best.plan.child, multi_table)))
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _pushed_leaves(self) -> tuple[dict[str, PlanNode], list[BooleanExpr]]:
-        """Per-alias scan+filters fragments (TPushdown placement)."""
-        context = self.context
-        query = context.query
-        per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in query.aliases}
-        multi_table: list[BooleanExpr] = []
-        if context.predicate_tree is not None:
-            for predicate in context.predicate_tree.base_predicates():
-                alias = context.single_table_alias(predicate)
-                if alias is not None and alias in per_alias:
-                    per_alias[alias].append(predicate)
-                else:
-                    multi_table.append(predicate)
-
-        leaf_plans = {}
-        for alias in query.aliases:
-            filters = context.order_filters(per_alias[alias])
-            leaf_plans[alias] = self.stack_filters(self.scan_node(alias), filters)
-        return leaf_plans, multi_table
-
-    def _plan_cost(self, node: PlanNode) -> float:
-        """Cost of a (sub)plan under the tagged cost model, tag maps included."""
-        _annotations, cost = self.cost_plan(self.finish(node))
-        return cost
-
-    def _dp_join_tree(self, query: Query, leaf_plans: dict[str, PlanNode]) -> PlanNode:
+    def _dp_join_tree(self, query: Query, leaf_plans: dict[str, PlanNode]) -> PlannerResult:
+        """The cheapest complete join tree, costed under its projection root
+        (tag maps included); ``.plan.child`` is the join tree itself."""
         aliases = list(query.aliases)
-        best: dict[frozenset[str], tuple[float, PlanNode]] = {}
+        best: dict[frozenset[str], PlannerResult] = {}
         for alias in aliases:
-            subset = frozenset({alias})
-            best[subset] = (self._plan_cost(leaf_plans[alias]), leaf_plans[alias])
+            best[frozenset({alias})] = self.cost(self.finish(leaf_plans[alias]))
 
         for size in range(2, len(aliases) + 1):
             for subset_tuple in combinations(aliases, size):
                 subset = frozenset(subset_tuple)
-                candidate: tuple[float, PlanNode] | None = None
+                candidate: PlannerResult | None = None
                 for left in self._proper_subsets(subset):
                     right = subset - left
                     if left not in best or right not in best:
@@ -100,17 +75,17 @@ class TExhaustivePlanner(TaggedPlanner):
                     conditions = query.conditions_between(left, right)
                     if not conditions:
                         continue
-                    joined = JoinNode(best[left][1], best[right][1], conditions)
-                    cost = self._plan_cost(joined)
-                    if candidate is None or cost < candidate[0]:
-                        candidate = (cost, joined)
+                    joined = JoinNode(best[left].plan.child, best[right].plan.child, conditions)
+                    result = self.cost(self.finish(joined))
+                    if candidate is None or result.estimated_cost < candidate.estimated_cost:
+                        candidate = result
                 if candidate is not None:
                     best[subset] = candidate
 
         full = frozenset(aliases)
         if full not in best:
             raise ValueError("join graph is disconnected; cannot build a complete join tree")
-        return best[full][1]
+        return best[full]
 
     @staticmethod
     def _proper_subsets(subset: frozenset[str]):

@@ -10,7 +10,7 @@ once (or keeping several up) pays off.
 
 from __future__ import annotations
 
-from repro.core.planner.base import TaggedPlanner
+from repro.core.planner.base import PlannerResult, TaggedPlanner
 from repro.core.planner.joinorder import greedy_join_tree
 from repro.expr.ast import BooleanExpr
 from repro.plan.logical import (
@@ -60,7 +60,7 @@ class TIterPushPlanner(TaggedPlanner):
 
     name = "titerpush"
 
-    def build_plan(self) -> PlanNode:
+    def plan(self) -> PlannerResult:
         context = self.context
         query = context.query
 
@@ -76,24 +76,23 @@ class TIterPushPlanner(TaggedPlanner):
             joined = greedy_join_tree(query, leaf_plans, estimated_rows, context.estimates)
 
         if context.predicate_tree is None:
-            return self.finish(joined)
+            return self.cost(self.finish(joined))
 
         base_predicates = context.order_filters(context.predicate_tree.base_predicates())
         # Filters above the joins run in benefiting order: the most beneficial
         # filter must run first, i.e. sit lowest in the stack.
         joined = self.stack_filters(joined, list(reversed(base_predicates)))
-        best_plan = self.finish(joined)
-        _annotations, best_cost = self.cost_plan(best_plan)
+        best = self.cost(self.finish(joined))
 
         for predicate in base_predicates:
             alias = context.single_table_alias(predicate)
             if alias is None:
                 continue
             try:
-                candidate = push_filter_to_alias(best_plan, predicate, alias)
+                candidate = push_filter_to_alias(best.plan, predicate, alias)
             except ValueError:
                 continue
-            _annotations, candidate_cost = self.cost_plan(candidate)
-            if candidate_cost < best_cost:
-                best_plan, best_cost = candidate, candidate_cost
-        return best_plan
+            result = self.cost(candidate)
+            if result.estimated_cost < best.estimated_cost:
+                best = result
+        return best

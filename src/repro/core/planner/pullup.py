@@ -1,16 +1,19 @@
 """TPullup: pull filters up out of the TPushdown plan when cheaper (Algorithm 2).
 
-TPushdown is the base plan.  Every filter is then considered, in reverse
-benefiting order, for being pulled up one node at a time; whenever the
-resulting plan is estimated to be cheaper it becomes the new base plan.  The
-planner is useful when some predicate subexpressions are so selective that
-delaying other, expensive predicates (regex matching, say) until after the
-joins is a win.
-"""
+TPushdown's result is the base plan.  It is read from the query's
+:class:`~repro.core.planner.base.PlannerContext`, so under TCombined, which
+has TPushdown as a candidate too, it is built and costed once.  Every filter
+is then considered, in reverse benefiting order, for being pulled up one
+node at a time; whenever the resulting plan is estimated to be cheaper it
+becomes the new base plan.  The planner is useful when some predicate
+subexpressions are so selective that delaying other, expensive predicates
+(regex matching, say) until after the joins is a win."""
 
 from __future__ import annotations
 
-from repro.core.planner.base import TaggedPlanner
+import dataclasses
+
+from repro.core.planner.base import PlannerResult, TaggedPlanner
 from repro.core.planner.pushdown import TPushdownPlanner
 from repro.plan.logical import (
     FilterNode,
@@ -109,32 +112,25 @@ class TPullupPlanner(TaggedPlanner):
     #: Safety bound on pull-up attempts per filter (one per join level).
     MAX_PULLUPS_PER_FILTER = 16
 
-    def build_plan(self) -> PlanNode:
+    def plan(self) -> PlannerResult:
         context = self.context
-        base_plan = TPushdownPlanner(context).build_plan()
-        _annotations, best_cost = self.cost_plan(base_plan)
-        best_plan = base_plan
-
+        best = dataclasses.replace(context.planned(TPushdownPlanner), planner_name=self.name)
         if context.predicate_tree is None:
-            return best_plan
+            return best
 
-        filters = [
-            node.predicate
-            for node in best_plan.walk()
-            if isinstance(node, FilterNode)
-        ]
+        filters = [node.predicate for node in best.plan.walk() if isinstance(node, FilterNode)]
         deduplicated: dict[str, object] = {}
         for predicate in filters:
             deduplicated.setdefault(predicate.key(), predicate)
         ordered = context.order_filters(list(deduplicated.values()))
 
         for predicate in reversed(ordered):
-            candidate = best_plan
+            candidate = best.plan
             for _step in range(self.MAX_PULLUPS_PER_FILTER):
                 candidate = pullup_to_next_join(candidate, predicate.key())
                 if candidate is None:
                     break
-                _annotations, candidate_cost = self.cost_plan(candidate)
-                if candidate_cost < best_cost:
-                    best_plan, best_cost = candidate, candidate_cost
-        return best_plan
+                result = self.cost(candidate)
+                if result.estimated_cost < best.estimated_cost:
+                    best = result
+        return best

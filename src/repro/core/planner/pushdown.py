@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.core.planner.base import TaggedPlanner
 from repro.core.planner.joinorder import greedy_join_tree
-from repro.expr.ast import BooleanExpr
 from repro.plan.logical import PlanNode
 
 
@@ -21,21 +20,11 @@ class TPushdownPlanner(TaggedPlanner):
     def build_plan(self) -> PlanNode:
         context = self.context
         query = context.query
-
-        per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in query.aliases}
-        multi_table: list[BooleanExpr] = []
-        if context.predicate_tree is not None:
-            for predicate in context.predicate_tree.base_predicates():
-                alias = context.single_table_alias(predicate)
-                if alias is not None and alias in per_alias:
-                    per_alias[alias].append(predicate)
-                else:
-                    multi_table.append(predicate)
+        per_alias, multi_table = context.pushdown_placement()
 
         leaf_plans: dict[str, PlanNode] = {}
         estimated_rows: dict[str, float] = {}
-        for alias in query.aliases:
-            filters = context.order_filters(per_alias[alias])
+        for alias, filters in per_alias.items():
             leaf_plans[alias] = self.stack_filters(self.scan_node(alias), filters)
             estimated_rows[alias] = context.effective_alias_rows(
                 alias, filters, disjunctive=True
@@ -45,7 +34,4 @@ class TPushdownPlanner(TaggedPlanner):
             joined: PlanNode = leaf_plans[query.aliases[0]]
         else:
             joined = greedy_join_tree(query, leaf_plans, estimated_rows, context.estimates)
-
-        remaining = context.order_filters(multi_table)
-        joined = self.stack_filters(joined, remaining)
-        return self.finish(joined)
+        return self.finish(self.stack_filters(joined, multi_table))

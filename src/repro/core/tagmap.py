@@ -62,10 +62,6 @@ class FilterTagMap:
         """Whether the slice tagged ``tag`` is processed by the filter."""
         return tag in self.entries
 
-    def input_tags(self) -> list[Tag]:
-        """Tags with an entry (the slices the predicate is evaluated on)."""
-        return list(self.entries)
-
 
 @dataclass
 class JoinTagMap:
@@ -80,10 +76,6 @@ class JoinTagMap:
     def right_tags(self) -> set[Tag]:
         """Right input tags with at least one matching entry."""
         return {right for _left, right in self.entries}
-
-    def output_tag(self, left: Tag, right: Tag) -> Tag | None:
-        """Output tag for a slice pairing, or None when the pair is dropped."""
-        return self.entries.get((left, right))
 
 
 @dataclass

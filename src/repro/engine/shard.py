@@ -84,7 +84,8 @@ WORKER_TABLE_CACHE_LIMIT = 32
 
 
 class ShardExecutionError(RuntimeError):
-    """A worker process failed while executing its shard (traceback attached)."""
+    """A worker process failed while executing its shard: a query error (the
+    worker's traceback attached) or a dead worker (named, with its exit code)."""
 
 
 @dataclass(frozen=True)
@@ -333,13 +334,17 @@ class ShardPool:
         Returns ``[(payload, metrics, iostats, trace_payload), ...]`` in
         shard (= partition) order.  A query error inside a worker raises
         :class:`ShardExecutionError` with the worker traceback and leaves the
-        pool usable; a transport failure tears the pool down (a fresh pool is
-        created on the next sharded query).
+        pool usable.  A transport failure tears the pool down (a fresh pool
+        is created on the next sharded query); when it is a dead worker's
+        pipe (``EOFError`` / ``OSError``) it raises
+        :class:`ShardExecutionError` naming the worker and its exit code,
+        chained from the transport error.
         """
         with self._lock:
             if self._closed:
                 raise RuntimeError("shard pool is closed")
             used = self._workers[: len(assignments)]
+            worker = None
             try:
                 sent_tokens: list[list[int]] = []
                 for worker, ranges in zip(used, assignments):
@@ -373,12 +378,19 @@ class ShardPool:
                 return results
             except ShardExecutionError:
                 raise
-            except BaseException:
-                # Transport-level failure (dead worker, broken pipe): the
-                # pool's pipes may hold stale state — discard it entirely.
+            except BaseException as exc:
+                # Transport-level failure (dead worker, broken pipe) or an
+                # interrupt: the pool's pipes may hold stale state — discard
+                # it entirely.
                 self._close_locked()
                 _discard_pool(self)
-                raise
+                if worker is None or not isinstance(exc, (EOFError, OSError)):
+                    raise
+                exit_code = worker.process.exitcode  # known once joined
+                status = "" if exit_code is None else f" (exit code {exit_code})"
+                raise ShardExecutionError(
+                    f"shard worker {worker.process.name} is gone{status}: {exc!r}"
+                ) from exc
 
     def shutdown(self) -> None:
         """Terminate every worker (idempotent)."""

@@ -193,16 +193,14 @@ class EstimateProvider:
             rows *= self.selectivity(predicate)
         return rows
 
-    def join_rows(
-        self, left_rows: float, right_rows: float, condition: JoinCondition
-    ) -> float:
-        """Estimated output size of an equi-join (PostgreSQL-style)."""
-        return self.join_rows_multi(left_rows, right_rows, [condition])
-
     def join_rows_multi(
         self, left_rows: float, right_rows: float, conditions: list[JoinCondition]
     ) -> float:
-        """Join estimate for multiple equi-conditions (independence across keys)."""
+        """Estimated output size of an equi-join (PostgreSQL-style).
+
+        Each condition divides the cross product by the larger distinct-value
+        count of its two keys (independence across keys).
+        """
         if not conditions:
             return left_rows * right_rows
         result = left_rows * right_rows
@@ -244,30 +242,6 @@ class EstimateProvider:
         if choice is None:
             return float(self.table_stats[self.query.tables[alias]].num_pages)
         return float(choice.total_pages if choice.kind == "full" else choice.est_pages)
-
-    # ------------------------------------------------------------------ #
-    # Whole-query estimate
-    # ------------------------------------------------------------------ #
-    def estimate_query_rows(self) -> float:
-        """Plan-independent estimate of the query's output cardinality.
-
-        Joins every table (chaining the per-condition NDV reduction) and
-        applies the selectivity of the full WHERE predicate.  A diagnostic
-        companion to the *plan-derived* root estimates the session stores on
-        prepared plans (see :class:`~repro.engine.session.PreparedPlan`):
-        because this number does not depend on plan shape, it is comparable
-        across planners for the same query.
-        """
-        rows = 1.0
-        for alias in self.query.tables:
-            rows *= self.base_rows(alias)
-        for condition in self.query.join_conditions:
-            left_ndv = self.distinct_values(condition.left.alias, condition.left.column)
-            right_ndv = self.distinct_values(condition.right.alias, condition.right.column)
-            rows /= max(left_ndv, right_ndv, 1.0)
-        if self.query.predicate is not None:
-            rows *= self.selectivity(self.query.predicate)
-        return max(rows, 0.0)
 
 
 def estimate_plan_rows(plan: PlanNode, estimates: EstimateProvider) -> dict[int, float]:

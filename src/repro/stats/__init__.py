@@ -1,17 +1,16 @@
-"""Statistics: table statistics, predicate selectivities, join cardinalities.
+"""Statistics: table statistics and predicate selectivities.
 
 The paper's cost models (Section 4.1) need cardinality estimates for tagged
 relations and relational slices.  Predicate selectivities are *measured* on a
-sample of the base data and combined under the independence assumption; join
-cardinalities use the PostgreSQL-style distinct-value formula.
+sample of the base data and combined under the independence assumption; the
+row formulas built on them (filtered rows, the PostgreSQL-style join
+estimate) live in :class:`repro.optimizer.estimates.EstimateProvider`.
 """
 
-from repro.stats.cardinality import CardinalityEstimator
 from repro.stats.selectivity import SelectivityEstimator
 from repro.stats.table_stats import ColumnStats, TableStats, collect_table_stats
 
 __all__ = [
-    "CardinalityEstimator",
     "ColumnStats",
     "SelectivityEstimator",
     "TableStats",

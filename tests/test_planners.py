@@ -233,8 +233,7 @@ class TestPlanRewrites:
         assert len(collect_filters(current)) == 4
 
     def test_push_filter_to_alias(self, context):
-        iterpush = TIterPushPlanner(context)
-        base = iterpush.build_plan()
+        base = TIterPushPlanner(context).plan().plan
         predicate = collect_filters(base)[0].predicate
         alias = next(iter(predicate.tables()))
         pushed = push_filter_to_alias(base, predicate, alias)
@@ -264,9 +263,11 @@ class TestPlannersEndToEnd:
             assert fragment in rendered
 
     def test_tcombined_picks_cheapest_candidate(self, context):
-        combined = TCombinedPlanner(context)
-        result = combined.plan()
-        candidate_costs = [candidate.estimated_cost for candidate in combined.candidates()]
+        result = TCombinedPlanner(context).plan()
+        candidate_costs = [
+            context.planned(candidate).estimated_cost
+            for candidate in TCombinedPlanner.CANDIDATES
+        ]
         assert result.estimated_cost == pytest.approx(min(candidate_costs))
 
     def test_tpullup_pulls_expensive_predicate_above_selective_join(self, paper_catalog):
@@ -283,7 +284,7 @@ class TestPlannersEndToEnd:
             predicate=predicate,
         )
         context = PlannerContext.for_query(query, paper_catalog)
-        plan = TPullupPlanner(context).build_plan()
+        plan = TPullupPlanner(context).plan().plan
         filters_above_join = [
             node for node in collect_filters(plan) if isinstance(node.child, JoinNode)
         ]

@@ -14,12 +14,16 @@ The acceptance bar for the scatter–gather engine is strict determinism:
 * ``shards=1`` is exactly the in-process path: no worker pool is created;
 * aggregation and (ORDER BY …) LIMIT pushdown never change the answer,
   whether or not they engage;
-* a worker-side query error leaves the pool usable for the next query.
+* a worker-side query error leaves the pool usable for the next query;
+* a dead worker is a named :class:`ShardExecutionError`, and the next query
+  runs on a fresh pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -383,6 +387,29 @@ def test_worker_error_leaves_pool_usable(sessions, workload):
         query, planner="tcombined", parallelism=1, partitions=4, shards=2
     )
     assert retry.rows == good.rows
+
+
+def test_dead_worker_is_a_named_error_and_the_pool_is_replaced(sessions, workload):
+    """A worker killed between two queries fails the next one with a
+    :class:`ShardExecutionError` naming it; the retry runs on a fresh pool."""
+    query, expected = workload
+    session = sessions[False]
+    session.execute(query, planner="tcombined", parallelism=1, partitions=4, shards=2)
+    pool = shard_pool(2)
+    victim = pool._workers[1].process
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=10.0)
+
+    named = r"repro-shard-2-1 is gone \(exit code -9\)"
+    with pytest.raises(ShardExecutionError, match=named) as raised:
+        session.execute(query, planner="tcombined", parallelism=1, partitions=4, shards=2)
+    assert isinstance(raised.value.__cause__, (EOFError, OSError))
+
+    retry = session.execute(
+        query, planner="tcombined", parallelism=1, partitions=4, shards=2
+    )
+    assert shard_pool(2) is not pool
+    assert retry.sorted_rows() == expected
 
 
 def test_shard_pool_registry_shutdown(sessions, workload):

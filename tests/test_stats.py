@@ -1,9 +1,14 @@
-"""Unit tests for statistics: table stats, selectivity and cardinality estimation."""
+"""Unit tests for statistics: table stats, selectivity and cardinality estimation.
+
+The row formulas (filtered rows, join estimates) are
+:class:`~repro.optimizer.estimates.EstimateProvider`'s, built here on the
+same sampled estimator as the selectivity tests.
+"""
 
 import pytest
 
 from repro.expr.builders import and_, col, ilike, lit, not_, or_
-from repro.stats.cardinality import CardinalityEstimator
+from repro.optimizer.estimates import EstimateProvider
 from repro.stats.selectivity import DEFAULT_SELECTIVITY, SelectivityEstimator
 from repro.stats.table_stats import collect_catalog_stats, collect_table_stats
 from repro.storage.table import Table
@@ -108,7 +113,7 @@ class TestCardinality:
             name: collect_table_stats(paper_catalog.get(name))
             for name in ("title", "movie_info_idx")
         }
-        return CardinalityEstimator(query, table_stats, estimator)
+        return EstimateProvider(query, table_stats, estimator)
 
     def test_base_rows(self, cardinality):
         assert cardinality.base_rows("t") == 7
@@ -120,7 +125,7 @@ class TestCardinality:
 
     def test_join_rows_uses_max_ndv(self, cardinality, query):
         condition = query.join_conditions[0]
-        estimate = cardinality.join_rows(7, 6, condition)
+        estimate = cardinality.join_rows_multi(7, 6, [condition])
         assert estimate == pytest.approx(7 * 6 / 7)
 
     def test_join_rows_multi_with_no_conditions(self, cardinality):
