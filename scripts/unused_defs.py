@@ -29,6 +29,7 @@ ROOT = Path(__file__).resolve().parent.parent
 USER_DIRS = ("benchmarks", "scripts", "examples")
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+WORD = re.compile(r"\w+")
 
 
 def definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
@@ -60,44 +61,35 @@ def without_reexports(text: str, tree: ast.Module) -> str:
     return "\n".join(line for index, line in enumerate(text.splitlines()) if index not in dropped)
 
 
-def word_counts(texts: list[str]) -> Counter[str]:
+def words_in(directory: str) -> Counter[str]:
+    """How often each word occurs in the Python files under ``directory``."""
     counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(re.findall(r"\b\w+\b", text))
+    for path in sorted((ROOT / directory).rglob("*.py")):
+        counts.update(WORD.findall(path.read_text(encoding="utf-8")))
     return counts
 
 
 def main() -> int:
     used: Counter[str] = Counter()
-    defined_at: Counter[str] = Counter()
-    listed: list[tuple[Path, int, str, str]] = []
+    defined: Counter[str] = Counter()
+    found: list[tuple[Path, int, str, str]] = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
         if path.name == "__init__.py":
             text = without_reexports(text, tree)
-        used.update(word_counts([text]))
+        used.update(WORD.findall(text))
         for name, qualified, line in definitions(tree):
-            defined_at[name] += 1
-            listed.append((path, line, name, qualified))
-    used.update(
-        word_counts(
-            [
-                path.read_text(encoding="utf-8")
-                for directory in USER_DIRS
-                for path in sorted((ROOT / directory).rglob("*.py"))
-            ]
-        )
-    )
-    in_tests = word_counts(
-        [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").rglob("*.py"))]
-    )
+            defined[name] += 1
+            found.append((path, line, name, qualified))
+    for directory in USER_DIRS:
+        used.update(words_in(directory))
+    in_tests = words_in("tests")
 
     unused = [
         (path, line, qualified, in_tests[name])
-        for path, line, name, qualified in listed
-        if not (name.startswith("__") and name.endswith("__"))
-        and used[name] <= defined_at[name]
+        for path, line, name, qualified in found
+        if not (name.startswith("__") and name.endswith("__")) and used[name] <= defined[name]
     ]
     for path, line, qualified, test_refs in unused:
         print(f"{path.relative_to(ROOT)}:{line}\t{qualified}\ttests={test_refs}")

@@ -7,7 +7,8 @@ is then considered, in reverse benefiting order, for being pulled up one
 node at a time; whenever the resulting plan is estimated to be cheaper it
 becomes the new base plan.  The planner is useful when some predicate
 subexpressions are so selective that delaying other, expensive predicates
-(regex matching, say) until after the joins is a win."""
+(regex matching, say) until after the joins is a win.
+"""
 
 from __future__ import annotations
 

@@ -344,7 +344,6 @@ class ShardPool:
             if self._closed:
                 raise RuntimeError("shard pool is closed")
             used = self._workers[: len(assignments)]
-            worker = None
             try:
                 sent_tokens: list[list[int]] = []
                 for worker, ranges in zip(used, assignments):
@@ -384,7 +383,7 @@ class ShardPool:
                 # it entirely.
                 self._close_locked()
                 _discard_pool(self)
-                if worker is None or not isinstance(exc, (EOFError, OSError)):
+                if not isinstance(exc, (EOFError, OSError)):
                     raise
                 exit_code = worker.process.exitcode  # known once joined
                 status = "" if exit_code is None else f" (exit code {exit_code})"
