@@ -4,7 +4,7 @@
 PYTHON ?= python
 RUN = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON)
 
-.PHONY: test lint test-crash bench-e2e bench-compare profile docs-check examples unused
+.PHONY: test lint test-crash bench-e2e bench-compare profile docs-check examples unused golden
 
 ## tier-1 test suite (the gate every change must keep green); the ten slowest
 ## tests are listed at the end of every run
@@ -53,6 +53,12 @@ docs-check:
 ## their test reference counts (a report for pruning, not a gate)
 unused:
 	$(PYTHON) scripts/unused_defs.py
+
+## re-record the golden plan files, only when plans are meant to change
+## (tests/test_golden_plans.py compares against them under PYTHONHASHSEED=0)
+golden:
+	PYTHONHASHSEED=0 $(RUN) tests/test_golden_plans.py > tests/golden/plans.json
+	PYTHONHASHSEED=0 $(RUN) tests/test_golden_plans.py baselines > tests/golden/baseline_plans.json
 
 ## run every example end to end (examples bootstrap their own sys.path)
 examples:

@@ -73,7 +73,7 @@ class BDisjPlanner(TaggedPlanner):
         estimated_rows: dict[str, float] = {}
         for alias in query.aliases:
             pushed = by_selectivity(per_alias[alias])
-            leaf_plans[alias] = self.stack_filters(self.scan_node(alias), pushed[::-1])
+            leaf_plans[alias] = self.stack_filters(self.scan_node(alias), pushed)
             estimated_rows[alias] = estimates.filtered_rows(alias, pushed)
 
         if len(query.aliases) == 1:

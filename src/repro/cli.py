@@ -15,8 +15,8 @@ Subcommands::
                append log — base column files are never rewritten
     delete     logically delete the rows matching a predicate
     compact    fold the append log into a new table generation behind an
-               atomic manifest swap (--online keeps writers unblocked while
-               the fold runs)
+               atomic manifest swap (writers stay unblocked while the fold
+               runs)
     recover    replay the write-ahead log: truncate torn tails, re-apply
                committed-but-unapplied transactions (load_catalog does this
                automatically on open; the verb makes it explicit/scriptable)
@@ -53,7 +53,7 @@ Examples::
     python -m repro history --data data/t0t1t2 --top 10 --by total_seconds
     python -m repro history regressions --data data/t0t1t2
     python -m repro top --data data/t0t1t2 --iterations 1
-    python -m repro compact --data data/t0t1t2 --online
+    python -m repro compact --data data/t0t1t2
     python -m repro recover --data data/t0t1t2
     python -m repro wal status --data data/t0t1t2 --format json
     python -m repro table stats T1 --data data/t0t1t2
@@ -514,7 +514,7 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
     restore = _install_history(args)
     try:
-        summary = compact_saved_catalog(args.data, online=args.online)
+        summary = compact_saved_catalog(args.data)
     except (KeyError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -1127,12 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compact", help="fold the append log into a new table generation"
     )
     compact.add_argument("--data", required=True, help="catalog directory")
-    compact.add_argument(
-        "--online",
-        action="store_true",
-        help="hold locks only to pin the fold point and to swap "
-        "(concurrent writers keep committing and are rebased)",
-    )
     compact.add_argument(
         "--history-journal",
         metavar="PATH",

@@ -80,8 +80,8 @@ class TIterPushPlanner(TaggedPlanner):
 
         base_predicates = context.order_filters(context.predicate_tree.base_predicates())
         # Filters above the joins run in benefiting order: the most beneficial
-        # filter must run first, i.e. sit lowest in the stack.
-        joined = self.stack_filters(joined, list(reversed(base_predicates)))
+        # filter runs first, i.e. sits lowest in the stack.
+        joined = self.stack_filters(joined, base_predicates)
         best = self.cost(self.finish(joined))
 
         for predicate in base_predicates:

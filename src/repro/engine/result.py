@@ -65,6 +65,7 @@ class QueryResult:
         metrics: engine work counters.
         iostats: simulated storage traffic.
         plan_description: pretty-printed plan (or plans) that ran.
+        plan_hash: the prepared plan's hash of ``plan_description``.
         cache_hit: True when the executed plan came out of a plan cache
             (set by the service layer; always False for direct Session use).
         trace: the :class:`~repro.obs.trace.Tracer` that followed this
@@ -80,6 +81,7 @@ class QueryResult:
         metrics: ExecutionMetrics | None = None,
         iostats: IOStats | None = None,
         plan_description: str = "",
+        plan_hash: str | None = None,
         cache_hit: bool = False,
         trace=None,
     ) -> None:
@@ -90,6 +92,7 @@ class QueryResult:
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.iostats = iostats if iostats is not None else IOStats()
         self.plan_description = plan_description
+        self.plan_hash = plan_hash
         self.cache_hit = cache_hit
         self.trace = trace
         self._rows_cache: list[tuple] | None = None

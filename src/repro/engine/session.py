@@ -55,6 +55,7 @@ from repro.engine.metrics import ExecContext, ExecOptions, Stopwatch
 from repro.engine.parallel import execute_plan
 from repro.engine.postprocess import apply_output_shaping
 from repro.engine.result import QueryResult
+from repro.obs.history import QueryRecord, get_history, plan_hash_of, session_fingerprint
 from repro.plan.logical import PlanNode
 from repro.plan.query import Query
 from repro.storage.catalog import Catalog
@@ -99,6 +100,9 @@ class PreparedPlan:
         annotations: tag maps for tagged plans, ``None`` otherwise.
         predicate_tree: the query's predicate tree (``None`` without WHERE).
         plan_description: pretty-printed plan, as shown by ``explain``.
+        plan_hash: short stable hash of ``plan_description``
+            (:func:`repro.obs.history.plan_hash_of`), computed once here so
+            a plan-cache hit publishes it without hashing again.
         planning_seconds: wall-clock cost of the prepare phase.
         estimated_rows: estimated output rows per plan node id (tag-aware
             for tagged plans, generic bottom-up walk otherwise); consumed by
@@ -132,6 +136,7 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     predicate_tree: PredicateTree | None
     plan_description: str
     planning_seconds: float
+    plan_hash: str | None = None
     estimated_rows: dict[int, float] = field(default_factory=dict)
     estimated_output_rows: float = 0.0
     clause_selectivities: dict[str, float] = field(default_factory=dict)
@@ -212,28 +217,18 @@ class Session:
         execution, from merged coordinator-side counters; rows and IO
         accounting are identical with history on or off.
         """
-        from repro.obs import history as obs_history
-
         planner = planner.lower()
         query = self._bind(query)
         options = self.options.replace(**overrides)
-        history = obs_history.get_history()
+        history = get_history()
         wall_timer = Stopwatch()
         prepared = self.prepare(query, planner, naive_tags)
         result = self.execute_prepared(prepared, **vars(options))
         if history is not None:
-            history.record_query(
-                fingerprint=obs_history.session_fingerprint(query, planner),
-                planner=result.planner_name,
-                seconds=wall_timer.elapsed(),
-                execution_seconds=result.execution_seconds,
-                rows=result.row_count,
-                pages_read=result.iostats.pages_read,
-                pages_pruned=result.metrics.pages_pruned,
-                cache_hit=result.cache_hit,
-                plan_hash=obs_history.plan_hash_of(result.plan_description),
-                trace=result.trace.to_dict() if result.trace is not None else None,
+            record = QueryRecord.of(
+                result, session_fingerprint(query, planner), wall_timer.elapsed(), options.shards
             )
+            history.record_query(record, trace=result.trace)
         return result
 
     def begin_mutation(self):
@@ -285,6 +280,7 @@ class Session:
             # residual predicate), not its bit tables or the thousands of
             # tags the discarded candidate plans generalized along the way.
             predicate_tree.forget_tags()
+        plan_description = planned.description()
         return PreparedPlan(
             planner=planner,
             kind=planned.kind,
@@ -292,8 +288,9 @@ class Session:
             roots=planned.roots,
             annotations=planned.annotations,
             predicate_tree=predicate_tree,
-            plan_description=planned.description(),
+            plan_description=plan_description,
             planning_seconds=timer.elapsed(),
+            plan_hash=plan_hash_of(plan_description),
             estimated_rows=dict(planned.node_rows),
             estimated_output_rows=planned.estimated_output_rows,
             clause_selectivities=clause_selectivities(
@@ -423,6 +420,7 @@ class Session:
             metrics=exec_context.metrics,
             iostats=exec_context.iostats,
             plan_description=prepared.plan_description,
+            plan_hash=prepared.plan_hash,
             cache_hit=cache_hit,
             trace=tracer,
         )

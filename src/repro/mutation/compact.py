@@ -125,22 +125,16 @@ class Compactor:
         self.root = Path(root)
         self.catalog = catalog
 
-    def run(self, online: bool = True) -> dict:
+    def run(self) -> dict:
         """Compact; returns a summary dictionary.
 
-        ``online=True`` (the default) holds locks only while pinning the
-        fold point and while swapping — writers commit concurrently and
-        their transactions are rebased onto the new generation.
-        ``online=False`` holds the dataset write lock for the whole fold
-        (the conservative stop-the-world mode; the swap is equally atomic).
-        Each run counts into the metrics registry and, under an ambient
-        tracer, is wrapped in a ``compaction`` span.
+        Locks are held only while pinning the fold point and while swapping
+        — writers commit concurrently and their transactions are rebased
+        onto the new generation.  Each run counts into the metrics registry
+        and, under an ambient tracer, is wrapped in a ``compaction`` span.
         """
-        with ambient_span("compaction", online=online):
-            if online:
-                return self._compact()
-            with dataset_write_lock(self.root):
-                return self._compact()
+        with ambient_span("compaction"):
+            return self._compact()
 
     # ------------------------------------------------------------------ #
     def _compact(self) -> dict:

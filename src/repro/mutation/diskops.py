@@ -402,7 +402,7 @@ def _combined_segment(directory: Path, table_name: str, column, run: list[dict])
 # --------------------------------------------------------------------------- #
 # Compaction
 # --------------------------------------------------------------------------- #
-def compact_saved_catalog(root: str | Path, online: bool = False) -> dict:
+def compact_saved_catalog(root: str | Path) -> dict:
     """Fold a dataset's append log into flat column files.
 
     Delegates to :class:`repro.mutation.compact.Compactor`: the folded state
@@ -411,14 +411,13 @@ def compact_saved_catalog(root: str | Path, online: bool = False) -> dict:
     a crash at any moment leaves either the old or the new state fully
     intact (the pre-v4 implementation rewrote base files in place and could
     leave a stale append log readable if killed between the fold and the
-    log truncation).  ``online=True`` releases the dataset write lock during
-    the fold so concurrent writers keep committing; their transactions are
-    rebased onto the new generation at swap time.  Returns a summary
-    dictionary.
+    log truncation).  The dataset write lock is released during the fold,
+    so concurrent writers keep committing; their transactions are rebased
+    onto the new generation at swap time.  Returns a summary dictionary.
     """
     from repro.mutation.compact import Compactor
 
-    return Compactor(root).run(online=online)
+    return Compactor(root).run()
 
 
 # --------------------------------------------------------------------------- #

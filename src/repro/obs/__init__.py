@@ -14,7 +14,10 @@ Cooperating pieces, all opt-in on the execution hot path:
   :class:`~repro.obs.slowlog.SlowQueryLog` armed by
   ``QueryService(slow_query_log=...)``, with a size-rotated
   :class:`~repro.obs.slowlog.RotatingFileSink`;
-* :mod:`repro.obs.history` — the longitudinal layer: a per-fingerprint
+* :mod:`repro.obs.history` — the finished-query
+  :class:`~repro.obs.history.QueryRecord` that the registry, the slow log,
+  the stats store, the journal and the regression detector all read, and
+  the longitudinal layer: a per-fingerprint
   :class:`~repro.obs.history.QueryStatsStore`, the persistent checksummed
   :class:`~repro.obs.journal.EventJournal`, and the
   :class:`~repro.obs.regress.RegressionDetector`, composed by
@@ -24,6 +27,7 @@ Cooperating pieces, all opt-in on the execution hot path:
 
 from .history import (
     FingerprintStats,
+    QueryRecord,
     QueryStatsStore,
     WorkloadHistory,
     get_history,
@@ -38,7 +42,7 @@ from .registry import (
     MetricsRegistry,
     get_registry,
 )
-from .slowlog import RotatingFileSink, SlowQueryLog, SlowQueryRecord
+from .slowlog import RotatingFileSink, SlowQueryLog
 from .trace import Span, Tracer, ambient_span, current_tracer
 
 __all__ = [
@@ -49,12 +53,12 @@ __all__ = [
     "Histogram",
     "JournalScan",
     "MetricsRegistry",
+    "QueryRecord",
     "QueryStatsStore",
     "RegressionDetector",
     "RegressionEvent",
     "RotatingFileSink",
     "SlowQueryLog",
-    "SlowQueryRecord",
     "Span",
     "Tracer",
     "WorkloadHistory",

@@ -33,8 +33,9 @@ installed every hook is a single ``is None`` test.
 from __future__ import annotations
 
 import hashlib
+import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .instruments import publish_journal_event, publish_regression, publish_replan
@@ -81,6 +82,73 @@ def session_fingerprint(query, planner: str) -> str:
     ).hexdigest()
 
 
+@dataclass(frozen=True)
+class QueryRecord:
+    """One finished query: the single description every publish surface reads.
+
+    Built once per query, coordinator-side, by :meth:`of`; the registry
+    (:func:`~repro.obs.instruments.publish_query`), the slow-query log, the
+    stats store, the regression detector and the journal's ``query`` and
+    ``slow_query`` events all consume this one record.
+    """
+
+    fingerprint: str
+    planner: str
+    #: End-to-end latency: cache lookup or planning, plus execution.
+    seconds: float
+    planning_seconds: float = 0.0
+    execution_seconds: float = 0.0
+    rows: int = 0
+    pages_read: int = 0
+    pages_pruned: int = 0
+    cache_hit: bool = False
+    plan_hash: str | None = None
+    shards: int | None = None
+    morsels: int = 0
+    shard_tasks: int = 0
+
+    @classmethod
+    def of(cls, result, fingerprint: str, seconds: float, shards: int | None) -> "QueryRecord":
+        """The record of one :class:`~repro.engine.result.QueryResult`."""
+        metrics = result.metrics
+        return cls(
+            fingerprint=fingerprint,
+            planner=result.planner_name,
+            seconds=seconds,
+            planning_seconds=result.planning_seconds,
+            execution_seconds=result.execution_seconds,
+            rows=result.row_count,
+            pages_read=result.iostats.pages_read,
+            pages_pruned=metrics.pages_pruned,
+            cache_hit=result.cache_hit,
+            plan_hash=result.plan_hash,
+            shards=shards,
+            morsels=metrics.morsels_executed,
+            shard_tasks=metrics.shards_executed,
+        )
+
+    @classmethod
+    def from_event(cls, event: dict) -> "QueryRecord":
+        """Rebuild a record from a journal ``query`` event.
+
+        A field the event lacks (a journal written before the field existed)
+        takes its default.
+        """
+        known = {name: event[name] for name in _RECORD_FIELDS if name in event}
+        return cls(**{"fingerprint": "?", "planner": "?", "seconds": 0.0, **known})
+
+    def as_dict(self) -> dict:
+        """The record as a plain dictionary (journal events)."""
+        return asdict(self)
+
+    def as_json(self) -> str:
+        """The record as a single-line JSON document (log-friendly)."""
+        return json.dumps(self.as_dict(), sort_keys=True)
+
+
+_RECORD_FIELDS = tuple(entry.name for entry in fields(QueryRecord))
+
+
 @dataclass
 class FingerprintStats:
     """Accumulated execution statistics for one query fingerprint."""
@@ -104,27 +172,20 @@ class FingerprintStats:
         default_factory=lambda: [0] * (len(DEFAULT_LATENCY_BUCKETS) + 1)
     )
 
-    def observe(
-        self,
-        seconds: float,
-        rows: int,
-        pages_read: int,
-        pages_pruned: int,
-        cache_hit: bool,
-        plan_hash: str | None,
-    ) -> None:
+    def observe(self, record: QueryRecord) -> None:
         """Fold one successful execution in."""
+        seconds = record.seconds
         self.calls += 1
-        self.rows += rows
+        self.rows += record.rows
         self.total_seconds += seconds
         self.min_seconds = min(self.min_seconds, seconds)
         self.max_seconds = max(self.max_seconds, seconds)
-        self.pages_read += pages_read
-        self.pages_pruned += pages_pruned
-        if cache_hit:
+        self.pages_read += record.pages_read
+        self.pages_pruned += record.pages_pruned
+        if record.cache_hit:
             self.cache_hits += 1
-        if plan_hash is not None:
-            self.plan_hash = plan_hash
+        if record.plan_hash is not None:
+            self.plan_hash = record.plan_hash
         index = 0
         for index, bound in enumerate(DEFAULT_LATENCY_BUCKETS):
             if seconds <= bound:
@@ -206,21 +267,11 @@ class QueryStatsStore:
             self._entries[fingerprint] = entry
         return entry
 
-    def observe_query(
-        self,
-        fingerprint: str,
-        planner: str,
-        seconds: float,
-        rows: int,
-        pages_read: int,
-        pages_pruned: int,
-        cache_hit: bool,
-        plan_hash: str | None = None,
-    ) -> FingerprintStats:
+    def observe_query(self, record: QueryRecord) -> FingerprintStats:
         """Fold one successful execution into the fingerprint's entry."""
         with self._lock:
-            entry = self._entry(fingerprint, planner)
-            entry.observe(seconds, rows, pages_read, pages_pruned, cache_hit, plan_hash)
+            entry = self._entry(record.fingerprint, record.planner)
+            entry.observe(record)
             return entry
 
     def record_error(self, fingerprint: str, planner: str) -> None:
@@ -312,55 +363,23 @@ class WorkloadHistory:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
-    def record_query(
-        self,
-        fingerprint: str,
-        planner: str,
-        seconds: float,
-        execution_seconds: float,
-        rows: int,
-        pages_read: int,
-        pages_pruned: int,
-        cache_hit: bool,
-        plan_hash: str | None = None,
-        trace: dict | None = None,
-    ) -> list[RegressionEvent]:
-        """Record one finished query; returns newly detected regressions."""
-        self.stats.observe_query(
-            fingerprint,
-            planner,
-            seconds,
-            rows,
-            pages_read,
-            pages_pruned,
-            cache_hit,
-            plan_hash,
-        )
+    def record_query(self, record: QueryRecord, trace=None) -> list[RegressionEvent]:
+        """Record one finished query; returns newly detected regressions.
+
+        ``trace`` is the query's :class:`~repro.obs.trace.Tracer` (or
+        ``None``); it is converted only when the journal samples it.
+        """
+        self.stats.observe_query(record)
         if self.journal is not None:
-            event = {
-                "fingerprint": fingerprint,
-                "planner": planner,
-                "seconds": seconds,
-                "execution_seconds": execution_seconds,
-                "rows": rows,
-                "pages_read": pages_read,
-                "pages_pruned": pages_pruned,
-                "cache_hit": cache_hit,
-                "plan_hash": plan_hash,
-            }
+            event = record.as_dict()
             if trace is not None and self.journal.sample_trace():
-                event["trace"] = trace
+                event["trace"] = trace.to_dict()
             self.journal.append("query", **event)
             publish_journal_event()
         events: list[RegressionEvent] = []
         if self.detector is not None:
             with self._lock:
-                events = self.detector.observe(
-                    fingerprint,
-                    execution_seconds=execution_seconds,
-                    pages_read=pages_read,
-                    plan_hash=plan_hash,
-                )
+                events = self.detector.observe(record)
                 self.regressions.extend(events)
             for event in events:
                 publish_regression()
@@ -386,8 +405,8 @@ class WorkloadHistory:
             self.journal.append("replan", fingerprint=fingerprint, reason=reason)
             publish_journal_event()
 
-    def record_slow_query(self, record) -> None:
-        """Route one :class:`~repro.obs.slowlog.SlowQueryRecord` to the journal."""
+    def record_slow_query(self, record: QueryRecord) -> None:
+        """Journal one query the slow-query log kept."""
         if self.journal is not None:
             self.journal.append("slow_query", **record.as_dict())
             publish_journal_event()
@@ -436,17 +455,7 @@ class WorkloadHistory:
         for event in read_journal(journal_path):
             kind = event.get("kind")
             if kind == "query":
-                history.record_query(
-                    fingerprint=str(event.get("fingerprint", "?")),
-                    planner=str(event.get("planner", "?")),
-                    seconds=float(event.get("seconds", 0.0)),
-                    execution_seconds=float(event.get("execution_seconds", 0.0)),
-                    rows=int(event.get("rows", 0)),
-                    pages_read=int(event.get("pages_read", 0)),
-                    pages_pruned=int(event.get("pages_pruned", 0)),
-                    cache_hit=bool(event.get("cache_hit", False)),
-                    plan_hash=event.get("plan_hash"),
-                )
+                history.record_query(QueryRecord.from_event(event))
             elif kind == "query_error":
                 history.stats.record_error(
                     str(event.get("fingerprint", "?")), str(event.get("planner", "?"))

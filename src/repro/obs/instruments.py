@@ -22,7 +22,12 @@ set of series over ones that pop into existence.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .registry import get_registry
+
+if TYPE_CHECKING:
+    from .history import QueryRecord
 
 _REG = get_registry()
 
@@ -114,26 +119,19 @@ HISTORY_JOURNAL_EVENTS = _REG.counter(
 )
 
 
-def publish_query(
-    seconds: float,
-    rows: int,
-    pages_read: int,
-    pages_pruned: int,
-    morsels: int,
-    shard_tasks: int,
-) -> None:
+def publish_query(record: QueryRecord) -> None:
     """Record one finished query execution."""
     QUERIES.inc()
-    QUERY_SECONDS.observe(seconds)
-    QUERY_ROWS.inc(rows)
-    if pages_read:
-        PAGES_READ.inc(pages_read)
-    if pages_pruned:
-        PAGES_PRUNED.inc(pages_pruned)
-    if morsels:
-        MORSELS.inc(morsels)
-    if shard_tasks:
-        SHARD_TASKS.inc(shard_tasks)
+    QUERY_SECONDS.observe(record.seconds)
+    QUERY_ROWS.inc(record.rows)
+    if record.pages_read:
+        PAGES_READ.inc(record.pages_read)
+    if record.pages_pruned:
+        PAGES_PRUNED.inc(record.pages_pruned)
+    if record.morsels:
+        MORSELS.inc(record.morsels)
+    if record.shard_tasks:
+        SHARD_TASKS.inc(record.shard_tasks)
 
 
 def publish_plan_cache(hit: bool) -> None:

@@ -21,6 +21,10 @@ from __future__ import annotations
 import statistics
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .history import QueryRecord
 
 #: Degradation factor (recent median / baseline median) that flags.
 DEFAULT_REGRESSION_THRESHOLD = 2.0
@@ -85,20 +89,15 @@ class RegressionDetector:
         self.window = int(window)
         self._state: dict[str, _FingerprintWindow] = {}
 
-    def observe(
-        self,
-        fingerprint: str,
-        execution_seconds: float,
-        pages_read: int,
-        plan_hash: str | None = None,
-    ) -> list[RegressionEvent]:
+    def observe(self, record: QueryRecord) -> list[RegressionEvent]:
         """Fold one execution in; returns newly flagged regressions (if any)."""
+        fingerprint, plan_hash = record.fingerprint, record.plan_hash
         state = self._state.setdefault(fingerprint, _FingerprintWindow())
         state.calls += 1
         events: list[RegressionEvent] = []
         samples = {
-            "execution_seconds": float(execution_seconds),
-            "pages_read": float(pages_read),
+            "execution_seconds": float(record.execution_seconds),
+            "pages_read": float(record.pages_read),
         }
         for metric, value in samples.items():
             baseline = state.baseline.setdefault(metric, [])

@@ -1,11 +1,11 @@
-"""The slow-query log: structured records for queries over a threshold.
+"""The slow-query log: the records of queries over a threshold.
 
 ``QueryService(slow_query_log=SlowQueryLog(0.5))`` arms the log; every
 execution whose end-to-end latency (planning + execution) meets the threshold
-emits one :class:`SlowQueryRecord` carrying enough context to reproduce and
-triage the query — fingerprint, planner, latency split, rows, pages
-read/pruned, plan cache hit, shard count — without the operator having to
-re-run it with tracing on.
+keeps its :class:`~repro.obs.history.QueryRecord` — fingerprint, planner,
+latency split, rows, pages read/pruned, plan cache hit, plan hash, shard and
+morsel counts — enough to reproduce and triage the query without the
+operator having to re-run it with tracing on.
 
 Records land in a bounded in-memory ring (newest kept) and, when a ``sink``
 callable is given, are also pushed there — a sink is how an embedder routes
@@ -22,13 +22,12 @@ diagnostics.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .history import QueryRecord
 from .instruments import publish_slow_query
 
 #: Default size at which a :class:`RotatingFileSink` rotates its file.
@@ -36,30 +35,6 @@ DEFAULT_SLOW_LOG_MAX_BYTES = 1_000_000
 
 #: Default number of rotated files a :class:`RotatingFileSink` keeps.
 DEFAULT_SLOW_LOG_KEEP = 3
-
-
-@dataclass(frozen=True)
-class SlowQueryRecord:
-    """One over-threshold query, as reported by :class:`SlowQueryLog`."""
-
-    fingerprint: str
-    planner: str
-    elapsed_seconds: float
-    planning_seconds: float
-    execution_seconds: float
-    rows: int
-    pages_read: int
-    pages_pruned: int
-    cache_hit: bool
-    shards: int | None
-
-    def as_dict(self) -> dict:
-        """The record as a plain dictionary."""
-        return asdict(self)
-
-    def as_json(self) -> str:
-        """The record as a single-line JSON document (log-friendly)."""
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 class RotatingFileSink:
@@ -88,7 +63,7 @@ class RotatingFileSink:
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
-    def __call__(self, record: SlowQueryRecord) -> None:
+    def __call__(self, record: QueryRecord) -> None:
         line = record.as_json() + "\n"
         with self._lock:
             if (
@@ -125,7 +100,7 @@ class RotatingFileSink:
 
 
 class SlowQueryLog:
-    """A bounded ring of :class:`SlowQueryRecord` with a pluggable sink."""
+    """A bounded ring of slow :class:`~repro.obs.history.QueryRecord` with a pluggable sink."""
 
     def __init__(
         self,
@@ -137,11 +112,11 @@ class SlowQueryLog:
             raise ValueError("slow-query threshold must be >= 0")
         self.threshold_seconds = float(threshold_seconds)
         self.sink = sink
-        self._records: deque[SlowQueryRecord] = deque(maxlen=capacity)
+        self._records: deque[QueryRecord] = deque(maxlen=capacity)
 
-    def observe(self, record: SlowQueryRecord) -> bool:
+    def observe(self, record: QueryRecord) -> bool:
         """Consider one finished query; returns True if it was logged."""
-        if record.elapsed_seconds < self.threshold_seconds:
+        if record.seconds < self.threshold_seconds:
             return False
         self._records.append(record)
         publish_slow_query()
@@ -154,7 +129,7 @@ class SlowQueryLog:
         return True
 
     @property
-    def records(self) -> list[SlowQueryRecord]:
+    def records(self) -> list[QueryRecord]:
         """The retained records, oldest first."""
         return list(self._records)
 

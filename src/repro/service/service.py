@@ -46,8 +46,8 @@ from repro.engine.result import QueryResult
 from repro.engine.session import PreparedPlan, Session
 from repro.obs import history as obs_history
 from repro.obs import instruments
-from repro.obs.history import WorkloadHistory, plan_hash_of
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
+from repro.obs.history import QueryRecord, WorkloadHistory
+from repro.obs.slowlog import SlowQueryLog
 from repro.optimizer.feedback import DEFAULT_QERROR_THRESHOLD, FeedbackStore
 from repro.plan.query import Query
 from repro.service.fingerprint import query_fingerprint
@@ -151,9 +151,9 @@ class QueryService:
             above which a cached plan is considered drifted.
         slow_query_log: a :class:`~repro.obs.slowlog.SlowQueryLog` — every
             query whose end-to-end latency (cache lookup / planning plus
-            execution) meets its threshold emits a structured
-            :class:`~repro.obs.slowlog.SlowQueryRecord` into its ring and to
-            its sink (e.g. a :class:`~repro.obs.slowlog.RotatingFileSink`).
+            execution) meets its threshold keeps its
+            :class:`~repro.obs.history.QueryRecord` in its ring and passes
+            it to its sink (e.g. a :class:`~repro.obs.slowlog.RotatingFileSink`).
             ``None`` (the default) disables the log entirely.
         history: a :class:`~repro.obs.history.WorkloadHistory` to feed with
             every execution served here (per-fingerprint statistics, the
@@ -297,47 +297,14 @@ class QueryService:
         engine's fork/absorb, so each query lands in the stats store and the
         journal exactly once at any worker or shard count.
         """
-        instruments.publish_query(
-            seconds=elapsed_seconds,
-            rows=result.row_count,
-            pages_read=result.iostats.pages_read,
-            pages_pruned=result.metrics.pages_pruned,
-            morsels=result.metrics.morsels_executed,
-            shard_tasks=result.metrics.shards_executed,
-        )
-        slow_record = None
-        log = self.slow_query_log
-        if log is not None and elapsed_seconds >= log.threshold_seconds:
-            slow_record = SlowQueryRecord(
-                fingerprint=key,
-                planner=result.planner_name,
-                elapsed_seconds=elapsed_seconds,
-                planning_seconds=result.planning_seconds,
-                execution_seconds=result.execution_seconds,
-                rows=result.row_count,
-                pages_read=result.iostats.pages_read,
-                pages_pruned=result.metrics.pages_pruned,
-                cache_hit=result.cache_hit,
-                shards=self.options.shards,
-            )
-            log.observe(slow_record)
+        record = QueryRecord.of(result, key, elapsed_seconds, self.options.shards)
+        instruments.publish_query(record)
+        slow = self.slow_query_log is not None and self.slow_query_log.observe(record)
         history = self._history()
         if history is not None:
-            trace = result.trace.to_dict() if result.trace is not None else None
-            history.record_query(
-                fingerprint=key,
-                planner=result.planner_name,
-                seconds=elapsed_seconds,
-                execution_seconds=result.execution_seconds,
-                rows=result.row_count,
-                pages_read=result.iostats.pages_read,
-                pages_pruned=result.metrics.pages_pruned,
-                cache_hit=result.cache_hit,
-                plan_hash=plan_hash_of(result.plan_description),
-                trace=trace,
-            )
-            if slow_record is not None:
-                history.record_slow_query(slow_record)
+            history.record_query(record, trace=result.trace)
+            if slow:
+                history.record_slow_query(record)
 
     def _prepared_for(self, key: str, query, planner: str, naive_tags: bool | None):
         """The prepared plan for ``key``: cached, awaited, or freshly planned.
@@ -494,7 +461,7 @@ class QueryService:
 
         return retry_on_conflict(self.session.catalog, stage, attempts=attempts)
 
-    def compact(self, root=None, online: bool = True) -> dict:
+    def compact(self, root=None) -> dict:
         """Compact the saved dataset underneath the served catalog.
 
         Runs an online :class:`~repro.mutation.compact.Compactor` attached
@@ -514,7 +481,7 @@ class QueryService:
                     "pass root= explicitly"
                 )
             root = durability.root
-        return Compactor(root, catalog=self.session.catalog).run(online=online)
+        return Compactor(root, catalog=self.session.catalog).run()
 
     # ------------------------------------------------------------------ #
     # Maintenance

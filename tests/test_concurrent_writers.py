@@ -161,7 +161,7 @@ class TestWritersDuringOnlineCompaction:
         def compact():
             try:
                 barrier.wait()
-                summary.update(Compactor(root, catalog=catalog).run(online=True))
+                summary.update(Compactor(root, catalog=catalog).run())
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
 
@@ -205,7 +205,7 @@ class TestWritersDuringOnlineCompaction:
         stale = catalog.begin_mutation().insert("t", [{"id": 900, "v": 1.0, "s": "q"}])
         # Online compaction rewrites the table layout (physical positions
         # move), bumping the table version: the in-flight batch must lose.
-        Compactor(root, catalog=catalog).run(online=True)
+        Compactor(root, catalog=catalog).run()
         with pytest.raises(ConflictError):
             stale.commit()
         retry_on_conflict(

@@ -64,7 +64,7 @@ COMMANDS: dict[str, list[str]] = {
         "--values", '[{"id": 100, "v": 1.0, "s": "x"}]',
     ],
     "delete": ["delete", "--table", "t", "--where", "t.id < 5"],
-    "compact": ["compact", "--online"],
+    "compact": ["compact"],
 }
 
 

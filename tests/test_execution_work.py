@@ -27,32 +27,32 @@ from repro.workloads.job import job_query_groups
 
 EXPECTED = {
     "tcombined": {
-        "predicate_rows_evaluated": 141_777,
+        "predicate_rows_evaluated": 139_921,
         "predicate_evaluations": 155,
         "residual_rows_evaluated": 0,
         "join_build_rows": 12_811,
         "join_probe_rows": 152_191,
-        "join_output_rows": 12_800,
-        "tuples_materialized": 12_800,
+        "join_output_rows": 12_889,
+        "tuples_materialized": 12_889,
         "union_input_rows": 0,
         "union_output_rows": 0,
         "operators_executed": 372,
-        "slices_created": 342,
+        "slices_created": 335,
         "hash_tables_built": 66,
         "output_rows": 3_557,
         "morsels_executed": 33,
         "pages_pruned": 0,
         "partitions_skipped": 0,
         "shards_executed": 0,
-        "clause_rows_evaluated": 141_777,
-        "pages_read": 724,
+        "clause_rows_evaluated": 139_921,
+        "pages_read": 726,
         "pages_hit": 38,
-        "sequential_scans": 157,
-        "selective_reads": 130,
-        "values_read": 306_779,
+        "sequential_scans": 154,
+        "selective_reads": 133,
+        "values_read": 304_923,
     },
     "bdisj": {
-        "predicate_rows_evaluated": 446_279,
+        "predicate_rows_evaluated": 413_337,
         "predicate_evaluations": 225,
         "residual_rows_evaluated": 0,
         "join_build_rows": 13_333,
@@ -69,12 +69,12 @@ EXPECTED = {
         "pages_pruned": 0,
         "partitions_skipped": 0,
         "shards_executed": 0,
-        "clause_rows_evaluated": 446_279,
-        "pages_read": 1_218,
-        "pages_hit": 228,
-        "sequential_scans": 342,
-        "selective_reads": 167,
-        "values_read": 696_936,
+        "clause_rows_evaluated": 413_337,
+        "pages_read": 1_206,
+        "pages_hit": 240,
+        "sequential_scans": 327,
+        "selective_reads": 182,
+        "values_read": 663_994,
     },
 }
 
@@ -83,34 +83,34 @@ EXPECTED = {
 #: ``actual_rows_*`` entries sum ``metrics.operator_actuals`` over every query.
 EXPECTED_PARTITIONED = {
     "tcombined": {
-        "predicate_rows_evaluated": 351_552,
+        "predicate_rows_evaluated": 349_696,
         "predicate_evaluations": 561,
         "residual_rows_evaluated": 0,
         "join_build_rows": 18_834,
         "join_probe_rows": 380_831,
-        "join_output_rows": 20_825,
-        "tuples_materialized": 20_825,
+        "join_output_rows": 20_914,
+        "tuples_materialized": 20_914,
         "union_input_rows": 0,
         "union_output_rows": 0,
         "operators_executed": 1_488,
-        "slices_created": 1_240,
+        "slices_created": 1_212,
         "hash_tables_built": 256,
         "output_rows": 3_557,
         "morsels_executed": 132,
         "pages_pruned": 0,
         "partitions_skipped": 0,
         "shards_executed": 0,
-        "clause_rows_evaluated": 351_552,
-        "pages_read": 1_769,
-        "pages_hit": 631,
+        "clause_rows_evaluated": 349_696,
+        "pages_read": 1_774,
+        "pages_hit": 634,
         "sequential_scans": 536,
         "selective_reads": 537,
-        "values_read": 751_217,
-        "actual_rows_in": 1_354_741,
-        "actual_rows_out": 780_698,
+        "values_read": 749_361,
+        "actual_rows_in": 1_352_111,
+        "actual_rows_out": 778_068,
     },
     "bdisj": {
-        "predicate_rows_evaluated": 1_353_629,
+        "predicate_rows_evaluated": 1_257_204,
         "predicate_evaluations": 900,
         "residual_rows_evaluated": 0,
         "join_build_rows": 23_938,
@@ -127,14 +127,14 @@ EXPECTED_PARTITIONED = {
         "pages_pruned": 0,
         "partitions_skipped": 0,
         "shards_executed": 0,
-        "clause_rows_evaluated": 1_353_629,
-        "pages_read": 3_829,
-        "pages_hit": 975,
-        "sequential_scans": 1_247,
-        "selective_reads": 723,
-        "values_read": 1_839_323,
-        "actual_rows_in": 3_154_731,
-        "actual_rows_out": 1_864_636,
+        "clause_rows_evaluated": 1_257_204,
+        "pages_read": 3_766,
+        "pages_hit": 1_038,
+        "sequential_scans": 1_219,
+        "selective_reads": 751,
+        "values_read": 1_742_898,
+        "actual_rows_in": 3_058_306,
+        "actual_rows_out": 1_768_211,
     },
 }
 

@@ -21,7 +21,8 @@ at the commit before they were rebuilt on the tagged planners' helpers).  The
 same file carries the premise of the paper's Fig. 3d: BPushConj describes
 exactly the tree TPushConj builds.
 
-Re-record (only when plans are *meant* to change)::
+Re-record (only when plans are *meant* to change) with ``make golden``, which
+runs::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_golden_plans.py > tests/golden/plans.json
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/test_golden_plans.py baselines > tests/golden/baseline_plans.json

@@ -16,12 +16,14 @@ Covers the `repro.obs.history` subsystem in units and through its seams:
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro import QueryService, Session
 from repro.cli import main
 from repro.obs.history import (
+    QueryRecord,
     QueryStatsStore,
     WorkloadHistory,
     plan_hash_of,
@@ -35,7 +37,8 @@ from repro.obs.journal import (
     scan_journal,
 )
 from repro.obs.regress import RegressionDetector
-from repro.obs.slowlog import RotatingFileSink, SlowQueryLog, SlowQueryRecord
+from repro.obs.slowlog import RotatingFileSink, SlowQueryLog
+from repro.obs.trace import Tracer
 from repro.storage.disk import save_catalog
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
 
@@ -175,10 +178,10 @@ class TestJournal:
 class TestQueryStatsStore:
     def test_accumulation(self):
         store = QueryStatsStore()
-        store.observe_query("fp", "tcombined", 0.010, rows=5, pages_read=3,
-                            pages_pruned=1, cache_hit=False, plan_hash="p1")
-        store.observe_query("fp", "tcombined", 0.030, rows=7, pages_read=4,
-                            pages_pruned=0, cache_hit=True, plan_hash="p1")
+        store.observe_query(QueryRecord("fp", "tcombined", 0.010, rows=5, pages_read=3,
+                                        pages_pruned=1, cache_hit=False, plan_hash="p1"))
+        store.observe_query(QueryRecord("fp", "tcombined", 0.030, rows=7, pages_read=4,
+                                        pages_pruned=0, cache_hit=True, plan_hash="p1"))
         entry = store.get("fp")
         assert entry.calls == 2
         assert entry.rows == 12
@@ -194,8 +197,7 @@ class TestQueryStatsStore:
     def test_percentiles_are_ordered_and_bounded(self):
         store = QueryStatsStore()
         for i in range(100):
-            store.observe_query("fp", "t", 0.001 * (i + 1), rows=0, pages_read=0,
-                                pages_pruned=0, cache_hit=False)
+            store.observe_query(QueryRecord("fp", "t", 0.001 * (i + 1)))
         entry = store.get("fp")
         p50, p95, p99 = entry.percentile(50), entry.percentile(95), entry.percentile(99)
         assert 0.0 < p50 <= p95 <= p99 <= entry.max_seconds
@@ -203,11 +205,9 @@ class TestQueryStatsStore:
 
     def test_top_orderings(self):
         store = QueryStatsStore()
-        store.observe_query("hot", "t", 0.5, rows=1, pages_read=1,
-                            pages_pruned=0, cache_hit=False)
+        store.observe_query(QueryRecord("hot", "t", 0.5, rows=1, pages_read=1))
         for _ in range(3):
-            store.observe_query("frequent", "t", 0.001, rows=1, pages_read=9,
-                                pages_pruned=0, cache_hit=False)
+            store.observe_query(QueryRecord("frequent", "t", 0.001, rows=1, pages_read=9))
         assert [e.fingerprint for e in store.top(2, by="total_seconds")] == [
             "hot", "frequent"]
         assert [e.fingerprint for e in store.top(2, by="calls")] == [
@@ -219,8 +219,7 @@ class TestQueryStatsStore:
     def test_errors_and_replans(self):
         store = QueryStatsStore()
         store.record_error("fp", "t")
-        store.observe_query("fp", "t", 0.01, rows=0, pages_read=0,
-                            pages_pruned=0, cache_hit=False)
+        store.observe_query(QueryRecord("fp", "t", 0.01))
         store.record_replan("fp")
         store.record_replan("unknown")  # no entry: silently ignored
         entry = store.get("fp")
@@ -236,14 +235,20 @@ class TestQueryStatsStore:
 # --------------------------------------------------------------------------- #
 # Regression detector
 # --------------------------------------------------------------------------- #
+def _run(execution_seconds: float, pages_read: int, plan_hash: str | None = None):
+    """One execution of fingerprint ``fp`` as the detector reads it."""
+    return QueryRecord("fp", "t", execution_seconds, execution_seconds=execution_seconds,
+                       pages_read=pages_read, plan_hash=plan_hash)
+
+
 class TestRegressionDetector:
     def test_flags_pages_read_degradation_once(self):
         detector = RegressionDetector(threshold=2.0, baseline_calls=4, window=3)
         for _ in range(4):
-            assert detector.observe("fp", 0.01, pages_read=10, plan_hash="a") == []
+            assert detector.observe(_run(0.01, 10, "a")) == []
         events = []
         for _ in range(6):
-            events += detector.observe("fp", 0.01, pages_read=40, plan_hash="b")
+            events += detector.observe(_run(0.01, 40, "b"))
         assert len(events) == 1
         event = events[0]
         assert event.metric == "pages_read"
@@ -255,30 +260,30 @@ class TestRegressionDetector:
     def test_new_plan_hash_rearms(self):
         detector = RegressionDetector(threshold=2.0, baseline_calls=2, window=2)
         for _ in range(2):
-            detector.observe("fp", 0.01, pages_read=10, plan_hash="a")
+            detector.observe(_run(0.01, 10, "a"))
         first = []
         for _ in range(2):
-            first += detector.observe("fp", 0.01, pages_read=30, plan_hash="b")
+            first += detector.observe(_run(0.01, 30, "b"))
         assert len(first) == 1
         second = []
         for _ in range(2):
-            second += detector.observe("fp", 0.01, pages_read=50, plan_hash="c")
+            second += detector.observe(_run(0.01, 50, "c"))
         assert len(second) == 1
         assert second[0].plan_hash == "c"
 
     def test_latency_regression_flagged(self):
         detector = RegressionDetector(threshold=2.0, baseline_calls=3, window=3)
         for _ in range(3):
-            detector.observe("fp", 0.010, pages_read=0)
+            detector.observe(_run(0.010, 0))
         events = []
         for _ in range(3):
-            events += detector.observe("fp", 0.100, pages_read=0)
+            events += detector.observe(_run(0.100, 0))
         assert [event.metric for event in events] == ["execution_seconds"]
 
     def test_steady_workload_never_flags(self):
         detector = RegressionDetector(threshold=2.0, baseline_calls=3, window=3)
         for _ in range(50):
-            assert detector.observe("fp", 0.01, pages_read=10) == []
+            assert detector.observe(_run(0.01, 10)) == []
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -290,11 +295,10 @@ class TestRegressionDetector:
 # --------------------------------------------------------------------------- #
 # Rotating slow-query file sink
 # --------------------------------------------------------------------------- #
-def _slow_record(i: int) -> SlowQueryRecord:
-    return SlowQueryRecord(
-        fingerprint=f"fp{i}", planner="tcombined", elapsed_seconds=1.0,
+def _slow_record(i: int) -> QueryRecord:
+    return QueryRecord(
+        fingerprint=f"fp{i}", planner="tcombined", seconds=1.0,
         planning_seconds=0.1, execution_seconds=0.9, rows=10, pages_read=5,
-        pages_pruned=0, cache_hit=False, shards=None,
     )
 
 
@@ -336,15 +340,14 @@ class TestWorkloadHistory:
         with WorkloadHistory(journal_path=journal, baseline_calls=2,
                              regression_window=2) as history:
             for _ in range(2):
-                history.record_query("fp", "tcombined", 0.01, 0.009, rows=1,
-                                     pages_read=10, pages_pruned=0,
-                                     cache_hit=False, plan_hash="a")
+                history.record_query(QueryRecord(
+                    "fp", "tcombined", 0.01, execution_seconds=0.009, rows=1,
+                    pages_read=10, cache_hit=False, plan_hash="a"))
             events = []
             for _ in range(2):
-                events += history.record_query("fp", "tcombined", 0.01, 0.009,
-                                               rows=1, pages_read=40,
-                                               pages_pruned=0, cache_hit=True,
-                                               plan_hash="b")
+                events += history.record_query(QueryRecord(
+                    "fp", "tcombined", 0.01, execution_seconds=0.009, rows=1,
+                    pages_read=40, cache_hit=True, plan_hash="b"))
         assert len(events) == 1
         kinds = [event["kind"] for event in read_journal(journal)]
         assert kinds.count("query") == 4
@@ -356,10 +359,10 @@ class TestWorkloadHistory:
         with WorkloadHistory(journal_path=journal, baseline_calls=2,
                              regression_window=2) as live:
             for i in range(6):
-                live.record_query("fp", "t", 0.01, 0.01, rows=i,
-                                  pages_read=10 if i < 3 else 40,
-                                  pages_pruned=1, cache_hit=bool(i),
-                                  plan_hash="a" if i < 3 else "b")
+                live.record_query(QueryRecord(
+                    "fp", "t", 0.01, execution_seconds=0.01, rows=i,
+                    pages_read=10 if i < 3 else 40, pages_pruned=1,
+                    cache_hit=bool(i), plan_hash="a" if i < 3 else "b"))
             live.record_replan("fp")
         replayed = WorkloadHistory.replay(journal, baseline_calls=2,
                                           regression_window=2)
@@ -371,19 +374,19 @@ class TestWorkloadHistory:
     def test_trace_attachment_sampled(self, tmp_path):
         journal = tmp_path / "h.journal"
         with WorkloadHistory(journal_path=journal, trace_sample_rate=1.0) as history:
-            history.record_query("fp", "t", 0.01, 0.01, rows=0, pages_read=0,
-                                 pages_pruned=0, cache_hit=False,
-                                 trace={"name": "query", "children": []})
-            history.record_query("fp", "t", 0.01, 0.01, rows=0, pages_read=0,
-                                 pages_pruned=0, cache_hit=False, trace=None)
+            tracer = Tracer()
+            tracer.begin("query")
+            tracer.end()
+            record = QueryRecord("fp", "t", 0.01, execution_seconds=0.01)
+            history.record_query(record, trace=tracer)
+            history.record_query(record, trace=None)
         events = [e for e in read_journal(journal) if e["kind"] == "query"]
-        assert "trace" in events[0] and events[0]["trace"]["name"] == "query"
+        assert "trace" in events[0] and events[0]["trace"]["spans"][0]["name"] == "query"
         assert "trace" not in events[1]
 
     def test_memory_only_history_has_no_journal(self):
         history = WorkloadHistory()
-        history.record_query("fp", "t", 0.01, 0.01, rows=1, pages_read=0,
-                             pages_pruned=0, cache_hit=False)
+        history.record_query(QueryRecord("fp", "t", 0.01, execution_seconds=0.01, rows=1))
         history.record_event("compaction", tables=3)
         assert history.journal is None
         assert history.stats.get("fp").calls == 1
@@ -480,6 +483,62 @@ class TestServiceIntegration:
         session = Session(catalog)
         result = session.execute(SQL_SCAN)
         assert result.row_count >= 0  # nothing to assert beyond "no crash"
+
+
+# --------------------------------------------------------------------------- #
+# One finished-query record
+# --------------------------------------------------------------------------- #
+RECORD_KEYS = {field.name for field in fields(QueryRecord)}
+JOURNAL_KEYS = {"kind", "seq", "ts"}
+
+#: The keys of a ``query`` journal event before the record gained
+#: ``planning_seconds``, ``shards``, ``morsels`` and ``shard_tasks``.
+LEGACY_QUERY_KEYS = ("fingerprint", "planner", "seconds", "execution_seconds", "rows",
+                     "pages_read", "pages_pruned", "cache_hit", "plan_hash")
+
+
+class TestQueryRecord:
+    def test_every_surface_shares_the_record_keys(self, catalog, tmp_path):
+        history = WorkloadHistory(journal_path=tmp_path / "h.journal")
+        log_path = tmp_path / "slow.log"
+        slow_log = SlowQueryLog(0.0, sink=RotatingFileSink(log_path))
+        with QueryService(Session(catalog), history=history,
+                          slow_query_log=slow_log) as service:
+            service.execute(SQL_SCAN)
+        set_history(history)
+        try:
+            Session(catalog).execute(SQL_JOIN)
+        finally:
+            set_history(None)
+        history.close()
+        events = read_journal(tmp_path / "h.journal")
+        queries = [set(e) - JOURNAL_KEYS for e in events if e["kind"] == "query"]
+        (slow_event,) = [e for e in events if e["kind"] == "slow_query"]
+        (line,) = log_path.read_text().splitlines()
+        assert queries == [RECORD_KEYS, RECORD_KEYS]  # service read, then session read
+        assert set(slow_event) - JOURNAL_KEYS == RECORD_KEYS
+        assert set(json.loads(line)) == RECORD_KEYS
+        assert slow_log.records[0].as_dict() == json.loads(line)
+
+    def test_legacy_query_events_replay_like_live_records(self, tmp_path):
+        records = [
+            QueryRecord("fp", "tcombined", 0.01 + i / 1000, execution_seconds=0.009,
+                        rows=i, pages_read=10 if i < 6 else 40, pages_pruned=i % 2,
+                        cache_hit=bool(i), plan_hash="a" if i < 6 else "b")
+            for i in range(10)
+        ]
+        live = WorkloadHistory(baseline_calls=4, regression_window=2)
+        for record in records:
+            live.record_query(record)
+        journal = tmp_path / "legacy.journal"
+        with EventJournal(journal) as legacy:
+            for record in records:
+                event = record.as_dict()
+                legacy.append("query", **{key: event[key] for key in LEGACY_QUERY_KEYS})
+        replayed = WorkloadHistory.replay(journal, baseline_calls=4, regression_window=2)
+        assert replayed.stats.get("fp").as_dict() == live.stats.get("fp").as_dict()
+        assert live.regressions
+        assert replayed.regressions == live.regressions
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ import pytest
 from repro import QueryService, Session
 from repro.cli import main
 from repro.engine import parallel, shard
-from repro.obs.history import WorkloadHistory, set_history
+from repro.obs.history import QueryRecord, WorkloadHistory, set_history
 from repro.obs.journal import read_journal
 from repro.testing import (
     RandomCatalogConfig,
@@ -141,16 +141,16 @@ def test_injected_regression_flagged_by_cli(tmp_path, capsys):
     journal = tmp_path / "history.journal"
     with WorkloadHistory(journal_path=journal, detect_regressions=False) as history:
         for _ in range(8):
-            history.record_query(
-                "fp-hot", "tcombined", 0.010, 0.009, rows=50,
+            history.record_query(QueryRecord(
+                "fp-hot", "tcombined", 0.010, execution_seconds=0.009, rows=50,
                 pages_read=10, pages_pruned=2, cache_hit=True, plan_hash="plan-a",
-            )
+            ))
         history.record_replan("fp-hot")
         for _ in range(4):
-            history.record_query(
-                "fp-hot", "tcombined", 0.012, 0.011, rows=50,
+            history.record_query(QueryRecord(
+                "fp-hot", "tcombined", 0.012, execution_seconds=0.011, rows=50,
                 pages_read=40, pages_pruned=0, cache_hit=False, plan_hash="plan-b",
-            )
+            ))
     assert main([
         "history", "regressions", "--journal", str(journal),
         "--format", "json", "--threshold", "2.0",

@@ -141,7 +141,7 @@ def _execute_plan(plan: list[tuple], root) -> dict:
             delete_rows_from_saved_catalog(root, "t", f"t.v = {op[1]}")
             oracle = {i: row for i, row in oracle.items() if row["v"] != op[1]}
         elif op[0] == "compact":
-            compact_saved_catalog(root, online=True)
+            compact_saved_catalog(root)
         elif op[0] == "crash":
             _, dml, arg, point = op
             with faults.armed(point):

@@ -18,7 +18,8 @@ import pytest
 
 from repro import Catalog, QueryService, Session
 from repro.cli import main
-from repro.obs.slowlog import SlowQueryLog, SlowQueryRecord
+from repro.obs.history import QueryRecord
+from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import Span, Tracer, ambient_span, current_tracer
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
 
@@ -294,18 +295,15 @@ class TestExplainAnalyzeTiming:
 
 
 class TestSlowQueryLog:
-    def _record(self, elapsed: float) -> SlowQueryRecord:
-        return SlowQueryRecord(
+    def _record(self, elapsed: float) -> QueryRecord:
+        return QueryRecord(
             fingerprint="abc",
             planner="tcombined",
-            elapsed_seconds=elapsed,
+            seconds=elapsed,
             planning_seconds=elapsed / 2,
             execution_seconds=elapsed / 2,
             rows=10,
             pages_read=4,
-            pages_pruned=0,
-            cache_hit=False,
-            shards=None,
         )
 
     def test_threshold_filters(self):
@@ -322,7 +320,7 @@ class TestSlowQueryLog:
         log = SlowQueryLog(0.0, capacity=2)
         for elapsed in (1.0, 2.0, 3.0):
             log.observe(self._record(elapsed))
-        assert [r.elapsed_seconds for r in log.records] == [2.0, 3.0]
+        assert [r.seconds for r in log.records] == [2.0, 3.0]
 
     def test_broken_sink_never_fails_the_query(self):
         def sink(record):
@@ -348,7 +346,7 @@ class TestSlowQueryLog:
         assert sunk == [record]
         assert record.rows == result.row_count
         assert record.planner == result.planner_name
-        assert record.elapsed_seconds > 0.0
+        assert record.seconds > 0.0
         assert record.pages_read == result.iostats.pages_read
 
     def test_service_without_slow_query_log_has_none(self, catalog):

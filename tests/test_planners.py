@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baseline.planners import BDisjPlanner
 from repro.core.planner.base import PlannerContext
 from repro.core.planner.benefit import benefit_score, benefiting_order
 from repro.core.planner.combined import TCombinedPlanner
@@ -23,6 +24,7 @@ from repro.plan.logical import (
     plan_to_string,
 )
 from repro.plan.query import JoinCondition, Query
+from repro.workloads.job import job_query_groups
 
 
 class _StubEstimates:
@@ -289,3 +291,55 @@ class TestPlannersEndToEnd:
             node for node in collect_filters(plan) if isinstance(node.child, JoinNode)
         ]
         assert any("godfather" in node.predicate.key() for node in filters_above_join)
+
+
+def _filter_chains(root, below_type) -> list[list]:
+    """Each whole stack of filters sitting directly on a ``below_type`` node,
+    its predicates listed nearest that node first."""
+    chains = []
+    for node in root.walk():
+        if isinstance(node, FilterNode):
+            continue
+        for child in node.children:
+            chain = []
+            while isinstance(child, FilterNode):
+                chain.append(child.predicate)
+                child = child.child
+            if chain and isinstance(child, below_type):
+                chains.append(chain[::-1])
+    return chains
+
+
+def _job_contexts(catalog):
+    for query in job_query_groups():
+        yield PlannerContext.for_query(query, catalog)
+
+
+class TestFilterStackOrder:
+    """A stack of filters runs in its sorted order: the filter nearest its
+    input is the first of the planner's sorted list."""
+
+    def test_titerpush_stacks_above_joins_in_benefiting_order(self, imdb_catalog):
+        stacked = 0
+        for context in _job_contexts(imdb_catalog):
+            if context.predicate_tree is None or len(context.query.aliases) < 2:
+                continue
+            order = context.order_filters(context.predicate_tree.base_predicates())
+            rank = {predicate.key(): index for index, predicate in enumerate(order)}
+            plan = TIterPushPlanner(context).plan().plan
+            for chain in _filter_chains(plan, JoinNode):
+                ranks = [rank[predicate.key()] for predicate in chain]
+                assert ranks == sorted(ranks)
+                stacked += len(chain) > 1
+        assert stacked  # some plan keeps two or more filters above its joins
+
+    def test_bdisj_stacks_pushed_conjuncts_most_selective_first(self, imdb_catalog):
+        stacked = 0
+        for context in _job_contexts(imdb_catalog):
+            estimates = context.estimates
+            for root in BDisjPlanner(context).plan().roots:
+                for chain in _filter_chains(root, TableScanNode):
+                    keys = [(estimates.selectivity(p), p.key()) for p in chain]
+                    assert keys == sorted(keys)
+                    stacked += len(chain) > 1
+        assert stacked  # some leaf stacks two or more pushed conjuncts
