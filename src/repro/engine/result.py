@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.metrics import ExecutionMetrics
+from repro.obs.history import plan_hash_of
 from repro.storage.iostats import IOStats
 from repro.storage.table import Table
 
@@ -65,7 +66,8 @@ class QueryResult:
         metrics: engine work counters.
         iostats: simulated storage traffic.
         plan_description: pretty-printed plan (or plans) that ran.
-        plan_hash: the prepared plan's hash of ``plan_description``.
+        plan_hash: hash of ``plan_description``; the session passes the
+            one its prepared plan computed, anything else derives it here.
         cache_hit: True when the executed plan came out of a plan cache
             (set by the service layer; always False for direct Session use).
         trace: the :class:`~repro.obs.trace.Tracer` that followed this
@@ -92,7 +94,7 @@ class QueryResult:
         self.metrics = metrics if metrics is not None else ExecutionMetrics()
         self.iostats = iostats if iostats is not None else IOStats()
         self.plan_description = plan_description
-        self.plan_hash = plan_hash
+        self.plan_hash = plan_hash if plan_hash is not None else plan_hash_of(plan_description)
         self.cache_hit = cache_hit
         self.trace = trace
         self._rows_cache: list[tuple] | None = None

@@ -135,8 +135,8 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
     annotations: PlanTagAnnotations | None
     predicate_tree: PredicateTree | None
     plan_description: str
+    plan_hash: str | None
     planning_seconds: float
-    plan_hash: str | None = None
     estimated_rows: dict[int, float] = field(default_factory=dict)
     estimated_output_rows: float = 0.0
     clause_selectivities: dict[str, float] = field(default_factory=dict)

@@ -6,6 +6,10 @@ between the fold and the append-log truncation left a stale log readable
 against the already-folded base.  The :class:`Compactor` replaces that with
 a shadow fold:
 
+Each run holds the dataset's compaction lock throughout, so compactions
+never overlap (a second one waits, then folds what the first left); only the
+write lock below is shared with writers.
+
 1. **Pin** — under the dataset write lock, run crash recovery and note the
    fold point ``K`` (the current length of the manifest's ``mutations``
    list) and the next generation number ``G``.
@@ -55,6 +59,7 @@ from repro.mutation.batch import _mutated_table
 from repro.mutation.wal import (
     WAL_NAME,
     applied_txn,
+    dataset_compaction_lock,
     dataset_write_lock,
     read_wal,
     rewrite_wal,
@@ -128,12 +133,14 @@ class Compactor:
     def run(self) -> dict:
         """Compact; returns a summary dictionary.
 
-        Locks are held only while pinning the fold point and while swapping
-        — writers commit concurrently and their transactions are rebased
-        onto the new generation.  Each run counts into the metrics registry
-        and, under an ambient tracer, is wrapped in a ``compaction`` span.
+        The write lock is held only while pinning the fold point and while
+        swapping — writers commit concurrently and their transactions are
+        rebased onto the new generation.  The compaction lock is held for
+        the whole run: a concurrent compaction waits for it.  Each run
+        counts into the metrics registry and, under an ambient tracer, is
+        wrapped in a ``compaction`` span.
         """
-        with ambient_span("compaction"):
+        with dataset_compaction_lock(self.root), ambient_span("compaction"):
             return self._compact()
 
     # ------------------------------------------------------------------ #
@@ -168,6 +175,13 @@ class Compactor:
         with outer:
             with dataset_write_lock(root):
                 current = _read_manifest(root)
+                if int(current.get("generation", 0)) != generation - 1:
+                    # Another compaction swapped first (possible only where
+                    # flock is unavailable): its tail is not ours to rebase.
+                    raise RuntimeError(
+                        f"compaction of {root} superseded: generation "
+                        f"{current.get('generation', 0)} is live, not {generation - 1}"
+                    )
                 tail = current.get("mutations", [])[fold_point:]
                 rebased = self._rebase_tail(tail, staged, old_dirs)
                 new_manifest = {

@@ -40,7 +40,9 @@ sees the folded transactions are ≤ the applied watermark and skips them.
 The module also provides the dataset write lock used by every mutating
 operation: an in-process re-entrant lock per resolved root path, plus an
 advisory ``flock`` on ``<root>/.lock`` (POSIX only) so concurrent *processes*
-serialize their writes too.
+serialize their writes too.  The compaction lock is the same kind of lock on
+``<root>/.compact.lock``: it serializes compactions only, so writers keep
+committing while one runs.
 """
 
 from __future__ import annotations
@@ -62,6 +64,9 @@ WAL_NAME = "wal.log"
 #: Advisory lock file name inside a dataset directory.
 LOCK_NAME = ".lock"
 
+#: Advisory lock file name a compaction holds for its whole run.
+COMPACTION_LOCK_NAME = ".compact.lock"
+
 _MAGIC = b"RWAL"
 
 #: WAL format version written into header records.
@@ -76,17 +81,18 @@ class WalError(ValueError):
 # Dataset write locks
 # --------------------------------------------------------------------------- #
 class _DatasetLock:
-    """Re-entrant per-dataset write lock: thread lock + advisory flock.
+    """Re-entrant per-dataset lock: thread lock + advisory flock.
 
-    The thread lock serializes writers inside one process; while the
-    outermost level is held, an exclusive ``flock`` on ``<root>/.lock``
-    additionally excludes writers in other processes (best effort: skipped
+    The thread lock serializes holders inside one process; while the
+    outermost level is held, an exclusive ``flock`` on ``<root>/<name>``
+    additionally excludes holders in other processes (best effort: skipped
     where ``fcntl`` is unavailable).  Re-entrant so composed operations
     (recovery inside a load inside a delete) take it freely.
     """
 
-    def __init__(self, root: Path) -> None:
+    def __init__(self, root: Path, name: str) -> None:
         self.root = root
+        self.name = name
         self._lock = threading.RLock()
         self._depth = 0
         self._fd: int | None = None
@@ -111,7 +117,7 @@ class _DatasetLock:
             return
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(self.root / LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+            self._fd = os.open(self.root / self.name, os.O_RDWR | os.O_CREAT, 0o644)
             fcntl.flock(self._fd, fcntl.LOCK_EX)
         except OSError:  # pragma: no cover - exotic filesystems
             if self._fd is not None:
@@ -131,8 +137,17 @@ class _DatasetLock:
         self._fd = None
 
 
-_locks: dict[str, _DatasetLock] = {}
+_locks: dict[tuple[str, str], _DatasetLock] = {}
 _locks_guard = threading.Lock()
+
+
+def _dataset_lock(root: str | Path, name: str) -> _DatasetLock:
+    key = (os.path.realpath(root), name)
+    with _locks_guard:
+        lock = _locks.get(key)
+        if lock is None:
+            lock = _locks[key] = _DatasetLock(Path(root), name)
+    return lock
 
 
 def dataset_write_lock(root: str | Path) -> _DatasetLock:
@@ -141,12 +156,16 @@ def dataset_write_lock(root: str | Path) -> _DatasetLock:
     Use as a context manager; every mutating dataset operation — WAL
     appends, manifest updates, recovery, compaction swaps — runs inside it.
     """
-    key = os.path.realpath(root)
-    with _locks_guard:
-        lock = _locks.get(key)
-        if lock is None:
-            lock = _locks[key] = _DatasetLock(Path(root))
-    return lock
+    return _dataset_lock(root, LOCK_NAME)
+
+
+def dataset_compaction_lock(root: str | Path) -> _DatasetLock:
+    """The (process-wide) compaction lock of the dataset at ``root``.
+
+    A compaction holds it from its pin to its trim, so two compactions never
+    fold the same generation; taken before, never inside, the write lock.
+    """
+    return _dataset_lock(root, COMPACTION_LOCK_NAME)
 
 
 # --------------------------------------------------------------------------- #

@@ -87,6 +87,7 @@ def hand_built_plan(
         annotations=annotations,
         predicate_tree=predicate_tree,
         plan_description="",
+        plan_hash=None,
         planning_seconds=0.0,
     )
 

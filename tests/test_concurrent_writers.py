@@ -213,3 +213,55 @@ class TestWritersDuringOnlineCompaction:
         )
         assert 900 in {row["id"] for row in catalog.get("t").rows()}
         assert 900 in {row["id"] for row in load_catalog(root).get("t").rows()}
+
+
+class TestOverlappingCompactions:
+    def test_second_compaction_waits_and_every_committed_row_survives(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.mutation.compact as compact_module
+
+        root = _saved_dataset(tmp_path)
+        first_folding, release_first = threading.Event(), threading.Event()
+        second_folding = threading.Event()
+        real_load = compact_module.load_catalog
+
+        def load_for_fold(*args, **kwargs):
+            folded = real_load(*args, **kwargs)
+            if threading.current_thread().name == "first":
+                first_folding.set()
+                assert release_first.wait(timeout=30)
+            else:
+                second_folding.set()
+            return folded
+
+        monkeypatch.setattr(compact_module, "load_catalog", load_for_fold)
+        summaries: dict[str, dict] = {}
+        errors: list[Exception] = []
+
+        def compact(name):
+            try:
+                summaries[name] = Compactor(root).run()
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        first = threading.Thread(target=compact, args=("first",), name="first")
+        second = threading.Thread(target=compact, args=("second",), name="second")
+        first.start()
+        assert first_folding.wait(timeout=30)
+        # Committed between the two pins: the first fold has pinned past it.
+        append_rows_to_saved_catalog(root, "t", [{"id": 500, "v": 1.0, "s": "a"}])
+        second.start()
+        # The second compaction must not reach its fold while the first runs.
+        assert not second_folding.wait(timeout=0.5)
+        append_rows_to_saved_catalog(root, "t", [{"id": 501, "v": 2.0, "s": "b"}])
+        release_first.set()
+        first.join()
+        second.join()
+
+        assert errors == []
+        assert summaries["first"]["generation"] == 1
+        assert summaries["second"]["generation"] == 2
+        assert summaries["second"]["tail_records"] == 0
+        ids = {row["id"] for row in load_catalog(root).get("t").rows()}
+        assert ids == set(range(6, 60)) | set(range(100, 110)) | {500, 501}
