@@ -19,10 +19,9 @@ plans, so their gap is the price of the tag machinery).
 
 from __future__ import annotations
 
-from repro.core.planner.base import PlannerResult, TaggedPlanner
-from repro.core.planner.joinorder import greedy_join_tree
+from repro.core.planner.base import PlannerResult, TaggedPlanner, conjuncts
 from repro.core.planner.pushconj import TPushConjPlanner
-from repro.expr.ast import AndExpr, BooleanExpr
+from repro.expr.ast import BooleanExpr
 from repro.plan.logical import PlanNode
 
 
@@ -48,39 +47,11 @@ class BDisjPlanner(TaggedPlanner):
     def _conjunctive_subplan(self, clause: BooleanExpr | None) -> PlanNode:
         """A conventional plan for the query restricted to one (conjunctive) clause."""
         context = self.context
-        query = context.query
-        estimates = context.estimates
-        if clause is None:
-            parts: list[BooleanExpr] = []
-        elif isinstance(clause, AndExpr):
-            parts = list(clause.children())
-        else:
-            parts = [clause]
-
-        per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in query.aliases}
-        remaining: list[BooleanExpr] = []
-        for part in parts:
-            alias = context.single_table_alias(part)
-            if alias in per_alias:
-                per_alias[alias].append(part)
-            else:
-                remaining.append(part)
-
-        def by_selectivity(filters: list[BooleanExpr]) -> list[BooleanExpr]:
-            return sorted(filters, key=lambda expr: (estimates.selectivity(expr), expr.key()))
-
-        leaf_plans: dict[str, PlanNode] = {}
-        estimated_rows: dict[str, float] = {}
-        for alias in query.aliases:
-            pushed = by_selectivity(per_alias[alias])
-            leaf_plans[alias] = self.stack_filters(self.scan_node(alias), pushed)
-            estimated_rows[alias] = estimates.filtered_rows(alias, pushed)
-
-        if len(query.aliases) == 1:
-            joined: PlanNode = leaf_plans[query.aliases[0]]
-        else:
-            joined = greedy_join_tree(query, leaf_plans, estimated_rows, estimates)
-        return self.finish(self.stack_filters(joined, by_selectivity(remaining)))
+        per_alias, remaining = context.split_by_alias(conjuncts(clause))
+        joined = self.join_leaves(
+            {alias: context.selectivity_order(pushed) for alias, pushed in per_alias.items()}
+        )
+        return self.finish(self.stack_filters(joined, context.selectivity_order(remaining)))
 
 
 class BPushConjPlanner(TaggedPlanner):

@@ -25,15 +25,17 @@ planners reuse the plan-building helpers and finish through
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.planner.benefit import benefiting_order
 from repro.core.planner.cost import CostParams, estimate_plan_cost
+from repro.core.planner.joinorder import greedy_join_tree
 from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations, TagMapBuilder
-from repro.expr.ast import BooleanExpr
+from repro.expr.ast import AndExpr, BooleanExpr
 from repro.expr.builders import or_
 from repro.plan.logical import (
     FilterNode,
@@ -115,6 +117,14 @@ class PlanOptions:
 #: The names :meth:`PlanOptions.replace` accepts (``Session`` routes keyword
 #: overrides by them).
 PLAN_OPTION_NAMES = frozenset(f.name for f in dataclasses.fields(PlanOptions))
+
+
+def conjuncts(clause: BooleanExpr | None) -> list[BooleanExpr]:
+    """The conjuncts of ``clause``: an AND's children, any other clause
+    itself, none for ``None``."""
+    if clause is None:
+        return []
+    return list(clause.children()) if isinstance(clause, AndExpr) else [clause]
 
 
 @dataclass
@@ -199,6 +209,26 @@ class PlannerContext:
         """Sort filters in benefiting order (Appendix A)."""
         return benefiting_order(self.predicate_tree, filters, self.estimates)
 
+    def selectivity_order(self, filters: list[BooleanExpr]) -> list[BooleanExpr]:
+        """Sort filters most selective first (ties by key), the order a
+        conventional conjunctive planner applies them in."""
+        return sorted(filters, key=lambda expr: (self.estimates.selectivity(expr), expr.key()))
+
+    def split_by_alias(
+        self, predicates: Iterable[BooleanExpr]
+    ) -> tuple[dict[str, list[BooleanExpr]], list[BooleanExpr]]:
+        """Each alias's single-table ``predicates`` (keyed in ``query.aliases``
+        order) and the ones spanning several tables, both in input order."""
+        per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in self.query.aliases}
+        rest: list[BooleanExpr] = []
+        for predicate in predicates:
+            alias = self.single_table_alias(predicate)
+            if alias in per_alias:
+                per_alias[alias].append(predicate)
+            else:
+                rest.append(predicate)
+        return per_alias, rest
+
     def pushdown_placement(self) -> tuple[dict[str, list[BooleanExpr]], list[BooleanExpr]]:
         """TPushdown's filter placement (Section 4.2).
 
@@ -206,15 +236,10 @@ class PlannerContext:
         predicates spanning several tables (which run after the joins), each
         list in benefiting order.
         """
-        per_alias: dict[str, list[BooleanExpr]] = {alias: [] for alias in self.query.aliases}
-        multi_table: list[BooleanExpr] = []
-        if self.predicate_tree is not None:
-            for predicate in self.predicate_tree.base_predicates():
-                alias = self.single_table_alias(predicate)
-                if alias in per_alias:
-                    per_alias[alias].append(predicate)
-                else:
-                    multi_table.append(predicate)
+        tree = self.predicate_tree
+        per_alias, multi_table = self.split_by_alias(
+            tree.base_predicates() if tree is not None else []
+        )
         ordered = {alias: self.order_filters(filters) for alias, filters in per_alias.items()}
         return ordered, self.order_filters(multi_table)
 
@@ -336,6 +361,21 @@ class TaggedPlanner:
         for predicate in filters:
             node = FilterNode(predicate, node)
         return node
+
+    def join_leaves(
+        self, pushed: dict[str, list[BooleanExpr]], disjunctive: bool = False
+    ) -> PlanNode:
+        """Every alias's scan under its ``pushed`` filters (innermost first),
+        joined greedily on the leaves' estimated rows
+        (:meth:`PlannerContext.effective_alias_rows`)."""
+        context = self.context
+        leaf_plans: dict[str, PlanNode] = {}
+        estimated_rows: dict[str, float] = {}
+        for alias in context.query.aliases:
+            filters = pushed.get(alias, [])
+            leaf_plans[alias] = self.stack_filters(self.scan_node(alias), filters)
+            estimated_rows[alias] = context.effective_alias_rows(alias, filters, disjunctive)
+        return greedy_join_tree(context.query, leaf_plans, estimated_rows, context.estimates)
 
     def finish(self, node: PlanNode) -> PlanNode:
         """Add the projection root."""

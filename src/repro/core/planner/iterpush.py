@@ -11,15 +11,14 @@ once (or keeping several up) pays off.
 from __future__ import annotations
 
 from repro.core.planner.base import PlannerResult, TaggedPlanner
-from repro.core.planner.joinorder import greedy_join_tree
 from repro.expr.ast import BooleanExpr
 from repro.plan.logical import (
     FilterNode,
-    JoinNode,
     PlanNode,
-    ProjectNode,
     TableScanNode,
+    path_to,
     remove_filter,
+    replace_at,
 )
 
 
@@ -27,32 +26,13 @@ def push_filter_to_alias(plan: PlanNode, predicate: BooleanExpr, alias: str) -> 
     """Move a filter from wherever it is onto the scan of ``alias``.
 
     The filter is removed from its current position and re-inserted directly
-    above the alias's scan node (below any filters already pushed there, so
-    previously pushed filters keep their relative order above it).
+    above the alias's scan node, below any filters already pushed there.
     """
-    without = remove_filter(plan, predicate.key())
-    inserted = False
-
-    def rebuild(node: PlanNode) -> PlanNode:
-        nonlocal inserted
-        if isinstance(node, TableScanNode):
-            rebuilt: PlanNode = TableScanNode(node.alias, node.table_name)
-            if not inserted and node.alias == alias:
-                inserted = True
-                rebuilt = FilterNode(predicate, rebuilt)
-            return rebuilt
-        if isinstance(node, FilterNode):
-            return FilterNode(node.predicate, rebuild(node.child))
-        if isinstance(node, JoinNode):
-            return JoinNode(rebuild(node.left), rebuild(node.right), node.conditions)
-        if isinstance(node, ProjectNode):
-            return ProjectNode(rebuild(node.child), node.columns)
-        raise TypeError(f"unknown plan node type: {type(node).__name__}")
-
-    result = rebuild(without)
-    if not inserted:
+    plan = remove_filter(plan, predicate.key())
+    path = path_to(plan, lambda node: isinstance(node, TableScanNode) and node.alias == alias)
+    if path is None:
         raise ValueError(f"alias {alias!r} not found in plan")
-    return result
+    return replace_at(path, FilterNode(predicate, path[-1]))
 
 
 class TIterPushPlanner(TaggedPlanner):
@@ -62,37 +42,20 @@ class TIterPushPlanner(TaggedPlanner):
 
     def plan(self) -> PlannerResult:
         context = self.context
-        query = context.query
-
-        leaf_plans: dict[str, PlanNode] = {
-            alias: self.scan_node(alias) for alias in query.aliases
-        }
-        estimated_rows = {
-            alias: context.estimates.base_rows(alias) for alias in query.aliases
-        }
-        if len(query.aliases) == 1:
-            joined: PlanNode = leaf_plans[query.aliases[0]]
-        else:
-            joined = greedy_join_tree(query, leaf_plans, estimated_rows, context.estimates)
-
+        joined = self.join_leaves({})
         if context.predicate_tree is None:
             return self.cost(self.finish(joined))
 
         base_predicates = context.order_filters(context.predicate_tree.base_predicates())
         # Filters above the joins run in benefiting order: the most beneficial
         # filter runs first, i.e. sits lowest in the stack.
-        joined = self.stack_filters(joined, base_predicates)
-        best = self.cost(self.finish(joined))
+        best = self.cost(self.finish(self.stack_filters(joined, base_predicates)))
 
         for predicate in base_predicates:
             alias = context.single_table_alias(predicate)
             if alias is None:
                 continue
-            try:
-                candidate = push_filter_to_alias(best.plan, predicate, alias)
-            except ValueError:
-                continue
-            result = self.cost(candidate)
+            result = self.cost(push_filter_to_alias(best.plan, predicate, alias))
             if result.estimated_cost < best.estimated_cost:
                 best = result
         return best

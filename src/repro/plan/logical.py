@@ -5,10 +5,13 @@ filters, joins and a projection root.  The tagged planner later decorates
 filter and join nodes with tag maps (see :mod:`repro.core.tagmap`); the
 traditional planner runs them directly.
 
-Plan nodes are immutable; rewrites (pulling a filter up, pushing one down)
-build new trees via the helpers at the bottom of this module.  Every node has
-a stable ``node_id`` assigned at construction so side tables (tag maps, cost
-annotations) can reference nodes without mutating them.
+Plan nodes are immutable.  Each node class has one copy rule,
+:meth:`PlanNode.with_children`, and every rewrite (removing a filter, pulling
+one up, pushing one down) is a :func:`path_to` the node it changes and a
+:func:`replace_at` that copies only that path's nodes, sharing every other
+subtree with the original plan.  Every node has a stable ``node_id`` assigned
+at construction so side tables (tag maps, cost annotations) can reference
+nodes without mutating them.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ class PlanNode:
         for child in self.children:
             yield from child.walk()
 
+    def with_children(self, children: list["PlanNode"]) -> "PlanNode":
+        """A copy of this node (fresh ``node_id``) over ``children``."""
+        raise NotImplementedError
+
     def label(self) -> str:
         """Human-readable one-line description."""
         raise NotImplementedError
@@ -63,6 +70,9 @@ class TableScanNode(PlanNode):
     def aliases(self) -> frozenset[str]:
         return frozenset({self.alias})
 
+    def with_children(self, children: list[PlanNode]) -> "TableScanNode":
+        return TableScanNode(self.alias, self.table_name)
+
     def label(self) -> str:
         return f"Scan({self.table_name} AS {self.alias})"
 
@@ -78,6 +88,10 @@ class FilterNode(PlanNode):
     def child(self) -> PlanNode:
         """The single input of this filter."""
         return self.children[0]
+
+    def with_children(self, children: list[PlanNode]) -> "FilterNode":
+        (child,) = children
+        return FilterNode(self.predicate, child)
 
     def label(self) -> str:
         return f"Filter({self.predicate.key()})"
@@ -104,6 +118,10 @@ class JoinNode(PlanNode):
         """Right (probe-side candidate) input."""
         return self.children[1]
 
+    def with_children(self, children: list[PlanNode]) -> "JoinNode":
+        left, right = children
+        return JoinNode(left, right, self.conditions)
+
     def label(self) -> str:
         rendered = " AND ".join(str(condition) for condition in self.conditions)
         return f"Join({rendered})"
@@ -121,6 +139,10 @@ class ProjectNode(PlanNode):
         """The single input of the projection."""
         return self.children[0]
 
+    def with_children(self, children: list[PlanNode]) -> "ProjectNode":
+        (child,) = children
+        return ProjectNode(child, self.columns)
+
     def label(self) -> str:
         if not self.columns:
             return "Project(*)"
@@ -128,41 +150,38 @@ class ProjectNode(PlanNode):
 
 
 # --------------------------------------------------------------------------- #
-# Plan rewriting helpers
+# Plan rewriting
 # --------------------------------------------------------------------------- #
-def clone_plan(node: PlanNode) -> PlanNode:
-    """Deep-copy a plan tree (fresh node ids)."""
-    if isinstance(node, TableScanNode):
-        return TableScanNode(node.alias, node.table_name)
-    if isinstance(node, FilterNode):
-        return FilterNode(node.predicate, clone_plan(node.child))
-    if isinstance(node, JoinNode):
-        return JoinNode(clone_plan(node.left), clone_plan(node.right), node.conditions)
-    if isinstance(node, ProjectNode):
-        return ProjectNode(clone_plan(node.child), node.columns)
-    raise TypeError(f"unknown plan node type: {type(node).__name__}")
+def path_to(root: PlanNode, match: Callable[[PlanNode], bool]) -> list[PlanNode] | None:
+    """The nodes from ``root`` down to the first node (pre-order) that
+    ``match`` accepts, or None when no node does."""
+    if match(root):
+        return [root]
+    for child in root.children:
+        path = path_to(child, match)
+        if path is not None:
+            return [root, *path]
+    return None
 
 
-def map_plan(node: PlanNode, transform: Callable[[PlanNode], PlanNode | None]) -> PlanNode:
-    """Rebuild a plan bottom-up, applying ``transform`` at every node.
+def filter_path(root: PlanNode, predicate_key: str) -> list[PlanNode] | None:
+    """:func:`path_to` the first filter on ``predicate_key``."""
+    return path_to(
+        root, lambda node: isinstance(node, FilterNode) and node.predicate.key() == predicate_key
+    )
 
-    ``transform`` receives a node whose children have already been rebuilt;
-    returning ``None`` keeps that node as is.
+
+def replace_at(path: list[PlanNode], replacement: PlanNode) -> PlanNode:
+    """``path[0]`` rebuilt with ``path[-1]`` replaced by ``replacement``.
+
+    Only the ancestors on the path are copied (fresh node ids); every subtree
+    off the path is shared with the original plan.
     """
-    if isinstance(node, TableScanNode):
-        rebuilt: PlanNode = TableScanNode(node.alias, node.table_name)
-    elif isinstance(node, FilterNode):
-        rebuilt = FilterNode(node.predicate, map_plan(node.child, transform))
-    elif isinstance(node, JoinNode):
-        rebuilt = JoinNode(
-            map_plan(node.left, transform), map_plan(node.right, transform), node.conditions
+    for parent, old in zip(path[-2::-1], path[:0:-1]):
+        replacement = parent.with_children(
+            [replacement if child is old else child for child in parent.children]
         )
-    elif isinstance(node, ProjectNode):
-        rebuilt = ProjectNode(map_plan(node.child, transform), node.columns)
-    else:
-        raise TypeError(f"unknown plan node type: {type(node).__name__}")
-    replacement = transform(rebuilt)
-    return rebuilt if replacement is None else replacement
+    return replacement
 
 
 def collect_filters(node: PlanNode) -> list[FilterNode]:
@@ -177,28 +196,10 @@ def collect_joins(node: PlanNode) -> list[JoinNode]:
 
 def remove_filter(node: PlanNode, target_predicate_key: str) -> PlanNode:
     """Return a copy of the plan with the first filter on ``target_predicate_key`` removed."""
-    removed = False
-
-    def rebuild(current: PlanNode) -> PlanNode:
-        nonlocal removed
-        if isinstance(current, TableScanNode):
-            return TableScanNode(current.alias, current.table_name)
-        if isinstance(current, FilterNode):
-            child = rebuild(current.child)
-            if not removed and current.predicate.key() == target_predicate_key:
-                removed = True
-                return child
-            return FilterNode(current.predicate, child)
-        if isinstance(current, JoinNode):
-            return JoinNode(rebuild(current.left), rebuild(current.right), current.conditions)
-        if isinstance(current, ProjectNode):
-            return ProjectNode(rebuild(current.child), current.columns)
-        raise TypeError(f"unknown plan node type: {type(current).__name__}")
-
-    result = rebuild(node)
-    if not removed:
+    path = filter_path(node, target_predicate_key)
+    if path is None:
         raise ValueError(f"no filter with predicate {target_predicate_key!r} found in plan")
-    return result
+    return replace_at(path, path[-1].children[0])
 
 
 def plan_to_string(node: PlanNode, indent: int = 0) -> str:

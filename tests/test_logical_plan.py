@@ -8,7 +8,6 @@ from repro.plan.logical import (
     JoinNode,
     ProjectNode,
     TableScanNode,
-    clone_plan,
     collect_filters,
     collect_joins,
     plan_to_string,
@@ -63,9 +62,13 @@ class TestPlanNodes:
 
 
 class TestRewrites:
-    def test_clone_produces_fresh_nodes(self, sample_plan):
+    def test_with_children_produces_fresh_nodes(self, sample_plan):
         plan, _p1, _p2 = sample_plan
-        cloned = clone_plan(plan)
+
+        def clone(node):
+            return node.with_children([clone(child) for child in node.children])
+
+        cloned = clone(plan)
         assert plan_to_string(cloned) == plan_to_string(plan)
         original_ids = {node.node_id for node in plan.walk()}
         cloned_ids = {node.node_id for node in cloned.walk()}
@@ -80,8 +83,10 @@ class TestRewrites:
         plan, p1, _p2 = sample_plan
         removed = remove_filter(plan, p1.key())
         assert len(collect_filters(removed)) == 1
-        # Original plan untouched.
+        assert isinstance(removed.child.left, TableScanNode)
+        # Original plan untouched; the subtree off the rewritten path is shared.
         assert len(collect_filters(plan)) == 2
+        assert removed.child.right is plan.child.right
 
     def test_remove_missing_filter_raises(self, sample_plan):
         plan, _p1, _p2 = sample_plan

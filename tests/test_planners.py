@@ -1,5 +1,7 @@
 """Unit tests for the tagged planners, benefit score, join ordering and cost model."""
 
+from collections import Counter
+
 import pytest
 
 from repro.baseline.planners import BDisjPlanner
@@ -9,7 +11,7 @@ from repro.core.planner.combined import TCombinedPlanner
 from repro.core.planner.cost import CostParams, estimate_plan_cost
 from repro.core.planner.iterpush import TIterPushPlanner, push_filter_to_alias
 from repro.core.planner.joinorder import greedy_join_tree
-from repro.core.planner.pullup import TPullupPlanner, pullup_once
+from repro.core.planner.pullup import TPullupPlanner, pullup_to_next_join
 from repro.core.planner.pushconj import TPushConjPlanner
 from repro.core.planner.pushdown import TPushdownPlanner
 from repro.core.predtree import PredicateTree
@@ -21,7 +23,9 @@ from repro.plan.logical import (
     TableScanNode,
     collect_filters,
     collect_joins,
+    filter_path,
     plan_to_string,
+    remove_filter,
 )
 from repro.plan.query import JoinCondition, Query
 from repro.workloads.job import job_query_groups
@@ -193,45 +197,34 @@ class TestTPushdown:
 
 
 class TestPlanRewrites:
-    def test_pullup_once_moves_filter_above_join(self, context):
+    def test_pullup_moves_filter_above_join(self, context):
         plan = TPushdownPlanner(context).build_plan()
         target = collect_filters(plan)[0].predicate
-        # Pull the filter up until it sits directly above the join.
-        current = plan
-        for _ in range(4):
-            step = pullup_once(current, target.key())
-            if step is None:
-                break
-            current, crossed_join = step
-            assert crossed_join == any(
-                node.predicate.key() == target.key() and isinstance(node.child, JoinNode)
-                for node in collect_filters(current)
-            )
+        lifted = pullup_to_next_join(plan, target.key())
         filters_above_join = [
-            node for node in collect_filters(current) if isinstance(node.child, JoinNode)
+            node for node in collect_filters(lifted) if isinstance(node.child, JoinNode)
         ]
-        assert any(node.predicate.key() == target.key() for node in filters_above_join)
+        assert [node.predicate.key() for node in filters_above_join] == [target.key()]
 
     def test_pullup_preserves_filter_count(self, context):
         plan = TPushdownPlanner(context).build_plan()
         target = collect_filters(plan)[0].predicate
-        rewritten, _crossed_join = pullup_once(plan, target.key())
+        rewritten = pullup_to_next_join(plan, target.key())
         assert len(collect_filters(rewritten)) == len(collect_filters(plan))
 
     def test_pullup_of_missing_filter_returns_none(self, context):
         plan = TPushdownPlanner(context).build_plan()
-        assert pullup_once(plan, "(no such predicate)") is None
+        assert pullup_to_next_join(plan, "(no such predicate)") is None
 
-    def test_pullup_stops_below_projection(self, context):
+    def test_pullup_stops_above_the_last_join(self, context):
         plan = TPushdownPlanner(context).build_plan()
         target = collect_filters(plan)[0].predicate
-        current = plan
-        for _ in range(20):
-            step = pullup_once(current, target.key())
-            if step is None:
-                break
-            current, _crossed_join = step
-        assert step is None  # eventually it cannot go higher
+        current, lifts = plan, 0
+        while (step := pullup_to_next_join(current, target.key())) is not None:
+            current, lifts = step, lifts + 1
+        assert lifts == 1  # the paper query has one join
+        assert isinstance(current.child, FilterNode)
+        assert current.child.predicate.key() == target.key()
         assert len(collect_filters(current)) == 4
 
     def test_push_filter_to_alias(self, context):
@@ -246,6 +239,62 @@ class TestPlanRewrites:
         ]
         assert len(target_filters) == 1
         assert isinstance(target_filters[0].child, TableScanNode)
+
+
+def _filter_keys(plan) -> Counter:
+    return Counter(node.predicate.key() for node in collect_filters(plan))
+
+
+class TestRewritesOverJob:
+    """The rewrites on every JOB query's plans: no filter is lost or
+    duplicated, and each move lands where its planner expects it."""
+
+    def test_repeated_pullup_lifts_each_filter_join_by_join(self, imdb_catalog):
+        lifts = 0
+        for context in _job_contexts(imdb_catalog):
+            plan = TPushdownPlanner(context).build_plan()
+            assert pullup_to_next_join(plan, "(no such predicate)") is None
+            for key in _filter_keys(plan):
+                current = plan
+                while True:
+                    path = filter_path(current, key)
+                    joins = [node for node in path if isinstance(node, JoinNode)]
+                    lifted = pullup_to_next_join(current, key)
+                    assert (lifted is None) == (not joins)
+                    if lifted is None:
+                        break
+                    assert _filter_keys(lifted) == _filter_keys(plan)
+                    moved = filter_path(lifted, key)[-1]
+                    assert isinstance(moved.child, JoinNode)
+                    assert plan_to_string(moved.child) == plan_to_string(
+                        remove_filter(joins[-1], key)
+                    )
+                    current, lifts = lifted, lifts + 1
+        assert lifts
+
+    def test_every_titerpush_push_finds_its_filter_and_alias(self, imdb_catalog):
+        """Binding rejects a predicate on an alias the query does not scan,
+        and a push moves a filter without dropping it, so each push of the
+        TIterPush search finds both its filter and its alias's scan."""
+        pushes = 0
+        for context in _job_contexts(imdb_catalog):
+            if context.predicate_tree is None:
+                continue
+            order = context.order_filters(context.predicate_tree.base_predicates())
+            planner = TIterPushPlanner(context)
+            plan = planner.stack_filters(planner.join_leaves({}), order)
+            expected = _filter_keys(plan)
+            for predicate in order:
+                alias = context.single_table_alias(predicate)
+                if alias is None:
+                    continue
+                assert alias in context.query.aliases
+                plan = push_filter_to_alias(plan, predicate, alias)
+                assert _filter_keys(plan) == expected
+                pushes += 1
+        assert pushes
+        with pytest.raises(ValueError, match="unknown aliases"):
+            Query(tables={"t": "title"}, predicate=col("mi_idx", "info") > lit(7.0))
 
 
 class TestPlannersEndToEnd:
