@@ -6,9 +6,11 @@ A definition is a module-level function or class, or a method of a
 module-level class.  It is listed when its name occurs nowhere in ``src/``,
 ``benchmarks/``, ``scripts/`` or ``examples/`` other than where a function or
 class of that name is defined and where a package ``__init__.py`` re-exports
-it (its imports and ``__all__``).  Uses in the definition's own file count,
-so a helper its module calls is not listed.  Each line gives the place, the
-qualified name and how many times ``tests/`` names it.
+it (its imports and ``__all__``), or inside that definition's own body: a
+function that only calls itself, or a class that only names itself, is
+listed.  Uses elsewhere in the definition's own file count, so a helper its
+module calls is not listed.  Each line gives the place, the qualified name
+and how many times ``tests/`` names it.
 
 The count is by name: a method sharing its name with anything else in use
 (``plan``, ``run``) is never listed, and a name that only a docstring or a
@@ -32,21 +34,28 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 WORD = re.compile(r"\w+")
 
 
-def definitions(tree: ast.Module) -> list[tuple[str, str, int]]:
-    """``(name, qualified name, line)`` of every module-level function and
+def definitions(tree: ast.Module) -> list[tuple[str, str, ast.AST]]:
+    """``(name, qualified name, node)`` of every module-level function and
     class of a module and every method of those classes."""
     found = []
     for node in tree.body:
         if not isinstance(node, DEFINITIONS):
             continue
-        found.append((node.name, node.name, node.lineno))
+        found.append((node.name, node.name, node))
         if isinstance(node, ast.ClassDef):
             found.extend(
-                (method.name, f"{node.name}.{method.name}", method.lineno)
+                (method.name, f"{node.name}.{method.name}", method)
                 for method in node.body
                 if isinstance(method, DEFINITIONS[:2])
             )
     return found
+
+
+def occurrences(lines: list[str], node: ast.AST, name: str) -> int:
+    """How often ``name`` occurs in ``node``'s source lines, its own
+    ``def``/``class`` line included."""
+    text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+    return WORD.findall(text).count(name)
 
 
 def without_reexports(text: str, tree: ast.Module) -> str:
@@ -76,12 +85,13 @@ def main() -> int:
     for path in sorted((ROOT / "src").rglob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text)
+        lines = text.splitlines()
         if path.name == "__init__.py":
             text = without_reexports(text, tree)
         used.update(WORD.findall(text))
-        for name, qualified, line in definitions(tree):
-            defined[name] += 1
-            found.append((path, line, name, qualified))
+        for name, qualified, node in definitions(tree):
+            defined[name] += occurrences(lines, node, name)
+            found.append((path, node.lineno, name, qualified))
     for directory in USER_DIRS:
         used.update(words_in(directory))
     in_tests = words_in("tests")

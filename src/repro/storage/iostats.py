@@ -14,7 +14,7 @@ factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -36,7 +36,6 @@ class IOStats:
     sequential_scans: int = 0
     selective_reads: int = 0
     values_read: int = 0
-    _checkpoints: dict[str, "IOStats"] = field(default_factory=dict, repr=False)
 
     def record_pages(self, misses: int, hits: int) -> None:
         """Record the outcome of a page-granular read."""
@@ -56,14 +55,6 @@ class IOStats:
         """Record that ``count`` cell values were materialized."""
         self.values_read += count
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.pages_read = 0
-        self.pages_hit = 0
-        self.sequential_scans = 0
-        self.selective_reads = 0
-        self.values_read = 0
-
     def merge(self, other: "IOStats") -> None:
         """Accumulate another stats object into this one.
 
@@ -76,26 +67,6 @@ class IOStats:
         self.sequential_scans += other.sequential_scans
         self.selective_reads += other.selective_reads
         self.values_read += other.values_read
-
-    def snapshot(self) -> "IOStats":
-        """Return an immutable-ish copy of the current counters."""
-        return IOStats(
-            pages_read=self.pages_read,
-            pages_hit=self.pages_hit,
-            sequential_scans=self.sequential_scans,
-            selective_reads=self.selective_reads,
-            values_read=self.values_read,
-        )
-
-    def diff(self, earlier: "IOStats") -> "IOStats":
-        """Return the counter deltas accumulated since ``earlier``."""
-        return IOStats(
-            pages_read=self.pages_read - earlier.pages_read,
-            pages_hit=self.pages_hit - earlier.pages_hit,
-            sequential_scans=self.sequential_scans - earlier.sequential_scans,
-            selective_reads=self.selective_reads - earlier.selective_reads,
-            values_read=self.values_read - earlier.values_read,
-        )
 
     def as_dict(self) -> dict[str, int]:
         """Return the counters as a plain dictionary (for reports)."""

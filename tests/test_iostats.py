@@ -33,38 +33,6 @@ class TestCounters:
         stats.record_values(50)
         assert stats.values_read == 150
 
-    def test_reset(self):
-        stats = IOStats()
-        stats.record_pages(1, 1)
-        stats.record_values(10)
-        stats.reset()
-        assert stats.as_dict() == {
-            "pages_read": 0,
-            "pages_hit": 0,
-            "sequential_scans": 0,
-            "selective_reads": 0,
-            "values_read": 0,
-        }
-
-
-class TestSnapshots:
-    def test_snapshot_is_independent(self):
-        stats = IOStats()
-        stats.record_values(5)
-        snapshot = stats.snapshot()
-        stats.record_values(5)
-        assert snapshot.values_read == 5
-        assert stats.values_read == 10
-
-    def test_diff(self):
-        stats = IOStats()
-        stats.record_pages(2, 1)
-        earlier = stats.snapshot()
-        stats.record_pages(3, 4)
-        delta = stats.diff(earlier)
-        assert delta.pages_read == 3
-        assert delta.pages_hit == 4
-
     def test_as_dict_keys(self):
         assert set(IOStats().as_dict()) == {
             "pages_read",
