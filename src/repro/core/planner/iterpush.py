@@ -3,7 +3,9 @@
 The opposite extreme of TPullup (Section 4.2): the base plan performs every
 join first and applies all filters afterwards in benefiting order.  Each
 filter is then considered, in benefiting order, for being pushed down to its
-base table; the push is kept whenever the estimated plan cost decreases.
+base table, on top of the filters pushed there before it (so a leaf runs its
+pushed filters in benefiting order too); the push is kept whenever the
+estimated plan cost decreases.
 This catches plans TPullup misses, where only moving *several* filters at
 once (or keeping several up) pays off.
 """
@@ -23,16 +25,20 @@ from repro.plan.logical import (
 
 
 def push_filter_to_alias(plan: PlanNode, predicate: BooleanExpr, alias: str) -> PlanNode:
-    """Move a filter from wherever it is onto the scan of ``alias``.
+    """Move a filter from wherever it is onto the filter stack of ``alias``.
 
-    The filter is removed from its current position and re-inserted directly
-    above the alias's scan node, below any filters already pushed there.
+    The filter is removed from its current position and re-inserted on top
+    of the filters directly above the alias's scan node, so filters pushed
+    earlier (more beneficial, under TIterPush's benefiting order) run first.
     """
     plan = remove_filter(plan, predicate.key())
     path = path_to(plan, lambda node: isinstance(node, TableScanNode) and node.alias == alias)
     if path is None:
         raise ValueError(f"alias {alias!r} not found in plan")
-    return replace_at(path, FilterNode(predicate, path[-1]))
+    top = len(path) - 1
+    while top and isinstance(path[top - 1], FilterNode):
+        top -= 1
+    return replace_at(path[: top + 1], FilterNode(predicate, path[top]))
 
 
 class TIterPushPlanner(TaggedPlanner):

@@ -27,7 +27,7 @@ from repro.workloads.job import job_query_groups
 
 EXPECTED = {
     "tcombined": {
-        "predicate_rows_evaluated": 139_921,
+        "predicate_rows_evaluated": 140_889,
         "predicate_evaluations": 155,
         "residual_rows_evaluated": 0,
         "join_build_rows": 12_811,
@@ -44,12 +44,12 @@ EXPECTED = {
         "pages_pruned": 0,
         "partitions_skipped": 0,
         "shards_executed": 0,
-        "clause_rows_evaluated": 139_921,
+        "clause_rows_evaluated": 140_889,
         "pages_read": 726,
         "pages_hit": 38,
         "sequential_scans": 154,
         "selective_reads": 133,
-        "values_read": 304_923,
+        "values_read": 305_891,
     },
     "bdisj": {
         "predicate_rows_evaluated": 413_337,
@@ -83,7 +83,7 @@ EXPECTED = {
 #: ``actual_rows_*`` entries sum ``metrics.operator_actuals`` over every query.
 EXPECTED_PARTITIONED = {
     "tcombined": {
-        "predicate_rows_evaluated": 349_696,
+        "predicate_rows_evaluated": 350_664,
         "predicate_evaluations": 561,
         "residual_rows_evaluated": 0,
         "join_build_rows": 18_834,
@@ -100,14 +100,14 @@ EXPECTED_PARTITIONED = {
         "pages_pruned": 0,
         "partitions_skipped": 0,
         "shards_executed": 0,
-        "clause_rows_evaluated": 349_696,
-        "pages_read": 1_774,
-        "pages_hit": 634,
+        "clause_rows_evaluated": 350_664,
+        "pages_read": 1_765,
+        "pages_hit": 643,
         "sequential_scans": 536,
         "selective_reads": 537,
-        "values_read": 749_361,
-        "actual_rows_in": 1_352_111,
-        "actual_rows_out": 778_068,
+        "values_read": 750_329,
+        "actual_rows_in": 1_353_079,
+        "actual_rows_out": 779_036,
     },
     "bdisj": {
         "predicate_rows_evaluated": 1_257_204,

@@ -232,13 +232,27 @@ class TestPlanRewrites:
         predicate = collect_filters(base)[0].predicate
         alias = next(iter(predicate.tables()))
         pushed = push_filter_to_alias(base, predicate, alias)
-        target_filters = [
-            node
-            for node in collect_filters(pushed)
-            if node.predicate.key() == predicate.key()
-        ]
-        assert len(target_filters) == 1
-        assert isinstance(target_filters[0].child, TableScanNode)
+        assert _filter_keys(pushed)[predicate.key()] == 1
+        # The pushed filter tops the alias's filter stack.
+        *_, parent, node = filter_path(pushed, predicate.key())
+        assert not isinstance(parent, FilterNode)
+        while isinstance(node, FilterNode):
+            node = node.child
+        assert isinstance(node, TableScanNode) and node.alias == alias
+
+    def test_pushes_onto_one_alias_keep_their_order(self):
+        """A leaf runs its pushed filters in push order: the first pushed
+        sits nearest the scan."""
+        first, second = col("t", "year") > lit(2000), col("t", "year") > lit(1980)
+        joined = JoinNode(
+            TableScanNode("t", "title"),
+            TableScanNode("mi", "movie_info_idx"),
+            [JoinCondition(col("t", "id"), col("mi", "movie_id"))],
+        )
+        plan = ProjectNode(FilterNode(second, FilterNode(first, joined)))
+        for predicate in (first, second):
+            plan = push_filter_to_alias(plan, predicate, "t")
+        assert _filter_chains(plan, TableScanNode) == [[first, second]]
 
 
 def _filter_keys(plan) -> Counter:

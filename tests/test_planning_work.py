@@ -31,8 +31,8 @@ def test_job_pass_planning_work_is_pinned():
         total.update(session.prepare(query, "tcombined").planning_work)
     assert dict(total) == {
         "candidate_plans": 521,  # 620 when picks were costed twice
-        "tagmap_nodes_built": 1_658,
-        "generalizations_computed": 15_732,
+        "tagmap_nodes_built": 1_550,
+        "generalizations_computed": 15_183,
     }
     assert total["tagmap_nodes_built"] <= 0.4 * UNSHARED_NODE_BUILDS
     assert total["generalizations_computed"] <= 0.4 * UNSHARED_GENERALIZATIONS
