@@ -16,8 +16,10 @@ feedback-corrected selectivity overrides injected by the service layer.
 with one fixed plan implements :meth:`TaggedPlanner.build_plan`; a
 searching planner overrides :meth:`TaggedPlanner.plan` and returns the
 result its search already costed for its pick.  Every candidate goes
-through :meth:`TaggedPlanner.cost` once.  The untagged (traditional)
-planners reuse the plan-building helpers and finish through
+through :meth:`TaggedPlanner.cost` once.  Planners split predicates by
+table with :meth:`PlannerContext.split_by_alias` and build their scans,
+stacked filters and greedy joins with :meth:`TaggedPlanner.join_leaves`.
+The untagged (traditional) planners reuse these helpers and finish through
 :meth:`TaggedPlanner.untagged_result`.  All of them return one
 :class:`PlannerResult`.
 """
