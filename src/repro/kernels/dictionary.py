@@ -13,6 +13,8 @@ codes on the expression hot path:
   operation runs on every distinct value, the result is byte-identical to
   the per-row ``BooleanExpr.evaluate``, including the miss case: a constant
   absent from the dictionary simply matches no code (no ``KeyError``).
+  :class:`LeafEvaluator` is the one leaf routine built on this: execution's
+  fused kernels and the planner's sampled selectivities both call it.
 * **Join keys**: when both sides of an equi-join condition are
   dictionary-encoded string columns, :func:`join_code_columns` substitutes
   int code arrays for the decoded strings before key factorization, with the
@@ -33,6 +35,7 @@ import numpy as np
 
 from repro.access.dictionary import NULL_CODE, DictionaryEncoding, table_dictionary
 from repro.expr.ast import ColumnRef, Comparison, InPredicate, LikePredicate, Literal, _compare
+from repro.expr.eval import RowBatch
 from repro.storage.table import Table
 
 
@@ -98,6 +101,78 @@ def gather_truth(code_table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     extended = np.append(code_table, False)
     mask = extended[codes]
     return tv.from_bool_array(mask, codes == NULL_CODE)
+
+
+class LeafEvaluator:
+    """Base predicates over one row batch, by codes where the column has a dictionary.
+
+    The one leaf routine of planning and execution: the fused kernels
+    (:class:`repro.kernels.fused.FusedEvaluator`) evaluate a predicate tree's
+    leaves through it, and the selectivity estimator
+    (:class:`repro.stats.selectivity.SelectivityEstimator`) measures base
+    predicates on its table sample through it.
+
+    Each ``(alias, column)``'s codes are read once, at the batch's full
+    selection, and accounted to the batch's page cache and I/O counters —
+    so a caller that must not touch the runtime counters gives the batch its
+    own :class:`~repro.storage.iostats.IOStats`, never ``None`` (which
+    :meth:`~repro.storage.column.Column.account_read` would charge to the
+    global counters).  Each leaf's per-code match table is built once.
+    """
+
+    def __init__(self, batch: RowBatch) -> None:
+        self.batch = batch
+        # (alias, column) -> (encoding, full-selection codes) or None.
+        self._codes_cache: dict = {}
+        # leaf key -> per-code boolean match table.
+        self._code_tables: dict = {}
+
+    def truth(self, expr, rows: np.ndarray) -> np.ndarray:
+        """Three-valued truth of base predicate ``expr`` over ``rows``.
+
+        ``rows`` are positions into the batch.  Byte-identical to
+        ``expr.evaluate(batch.restricted(rows))``, which is what runs when
+        the column has no dictionary or the shape is not covered.
+        """
+        truth = self._by_codes(expr, rows)
+        if truth is not None:
+            return truth
+        return expr.evaluate(self.batch.restricted(rows))
+
+    def _by_codes(self, expr, rows: np.ndarray) -> np.ndarray | None:
+        operand = leaf_operand(expr)
+        if operand is None:
+            return None
+        entry = self._codes(operand.alias, operand.column)
+        if entry is None:
+            return None
+        encoding, codes = entry
+        leaf_key = expr.key()
+        code_table = self._code_tables.get(leaf_key)
+        if code_table is None:
+            code_table = leaf_code_table(expr, encoding)
+            if code_table is None:
+                return None
+            self._code_tables[leaf_key] = code_table
+        return gather_truth(code_table, codes[rows])
+
+    def _codes(self, alias: str, column: str):
+        """Full-selection codes for a column, read (and accounted) once."""
+        key = (alias, column)
+        if key in self._codes_cache:
+            return self._codes_cache[key]
+        entry = None
+        table = self.batch.table(alias)
+        if table is not None:
+            encoding = table_dictionary(table, column)
+            if encoding is not None:
+                positions = self.batch.indices_for(alias)
+                table.column(column).account_read(
+                    positions, cache=self.batch.cache, iostats=self.batch.iostats
+                )
+                entry = (encoding, encoding.codes[positions])
+        self._codes_cache[key] = entry
+        return entry
 
 
 def join_code_columns(

@@ -19,8 +19,9 @@ rates.  Three-valued NULL semantics are preserved exactly:
 * OR: a TRUE verdict is final; rows never accepted are FALSE unless flagged
   UNKNOWN by some disjunct.
 
-Leaves evaluate through the dictionary code path
-(:mod:`repro.kernels.dictionary`) when the column carries one, otherwise
+Leaves evaluate through :class:`~repro.kernels.dictionary.LeafEvaluator`,
+the leaf routine the planner also measures base-predicate selectivities
+with: over dictionary codes when the column carries a dictionary, otherwise
 through the unmodified AST evaluator over a restricted batch view — so every
 leaf is byte-identical to ``BooleanExpr.evaluate``, only evaluated on fewer
 rows.
@@ -33,7 +34,7 @@ import numpy as np
 from repro.expr import three_valued as tv
 from repro.expr.ast import AndExpr, BooleanExpr, NotExpr, OrExpr
 from repro.expr.eval import RowBatch
-from repro.kernels import dictionary as dict_kernels
+from repro.kernels.dictionary import LeafEvaluator
 
 #: Selectivity assumed for clauses the optimizer has no estimate for.
 DEFAULT_SELECTIVITY = 0.5
@@ -99,10 +100,7 @@ class FusedEvaluator:
         self.clause_selectivities = clause_selectivities
         self.context = context
         self.record_observations = record_observations
-        # (alias, column) -> (encoding, full-selection codes) or None.
-        self._codes_cache: dict = {}
-        # leaf key -> per-code boolean match table.
-        self._code_tables: dict = {}
+        self.leaves = LeafEvaluator(batch)
 
     def evaluate(self, predicate: BooleanExpr) -> np.ndarray:
         """Full-width three-valued truth array, equal to ``predicate.evaluate``."""
@@ -173,45 +171,8 @@ class FusedEvaluator:
     # ------------------------------------------------------------------ #
     def _evaluate_leaf(self, expr: BooleanExpr, rows: np.ndarray) -> np.ndarray:
         self.context.metrics.clause_rows_evaluated += int(rows.size)
-        truth = self._dictionary_leaf(expr, rows)
-        if truth is not None:
-            return truth
-        return expr.evaluate(self.batch.restricted(rows))
+        return self.leaves.truth(expr, rows)
 
-    def _dictionary_leaf(self, expr: BooleanExpr, rows: np.ndarray) -> np.ndarray | None:
-        operand = dict_kernels.leaf_operand(expr)
-        if operand is None:
-            return None
-        entry = self._codes(operand.alias, operand.column)
-        if entry is None:
-            return None
-        encoding, codes = entry
-        leaf_key = expr.key()
-        code_table = self._code_tables.get(leaf_key)
-        if code_table is None:
-            code_table = dict_kernels.leaf_code_table(expr, encoding)
-            if code_table is None:
-                return None
-            self._code_tables[leaf_key] = code_table
-        return dict_kernels.gather_truth(code_table, codes[rows])
-
-    def _codes(self, alias: str, column: str):
-        """Full-selection codes for a column, read (and accounted) once."""
-        key = (alias, column)
-        if key in self._codes_cache:
-            return self._codes_cache[key]
-        entry = None
-        table = self.batch.table(alias)
-        if table is not None:
-            encoding = dict_kernels.table_dictionary(table, column)
-            if encoding is not None:
-                positions = self.batch.indices_for(alias)
-                table.column(column).account_read(
-                    positions, cache=self.batch.cache, iostats=self.batch.iostats
-                )
-                entry = (encoding, encoding.codes[positions])
-        self._codes_cache[key] = entry
-        return entry
 
     # ------------------------------------------------------------------ #
     # Feedback

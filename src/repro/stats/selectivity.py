@@ -2,7 +2,11 @@
 
 Following the paper (Section 4.1), base-predicate selectivities are
 *measured*: the predicate is evaluated on a sample of its base table and the
-observed pass rate is cached.  Selectivities of complex expressions are
+observed pass rate is cached.  The measurement runs through the execution's
+leaf routine (:class:`repro.kernels.dictionary.LeafEvaluator`), so a
+predicate on a dictionary-coded column compares each distinct value once
+and gathers over the sample's codes — byte-identical to
+``BooleanExpr.evaluate`` on the sample, without its per-row string work.  Selectivities of complex expressions are
 combined under the independence assumption:
 
 * ``sel(AND) = product of child selectivities``
@@ -26,6 +30,7 @@ from repro.expr.ast import (
     OrExpr,
 )
 from repro.expr.eval import RowBatch
+from repro.kernels.dictionary import LeafEvaluator
 from repro.plan.query import Query
 from repro.storage.catalog import Catalog
 from repro.storage.iostats import IOStats
@@ -80,9 +85,13 @@ class SelectivityEstimator:
         self._seed = seed
         self._sample_provider = sample_provider
         self._cache: dict[str, float] = {}
-        self._sample_batches: dict[str, RowBatch] = {}
+        # alias -> the leaf routine over its sample batch, so each column of
+        # the sample is gathered once (as codes or as values) per query.
+        self._leaves: dict[str, LeafEvaluator] = {}
         # Selectivity measurement is a planning activity; it must not pollute
-        # the runtime I/O counters, so it gets a private scratch counter.
+        # the runtime I/O counters, so it gets a private scratch counter
+        # (never None, which ``Column.account_read`` would send to the
+        # global counters).
         self._scratch_io = IOStats()
 
     # ------------------------------------------------------------------ #
@@ -154,15 +163,16 @@ class SelectivityEstimator:
         alias = next(iter(aliases))
         if alias not in self._query.tables:
             return DEFAULT_SELECTIVITY
-        batch = self._sample_batch(alias)
-        if batch.num_rows == 0:
+        leaves = self._sample_leaves(alias)
+        num_rows = leaves.batch.num_rows
+        if num_rows == 0:
             return DEFAULT_SELECTIVITY
-        truth = expr.evaluate(batch)
-        return float(tv.is_true(truth).sum()) / batch.num_rows
+        truth = leaves.truth(expr, np.arange(num_rows, dtype=np.int64))
+        return float(tv.is_true(truth).sum()) / num_rows
 
-    def _sample_batch(self, alias: str) -> RowBatch:
-        if alias in self._sample_batches:
-            return self._sample_batches[alias]
+    def _sample_leaves(self, alias: str) -> LeafEvaluator:
+        if alias in self._leaves:
+            return self._leaves[alias]
         table = self._catalog.get(self._query.tables[alias])
         if self._sample_provider is not None:
             positions = self._sample_provider(table, self._sample_size, self._seed)
@@ -175,6 +185,8 @@ class SelectivityEstimator:
             positions = sample_positions(
                 table.num_rows, self._sample_size, np.random.default_rng(self._seed)
             )
-        batch = RowBatch({alias: table}, {alias: positions}, iostats=self._scratch_io)
-        self._sample_batches[alias] = batch
-        return batch
+        leaves = LeafEvaluator(
+            RowBatch({alias: table}, {alias: positions}, iostats=self._scratch_io)
+        )
+        self._leaves[alias] = leaves
+        return leaves
