@@ -37,12 +37,14 @@ bench-compare:
 ## profile of warm passes of one e2e workload: make profile W=job_warm;
 ## functions by own time (SORT=tottime, the default) or with their callees
 ## (SORT=cumulative, which shows an operator method's whole share); SEED
-## picks the workload's data and statements
+## picks the workload's data and statements; ONLY=/plan profiles just the
+## operations whose kind/key contains it (every pass still runs in full)
 W ?= job_warm
 SORT ?= tottime
 SEED ?= 7
+ONLY ?=
 profile:
-	$(PYTHON) scripts/profile_workload.py $(W) --sort $(SORT) --seed $(SEED)
+	$(PYTHON) scripts/profile_workload.py $(W) --sort $(SORT) --seed $(SEED) --only "$(ONLY)"
 
 ## docs gates: every public module has a docstring, README examples execute,
 ## file and dotted references in README/docs resolve

@@ -1,6 +1,7 @@
 """Profile N warm passes of one ``benchmarks/e2e`` workload (read-only use of it).
 
     python3 scripts/profile_workload.py job_warm [passes] [--sort cumulative] [--seed 23]
+    python3 scripts/profile_workload.py ingest_serve --only /plan
 
 Prints the best-of and worst-of latency per statement (best-of is what
 ``harness.Window.steady`` feeds into p50 / p90 / ``throughput_qps``, so a
@@ -11,6 +12,9 @@ what an operator's self-time in the layer split is actually spent on — or,
 with ``--sort cumulative``, by time including callees, which shows the share
 of a method whose work happens in the functions it calls.  ``--seed``
 picks the workload's data and statements (default 7, the benchmark's seed).
+``--only SUBSTR`` still runs every pass in full but profiles and times only
+the operations whose ``kind/key`` contains ``SUBSTR`` — ``--only /plan`` on
+``ingest_serve`` shows its re-plans without the commits and compaction.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 from workloads import WORKLOADS  # noqa: E402
 
 
-def main(name: str, passes: int, sort: str, seed: int) -> None:
+def main(name: str, passes: int, sort: str, seed: int, only: str = "") -> None:
     with tempfile.TemporaryDirectory() as scratch:
         workload = WORKLOADS[name](seed, False, Path(scratch))
         workload.setup()
@@ -39,6 +43,9 @@ def main(name: str, passes: int, sort: str, seed: int) -> None:
             seen: dict[tuple[str, str], list[float]] = {}
             for _ in range(passes):
                 for op in workload.operations():
+                    if only not in f"{op.kind}/{op.key}":
+                        op.call(False)
+                        continue
                     started = time.perf_counter()
                     profiler.runcall(op.call, False)
                     seen.setdefault((op.kind, op.key), []).append(time.perf_counter() - started)
@@ -56,5 +63,6 @@ if __name__ == "__main__":
     parser.add_argument("passes", nargs="?", type=int, default=5)
     parser.add_argument("--sort", default="tottime", choices=("tottime", "cumulative"))
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--only", default="", metavar="SUBSTR")
     args = parser.parse_args()
-    main(args.workload, args.passes, args.sort, args.seed)
+    main(args.workload, args.passes, args.sort, args.seed, args.only)
