@@ -9,7 +9,8 @@ Examples::
 
 ``--quick`` shrinks every experiment (fewer groups, smaller tables, one
 repetition) so a full pass completes in a few minutes on a laptop; drop it
-for measurements closer to the defaults described in EXPERIMENTS.md.
+for measurements closer to the defaults described in the "Paper figures"
+section of ``docs/benchmarks.md``.
 """
 
 from __future__ import annotations
