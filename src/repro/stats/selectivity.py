@@ -6,8 +6,9 @@ observed pass rate is cached.  The measurement runs through the execution's
 leaf routine (:class:`repro.kernels.dictionary.LeafEvaluator`), so a
 predicate on a dictionary-coded column compares each distinct value once
 and gathers over the sample's codes — byte-identical to
-``BooleanExpr.evaluate`` on the sample, without its per-row string work.  Selectivities of complex expressions are
-combined under the independence assumption:
+``BooleanExpr.evaluate`` on the sample, without its per-row string work.
+Selectivities of complex expressions are combined under the independence
+assumption:
 
 * ``sel(AND) = product of child selectivities``
 * ``sel(OR)  = 1 - product of (1 - child selectivities)``
