@@ -33,7 +33,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "e2e")]
 from workloads import WORKLOADS  # noqa: E402
 
 
-def main(name: str, passes: int, sort: str, seed: int, only: str = "") -> None:
+def main(name: str, passes: int, sort: str, seed: int, only: str) -> None:
     with tempfile.TemporaryDirectory() as scratch:
         workload = WORKLOADS[name](seed, False, Path(scratch))
         workload.setup()
