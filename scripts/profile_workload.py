@@ -7,7 +7,10 @@ Prints the best-of and worst-of latency per statement (best-of is what
 ``harness.Window.steady`` feeds into p50 / p90 / ``throughput_qps``, so a
 statement that is slow once per period — the first read after a compaction —
 only shows in the worst-of column; measured under the profiler, so inflated
-but comparable), then the top 25 functions by own time — the view that shows
+but comparable), the wall and process CPU time of all profiled operations
+(CPU time of this process alone: shard workers' time is not in it; on a
+shared host it moves less between identical runs than wall time does), then
+the top 25 functions by own time — the view that shows
 what an operator's self-time in the layer split is actually spent on — or,
 with ``--sort cumulative``, by time including callees, which shows the share
 of a method whose work happens in the functions it calls.  ``--seed``
@@ -41,19 +44,23 @@ def main(name: str, passes: int, sort: str, seed: int, only: str) -> None:
             workload.begin_window()
             profiler = cProfile.Profile()
             seen: dict[tuple[str, str], list[float]] = {}
+            cpu_seconds = 0.0
             for _ in range(passes):
                 for op in workload.operations():
                     if only not in f"{op.kind}/{op.key}":
                         op.call(False)
                         continue
-                    started = time.perf_counter()
+                    started, cpu_started = time.perf_counter(), time.process_time()
                     profiler.runcall(op.call, False)
+                    cpu_seconds += time.process_time() - cpu_started
                     seen.setdefault((op.kind, op.key), []).append(time.perf_counter() - started)
         finally:
             workload.close()
     print("   best ms   worst ms")
     for (kind, key), seconds in sorted(seen.items(), key=lambda item: -min(item[1])):
         print(f"{min(seconds) * 1e3:10.2f} {max(seconds) * 1e3:10.2f}  {kind}/{key}")
+    wall_seconds = sum(sum(seconds) for seconds in seen.values())
+    print(f"profiled operations: {wall_seconds:.3f} s wall, {cpu_seconds:.3f} s process CPU")
     pstats.Stats(profiler).sort_stats(sort).print_stats(25)
 
 

@@ -24,7 +24,7 @@ from repro.core.planner.base import (
 )
 from repro.core.planner.benefit import benefit_score, benefiting_order
 from repro.core.planner.combined import TCombinedPlanner
-from repro.core.planner.cost import CostParams, estimate_plan_cost
+from repro.core.planner.cost import CostParams
 from repro.core.planner.exhaustive import TExhaustivePlanner
 from repro.core.planner.iterpush import TIterPushPlanner
 from repro.core.planner.joinorder import greedy_join_tree
@@ -46,6 +46,5 @@ __all__ = [
     "TaggedPlanner",
     "benefit_score",
     "benefiting_order",
-    "estimate_plan_cost",
     "greedy_join_tree",
 ]

@@ -16,10 +16,12 @@ feedback-corrected selectivity overrides injected by the service layer.
 with one fixed plan implements :meth:`TaggedPlanner.build_plan`; a
 searching planner overrides :meth:`TaggedPlanner.plan` and returns the
 result its search already costed for its pick.  Every candidate goes
-through :meth:`TaggedPlanner.cost` once.  Planners split predicates by
-table with :meth:`PlannerContext.split_by_alias` and build their scans,
-stacked filters and greedy joins with :meth:`TaggedPlanner.join_leaves`.
-The untagged (traditional) planners reuse these helpers and finish through
+through :meth:`TaggedPlanner.cost` once; TPullup and TIterPush pass their
+running best as its bound, so a candidate that has lost is not costed to
+the end.  Planners split predicates by table with
+:meth:`PlannerContext.split_by_alias` and build their scans, stacked
+filters and greedy joins with :meth:`TaggedPlanner.join_leaves`.  The
+untagged (traditional) planners reuse these helpers and finish through
 :meth:`TaggedPlanner.untagged_result`.  All of them return one
 :class:`PlannerResult`.
 """
@@ -27,13 +29,14 @@ The untagged (traditional) planners reuse these helpers and finish through
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.core.planner.benefit import benefiting_order
-from repro.core.planner.cost import CostParams, estimate_plan_cost
+from repro.core.planner.cost import CostParams, PlanCost
 from repro.core.planner.joinorder import greedy_join_tree
 from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations, TagMapBuilder
@@ -340,18 +343,20 @@ class TaggedPlanner:
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def cost(self, plan: PlanNode) -> PlannerResult:
+    def cost(self, plan: PlanNode, bound: float = math.inf) -> PlannerResult | None:
         """A candidate plan as this planner's result: its tag maps, its
-        estimated cost and its per-node row estimates."""
-        annotations = self.context.tag_map_builder().build(plan)
-        breakdown = estimate_plan_cost(plan, annotations, self.context.estimates)
+        estimated cost and its per-node row estimates.
+
+        A search passes its running best as ``bound``: the candidate is then
+        abandoned — ``None`` is returned — as soon as its cost so far is
+        strictly greater (see :meth:`~repro.core.tagmap.TagMapBuilder.build`).
+        """
+        cost = PlanCost(self.context.estimates)
+        annotations = self.context.tag_map_builder().build(plan, cost, bound)
+        if annotations is None:
+            return None
         return PlannerResult(
-            self.name,
-            self.kind,
-            [plan],
-            annotations,
-            breakdown.node_rows,
-            breakdown.total,
+            self.name, self.kind, [plan], annotations, cost.node_rows, cost.total
         )
 
     def scan_node(self, alias: str) -> TableScanNode:

@@ -5,7 +5,9 @@ join first and applies all filters afterwards in benefiting order.  Each
 filter is then considered, in benefiting order, for being pushed down to its
 base table, on top of the filters pushed there before it (so a leaf runs its
 pushed filters in benefiting order too); the push is kept whenever the
-estimated plan cost decreases.
+estimated plan cost decreases.  Each push is costed with the current best
+plan's cost as its bound, so the walk that builds its tag maps and adds its
+cost terms stops as soon as the push has lost.
 This catches plans TPullup misses, where only moving *several* filters at
 once (or keeping several up) pays off.
 """
@@ -61,7 +63,9 @@ class TIterPushPlanner(TaggedPlanner):
             alias = context.single_table_alias(predicate)
             if alias is None:
                 continue
-            result = self.cost(push_filter_to_alias(best.plan, predicate, alias))
-            if result.estimated_cost < best.estimated_cost:
+            result = self.cost(
+                push_filter_to_alias(best.plan, predicate, alias), bound=best.estimated_cost
+            )
+            if result is not None and result.estimated_cost < best.estimated_cost:
                 best = result
         return best

@@ -5,9 +5,13 @@ TPushdown's result is the base plan.  It is read from the query's
 has TPushdown as a candidate too, it is built and costed once.  Every filter
 is then considered, in reverse benefiting order, for being pulled up one
 join at a time (:func:`pullup_to_next_join`); whenever the resulting plan is
-estimated to be cheaper it becomes the new base plan.  The planner is useful
-when some predicate subexpressions are so selective that delaying other,
-expensive predicates (regex matching, say) until after the joins is a win.
+estimated to be cheaper it becomes the new base plan.  Each candidate is
+costed with the base plan's cost as its bound: the walk that builds its tag
+maps and adds its cost terms stops as soon as the running total exceeds the
+bound, since the candidate can no longer win (the search keeps pulling the
+filter up from it either way).  The planner is useful when some predicate
+subexpressions are so selective that delaying other, expensive predicates
+(regex matching, say) until after the joins is a win.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class TPullupPlanner(TaggedPlanner):
                 candidate = pullup_to_next_join(candidate, predicate.key())
                 if candidate is None:
                     break
-                result = self.cost(candidate)
-                if result.estimated_cost < best.estimated_cost:
+                result = self.cost(candidate, bound=best.estimated_cost)
+                if result is not None and result.estimated_cost < best.estimated_cost:
                     best = result
         return best

@@ -28,6 +28,7 @@ it returns: tag-map entries, output tags and the projection's sets.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -166,41 +167,76 @@ class TagMapBuilder:
     # ------------------------------------------------------------------ #
     # Entry point
     # ------------------------------------------------------------------ #
-    def build(self, plan: PlanNode) -> PlanTagAnnotations:
-        """Build tag maps for every node of ``plan``."""
+    def build(
+        self, plan: PlanNode, cost=None, bound: float = math.inf
+    ) -> PlanTagAnnotations | None:
+        """Build tag maps for every node of ``plan``, in one post-order walk.
+
+        With a ``cost`` (a :class:`~repro.core.planner.cost.PlanCost`) the
+        walk also costs the plan: each operator's term is added right after
+        its tag map is built, and the walk is abandoned — ``None`` is
+        returned — as soon as ``cost.total`` is strictly greater than
+        ``bound``.  The terms are non-negative, so an abandoned plan's full
+        cost would have exceeded ``bound`` too; a plan that is not abandoned
+        gets the same tag maps, rows and total as with no bound.
+        """
         self._plans_built += 1
         annotations = PlanTagAnnotations()
-        self._build_node(plan, annotations)
+        if self._build_node(plan, annotations, cost, bound) is None:
+            return None
         return annotations
 
     # ------------------------------------------------------------------ #
     # Per-node construction
     # ------------------------------------------------------------------ #
-    def _build_node(self, node: PlanNode, annotations: PlanTagAnnotations) -> Outputs:
+    def _build_node(
+        self, node: PlanNode, annotations: PlanTagAnnotations, cost, bound: float
+    ) -> tuple[Outputs, dict | None] | None:
+        """``node``'s outputs and, when costing, its estimated rows per
+        output tag; ``None`` once the running cost exceeds ``bound``."""
         if isinstance(node, TableScanNode):
             outputs = _SCAN_OUTPUTS
+            rows = None if cost is None else cost.scan(node)
         elif isinstance(node, FilterNode):
-            inputs = self._build_node(node.child, annotations)
-            annotations.filter_maps[node.node_id], outputs = self._operator(
+            child = self._build_node(node.child, annotations, cost, bound)
+            if child is None:
+                return None
+            inputs, input_rows = child
+            tag_map, outputs = self._operator(
                 ("filter", node.predicate.key(), inputs[0]),
                 lambda: self._build_filter(node.predicate, zip(*inputs)),
             )
+            annotations.filter_maps[node.node_id] = tag_map
+            rows = None if cost is None else cost.filter(node, tag_map, input_rows)
         elif isinstance(node, JoinNode):
-            left = self._build_node(node.left, annotations)
-            right = self._build_node(node.right, annotations)
-            annotations.join_maps[node.node_id], outputs = self._operator(
-                ("join", left[0], right[0]),
-                lambda: self._build_join(list(zip(*left)), list(zip(*right))),
+            left = self._build_node(node.left, annotations, cost, bound)
+            if left is None:
+                return None
+            right = self._build_node(node.right, annotations, cost, bound)
+            if right is None:
+                return None
+            (left_outputs, left_rows), (right_outputs, right_rows) = left, right
+            tag_map, outputs = self._operator(
+                ("join", left_outputs[0], right_outputs[0]),
+                lambda: self._build_join(list(zip(*left_outputs)), list(zip(*right_outputs))),
             )
+            annotations.join_maps[node.node_id] = tag_map
+            rows = None if cost is None else cost.join(node, tag_map, left_rows, right_rows)
         elif isinstance(node, ProjectNode):
-            inputs = self._build_node(node.child, annotations)
+            child = self._build_node(node.child, annotations, cost, bound)
+            if child is None:
+                return None
+            inputs, input_rows = child
             annotations.projection, outputs = self._operator(
                 ("project", inputs[0]), lambda: self._build_projection(zip(*inputs))
             )
+            rows = None if cost is None else cost.project(node, input_rows)
         else:
             raise TypeError(f"unknown plan node type: {type(node).__name__}")
         annotations.output_tags[node.node_id] = list(outputs[1])
-        return outputs
+        if cost is not None and cost.total > bound:
+            return None
+        return outputs, rows
 
     def _operator(self, key: tuple, build) -> tuple[object, Outputs]:
         """The tag map and outputs of one operator, built once per ``key``.

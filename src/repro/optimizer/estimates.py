@@ -52,13 +52,15 @@ def build_estimate_provider(
     on a sample of ``options.stats_sample_size`` rows per table (the paper's
     approach, Section 4.1); ``options.cost_params`` are the cost constants.
 
-    ``stats_provider`` optionally supplies the two cacheable (per-table,
-    query-independent) ingredients — ``table_stats(table)`` summaries and
-    ``sample_positions(table, sample_size, seed)`` draws — so a caller
-    serving many queries (the service layer's stats cache) computes them once
-    per table version instead of once per call.  When omitted, both are
-    computed from scratch, which is byte-for-byte equivalent because stats
-    collection and sampling are deterministic.
+    ``stats_provider`` optionally supplies the cacheable (per-table,
+    query-independent) ingredients — ``table_stats(table)`` summaries,
+    ``sample_positions(table, sample_size, seed)`` draws and
+    ``measured_selectivity(...)``, which memoizes each base predicate's
+    measurement on that sample — so a caller serving many queries (the
+    service layer's stats cache) computes them once per table version
+    instead of once per call.  When omitted, all are computed from scratch,
+    which is byte-for-byte equivalent because stats collection, sampling and
+    measurement are deterministic.
 
     ``selectivity_overrides`` maps expression keys
     (:meth:`~repro.expr.ast.BooleanExpr.key`) to observed selectivities; the
@@ -88,7 +90,7 @@ def build_estimate_provider(
         catalog,
         query,
         sample_size=options.stats_sample_size,
-        sample_provider=None if stats_provider is None else stats_provider.sample_positions,
+        stats_provider=stats_provider,
     )
     access_chooser = None
     if access_manager is not None:
@@ -253,22 +255,34 @@ def estimate_plan_rows(plan: PlanNode, estimates: EstimateProvider) -> dict[int,
     their (tag-aware) per-node estimates from the cost model instead.
     """
     rows_by_node: dict[int, float] = {}
-
-    def walk(node: PlanNode) -> float:
-        if isinstance(node, TableScanNode):
-            rows = estimates.base_rows(node.alias)
-        elif isinstance(node, FilterNode):
-            rows = walk(node.child) * estimates.selectivity(node.predicate)
-        elif isinstance(node, JoinNode):
-            rows = estimates.join_rows_multi(
-                walk(node.left), walk(node.right), node.conditions
-            )
-        elif isinstance(node, ProjectNode):
-            rows = walk(node.child)
-        else:
-            raise TypeError(f"unknown plan node type: {type(node).__name__}")
-        rows_by_node[node.node_id] = rows
-        return rows
-
-    walk(plan)
+    _estimate_rows(plan, estimates, rows_by_node)
     return rows_by_node
+
+
+def _estimate_rows(
+    node: PlanNode, estimates: EstimateProvider, rows_by_node: dict[int, float]
+) -> float:
+    """``node``'s estimated rows, recorded with its subtree's in ``rows_by_node``.
+
+    A module-level function rather than a closure that calls itself: such a
+    closure is a reference cycle, which would keep ``estimates`` — and the
+    samples its estimator gathered — alive until the next garbage collection.
+    """
+    if isinstance(node, TableScanNode):
+        rows = estimates.base_rows(node.alias)
+    elif isinstance(node, FilterNode):
+        rows = _estimate_rows(node.child, estimates, rows_by_node) * estimates.selectivity(
+            node.predicate
+        )
+    elif isinstance(node, JoinNode):
+        rows = estimates.join_rows_multi(
+            _estimate_rows(node.left, estimates, rows_by_node),
+            _estimate_rows(node.right, estimates, rows_by_node),
+            node.conditions,
+        )
+    elif isinstance(node, ProjectNode):
+        rows = _estimate_rows(node.child, estimates, rows_by_node)
+    else:
+        raise TypeError(f"unknown plan node type: {type(node).__name__}")
+    rows_by_node[node.node_id] = rows
+    return rows

@@ -1,17 +1,25 @@
-"""A cache of per-table statistics and selectivity samples.
+"""A cache of per-table statistics, selectivity samples and measurements.
 
-``PlannerContext.for_query`` needs two query-independent, per-table
-ingredients: summary statistics (row counts, distinct counts, min/max) and
-the sorted row-position sample predicates are measured on.  Both are
+``PlannerContext.for_query`` needs query-independent, per-table ingredients:
+summary statistics (row counts, distinct counts, min/max), the sorted
+row-position sample predicates are measured on, and the measured
+selectivity of each base predicate on that sample (Section 4.1).  All are
 deterministic functions of the table contents, so a session serving many
-queries can compute them once per catalog version instead of once per query
-— without changing any plan or result.
+queries can compute them once per table version instead of once per query
+— without changing any plan or result.  A measured selectivity is keyed by
+the sample it was measured on and the predicate's key, so a query planned
+again (its plan evicted, say) measures none of its predicates; a feedback
+override never enters the memo, since the estimator only asks it for what
+it would otherwise measure.
 
-Entries are keyed by ``(table name, per-table version)`` — see
+Entries are keyed by ``(table name, per-table version, ...)`` — see
 :meth:`~repro.storage.catalog.Catalog.table_version` — so invalidation is
-**per table**: replacing or dropping one table retires only that table's
-cached statistics and samples, while every other table's entries survive the
-catalog version bump.  Stale entries are pruned eagerly.
+**per table**: replacing or dropping one table, or committing a mutation to
+it, retires only that table's cached statistics, samples and selectivities,
+while every other table's entries survive the catalog version bump.  Stale
+entries are pruned eagerly.  Selectivities are memoized only for the table
+object the catalog currently holds under that version: a detached table
+(version ``-1``) or a superseded one is measured every time.
 
 A :class:`StatsCache` satisfies the ``stats_provider`` protocol accepted by
 :class:`~repro.engine.session.Session` and ``PlannerContext.for_query``.
@@ -20,6 +28,7 @@ A :class:`StatsCache` satisfies the ``stats_provider`` protocol accepted by
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable
 
 import numpy as np
 
@@ -32,7 +41,8 @@ from repro.service.plan_cache import CacheStats
 
 
 class StatsCache:
-    """Caches table statistics and sample draws for one catalog.
+    """Caches table statistics, sample draws and measured selectivities for
+    one catalog.
 
     All operations are safe to call from multiple threads.
     """
@@ -42,7 +52,12 @@ class StatsCache:
         self._lock = threading.Lock()
         self._stats: dict[tuple[str, int], TableStats] = {}
         self._samples: dict[tuple[str, int, int, int], np.ndarray] = {}
+        #: (table, version, sample size, seed, predicate key) -> selectivity
+        self._selectivities: dict[tuple[str, int, int, int, str], float] = {}
+        #: Counters of the statistics and samples.
         self.stats = CacheStats()
+        #: Counters of the measured selectivities.
+        self.selectivity_stats = CacheStats()
 
     # ------------------------------------------------------------------ #
     # The stats_provider protocol
@@ -81,6 +96,35 @@ class StatsCache:
             self.stats.insertions += 1
             return self._samples[key]
 
+    def measured_selectivity(
+        self,
+        table: Table,
+        sample_size: int,
+        seed: int,
+        key: str,
+        measure: Callable[[], float],
+    ) -> float:
+        """The selectivity of the base predicate ``key`` on ``table``'s
+        sample, ``measure()``-d at most once per table version."""
+        version = self._current_version(table)
+        if version < 0:
+            return measure()
+        memo_key = (table.name, version, sample_size, seed, key)
+        with self._lock:
+            cached = self._selectivities.get(memo_key)
+            if cached is not None:
+                self.selectivity_stats.hits += 1
+                return cached
+            self.selectivity_stats.misses += 1
+        measured = measure()
+        with self._lock:
+            # A commit may have superseded the table while it was measured.
+            if self._current_version(table) == version:
+                self._prune_locked()
+                self._selectivities.setdefault(memo_key, measured)
+                self.selectivity_stats.insertions += 1
+        return measured
+
     # ------------------------------------------------------------------ #
     # Maintenance
     # ------------------------------------------------------------------ #
@@ -106,21 +150,14 @@ class StatsCache:
             return old is not None
 
     def invalidate(self, table: str | None = None) -> None:
-        """Drop cached statistics and samples — all of them, or one table's."""
+        """Drop cached statistics, samples and selectivities — all of them,
+        or one table's."""
         with self._lock:
-            if table is None:
-                dropped = len(self._stats) + len(self._samples)
-                self._stats.clear()
-                self._samples.clear()
-            else:
-                stale_stats = [key for key in self._stats if key[0] == table]
-                stale_samples = [key for key in self._samples if key[0] == table]
-                for key in stale_stats:
-                    del self._stats[key]
-                for key in stale_samples:
-                    del self._samples[key]
-                dropped = len(stale_stats) + len(stale_samples)
-            self.stats.invalidations += dropped
+            for memo, stats in self._memos():
+                stale = [key for key in memo if table is None or key[0] == table]
+                for key in stale:
+                    del memo[key]
+                stats.invalidations += len(stale)
 
     def _table_version(self, table: Table) -> int:
         """Version key for ``table`` (``-1`` for tables outside the catalog,
@@ -129,6 +166,16 @@ class StatsCache:
             return self._catalog.table_version(table.name)
         except KeyError:
             return -1
+
+    def _current_version(self, table: Table) -> int:
+        """``table``'s version while the catalog holds this very object
+        under its name, else ``-1``."""
+        try:
+            version = self._catalog.table_version(table.name)
+            held = self._catalog.get(table.name)
+        except KeyError:
+            return -1
+        return version if held is table else -1
 
     def _prune_locked(self) -> None:
         """Discard entries whose table was replaced or dropped (lock held)."""
@@ -139,10 +186,16 @@ class StatsCache:
             except KeyError:
                 return True
 
-        stale_stats = [key for key in self._stats if is_stale(key)]
-        stale_samples = [key for key in self._samples if is_stale(key)]
-        for key in stale_stats:
-            del self._stats[key]
-        for key in stale_samples:
-            del self._samples[key]
-        self.stats.evictions += len(stale_stats) + len(stale_samples)
+        for memo, stats in self._memos():
+            stale = [key for key in memo if is_stale(key)]
+            for key in stale:
+                del memo[key]
+            stats.evictions += len(stale)
+
+    def _memos(self) -> tuple[tuple[dict, CacheStats], ...]:
+        """Every memo with the counters it reports into."""
+        return (
+            (self._stats, self.stats),
+            (self._samples, self.stats),
+            (self._selectivities, self.selectivity_stats),
+        )

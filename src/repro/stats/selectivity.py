@@ -7,6 +7,12 @@ leaf routine (:class:`repro.kernels.dictionary.LeafEvaluator`), so a
 predicate on a dictionary-coded column compares each distinct value once
 and gathers over the sample's codes — byte-identical to
 ``BooleanExpr.evaluate`` on the sample, without its per-row string work.
+A base predicate's measurement depends only on its table, the sample (size
+and seed) and the predicate, so a stats provider that caches per table
+version (:class:`repro.service.stats_cache.StatsCache`) memoizes it: the
+estimator asks the provider before it measures, and a query planned again
+on an unchanged table measures nothing.  Only measurements enter that memo,
+never an estimate pinned by :meth:`SelectivityEstimator.seed_selectivity`.
 Selectivities of complex expressions are combined under the independence
 assumption:
 
@@ -65,11 +71,14 @@ class SelectivityEstimator:
             alias -> table mapping).
         sample_size: number of rows (per table) used for measurement.
         seed: RNG seed used to draw the sample.
-        sample_provider: optional callable ``(table, sample_size, seed) ->
-            positions`` supplying the sampled row positions for a base table.
-            The service layer injects a caching provider here so repeated
-            queries stop re-drawing (and re-sorting) samples per call; the
-            default draws a fresh — but deterministic — sample.
+        stats_provider: optional per-table cache (the service layer's
+            :class:`~repro.service.stats_cache.StatsCache`) whose
+            ``sample_positions(table, sample_size, seed)`` supplies a base
+            table's sampled row positions and whose
+            ``measured_selectivity(table, sample_size, seed, key, measure)``
+            memoizes each measurement, so repeated queries stop re-drawing
+            samples and re-measuring predicates; without one, each query
+            draws a fresh — but deterministic — sample and measures on it.
     """
 
     def __init__(
@@ -78,13 +87,13 @@ class SelectivityEstimator:
         query: Query,
         sample_size: int = DEFAULT_SAMPLE_SIZE,
         seed: int = 0,
-        sample_provider=None,
+        stats_provider=None,
     ) -> None:
         self._catalog = catalog
         self._query = query
         self._sample_size = sample_size
         self._seed = seed
-        self._sample_provider = sample_provider
+        self._stats_provider = stats_provider
         self._cache: dict[str, float] = {}
         # alias -> the leaf routine over its sample batch, so each column of
         # the sample is gathered once (as codes or as values) per query.
@@ -164,6 +173,17 @@ class SelectivityEstimator:
         alias = next(iter(aliases))
         if alias not in self._query.tables:
             return DEFAULT_SELECTIVITY
+        if self._stats_provider is None:
+            return self._measure_on_sample(alias, expr)
+        return self._stats_provider.measured_selectivity(
+            self._catalog.get(self._query.tables[alias]),
+            self._sample_size,
+            self._seed,
+            expr.key(),
+            lambda: self._measure_on_sample(alias, expr),
+        )
+
+    def _measure_on_sample(self, alias: str, expr: BooleanExpr) -> float:
         leaves = self._sample_leaves(alias)
         num_rows = leaves.batch.num_rows
         if num_rows == 0:
@@ -175,8 +195,10 @@ class SelectivityEstimator:
         if alias in self._leaves:
             return self._leaves[alias]
         table = self._catalog.get(self._query.tables[alias])
-        if self._sample_provider is not None:
-            positions = self._sample_provider(table, self._sample_size, self._seed)
+        if self._stats_provider is not None:
+            positions = self._stats_provider.sample_positions(
+                table, self._sample_size, self._seed
+            )
         else:
             # One fresh generator per table: the sample drawn for a table is
             # a function of (table, sample_size, seed) only, independent of

@@ -8,7 +8,7 @@ from repro.baseline.planners import BDisjPlanner
 from repro.core.planner.base import PlannerContext
 from repro.core.planner.benefit import benefit_score, benefiting_order
 from repro.core.planner.combined import TCombinedPlanner
-from repro.core.planner.cost import CostParams, estimate_plan_cost
+from repro.core.planner.cost import CostParams, PlanCost
 from repro.core.planner.iterpush import TIterPushPlanner, push_filter_to_alias
 from repro.core.planner.joinorder import greedy_join_tree
 from repro.core.planner.pullup import TPullupPlanner, pullup_to_next_join
@@ -130,20 +130,24 @@ class TestJoinOrdering:
         assert greedy_join_tree(paper_query, {"t": scan}, {"t": 7.0}, context.estimates) is scan
 
 
+def _plan_cost(context, plan, params=None) -> PlanCost:
+    """``plan``'s cost, summed by the tag-map walk."""
+    cost = PlanCost(context.estimates, params)
+    assert context.tag_map_builder().build(plan, cost) is not None
+    return cost
+
+
 class TestCostModel:
     def test_pushdown_cheaper_than_no_pushdown_for_disjunction(self, context):
         pushdown = TPushdownPlanner(context).build_plan()
         pushconj = TPushConjPlanner(context).build_plan()
-        annotations_a = context.tag_map_builder().build(pushdown)
-        annotations_b = context.tag_map_builder().build(pushconj)
-        cost_a = estimate_plan_cost(pushdown, annotations_a, context.estimates).total
-        cost_b = estimate_plan_cost(pushconj, annotations_b, context.estimates).total
+        cost_a = _plan_cost(context, pushdown).total
+        cost_b = _plan_cost(context, pushconj).total
         assert cost_a > 0 and cost_b > 0
 
     def test_cost_breakdown_components(self, context):
         plan = TPushdownPlanner(context).build_plan()
-        annotations = context.tag_map_builder().build(plan)
-        breakdown = estimate_plan_cost(plan, annotations, context.estimates)
+        breakdown = _plan_cost(context, plan)
         assert breakdown.total == pytest.approx(
             breakdown.filter_cost + breakdown.join_cost + breakdown.scan_cost
         )
@@ -152,13 +156,17 @@ class TestCostModel:
 
     def test_alpha_scales_filter_cost(self, context):
         plan = TPushdownPlanner(context).build_plan()
-        annotations = context.tag_map_builder().build(plan)
-        cheap = estimate_plan_cost(plan, annotations, context.estimates, CostParams(alpha=1.0))
-        expensive = estimate_plan_cost(
-            plan, annotations, context.estimates, CostParams(alpha=10.0)
-        )
+        cheap = _plan_cost(context, plan, CostParams(alpha=1.0))
+        expensive = _plan_cost(context, plan, CostParams(alpha=10.0))
         assert expensive.filter_cost == pytest.approx(10 * cheap.filter_cost)
         assert expensive.join_cost == pytest.approx(cheap.join_cost)
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan")])
+    def test_cost_constants_are_non_negative(self, value):
+        """A negative term could lower the running total, so a search could
+        no longer stop costing a candidate once it exceeds the best."""
+        with pytest.raises(ValueError, match="f_hash_build must be non-negative"):
+            CostParams(f_hash_build=value)
 
 
 class TestTPushdown:
