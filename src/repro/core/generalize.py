@@ -178,10 +178,11 @@ def generalize_planes(tables: BitTables, planes: Planes) -> Planes:
 def generalized_tag(tree: PredicateTree, planes: Planes) -> Tag:
     """The generalized tag of ``planes``, memoized and interned on the tree.
 
-    Every planner candidate of a query generalizes through the same tree,
-    so each distinct tag runs the algorithm once.  Threads sharing a tree
-    may race to fill an entry; they compute equal planes and the tree
+    Each distinct tag runs the algorithm once per tree.  Threads sharing a
+    tree may race to fill an entry; they compute equal planes and the tree
     interns one tag for them, so whichever store lands last changes nothing.
+    (The tag-map builder keeps its own per-prepare memo of planes, see
+    :class:`repro.core.tagmap.TagMapBuilder`.)
     """
     tag = tree.generalized.get(planes)
     if tag is None:

@@ -5,7 +5,9 @@ besides the query and the data: the planner reads it and the plan cache
 hashes it (:func:`repro.service.fingerprint.query_fingerprint`).
 
 :class:`PlannerContext` bundles everything a planner needs about one query:
-the query itself, the options, its predicate tree and a single
+the query itself, the options, its tag-map builder (with the predicate tree,
+both from the session's :class:`~repro.core.tagmap.TagAlgebraMemo`) and a
+single
 :class:`~repro.optimizer.estimates.EstimateProvider` supplying all planning
 numbers (table statistics, per-expression selectivities, cost constants).
 Planners never construct estimators themselves — the provider is built by
@@ -39,7 +41,7 @@ from repro.core.planner.benefit import benefiting_order
 from repro.core.planner.cost import CostParams, PlanCost
 from repro.core.planner.joinorder import greedy_join_tree
 from repro.core.predtree import PredicateTree
-from repro.core.tagmap import PlanTagAnnotations, TagMapBuilder
+from repro.core.tagmap import PlanTagAnnotations, TagAlgebraMemo, TagMapBuilder
 from repro.expr.ast import AndExpr, BooleanExpr
 from repro.expr.builders import or_
 from repro.plan.logical import (
@@ -139,16 +141,17 @@ class PlannerContext:
     query: Query
     catalog: Catalog
     estimates: "EstimateProvider"
-    predicate_tree: PredicateTree | None
+    #: The query's tag-map builder, shared by every planner and candidate.
+    tag_maps: TagMapBuilder
     options: PlanOptions = PlanOptions()
 
     def __post_init__(self) -> None:
-        self._tag_maps = TagMapBuilder(
-            self.predicate_tree,
-            naive=self.options.naive_tags,
-            three_valued=self.options.three_valued,
-        )
         self._planned: dict[type, PlannerResult] = {}
+
+    @property
+    def predicate_tree(self) -> PredicateTree | None:
+        """The query's predicate tree (``None`` without WHERE)."""
+        return self.tag_maps.tree
 
     @classmethod
     def for_query(
@@ -159,8 +162,14 @@ class PlannerContext:
         stats_provider=None,
         selectivity_overrides=None,
         access_manager=None,
+        tag_memo: TagAlgebraMemo | None = None,
     ) -> "PlannerContext":
-        """Build the estimate provider and predicate tree for ``query``.
+        """Build the estimate provider and tag-map builder for ``query``.
+
+        The builder comes from ``tag_memo`` (a session's
+        :class:`~repro.core.tagmap.TagAlgebraMemo`), which reuses the
+        predicate tree and tag maps of an earlier prepare of the same
+        predicate; ``None`` plans from an empty one.
 
         ``stats_provider``, ``selectivity_overrides`` and ``access_manager``
         are forwarded to
@@ -182,16 +191,14 @@ class PlannerContext:
             selectivity_overrides=selectivity_overrides,
             access_manager=access_manager,
         )
-        tree = PredicateTree(query.predicate) if query.predicate is not None else None
-        return cls(query, catalog, estimates, tree, options)
+        if tag_memo is None:
+            tag_memo = TagAlgebraMemo(1)
+        tag_maps = tag_memo.builder(query.predicate, options.naive_tags, options.three_valued)
+        return cls(query, catalog, estimates, tag_maps, options)
 
     # ------------------------------------------------------------------ #
     # Helpers shared by the planners
     # ------------------------------------------------------------------ #
-    def tag_map_builder(self) -> TagMapBuilder:
-        """The query's tag-map builder, shared by every planner and candidate."""
-        return self._tag_maps
-
     def planned(self, planner_class: type[TaggedPlanner]) -> PlannerResult:
         """``planner_class``'s result for this query, planned once per context.
 
@@ -352,7 +359,7 @@ class TaggedPlanner:
         strictly greater (see :meth:`~repro.core.tagmap.TagMapBuilder.build`).
         """
         cost = PlanCost(self.context.estimates)
-        annotations = self.context.tag_map_builder().build(plan, cost, bound)
+        annotations = self.context.tag_maps.build(plan, cost, bound)
         if annotations is None:
             return None
         return PlannerResult(

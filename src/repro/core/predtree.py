@@ -184,9 +184,10 @@ class PredicateTree:
     Construction indexes the instances of every key; the :class:`BitTables`
     are compiled on first use (:attr:`tables`), so a tree unpickled in a
     worker that never builds a tag map does not pay for them.  The tree also
-    holds the query's tag memos: :attr:`generalized` (planes -> generalized
-    tag, see :func:`repro.core.generalize.generalize_tag`) and the intern
-    tables behind :meth:`tag`.  Nothing here outlives the tree, and a pickled
+    interns one tag per planes value (:meth:`tag`), which every prepare of
+    the predicate shares (:class:`~repro.core.tagmap.TagAlgebraMemo`), and
+    memoizes :func:`repro.core.generalize.generalize_tag` in
+    :attr:`generalized`.  Nothing here depends on the data, and a pickled
     tree is rebuilt from its expression.
     """
 
@@ -204,9 +205,8 @@ class PredicateTree:
         #: Memo of :func:`repro.core.generalize.generalize_tag`: planes ->
         #: the generalized tag.
         self.generalized: dict[Planes, Tag] = {}
-        #: One tag per planes value (:meth:`tag`), and the way back.
+        #: One tag per planes value (:meth:`tag`).
         self.interned: dict[Planes, Tag] = {}
-        self.tag_planes: dict[Tag, Planes] = {}
 
     def __reduce__(self):
         return (PredicateTree, (self._expr,))
@@ -250,16 +250,7 @@ class PredicateTree:
                     TRUE if low & true else FALSE if low & false else UNKNOWN
                 )
             tag = self.interned.setdefault(planes, Tag._of(values) if values else Tag.empty())
-            self.tag_planes[tag] = planes
         return tag
-
-    def forget_tags(self) -> None:
-        """Drop the generalization memo, the interned tags and the compiled
-        tables (recompiled if a tag is asked for again)."""
-        self.generalized.clear()
-        self.interned.clear()
-        self.tag_planes.clear()
-        self.__dict__.pop("tables", None)  # the cached_property's value
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -24,15 +24,19 @@ the precepts are mask tests against the tree's
 :class:`~repro.core.predtree.BitTables`, and its memos are keyed by planes.
 :class:`~repro.core.tags.Tag` objects, interned per tree, appear only in what
 it returns: tag-map entries, output tags and the projection's sets.
+:class:`TagAlgebraMemo` keeps each predicate's tree and finished operator tag
+maps across prepares, so planning a query again builds neither.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.core.generalize import generalized_tag
+from repro.core.generalize import generalize_planes
 from repro.core.predtree import EMPTY_PLANES, Planes, PredicateTree
 from repro.core.tags import Tag
 from repro.expr.ast import BooleanExpr
@@ -122,14 +126,18 @@ _SCAN_OUTPUTS: Outputs = ((EMPTY_PLANES,), (Tag.empty(),))
 class TagMapBuilder:
     """Builds tag maps for every operator of a logical plan.
 
-    One builder serves a whole query: the planners cost many candidate plans
-    that differ by one moved filter, so the builder remembers what it has
-    already derived — the filter entry of a ``(predicate, input tag)``, the
-    output tag of a join's ``(left tag, right tag)``, and the finished tag
-    map of an operator given its input tags.  A candidate therefore only
-    pays for the operators whose input tags it actually changed; everything
-    else is the same (read-only) tag-map object under the new plan's node
-    ids.  ``work`` counts what was really computed.
+    One builder serves one prepare, and its operator memo serves every
+    prepare of one predicate (:class:`TagAlgebraMemo`): the planners cost
+    many candidate plans that differ by one moved filter, and a re-plan
+    meets the same candidates again, so the builder remembers what has
+    already been derived — the finished tag map of an operator given its
+    input tags (shared), and within this prepare the filter entry of a
+    ``(predicate, input tag)``, the output tag of a join's
+    ``(left tag, right tag)`` and each generalized tag.  A candidate
+    therefore only pays for the operators whose input tags no earlier
+    candidate had; everything else is the same (read-only) tag-map object
+    under the new plan's node ids.  ``work`` counts what this builder
+    really computed.
 
     Args:
         tree: the query's predicate tree.
@@ -138,6 +146,10 @@ class TagMapBuilder:
         three_valued: honour NULLs by producing UNKNOWN output tags; with
             ``False`` the builder behaves exactly like the two-valued model
             of Sections 2-3.3.
+        operators: the operator memo to read and extend — ``(operator, its
+            parameters, input planes) -> (tag map, outputs)`` — shared by
+            every builder of the same tree and strategy; ``None`` starts an
+            empty one.
     """
 
     def __init__(
@@ -145,23 +157,27 @@ class TagMapBuilder:
         tree: PredicateTree | None,
         naive: bool = False,
         three_valued: bool = True,
+        operators: dict[tuple, tuple[object, Outputs]] | None = None,
     ) -> None:
         self.tree = tree
         self.naive = naive
         self.three_valued = three_valued
+        self._operators = {} if operators is None else operators
         self._filter_entries: dict[tuple[int, Planes], tuple | None] = {}
         self._join_outputs: dict[tuple[Planes, Planes], tuple[Planes, Tag] | None] = {}
-        #: (operator, its parameters, input planes) -> (tag map, outputs)
-        self._operators: dict[tuple, tuple[object, Outputs]] = {}
+        #: Algorithm 1's answers of this builder: planes -> generalized planes.
+        self._generalizations: dict[Planes, Planes] = {}
         self._plans_built = 0
+        self._operators_built = 0
 
     @property
     def work(self) -> dict[str, int]:
-        """Deterministic planning-work counters of this builder so far."""
+        """Deterministic planning-work counters of this builder: candidates
+        costed, operator tag maps built (memo misses), Algorithm 1 runs."""
         return {
             "candidate_plans": self._plans_built,
-            "tagmap_nodes_built": len(self._operators),
-            "generalizations_computed": len(self.tree.generalized) if self.tree is not None else 0,
+            "tagmap_nodes_built": self._operators_built,
+            "generalizations_computed": len(self._generalizations),
         }
 
     # ------------------------------------------------------------------ #
@@ -248,14 +264,19 @@ class TagMapBuilder:
         if built is None:
             tag_map, output = build()
             built = self._operators[key] = (tag_map, (tuple(output), tuple(output.values())))
+            self._operators_built += 1
         return built
 
     def _tag(self, planes: Planes) -> Tag:
         return Tag.empty() if self.tree is None else self.tree.tag(planes)
 
     def _generalized(self, planes: Planes) -> Planes:
-        tree = self.tree
-        return tree.tag_planes[generalized_tag(tree, planes)]
+        generalized = self._generalizations.get(planes)
+        if generalized is None:
+            generalized = self._generalizations[planes] = generalize_planes(
+                self.tree.tables, planes
+            )
+        return generalized
 
     def _refutes(self, planes: Planes) -> bool:
         """Whether generalized ``planes`` prove their tuples never reach the
@@ -392,6 +413,52 @@ class TagMapBuilder:
                 # residual predicate on this slice.
                 projection.residual.add(tag)
         return projection, {planes: tag for _text, planes, tag in sorted(allowed)}
+
+
+class TagAlgebraMemo:
+    """A bounded LRU of tag algebra: one predicate tree and one operator
+    memo per ``(predicate key, naive, three_valued)``.
+
+    Tag maps and generalized tags depend only on the predicate tree, the
+    strategy and the plan's shape, never on the data, so re-planning a query
+    — after a plan-cache flush, a commit or a feedback retirement — meets
+    candidates whose tag maps it has already built.  That is why plan-cache
+    invalidation and commits leave the memo alone: the re-plans they cause
+    are the traffic it serves.  :meth:`builder` hands each prepare a fresh
+    :class:`TagMapBuilder` over the remembered tree (its bit tables and
+    interned tags) and operator memo; the builder's per-prepare scratch
+    memos and work counters die with it.
+
+    Entries are not locked: every memo value is a pure function of its key,
+    so concurrent prepares of one predicate that race to fill an entry store
+    equal values.  Only the LRU's reorder and evict step takes the lock.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple, tuple[PredicateTree, dict]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def builder(
+        self, predicate: BooleanExpr | None, naive: bool, three_valued: bool
+    ) -> TagMapBuilder:
+        """A builder for one prepare of ``predicate`` (``None``: no WHERE)."""
+        if predicate is None:
+            return TagMapBuilder(None, naive, three_valued)
+        key = (predicate.key(), naive, three_valued)
+        shared = self._entries.get(key)
+        if shared is None:
+            shared = PredicateTree(predicate), {}
+        with self._lock:
+            shared = self._entries.setdefault(key, shared)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        tree, operators = shared
+        return TagMapBuilder(tree, naive, three_valued, operators)
 
 
 def _implied(tables, planes: Planes, bit: int) -> bool:

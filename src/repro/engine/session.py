@@ -50,7 +50,7 @@ from repro.baseline.planners import BDisjPlanner, BPushConjPlanner
 from repro.core import planner as tagged
 from repro.core.planner.base import PLAN_OPTION_NAMES, PlannerContext, PlanOptions
 from repro.core.predtree import PredicateTree
-from repro.core.tagmap import PlanTagAnnotations
+from repro.core.tagmap import PlanTagAnnotations, TagAlgebraMemo
 from repro.engine.metrics import ExecContext, ExecOptions, Stopwatch
 from repro.engine.parallel import execute_plan
 from repro.engine.postprocess import apply_output_shaping
@@ -98,7 +98,8 @@ class PreparedPlan:
         roots: the logical tree(s) execution compiles — one per subplan of a
             traditional plan, otherwise the single plan tree.
         annotations: tag maps for tagged plans, ``None`` otherwise.
-        predicate_tree: the query's predicate tree (``None`` without WHERE).
+        predicate_tree: the query's predicate tree (``None`` without WHERE),
+            shared with every other prepare of the same predicate.
         plan_description: pretty-printed plan, as shown by ``explain``.
         plan_hash: short stable hash of ``plan_description``
             (:func:`repro.obs.history.plan_hash_of`), computed once here so
@@ -116,10 +117,13 @@ class PreparedPlan:
             WHERE expression (:func:`repro.optimizer.clause_order.\
 clause_selectivities`); seeds the fused kernels' clause evaluation order
             and the ``--explain-analyze`` order annotation.
-        planning_work: deterministic counters of what planning computed
-            (``candidate_plans`` costed, ``tagmap_nodes_built`` — operator
-            tag maps actually constructed, ``generalizations_computed`` —
-            runs of Algorithm 1); all zero for the untagged planners.
+        planning_work: deterministic counters of what this prepare
+            computed (``candidate_plans`` costed, ``tagmap_nodes_built`` —
+            operator tag maps built rather than found in the session's
+            :class:`~repro.core.tagmap.TagAlgebraMemo`,
+            ``generalizations_computed`` — runs of Algorithm 1); a re-plan
+            that meets only known candidates builds none, and all are zero
+            for the untagged planners.
         snapshot: the :class:`~repro.mutation.snapshot.CatalogSnapshot`
             pinned at prepare time.  Execution always runs against it, which
             is what makes reads snapshot-isolated: a mutation committed
@@ -191,6 +195,14 @@ class Session:
             **{name: overrides.pop(name) for name in PLAN_OPTION_NAMES & overrides.keys()}
         )
         self.options = ExecOptions().replace(**overrides)
+        # Imported lazily: the service package imports this module.
+        from repro.service.plan_cache import DEFAULT_PLAN_CACHE_SIZE
+
+        #: Every prepare's predicate tree and operator tag maps, remembered
+        #: per predicate across prepares (see
+        #: :class:`~repro.core.tagmap.TagAlgebraMemo`); bounded like the
+        #: plan cache.
+        self.tag_memo = TagAlgebraMemo(DEFAULT_PLAN_CACHE_SIZE)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -274,12 +286,6 @@ class Session:
         from repro.optimizer.clause_order import clause_selectivities
 
         predicate_tree = context.predicate_tree
-        planning_work = context.tag_map_builder().work
-        if predicate_tree is not None:
-            # The plan keeps the tree (its expression is the tagged root's
-            # residual predicate), not its bit tables or the thousands of
-            # tags the discarded candidate plans generalized along the way.
-            predicate_tree.forget_tags()
         plan_description = planned.description()
         return PreparedPlan(
             planner=planner,
@@ -297,7 +303,7 @@ class Session:
                 predicate_tree.expression if predicate_tree is not None else None,
                 context.estimates,
             ),
-            planning_work=planning_work,
+            planning_work=context.tag_maps.work,
             access_plan=context.estimates.access_plan(),
             # Pin only the tables this query reads: enough for isolated
             # execution, without keeping superseded generations of unrelated
@@ -462,4 +468,5 @@ class Session:
             stats_provider=self.stats_provider,
             selectivity_overrides=selectivity_overrides,
             access_manager=self._access_manager(),
+            tag_memo=self.tag_memo,
         )

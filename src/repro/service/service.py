@@ -129,6 +129,19 @@ class BatchReport:
         return aggregate_metrics(item.result.metrics for item in self.succeeded)
 
 
+def _weakly(method):
+    """The bound ``method`` as a callable that holds its object weakly and
+    does nothing once the object is gone."""
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return call
+
+
 class QueryService:
     """Serves queries with plan/stats caching and concurrent batch execution.
 
@@ -199,8 +212,11 @@ class QueryService:
         self.stats_cache = self.session.stats_provider
         self.plan_cache = PlanCache(plan_cache_size)
         # Re-plan hook: a drift invalidation (feedback loop retiring one
-        # entry) is the event the workload history calls a "re-plan".
-        self.plan_cache.on_replan = self._record_replan
+        # entry) is the event the workload history calls a "re-plan".  Weak,
+        # like the mutation subscription below: a strong bound method would
+        # make service -> plan cache -> hook -> service a cycle that keeps a
+        # closed service's session and catalog alive until the cyclic GC.
+        self.plan_cache.on_replan = _weakly(self._record_replan)
         self.feedback = feedback
         self.qerror_threshold = qerror_threshold
         self.feedback_store = FeedbackStore()
@@ -212,14 +228,7 @@ class QueryService:
         # without close() stays garbage-collectable, never does maintenance
         # work as a zombie, and the finalizer removes its callback from the
         # catalog's subscriber list when it is collected.
-        weak_self = weakref.ref(self)
-
-        def _notify_weak(commit, _ref=weak_self):
-            service = _ref()
-            if service is not None:
-                service._on_mutation(commit)
-
-        self._mutation_callback = _notify_weak
+        self._mutation_callback = _weakly(self._on_mutation)
         self.session.catalog.subscribe_mutations(self._mutation_callback)
         self._unsubscribe = weakref.finalize(
             self, self.session.catalog.unsubscribe_mutations, self._mutation_callback

@@ -115,6 +115,7 @@ class TestHypothesisDifferential:
     @settings(
         max_examples=15,
         deadline=None,
+        derandomize=True,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
     @given(

@@ -175,6 +175,31 @@ class TestServiceMaintenance:
         batch.insert("t", [{"id": 100, "v": 1.0}])
         batch.commit()
 
+    def test_closed_service_frees_its_catalog_by_reference_counting(self):
+        import gc
+        import weakref as weakref_module
+
+        from repro.obs.history import WorkloadHistory
+
+        history = WorkloadHistory()
+        gc.collect()
+        gc.disable()
+        try:
+            catalog = two_table_catalog()
+            service = QueryService(Session(catalog), history=history)
+            service.execute("SELECT u.id FROM u AS u WHERE u.w > 1")
+            (entry,) = history.stats.entries()
+            # The weak re-plan hook still reaches the history while the
+            # service lives.
+            assert service.plan_cache.invalidate_entry(entry.fingerprint)
+            assert entry.replans == 1
+            service.close()
+            dead = weakref_module.ref(catalog), weakref_module.ref(service.session)
+            del catalog, service
+            assert [ref() for ref in dead] == [None, None]
+        finally:
+            gc.enable()
+
     def test_closed_service_stops_reacting(self):
         catalog = two_table_catalog()
         service = QueryService(Session(catalog))

@@ -133,7 +133,7 @@ class TestJoinOrdering:
 def _plan_cost(context, plan, params=None) -> PlanCost:
     """``plan``'s cost, summed by the tag-map walk."""
     cost = PlanCost(context.estimates, params)
-    assert context.tag_map_builder().build(plan, cost) is not None
+    assert context.tag_maps.build(plan, cost) is not None
     return cost
 
 

@@ -1,15 +1,18 @@
 """Planning work is counted, deterministic, and proportional to distinct work.
 
 Wall-clock planning time is recorded by the benchmark; what gates is this
-count.  Before the tag algebra was shared per query, planning the 33 JOB-style
-queries with ``tcombined`` built 6 873 operator tag maps and ran Algorithm 1
-76 964 times, over 620 candidate plans.  Since each candidate is costed once
-(a searching planner returns the result it costed for its pick, and TPullup
-starts from the TPushdown result TCombined already has), the same search
-costs 521 candidate plans.  TPullup and TIterPush bound each candidate's
-costing walk by their running best, so a candidate that has lost stops
-building tag maps: 1 550 operator tag maps and 15 183 generalizations
-before the bound, 1 283 and 13 064 with it, over the same 521 candidates.
+count, which says what one prepare computed.  Before the tag algebra was
+shared per query, planning the 33 JOB-style queries with ``tcombined`` built
+6 873 operator tag maps and ran Algorithm 1 76 964 times, over 620 candidate
+plans.  Since each candidate is costed once (a searching planner returns the
+result it costed for its pick, and TPullup starts from the TPushdown result
+TCombined already has), the same search costs 521 candidate plans.  TPullup
+and TIterPush bound each candidate's costing walk by their running best, so
+a candidate that has lost stops building tag maps: 1 550 operator tag maps
+and 15 183 generalizations before the bound, 1 283 and 13 064 with it, over
+the same 521 candidates.  A session remembers each predicate's tree and
+operator tag maps across prepares (``Session.tag_memo``), so planning the
+same pass again costs the 521 candidates and builds no tag map at all.
 """
 
 from __future__ import annotations
@@ -29,16 +32,27 @@ UNSHARED_GENERALIZATIONS = 76_964
 
 def test_job_pass_planning_work_is_pinned():
     session = Session(generate_imdb_catalog(scale=0.05, seed=7))
-    total: Counter[str] = Counter()
-    for query in job_query_groups():
-        total.update(session.prepare(query, "tcombined").planning_work)
-    assert dict(total) == {
+
+    def one_pass() -> dict[str, int]:
+        total: Counter[str] = Counter()
+        for query in job_query_groups():
+            total.update(session.prepare(query, "tcombined").planning_work)
+        return dict(total)
+
+    first = one_pass()
+    assert first == {
         "candidate_plans": 521,  # 620 when picks were costed twice
         "tagmap_nodes_built": 1_283,  # 1 550 when lost candidates were costed in full
         "generalizations_computed": 13_064,  # 15 183 likewise
     }
-    assert total["tagmap_nodes_built"] <= 0.4 * UNSHARED_NODE_BUILDS
-    assert total["generalizations_computed"] <= 0.4 * UNSHARED_GENERALIZATIONS
+    assert first["tagmap_nodes_built"] <= 0.4 * UNSHARED_NODE_BUILDS
+    assert first["generalizations_computed"] <= 0.4 * UNSHARED_GENERALIZATIONS
+    # The same pass again meets only remembered candidates.
+    assert one_pass() == {
+        "candidate_plans": 521,
+        "tagmap_nodes_built": 0,
+        "generalizations_computed": 0,
+    }
 
 
 @pytest.mark.parametrize("query_name", ["paper", "job01", "job03", "job04"])
@@ -64,13 +78,18 @@ def test_tcombined_costs_each_candidate_once(
     assert costed("tcombined") == sum(alone.values()) - 1
 
 
-def test_planning_work_per_plan(paper_session, paper_query):
-    tagged = paper_session.prepare(paper_query, "tpushdown").planning_work
+def test_planning_work_per_plan(paper_catalog, paper_query):
+    session = Session(paper_catalog)
+    tagged = session.prepare(paper_query, "tpushdown").planning_work
     assert tagged["candidate_plans"] == 1
     assert tagged["tagmap_nodes_built"] > 0 and tagged["generalizations_computed"] > 0
-    # A second prepare starts from a fresh tree and builder: nothing carries over.
-    assert paper_session.prepare(paper_query, "tpushdown").planning_work == tagged
-    untagged = paper_session.prepare(paper_query, "bdisj").planning_work
+    # A second prepare costs its candidate again but builds nothing new.
+    assert session.prepare(paper_query, "tpushdown").planning_work == {
+        "candidate_plans": 1,
+        "tagmap_nodes_built": 0,
+        "generalizations_computed": 0,
+    }
+    untagged = session.prepare(paper_query, "bdisj").planning_work
     assert set(untagged.values()) == {0}
 
 
