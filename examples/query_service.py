@@ -1,8 +1,9 @@
 """Serving repeated traffic: the QueryService plan and stats caches.
 
 A dashboard, API or benchmark harness sends the same handful of query
-templates over and over.  ``Session.execute`` re-parses, re-samples and
-re-plans every call; ``QueryService`` does that work once per distinct query
+templates over and over.  ``Session.execute`` re-parses and re-plans every
+call (its statistics cache spares it only the sampling and measuring);
+``QueryService`` does that work once per distinct query
 and serves every repeat from its plan cache — falling back transparently
 when the catalog changes, because cached plans are keyed by the catalog
 version.

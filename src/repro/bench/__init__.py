@@ -12,7 +12,7 @@
 
 from repro.bench.job_bench import JobFigureResult, run_job_figure
 from repro.bench.runner import TMIN_CANDIDATES, BenchmarkMeasurement, time_fastest, time_query
-from repro.bench.synthetic_bench import SyntheticSweepResult, run_synthetic_figure
+from repro.bench.synthetic_bench import SyntheticSweepResult
 from repro.bench.report import format_table
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "SyntheticSweepResult",
     "format_table",
     "run_job_figure",
-    "run_synthetic_figure",
     "time_fastest",
     "time_query",
 ]

@@ -158,19 +158,3 @@ def run_outer_factor_sweep(
         tagged = time_query(session, query, "tcombined", repetitions)
         result.rows.append(SyntheticSweepRow(factor, baseline, tagged))
     return result
-
-
-_FIGURE_RUNNERS = {
-    "4a": run_selectivity_sweep,
-    "4b": run_table_size_sweep,
-    "4c": run_root_clause_sweep,
-    "4d": run_outer_factor_sweep,
-}
-
-
-def run_synthetic_figure(figure: str, **kwargs) -> SyntheticSweepResult:
-    """Run one of Figures 4a-4d by name."""
-    figure = figure.lower().removeprefix("fig")
-    if figure not in _FIGURE_RUNNERS:
-        raise ValueError(f"unknown figure {figure!r}; choose one of {sorted(_FIGURE_RUNNERS)}")
-    return _FIGURE_RUNNERS[figure](**kwargs)

@@ -52,10 +52,12 @@ from repro.plan.logical import (
     plan_to_string,
 )
 from repro.plan.query import Query
+from repro.stats.selectivity import DEFAULT_SAMPLE_SIZE
 from repro.storage.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.optimizer.estimates import EstimateProvider
+    from repro.service.stats_cache import StatsCache
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class PlanOptions:
 
     cost_params: CostParams = field(default_factory=CostParams)
     three_valued: bool = True
-    stats_sample_size: int = 20_000
+    stats_sample_size: int = DEFAULT_SAMPLE_SIZE
     access_paths: bool = True
     naive_tags: bool = False
 
@@ -159,7 +161,7 @@ class PlannerContext:
         query: Query,
         catalog: Catalog,
         options: PlanOptions = PlanOptions(),
-        stats_provider=None,
+        stats_cache: StatsCache | None = None,
         selectivity_overrides=None,
         access_manager=None,
         tag_memo: TagAlgebraMemo | None = None,
@@ -169,9 +171,13 @@ class PlannerContext:
         The builder comes from ``tag_memo`` (a session's
         :class:`~repro.core.tagmap.TagAlgebraMemo`), which reuses the
         predicate tree and tag maps of an earlier prepare of the same
-        predicate; ``None`` plans from an empty one.
+        predicate; ``None`` plans from an empty one.  Likewise
+        ``stats_cache`` (a session's
+        :class:`~repro.service.stats_cache.StatsCache`) supplies the
+        statistics, samples and measurements of earlier prepares; ``None``
+        plans from a fresh one.
 
-        ``stats_provider``, ``selectivity_overrides`` and ``access_manager``
+        ``stats_cache``, ``selectivity_overrides`` and ``access_manager``
         are forwarded to
         :func:`repro.optimizer.estimates.build_estimate_provider`; see there
         for their meaning.  ``selectivity_overrides`` is how the service
@@ -187,7 +193,7 @@ class PlannerContext:
             query,
             catalog,
             options,
-            stats_provider=stats_provider,
+            stats_cache=stats_cache,
             selectivity_overrides=selectivity_overrides,
             access_manager=access_manager,
         )

@@ -170,10 +170,6 @@ class Session:
 
     Args:
         catalog: the base tables.
-        stats_provider: optional provider of cached per-table statistics and
-            sample draws (see :class:`repro.service.StatsCache`); ``None``
-            recomputes statistics on every prepare, which is deterministic
-            and therefore equivalent.
         **overrides: session-wide defaults, each routed by name to the one
             options type that declares it: planning values
             (``cost_params=``, ``three_valued=``, ``stats_sample_size=``,
@@ -188,16 +184,20 @@ class Session:
             use; secondary indexes only ever exist when created explicitly).
     """
 
-    def __init__(self, catalog: Catalog, stats_provider=None, **overrides) -> None:
+    def __init__(self, catalog: Catalog, **overrides) -> None:
         self.catalog = catalog
-        self.stats_provider = stats_provider
         self.plan_options = PlanOptions().replace(
             **{name: overrides.pop(name) for name in PLAN_OPTION_NAMES & overrides.keys()}
         )
         self.options = ExecOptions().replace(**overrides)
         # Imported lazily: the service package imports this module.
         from repro.service.plan_cache import DEFAULT_PLAN_CACHE_SIZE
+        from repro.service.stats_cache import StatsCache
 
+        #: Table statistics, samples and measured base-predicate
+        #: selectivities, computed once per table version for every prepare
+        #: (see :class:`~repro.service.stats_cache.StatsCache`).
+        self.stats_cache = StatsCache(catalog)
         #: Every prepare's predicate tree and operator tag maps, remembered
         #: per predicate across prepares (see
         #: :class:`~repro.core.tagmap.TagAlgebraMemo`); bounded like the
@@ -465,7 +465,7 @@ class Session:
             query,
             self.catalog,
             self.plan_options.replace(naive_tags=naive_tags),
-            stats_provider=self.stats_provider,
+            stats_cache=self.stats_cache,
             selectivity_overrides=selectivity_overrides,
             access_manager=self._access_manager(),
             tag_memo=self.tag_memo,

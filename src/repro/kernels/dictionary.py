@@ -108,16 +108,14 @@ class LeafEvaluator:
 
     The one leaf routine of planning and execution: the fused kernels
     (:class:`repro.kernels.fused.FusedEvaluator`) evaluate a predicate tree's
-    leaves through it, and the selectivity estimator
-    (:class:`repro.stats.selectivity.SelectivityEstimator`) measures base
+    leaves through it, and the estimate provider
+    (:class:`repro.optimizer.estimates.EstimateProvider`) measures base
     predicates on its table sample through it.
 
     Each ``(alias, column)``'s codes are read once, at the batch's full
-    selection, and accounted to the batch's page cache and I/O counters —
-    so a caller that must not touch the runtime counters gives the batch its
-    own :class:`~repro.storage.iostats.IOStats`, never ``None`` (which
-    :meth:`~repro.storage.column.Column.account_read` would charge to the
-    global counters).  Each leaf's per-code match table is built once.
+    selection, and accounted to the batch's page cache and I/O counters (a
+    batch without counters, like a planning sample's, is not accounted).
+    Each leaf's per-code match table is built once.
     """
 
     def __init__(self, batch: RowBatch) -> None:

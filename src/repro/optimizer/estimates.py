@@ -1,30 +1,32 @@
-"""The unified estimation layer: one provider for every planning number.
+"""The estimation layer: one provider for every planning number.
 
-Before this module existed, "get the selectivity of this expression" lived in
-three near-copies — the measured estimator in :mod:`repro.stats.selectivity`,
-the cost model in :mod:`repro.core.planner.cost` and the per-table caches in
-:mod:`repro.service.stats_cache` each re-derived the same quantities.  An
-:class:`EstimateProvider` is now the single object every planner, the benefit
+An :class:`EstimateProvider` is the single object every planner, the benefit
 scorer and the cost model consume: it bundles per-table statistics,
-per-expression selectivities (measured on a sample), cardinality
-formulas and the cost-model constants behind one interface.
+per-expression selectivities (measured on a sample), cardinality formulas
+and the cost-model constants behind one interface.  Its per-table
+ingredients — statistics, samples and base-predicate measurements — come
+from a :class:`~repro.service.stats_cache.StatsCache`, which memoizes them
+per table version.
 
 The provider is also the injection point for **runtime feedback**: a mapping
 of expression keys to *observed* selectivities (collected by the executor,
 accumulated by :class:`repro.optimizer.feedback.FeedbackStore`) overrides the
 a-priori estimates, so a re-planned query is costed with what actually
 happened rather than what the sample predicted.  Estimation stays fully
-deterministic: the same inputs (tables, sample seed, overrides) always
+deterministic: the same inputs (tables, sample size, overrides) always
 produce the same numbers, which keeps plans reproducible and cacheable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 from repro.core.planner.base import PlanOptions
 from repro.core.planner.cost import CostParams
-from repro.expr.ast import BooleanExpr
+from repro.expr.ast import AndExpr, BooleanExpr, LikePredicate, NotExpr, OrExpr
+from repro.expr.eval import RowBatch
+from repro.kernels.dictionary import LeafEvaluator
 from repro.plan.logical import (
     FilterNode,
     JoinNode,
@@ -33,34 +35,33 @@ from repro.plan.logical import (
     TableScanNode,
 )
 from repro.plan.query import JoinCondition, Query
-from repro.stats.selectivity import SelectivityEstimator
-from repro.stats.table_stats import TableStats, collect_table_stats
+from repro.stats.selectivity import DEFAULT_SELECTIVITY, sampled_selectivity
 from repro.storage.catalog import Catalog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.service.stats_cache import StatsCache
 
 
 def build_estimate_provider(
     query: Query,
     catalog: Catalog,
     options: PlanOptions = PlanOptions(),
-    stats_provider=None,
+    stats_cache: StatsCache | None = None,
     selectivity_overrides: Mapping[str, float] | None = None,
     access_manager=None,
 ) -> "EstimateProvider":
-    """Collect statistics and build the :class:`EstimateProvider` for one query.
+    """Check ``query`` against ``catalog`` and build its :class:`EstimateProvider`.
 
     Base-predicate selectivities are *measured*: each predicate is evaluated
     on a sample of ``options.stats_sample_size`` rows per table (the paper's
     approach, Section 4.1); ``options.cost_params`` are the cost constants.
 
-    ``stats_provider`` optionally supplies the cacheable (per-table,
-    query-independent) ingredients — ``table_stats(table)`` summaries,
-    ``sample_positions(table, sample_size, seed)`` draws and
-    ``measured_selectivity(...)``, which memoizes each base predicate's
-    measurement on that sample — so a caller serving many queries (the
-    service layer's stats cache) computes them once per table version
-    instead of once per call.  When omitted, all are computed from scratch,
-    which is byte-for-byte equivalent because stats collection, sampling and
-    measurement are deterministic.
+    ``stats_cache`` supplies the per-table ingredients (a session passes its
+    own, so a table's statistics, sample and measurements are computed once
+    per table version); ``None`` plans from a fresh
+    :class:`~repro.service.stats_cache.StatsCache`, which measures the same
+    numbers because stats collection, sampling and measurement are
+    deterministic.
 
     ``selectivity_overrides`` maps expression keys
     (:meth:`~repro.expr.ast.BooleanExpr.key`) to observed selectivities; the
@@ -81,17 +82,12 @@ def build_estimate_provider(
     query.check_join_key_types(catalog)
     if not options.three_valued:
         query.check_null_free(catalog)
-    collect = collect_table_stats if stats_provider is None else stats_provider.table_stats
-    table_stats = {
-        table_name: collect(catalog.get(table_name))
-        for table_name in set(query.tables.values())
-    }
-    estimator = SelectivityEstimator(
-        catalog,
-        query,
-        sample_size=options.stats_sample_size,
-        stats_provider=stats_provider,
-    )
+    if stats_cache is None:
+        # Imported lazily: the service package imports the session, which
+        # imports the planners that import this module.
+        from repro.service.stats_cache import StatsCache
+
+        stats_cache = StatsCache(catalog)
     access_chooser = None
     if access_manager is not None:
         from repro.access.chooser import AccessPathChooser
@@ -99,8 +95,9 @@ def build_estimate_provider(
         access_chooser = AccessPathChooser(query, access_manager)
     return EstimateProvider(
         query,
-        table_stats,
-        estimator,
+        catalog,
+        stats_cache,
+        sample_size=options.stats_sample_size,
         cost_params=options.cost_params,
         overrides=selectivity_overrides,
         access_chooser=access_chooser,
@@ -112,68 +109,119 @@ class EstimateProvider:
 
     Args:
         query: the query being planned (supplies alias -> table bindings).
-        table_stats: per-table summary statistics, keyed by table name.
-        estimator: the selectivity backend (measured on a sample).  Its
-            cache-first AND/OR/NOT recursion is the single implementation of
-            the independence-assumption combination; overrides are *seeded*
-            into that cache, so a pinned sub-expression affects every
-            combination containing it.
+        catalog: the base tables.
+        stats_cache: the per-table statistics, samples and measurements.
+        sample_size: rows sampled per table to measure base predicates on.
         cost_params: cost-model calibration constants.
-        overrides: expression key -> observed selectivity.  This is how
-            runtime feedback corrects the independence assumption for, say,
-            a correlated conjunction.
+        overrides: expression key -> observed selectivity.  They are the
+            initial (clamped) contents of the selectivity memo, so a pinned
+            sub-expression affects every AND/OR/NOT combination containing
+            it; this is how runtime feedback corrects the independence
+            assumption for, say, a correlated conjunction.
+        access_chooser: the query's
+            :class:`~repro.access.chooser.AccessPathChooser`, or ``None``.
     """
 
     def __init__(
         self,
         query: Query,
-        table_stats: dict[str, TableStats],
-        estimator: SelectivityEstimator,
+        catalog: Catalog,
+        stats_cache: StatsCache,
+        sample_size: int,
         cost_params: CostParams | None = None,
         overrides: Mapping[str, float] | None = None,
         access_chooser=None,
     ) -> None:
         self.query = query
-        self.table_stats = dict(table_stats)
+        self.table_stats = {
+            table_name: stats_cache.table_stats(catalog.get(table_name))
+            for table_name in set(query.tables.values())
+        }
         self.cost_params = cost_params or CostParams()
-        self._estimator = estimator
-        self._overrides = {
+        self._catalog = catalog
+        self._stats_cache = stats_cache
+        self._sample_size = sample_size
+        #: expression key -> selectivity: overrides, then every estimate made.
+        self._selectivities: dict[str, float] = {
             key: min(max(float(value), 0.0), 1.0)
             for key, value in dict(overrides or {}).items()
         }
+        # alias -> the leaf routine over its sample batch, so each column of
+        # the sample is gathered once (as codes or as values) per query.
+        self._leaves: dict[str, LeafEvaluator] = {}
         self._access_chooser = access_chooser
         self._access_plan = None
-        self._seed_overrides()
-
-    def _seed_overrides(self) -> None:
-        for key, value in self._overrides.items():
-            self._estimator.seed_selectivity(key, value)
 
     # ------------------------------------------------------------------ #
     # Selectivity
     # ------------------------------------------------------------------ #
     def selectivity(self, expr: BooleanExpr) -> float:
-        """Estimated fraction of rows satisfying ``expr`` (override-aware)."""
-        return self._estimator.selectivity(expr)
+        """Estimated fraction of rows satisfying ``expr`` (override-aware).
+
+        Combinations follow the independence assumption:
+        ``sel(AND)`` is the product of its children's, ``sel(OR)`` one minus
+        the product of their complements, ``sel(NOT)`` one minus its
+        child's.  A base predicate is measured on its table's sample; one
+        spanning several tables gets :data:`DEFAULT_SELECTIVITY`.
+        """
+        key = expr.key()
+        if key in self._selectivities:
+            return self._selectivities[key]
+        estimate = min(max(self._estimate(expr), 0.0), 1.0)
+        self._selectivities[key] = estimate
+        return estimate
 
     def cost_factor(self, expr: BooleanExpr) -> float:
-        """Relative per-row evaluation cost of a predicate (``F_P``)."""
-        return self._estimator.cost_factor(expr)
+        """Relative per-row evaluation cost of a predicate (``F_P``).
 
-    def set_selectivity(self, expr: BooleanExpr, value: float) -> None:
-        """Pin the estimate for an expression (tests, ablations, feedback).
-
-        Already-derived combinations are recomputed, so pinning a
-        sub-expression after its parents were estimated still takes effect.
+        Pattern-matching predicates (LIKE / ILIKE) are an order of magnitude
+        more expensive per row than comparisons, matching the role regex
+        predicates play in the paper's TPullup/TIterPush discussion.
         """
-        self._overrides[expr.key()] = min(max(float(value), 0.0), 1.0)
-        self._estimator.reset_estimates()
-        self._seed_overrides()
+        if isinstance(expr, LikePredicate):
+            return 10.0
+        if expr.is_base_predicate():
+            return 1.0
+        children = expr.children()
+        return sum(self.cost_factor(child) for child in children) or 1.0
 
-    @property
-    def overrides(self) -> dict[str, float]:
-        """The active selectivity overrides (a copy)."""
-        return dict(self._overrides)
+    def _estimate(self, expr: BooleanExpr) -> float:
+        if isinstance(expr, AndExpr):
+            product = 1.0
+            for child in expr.children():
+                product *= self.selectivity(child)
+            return product
+        if isinstance(expr, OrExpr):
+            product = 1.0
+            for child in expr.children():
+                product *= 1.0 - self.selectivity(child)
+            return 1.0 - product
+        if isinstance(expr, NotExpr):
+            return 1.0 - self.selectivity(expr.child)
+        return self._measure_base(expr)
+
+    def _measure_base(self, expr: BooleanExpr) -> float:
+        aliases = expr.tables()
+        if len(aliases) != 1:
+            return DEFAULT_SELECTIVITY
+        alias = next(iter(aliases))
+        if alias not in self.query.tables:
+            return DEFAULT_SELECTIVITY
+        return self._stats_cache.measured_selectivity(
+            self._catalog.get(self.query.tables[alias]),
+            self._sample_size,
+            expr.key(),
+            lambda: self._measure_on_sample(alias, expr),
+        )
+
+    def _measure_on_sample(self, alias: str, expr: BooleanExpr) -> float:
+        leaves = self._leaves.get(alias)
+        if leaves is None:
+            table = self._catalog.get(self.query.tables[alias])
+            positions = self._stats_cache.sample_positions(table, self._sample_size)
+            leaves = LeafEvaluator(RowBatch({alias: table}, {alias: positions}))
+            self._leaves[alias] = leaves
+        return sampled_selectivity(leaves, expr)
 
     # ------------------------------------------------------------------ #
     # Cardinality
@@ -266,7 +314,7 @@ def _estimate_rows(
 
     A module-level function rather than a closure that calls itself: such a
     closure is a reference cycle, which would keep ``estimates`` — and the
-    samples its estimator gathered — alive until the next garbage collection.
+    sample batches it gathered — alive until the next garbage collection.
     """
     if isinstance(node, TableScanNode):
         rows = estimates.base_rows(node.alias)

@@ -1,13 +1,14 @@
 """The query service: cached planning and concurrent batch execution.
 
 :class:`QueryService` is the front end a long-running deployment talks to.
-It wraps a :class:`~repro.engine.session.Session` and adds the three things
+It wraps a :class:`~repro.engine.session.Session` and adds what
 ``Session.execute`` deliberately does not have:
 
 1. a **plan cache** — repeated queries skip parsing, statistics collection
    and planning entirely (see :mod:`repro.service.plan_cache`);
-2. a **stats cache** — even novel queries reuse per-table statistics and
-   selectivity samples (see :mod:`repro.service.stats_cache`);
+2. **incremental statistics** — a commit extends the statistics in the
+   session's stats cache by its delta instead of leaving them to be
+   recollected (see :mod:`repro.service.stats_cache`);
 3. a **batch executor** — a thread pool runs many queries concurrently with
    a per-query timeout, returning structured per-query outcomes;
 4. optionally, a **feedback loop** (``feedback=True``) — executions record
@@ -52,7 +53,6 @@ from repro.optimizer.feedback import DEFAULT_QERROR_THRESHOLD, FeedbackStore
 from repro.plan.query import Query
 from repro.service.fingerprint import query_fingerprint
 from repro.service.plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
-from repro.service.stats_cache import StatsCache
 from repro.storage.catalog import Catalog
 
 #: Default number of worker threads used by batch execution.
@@ -147,9 +147,9 @@ class QueryService:
 
     Args:
         session: the session to serve from; a bare :class:`Catalog` is also
-            accepted and wrapped in a default session.  When the session has
-            no ``stats_provider`` yet, the service installs its own
-            :class:`StatsCache` (shared by cached and uncached paths alike).
+            accepted and wrapped in a default session.  The service plans
+            through the session's
+            :class:`~repro.service.stats_cache.StatsCache` (``stats_cache``).
         plan_cache_size: LRU capacity of the plan cache.
         max_workers: worker threads used by :meth:`execute_batch`.
         default_timeout: per-query timeout in seconds applied when a batch
@@ -207,9 +207,7 @@ class QueryService:
         self.options = session.options.replace(
             **{"collect_feedback": feedback, **overrides}
         )
-        if self.session.stats_provider is None:
-            self.session.stats_provider = StatsCache(self.session.catalog)
-        self.stats_cache = self.session.stats_provider
+        self.stats_cache = session.stats_cache
         self.plan_cache = PlanCache(plan_cache_size)
         # Re-plan hook: a drift invalidation (feedback loop retiring one
         # entry) is the event the workload history calls a "re-plan".  Weak,
@@ -499,7 +497,8 @@ class QueryService:
         """React to a committed mutation batch with surgical invalidation.
 
         * statistics: the mutated tables' cached stats are *extended* by the
-          commit's deltas (no rescan; see :meth:`StatsCache.apply_delta`) —
+          commit's deltas (no rescan; see
+          :meth:`~repro.service.stats_cache.StatsCache.apply_delta`) —
           other tables' entries are untouched;
         * plans: exactly the cached plans reading a mutated table are
           retired (their per-table fingerprints are dead keys anyway; this
@@ -510,9 +509,8 @@ class QueryService:
         mutated = set(commit.deltas)
         if not mutated:
             return
-        if isinstance(self.stats_cache, StatsCache):
-            for delta in commit.deltas.values():
-                self.stats_cache.apply_delta(delta)
+        for delta in commit.deltas.values():
+            self.stats_cache.apply_delta(delta)
         self.plan_cache.invalidate_matching(
             lambda prepared: bool(mutated & set(prepared.query.tables.values()))
         )
@@ -521,15 +519,15 @@ class QueryService:
     def invalidate(self) -> None:
         """Drop every cached plan, statistic and feedback observation."""
         self.plan_cache.invalidate()
-        if isinstance(self.stats_cache, StatsCache):
-            self.stats_cache.invalidate()
+        self.stats_cache.invalidate()
         self.feedback_store.clear()
 
     def cache_metrics(self) -> dict[str, dict[str, float]]:
         """Hit/miss statistics of the plan and stats caches (for reports)."""
-        metrics = {"plan_cache": self.plan_cache.stats.as_dict()}
-        if isinstance(self.stats_cache, StatsCache):
-            metrics["stats_cache"] = self.stats_cache.stats.as_dict()
+        metrics = {
+            "plan_cache": self.plan_cache.stats.as_dict(),
+            "stats_cache": self.stats_cache.stats.as_dict(),
+        }
         if self.feedback:
             feedback = dict(self.feedback_store.stats.as_dict())
             feedback["entries"] = len(self.feedback_store)

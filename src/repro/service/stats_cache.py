@@ -1,28 +1,30 @@
 """A cache of per-table statistics, selectivity samples and measurements.
 
-``PlannerContext.for_query`` needs query-independent, per-table ingredients:
-summary statistics (row counts, distinct counts, min/max), the sorted
-row-position sample predicates are measured on, and the measured
-selectivity of each base predicate on that sample (Section 4.1).  All are
-deterministic functions of the table contents, so a session serving many
-queries can compute them once per table version instead of once per query
-— without changing any plan or result.  A measured selectivity is keyed by
-the sample it was measured on and the predicate's key, so a query planned
-again (its plan evicted, say) measures none of its predicates; a feedback
-override never enters the memo, since the estimator only asks it for what
-it would otherwise measure.
+Planning needs query-independent, per-table ingredients: summary statistics
+(row counts, distinct counts, min/max), the sorted row-position sample
+predicates are measured on, and the measured selectivity of each base
+predicate on that sample (Section 4.1).  All are deterministic functions of
+the table contents, so they are computed once per table version instead of
+once per query — without changing any plan or result.  Every
+:class:`~repro.engine.session.Session` owns one :class:`StatsCache` as
+``session.stats_cache`` (a :class:`~repro.service.service.QueryService`
+serves from its session's), and ``PlannerContext.for_query`` plans from a
+fresh one when given none, so this is the only way planning gets its
+numbers.  A measured selectivity is keyed by the sample it was measured on
+and the predicate's key, so a query planned again (its plan evicted, say)
+measures none of its predicates; a feedback override never enters the memo,
+since the estimate provider only asks it for what it would otherwise
+measure.
 
 Entries are keyed by ``(table name, per-table version, ...)`` — see
 :meth:`~repro.storage.catalog.Catalog.table_version` — so invalidation is
 **per table**: replacing or dropping one table, or committing a mutation to
 it, retires only that table's cached statistics, samples and selectivities,
 while every other table's entries survive the catalog version bump.  Stale
-entries are pruned eagerly.  Selectivities are memoized only for the table
-object the catalog currently holds under that version: a detached table
-(version ``-1``) or a superseded one is measured every time.
-
-A :class:`StatsCache` satisfies the ``stats_provider`` protocol accepted by
-:class:`~repro.engine.session.Session` and ``PlannerContext.for_query``.
+entries are pruned eagerly.  Entries are memoized only for the table object
+the catalog currently holds under that version: a detached table or a
+superseded one (a planner that fetched it before a commit) is computed
+every time, never stored under the newer table's version.
 """
 
 from __future__ import annotations
@@ -51,79 +53,63 @@ class StatsCache:
         self._catalog = catalog
         self._lock = threading.Lock()
         self._stats: dict[tuple[str, int], TableStats] = {}
-        self._samples: dict[tuple[str, int, int, int], np.ndarray] = {}
-        #: (table, version, sample size, seed, predicate key) -> selectivity
-        self._selectivities: dict[tuple[str, int, int, int, str], float] = {}
+        self._samples: dict[tuple[str, int, int], np.ndarray] = {}
+        #: (table, version, sample size, predicate key) -> selectivity
+        self._selectivities: dict[tuple[str, int, int, str], float] = {}
         #: Counters of the statistics and samples.
         self.stats = CacheStats()
         #: Counters of the measured selectivities.
         self.selectivity_stats = CacheStats()
 
     # ------------------------------------------------------------------ #
-    # The stats_provider protocol
+    # Memoized ingredients
     # ------------------------------------------------------------------ #
     def table_stats(self, table: Table) -> TableStats:
         """Summary statistics for ``table``, computed at most once per version."""
-        key = (table.name, self._table_version(table))
-        with self._lock:
-            cached = self._stats.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-            self.stats.misses += 1
-        computed = collect_table_stats(table)
-        with self._lock:
-            self._prune_locked()
-            self._stats.setdefault(key, computed)
-            self.stats.insertions += 1
-            return self._stats[key]
-
-    def sample_positions(self, table: Table, sample_size: int, seed: int) -> np.ndarray:
-        """Sorted sample positions for ``table``, computed at most once per version."""
-        key = (table.name, self._table_version(table), sample_size, seed)
-        with self._lock:
-            cached = self._samples.get(key)
-            if cached is not None:
-                self.stats.hits += 1
-                return cached
-            self.stats.misses += 1
-        drawn = draw_sample_positions(
-            table.num_rows, sample_size, np.random.default_rng(seed)
+        return self._memoized(
+            self._stats, self.stats, table, (), lambda: collect_table_stats(table)
         )
-        with self._lock:
-            self._prune_locked()
-            self._samples.setdefault(key, drawn)
-            self.stats.insertions += 1
-            return self._samples[key]
+
+    def sample_positions(self, table: Table, sample_size: int) -> np.ndarray:
+        """Sorted sample positions for ``table``, drawn at most once per version."""
+        return self._memoized(
+            self._samples,
+            self.stats,
+            table,
+            (sample_size,),
+            lambda: draw_sample_positions(table.num_rows, sample_size),
+        )
 
     def measured_selectivity(
-        self,
-        table: Table,
-        sample_size: int,
-        seed: int,
-        key: str,
-        measure: Callable[[], float],
+        self, table: Table, sample_size: int, key: str, measure: Callable[[], float]
     ) -> float:
         """The selectivity of the base predicate ``key`` on ``table``'s
         sample, ``measure()``-d at most once per table version."""
+        return self._memoized(
+            self._selectivities, self.selectivity_stats, table, (sample_size, key), measure
+        )
+
+    def _memoized(self, memo: dict, counters: CacheStats, table: Table, key: tuple, compute):
+        """``compute()``'s value for ``table``, memoized under ``key`` and the
+        table's version while the catalog holds ``table`` itself."""
         version = self._current_version(table)
         if version < 0:
-            return measure()
-        memo_key = (table.name, version, sample_size, seed, key)
+            return compute()
+        memo_key = (table.name, version, *key)
         with self._lock:
-            cached = self._selectivities.get(memo_key)
+            cached = memo.get(memo_key)
             if cached is not None:
-                self.selectivity_stats.hits += 1
+                counters.hits += 1
                 return cached
-            self.selectivity_stats.misses += 1
-        measured = measure()
+            counters.misses += 1
+        computed = compute()
         with self._lock:
-            # A commit may have superseded the table while it was measured.
+            # A commit may have superseded the table while it was computed.
             if self._current_version(table) == version:
                 self._prune_locked()
-                self._selectivities.setdefault(memo_key, measured)
-                self.selectivity_stats.insertions += 1
-        return measured
+                computed = memo.setdefault(memo_key, computed)
+                counters.insertions += 1
+        return computed
 
     # ------------------------------------------------------------------ #
     # Maintenance
@@ -158,14 +144,6 @@ class StatsCache:
                 for key in stale:
                     del memo[key]
                 stats.invalidations += len(stale)
-
-    def _table_version(self, table: Table) -> int:
-        """Version key for ``table`` (``-1`` for tables outside the catalog,
-        e.g. when a caller probes a detached table object)."""
-        try:
-            return self._catalog.table_version(table.name)
-        except KeyError:
-            return -1
 
     def _current_version(self, table: Table) -> int:
         """``table``'s version while the catalog holds this very object

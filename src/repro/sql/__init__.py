@@ -40,11 +40,6 @@ def parse_query_cached(sql: str):
     return _parse_normalized(sql)
 
 
-def parse_cache_info():
-    """Hit/miss statistics of the parse cache (``functools`` CacheInfo)."""
-    return _parse_normalized.cache_info()
-
-
 def clear_parse_cache() -> None:
     """Drop all memoized parses (mainly for tests)."""
     _parse_normalized.cache_clear()
@@ -55,7 +50,6 @@ __all__ = [
     "parse_expression",
     "parse_query",
     "parse_query_cached",
-    "parse_cache_info",
     "clear_parse_cache",
     "PARSE_CACHE_SIZE",
 ]

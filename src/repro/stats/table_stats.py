@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.storage.catalog import Catalog
 from repro.storage.column import capped_by_span, count_distinct
 from repro.storage.table import Table
 
@@ -171,11 +170,6 @@ def _collect_live_stats(table: Table) -> TableStats:
             max_value=bounds[1] if bounds[1] is None else _to_python(bounds[1]),
         )
     return stats
-
-
-def collect_catalog_stats(catalog: Catalog) -> dict[str, TableStats]:
-    """Compute statistics for every table in a catalog."""
-    return {table.name: collect_table_stats(table) for table in catalog}
 
 
 def _to_python(value):

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.storage.iostats import GLOBAL_IO_STATS, IOStats
+from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
 
 #: Number of values per simulated disk page.
@@ -310,9 +310,10 @@ class Column:
         values as integer codes: the codes live on the same simulated pages
         as the values, so the traffic is identical to a ``read_at`` of the
         same positions — only the Python-level value materialization is
-        skipped.
+        skipped.  A read with no ``iostats`` is not accounted.
         """
-        iostats = iostats if iostats is not None else GLOBAL_IO_STATS
+        if iostats is None:
+            return
         positions = np.asarray(positions, dtype=np.int64)
         self._account_positions(positions, cache, iostats)
         iostats.record_values(int(positions.size))

@@ -77,8 +77,3 @@ class IOStats:
             "selective_reads": self.selective_reads,
             "values_read": self.values_read,
         }
-
-
-#: Process-wide default accounting object.  Engines may create their own
-#: private instance; columns fall back to this one when none is supplied.
-GLOBAL_IO_STATS = IOStats()

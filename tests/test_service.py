@@ -191,13 +191,13 @@ def test_stats_cache_invalidation_is_per_table():
     cache = StatsCache(catalog)
     table = catalog.get("title")
     cache.table_stats(table)
-    cache.sample_positions(table, 5, 0)
+    cache.sample_positions(table, 5)
     assert cache.stats.insertions == 2
 
     # Replacing an *unrelated* table must not disturb title's cached entries.
     catalog.replace(Table.from_dict("movie_info_idx", {"movie_id": [1], "info": [5.0]}))
     cache.table_stats(catalog.get("title"))
-    cache.sample_positions(catalog.get("title"), 5, 0)
+    cache.sample_positions(catalog.get("title"), 5)
     assert cache.stats.evictions == 0
     assert cache.stats.hits == 2
 

@@ -1,16 +1,17 @@
 """Unit tests for statistics: table stats, selectivity and cardinality estimation.
 
-The row formulas (filtered rows, join estimates) are
-:class:`~repro.optimizer.estimates.EstimateProvider`'s, built here on the
-same sampled estimator as the selectivity tests.
+Selectivities and the row formulas (filtered rows, join estimates) are
+:class:`~repro.optimizer.estimates.EstimateProvider`'s; both test classes
+use the same provider.
 """
 
 import pytest
 
+from repro.core.planner.base import PlanOptions
 from repro.expr.builders import and_, col, ilike, lit, not_, or_
-from repro.optimizer.estimates import EstimateProvider
-from repro.stats.selectivity import DEFAULT_SELECTIVITY, SelectivityEstimator
-from repro.stats.table_stats import collect_catalog_stats, collect_table_stats
+from repro.optimizer.estimates import build_estimate_provider
+from repro.stats.selectivity import DEFAULT_SELECTIVITY
+from repro.stats.table_stats import collect_table_stats
 from repro.storage.table import Table
 
 
@@ -21,7 +22,7 @@ def query(paper_query):
 
 @pytest.fixture
 def estimator(paper_catalog, query):
-    return SelectivityEstimator(paper_catalog, query, sample_size=100, seed=1)
+    return build_estimate_provider(query, paper_catalog, PlanOptions(stats_sample_size=100))
 
 
 class TestTableStats:
@@ -50,10 +51,6 @@ class TestTableStats:
         with pytest.raises(KeyError):
             stats.column("nope")
 
-    def test_collect_catalog_stats(self, paper_catalog):
-        stats = collect_catalog_stats(paper_catalog)
-        assert set(stats) == {"title", "movie_info_idx"}
-
 
 class TestSelectivity:
     def test_measured_base_predicate(self, estimator):
@@ -80,9 +77,11 @@ class TestSelectivity:
         a = col("t", "production_year") > lit(2000)
         assert estimator.selectivity(a) == estimator.selectivity(a)
 
-    def test_override(self, estimator):
+    def test_override(self, paper_catalog, query):
         a = col("t", "production_year") > lit(2000)
-        estimator.set_selectivity(a, 0.123)
+        estimator = build_estimate_provider(
+            query, paper_catalog, selectivity_overrides={a.key(): 0.123}
+        )
         assert estimator.selectivity(a) == pytest.approx(0.123)
 
     def test_multi_table_predicate_uses_default(self, estimator):
@@ -108,12 +107,8 @@ class TestSelectivity:
 
 class TestCardinality:
     @pytest.fixture
-    def cardinality(self, paper_catalog, query, estimator):
-        table_stats = {
-            name: collect_table_stats(paper_catalog.get(name))
-            for name in ("title", "movie_info_idx")
-        }
-        return EstimateProvider(query, table_stats, estimator)
+    def cardinality(self, estimator):
+        return estimator
 
     def test_base_rows(self, cardinality):
         assert cardinality.base_rows("t") == 7
