@@ -27,7 +27,9 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy"],
+    # NumPy 2 promotion (NEP 50): a literal compared as a 0-d array must
+    # promote like the full-width array of it (repro.expr.ast.Literal.scalar).
+    install_requires=["numpy>=2"],
     extras_require={
         "test": ["pytest", "hypothesis"],
     },

@@ -116,8 +116,24 @@ class Literal(ValueExpr):
         size = batch.num_rows
         if self.value is None:
             return np.zeros(size), np.ones(size, dtype=np.bool_)
-        values = np.full(size, self.value, dtype=object if isinstance(self.value, str) else None)
-        return values, np.zeros(size, dtype=np.bool_)
+        return np.full(size, self.scalar()), np.zeros(size, dtype=np.bool_)
+
+    def scalar(self) -> np.ndarray:
+        """The non-NULL value as a 0-d array of the dtype :meth:`evaluate` fills.
+
+        A comparison against it broadcasts exactly like one against the
+        full-width array (same dtype, so the same promotion: ±2**70 stays an
+        object, 2**63 a ``uint64``), without building that array or its
+        all-False NULL mask.
+        """
+        return np.asarray(self.value, dtype=object if isinstance(self.value, str) else None)
+
+
+def _scalar_operand(value: ValueExpr) -> np.ndarray | None:
+    """``value``'s 0-d array when it is a non-NULL literal, else ``None``."""
+    if isinstance(value, Literal) and value.value is not None:
+        return value.scalar()
+    return None
 
 
 # --------------------------------------------------------------------------- #
@@ -217,6 +233,9 @@ class Comparison(BooleanExpr):
 
     def evaluate(self, batch: RowBatch) -> np.ndarray:
         left_values, left_nulls = self.left.evaluate(batch)
+        scalar = _scalar_operand(self.right)
+        if scalar is not None:
+            return tv.from_bool_array(_compare(self.op, left_values, scalar), left_nulls)
         right_values, right_nulls = self.right.evaluate(batch)
         mask = _compare(self.op, left_values, right_values)
         nulls = left_nulls | right_nulls
@@ -339,6 +358,9 @@ class BetweenPredicate(BooleanExpr):
 
     def evaluate(self, batch: RowBatch) -> np.ndarray:
         values, nulls = self.operand.evaluate(batch)
+        low, high = _scalar_operand(self.low), _scalar_operand(self.high)
+        if low is not None and high is not None:
+            return tv.from_bool_array((values >= low) & (values <= high), nulls)
         low_values, low_nulls = self.low.evaluate(batch)
         high_values, high_nulls = self.high.evaluate(batch)
         mask = (values >= low_values) & (values <= high_values)

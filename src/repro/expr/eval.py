@@ -85,6 +85,9 @@ class RowBatch:
         batch's full selection; the view merely slices them.  That is what
         keeps the fused kernels' I/O accounting identical to a full-width
         ``evaluate`` while their clause work shrinks with the alive set.
+        Each slice is a second copy of the column, so a caller whose
+        ``rows`` are the whole selection evaluates against this batch
+        instead (:class:`~repro.kernels.dictionary.LeafEvaluator` does).
         """
         return RestrictedBatch(self, rows)
 
@@ -99,7 +102,11 @@ class RowBatch:
             ) from None
 
     def column(self, alias: str, column_name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(values, nulls)`` for a column, aligned with batch rows."""
+        """Return ``(values, nulls)`` for a column, aligned with batch rows.
+
+        Memoized per batch: callers must not write into either array —
+        ``values`` may be a read-only view of the column itself.
+        """
         key = (alias, column_name)
         if key in self._column_cache:
             return self._column_cache[key]
@@ -139,6 +146,10 @@ class RestrictedBatch:
     full-selection reads and is sliced per call — the view itself never
     issues storage reads, so evaluating an expression against it is
     byte-identical to evaluating against the parent and slicing the result.
+    Every ``column`` call gathers fresh values and NULL mask (the parent's
+    values may be a read-only view of the column, see
+    :meth:`repro.storage.column.Column.read_at`); for the whole selection
+    that gather is pure waste, and whole-selection leaves skip the view.
     """
 
     __slots__ = ("_parent", "_rows", "num_rows")

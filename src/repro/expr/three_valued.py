@@ -53,7 +53,6 @@ def from_bool_array(mask: np.ndarray, nulls: np.ndarray | None = None) -> np.nda
     """
     result = mask.astype(_TV_DTYPE)
     if nulls is not None and nulls.any():
-        result = result.copy()
         result[nulls] = int(UNKNOWN)
     return result
 

@@ -128,13 +128,18 @@ class LeafEvaluator:
     def truth(self, expr, rows: np.ndarray) -> np.ndarray:
         """Three-valued truth of base predicate ``expr`` over ``rows``.
 
-        ``rows`` are positions into the batch.  Byte-identical to
+        ``rows`` are ascending positions into the batch.  Byte-identical to
         ``expr.evaluate(batch.restricted(rows))``, which is what runs when
-        the column has no dictionary or the shape is not covered.
+        the column has no dictionary or the shape is not covered.  When
+        ``rows`` is the batch's whole selection (then it is the identity),
+        the leaf evaluates against the batch itself and reads no second copy
+        of its columns.
         """
         truth = self._by_codes(expr, rows)
         if truth is not None:
             return truth
+        if rows.size == self.batch.num_rows:
+            return expr.evaluate(self.batch)
         return expr.evaluate(self.batch.restricted(rows))
 
     def _by_codes(self, expr, rows: np.ndarray) -> np.ndarray | None:
@@ -152,7 +157,7 @@ class LeafEvaluator:
             if code_table is None:
                 return None
             self._code_tables[leaf_key] = code_table
-        return gather_truth(code_table, codes[rows])
+        return gather_truth(code_table, codes if rows.size == codes.size else codes[rows])
 
     def _codes(self, alias: str, column: str):
         """Full-selection codes for a column, read (and accounted) once."""

@@ -6,6 +6,17 @@ an :class:`~repro.storage.iostats.IOStats` object via an LFU page cache — the
 same structure Basilisk uses (Section 5, "System"): a read of few positions
 touches only the pages holding them, while a read of many falls back to a
 sequential scan of the column.
+
+A read copies only what it must.  The positions are looked at once per
+read: when a read the accounting calls sequential (more than
+:data:`SEQUENTIAL_SCAN_THRESHOLD` of the rows, counted raw) has strictly
+ascending positions, their distinct count is their size, so no table-length
+flag array is built; when they are also one contiguous run, the values come
+back as a **read-only view** of the column instead of a gather (writing into
+them raises ``ValueError``).  Every other read gathers a fresh array.  The
+NULL mask returned is always a fresh, writable array: a column with no NULLs
+(known from construction) returns ``np.zeros(n, bool)`` without reading its
+mask.
 """
 
 from __future__ import annotations
@@ -188,6 +199,7 @@ class Column:
             self._nulls = null_mask | inferred_nulls
         else:
             self._nulls = inferred_nulls
+        self._has_nulls = bool(self._nulls.any())
         # Lazily computed statistics.  Columns are immutable (table mutation
         # means replacing the whole Column via Catalog.replace), so the
         # caches never need invalidating — a new Column starts empty.  The
@@ -229,8 +241,8 @@ class Column:
         return self._nulls
 
     def has_nulls(self) -> bool:
-        """Whether any cell is NULL."""
-        return bool(self._nulls.any())
+        """Whether any cell is NULL (known from construction)."""
+        return self._has_nulls
 
     def distinct_count(self) -> int:
         """Number of distinct non-NULL values (computed once, then cached).
@@ -293,10 +305,27 @@ class Column:
         cache: LFUPageCache | None = None,
         iostats: IOStats | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Read the values at explicit row positions (possibly repeated)."""
+        """Read the values at explicit row positions (possibly repeated).
+
+        Returns ``(values, nulls)`` in request order.  ``values`` is a
+        read-only view of the column when the positions are one contiguous
+        run over more than :data:`SEQUENTIAL_SCAN_THRESHOLD` of the rows, a
+        fresh gather otherwise; ``nulls`` is always fresh and writable.
+        """
         positions = np.asarray(positions, dtype=np.int64)
-        self.account_read(positions, cache, iostats)
-        return self._data[positions], self._nulls[positions]
+        ascending = self._ascending_scan(positions)
+        self._account_positions(positions, cache, iostats, ascending)
+        if ascending and positions[-1] - positions[0] == positions.size - 1:
+            run = slice(int(positions[0]), int(positions[-1]) + 1)
+            values = self._data[run]
+            values.flags.writeable = False
+            nulls = self._nulls[run].copy() if self._has_nulls else None
+        else:
+            values = self._data[positions]
+            nulls = self._nulls[positions] if self._has_nulls else None
+        if nulls is None:
+            nulls = np.zeros(positions.size, dtype=np.bool_)
+        return values, nulls
 
     def account_read(
         self,
@@ -315,22 +344,45 @@ class Column:
         if iostats is None:
             return
         positions = np.asarray(positions, dtype=np.int64)
-        self._account_positions(positions, cache, iostats)
-        iostats.record_values(int(positions.size))
+        self._account_positions(positions, cache, iostats, self._ascending_scan(positions))
+
+    def _ascending_scan(self, positions: np.ndarray) -> bool:
+        """Whether a read is sequential by its raw count and strictly ascending.
+
+        The one look at a read's positions.  Only a read of more than
+        :data:`SEQUENTIAL_SCAN_THRESHOLD` of the rows is looked at; strictly
+        ascending in-range positions are distinct, so their raw count is
+        their distinct count and the read is a sequential scan.
+        """
+        if len(self) == 0 or positions.size / len(self) <= SEQUENTIAL_SCAN_THRESHOLD:
+            return False
+        if positions[0] < 0 or positions[-1] >= len(self):
+            return False
+        return bool(np.all(positions[1:] > positions[:-1]))
 
     def _account_positions(
         self,
         positions: np.ndarray,
         cache: LFUPageCache | None,
-        iostats: IOStats,
+        iostats: IOStats | None,
+        ascending: bool,
     ) -> None:
         """Account a read of ``positions`` (any order, possibly repeated).
 
         Selectivity is over *distinct* positions, but those are only counted
         (one boolean scatter) when the raw count already exceeds the
-        threshold — below it the distinct count cannot exceed it either.
+        threshold — below it the distinct count cannot exceed it either —
+        and the positions are not ``ascending`` (:meth:`_ascending_scan`),
+        which already makes the read sequential.  No ``iostats``, no
+        accounting.
         """
+        if iostats is None:
+            return
+        iostats.record_values(int(positions.size))
         if len(self) == 0 or positions.size == 0:
+            return
+        if ascending:
+            iostats.record_sequential_scan(self.num_pages)
             return
         if positions.size / len(self) > SEQUENTIAL_SCAN_THRESHOLD:
             seen = np.zeros(len(self), dtype=np.bool_)

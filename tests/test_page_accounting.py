@@ -7,6 +7,12 @@ before touching the counters.  The linear-time accounting that replaced it
 must leave ``IOStats`` and the page cache exactly as that code did:
 
     PYTHONPATH=<checkout of d84c567>/src python tests/test_page_accounting.py
+
+``EXPECTED_READ_PATH`` (contiguous runs, an ascending stride, a column with
+NULLs) was recorded the same way against commit 58f054c, whose ``read_at``
+built a table-length flag array for every read over the threshold and
+gathered every read, before ascending reads skipped the flag array and
+contiguous ones became views.
 """
 
 import numpy as np
@@ -37,8 +43,18 @@ def position_sets() -> dict[str, np.ndarray]:
     }
 
 
-def make_column() -> Column:
-    return Column("c", np.arange(ROWS) * 3, page_size=PAGE_SIZE)
+def read_path_sets() -> dict[str, np.ndarray]:
+    """Sets whose shape the read path looks at (kept out of the sequence above)."""
+    return {
+        "contiguous_over_threshold": np.arange(700, 1101),
+        "contiguous_at_threshold": np.arange(700, 1100),
+        "every_other_row": np.arange(0, ROWS, 2),
+    }
+
+
+def make_column(nulls: bool = False) -> Column:
+    null_mask = np.arange(ROWS) % 7 == 3 if nulls else None
+    return Column("c", np.arange(ROWS) * 3, null_mask=null_mask, page_size=PAGE_SIZE)
 
 
 def make_cache(mode: str) -> LFUPageCache | None:
@@ -55,8 +71,8 @@ def observed(stats: IOStats, cache: LFUPageCache | None) -> tuple:
     )
 
 
-def run_one(method: str, positions: np.ndarray, mode: str) -> tuple:
-    column, stats, cache = make_column(), IOStats(), make_cache(mode)
+def run_one(method: str, positions: np.ndarray, mode: str, nulls: bool = False) -> tuple:
+    column, stats, cache = make_column(nulls), IOStats(), make_cache(mode)
     getattr(column, method)(positions, cache=cache, iostats=stats)
     return observed(stats, cache)
 
@@ -147,6 +163,29 @@ EXPECTED_SEQUENCE = {
 }
 
 
+# (set, column, cache) -> as EXPECTED.
+EXPECTED_READ_PATH = {
+    ('contiguous_over_threshold', 'plain', 'none'): ((40, 0, 1, 0, 401), []),
+    ('contiguous_over_threshold', 'plain', 'large'): ((40, 0, 1, 0, 401), []),
+    ('contiguous_over_threshold', 'plain', 'small'): ((40, 0, 1, 0, 401), []),
+    ('contiguous_over_threshold', 'nulls', 'none'): ((40, 0, 1, 0, 401), []),
+    ('contiguous_over_threshold', 'nulls', 'large'): ((40, 0, 1, 0, 401), []),
+    ('contiguous_over_threshold', 'nulls', 'small'): ((40, 0, 1, 0, 401), []),
+    ('contiguous_at_threshold', 'plain', 'none'): ((8, 0, 0, 1, 400), []),
+    ('contiguous_at_threshold', 'plain', 'large'): ((8, 0, 0, 1, 400), [14, 15, 16, 17, 18, 19, 20, 21]),
+    ('contiguous_at_threshold', 'plain', 'small'): ((8, 0, 0, 1, 400), [18, 19, 20, 21]),
+    ('contiguous_at_threshold', 'nulls', 'none'): ((8, 0, 0, 1, 400), []),
+    ('contiguous_at_threshold', 'nulls', 'large'): ((8, 0, 0, 1, 400), [14, 15, 16, 17, 18, 19, 20, 21]),
+    ('contiguous_at_threshold', 'nulls', 'small'): ((8, 0, 0, 1, 400), [18, 19, 20, 21]),
+    ('every_other_row', 'plain', 'none'): ((40, 0, 1, 0, 1000), []),
+    ('every_other_row', 'plain', 'large'): ((40, 0, 1, 0, 1000), []),
+    ('every_other_row', 'plain', 'small'): ((40, 0, 1, 0, 1000), []),
+    ('every_other_row', 'nulls', 'none'): ((40, 0, 1, 0, 1000), []),
+    ('every_other_row', 'nulls', 'large'): ((40, 0, 1, 0, 1000), []),
+    ('every_other_row', 'nulls', 'small'): ((40, 0, 1, 0, 1000), []),
+}
+
+
 def test_the_sets_straddle_the_threshold():
     sets = position_sets()
     limit = SEQUENTIAL_SCAN_THRESHOLD * ROWS
@@ -167,6 +206,26 @@ def test_single_read_matches_recorded_accounting(name, mode):
 
 
 @pytest.mark.parametrize("mode", list(CACHE_CAPACITY))
+@pytest.mark.parametrize("column", ["plain", "nulls"])
+@pytest.mark.parametrize("name", list(read_path_sets()))
+def test_read_path_sets_match_recorded_accounting(name, column, mode):
+    positions = read_path_sets()[name]
+    expected = EXPECTED_READ_PATH[name, column, mode]
+    assert run_one("read_at", positions, mode, column == "nulls") == expected
+    assert run_one("account_read", positions, mode, column == "nulls") == expected
+
+
+def test_the_read_path_sets_have_their_shapes():
+    sets = read_path_sets()
+    limit = SEQUENTIAL_SCAN_THRESHOLD * ROWS
+    assert sets["contiguous_over_threshold"].size == limit + 1
+    assert sets["contiguous_at_threshold"].size == limit
+    assert np.all(np.diff(sets["contiguous_over_threshold"]) == 1)
+    assert np.all(np.diff(sets["every_other_row"]) == 2)
+    assert sets["every_other_row"].size > limit
+
+
+@pytest.mark.parametrize("mode", list(CACHE_CAPACITY))
 def test_read_sequence_matches_recorded_accounting(mode):
     assert run_sequence(mode) == EXPECTED_SEQUENCE[mode]
 
@@ -179,11 +238,26 @@ def test_read_at_returns_the_cells_in_request_order():
         assert not nulls.any()
 
 
+def test_read_at_of_a_column_with_nulls_returns_its_cells():
+    column = make_column(nulls=True)
+    for positions in [*position_sets().values(), *read_path_sets().values()]:
+        values, nulls = column.read_at(positions, iostats=IOStats())
+        assert np.array_equal(values, positions * 3)
+        assert np.array_equal(nulls, positions % 7 == 3)
+
+
 if __name__ == "__main__":  # record the literals (run against the parent commit)
     print("EXPECTED = {")
     for set_name, set_positions in position_sets().items():
         for cache_mode in CACHE_CAPACITY:
             print(f"    ({set_name!r}, {cache_mode!r}): {run_one('read_at', set_positions, cache_mode)},")
+    print("}")
+    print("EXPECTED_READ_PATH = {")
+    for set_name, set_positions in read_path_sets().items():
+        for column_kind in ("plain", "nulls"):
+            for cache_mode in CACHE_CAPACITY:
+                step = run_one("read_at", set_positions, cache_mode, column_kind == "nulls")
+                print(f"    ({set_name!r}, {column_kind!r}, {cache_mode!r}): {step},")
     print("}")
     print("EXPECTED_SEQUENCE = {")
     for cache_mode in CACHE_CAPACITY:
