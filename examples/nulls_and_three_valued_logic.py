@@ -5,6 +5,10 @@ that tagged execution produces exactly the rows SQL semantics demand (a WHERE
 clause only passes rows whose predicate is TRUE, never UNKNOWN) while still
 agreeing with traditional execution.
 
+The tag logic is not configured: a query whose predicates meet a NULL column
+plans three-valued tag maps, one over NULL-free columns plans the smaller
+two-valued ones.
+
 Run with::
 
     python examples/nulls_and_three_valued_logic.py
@@ -17,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import Catalog, Session, Table
+from repro.sql import parse_query
 
 CATALOG = Catalog(
     [
@@ -45,9 +50,16 @@ WHERE (t.production_year > 2000 AND mi.info > 7.0)
    OR (t.production_year > 1980 AND mi.info > 8.0)
 """
 
+#: The same join, filtered on the two NULL-free columns only.
+NULL_FREE_QUERY = """
+SELECT t.title
+FROM title AS t JOIN movie_info_idx AS mi ON t.id = mi.movie_id
+WHERE t.id < 3 OR mi.movie_id > 5
+"""
+
 
 def main() -> None:
-    session = Session(CATALOG, three_valued=True)
+    session = Session(CATALOG)
 
     tagged = session.execute(QUERY, planner="tcombined")
     traditional = session.execute(QUERY, planner="bdisj")
@@ -64,8 +76,13 @@ def main() -> None:
         "\nRows whose predicate evaluates to UNKNOWN (because a year or score is NULL)\n"
         "are excluded by both models, as the SQL standard requires.  Under tagged\n"
         "execution they are dropped as soon as their tag's root assignment becomes\n"
-        "FALSE or UNKNOWN (Section 3.4, change 4)."
+        "FALSE or UNKNOWN (Section 3.4, change 4).\n"
     )
+
+    for label, sql in (("NULL-bearing", QUERY), ("NULL-free", NULL_FREE_QUERY)):
+        logic = "three" if parse_query(sql).can_be_unknown(CATALOG) else "two"
+        rows = session.execute(sql, planner="tcombined").row_count
+        print(f"{label} predicates: planned with {logic}-valued tag maps, {rows} rows")
 
 
 if __name__ == "__main__":

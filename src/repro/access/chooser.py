@@ -104,11 +104,18 @@ class QueryAccessPlan:
 
 
 class AccessPathChooser:
-    """Builds the :class:`QueryAccessPlan` of one query."""
+    """Builds the :class:`QueryAccessPlan` of one query.
 
-    def __init__(self, query: Query, manager: AccessPathManager) -> None:
+    ``catalog`` holds the tables the plan executes on (a prepare's pinned
+    snapshot): the plan's table versions come from it, so a commit landing
+    during the prepare leaves that alias unpruned rather than pruned with
+    positions of a table the plan does not read.
+    """
+
+    def __init__(self, query: Query, manager: AccessPathManager, catalog) -> None:
         self.query = query
         self.manager = manager
+        self.catalog = catalog
 
     def build_plan(self, estimates) -> QueryAccessPlan:
         """Choose an access path per alias, costing with ``estimates``.
@@ -121,14 +128,14 @@ class AccessPathChooser:
         for alias, table_name in self.query.tables.items():
             plan.choices[alias] = self._choose(alias, table_name, estimates)
             try:
-                plan.table_versions[alias] = self.manager.catalog.table_version(table_name)
+                plan.table_versions[alias] = self.catalog.table_version(table_name)
             except KeyError:
                 pass
         return plan
 
     def _choose(self, alias: str, table_name: str, estimates) -> AccessPathChoice:
         try:
-            table = self.manager.catalog.get(table_name)
+            table = self.catalog.get(table_name)
         except KeyError:
             return AccessPathChoice(alias, table_name, "full")
         total_pages = table.num_pages

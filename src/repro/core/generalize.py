@@ -24,7 +24,7 @@ from collections import deque
 
 from repro.core.predtree import AND, NOT, OR, BitTables, Planes, PredicateTree
 from repro.core.tags import Tag
-from repro.expr.three_valued import FALSE, TRUE, UNKNOWN, TruthValue
+from repro.expr.three_valued import FALSE, TRUE, UNKNOWN
 
 
 def _propagated(kind: int, value: int, children: int, planes: list[int]) -> int | None:
@@ -202,29 +202,3 @@ def generalize_tag(tree: PredicateTree, tag: Tag) -> Tag:
         foreign = {key: value for key, value in tag.items() if key not in tree}
         result = Tag._of({**result.as_dict(), **foreign})
     return result
-
-
-def root_assignment(tree: PredicateTree, tag: Tag) -> TruthValue | None:
-    """The tag's assignment to the whole predicate expression, if any."""
-    return tag.get(tree.root_key)
-
-
-def satisfies_root(tree: PredicateTree, tag: Tag) -> bool:
-    """True when the tag assigns TRUE to the root (tuples certainly match)."""
-    return root_assignment(tree, tag) is TRUE
-
-
-def refutes_root(tree: PredicateTree, tag: Tag, include_unknown: bool = True) -> bool:
-    """True when the tag's root assignment proves tuples will not be output.
-
-    Under SQL semantics a WHERE clause only passes rows whose predicate is
-    TRUE, so both FALSE and UNKNOWN root assignments mean the slice can be
-    dropped (Section 3.4, change 4).  Pass ``include_unknown=False`` for the
-    strictly two-valued behaviour.
-    """
-    value = root_assignment(tree, tag)
-    if value is FALSE:
-        return True
-    if include_unknown and value is UNKNOWN:
-        return True
-    return False

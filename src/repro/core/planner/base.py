@@ -73,7 +73,6 @@ class PlanOptions:
 
     Attributes:
         cost_params: cost-model constants used by the planners.
-        three_valued: plan (and evaluate) under SQL three-valued logic.
         stats_sample_size: rows sampled per table when measuring predicate
             selectivities (Section 4.1).
         access_paths: consult the catalog's access-path layer (zone maps and
@@ -85,7 +84,6 @@ class PlanOptions:
     """
 
     cost_params: CostParams = field(default_factory=CostParams)
-    three_valued: bool = True
     stats_sample_size: int = DEFAULT_SAMPLE_SIZE
     access_paths: bool = True
     naive_tags: bool = False
@@ -177,6 +175,12 @@ class PlannerContext:
         statistics, samples and measurements of earlier prepares; ``None``
         plans from a fresh one.
 
+        The tag algebra is three-valued exactly when some WHERE predicate
+        can be UNKNOWN on ``catalog``'s tables
+        (:meth:`~repro.plan.query.Query.can_be_unknown`), so ``catalog``
+        should hold the tables the plan will execute on: ``Session.prepare``
+        passes the snapshot it pins.
+
         ``stats_cache``, ``selectivity_overrides`` and ``access_manager``
         are forwarded to
         :func:`repro.optimizer.estimates.build_estimate_provider`; see there
@@ -199,7 +203,9 @@ class PlannerContext:
         )
         if tag_memo is None:
             tag_memo = TagAlgebraMemo(1)
-        tag_maps = tag_memo.builder(query.predicate, options.naive_tags, options.three_valued)
+        tag_maps = tag_memo.builder(
+            query.predicate, options.naive_tags, query.can_be_unknown(catalog)
+        )
         return cls(query, catalog, estimates, tag_maps, options)
 
     # ------------------------------------------------------------------ #

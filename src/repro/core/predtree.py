@@ -198,7 +198,6 @@ class PredicateTree:
         for node in self.walk():
             instances.setdefault(node.key, []).append(node)
         self._instances = {key: tuple(nodes) for key, nodes in instances.items()}
-        self._expr_by_key = {key: nodes[0].expr for key, nodes in self._instances.items()}
         self._base_predicates = [
             nodes[0].expr for nodes in self._instances.values() if nodes[0].is_leaf
         ]
@@ -277,13 +276,6 @@ class PredicateTree:
         """Every occurrence of the subexpression with structural key ``key``."""
         return self._instances.get(key, ())
 
-    def expr_for(self, key: str) -> BooleanExpr:
-        """The expression object for a key; raises KeyError if unknown."""
-        try:
-            return self._expr_by_key[key]
-        except KeyError:
-            raise KeyError(f"key {key!r} does not occur in this predicate tree") from None
-
     def __contains__(self, key: str) -> bool:
         return key in self._instances
 
@@ -309,20 +301,6 @@ class PredicateTree:
     def ancestor_paths(self, key: str) -> list[list[PredNode]]:
         """For each instance of ``key``, its ancestor path (parent .. root)."""
         return [node.ancestor_path() for node in self.instances(key)]
-
-    def every_instance_has_assigned_ancestor(self, key: str, assigned_keys) -> bool:
-        """Precept (2) check: every instance of ``key`` has an ancestor whose
-        key carries an assignment."""
-        tables = self.tables
-        index = tables.bits.get(key)
-        if index is None:
-            return False
-        assigned = _mask(tables.bits[k] for k in assigned_keys if k in tables.bits)
-        return all(mask & assigned for mask in tables.ancestor_masks[index])
-
-    def num_nodes(self) -> int:
-        """Total number of node instances in the tree."""
-        return sum(len(nodes) for nodes in self._instances.values())
 
     def __repr__(self) -> str:
         return f"PredicateTree({self.root_key})"

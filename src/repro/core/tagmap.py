@@ -145,7 +145,9 @@ class TagMapBuilder:
             precepts) instead of the default generalized strategy.
         three_valued: honour NULLs by producing UNKNOWN output tags; with
             ``False`` the builder behaves exactly like the two-valued model
-            of Sections 2-3.3.
+            of Sections 2-3.3, which is only correct when no predicate can
+            be UNKNOWN.  Planning derives it from the query and its data
+            (:meth:`repro.plan.query.Query.can_be_unknown`).
         operators: the operator memo to read and extend — ``(operator, its
             parameters, input planes) -> (tag map, outputs)`` — shared by
             every builder of the same tree and strategy; ``None`` starts an
@@ -420,11 +422,12 @@ class TagAlgebraMemo:
     memo per ``(predicate key, naive, three_valued)``.
 
     Tag maps and generalized tags depend only on the predicate tree, the
-    strategy and the plan's shape, never on the data, so re-planning a query
-    — after a plan-cache flush, a commit or a feedback retirement — meets
-    candidates whose tag maps it has already built.  That is why plan-cache
-    invalidation and commits leave the memo alone: the re-plans they cause
-    are the traffic it serves.  :meth:`builder` hands each prepare a fresh
+    strategy, the logic and the plan's shape; the data decides only the
+    logic (a NULL an operand can hold makes it three-valued), which is part
+    of the key.  So re-planning a query — after a plan-cache flush, a commit
+    or a feedback retirement — meets candidates whose tag maps it has
+    already built.  That is why plan-cache invalidation and commits leave
+    the memo alone: the re-plans they cause are the traffic it serves.  :meth:`builder` hands each prepare a fresh
     :class:`TagMapBuilder` over the remembered tree (its bit tables and
     interned tags) and operator memo; the builder's per-prepare scratch
     memos and work counters die with it.

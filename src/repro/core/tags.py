@@ -84,17 +84,9 @@ class Tag:
     def __len__(self) -> int:
         return len(self._values)
 
-    def is_empty(self) -> bool:
-        """True for the empty tag."""
-        return not self._values
-
     # ------------------------------------------------------------------ #
     # Derivation
     # ------------------------------------------------------------------ #
-    def with_assignment(self, key: str, value: TruthValue) -> "Tag":
-        """A new tag with ``key = value`` added (or overwritten)."""
-        return Tag._of({**self._values, key: value})
-
     def union(self, other: "Tag") -> "Tag":
         """Combine two tags' assignments.
 

@@ -125,7 +125,7 @@ clause_selectivities`); seeds the fused kernels' clause evaluation order
             that meets only known candidates builds none, and all are zero
             for the untagged planners.
         snapshot: the :class:`~repro.mutation.snapshot.CatalogSnapshot`
-            pinned at prepare time.  Execution always runs against it, which
+            the prepare planned from.  Execution always runs against it, which
             is what makes reads snapshot-isolated: a mutation committed
             after ``prepare()`` registers *new* table objects in the
             catalog, while this plan keeps reading the (immutable) objects
@@ -172,8 +172,8 @@ class Session:
         catalog: the base tables.
         **overrides: session-wide defaults, each routed by name to the one
             options type that declares it: planning values
-            (``cost_params=``, ``three_valued=``, ``stats_sample_size=``,
-            ``access_paths=``, ``naive_tags=``) into :attr:`plan_options`
+            (``cost_params=``, ``stats_sample_size=``, ``access_paths=``,
+            ``naive_tags=``) into :attr:`plan_options`
             (:class:`~repro.core.planner.base.PlanOptions`), execution values
             (``parallelism=``, ``partitions=``, ``shards=``, ...) into
             :attr:`options` (:class:`~repro.engine.metrics.ExecOptions`,
@@ -182,6 +182,9 @@ class Session:
             and no :class:`~repro.access.manager.AccessPathManager` on the
             catalog yet, one is registered lazily (zone maps build on first
             use; secondary indexes only ever exist when created explicitly).
+            Whether a plan's tag algebra is two- or three-valued is no
+            option: each prepare derives it from the query and the data
+            (:meth:`~repro.plan.query.Query.can_be_unknown`).
     """
 
     def __init__(self, catalog: Catalog, **overrides) -> None:
@@ -305,10 +308,7 @@ class Session:
             ),
             planning_work=context.tag_maps.work,
             access_plan=context.estimates.access_plan(),
-            # Pin only the tables this query reads: enough for isolated
-            # execution, without keeping superseded generations of unrelated
-            # tables alive for as long as the plan stays cached.
-            snapshot=self.catalog.snapshot(tables=set(bound.tables.values())),
+            snapshot=context.catalog,
         )
 
     def execute_prepared(
@@ -461,9 +461,22 @@ class Session:
     def _planner_context(
         self, query: Query, naive_tags: bool | None = None, selectivity_overrides=None
     ) -> PlannerContext:
+        """The context :meth:`prepare` plans ``query`` with.
+
+        It plans from a snapshot of the tables ``query`` reads, which the
+        prepared plan then pins and executes on: the statistics, access
+        paths and tag logic (two-valued on NULL-free data) a plan was chosen
+        with are those of the rows it reads, whatever commits land
+        meanwhile.  Pinning only the query's tables keeps no superseded
+        generation of an unrelated table alive while the plan stays cached.
+        """
+        tables = set(query.tables.values())
+        snapshot = self.catalog.snapshot(tables=tables)
+        for name in tables.difference(snapshot.table_names):
+            self.catalog.get(name)  # raises, naming the catalog's tables
         return PlannerContext.for_query(
             query,
-            self.catalog,
+            snapshot,
             self.plan_options.replace(naive_tags=naive_tags),
             stats_cache=self.stats_cache,
             selectivity_overrides=selectivity_overrides,

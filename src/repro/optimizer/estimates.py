@@ -76,12 +76,9 @@ def build_estimate_provider(
     through the provider, keeping ``repro.core.planner`` free of access-path
     imports.
     """
-    # A type error in the query, or NULLs two-valued planning cannot honour,
-    # is reported before any statistic is sampled.
+    # A type error in the query is reported before any statistic is sampled.
     query.check_ordering_types(catalog)
     query.check_join_key_types(catalog)
-    if not options.three_valued:
-        query.check_null_free(catalog)
     if stats_cache is None:
         # Imported lazily: the service package imports the session, which
         # imports the planners that import this module.
@@ -92,7 +89,7 @@ def build_estimate_provider(
     if access_manager is not None:
         from repro.access.chooser import AccessPathChooser
 
-        access_chooser = AccessPathChooser(query, access_manager)
+        access_chooser = AccessPathChooser(query, access_manager, catalog)
     return EstimateProvider(
         query,
         catalog,

@@ -30,16 +30,6 @@ from repro.storage.column import ColumnType
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
 
 
-class TwoValuedNullError(ValueError):
-    """Two-valued planning (``three_valued=False``) met a WHERE column that
-    holds NULLs.
-
-    Two-valued tag maps have no UNKNOWN output, so the rows on which a
-    predicate is UNKNOWN would leave the plan at that predicate's filter even
-    where another disjunct makes the WHERE clause TRUE.
-    """
-
-
 @dataclass(frozen=True)
 class JoinCondition:
     """An equi-join condition ``left.column = right.column``."""
@@ -190,13 +180,18 @@ class Query:
                     f"cannot join {left_text} = {right_text}: {left_kind} against {right_kind}"
                 )
 
-    def check_null_free(self, catalog) -> None:
-        """Raise :class:`TwoValuedNullError` for the first WHERE column that
-        holds a NULL.  ``IS NULL`` operands are exempt: that test is never
-        UNKNOWN."""
+    def can_be_unknown(self, catalog) -> bool:
+        """Whether some base predicate of the WHERE clause can be UNKNOWN on
+        ``catalog``'s tables: one of its value operands is a NULL literal or
+        a column holding a NULL.  ``IS NULL`` operands are exempt: that test
+        is never UNKNOWN.
+
+        Planning builds three-valued tag maps exactly when this holds; on
+        NULL-free operands the two-valued ones have fewer tags and are
+        equally correct.
+        """
         if self.predicate is None:
-            return
-        checked = set()
+            return False
         for predicate in iter_base_predicates(self.predicate):
             if isinstance(predicate, Comparison):
                 operands = (predicate.left, predicate.right)
@@ -207,14 +202,13 @@ class Query:
             else:
                 continue
             for operand in operands:
-                if not isinstance(operand, ColumnRef) or operand.key() in checked:
-                    continue
-                checked.add(operand.key())
-                if catalog.get(self.tables[operand.alias]).column(operand.column).has_nulls():
-                    raise TwoValuedNullError(
-                        f"column {operand.key()} holds NULLs; two-valued planning "
-                        "(three_valued=False) needs NULL-free predicate columns"
-                    )
+                if isinstance(operand, ColumnRef):
+                    table = catalog.get(self.tables[operand.alias])
+                    if table.column(operand.column).has_nulls():
+                        return True
+                elif operand.value is None:
+                    return True
+        return False
 
     def _operand(self, value: ValueExpr, catalog) -> tuple[str | None, str]:
         """An operand's kind (``"string"``, ``"number"``, ``None`` for NULL)

@@ -49,7 +49,9 @@ def query_fingerprint(
 
     ``table_versions`` are sorted ``(table name, per-table version)`` pairs
     for the tables the query references: a commit retires exactly the plans
-    reading a table it touched.
+    reading a table it touched.  They are also what carries null-freeness
+    into the key: the plan's tag logic is derived from its tables' NULLs,
+    so a key that replaced them would still have to change with those.
 
     ``access_version`` is the access-path manager's mutation counter (``-1``
     when access paths are disabled): creating or dropping a secondary index

@@ -12,6 +12,7 @@ from repro.access.indexes import BitmapIndex, SortedIndex, build_index
 from repro.access.manager import AccessPathManager, ensure_access_manager
 from repro.access.pruning import implied_alias_predicate
 from repro.access.zonemap import build_zone_map
+from repro.core.planner.base import PlannerContext
 from repro.expr.builders import and_, col, in_, is_null, like, lit, not_, or_
 from repro.expr import three_valued as tv
 from repro.expr.eval import RowBatch
@@ -291,8 +292,24 @@ class TestChooser:
         query = parse_query(
             "SELECT * FROM events AS e WHERE e.ts < 104 OR e.cat = 'zzz'"
         )
-        chooser = AccessPathChooser(query, manager)
+        chooser = AccessPathChooser(query, manager, catalog)
         assert chooser._classify("events", query.predicate) == "zone"
+
+    def test_a_plan_from_a_snapshot_pins_the_snapshot_versions(self, clustered_table):
+        """A commit landing while a prepare plans from its snapshot must not
+        let the plan prune the snapshot's rows with the new table's."""
+        catalog = Catalog([clustered_table])
+        manager = ensure_access_manager(catalog)
+        query = parse_query("SELECT e.id FROM events AS e WHERE e.ts < 104")
+        snapshot = catalog.snapshot()
+        batch = catalog.begin_mutation()
+        batch.delete("events", where="events.ts < 102")
+        batch.commit()
+        context = PlannerContext.for_query(query, snapshot, access_manager=manager)
+        plan = context.estimates.access_plan()
+        assert plan.choice("e").kind == "zonemap"
+        assert plan.table_versions == {"e": snapshot.table_version("events")}
+        assert plan.resolve_all() == {}
 
 
 # --------------------------------------------------------------------------- #

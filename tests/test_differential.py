@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Session
+from repro.expr import three_valued as tv
+from repro.expr.eval import RowBatch
 from repro.testing.datagen import RandomCatalogConfig, generate_random_catalog
 from repro.testing.differential import (
     DEFAULT_PLANNERS,
@@ -79,6 +81,49 @@ class TestRunDifferential:
             session=fuzz_session,
         )
         assert report.agreed, f"{query.predicate.key()}: {report.describe()}"
+
+
+#: 20-30 rows per table at 5 % NULLs: some attribute columns hold a NULL,
+#: others none, so the queries' tag logic goes both ways.
+_SPARSE_NULLS = RandomCatalogConfig(seed=7, num_dimensions=2, fact_rows=20, dimension_rows=30)
+
+
+@pytest.fixture(scope="module")
+def sparse_null_catalog():
+    return generate_random_catalog(_SPARSE_NULLS)
+
+
+def meets_a_null(catalog, query) -> bool:
+    """Whether some base predicate is UNKNOWN on some row of its table."""
+    for predicate in query.base_predicates():
+        (alias,) = predicate.tables()
+        batch = RowBatch.for_base_table(alias, catalog.get(query.tables[alias]))
+        if tv.is_unknown(predicate.evaluate(batch)).any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_queries_plan_three_valued_exactly_when_a_predicate_meets_a_null(
+    sparse_null_catalog, seed
+):
+    query = generate_random_query(sparse_null_catalog, RandomQueryConfig(seed=seed))
+    session = Session(sparse_null_catalog)
+    three_valued = session._planner_context(query).tag_maps.three_valued
+    assert three_valued == meets_a_null(sparse_null_catalog, query)
+    report = run_differential(sparse_null_catalog, query, session=session)
+    assert report.agreed, f"{query.predicate.key()}: {report.describe()}"
+
+
+def test_random_queries_go_both_ways(sparse_null_catalog):
+    logics = {
+        meets_a_null(
+            sparse_null_catalog,
+            generate_random_query(sparse_null_catalog, RandomQueryConfig(seed=seed)),
+        )
+        for seed in range(16)
+    }
+    assert logics == {False, True}
 
 
 class TestFuzzCampaign:

@@ -42,7 +42,8 @@ def test_quickstart(capsys):
 def test_nulls_and_three_valued_logic(capsys):
     load_example("nulls_and_three_valued_logic").main()
     out = capsys.readouterr().out
-    assert out.strip()
+    assert "NULL-bearing predicates: planned with three-valued tag maps, 2 rows" in out
+    assert "NULL-free predicates: planned with two-valued tag maps, 3 rows" in out
 
 
 def test_analytics_report(capsys):

@@ -78,13 +78,18 @@ def test_planning_options_are_type_checked_and_named(catalog):
         Session(catalog, selectivty_mode="measured")
     with pytest.raises(TypeError, match="'sample_size'"):
         PlanOptions().replace(sample_size=5)
+    # The tag logic is derived from the data, never configured.
+    with pytest.raises(TypeError, match="'three_valued'"):
+        Session(catalog, three_valued=False)
+    with pytest.raises(TypeError, match="unknown planning option 'three_valued'"):
+        PlanOptions().replace(three_valued=False)
 
 
 def test_each_override_reaches_the_one_type_that_declares_it(catalog):
     session = Session(
-        catalog, stats_sample_size=7, three_valued=False, shards=1, partitions=3
+        catalog, stats_sample_size=7, naive_tags=True, shards=1, partitions=3
     )
-    assert session.plan_options == PlanOptions(stats_sample_size=7, three_valued=False)
+    assert session.plan_options == PlanOptions(stats_sample_size=7, naive_tags=True)
     assert session.options == ExecOptions(partitions=3)
     # No name is declared by both types, so no override can reach both.
     assert not PLAN_OPTION_NAMES & set(vars(ExecOptions()))

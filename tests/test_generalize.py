@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.generalize import (
-    generalize_tag,
-    refutes_root,
-    root_assignment,
-    satisfies_root,
-)
+from repro.core.generalize import generalize_tag
 from repro.core.predtree import PredicateTree
+from repro.core.tagmap import TagMapBuilder
 from repro.core.tags import Tag
 from repro.expr.builders import and_, col, lit, not_, or_
 from repro.expr.three_valued import FALSE, TRUE, UNKNOWN
@@ -30,7 +26,7 @@ def query1():
 class TestBasicPropagation:
     def test_empty_tag_stays_empty(self, query1):
         tree = query1[0]
-        assert generalize_tag(tree, Tag.empty()).is_empty()
+        assert generalize_tag(tree, Tag.empty()) == Tag.empty()
 
     def test_false_leaf_generalizes_to_false_and_parent(self, query1):
         tree, p1, _p2, _p3, _p4, clause1, _clause2 = query1
@@ -72,19 +68,27 @@ class TestBasicPropagation:
         assert result.get(tree.root_key) is None
 
 
+def projection_verdict(builder: TagMapBuilder, tag: Tag) -> str:
+    """What the tag-map builder's projection does with a slice tagged ``tag``."""
+    projection, _output = builder._build_projection([(builder.tree.encode(tag), tag)])
+    if tag in projection.allowed:
+        return "output"
+    return "residual" if tag in projection.residual else "dropped"
+
+
 class TestRootPredicates:
-    def test_satisfies_and_refutes_helpers(self, query1):
+    def test_root_assignment_decides_the_projection(self, query1):
         tree = query1[0]
-        assert satisfies_root(tree, Tag({tree.root_key: TRUE}))
-        assert refutes_root(tree, Tag({tree.root_key: FALSE}))
-        assert not refutes_root(tree, Tag({tree.root_key: TRUE}))
-        assert root_assignment(tree, Tag.empty()) is None
+        builder = TagMapBuilder(tree)
+        assert projection_verdict(builder, Tag({tree.root_key: TRUE})) == "output"
+        assert projection_verdict(builder, Tag({tree.root_key: FALSE})) == "dropped"
+        assert projection_verdict(builder, Tag.empty()) == "residual"
 
     def test_unknown_root_refutes_only_under_three_valued(self, query1):
         tree = query1[0]
         tag = Tag({tree.root_key: UNKNOWN})
-        assert refutes_root(tree, tag, include_unknown=True)
-        assert not refutes_root(tree, tag, include_unknown=False)
+        assert projection_verdict(TagMapBuilder(tree, three_valued=True), tag) == "dropped"
+        assert projection_verdict(TagMapBuilder(tree, three_valued=False), tag) == "residual"
 
 
 class TestNotNodes:

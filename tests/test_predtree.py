@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core.predtree import PredicateTree
+from repro.core.tagmap import TagMapBuilder
+from repro.core.tags import Tag
 from repro.expr.builders import and_, col, lit, not_, or_
+from repro.expr.three_valued import FALSE, TRUE
 
 
 def p(name, threshold=0):
@@ -42,14 +45,14 @@ class TestStructure:
     def test_num_nodes(self, query1_tree):
         tree, _ = query1_tree
         # root OR + 2 AND nodes + 4 leaves
-        assert tree.num_nodes() == 7
+        assert len(list(tree.walk())) == 7
 
-    def test_contains_and_expr_for(self, query1_tree):
+    def test_contains_and_instances(self, query1_tree):
         tree, (p1, _p2, _p3, _p4) = query1_tree
         assert p1.key() in tree
-        assert tree.expr_for(p1.key()) == p1
-        with pytest.raises(KeyError):
-            tree.expr_for("(zzz)")
+        assert tree.instances(p1.key())[0].expr == p1
+        assert "(zzz)" not in tree
+        assert tree.instances("(zzz)") == ()
 
     def test_flattening_applied(self):
         tree = PredicateTree(and_(p("a"), and_(p("b"), p("c"))))
@@ -92,22 +95,27 @@ class TestDuplicateOccurrences:
         assert all(path[-1] is tree.root for path in paths)
 
     def test_every_instance_has_assigned_ancestor(self):
+        """Precept (2) in the tag-map builder: a filter on a shared predicate
+        skips a slice only when every occurrence has an assigned ancestor."""
         shared = p("shared")
         clause1 = and_(shared, p("a"))
         clause2 = and_(shared, p("b"))
         tree = PredicateTree(or_(clause1, clause2))
+        builder = TagMapBuilder(tree)
+        index = tree.tables.bits[shared.key()]
+
+        def skipped(tag: Tag) -> bool:
+            return builder._filter_entry(index, tree.encode(tag)) is None
+
         # Only one clause assigned: the other occurrence is uncovered.
-        assert not tree.every_instance_has_assigned_ancestor(
-            shared.key(), {clause1.key()}
-        )
-        assert tree.every_instance_has_assigned_ancestor(
-            shared.key(), {clause1.key(), clause2.key()}
-        )
-        assert tree.every_instance_has_assigned_ancestor(shared.key(), {tree.root_key})
+        assert not skipped(Tag({clause1.key(): FALSE}))
+        assert skipped(Tag({clause1.key(): FALSE, clause2.key(): FALSE}))
+        assert skipped(Tag({tree.root_key: TRUE}))
 
     def test_unknown_key_has_no_assigned_ancestor(self):
         tree = PredicateTree(and_(p("a"), p("b")))
-        assert not tree.every_instance_has_assigned_ancestor("(nonexistent)", {tree.root_key})
+        with pytest.raises(ValueError, match="not part of the query's predicate tree"):
+            TagMapBuilder(tree)._build_filter(p("nonexistent"), [])
 
 
 class TestSingleLeafTree:

@@ -138,7 +138,7 @@ class TestGeneralizationSoundness:
                     continue
                 if assigned_key not in tree:
                     continue
-                actual = _evaluate(tree.expr_for(assigned_key), total)
+                actual = _evaluate(tree.instances(assigned_key)[0].expr, total)
                 assert actual == (assigned_value is tv.TRUE)
 
     @settings(max_examples=60, deadline=None)

@@ -23,7 +23,6 @@ from repro.access.dictionary import table_dictionary
 from repro.core.planner.base import PlannerContext, PlanOptions
 from repro.expr import three_valued as tv
 from repro.expr.eval import RowBatch
-from repro.plan.query import TwoValuedNullError
 from repro.sql import parse_query
 from repro.stats.selectivity import sample_positions
 from repro.storage.column import Column
@@ -120,7 +119,7 @@ def test_event_lookup_templates():
 
 
 # --------------------------------------------------------------------------- #
-# Strings with NULL cells, under three- and two-valued planning
+# Strings with NULL cells
 # --------------------------------------------------------------------------- #
 def words_catalog() -> Catalog:
     rng = np.random.default_rng(3)
@@ -172,26 +171,20 @@ def test_strings_with_nulls_three_valued(sample_size):
     assert table.column("s").null_mask.any()
     assert table_dictionary(table, "s") is not None
     assert table_dictionary(table, "u") is None
-    options = PlanOptions(three_valued=True, stats_sample_size=sample_size)
+    options = PlanOptions(stats_sample_size=sample_size)
     for column in ("s", "t", "u"):
         for predicate in word_predicates(column):
             query = word_query(predicate)
             assert assert_sampled_selectivities_exact(catalog, query, options) == 1, query
 
 
-@pytest.mark.parametrize("sample_size", [150, 20_000])
-def test_strings_two_valued(sample_size):
+def test_string_predicates_plan_two_valued_on_null_free_columns():
     catalog = words_catalog()
-    options = PlanOptions(three_valued=False, stats_sample_size=sample_size)
-    for column in ("t", "u"):
+    for column in ("s", "t", "u"):
         for predicate in word_predicates(column):
-            query = word_query(predicate)
-            assert assert_sampled_selectivities_exact(catalog, query, options) == 1, query
-    # Two-valued planning refuses the column with NULLs before sampling it.
-    with pytest.raises(TwoValuedNullError):
-        assert_sampled_selectivities_exact(
-            catalog, word_query("w.s = 'beta'"), options
-        )
+            query = parse_query(word_query(predicate))
+            unknown = column == "s" and not predicate.endswith("IS NULL")
+            assert query.can_be_unknown(catalog) == unknown, predicate
 
 
 # --------------------------------------------------------------------------- #

@@ -129,7 +129,6 @@ def test_fingerprint_distinguishes_semantic_inputs():
 #: has to be registered here, i.e. someone decides what changing it means.
 ALTERNATIVES = {
     "cost_params": CostParams(alpha=2.0),
-    "three_valued": False,
     "stats_sample_size": 99,
     "access_paths": False,
     "naive_tags": True,

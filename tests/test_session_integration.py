@@ -7,7 +7,9 @@ import pytest
 from repro import Catalog, Session, Table
 from repro.engine.session import PLANNERS, TAGGED_PLANNERS
 from repro.expr.ast import ExprError
-from repro.plan.query import TwoValuedNullError
+from repro.service import QueryService
+from repro.sql import parse_query
+from repro.testing.oracle import evaluate_oracle
 from tests.conftest import PAPER_QUERY_MATCHES
 
 
@@ -25,6 +27,10 @@ class TestSessionBasics:
         rendered = paper_session.explain(paper_query_sql, planner="tpushdown")
         assert "Scan(title AS t)" in rendered
         assert "Join" in rendered
+
+    def test_unknown_table_is_named_with_the_known_ones(self, paper_session):
+        with pytest.raises(KeyError, match=r"unknown table 'nosuch'; known tables: .*title"):
+            paper_session.prepare("SELECT x.a FROM nosuch AS x WHERE x.a > 1")
 
     def test_explain_rejects_what_prepare_rejects(self, paper_session, paper_query_sql):
         with pytest.raises(ValueError, match="unknown planner 'nonsense'"):
@@ -217,7 +223,7 @@ class TestThreeValuedIntegration:
                 ),
             ]
         )
-        return Session(catalog, three_valued=True)
+        return Session(catalog)
 
     NULL_QUERY = (
         "SELECT t.title FROM title AS t JOIN movie_info_idx AS mi ON t.id = mi.movie_id "
@@ -240,9 +246,23 @@ class TestThreeValuedIntegration:
         assert {row[0] for row in result.rows} == {"B", "E"}
 
 
-class TestTwoValuedPlanningRejectsNulls:
-    """Two-valued tag maps have no UNKNOWN output: a NULL in a WHERE column
-    would drop rows another disjunct keeps, so planning refuses it."""
+def unknown_outputs(prepared) -> int:
+    """How many filter entries of a tagged plan have an UNKNOWN output: none
+    under two-valued tag maps."""
+    return sum(
+        entry.unk_tag is not None
+        for tag_map in prepared.annotations.filter_maps.values()
+        for entry in tag_map.entries.values()
+    )
+
+
+class TestTagLogicIsDerived:
+    """Planning is two-valued exactly when no WHERE predicate can be UNKNOWN
+    on the snapshot the plan executes on.  Two-valued tag maps have no
+    UNKNOWN output, so a row on which a predicate is UNKNOWN would leave the
+    plan at that filter even where another disjunct makes the WHERE clause
+    TRUE: a NULL in a predicate column, or a NULL literal, must plan
+    three-valued."""
 
     SQL = "SELECT f.id FROM f AS f JOIN d AS d ON f.id = d.fid WHERE f.a > 1 OR d.c = 2"
 
@@ -256,15 +276,80 @@ class TestTwoValuedPlanningRejectsNulls:
         )
 
     @pytest.mark.parametrize("planner", PLANNERS)
-    def test_null_in_a_where_column_is_a_named_error(self, planner):
-        catalog = self.catalog([2.0, 3.0, None, 0.0])
-        with pytest.raises(TwoValuedNullError, match=r"column f\.a holds NULLs.*NULL-free"):
-            Session(catalog, three_valued=False).execute(self.SQL, planner)
-        rows = Session(catalog).execute(self.SQL, planner).rows
-        assert sorted(row[0] for row in rows) == [0, 1, 2]
+    @pytest.mark.parametrize(
+        "a", [[2.0, 3.0, None, 0.0], [2.0, 3.0, 0.5, 0.0]], ids=["null", "no-null"]
+    )
+    def test_logic_follows_the_data_and_rows_match_the_oracle(self, planner, a):
+        catalog = self.catalog(a)
+        session = Session(catalog)
+        prepared = session.prepare(self.SQL, planner)
+        assert prepared.query.can_be_unknown(prepared.snapshot) == (None in a)
+        if planner == "tpushdown":
+            assert (unknown_outputs(prepared) > 0) == (None in a)
+        rows = session.execute_prepared(prepared).sorted_rows()
+        assert rows == evaluate_oracle(catalog, parse_query(self.SQL)) == [(0,), (1,), (2,)]
+
+    NULL_LITERAL_SQL = (
+        "SELECT t.a FROM t AS t JOIN u AS u ON t.k = u.k WHERE t.a = NULL OR u.b = 1",
+        "SELECT t.a FROM t AS t JOIN u AS u ON t.k = u.k WHERE t.a <> NULL OR u.b = 1",
+        "SELECT t.a FROM t AS t JOIN u AS u ON t.k = u.k "
+        "WHERE t.a BETWEEN NULL AND 25 OR u.b = 1",
+    )
 
     @pytest.mark.parametrize("planner", PLANNERS)
-    def test_null_free_columns_plan_two_valued(self, planner):
+    @pytest.mark.parametrize("sql", NULL_LITERAL_SQL, ids=["eq", "ne", "between"])
+    def test_a_null_literal_plans_three_valued_on_null_free_tables(self, planner, sql):
+        catalog = Catalog(
+            [
+                Table.from_dict("t", {"k": [1, 2, 3, 4], "a": [10, 20, 30, 40]}),
+                Table.from_dict("u", {"k": [1, 2, 3, 4], "b": [1, 1, 1, 0]}),
+            ]
+        )
+        query = parse_query(sql)
+        assert query.can_be_unknown(catalog)
+        rows = Session(catalog).execute(query, planner).sorted_rows()
+        assert rows == evaluate_oracle(catalog, query) == [(10,), (20,), (30,)]
+
+    def commit_a_null(self, catalog) -> None:
+        """Add a row whose ``f.a`` is NULL and which the ``d.c = 2``
+        disjunct selects."""
+        batch = catalog.begin_mutation()
+        batch.insert("f", [{"id": 4, "a": None}])
+        batch.insert("d", [{"fid": 4, "c": 2}])
+        batch.commit()
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_a_commit_adding_a_null_after_prepare(self, planner):
         catalog = self.catalog([2.0, 3.0, 0.5, 0.0])
-        rows = Session(catalog, three_valued=False).execute(self.SQL, planner).rows
-        assert sorted(row[0] for row in rows) == [0, 1, 2]
+        session = Session(catalog)
+        query = parse_query(self.SQL)
+        before = session.prepare(query, planner)
+        assert not query.can_be_unknown(before.snapshot)
+        self.commit_a_null(catalog)
+        # The old plan reads its own snapshot, which holds no NULL.
+        assert session.execute_prepared(before).sorted_rows() == (
+            evaluate_oracle(before.snapshot, query)
+        ) == [(0,), (1,), (2,)]
+        # A prepare after the commit derives three-valued logic.
+        after = session.prepare(query, planner)
+        assert query.can_be_unknown(after.snapshot)
+        if planner == "tpushdown":
+            assert unknown_outputs(before) == 0 < unknown_outputs(after)
+        assert session.execute_prepared(after).sorted_rows() == (
+            evaluate_oracle(catalog, query)
+        ) == [(0,), (1,), (2,), (4,)]
+
+    @pytest.mark.parametrize("planner", PLANNERS)
+    def test_a_service_read_after_the_commit_re_plans(self, planner):
+        catalog = self.catalog([2.0, 3.0, 0.5, 0.0])
+        service = QueryService(catalog)
+        try:
+            service.execute(self.SQL, planner)
+            assert service.execute(self.SQL, planner).cache_hit
+            self.commit_a_null(catalog)
+            result = service.execute(self.SQL, planner)
+            assert not result.cache_hit
+            assert result.sorted_rows() == evaluate_oracle(catalog, parse_query(self.SQL))
+            assert result.sorted_rows() == [(0,), (1,), (2,), (4,)]
+        finally:
+            service.close()

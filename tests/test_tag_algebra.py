@@ -45,9 +45,9 @@ def reference_generalize(tree: PredicateTree, tag: Tag) -> Tag:
     foreign = {key: value for key, value in assignments.items() if key not in tree}
 
     facts = [
-        (tree.expr_for(key), value)
+        (tree.instances(key)[0].expr, value)
         for key, value in assignments.items()
-        if key in tree and tree.expr_for(key).is_base_predicate()
+        if key in tree and tree.instances(key)[0].expr.is_base_predicate()
     ]
     derived_only = set()
     for leaf in tree.base_predicates():
@@ -262,8 +262,9 @@ class TestMemoizedGeneralization:
         expr, tags = case
         tree = PredicateTree(expr)
         for tag in tags:
-            with_foreign = tag.with_assignment("(not.in > the.tree)", UNKNOWN)
-            expected = generalize_tag(tree, tag).with_assignment("(not.in > the.tree)", UNKNOWN)
+            foreign = {"(not.in > the.tree)": UNKNOWN}
+            with_foreign = Tag({**tag.as_dict(), **foreign})
+            expected = Tag({**generalize_tag(tree, tag).as_dict(), **foreign})
             assert generalize_tag(tree, with_foreign) == expected
 
 

@@ -2,14 +2,15 @@
 
 ``Session.tag_memo`` keeps each predicate's tree and operator tag maps across
 prepares (:class:`repro.core.tagmap.TagAlgebraMemo`).  Tag maps depend only on
-the predicate, the strategy and the plan's shape, so a prepare that reuses
-them must choose the same plan, at the same ``repr``-exact cost, with the same
-per-node rows and tag-map entries, as a session that has never seen the
-query: on the 33 JOB queries and the golden synthetic queries, in every
-logic x strategy mode, after a commit that moves estimates, and with two
-several threads planning one predicate at once.  The memo is bounded like the plan
-cache, and a re-plan that hits it builds no predicate tree for the cycle
-collector.
+the predicate, the strategy, the logic and the plan's shape, so a prepare that
+reuses them must choose the same plan, at the same ``repr``-exact cost, with
+the same per-node rows and tag-map entries, as a session that has never seen
+the query: on the 33 JOB queries and the golden synthetic queries (two-valued,
+their tables hold no NULL), on random queries over NULL-bearing tables
+(three-valued), under both tag strategies, after a commit that moves
+estimates, and with several threads planning one predicate at once.  The memo
+is bounded like the plan cache, and a re-plan that hits it builds no predicate
+tree for the cycle collector.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro import Session
 from repro.core.predtree import PredNode
 from repro.engine.session import PLANNERS
 from repro.service.plan_cache import DEFAULT_PLAN_CACHE_SIZE
+from repro.testing.datagen import generate_random_catalog
+from repro.testing.querygen import RandomQueryConfig, generate_random_query
 from repro.workloads.imdb import generate_imdb_catalog
 from repro.workloads.job import job_query_groups
 from repro.workloads.synthetic import SyntheticConfig, generate_synthetic_catalog
@@ -36,6 +39,10 @@ def job_catalog():
     return generate_imdb_catalog(scale=0.05, seed=7)
 
 
+def random_queries(catalog) -> list:
+    return [generate_random_query(catalog, RandomQueryConfig(seed=seed)) for seed in range(12)]
+
+
 @pytest.fixture(scope="module")
 def workloads():
     return {
@@ -44,6 +51,8 @@ def workloads():
             generate_synthetic_catalog(SyntheticConfig(table_size=2000, seed=11)),
             synthetic_queries(),
         ),
+        # Every attribute column holds NULLs: these plan three-valued.
+        "nulls": (nulls := generate_random_catalog(), random_queries(nulls)),
     }
 
 
@@ -67,13 +76,12 @@ def outcome(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("three_valued", [True, False], ids=["3vl", "2vl"])
-@pytest.mark.parametrize("workload", ["job", "synthetic"])
-def test_warm_memo_plans_like_a_fresh_session(workloads, workload, three_valued):
+@pytest.mark.parametrize("workload", ["job", "synthetic", "nulls"])
+def test_warm_memo_plans_like_a_fresh_session(workloads, workload):
     catalog, queries = workloads[workload]
     # One warm session plans every query under both strategies (naive_tags
     # is a per-call option), so their memo entries sit side by side.
-    warm = Session(catalog, three_valued=three_valued)
+    warm = Session(catalog)
     for naive in (False, True):
         for query in queries:
             planned(warm, query, naive=naive)
@@ -81,7 +89,7 @@ def test_warm_memo_plans_like_a_fresh_session(workloads, workload, three_valued)
         for query in queries:
             again, work = planned(warm, query, naive=naive)
             assert work["tagmap_nodes_built"] == work["generalizations_computed"] == 0
-            fresh, _work = planned(Session(catalog, three_valued=three_valued), query, naive=naive)
+            fresh, _work = planned(Session(catalog), query, naive=naive)
             assert outcome(again) == outcome(fresh), (query.name, naive)
 
 

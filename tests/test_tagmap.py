@@ -182,9 +182,9 @@ class TestNaiveStrategy:
         assert naive.projection.allowed  # some tags satisfy the root
         for tag in naive.projection.allowed:
             # Every allowed tag must imply the root.
-            from repro.core.generalize import generalize_tag, satisfies_root
+            from repro.core.generalize import generalize_tag
 
-            assert satisfies_root(tree, generalize_tag(tree, tag))
+            assert generalize_tag(tree, tag).get(tree.root_key) is TRUE
 
 
 class TestOutputTagBookkeeping:

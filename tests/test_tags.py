@@ -8,7 +8,6 @@ from repro.expr.three_valued import FALSE, TRUE, UNKNOWN
 
 class TestConstruction:
     def test_empty_tag_singleton_behaviour(self):
-        assert Tag.empty().is_empty()
         assert Tag.empty() == Tag()
         assert len(Tag.empty()) == 0
 
@@ -57,21 +56,6 @@ class TestAccess:
 
 
 class TestDerivation:
-    def test_with_assignment_adds(self):
-        tag = Tag({"p": TRUE}).with_assignment("q", FALSE)
-        assert tag.get("q") is FALSE
-        assert tag.get("p") is TRUE
-
-    def test_with_assignment_overwrites(self):
-        tag = Tag({"p": TRUE}).with_assignment("p", FALSE)
-        assert tag.get("p") is FALSE
-
-    def test_with_assignment_returns_new_object(self):
-        original = Tag({"p": TRUE})
-        derived = original.with_assignment("q", TRUE)
-        assert "q" not in original
-        assert "q" in derived
-
     def test_union_merges_disjoint(self):
         merged = Tag({"p": TRUE}).union(Tag({"q": FALSE}))
         assert merged.get("p") is TRUE
