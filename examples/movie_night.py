@@ -15,9 +15,8 @@ from pathlib import Path
 # Allow running from a fresh checkout: prefer the in-repo package.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import Session
 from repro.bench.report import format_table
-from repro.bench.runner import time_query
+from repro.bench.timing import time_planners
 from repro.workloads.imdb import generate_imdb_catalog
 from repro.workloads.job import job_query
 
@@ -32,33 +31,25 @@ def main(scale: float | None = None, groups: tuple[int, ...] = SHOWCASE_GROUPS) 
         scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.05
     print(f"Generating IMDB-like catalog at scale {scale} ...")
     catalog = generate_imdb_catalog(scale=scale, seed=7)
-    session = Session(catalog, stats_sample_size=10_000)
 
     for group in groups:
         query = job_query(group)
         print(f"\n=== query group {group} ({query.name}) ===")
         print(query)
-        rows = []
-        reference_count = None
-        for planner in PLANNERS:
-            measurement = time_query(session, query, planner, repetitions=1)
-            if reference_count is None:
-                reference_count = measurement.row_count
-            elif measurement.row_count != reference_count:
-                raise AssertionError(
-                    f"planner {planner} returned {measurement.row_count} rows, "
-                    f"expected {reference_count}"
-                )
-            rows.append(
-                [
-                    planner,
-                    measurement.total_seconds,
-                    measurement.execution_seconds,
-                    measurement.metrics["predicate_rows_evaluated"],
-                    measurement.metrics["tuples_materialized"],
-                    measurement.row_count,
-                ]
-            )
+        # One warm-up and one timed pass per planner, each on a fresh session;
+        # time_planners raises if any planner's rows differ from bdisj's.
+        times = time_planners(catalog, query, PLANNERS, 1, stats_sample_size=10_000)
+        rows = [
+            [
+                planner,
+                times.totals[planner][0],
+                times.execs[planner][0],
+                times.metrics[planner]["predicate_rows_evaluated"],
+                times.metrics[planner]["tuples_materialized"],
+                times.row_count,
+            ]
+            for planner in PLANNERS
+        ]
         print(
             format_table(
                 ["planner", "total (s)", "exec (s)", "pred rows", "tuples", "result rows"],

@@ -17,28 +17,21 @@ from pathlib import Path
 # Allow running from a fresh checkout: prefer the in-repo package.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.synthetic_bench import run_selectivity_sweep, run_table_size_sweep
+from repro.bench import figures
 
 
 def main(table_size: int | None = None) -> None:
     if table_size is None:
         table_size = int(sys.argv[1]) if len(sys.argv) > 1 else 5_000
 
+    # One warm-up and one timed pass per planner and point (see
+    # repro.bench.timing.time_planners).
     print("Figure 4a (DNF, selectivity sweep)")
-    selectivity_result = run_selectivity_sweep(
-        selectivities=(0.1, 0.3, 0.5, 0.7, 0.9),
-        table_size=table_size,
-        repetitions=1,
-    )
-    print(selectivity_result.to_table())
-    print()
+    figures.main(["fig4a", "--table-size", str(table_size), "--repetitions", "1"])
 
     print("Figure 4b (CNF, table-size sweep)")
-    size_result = run_table_size_sweep(
-        table_sizes=tuple(sorted({max(250, table_size // 4), max(500, table_size // 2), table_size})),
-        repetitions=1,
-    )
-    print(size_result.to_table())
+    sizes = sorted({max(250, table_size // 4), max(500, table_size // 2), table_size})
+    figures.main(["fig4b", "--sizes", *map(str, sizes), "--repetitions", "1"])
 
 
 if __name__ == "__main__":

@@ -31,20 +31,3 @@ def _render(value: object) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0.0 for an empty sequence)."""
-    positive = [value for value in values if value > 0]
-    if not positive:
-        return 0.0
-    product = 1.0
-    for value in positive:
-        product *= value
-    return product ** (1.0 / len(positive))
-
-
-def arithmetic_mean(values: Sequence[float]) -> float:
-    """Arithmetic mean (0.0 for an empty sequence)."""
-    if not values:
-        return 0.0
-    return sum(values) / len(values)

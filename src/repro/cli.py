@@ -8,7 +8,8 @@ Subcommands::
                (--snapshot K reads the state after the first K append-log
                records — time travel)
     explain    print the plan a planner would choose, without executing it
-    compare    run one query under several planners and print a speedup table
+    compare    time one query under several planners (untimed warm-up, then one
+               pass, each run on a fresh session) and print a speedup table
     batch      run a file of queries through the caching QueryService
     serve      interactive loop: read SQL from stdin, serve with plan caching
     insert     append rows (from CSV or inline JSON) to a saved dataset's
@@ -70,6 +71,7 @@ import sys
 
 from repro.bench import figures as bench_figures
 from repro.bench.report import format_table
+from repro.bench.timing import time_planners
 from repro.engine.session import PLANNERS, Session
 from repro.service import QueryService
 from repro.storage.disk import load_catalog, save_catalog
@@ -120,14 +122,21 @@ def _print_result(result, max_rows: int, show_metrics: bool) -> None:
         print(format_table(["counter", "value"], sorted(result.metrics.as_dict().items())))
 
 
+def _session_options(args: argparse.Namespace) -> dict:
+    """The session options the parallelism flags give."""
+    return {
+        "parallelism": getattr(args, "parallelism", 1),
+        "partitions": getattr(args, "partitions", None),
+        "access_paths": not getattr(args, "no_access_paths", False),
+        "shards": getattr(args, "shards", 1),
+    }
+
+
 def _session_for(args: argparse.Namespace) -> Session:
     """A session over the saved dataset, honoring the parallelism flags."""
     return Session(
         load_catalog(args.data, snapshot=getattr(args, "snapshot", None)),
-        parallelism=getattr(args, "parallelism", 1),
-        partitions=getattr(args, "partitions", None),
-        access_paths=not getattr(args, "no_access_paths", False),
-        shards=getattr(args, "shards", 1),
+        **_session_options(args),
     )
 
 
@@ -177,26 +186,24 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    session = _session_for(args)
+    try:
+        times = time_planners(
+            load_catalog(args.data), args.sql, args.planners, 1, **_session_options(args)
+        )
+    except AssertionError as mismatch:
+        print(f"WARNING: planners returned different rows ({mismatch})", file=sys.stderr)
+        return 1
+    first = times.totals[args.planners[0]][0]
     rows = []
-    baseline_time = None
-    reference_rows = None
-    agree = True
-    for planner in args.planners:
-        result = session.execute(args.sql, planner=planner)
-        if baseline_time is None:
-            baseline_time = result.total_seconds
-            reference_rows = result.sorted_rows()
-        elif result.sorted_rows() != reference_rows:
-            agree = False
-        speedup = baseline_time / result.total_seconds if result.total_seconds else float("inf")
+    for planner in dict.fromkeys(args.planners):
+        (total,), (execution,) = times.totals[planner], times.execs[planner]
         rows.append(
             [
                 planner,
-                result.row_count,
-                f"{result.planning_seconds:.4f}",
-                f"{result.execution_seconds:.4f}",
-                f"{speedup:.2f}x",
+                times.row_count,
+                f"{total - execution:.4f}",
+                f"{execution:.4f}",
+                f"{first / total if total else float('inf'):.2f}x",
             ]
         )
     print(
@@ -204,9 +211,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             ["planner", "rows", "planning (s)", "execution (s)", "speedup vs first"], rows
         )
     )
-    if not agree:
-        print("WARNING: planners returned different rows", file=sys.stderr)
-        return 1
     return 0
 
 

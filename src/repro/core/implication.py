@@ -174,7 +174,8 @@ def refutes(p: BooleanExpr, q: BooleanExpr) -> bool:
     q_finite = _predicate_values(q)
     p_finite = _predicate_values(p)
     if q_finite is not None and p_finite is not None and q_finite[0] == p_finite[0]:
-        return not (set(p_finite[1]) & set(q_finite[1]))
+        # A NULL entry makes q UNKNOWN, never FALSE, on the values it lacks.
+        return None not in q_finite[1] and not (set(p_finite[1]) & set(q_finite[1]))
     # An interval p excluding every value a finite q allows is not decided
     # here; stay conservative.
     return False

@@ -10,7 +10,7 @@ quantities so benchmarks can report them next to wall-clock time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
@@ -229,6 +229,11 @@ class ExecOptions:
         if self.partitions is not None:
             return self.partitions
         return self.parallelism * self.shards
+
+
+#: The names :meth:`ExecOptions.replace` accepts (``Session`` routes keyword
+#: overrides by them).
+EXEC_OPTION_NAMES = frozenset(f.name for f in fields(ExecOptions))
 
 
 @dataclass

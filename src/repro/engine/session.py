@@ -51,7 +51,7 @@ from repro.core import planner as tagged
 from repro.core.planner.base import PLAN_OPTION_NAMES, PlannerContext, PlanOptions
 from repro.core.predtree import PredicateTree
 from repro.core.tagmap import PlanTagAnnotations, TagAlgebraMemo
-from repro.engine.metrics import ExecContext, ExecOptions, Stopwatch
+from repro.engine.metrics import EXEC_OPTION_NAMES, ExecContext, ExecOptions, Stopwatch
 from repro.engine.parallel import execute_plan
 from repro.engine.postprocess import apply_output_shaping
 from repro.engine.result import QueryResult
@@ -189,6 +189,13 @@ class Session:
 
     def __init__(self, catalog: Catalog, **overrides) -> None:
         self.catalog = catalog
+        unknown = sorted(overrides.keys() - PLAN_OPTION_NAMES - EXEC_OPTION_NAMES)
+        if unknown:
+            raise TypeError(
+                f"{unknown[0]!r} is neither a planning option "
+                f"({', '.join(sorted(PLAN_OPTION_NAMES))}) nor an execution option "
+                f"({', '.join(sorted(EXEC_OPTION_NAMES))})"
+            )
         self.plan_options = PlanOptions().replace(
             **{name: overrides.pop(name) for name in PLAN_OPTION_NAMES & overrides.keys()}
         )

@@ -293,15 +293,20 @@ class LikePredicate(BooleanExpr):
 
 
 class InPredicate(BooleanExpr):
-    """``operand IN (v1, v2, ...)`` against literal values."""
+    """``operand IN (v1, v2, ...)`` against literal values.
 
-    __slots__ = ("operand", "values")
+    As in SQL, a ``NULL`` entry makes the predicate UNKNOWN, not FALSE, for
+    an operand that equals no listed value.
+    """
+
+    __slots__ = ("operand", "values", "has_null")
 
     def __init__(self, operand: ValueExpr, values: Sequence) -> None:
         if not values:
             raise ExprError("IN predicate requires at least one value")
         self.operand = operand
         self.values = tuple(values)
+        self.has_null = any(value is None for value in self.values)
 
     def _tables(self) -> frozenset[str]:
         return self.operand.tables()
@@ -314,7 +319,10 @@ class InPredicate(BooleanExpr):
 
     def evaluate(self, batch: RowBatch) -> np.ndarray:
         values, nulls = self.operand.evaluate(batch)
-        return tv.from_bool_array(self.matches(values), nulls)
+        matched = self.matches(values)
+        if self.has_null:
+            nulls = nulls | ~matched
+        return tv.from_bool_array(matched, nulls)
 
     def matches(self, values: np.ndarray) -> np.ndarray:
         """Whether each of ``values`` equals a listed literal, as Python's ``in`` decides.

@@ -183,8 +183,8 @@ class Query:
     def can_be_unknown(self, catalog) -> bool:
         """Whether some base predicate of the WHERE clause can be UNKNOWN on
         ``catalog``'s tables: one of its value operands is a NULL literal or
-        a column holding a NULL.  ``IS NULL`` operands are exempt: that test
-        is never UNKNOWN.
+        a column holding a NULL, or an IN list holds a NULL.  ``IS NULL``
+        operands are exempt: that test is never UNKNOWN.
 
         Planning builds three-valued tag maps exactly when this holds; on
         NULL-free operands the two-valued ones have fewer tags and are
@@ -201,6 +201,8 @@ class Query:
                 operands = (predicate.operand,)
             else:
                 continue
+            if isinstance(predicate, InPredicate) and predicate.has_null:
+                return True
             for operand in operands:
                 if isinstance(operand, ColumnRef):
                     table = catalog.get(self.tables[operand.alias])

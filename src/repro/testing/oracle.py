@@ -140,7 +140,9 @@ def evaluate_predicate_row(
         operand = _value_of(expr.operand, row)
         if operand is None:
             return UNKNOWN
-        return TruthValue.from_bool(operand in expr.values)
+        if operand in expr.values:
+            return TRUE
+        return UNKNOWN if None in expr.values else FALSE
 
     if isinstance(expr, BetweenPredicate):
         operand = _value_of(expr.operand, row)

@@ -3,68 +3,44 @@
 import pytest
 
 from repro.bench import figures
+from repro.bench.figures import FIGURES, parse_args, point_values
 
 
 class TestFiguresCli:
-    def test_fig4a_quick(self, capsys, monkeypatch):
-        monkeypatch.setattr(figures, "run_selectivity_sweep", _fake_sweep)
-        exit_code = figures.main(["fig4a", "--quick"])
-        assert exit_code == 0
-        assert "FAKE-SWEEP" in capsys.readouterr().out
+    def test_quick_runs_groups_1_to_12_with_3_passes(self):
+        args = parse_args(["fig3a", "--quick", "--scale", "0.02"])
+        assert args.repetitions == 3
+        assert args.scale == pytest.approx(0.02)
+        assert point_values(FIGURES["fig3a"], args) == list(range(1, 13))
+        assert point_values(FIGURES["fig3a"], parse_args(["fig3a"])) == list(range(1, 34))
 
-    def test_fig3a_quick_uses_group_subset(self, capsys, monkeypatch):
-        captured = {}
+    def test_explicit_groups_override_quick(self):
+        args = parse_args(["fig3b", "--quick", "--groups", "5", "6"])
+        assert point_values(FIGURES["fig3b"], args) == [5, 6]
 
-        def fake_run_job_figure(figure, scale, repetitions, groups):
-            captured.update(figure=figure, scale=scale, repetitions=repetitions, groups=groups)
-            return _FakeResult()
-
-        monkeypatch.setattr(figures, "run_job_figure", fake_run_job_figure)
-        exit_code = figures.main(["fig3a", "--quick", "--scale", "0.02"])
-        assert exit_code == 0
-        assert captured["figure"] == "fig3a"
-        assert captured["scale"] == pytest.approx(0.02)
-        assert captured["repetitions"] == 1
-        assert captured["groups"] == list(range(1, 13))
-
-    def test_explicit_groups_override_quick(self, monkeypatch, capsys):
-        captured = {}
-
-        def fake_run_job_figure(figure, scale, repetitions, groups):
-            captured["groups"] = groups
-            return _FakeResult()
-
-        monkeypatch.setattr(figures, "run_job_figure", fake_run_job_figure)
-        figures.main(["fig3b", "--quick", "--groups", "5", "6"])
-        assert captured["groups"] == [5, 6]
+    def test_quick_sweeps(self):
+        quick = parse_args(["fig4c", "--quick"])
+        assert point_values(FIGURES["fig4c"], quick) == [2, 3, 4]
+        assert point_values(FIGURES["fig4c"], parse_args(["fig4c"])) == [2, 3, 4, 5, 6, 7]
+        assert point_values(FIGURES["fig4b"], quick) == [1_000, 2_000, 5_000]
+        sizes = parse_args(["fig4b", "--quick", "--sizes", "300"])
+        assert point_values(FIGURES["fig4b"], sizes) == [300]
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             figures.main(["fig9x"])
 
-    def test_all_runs_every_figure(self, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(
-            figures, "run_job_figure", lambda *args, **kwargs: calls.append("job") or _FakeResult()
+    def test_all_runs_every_figure(self, capsys):
+        figures.main(
+            [
+                "all", "--quick", "--groups", "1", "--scale", "0.01",
+                "--sizes", "300", "--table-size", "300", "--repetitions", "2",
+            ]
         )
-        for name in (
-            "run_selectivity_sweep",
-            "run_table_size_sweep",
-            "run_root_clause_sweep",
-            "run_outer_factor_sweep",
-        ):
-            monkeypatch.setattr(
-                figures, name, lambda *args, **kwargs: calls.append("synthetic") or _FakeResult()
-            )
-        figures.main(["all", "--quick"])
-        assert calls.count("job") == 5
-        assert calls.count("synthetic") == 4
-
-
-class _FakeResult:
-    def to_table(self) -> str:
-        return "FAKE-SWEEP"
-
-
-def _fake_sweep(*args, **kwargs):
-    return _FakeResult()
+        out = capsys.readouterr().out
+        titles = [line for line in out.splitlines() if line.startswith("Figure ")]
+        assert len(titles) == len(FIGURES) == 9
+        assert all("2 passes" in title and "unresolved)" in title for title in titles)
+        assert "Figure 3c: bpushconj vs tmin" in out
+        assert "Figure generalization: tpushdown-naive vs tpushdown" in out
+        assert "total ratio [q1-q3]" in out and "exec ratio [q1-q3]" in out

@@ -6,40 +6,34 @@ import re
 
 import pytest
 
-from repro.bench import TMIN_CANDIDATES, run_job_figure, runner, time_fastest
+from repro.bench import TMIN_CANDIDATES, PlannerTimes, time_planners
+from repro.bench.figures import FIGURES, factor_query
 from repro.cli import build_parser
 from repro.engine.session import PLANNERS
+from repro.workloads.job import job_query
 
 
 def test_not_part_of_tmin_candidates():
     assert "texhaustive" not in TMIN_CANDIDATES
 
 
-class TestTimeFastest:
-    def test_fig3c_row_count_equals_baseline(self, imdb_session):
-        figure = run_job_figure("3c", groups=[1], repetitions=1, session=imdb_session)
-        (row,) = figure.rows
-        assert figure.tagged_planner == row.tagged.planner == "tmin"
-        assert row.tagged.row_count == row.baseline.row_count
+class TestTmin:
+    def test_fig3c_times_the_baseline_and_every_candidate(self, imdb_catalog):
+        figure = FIGURES["fig3c"]
+        assert (figure.baseline, figure.tagged, figure.tagged_name) == (
+            "bpushconj", TMIN_CANDIDATES, "tmin"
+        )
+        times = time_planners(
+            imdb_catalog, factor_query(job_query(1)), (figure.baseline, *figure.tagged), 1
+        )
+        assert set(times.totals) == {"bpushconj", *TMIN_CANDIDATES}
+        assert times.fastest(figure.tagged) in TMIN_CANDIDATES
 
-    @staticmethod
-    def _fake_times(monkeypatch, seconds: dict[str, float], rows: dict[str, int]):
-        def fake_time_query(session, query, planner, repetitions=3, naive_tags=False):
-            return runner.BenchmarkMeasurement(
-                planner, "q", repetitions, seconds[planner], seconds[planner], 0.0, rows[planner]
-            )
-
-        monkeypatch.setattr(runner, "time_query", fake_time_query)
-
-    def test_keeps_the_fastest_mean(self, monkeypatch):
-        self._fake_times(monkeypatch, {"a": 0.3, "b": 0.1, "c": 0.2}, {"a": 5, "b": 5, "c": 5})
-        fastest = time_fastest(None, None, ("a", "b", "c"), 2)
-        assert (fastest.planner, fastest.total_seconds, fastest.repetitions) == ("tmin", 0.1, 2)
-
-    def test_disagreeing_candidates_raise(self, paper_query, monkeypatch):
-        self._fake_times(monkeypatch, {"a": 0.1, "b": 0.2}, {"a": 4, "b": 5})
-        with pytest.raises(AssertionError, match="disagree"):
-            time_fastest(None, paper_query, ("a", "b"), 1)
+    def test_keeps_the_lowest_median_total(self):
+        # b's mean (0.37) is above a's, its median (0.1) below.
+        times = PlannerTimes(totals={"a": [0.3, 0.3, 0.3], "b": [0.1, 0.9, 0.1], "c": [0.2] * 3})
+        assert times.fastest(("a", "b", "c")) == "b"
+        assert times.fastest(("a", "c")) == "c"
 
 
 @pytest.mark.parametrize("name", ("tmin", "bypass"))

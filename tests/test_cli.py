@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.history import WorkloadHistory, set_history
 from repro.storage.disk import load_catalog, save_catalog
 
 
@@ -138,7 +139,27 @@ class TestCompare:
         assert code == 0
         output = capsys.readouterr().out
         assert "tcombined" in output and "bdisj" in output and "bpushconj" in output
+        first = next(line for line in output.splitlines() if line.startswith("tcombined"))
+        assert first.split()[1] == "4" and first.split()[-1] == "1.00x"
         assert "speedup" in output
+
+    def test_compare_warms_up_then_times_one_pass(self, paper_data_dir, capsys):
+        class Log(WorkloadHistory):
+            def record_query(self, record, trace=None):
+                planners.append(record.planner)
+                return []
+
+        planners: list[str] = []
+        previous = set_history(Log(detect_regressions=False))
+        try:
+            code = main(
+                ["compare", "--data", paper_data_dir, "--sql", PAPER_SQL,
+                 "--planners", "tcombined", "bdisj"]
+            )
+        finally:
+            set_history(previous)
+        assert code == 0
+        assert planners == ["tcombined", "bdisj"] * 2
 
 
 class TestFuzz:

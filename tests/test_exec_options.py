@@ -3,6 +3,8 @@ that gives them."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro import Catalog, QueryService, Session, Table
@@ -44,6 +46,16 @@ def test_unknown_option_is_a_type_error_naming_it(catalog):
         session.execute_prepared(session.prepare(SQL), paralelism=2)
     with pytest.raises(TypeError, match="'partition'"):
         QueryService(session, partition=None)
+
+
+def test_unknown_session_keyword_names_both_option_sets(catalog):
+    message = (
+        "'three_valued' is neither a planning option "
+        "(access_paths, cost_params, naive_tags, stats_sample_size) nor an execution "
+        "option (collect_feedback, parallelism, partitions, shards, trace)"
+    )
+    with pytest.raises(TypeError, match=re.escape(message)):
+        Session(catalog, three_valued=False)
 
 
 def test_none_override_keeps_the_inherited_value(catalog):

@@ -8,10 +8,9 @@ query semantics.
 
 import pytest
 
-from repro.bench.job_bench import factor_query, run_job_figure
-from repro.bench.report import format_table, geometric_mean
-from repro.bench.runner import time_query
-from repro.bench.synthetic_bench import run_selectivity_sweep
+from repro.bench.figures import FIGURES, factor_query, parse_args, run_figure
+from repro.bench.report import format_table
+from repro.bench.timing import time_planners
 from repro.workloads.job import job_query_groups
 from repro.workloads.synthetic import make_cnf_query, make_dnf_query
 
@@ -78,41 +77,40 @@ class TestSyntheticEquivalence:
 
 
 class TestBenchHarness:
-    def test_run_job_figure_smoke(self, imdb_session):
-        result = run_job_figure("3a", groups=[1, 3], repetitions=1, session=imdb_session)
-        assert len(result.rows) == 2
-        assert result.average_speedup > 0
-        table = result.to_table()
-        assert "Figure 3a" in table
-        assert "speedup" in table
+    def test_run_job_figure_smoke(self):
+        args = parse_args(["fig3a", "--groups", "1", "3", "--scale", "0.015", "--repetitions", "2"])
+        table = run_figure("fig3a", args)
+        assert table.startswith("Figure 3a: bdisj vs tcombined, 2 passes (mean of medians ")
+        assert "/2 unresolved)" in table.splitlines()[0]
+        assert len(table.splitlines()) == 2 + 2 + 2
+        assert "total ratio [q1-q3]" in table
 
-    def test_run_job_figure_overhead_variant(self, imdb_session):
-        result = run_job_figure("fig3d", groups=[1], repetitions=1, session=imdb_session)
-        assert result.baseline_planner == "bpushconj"
-        assert result.tagged_planner == "tpushconj"
+    def test_overhead_variant_compares_identical_plans(self):
+        figure = FIGURES["fig3d"]
+        assert (figure.baseline, figure.tagged, figure.factored) == (
+            "bpushconj", ("tpushconj",), True
+        )
 
-    def test_run_job_figure_rejects_unknown(self, imdb_session):
-        with pytest.raises(ValueError):
-            run_job_figure("9z", session=imdb_session)
+    def test_unknown_figure_is_not_in_the_table(self):
+        with pytest.raises(KeyError):
+            run_figure("fig9z", parse_args(["fig3a"]))
 
     def test_selectivity_sweep_smoke(self):
-        result = run_selectivity_sweep(selectivities=(0.2,), table_size=300, repetitions=1)
-        assert len(result.rows) == 1
-        assert result.rows[0].baseline.row_count == result.rows[0].tagged.row_count
-        assert "Figure 4a" in result.to_table()
+        args = parse_args(["fig4a", "--table-size", "300", "--repetitions", "1"])
+        table = run_figure("fig4a", args)
+        assert table.startswith("Figure 4a: bdisj vs tcombined, 1 passes")
+        assert len(table.splitlines()) == 2 + 2 + len(FIGURES["fig4a"].points)
 
-    def test_time_query_averages(self, paper_session, paper_query):
-        measurement = time_query(paper_session, paper_query, "tcombined", repetitions=2)
-        assert measurement.repetitions == 2
-        assert measurement.row_count == 4
-        assert measurement.total_seconds > 0
+    def test_time_planners_collects_every_pass(self, paper_catalog, paper_query):
+        times = time_planners(paper_catalog, paper_query, ("tcombined",), 2)
+        assert times.row_count == 4
+        assert len(times.totals["tcombined"]) == 2
+        assert all(total > 0 for total in times.totals["tcombined"])
 
-    def test_time_query_rejects_zero_repetitions(self, paper_session, paper_query):
-        with pytest.raises(ValueError):
-            time_query(paper_session, paper_query, "tcombined", repetitions=0)
+    def test_time_planners_rejects_zero_passes(self, paper_catalog, paper_query):
+        with pytest.raises(ValueError, match="passes must be at least 1, got 0"):
+            time_planners(paper_catalog, paper_query, ("tcombined",), 0)
 
     def test_report_helpers(self):
         table = format_table(["a", "b"], [[1, 2.5], ["x", 3]], title="T")
         assert "T" in table and "2.500" in table
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0

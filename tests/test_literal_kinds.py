@@ -42,6 +42,28 @@ def test_in_list_membership_is_exact(id_catalog, planner):
             assert sorted(session.execute(sql, planner).rows) == expected, sql
 
 
+#: A NULL entry makes a miss UNKNOWN: over a = 1, 2, 3 the negated lists keep
+#: no row, and the implication from ``a = 2`` must not refute the list.
+NULL_ENTRY_SQL = {
+    "SELECT t.a FROM t AS t WHERE t.a NOT IN (1, NULL)": [],
+    "SELECT t.a FROM t AS t WHERE NOT (t.a IN (1, NULL))": [],
+    "SELECT t.a FROM t AS t WHERE t.a IN (1, NULL) OR t.b = 30": [(1,), (3,)],
+    "SELECT t.a FROM t AS t WHERE (t.a = 2 OR t.b < 0) AND NOT (t.a IN (1, NULL))": [],
+}
+
+
+@pytest.mark.parametrize("planner", sorted(PLANNERS))
+def test_a_null_in_entry_makes_a_miss_unknown(planner):
+    catalog = Catalog([Table.from_dict("t", {"a": [1, 2, 3], "b": [10, 20, 30]})])
+    session = Session(catalog, stats_sample_size=3)
+    for sql, expected in NULL_ENTRY_SQL.items():
+        query = parse_query(sql)
+        # The column holds no NULL: only the list makes the plan three-valued.
+        assert query.can_be_unknown(catalog), sql
+        assert sorted(evaluate_oracle(catalog, query)) == expected, sql
+        assert sorted(session.execute(sql, planner).rows) == expected, sql
+
+
 def test_sorted_index_answers_the_in_lists(id_catalog):
     session = Session(id_catalog, stats_sample_size=64)
     indexed = ensure_access_manager(id_catalog).has_index("t", "id")
