@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.storage.column import Column, ColumnType
+from repro.storage.column import AppendBuffer, Column, ColumnType, append_rows
 
 #: Code stored for NULL cells (no dictionary entry).
 NULL_CODE = -1
@@ -31,11 +31,17 @@ class DictionaryEncoding:
             :data:`NULL_CODE` for NULL cells.
     """
 
-    __slots__ = ("values", "codes")
+    __slots__ = ("values", "codes", "_codes_buffer")
 
-    def __init__(self, values: np.ndarray, codes: np.ndarray) -> None:
+    def __init__(
+        self,
+        values: np.ndarray,
+        codes: np.ndarray,
+        codes_buffer: AppendBuffer | None = None,
+    ) -> None:
         self.values = values
         self.codes = codes
+        self._codes_buffer = codes_buffer
 
     @classmethod
     def encode(cls, column: Column) -> "DictionaryEncoding":
@@ -47,16 +53,18 @@ class DictionaryEncoding:
     def extended(self, column: Column, old_num_rows: int) -> "DictionaryEncoding":
         """The encoding of ``column`` after rows were appended at ``old_num_rows``.
 
-        Only the appended segment is uniqued; existing codes are remapped
-        through a vectorized gather when the segment introduced new distinct
-        values — the full-column value sort never runs again, and the result
-        is array-equal to a fresh :meth:`encode`.  ``self`` is not mutated.
+        Only the appended segment is uniqued; the codes grow in place through
+        :func:`~repro.storage.column.append_rows`, except when the segment
+        introduced new distinct values: then the existing codes are remapped
+        through a vectorized gather and copied.  The full-column value sort
+        never runs again, and the result is array-equal to a fresh
+        :meth:`encode`.  ``self`` is not mutated.
         """
         segment = column.data[old_num_rows:]
         excluded = column.null_mask[old_num_rows:].copy()
         if column.ctype is ColumnType.FLOAT:
             excluded |= np.isnan(segment.astype(np.float64))
-        values, old_codes = self.values, self.codes
+        values, old_codes, buffer = self.values, self.codes, self._codes_buffer
         seg_codes = np.full(segment.shape[0], NULL_CODE, dtype=np.int32)
         valid = ~excluded
         if valid.any():
@@ -71,9 +79,12 @@ class DictionaryEncoding:
                 old = np.arange(self.num_values)
                 remap = old + np.searchsorted(slots[~known], old, side="right")
                 old_codes = np.append(remap, NULL_CODE).astype(np.int32)[old_codes]
+                buffer = None
                 slots = np.searchsorted(values, seg_uniques)
             seg_codes[valid] = slots.astype(np.int32)[seg_inverse]
-        return DictionaryEncoding(values, np.concatenate([old_codes, seg_codes]))
+        if not self.num_rows:
+            return DictionaryEncoding(values, seg_codes)  # a fresh encode: no headroom
+        return DictionaryEncoding(values, *append_rows(old_codes, seg_codes, buffer))
 
     def compacted(self, live: np.ndarray) -> "DictionaryEncoding":
         """The encoding of the rows at positions ``live``, renumbered in order.

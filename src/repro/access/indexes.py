@@ -253,14 +253,33 @@ class BitmapIndex(_IndexBase):
         ``dictionary`` is the column's already-extended encoding when the
         caller holds one (the table's, see
         :func:`repro.access.dictionary.carry_dictionaries`); otherwise this
-        index's own is extended (:meth:`DictionaryEncoding.extended`).  The
-        position grouping is re-derived from the (cheap, int32) code array —
-        the full-column value sort of :meth:`build` never runs.  ``self`` is
-        not mutated.
+        index's own is extended (:meth:`DictionaryEncoding.extended`).  Every
+        appended position is larger than every old one, so the segment's
+        positions go in at the ends of their code groups and the boundaries
+        shift by the segment's per-code counts; a segment that added values
+        remapped the old codes monotonically, which keeps the old order and
+        only moves its boundaries.  Neither the full-column value sort of
+        :meth:`build` nor a code argsort runs, and the result is array-equal
+        to :meth:`build`.  ``self`` is not mutated.
         """
         if dictionary is None:
             dictionary = self.dictionary.extended(column, old_num_rows)
-        order, boundaries = dictionary.grouped_positions()
+        # Rows per code (slot 0 = NULL_CODE) of the old order, in new codes.
+        counts = np.zeros(dictionary.num_values + 1, dtype=np.int64)
+        counts[0] = self._boundaries[0]
+        slots = np.arange(self.num_values)
+        if dictionary.num_values != self.num_values:
+            slots = np.searchsorted(dictionary.values, self.dictionary.values)
+        counts[slots + 1] = np.diff(self._boundaries)
+        segment = dictionary.codes[old_num_rows:]
+        grouped = np.argsort(segment, kind="stable")
+        order = np.insert(
+            self._order,
+            np.cumsum(counts)[segment[grouped] + 1],
+            grouped.astype(np.int64) + old_num_rows,
+        )
+        counts += np.bincount(segment + 1, minlength=counts.shape[0])
+        boundaries = np.cumsum(counts)
         null_positions = np.concatenate(
             [
                 self.null_positions,

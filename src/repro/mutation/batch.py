@@ -5,12 +5,13 @@ A :class:`MutationBatch` (from
 row appends and row deletes across any tables, then applies them atomically
 with :meth:`MutationBatch.commit`:
 
-* each mutated table is rebuilt **copy-on-write** — appended columns are new
-  arrays (old data shared until the concatenation), deletes extend a
-  per-table delete bitmap on a new :class:`~repro.storage.table.Table`
-  object sharing the unchanged columns — so catalog snapshots pinned by
-  in-flight :class:`~repro.engine.session.PreparedPlan` objects keep reading
-  exactly the data they were planned against;
+* each mutated table is a new :class:`~repro.storage.table.Table` version:
+  appended columns, dictionary codes and the delete mask grow in place
+  behind read-only prefix views (:func:`~repro.storage.column.append_rows`),
+  a commit that deletes rows copies the delete mask, and unchanged columns
+  are shared — so catalog snapshots pinned by in-flight
+  :class:`~repro.engine.session.PreparedPlan` objects keep reading exactly
+  the data they were planned against;
 * the catalog version is bumped **exactly once per batch**
   (:meth:`~repro.storage.catalog.Catalog.apply_mutation`), and every mutated
   table adopts that version;
@@ -312,14 +313,14 @@ def _build_segments(
 def extend_column(old: Column, segment: Column) -> Column:
     """``old`` with ``segment`` appended, statistics seeded by merging.
 
-    The shared column-extension primitive of in-memory commits and the disk
-    append-log replay (:mod:`repro.mutation.diskops`).
+    The shared column-extension primitive of in-memory commits, the disk
+    append-log replay (:mod:`repro.mutation.diskops`) and compaction's
+    catch-up commit.  Values and NULL mask grow in place behind read-only
+    version views (:meth:`~repro.storage.column.Column.appended`): a commit
+    that extends the newest version writes only its segment; extending an
+    older version (a second branch of a shared table) copies, with headroom.
     """
-    data = np.concatenate([old.data, segment.data])
-    nulls = np.concatenate([old.null_mask, segment.null_mask])
-    extended = Column(
-        old.name, data, ctype=old.ctype, null_mask=nulls, page_size=old.page_size
-    )
+    extended = old.appended(segment)
     distinct, bounds, bounds_known = old.cached_statistics()
     merged = _merge_bounds(bounds, segment.min_max()) if bounds_known else None
     if distinct is not None:
@@ -345,27 +346,16 @@ def _mutated_table(
 ) -> Table:
     """The post-commit table: appended columns + extended delete mask."""
     appended = next(iter(segments.values()), None)
-    appended_rows = len(appended) if appended is not None else 0
-    if appended_rows:
+    if appended is not None and len(appended):
         columns = [
             extend_column(column, segments[column.name]) for column in old.columns()
         ]
     else:
         columns = old.columns()
     mask = old.delete_mask
-    if mask is None and deleted.size == 0:
-        new_mask = None
-    else:
-        new_mask = np.zeros(old.num_rows + appended_rows, dtype=np.bool_)
-        if mask is not None:
-            new_mask[: old.num_rows] = mask
-        if deleted.size:
-            if bool(new_mask[deleted].any()):
-                raise MutationError(
-                    f"delete targets already-deleted rows of table {old.name!r}"
-                )
-            new_mask[deleted] = True
-    mutated = Table(old.name, columns, delete_mask=new_mask)
+    if mask is not None and deleted.size and bool(mask[deleted].any()):
+        raise MutationError(f"delete targets already-deleted rows of table {old.name!r}")
+    mutated = old.next_version(columns, deleted)
     carry_dictionaries(old, mutated)
     return mutated
 

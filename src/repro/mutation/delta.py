@@ -64,11 +64,6 @@ class TableDelta:
         """Number of rows this delta deleted."""
         return int(self.deleted_positions.size)
 
-    @property
-    def new_num_rows(self) -> int:
-        """Physical rows after the commit."""
-        return self.old_num_rows + self.appended_rows
-
     def describe(self) -> str:
         """``table: +a rows, -d rows (vN -> vM)`` for logs and CLI output."""
         return (

@@ -55,7 +55,6 @@ from repro.storage.disk import (
     load_catalog,
     read_csv_rows,
 )
-from repro.storage.table import Table
 from repro.testing import faults
 
 
@@ -323,17 +322,15 @@ def replay_saved_mutations(
         if not run:
             return
         table = catalog.get(table_name)
-        appended_rows = sum(int(r["rows"]) for r in run)
         columns = [
             extend_column(
                 column, _combined_segment(table_directory(table_name), table_name, column, run)
             )
             for column in table.columns()
         ]
-        mask = table.delete_mask
-        if mask is not None:
-            mask = np.concatenate([mask, np.zeros(appended_rows, dtype=np.bool_)])
-        catalog.apply_mutation({table_name: Table(table_name, columns, delete_mask=mask)})
+        catalog.apply_mutation(
+            {table_name: table.next_version(columns, np.empty(0, dtype=np.int64))}
+        )
 
     for record in records:
         table_name = record["table"]
@@ -379,8 +376,6 @@ def _combined_segment(directory: Path, table_name: str, column, run: list[dict])
                 f"in {segment_dir.name}"
             )
         values = np.load(values_path, allow_pickle=False)
-        if column.ctype is ColumnType.STRING:
-            values = values.astype(object)
         if values.shape[0] != int(record["rows"]):
             raise CatalogFormatError(
                 f"segment {segment_dir.name} of {table_name} holds "

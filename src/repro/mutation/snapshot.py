@@ -2,8 +2,9 @@
 
 Snapshot isolation in this engine is almost free, because every layer below
 it is already immutable: a :class:`~repro.storage.table.Table` never changes
-after construction (a mutation commit registers a *new* table object that
-shares the unchanged column arrays — copy-on-write), so pinning a consistent
+after construction (a mutation commit registers a *new* table object whose
+arrays are read-only views grown past the old ones, see
+:func:`~repro.storage.column.append_rows`), so pinning a consistent
 view of the catalog is just pinning the table objects that were current at
 one moment.  :meth:`repro.storage.catalog.Catalog.snapshot` produces such a
 pin; :class:`~repro.engine.session.PreparedPlan` stores one, which is what

@@ -17,12 +17,19 @@ them raises ``ValueError``).  Every other read gathers a fresh array.  The
 NULL mask returned is always a fresh, writable array: a column with no NULLs
 (known from construction) returns ``np.zeros(n, bool)`` without reading its
 mask.
+
+Columns grow by appends without copying their rows (:func:`append_rows`):
+every version of a column is a read-only prefix view of one
+:class:`AppendBuffer` with spare capacity, and a commit writes its segment
+into the tail when the version it extends is the longest one handed out.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
-from collections.abc import Iterable, Sequence
+import threading
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -46,6 +53,63 @@ def touched_pages(positions: np.ndarray, page_size: int, num_pages: int) -> np.n
     touched = np.zeros(num_pages, dtype=np.bool_)
     touched[positions // page_size] = True
     return np.flatnonzero(touched)
+
+
+class AppendBuffer:
+    """Capacity shared by every version of one growing array.
+
+    ``array[:claimed]`` holds the rows of the longest version handed out;
+    each version is a read-only prefix view of ``array``.  The growth state
+    is never serialized: a pickled or deep-copied holder restores it as
+    ``None``, ships only its own rows, and copies on its next append.
+    """
+
+    __slots__ = ("array", "claimed", "lock")
+
+    def __init__(self, array: np.ndarray, claimed: int) -> None:
+        self.array = array
+        self.claimed = claimed
+        self.lock = threading.Lock()
+
+    def __reduce__(self):
+        return (_no_buffer, ())
+
+
+def _no_buffer() -> None:
+    return None
+
+
+def append_rows(
+    version: np.ndarray, segment: np.ndarray, buffer: AppendBuffer | None
+) -> tuple[np.ndarray, AppendBuffer]:
+    """``version`` followed by ``segment`` as a read-only view, and its buffer.
+
+    When ``version`` is ``buffer``'s tail (its length is the claimed length)
+    and the capacity suffices, the segment is written into the tail and
+    claimed, under the buffer's lock — two branches extending one version
+    never both write it.  Otherwise (``buffer`` is ``None``, too small, or
+    already extended past ``version``) the rows are copied into a new buffer
+    with ``max(m, n // 16)`` rows of headroom.  Either way ``version`` and
+    every earlier view keep reading exactly their own rows.  A caller that
+    changes old rows (a delete, a code remap) passes the changed copy with
+    ``buffer=None``.
+    """
+    n, m = version.shape[0], segment.shape[0]
+    if buffer is not None:
+        with buffer.lock:
+            if buffer.claimed == n and buffer.array.shape[0] >= n + m:
+                buffer.array[n : n + m] = segment
+                buffer.claimed = n + m
+                return _read_only(buffer.array[: n + m]), buffer
+    array = np.empty(n + m + max(m, n // 16), dtype=version.dtype)
+    array[:n] = version
+    array[n : n + m] = segment
+    return _read_only(array[: n + m]), AppendBuffer(array, n + m)
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 #: Integer data are handled by offset — flag / rank / first-row tables over
@@ -178,8 +242,8 @@ class Column:
             ctype = _infer_type(list(sample))
         self.ctype = ctype
 
-        inferred_nulls = np.zeros(len(values_list), dtype=np.bool_)
         if not isinstance(values_list, np.ndarray):
+            inferred_nulls = np.zeros(len(values_list), dtype=np.bool_)
             cleaned = []
             for i, value in enumerate(values_list):
                 if value is None:
@@ -188,18 +252,38 @@ class Column:
                 else:
                     cleaned.append(value)
             data = np.array(cleaned, dtype=ctype.numpy_dtype)
+        elif values_list.dtype == object:
+            # ``None`` cells of an object array are NULLs, as in a list.
+            inferred_nulls = np.equal(values_list, None)
+            if inferred_nulls.any():
+                values_list = values_list.copy()
+                values_list[inferred_nulls] = self._null_placeholder()
+            data = values_list.astype(ctype.numpy_dtype, copy=False)
         else:
+            inferred_nulls = np.zeros(len(values_list), dtype=np.bool_)
             data = values_list.astype(ctype.numpy_dtype, copy=False)
 
-        self._data = data
         if null_mask is not None:
-            null_mask = np.array(null_mask, dtype=np.bool_, copy=True)
+            null_mask = np.asarray(null_mask, dtype=np.bool_)
             if null_mask.shape[0] != data.shape[0]:
                 raise ValueError("null_mask length does not match values length")
-            self._nulls = null_mask | inferred_nulls
-        else:
-            self._nulls = inferred_nulls
-        self._has_nulls = bool(self._nulls.any())
+            inferred_nulls |= null_mask
+        self._adopt(data, inferred_nulls, bool(inferred_nulls.any()))
+
+    def _adopt(
+        self,
+        data: np.ndarray,
+        nulls: np.ndarray,
+        has_nulls: bool,
+        data_buffer: AppendBuffer | None = None,
+        nulls_buffer: AppendBuffer | None = None,
+    ) -> None:
+        """Take ``data`` / ``nulls`` (and their growth buffers) as they are."""
+        self._data = data
+        self._nulls = nulls
+        self._has_nulls = has_nulls
+        self._data_buffer = data_buffer
+        self._nulls_buffer = nulls_buffer
         # Lazily computed statistics.  Columns are immutable (table mutation
         # means replacing the whole Column via Catalog.replace), so the
         # caches never need invalidating — a new Column starts empty.  The
@@ -208,6 +292,24 @@ class Column:
         self._distinct_count: int | None = None
         self._min_max: tuple | None = None
         self._min_max_known = False
+
+    def appended(self, segment: "Column") -> "Column":
+        """This column followed by ``segment``'s rows, as a new version.
+
+        Values and NULL mask grow through :func:`append_rows`: no row of
+        ``self`` is copied when ``self`` is its buffers' tail, and the NULL
+        mask is adopted without a re-scan.  ``self`` is not changed; the
+        new column starts with empty statistic caches.
+        """
+        data, data_buffer = append_rows(self._data, segment.data, self._data_buffer)
+        nulls, nulls_buffer = append_rows(
+            self._nulls, segment.null_mask, self._nulls_buffer
+        )
+        extended = copy.copy(self)  # name, type and page size; the rest is replaced
+        extended._adopt(
+            data, nulls, self._has_nulls or segment.has_nulls(), data_buffer, nulls_buffer
+        )
+        return extended
 
     def _null_placeholder(self):
         """Placeholder stored for NULL cells (never observed by callers)."""
@@ -411,9 +513,3 @@ class Column:
     def __repr__(self) -> str:
         return f"Column({self.name!r}, type={self.ctype.value}, rows={len(self)})"
 
-
-def column_from_iterable(
-    name: str, values: Iterable, ctype: ColumnType | None = None
-) -> Column:
-    """Build a column from any iterable of Python values."""
-    return Column(name, list(values), ctype=ctype)

@@ -271,15 +271,13 @@ def _load_column(directory: Path, entry: dict, ctype: ColumnType) -> Column:
     nulls_path = directory / f"{name}.nulls.npy"
     if not values_path.exists() or not nulls_path.exists():
         raise CatalogFormatError(f"missing column files for {directory.name}.{name}")
-    values = np.load(values_path, allow_pickle=False)
-    nulls = np.load(nulls_path, allow_pickle=False)
-    if ctype is ColumnType.STRING:
-        values = values.astype(object)
     column = Column(
         name,
-        values,
+        # Saved strings are a fixed-width unicode array, NULL cells hold
+        # the placeholder: the column converts them without a NULL scan.
+        np.load(values_path, allow_pickle=False),
         ctype=ctype,
-        null_mask=nulls,
+        null_mask=np.load(nulls_path, allow_pickle=False),
         # v1 manifests did not record page geometry; they were always
         # written with the default page size.
         page_size=int(entry.get("page_size", DEFAULT_PAGE_SIZE)),

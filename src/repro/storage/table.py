@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.column import Column, ColumnType
+from repro.storage.column import Column, ColumnType, append_rows
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
 
@@ -81,10 +81,10 @@ class Table:
             (True = deleted).  The physical row range — and therefore page
             geometry, partitioning and column arrays — is unchanged; scans
             simply never emit deleted positions.  Tables stay immutable:
-            the mutation subsystem (:mod:`repro.mutation`) commits a delete
-            by registering a *new* ``Table`` object sharing the columns but
-            carrying an extended mask, so snapshots pinned by in-flight
-            prepared plans keep their own view.
+            the mutation subsystem (:mod:`repro.mutation`) commits through
+            :meth:`next_version`, a *new* ``Table`` object whose mask is a
+            read-only view grown past this one's, so snapshots pinned by
+            in-flight prepared plans keep their own view.
     """
 
     def __init__(
@@ -119,6 +119,7 @@ class Table:
             if not delete_mask.any():
                 delete_mask = None
         self._delete_mask = delete_mask
+        self._mask_buffer = None
         self._num_deleted = int(delete_mask.sum()) if delete_mask is not None else 0
 
     # ------------------------------------------------------------------ #
@@ -162,10 +163,34 @@ class Table:
     def with_delete_mask(self, delete_mask: np.ndarray | None) -> "Table":
         """A new table sharing this table's columns under ``delete_mask``.
 
-        The copy-on-write primitive of the mutation subsystem: column arrays
-        (and their memoized statistics) are shared, only the mask differs.
+        Column arrays (and their memoized statistics) are shared, the mask
+        is copied and counted; the disk replay of a delete record uses it.
+        Commits go through :meth:`next_version`.
         """
         return Table(self.name, list(self._columns.values()), delete_mask=delete_mask)
+
+    def next_version(self, columns: Sequence[Column], deleted: np.ndarray) -> "Table":
+        """The table after one commit: ``columns`` and ``deleted`` newly deleted.
+
+        ``columns`` are this table's columns with the commit's rows appended
+        (or these very columns); ``deleted`` are unique positions that are
+        live here.  The delete mask grows through
+        :func:`~repro.storage.column.append_rows` — in place when nothing
+        is deleted — and a commit that deletes copies it, since it changes
+        old positions.  The mask is never re-counted.
+        """
+        table = Table(self.name, columns)
+        appended = np.zeros(table.num_rows - self._num_rows, dtype=np.bool_)
+        mask, buffer = self._delete_mask, self._mask_buffer
+        if deleted.size:
+            head = np.zeros(self._num_rows, dtype=np.bool_) if mask is None else mask.copy()
+            head[deleted] = True
+            mask, buffer = append_rows(head, appended, None)
+        elif mask is not None and appended.size:
+            mask, buffer = append_rows(mask, appended, buffer)
+        table._delete_mask, table._mask_buffer = mask, buffer
+        table._num_deleted = self._num_deleted + int(deleted.size)
+        return table
 
     @property
     def column_names(self) -> list[str]:

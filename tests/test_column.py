@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage.column import Column, ColumnType, column_from_iterable
+from repro.storage.column import Column, ColumnType
 from repro.storage.iostats import IOStats
 from repro.storage.pagecache import LFUPageCache
 
@@ -135,8 +135,8 @@ class TestReads:
 
 
 class TestConvenience:
-    def test_column_from_iterable(self):
-        column = column_from_iterable("c", (x * x for x in range(4)))
+    def test_column_from_a_generated_list(self):
+        column = Column("c", [x * x for x in range(4)])
         assert len(column) == 4
         assert column.data[3] == 9
 

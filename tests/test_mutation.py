@@ -140,7 +140,7 @@ class TestCommit:
         delta = commit.deltas["t"]
         assert delta.appended_rows == 2
         assert delta.deleted_count == 2
-        assert delta.old_num_rows == 10 and delta.new_num_rows == 12
+        assert delta.old_num_rows == 10 and catalog.get("t").num_rows == 12
         v = delta.columns["v"]
         assert v.appended_nulls == 1 and v.appended_distinct == 1
         assert v.appended_min == 99.0 and v.appended_max == 99.0
