@@ -56,7 +56,7 @@ class DictionaryEncoding:
         Only the appended segment is uniqued; the codes grow in place through
         :func:`~repro.storage.column.append_rows`, except when the segment
         introduced new distinct values: then the existing codes are remapped
-        through a vectorized gather and copied.  The full-column value sort
+        by one vectorized gather into the copy.  The full-column value sort
         never runs again, and the result is array-equal to a fresh
         :meth:`encode`.  ``self`` is not mutated.
         """
@@ -64,7 +64,7 @@ class DictionaryEncoding:
         excluded = column.null_mask[old_num_rows:].copy()
         if column.ctype is ColumnType.FLOAT:
             excluded |= np.isnan(segment.astype(np.float64))
-        values, old_codes, buffer = self.values, self.codes, self._codes_buffer
+        values, lookup = self.values, None
         seg_codes = np.full(segment.shape[0], NULL_CODE, dtype=np.int32)
         valid = ~excluded
         if valid.any():
@@ -78,13 +78,13 @@ class DictionaryEncoding:
                 # before it; the trailing slot keeps NULL_CODE (-1) as it is.
                 old = np.arange(self.num_values)
                 remap = old + np.searchsorted(slots[~known], old, side="right")
-                old_codes = np.append(remap, NULL_CODE).astype(np.int32)[old_codes]
-                buffer = None
+                lookup = np.append(remap, NULL_CODE).astype(np.int32)
                 slots = np.searchsorted(values, seg_uniques)
             seg_codes[valid] = slots.astype(np.int32)[seg_inverse]
         if not self.num_rows:
             return DictionaryEncoding(values, seg_codes)  # a fresh encode: no headroom
-        return DictionaryEncoding(values, *append_rows(old_codes, seg_codes, buffer))
+        codes, buffer = append_rows(self.codes, seg_codes, self._codes_buffer, lookup)
+        return DictionaryEncoding(values, codes, buffer)
 
     def compacted(self, live: np.ndarray) -> "DictionaryEncoding":
         """The encoding of the rows at positions ``live``, renumbered in order.

@@ -343,19 +343,17 @@ def replay_saved_mutations(
             if not positions_path.exists():
                 raise CatalogFormatError(f"missing delete record {positions_path}")
             positions = np.load(positions_path, allow_pickle=False).astype(np.int64)
-            mask = (
-                table.delete_mask.copy()
-                if table.delete_mask is not None
-                else np.zeros(table.num_rows, dtype=np.bool_)
-            )
-            if positions.size:
-                if positions.min() < 0 or positions.max() >= table.num_rows:
-                    raise CatalogFormatError(
-                        f"delete record {positions_path.name} is out of range for "
-                        f"table {table_name!r}"
-                    )
-                mask[positions] = True
-            catalog.apply_mutation({table_name: table.with_delete_mask(mask)})
+            if positions.size and (
+                positions.min() < 0
+                or positions.max() >= table.num_rows
+                or np.unique(positions).size != positions.size
+                or (table.delete_mask is not None and table.delete_mask[positions].any())
+            ):
+                raise CatalogFormatError(
+                    f"delete record {positions_path.name} is out of range, repeated or "
+                    f"already deleted for table {table_name!r}"
+                )
+            catalog.apply_mutation({table_name: table.next_version(table.columns(), positions)})
         else:
             raise CatalogFormatError(f"unknown mutation op {record.get('op')!r}")
     for table_name in list(pending):

@@ -80,7 +80,10 @@ def _no_buffer() -> None:
 
 
 def append_rows(
-    version: np.ndarray, segment: np.ndarray, buffer: AppendBuffer | None
+    version: np.ndarray,
+    segment: np.ndarray,
+    buffer: AppendBuffer | None,
+    lookup: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AppendBuffer]:
     """``version`` followed by ``segment`` as a read-only view, and its buffer.
 
@@ -90,19 +93,27 @@ def append_rows(
     never both write it.  Otherwise (``buffer`` is ``None``, too small, or
     already extended past ``version``) the rows are copied into a new buffer
     with ``max(m, n // 16)`` rows of headroom.  Either way ``version`` and
-    every earlier view keep reading exactly their own rows.  A caller that
-    changes old rows (a delete, a code remap) passes the changed copy with
-    ``buffer=None``.
+    every earlier view keep reading exactly their own rows.
+
+    A caller that changes old rows takes the copy branch (``buffer=None``):
+    a code remap passes ``lookup``, and the copied rows are
+    ``lookup[version]`` (``-1`` reads the last entry), gathered straight
+    into the new buffer; a delete sets its positions in the new buffer's
+    ``array`` before it hands the view out.
     """
     n, m = version.shape[0], segment.shape[0]
-    if buffer is not None:
+    if buffer is not None and lookup is None:
         with buffer.lock:
             if buffer.claimed == n and buffer.array.shape[0] >= n + m:
                 buffer.array[n : n + m] = segment
                 buffer.claimed = n + m
                 return _read_only(buffer.array[: n + m]), buffer
-    array = np.empty(n + m + max(m, n // 16), dtype=version.dtype)
-    array[:n] = version
+    dtype = version.dtype if lookup is None else lookup.dtype
+    array = np.empty(n + m + max(m, n // 16), dtype=dtype)
+    if lookup is None:
+        array[:n] = version
+    else:
+        np.take(lookup, version, out=array[:n], mode="wrap")
     array[n : n + m] = segment
     return _read_only(array[: n + m]), AppendBuffer(array, n + m)
 

@@ -160,32 +160,26 @@ class Table:
             return positions
         return positions[~self._delete_mask[positions]]
 
-    def with_delete_mask(self, delete_mask: np.ndarray | None) -> "Table":
-        """A new table sharing this table's columns under ``delete_mask``.
-
-        Column arrays (and their memoized statistics) are shared, the mask
-        is copied and counted; the disk replay of a delete record uses it.
-        Commits go through :meth:`next_version`.
-        """
-        return Table(self.name, list(self._columns.values()), delete_mask=delete_mask)
-
     def next_version(self, columns: Sequence[Column], deleted: np.ndarray) -> "Table":
         """The table after one commit: ``columns`` and ``deleted`` newly deleted.
 
         ``columns`` are this table's columns with the commit's rows appended
-        (or these very columns); ``deleted`` are unique positions that are
-        live here.  The delete mask grows through
-        :func:`~repro.storage.column.append_rows` — in place when nothing
-        is deleted — and a commit that deletes copies it, since it changes
-        old positions.  The mask is never re-counted.
+        (or these very columns); ``deleted`` are unique positions live in the
+        new version — appended rows included, as when compaction re-applies
+        the commits that landed while its fold ran.  The delete mask grows
+        through :func:`~repro.storage.column.append_rows`: in place when
+        nothing is deleted; a commit that deletes takes the copy branch,
+        since it changes old positions, and sets its positions in the new
+        buffer before the view is handed out.  The mask is never re-counted.
         """
         table = Table(self.name, columns)
         appended = np.zeros(table.num_rows - self._num_rows, dtype=np.bool_)
         mask, buffer = self._delete_mask, self._mask_buffer
         if deleted.size:
-            head = np.zeros(self._num_rows, dtype=np.bool_) if mask is None else mask.copy()
-            head[deleted] = True
-            mask, buffer = append_rows(head, appended, None)
+            if mask is None:
+                mask = np.broadcast_to(np.False_, self._num_rows)
+            mask, buffer = append_rows(mask, appended, None)
+            buffer.array[deleted] = True
         elif mask is not None and appended.size:
             mask, buffer = append_rows(mask, appended, buffer)
         table._delete_mask, table._mask_buffer = mask, buffer

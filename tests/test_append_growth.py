@@ -160,6 +160,35 @@ def test_extended_null_mask_is_adopted_without_a_scan():
     assert extend_column(dirty, Column("c", [6.0])).has_nulls()
 
 
+def test_a_version_may_delete_rows_it_appends():
+    """Compaction re-applies mid-fold commits: a delete can reach past the old rows."""
+    table = Table("t", [Column("id", np.arange(4))])
+    masked = table.next_version(table.columns(), np.array([0]))
+    for old, deleted in [(table, [1, 5]), (masked, [5])]:
+        column = extend_column(old.column("id"), Column("id", [4, 5]))
+        grown = old.next_version([column], np.array(deleted))
+        expected = np.zeros(6, dtype=np.bool_)
+        expected[deleted] = True
+        if old.delete_mask is not None:
+            expected[:4] |= old.delete_mask
+        assert grown.delete_mask.tolist() == expected.tolist()
+        assert grown.num_deleted == int(expected.sum())
+        assert not grown.delete_mask.flags.writeable
+    assert table.delete_mask is None
+
+
+def test_a_value_adding_segment_gathers_the_remapped_codes_like_a_fresh_encode():
+    column = Column("c", ["b", None, "d", "b"], ctype=ColumnType.STRING)
+    encoding = DictionaryEncoding.encode(column)
+    for segment in (["c", None, "a"], ["b"], ["e", "a"]):
+        grown = extend_column(column, Column("c", segment, ctype=ColumnType.STRING))
+        encoding = encoding.extended(grown, len(column))
+        fresh = DictionaryEncoding.encode(grown)
+        assert encoding.values.tolist() == fresh.values.tolist()
+        assert encoding.codes.tolist() == fresh.codes.tolist()
+        column = grown
+
+
 def test_published_views_are_read_only():
     catalog = _events_catalog()
     table_dictionary(catalog.get("events"), "category")

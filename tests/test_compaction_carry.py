@@ -156,12 +156,14 @@ _row = st.fixed_dictionaries(
     }
 )
 _picks = st.lists(st.integers(0, 999), max_size=5)
-#: ``("append", rows)`` | ``("delete", picks)`` | ``("compact", rows, picks)``
-#: — the rows / picks of a compact op are committed while its fold runs.
+#: ``("append", rows)`` | ``("delete", picks)`` | ``("compact", rows, picks, later)``
+#: — while a compact op's fold runs, one commit appends its rows and deletes
+#: its picks, and a second deletes the ``later`` picks, which may hit a row
+#: the first appended.
 _op = st.one_of(
     st.tuples(st.just("append"), st.lists(_row, min_size=1, max_size=6)),
     st.tuples(st.just("delete"), _picks),
-    st.tuples(st.just("compact"), st.lists(_row, max_size=3), _picks),
+    st.tuples(st.just("compact"), st.lists(_row, max_size=3), _picks, _picks),
 )
 
 
@@ -271,7 +273,7 @@ def _assert_reads_match_oracle(catalog: Catalog) -> None:
 
 
 class _CommitMidFold(Compactor):
-    """A compactor whose fold is overtaken by one commit before the swap."""
+    """A compactor whose fold is overtaken by commits before the swap."""
 
     def __init__(self, root, catalog, commit) -> None:
         super().__init__(root, catalog=catalog)
@@ -312,7 +314,7 @@ def _run_scenario(ops, root: Path) -> None:
                 batch.delete("t", positions=doomed)
             batch.commit()
 
-        for op in [*ops, ("compact", [], [])]:
+        for op in [*ops, ("compact", [], [], [])]:
             if op[0] == "append":
                 commit(op[1], [])
             elif op[0] == "delete":
@@ -324,7 +326,11 @@ def _run_scenario(ops, root: Path) -> None:
                     z.column_name for name, z in manager.zone_maps_built() if name == "t"
                 }
                 built_before = (manager.stats.indexes_built, manager.stats.zone_maps_built)
-                summary = _CommitMidFold(root, catalog, lambda: commit(op[1], op[2])).run()
+                def mid_fold(op=op) -> None:
+                    commit(op[1], op[2])
+                    commit([], op[3])
+
+                summary = _CommitMidFold(root, catalog, mid_fold).run()
                 assert summary["rows_reclaimed"] == before.num_deleted
                 table = catalog.get("t")
                 folded_only = bool(summary["rows_reclaimed"]) and not op[1]
@@ -361,8 +367,8 @@ def _run_scenario(ops, root: Path) -> None:
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_op, max_size=6))
-@example([("delete", [1, 7]), ("compact", [], [])])  # every "b" row: the value vanishes
-@example([("delete", [4, 5, 6, 7]), ("compact", [], [])])  # every row of page 1
+@example([("delete", [1, 7]), ("compact", [], [], [])])  # every "b" row: the value vanishes
+@example([("delete", [4, 5, 6, 7]), ("compact", [], [], [])])  # every row of page 1
 @example(  # delete-free
     [("append", [{"s": "c", "k": "x", "n": 4, "f": 2.0, "g": None, "b": True}])]
 )
@@ -373,10 +379,17 @@ def _run_scenario(ops, root: Path) -> None:
             "compact",
             [{"s": "0", "k": "y", "n": None, "f": NAN, "g": 9.0, "b": None}],
             [2],
+            [],
         ),
     ]
 )
-@example([("delete", list(range(12))), ("compact", [], [])])  # nothing survives
+@example(  # two commits land mid-fold: the second deletes the row the first appended
+    [
+        ("delete", [0, 3]),
+        ("compact", [{"s": "a", "k": "x", "n": 1, "f": 0.5, "g": None, "b": True}], [], [10]),
+    ]
+)
+@example([("delete", list(range(12))), ("compact", [], [], [])])  # nothing survives
 def test_compaction_carries_every_structure(ops):
     with tempfile.TemporaryDirectory() as scratch:
         _run_scenario(ops, Path(scratch) / "data")
@@ -387,6 +400,10 @@ def test_the_named_examples_do_what_they_say():
     base = _table("t", _base_rows())
     assert [i for i, v in enumerate(base.column("s").values_list()) if v == "b"] == [1, 5, 7, 11]
     assert PAGE == 4 and base.num_rows == 12
+    # After deleting positions 0 and 3 and appending one row mid-fold, the
+    # live positions are 1, 2, 4..11, 12: pick 10 is the appended row.
+    live_mid_fold = [p for p in range(base.num_rows) if p not in (0, 3)] + [base.num_rows]
+    assert live_mid_fold[10] == base.num_rows
 
 
 # --------------------------------------------------------------------------- #

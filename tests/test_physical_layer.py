@@ -88,9 +88,7 @@ class TestPhysicalProtocol:
             assert relation.num_rows == small_table.num_rows
 
     def test_deleted_row_never_reaches_any_scan_output(self, small_table):
-        mask = np.zeros(small_table.num_rows, dtype=np.bool_)
-        mask[[2, 7]] = True
-        table = small_table.with_delete_mask(mask)
+        table = small_table.next_version(small_table.columns(), np.array([2, 7]))
         scan = ScanPhysical("t", table)
         assert scan.run(ExecContext()).indices["t"].tolist() == [0, 1, 3, 4, 5, 6, 8, 9]
 
